@@ -31,10 +31,6 @@ class Budget:
                 limit=self.max_nodes,
             )
 
-    @property
-    def remaining(self) -> int:
-        return max(0, self.max_nodes - self.used)
-
 
 def as_budget(budget: Budget | int | None, label: str = "") -> Budget:
     """Coerce an int or None into a Budget (None means the default size)."""

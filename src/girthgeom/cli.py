@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -70,6 +71,15 @@ def _girth_value(g) -> int | str:
 # shared report pieces
 
 
+def _refute_below(graph, claimed_chromatic: int, budget: Budget) -> tuple[bool | None, int]:
+    """Whether claimed_chromatic - 1 colors are refuted (None when the
+    budget ran out first), and the search nodes spent."""
+    if claimed_chromatic <= 1:
+        return True, 0
+    refutation = graphs.is_k_colorable(graph, claimed_chromatic - 1, budget)
+    return {"refuted": True, "colorable": False}.get(refutation.status), refutation.nodes
+
+
 def _graph_report(graph, claimed_girth, claimed_chromatic, chroma_budget: int) -> tuple[dict, bool, bool]:
     """Recompute girth and chromatic facts; returns (doc, hard_failure,
     budget_flag)."""
@@ -80,21 +90,10 @@ def _graph_report(graph, claimed_girth, claimed_chromatic, chroma_budget: int) -
     girth_ok = claimed_girth is None or computed_girth >= claimed_girth
     hard_fail |= not girth_ok
 
-    chroma: dict = {"claimed_at_least": claimed_chromatic}
-    refutation_nodes = 0
-    if claimed_chromatic > 1:
-        refutation = graphs.is_k_colorable(graph, claimed_chromatic - 1, Budget(chroma_budget, "claim refutation"))
-        refutation_nodes = refutation.nodes
-        if refutation.status == "refuted":
-            chroma["refuted_below"] = True
-        elif refutation.status == "colorable":
-            chroma["refuted_below"] = False
-            hard_fail = True
-        else:
-            chroma["refuted_below"] = None
-            budget_flag = True
-    else:
-        chroma["refuted_below"] = True
+    refuted, refutation_nodes = _refute_below(graph, claimed_chromatic, Budget(chroma_budget, "claim refutation"))
+    chroma: dict = {"claimed_at_least": claimed_chromatic, "refuted_below": refuted}
+    hard_fail |= refuted is False
+    budget_flag |= refuted is None
     exact = graphs.chromatic_number(graph, Budget(chroma_budget, "exact chromatic"))
     chroma["exact"] = exact.value
     chroma["status"] = exact.status
@@ -114,12 +113,17 @@ def _graph_report(graph, claimed_girth, claimed_chromatic, chroma_budget: int) -
     return doc, hard_fail, budget_flag
 
 
-def _structure_report(obj) -> tuple[list[dict], bool]:
+def _structure_report(obj, graph) -> tuple[list[dict], bool]:
     if isinstance(obj, boxmod.BoxFamily):
         report = boxmod.check_box_structure(obj)
     elif isinstance(obj, linemod.ShiftSystem):
         ok, diagnostic = linemod.verify_shift_system(obj)
-        return [{"name": "shift-system-exact", "ok": ok, "detail": "" if ok else str(diagnostic)}], not ok
+        expected = linemod.double_shift_graph(len(obj.values))
+        same, witness = graphs.graph_equals_expected(graph, expected, list(range(graph.n)))
+        return [
+            {"name": "shift-system-exact", "ok": ok, "detail": "" if ok else str(diagnostic)},
+            {"name": "graph-equals-double-shift", "ok": same, "detail": "" if same else str(witness)},
+        ], not (ok and same)
     else:
         report = linemod.check_line_structure(obj)
     return report.to_doc(), not report.ok
@@ -189,7 +193,7 @@ def cmd_build(args) -> int:
         params = {"kind": args.kind, "g": args.g, "k": args.k, "provider": args.provider, "seed": args.seed}
 
     graph = graphs.intersection_graph(obj)
-    structure, structure_fail = _structure_report(obj)
+    structure, structure_fail = _structure_report(obj, graph)
     graph_doc, hard_fail, budget_flag = _graph_report(
         graph, claimed_girth, claimed_chromatic, parse_budget(args.chroma_budget)
     )
@@ -197,13 +201,6 @@ def cmd_build(args) -> int:
         # an uncertified certificate kept the chromatic claim below the
         # requested target: inconclusive, not a verified build
         budget_flag = True
-    if isinstance(obj, linemod.ShiftSystem):
-        expected = linemod.double_shift_graph(len(obj.values))
-        same, witness = graphs.graph_equals_expected(graph, expected, list(range(graph.n)))
-        structure.append(
-            {"name": "graph-equals-double-shift", "ok": same, "detail": "" if same else str(witness)}
-        )
-        structure_fail |= not same
     hard_fail |= structure_fail
 
     status, code = _status(hard_fail, budget_flag)
@@ -258,14 +255,7 @@ def cmd_verify(args) -> int:
     results["graph"] = {"vertices": graph.n, "edges": graph.m}
 
     if "geometry" in requested:
-        structure, structure_fail = _structure_report(obj)
-        if isinstance(obj, linemod.ShiftSystem):
-            expected = linemod.double_shift_graph(len(obj.values))
-            same, witness = graphs.graph_equals_expected(graph, expected, list(range(graph.n)))
-            structure.append(
-                {"name": "graph-equals-double-shift", "ok": same, "detail": "" if same else str(witness)}
-            )
-            structure_fail |= not same
+        structure, structure_fail = _structure_report(obj, graph)
         results["structure"] = structure
         hard_fail |= structure_fail
 
@@ -282,19 +272,9 @@ def cmd_verify(args) -> int:
         hard_fail |= not ok
 
     if "chroma" in requested:
-        chroma_budget = parse_budget(args.chroma_budget)
-        if claimed_chromatic > 1:
-            refutation = graphs.is_k_colorable(graph, claimed_chromatic - 1, Budget(chroma_budget))
-            if refutation.status == "refuted":
-                refuted = True
-            elif refutation.status == "colorable":
-                refuted = False
-                hard_fail = True
-            else:
-                refuted = None
-                budget_flag = True
-        else:
-            refuted = True
+        refuted, _ = _refute_below(graph, claimed_chromatic, Budget(parse_budget(args.chroma_budget)))
+        hard_fail |= refuted is False
+        budget_flag |= refuted is None
         results["chromatic"] = {"claimed_at_least": claimed_chromatic, "refuted_below": refuted}
 
     status, code = _status(hard_fail, budget_flag)
@@ -318,8 +298,15 @@ def cmd_verify(args) -> int:
 # gallai
 
 
-def _parse_ground(text: str) -> GroundSet:
-    return GroundSet.of([rat(v) for v in text.split(",")])
+def _parse_ground(text: str | None) -> GroundSet:
+    if text is None:
+        raise SceneFormatError("this gallai action needs --T")
+    try:
+        return GroundSet.of([rat(v) for v in text.split(",")])
+    except ZeroDivisionError:
+        raise SceneFormatError(f"not a ground set: {text!r} (zero denominator)") from None
+    except ValueError as exc:
+        raise SceneFormatError(f"not a ground set: {text!r} ({exc})") from None
 
 
 def cmd_gallai(args) -> int:
@@ -434,6 +421,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value with a leading minus, such as "-5/9,1/9", as an option
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--T" and re.match(r"-[\d./]", argv[i]):
+            argv[i - 1 : i + 1] = [f"--T={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -141,9 +141,6 @@ class Interval:
     def length(self) -> Rat:
         return self.hi - self.lo
 
-    def contains(self, value: Rat) -> bool:
-        return self.lo <= value <= self.hi
-
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 

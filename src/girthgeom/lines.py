@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from .geometry import (
     PlaneRelation,
     Point3,
     Rat,
+    Triple,
     cross,
     dot,
     format_rat,
@@ -98,32 +100,27 @@ def _relation_kind(row1, row2) -> int:
     return _KIND_MEET
 
 
+def _sweep(rows) -> tuple[list[tuple[int, int]], tuple[int, int] | None]:
+    """All meeting index pairs in (i, j) order, and the first identical pair or None."""
+    meets = []
+    identical = None
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            kind = _relation_kind(row, rows[j])
+            if kind == _KIND_MEET:
+                meets.append((i, j))
+            elif kind == _KIND_IDENTICAL and identical is None:
+                identical = (i, j)
+    return meets, identical
+
+
 def line_intersection_edges(lines) -> list[tuple[int, int]]:
     """All meeting index pairs; identical lines violate the family
     invariant and are fatal."""
-    rows = _integer_rows(lines)
-    edges = []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            kind = _relation_kind(rows[i], rows[j])
-            if kind == _KIND_MEET:
-                edges.append((i, j))
-            elif kind == _KIND_IDENTICAL:
-                raise ConstructionError(f"identical lines in family: {i}, {j}")
+    edges, identical = _sweep(_integer_rows(lines))
+    if identical is not None:
+        raise ConstructionError(f"identical lines in family: {identical[0]}, {identical[1]}")
     return edges
-
-
-def _any_conflict(new_lines, placed_lines) -> tuple[int, int] | None:
-    """First (new, placed) pair that meets or coincides, else None."""
-    # rows from different scalings cannot be mixed; rescale jointly
-    joint = _integer_rows(list(new_lines) + list(placed_lines))
-    new_part = joint[: len(new_lines)]
-    old_part = joint[len(new_lines):]
-    for i, r1 in enumerate(new_part):
-        for j, r2 in enumerate(old_part):
-            if _relation_kind(r1, r2) in (_KIND_IDENTICAL, _KIND_MEET):
-                return (i, j)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -439,56 +436,85 @@ def make_ground_lines(values, frame: TransversalFrame) -> list[Line3]:
 # recursion
 
 
-def forbidden_offsets(images_at_zero, placed, frame: TransversalFrame) -> set[Rat]:
-    """The exact finite set of slide offsets at which some image line would
-    meet or coincide with an already placed line.
+def _slot(v: Triple, u: Triple, d_n: Triple, d_p: Triple) -> tuple[tuple, int]:
+    """Where base v with direction d_n sits against lines of direction d_p
+    under slides along u, as (class, whole).  The key of v is
+    (v . (d_n x d_p),), or v x d_p when d_n == d_p (canonical directions
+    are parallel only when equal); two lines meet or coincide exactly when
+    their keys agree.  Keys are linear, so key(v) = r + (whole + frac) *
+    key(u) with r[i] = 0 at the first i where key(u)[i] != 0, and class =
+    (r, frac): sliding by an integer t adds t to whole.  When key(u) is
+    zero, the class is the key."""
+    if d_n == d_p:
+        key, step = cross(v, d_p), cross(u, d_p)
+    else:
+        m = cross(d_n, d_p)
+        key, step = (dot(v, m),), (dot(u, m),)
+    if not any(step):
+        return (key, None), 0
+    lam = next(k / s for k, s in zip(key, step) if s)
+    whole = math.floor(lam)
+    return (tuple(k - lam * s for k, s in zip(key, step)), lam - whole), whole
 
-    Sliding by t moves every image base by t * perp while directions stay
-    fixed, so each (image, placed) pair contributes at most one bad value:
-    for non-parallel pairs the coplanarity condition is linear in t with a
-    nonzero leading coefficient (that is what the frame's plane-pair
-    condition guarantees), and for parallel pairs coincidence is a linear
-    vector equation with at most one solution.
+
+class _PlacedLines:
+    """Placed lines filed by slot per placed direction d_p and (image direction
+    d_n, slide direction u); each line once per (d_n, u), when next asked for."""
+
+    def __init__(self, lines=()):
+        self._bases: dict[Triple, list[Triple]] = {}  # d_p -> bases
+        self._slots: dict[tuple, tuple[dict, int]] = {}  # (d_p, d_n, u) -> (class -> wholes, bases filed)
+        self.add(lines)
+
+    def __len__(self) -> int:
+        return sum(len(bases) for bases in self._bases.values())
+
+    def add(self, lines) -> None:
+        for line in lines:
+            self._bases.setdefault(line.dir.as_tuple(), []).append(line.base.as_tuple())
+
+    def slots(self, d_n: Triple, u: Triple):
+        """(d_p, class -> wholes of the placed lines of direction d_p) for each d_p."""
+        for d_p, bases in self._bases.items():
+            classes, filed = self._slots.get((d_p, d_n, u), ({}, 0))
+            for base in bases[filed:]:
+                cls, whole = _slot(base, u, d_n, d_p)
+                classes.setdefault(cls, set()).add(whole)
+            self._slots[d_p, d_n, u] = classes, len(bases)
+            yield d_p, classes
+
+
+def forbidden_offsets(images_at_zero, placed: _PlacedLines, frame: TransversalFrame) -> Callable[[int], bool]:
+    """An exact membership test for the integer slide offsets at which some
+    image line would meet or coincide with an already placed line.
+
+    Sliding an image by t along the frame's perpendicular u adds t to its
+    whole and keeps its class (see _slot), so each (image, placed
+    direction) pair costs one integer lookup per tested offset.  key(u) is
+    nonzero for the parent's direction pairs (the frame's plane-pair
+    condition) and for parallel lines (every line crosses the plane).  A
+    pair with key(u) zero that is coplanar at offset 0 stays coplanar at
+    every offset: that raises ConstructionError here.
     """
     u = frame.perp.as_tuple()
-    # copies share the parent's few directions, so memoize per pair
-    pair_cache: dict[tuple, tuple] = {}
-    bad: set[Rat] = set()
+    probes = []
     for img in images_at_zero:
-        b_n = img.base.as_tuple()
-        d_n = img.dir.as_tuple()
-        for other in placed:
-            d_p = other.dir.as_tuple()
-            key = (d_n, d_p)
-            info = pair_cache.get(key)
-            if info is None:
-                m = cross(d_n, d_p)
-                if not is_zero(m):
-                    info = ("meet", m, dot(u, m))
-                else:
-                    cu = cross(u, d_n)
-                    # cu is nonzero: the perpendicular is never parallel
-                    # to a transversal direction
-                    idx = next(i for i in range(3) if cu[i] != 0)
-                    info = ("parallel", cu, idx)
-                pair_cache[key] = info
-            w = vsub(other.base.as_tuple(), b_n)
-            if info[0] == "meet":
-                _, m, lead = info
-                if lead == 0:
-                    if dot(w, m) == 0:
-                        raise ConstructionError(
-                            "line pair stays coplanar under every slide offset"
-                        )
-                    continue
-                bad.add(dot(w, m) / lead)
-            else:
-                _, cu, idx = info
-                cw = cross(w, d_n)
-                t = cw[idx] / cu[idx]
-                if all(cw[i] == t * cu[i] for i in range(3)):
-                    bad.add(t)
-    return bad
+        base, d_n = img.base.as_tuple(), img.dir.as_tuple()
+        for d_p, classes in placed.slots(d_n, u):
+            cls, whole = _slot(base, u, d_n, d_p)
+            if cls not in classes:
+                continue
+            if cls[1] is None:
+                raise ConstructionError("line pair stays coplanar under every slide offset")
+            probes.append((whole, classes[cls]))
+
+    def is_forbidden(t: int) -> bool:
+        k = int(t)
+        if k != t:
+            raise ValueError(f"slide offsets are integers, not {t}")
+        return any(whole + k in wholes for whole, wholes in probes)
+
+    return is_forbidden
 
 
 def embed_copy_lines(
@@ -519,12 +545,8 @@ def embed_copy_lines(
         shift = vadd(vscale(1 - scale, center), vscale(offset, perp_vec))
     mapping = Homothety3D(scale, Point3(*shift))
     images = [mapping.apply_line(l) for l in parent.lines]
-    if avoid:
-        conflict = _any_conflict(images, list(avoid))
-        if conflict is not None:
-            raise ConstructionError(
-                f"offset {offset} conflicts with an already placed line", conflict
-            )
+    if avoid and forbidden_offsets(images, _PlacedLines(avoid), frame)(0):
+        raise ConstructionError(f"offset {offset} conflicts with an already placed line")
     return images
 
 
@@ -568,18 +590,18 @@ def recursion_step_lines(
     ground = make_ground_lines(cert.elements, frame)
     lines: list[Line3] = list(ground)
     copy_blocks: list[list[int]] = []
-    placed_copy_lines: list[Line3] = []
+    placed = _PlacedLines()
     offsets_used: list[Rat] = []
     for copy in cert.copies:
         baseline = embed_copy_lines(parent, frame, copy, 0)
-        bad = forbidden_offsets(baseline, placed_copy_lines, frame)
-        offset = next(o for o in _offsets() if o not in bad)
+        is_forbidden = forbidden_offsets(baseline, placed, frame)
+        offset = next(o for o in _offsets() if not is_forbidden(o))
         images = baseline if offset == 0 else embed_copy_lines(parent, frame, copy, offset)
         offsets_used.append(offset)
         start = len(lines)
         lines.extend(images)
         copy_blocks.append(list(range(start, start + len(images))))
-        placed_copy_lines.extend(images)
+        placed.add(images)
 
     lift_certified = cert.flags.all_true()
     out = LineFamily(
@@ -648,25 +670,18 @@ def _check_line_recursion(report: StructureReport, fam: LineFamily, prov: dict) 
         for i in members:
             owner[i] = ci
     rows = _integer_rows(fam.lines)
-    n = len(rows)
-    kind_of: dict[tuple[int, int], int] = {}
-    identical = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            k = _relation_kind(rows[i], rows[j])
-            kind_of[(i, j)] = k
-            if k == _KIND_IDENTICAL and identical is None:
-                identical = (i, j)
+    meets, identical = _sweep(rows)
     report.add(
         "no-identical-lines", identical is None, "" if identical is None else f"pair {identical}"
     )
+    meet_set = set(meets)
 
     bad_ground = next(
         (
             (i, j)
             for i in ground
             for j in ground
-            if i < j and kind_of[(i, j)] != _KIND_PARALLEL
+            if i < j and _relation_kind(rows[i], rows[j]) != _KIND_PARALLEL
         ),
         None,
     )
@@ -688,7 +703,7 @@ def _check_line_recursion(report: StructureReport, fam: LineFamily, prov: dict) 
         for p, i in enumerate(members):
             expected_value = scale * parent_params[p] + shift
             expected_g = element_index[expected_value]
-            met = [g for g in ground if kind_of[(min(g, i), max(g, i))] == _KIND_MEET]
+            met = [g for g in ground if (min(g, i), max(g, i)) in meet_set]
             if met != [expected_g]:
                 bad = (i, met, expected_g)
                 break
@@ -700,15 +715,13 @@ def _check_line_recursion(report: StructureReport, fam: LineFamily, prov: dict) 
         "" if bad is None else f"line {bad[0]} meets ground {bad[1]}, expected [{bad[2]}]",
     )
 
-    cross_pair = None
-    for i in owner:
-        for j in owner:
-            if i < j and owner[i] != owner[j]:
-                if kind_of[(i, j)] == _KIND_MEET:
-                    cross_pair = (i, j)
-                    break
-        if cross_pair:
-            break
+    # the first cross-copy meeting pair in block order
+    rank = {i: r for r, i in enumerate(owner)}
+    cross_pair = min(
+        (p for p in meets if p[0] in owner and p[1] in owner and owner[p[0]] != owner[p[1]]),
+        key=lambda p: (rank[p[0]], rank[p[1]]),
+        default=None,
+    )
     report.add(
         "no-cross-copy-incidences",
         cross_pair is None,
@@ -722,7 +735,7 @@ def _check_line_recursion(report: StructureReport, fam: LineFamily, prov: dict) 
         got = set()
         for ii in members:
             for jj in members:
-                if ii < jj and kind_of[(ii, jj)] == _KIND_MEET:
+                if ii < jj and (ii, jj) in meet_set:
                     got.add(tuple(sorted((pos[ii], pos[jj]))))
         if got != parent_edges:
             bad_block = (ci, sorted(got ^ parent_edges)[:1])

@@ -12,6 +12,9 @@ import itertools
 import math
 from fractions import Fraction
 
+from girthgeom.errors import ConstructionError
+from girthgeom.geometry import cross, dot, is_zero, vsub
+
 
 def brute_girth(n: int, edges: set[tuple[int, int]]) -> int | float:
     """Shortest cycle by exhaustive simple-path extension from each least
@@ -105,3 +108,32 @@ def all_graphs(n: int):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield n, {pairs[i] for i in range(len(pairs)) if (mask >> i) & 1}
+
+
+def brute_forbidden_offsets(images_at_zero, placed_lines, frame) -> set[Fraction]:
+    """Every slide offset at which some image line meets or coincides with
+    a placed line, solved pair by pair: each (image, placed) pair gives at
+    most one bad value, from a linear equation in the offset."""
+    u = frame.perp.as_tuple()
+    bad = set()
+    for img in images_at_zero:
+        b_n = img.base.as_tuple()
+        d_n = img.dir.as_tuple()
+        for other in placed_lines:
+            w = vsub(other.base.as_tuple(), b_n)
+            m = cross(d_n, other.dir.as_tuple())
+            if not is_zero(m):
+                lead = dot(u, m)
+                if lead == 0:
+                    if dot(w, m) == 0:
+                        raise ConstructionError("line pair stays coplanar under every slide offset")
+                    continue
+                bad.add(dot(w, m) / lead)
+            else:
+                cu = cross(u, d_n)
+                idx = next(i for i in range(3) if cu[i] != 0)
+                cw = cross(w, d_n)
+                t = cw[idx] / cu[idx]
+                if all(cw[i] == t * cu[i] for i in range(3)):
+                    bad.add(t)
+    return bad

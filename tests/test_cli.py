@@ -165,6 +165,23 @@ class TestGallai:
         cert = load_certificate(out)
         assert verify_certificate(cert).all_ok()
 
+    def test_make_negative_ground(self, tmp_path):
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        assert main(["gallai", "make", "--T", "-5/9,1/9,7/9", "--k", "2", "--g", "4", "--out", str(spaced)]) == EXIT_OK
+        assert main(["gallai", "make", "--T=-5/9,1/9,7/9", "--k", "2", "--g", "4", "--out", str(joined)]) == EXIT_OK
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    @pytest.mark.parametrize("ground", [None, "0,x", "0,1/0"])
+    def test_make_bad_ground_exits_2(self, tmp_path, capsys, ground):
+        argv = ["gallai", "make", "--k", "2", "--g", "4", "--out", str(tmp_path / "c.json")]
+        if ground is not None:
+            argv += ["--T", ground]
+        assert main(argv) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert ("--T" if ground is None else repr(ground)) in err
+        assert not (tmp_path / "c.json").exists()
+
     def test_make_refusal_exit(self, tmp_path):
         code = main(["gallai", "make", "--T", "0,1", "--k", "2", "--g", "9", "--out", str(tmp_path / "c.json")])
         assert code == EXIT_REFUSED

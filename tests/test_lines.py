@@ -3,7 +3,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import brute_forbidden_offsets
 from girthgeom import (
     BudgetExhausted,
     ConstructionError,
@@ -34,8 +37,9 @@ from girthgeom import (
     single_line_family,
     verify_shift_system,
 )
-from girthgeom.gallai import pigeonhole_certificate
-from girthgeom.lines import frame_conditions
+from girthgeom.gallai import HomotheticCopy, pigeonhole_certificate
+from girthgeom.geometry import Homothety1D
+from girthgeom.lines import _offsets, _PlacedLines, forbidden_offsets, frame_conditions
 
 
 def pigeonhole_provider(ground, colors, girth_param):
@@ -248,6 +252,94 @@ class TestEmbedCopyLines:
             embed_copy_lines(parent, frame, copy, 0, avoid=first)
         second = embed_copy_lines(parent, frame, copy, 1, avoid=first)
         assert len(second) == 2
+
+
+_PARENTS = [meeting_pair_lines(), odd_cycle_lines(5)]
+_FRAMES = [choose_frame(p) for p in _PARENTS]
+
+
+def _copy(scale, shift):
+    return HomotheticCopy(Homothety1D(F(scale), F(shift)), ())
+
+
+def _place_copies(parent, frame, copies, extra=()):
+    """Place each copy at its first free offset, the way the recursion
+    does, checking the index against the all-pairs oracle at every copy.
+    Returns the chosen offsets."""
+    placed, index = list(extra), _PlacedLines(extra)
+    chosen = []
+    for copy in copies:
+        baseline = embed_copy_lines(parent, frame, copy, 0)
+        try:
+            bad = brute_forbidden_offsets(baseline, placed, frame)
+        except ConstructionError:
+            with pytest.raises(ConstructionError, match="coplanar under every slide offset"):
+                forbidden_offsets(baseline, index, frame)
+            return chosen + ["coplanar"]
+        is_forbidden = forbidden_offsets(baseline, index, frame)
+        assert len(index) == len(placed)
+        assert all(is_forbidden(t) for t in bad if t.denominator == 1)
+        for t in itertools.islice(_offsets(), 8):
+            assert is_forbidden(t) == (t in bad)
+        offset = next(o for o in _offsets() if not is_forbidden(o))
+        assert offset == next(o for o in _offsets() if o not in bad)
+        images = embed_copy_lines(parent, frame, copy, offset)
+        placed.extend(images)
+        index.add(images)
+        chosen.append(offset)
+    return chosen
+
+
+_scales = st.one_of(st.just(F(1)), st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
+_shifts = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+class TestForbiddenOffsets:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        which=st.sampled_from(range(len(_PARENTS))),
+        maps=st.lists(st.tuples(_scales, _shifts), min_size=1, max_size=5),
+        repeats=st.lists(st.integers(0, 4), max_size=3),
+        extras=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4), _shifts, st.integers(0, 5), st.just(F(0)) | _shifts),
+            max_size=3,
+        ),
+    )
+    def test_first_free_offset_matches_oracle(self, which, maps, repeats, extras):
+        """Placed lines are earlier copies (repeating one forces a parallel
+        coincidence at offset 0) and extra lines through a point of an
+        image at offset 0, along a parent direction (a meeting) or along the
+        frame's perpendicular (coplanar under every offset), optionally
+        lifted off that point."""
+        parent, frame = _PARENTS[which], _FRAMES[which]
+        copies = [_copy(*m) for m in maps]
+        copies += [copies[r % len(copies)] for r in repeats]
+        dirs = [l.dir for l in parent.lines] + [frame.perp]
+        extra = []
+        for k, i, s, j, lift in extras:
+            image = embed_copy_lines(parent, frame, copies[k % len(copies)], 0)[i % len(parent.lines)]
+            point = image.point_at(s).translated((0, 0, lift))
+            extra.append(Line3(point, dirs[j % len(dirs)]))
+        _place_copies(parent, frame, copies, extra)
+
+    def test_repeated_copy_slides_off_zero(self):
+        parent, frame = _PARENTS[1], _FRAMES[1]
+        chosen = _place_copies(parent, frame, [_copy(2, 1), _copy(2, 1), _copy(2, 1)])
+        assert chosen[0] == 0 and 0 not in chosen[1:]
+
+    def test_meeting_line_slides_off_zero(self):
+        parent, frame = _PARENTS[0], _FRAMES[0]
+        image = embed_copy_lines(parent, frame, _copy(1, 3), 0)[0]
+        crossing = Line3(image.point_at(F(5, 2)), parent.lines[1].dir)
+        assert _place_copies(parent, frame, [_copy(1, 3)], [crossing]) != [0]
+        with pytest.raises(ValueError):
+            forbidden_offsets([image], _PlacedLines([crossing]), frame)(F(1, 2))
+
+    def test_coplanar_under_every_offset_raises(self):
+        parent, frame = _PARENTS[0], _FRAMES[0]
+        image = embed_copy_lines(parent, frame, _copy(1, 3), 0)[0]
+        along_perp = Line3(image.point_at(F(5, 2)), frame.perp)
+        assert _place_copies(parent, frame, [_copy(1, 3)], [along_perp]) == ["coplanar"]
 
 
 class TestRecursionStep:
