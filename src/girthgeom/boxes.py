@@ -10,20 +10,15 @@ re-verifies its own structural claims exactly before returning.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import graphs
-from .budget import Budget, as_budget
+from . import recursion
+from .budget import Budget
 from .errors import ConstructionError
-from .gallai import (
-    GallaiCertificate,
-    GroundSet,
-    HomotheticCopy,
-    ProviderPolicy,
-    certificate_to_doc,
-)
+from .gallai import GallaiCertificate, HomotheticCopy, ProviderPolicy
 from .geometry import AxisMap3, Box3, Homothety1D, Interval, Rat, format_rat, rat
 from .structure import StructureReport
 
@@ -63,14 +58,7 @@ class GroundedSquareBox:
 
     def translated_diag(self, delta: Rat) -> "GroundedSquareBox":
         """Translate along the x = y diagonal; preserves groundedness."""
-        b = self.box
-        return GroundedSquareBox(
-            Box3(
-                Interval(b.xr.lo + delta, b.xr.hi + delta),
-                Interval(b.yr.lo + delta, b.yr.hi + delta),
-                b.zr,
-            )
-        )
+        return GroundedSquareBox.of(self.trace + delta, self.side, self.box.zr.lo, self.box.zr.hi)
 
 
 def ground_trace(b: GroundedSquareBox) -> Rat:
@@ -97,16 +85,22 @@ def box_from_doc(doc: dict) -> GroundedSquareBox:
 # families
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoxFamily:
     """A finite collection of grounded square boxes with its claimed graph
     properties.  Claims are never trusted: girth and chromatic number are
-    recomputed exactly whenever they matter."""
+    recomputed exactly whenever they matter, from the one pairwise sweep
+    the family makes of itself (``meets``)."""
 
     boxes: tuple[GroundedSquareBox, ...]
     claimed_girth: int | None  # None: the construction claims no finite cycle
     claimed_chromatic: int
     provenance: dict = field(default_factory=dict)
+    # all intersecting index pairs in (i, j) order, swept once when the family is made
+    meets: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "meets", box_intersection_edges(self.boxes))
 
     def traces(self) -> list[Rat]:
         return [b.trace for b in self.boxes]
@@ -115,7 +109,7 @@ class BoxFamily:
         return [box_to_doc(b) for b in self.boxes]
 
     def intersection_edges(self) -> list[tuple[int, int]]:
-        return box_intersection_edges(self.boxes)
+        return self.meets
 
     def blocks(self) -> list[list[int]]:
         """Rigid sub-collections for trace perturbation: the ground boxes
@@ -146,23 +140,12 @@ def box_intersection_edges(boxes) -> list[tuple[int, int]]:
 
 
 def _integer_rows(boxes) -> list[tuple[int, int, int, int, int, int]]:
-    denoms = set()
-    for b in boxes:
-        bb = b.box
-        for iv in (bb.xr, bb.yr, bb.zr):
-            denoms.add(iv.lo.denominator)
-            denoms.add(iv.hi.denominator)
-    scale = math.lcm(*denoms) if denoms else 1
-    rows = []
-    for b in boxes:
-        bb = b.box
-        rows.append(
-            tuple(
-                int(v * scale)
-                for v in (bb.xr.lo, bb.xr.hi, bb.yr.lo, bb.yr.hi, bb.zr.lo, bb.zr.hi)
-            )
-        )
-    return rows
+    bounds = []
+    for gb in boxes:
+        b = gb.box
+        bounds.append((b.xr.lo, b.xr.hi, b.yr.lo, b.yr.hi, b.zr.lo, b.zr.hi))
+    scale = math.lcm(*(v.denominator for row in bounds for v in row))
+    return [tuple(int(v * scale) for v in row) for row in bounds]
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +162,7 @@ def meeting_pair_family() -> BoxFamily:
     intersection graph needs two colors."""
     a = GroundedSquareBox(Box3.from_bounds(0, 2, -2, 0, 0, 1))
     b = GroundedSquareBox(Box3.from_bounds(1, 3, -1, 1, 0, 1))
-    fam = BoxFamily((a, b), None, 2, {"kind": "base-pair"})
-    if fam.intersection_edges() != [(0, 1)]:
-        raise ConstructionError("pair base is not a single edge")
-    return fam
+    return recursion.checked_base(BoxFamily((a, b), None, 2, {"kind": "base-pair"}), check_box_structure)
 
 
 def odd_cycle_boxes(n: int) -> BoxFamily:
@@ -208,11 +188,7 @@ def odd_cycle_boxes(n: int) -> BoxFamily:
             boxes.append(GroundedSquareBox.of(10 * i, 10, 0, 10))
     boxes.append(GroundedSquareBox.of(far, bridge_side, 15, 20))
     fam = BoxFamily(tuple(boxes), n, 3, {"kind": "base-odd-cycle", "n": n})
-    got = graphs.intersection_graph(fam)
-    same, witness = graphs.graph_equals_expected(got, graphs.cycle_graph(n), list(range(n)))
-    if not same:
-        raise ConstructionError(f"odd cycle realization failed for n={n}", witness)
-    return fam
+    return recursion.checked_base(fam, check_box_structure)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +263,7 @@ def normalize_traces(fam: BoxFamily) -> BoxFamily:
             block_of[i] = bi
     before = fam.intersection_edges()
 
-    critical = []
-    for a, b in ((x, y) for i, x in enumerate(traces) for y in traces[i + 1:]):
-        if a != b:
-            critical.append(abs(a - b))
+    critical = [abs(a - b) for a, b in itertools.combinations(traces, 2) if a != b]
     n = len(fam.boxes)
     for i in range(n):
         for j in range(i + 1, n):
@@ -338,189 +311,77 @@ def recursion_step_boxes(
     colors: int,
     girth: int,
     provider,
-    verify_parent: bool = True,
     budget: Budget | int | None = None,
 ) -> BoxFamily:
-    """One chromatic lift: thin ground boxes at the certificate elements
-    plus one scaled copy of the parent per certificate copy, each in its
-    own z-slot.
+    """One chromatic lift (see ``recursion.lift``): thin ground boxes at the
+    certificate elements plus one scaled copy of the parent per
+    certificate copy, each in its own z-slot.  The parent's traces are
+    made pairwise distinct first."""
+    return recursion.lift(parent, colors, girth, provider, budget, _place_boxes, check_box_structure)
 
-    The parent must actually have girth >= girth and (when verification is
-    on) no proper coloring with colors-1 colors.  All structural claims of
-    the construction are asserted exactly before returning; any violation
-    is a fatal construction bug reported with the offending pair.
-    """
-    parent_graph = graphs.intersection_graph(parent)
-    parent_girth = graphs.girth(parent_graph)
-    if parent_girth < girth:
-        raise ConstructionError(
-            f"parent girth {parent_girth} is below the target {girth}"
-        )
-    if verify_parent and colors > 1:
-        budget = as_budget(budget, label="parent chromatic verification")
-        refutation = graphs.is_k_colorable(parent_graph, colors - 1, budget)
-        if refutation.status == "colorable":
-            raise ConstructionError(
-                f"parent admits a {colors - 1}-coloring; it does not need {colors} colors"
-            )
-        if refutation.status == "inconclusive":
-            raise ConstructionError(
-                f"could not verify the parent needs {colors} colors within budget"
-            )
 
+def _place_boxes(parent: BoxFamily, certify) -> recursion.Placement:
     parent = normalize_traces(parent)
-    ground_set = GroundSet.of(parent.traces())
-    cert = provider(ground_set, colors, girth)
-
+    cert = certify(parent.traces())
     elements = cert.elements
-    if len(elements) >= 2:
-        eps = min(b - a for a, b in zip(elements, elements[1:])) / 3
-    else:
-        eps = Fraction(1, 3)
+    eps = min((b - a for a, b in zip(elements, elements[1:])), default=Fraction(1)) / 3
     ground = make_ground_boxes(elements, eps)
-
-    boxes: list[GroundedSquareBox] = list(ground)
-    copy_blocks: list[list[int]] = []
-    for emb in plan_embeddings(parent, cert):
-        images = embed_copy_boxes(parent, emb)
-        start = len(boxes)
-        boxes.extend(images)
-        copy_blocks.append(list(range(start, start + len(images))))
-
-    lift_certified = cert.flags.all_true()
-    out = BoxFamily(
-        tuple(boxes),
-        girth,
-        colors + 1 if lift_certified else colors,
-        {
-            "kind": "recursion",
-            "geometry": "boxes",
-            "girth_param": girth,
-            "colors_before": colors,
-            "blocks": {"ground": list(range(len(ground))), "copies": copy_blocks},
-            "parent_edges": [list(e) for e in sorted(parent_graph.edges)],
-            "parent_size": len(parent.boxes),
-            "certificate": certificate_to_doc(cert),
-            "chromatic_lift_certified": lift_certified,
-            "parent": parent.provenance,
-        },
-    )
-    report = check_box_structure(out)
-    if not report.ok:
-        fail = report.first_failure()
-        raise ConstructionError(f"structural assertion failed: {fail.name}", fail.detail)
-
-    out_girth = graphs.girth(graphs.intersection_graph(out))
-    floor_bound = min(parent_girth, 3 * math.ceil(girth / 3))
-    if out_girth < floor_bound:
-        raise ConstructionError(
-            f"girth lift violated: got {out_girth}, expected at least {floor_bound}"
-        )
-    return out
+    copies = [embed_copy_boxes(parent, emb) for emb in plan_embeddings(parent, cert)]
+    return recursion.Placement(parent, cert, ground, copies, {"geometry": "boxes"})
 
 
 def check_box_structure(fam: BoxFamily) -> StructureReport:
-    """Exact structural sweep of a family against its construction model.
+    """Exact structural sweep of a family against its construction model
+    (see ``recursion.check_structure``).
 
     Recursion outputs must satisfy: ground boxes pairwise disjoint; every
     copy box meets exactly one ground box, namely the one at its own
-    trace; no box from one copy meets a box from another; no box meets
-    two ground boxes; and each copy's internal graph matches the parent's.
-    Base families must match their expected graph exactly.
+    trace; no box from one copy meets a box from another; and each copy's
+    internal graph matches the parent's.  Base families must match their
+    expected graph exactly, and a "ground-only" family must be pairwise
+    disjoint.
     """
+    if fam.provenance.get("kind") != "ground-only":
+        return recursion.check_structure(fam, _check_box_copies)
     report = StructureReport()
-    prov = fam.provenance
-    kind = prov.get("kind")
-    if kind == "recursion":
-        edges = fam.intersection_edges()
-        _check_recursion_structure(report, fam.traces(), edges, prov)
-    elif kind == "base-odd-cycle":
-        got = graphs.intersection_graph(fam)
-        same, witness = graphs.graph_equals_expected(
-            got, graphs.cycle_graph(prov["n"]), list(range(prov["n"]))
-        )
-        report.add("graph-equals-cycle", same, "" if same else str(witness))
-    elif kind == "base-pair":
-        report.add("graph-is-single-edge", fam.intersection_edges() == [(0, 1)])
-    elif kind == "base-single":
-        report.add("graph-is-single-vertex", fam.intersection_edges() == [])
-    elif kind == "ground-only":
-        edges = fam.intersection_edges()
-        report.add(
-            "ground-pairwise-disjoint",
-            not edges,
-            "" if not edges else f"intersecting pair {edges[0]}",
-        )
-    else:
-        report.add("structure-model", True, "no construction model; invariants only")
+    edges = fam.meets
+    report.add(
+        "ground-pairwise-disjoint",
+        not edges,
+        "" if not edges else f"intersecting pair {edges[0]}",
+    )
     return report
 
 
-def _check_recursion_structure(report: StructureReport, traces, edges, prov) -> None:
-    ground = set(prov["blocks"]["ground"])
-    copy_blocks = [list(c) for c in prov["blocks"]["copies"]]
-    owner = {}
-    for ci, members in enumerate(copy_blocks):
-        for i in members:
-            owner[i] = ci
-
-    ground_ground = [e for e in edges if e[0] in ground and e[1] in ground]
+def _check_box_copies(report: StructureReport, fam: BoxFamily, edges: recursion.CopyEdges) -> None:
+    ground_pairs = edges.ground_pairs
     report.add(
         "ground-pairwise-disjoint",
-        not ground_ground,
-        "" if not ground_ground else f"intersecting ground pair {ground_ground[0]}",
+        not ground_pairs,
+        "" if not ground_pairs else f"intersecting ground pair {ground_pairs[0]}",
     )
 
-    cross: list[tuple[int, int]] = []
-    ground_meets: dict[int, list[int]] = {i: [] for i in owner}
-    intra: dict[int, list[tuple[int, int]]] = {ci: [] for ci in range(len(copy_blocks))}
-    for u, v in edges:
-        if u in ground and v in ground:
-            continue
-        if u in ground or v in ground:
-            g, c = (u, v) if u in ground else (v, u)
-            ground_meets[c].append(g)
-        else:
-            if owner[u] == owner[v]:
-                intra[owner[u]].append((u, v))
-            else:
-                cross.append((u, v))
-
-    bad_count = next((i for i in owner if len(ground_meets[i]) != 1), None)
+    met = edges.ground_met
+    bad_count = next((i for i in met if len(met[i]) != 1), None)
     report.add(
         "copy-meets-exactly-one-ground",
         bad_count is None,
-        "" if bad_count is None else f"box {bad_count} meets {len(ground_meets[bad_count])} ground boxes",
+        "" if bad_count is None else f"box {bad_count} meets {len(met[bad_count])} ground boxes",
     )
     if bad_count is None:
-        mismatched = next(
-            (i for i in owner if traces[ground_meets[i][0]] != traces[i]), None
-        )
+        traces = fam.traces()
+        mismatched = next((i for i in met if traces[met[i][0]] != traces[i]), None)
         report.add(
             "copy-meets-own-ground",
             mismatched is None,
             ""
             if mismatched is None
-            else f"box {mismatched} meets ground box at trace {traces[ground_meets[mismatched][0]]}",
+            else f"box {mismatched} meets ground box at trace {traces[met[mismatched][0]]}",
         )
     report.add(
         "no-cross-copy-intersections",
-        not cross,
-        "" if not cross else f"intersecting cross-copy pair {cross[0]}",
-    )
-
-    parent_edges = {tuple(e) for e in prov["parent_edges"]}
-    bad_block = None
-    for ci, members in enumerate(copy_blocks):
-        pos = {v: p for p, v in enumerate(members)}
-        got = {tuple(sorted((pos[u], pos[v]))) for u, v in intra[ci]}
-        if got != parent_edges:
-            bad_block = (ci, sorted(got ^ parent_edges)[:1])
-            break
-    report.add(
-        "copy-graph-matches-parent",
-        bad_block is None,
-        "" if bad_block is None else f"copy {bad_block[0]} differs at {bad_block[1]}",
+        not edges.cross,
+        "" if not edges.cross else f"intersecting cross-copy pair {edges.cross[0]}",
     )
 
 
@@ -530,30 +391,7 @@ def _check_recursion_structure(report: StructureReport, traces, edges, prov) -> 
 
 def build_box_family(girth: int, colors: int, policy: ProviderPolicy | None = None) -> BoxFamily:
     """A grounded square box family with girth >= girth whose graph needs
-    at least ``colors`` colors (certified when the certificates verify).
-
-    Small color counts come from explicit bases: one box, a meeting pair,
-    or an odd cycle of length max(5, girth).  Larger counts iterate the
-    recursion; with the pigeonhole policy the iteration starts from the
-    pair base instead, which is how the nine-box cycle family arises.
-    """
-    if girth < 3 or colors < 1:
-        raise ValueError("need girth >= 3 and colors >= 1")
-    policy = policy or ProviderPolicy()
-    if colors == 1:
-        return single_box_family()
-    if colors == 2:
-        return meeting_pair_family()
-    if policy.name == "pigeonhole":
-        fam = meeting_pair_family()
-        start = 2
-    else:
-        n = max(5, girth)
-        if n % 2 == 0:
-            n += 1
-        fam = odd_cycle_boxes(n)
-        start = 3
-    for k in range(start, colors):
-        provider = policy.provider()
-        fam = recursion_step_boxes(fam, k, girth, provider, budget=policy.chroma_budget)
-    return fam
+    at least ``colors`` colors (see ``recursion.build_family``)."""
+    return recursion.build_family(
+        girth, colors, policy, (single_box_family, meeting_pair_family, odd_cycle_boxes), recursion_step_boxes
+    )

@@ -63,8 +63,28 @@ def parse_budget(text: str) -> int:
     return max(1, int(base * scale))
 
 
-def _girth_value(g) -> int | str:
-    return "infinity" if g == math.inf else int(g)
+_MINIMUM = {"g": 3, "k": 1, "n": 3}
+
+
+def _require(args, command: str, *names: str) -> None:
+    """Each named option is given and at least its minimum (--g 3, --k 1,
+    --n 3), or a SceneFormatError names it."""
+    for name in names:
+        value = getattr(args, name)
+        if value is None:
+            raise SceneFormatError(f"{command} needs --{name}")
+        if value < _MINIMUM[name]:
+            raise SceneFormatError(f"{command}: --{name} must be at least {_MINIMUM[name]}, not {value}")
+
+
+def _girth_doc(graph, claimed_girth) -> dict:
+    """The computed girth ("infinity" for forests) against the claim."""
+    computed = graphs.girth(graph)
+    return {
+        "computed": "infinity" if computed == math.inf else int(computed),
+        "claimed_at_least": claimed_girth,
+        "ok": claimed_girth is None or computed >= claimed_girth,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -83,17 +103,13 @@ def _refute_below(graph, claimed_chromatic: int, budget: Budget) -> tuple[bool |
 def _graph_report(graph, claimed_girth, claimed_chromatic, chroma_budget: int) -> tuple[dict, bool, bool]:
     """Recompute girth and chromatic facts; returns (doc, hard_failure,
     budget_flag)."""
-    hard_fail = False
-    budget_flag = False
-
-    computed_girth = graphs.girth(graph)
-    girth_ok = claimed_girth is None or computed_girth >= claimed_girth
-    hard_fail |= not girth_ok
+    girth_doc = _girth_doc(graph, claimed_girth)
+    hard_fail = not girth_doc["ok"]
 
     refuted, refutation_nodes = _refute_below(graph, claimed_chromatic, Budget(chroma_budget, "claim refutation"))
     chroma: dict = {"claimed_at_least": claimed_chromatic, "refuted_below": refuted}
     hard_fail |= refuted is False
-    budget_flag |= refuted is None
+    budget_flag = refuted is None
     exact = graphs.chromatic_number(graph, Budget(chroma_budget, "exact chromatic"))
     chroma["exact"] = exact.value
     chroma["status"] = exact.status
@@ -103,11 +119,7 @@ def _graph_report(graph, claimed_girth, claimed_chromatic, chroma_budget: int) -
 
     doc = {
         "graph": {"vertices": graph.n, "edges": graph.m},
-        "girth": {
-            "computed": _girth_value(computed_girth),
-            "claimed_at_least": claimed_girth,
-            "ok": girth_ok,
-        },
+        "girth": girth_doc,
         "chromatic": chroma,
     }
     return doc, hard_fail, budget_flag
@@ -179,14 +191,12 @@ def cmd_build(args) -> int:
         chroma_budget=parse_budget(args.chroma_budget),
     )
     if args.kind == "shift":
-        if args.n is None:
-            raise SceneFormatError("build shift needs --n")
+        _require(args, "build shift", "n")
         obj = linemod.build_shift_system(args.n, seed=args.seed)
         claimed_girth, claimed_chromatic = None, 1
         params = {"kind": "shift", "n": args.n, "seed": args.seed}
     else:
-        if args.g is None or args.k is None:
-            raise SceneFormatError(f"build {args.kind} needs --g and --k")
+        _require(args, f"build {args.kind}", "g", "k")
         build = boxmod.build_box_family if args.kind == "boxes" else linemod.build_line_family
         obj = build(args.g, args.k, policy)
         claimed_girth, claimed_chromatic = obj.claimed_girth, obj.claimed_chromatic
@@ -250,9 +260,8 @@ def cmd_verify(args) -> int:
 
     hard_fail = False
     budget_flag = False
-    results: dict = {"objects": len(obj.labels())}
     graph = graphs.intersection_graph(obj)
-    results["graph"] = {"vertices": graph.n, "edges": graph.m}
+    results: dict = {"objects": graph.n, "graph": {"vertices": graph.n, "edges": graph.m}}
 
     if "geometry" in requested:
         structure, structure_fail = _structure_report(obj, graph)
@@ -262,14 +271,8 @@ def cmd_verify(args) -> int:
     claimed_girth = getattr(obj, "claimed_girth", None)
     claimed_chromatic = getattr(obj, "claimed_chromatic", 1)
     if "girth" in requested:
-        computed = graphs.girth(graph)
-        ok = claimed_girth is None or computed >= claimed_girth
-        results["girth"] = {
-            "computed": _girth_value(computed),
-            "claimed_at_least": claimed_girth,
-            "ok": ok,
-        }
-        hard_fail |= not ok
+        results["girth"] = _girth_doc(graph, claimed_girth)
+        hard_fail |= not results["girth"]["ok"]
 
     if "chroma" in requested:
         refuted, _ = _refute_below(graph, claimed_chromatic, Budget(parse_budget(args.chroma_budget)))
@@ -313,6 +316,7 @@ def cmd_gallai(args) -> int:
     budget_nodes = parse_budget(args.budget)
     if args.action == "make":
         ground = _parse_ground(args.T)
+        _require(args, "gallai make", "g", "k")
         if args.provider == "pigeonhole" or (args.provider == "auto" and ground.size == 2):
             cert = pigeonhole_certificate(ground, args.k, args.g)
         else:
@@ -353,6 +357,7 @@ def cmd_gallai(args) -> int:
 
     if args.action == "search":
         ground = _parse_ground(args.T)
+        _require(args, "gallai search", "g", "k")
         try:
             cert = search_certificate(ground, args.k, args.g, Budget(budget_nodes, "certificate search"))
         except BudgetExhausted as exc:

@@ -17,10 +17,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import graphs
+from . import graphs, recursion
 from .budget import Budget, as_budget
 from .errors import BudgetExhausted, ConstructionError
-from .gallai import GroundSet, HomotheticCopy, ProviderPolicy, certificate_to_doc
+from .gallai import HomotheticCopy, ProviderPolicy
 from .geometry import (
     Dir3,
     Homothety3D,
@@ -59,9 +59,7 @@ def line_from_doc(doc: dict) -> Line3:
 
 
 # ---------------------------------------------------------------------------
-# fast exact pairwise classification
-
-_KIND_IDENTICAL, _KIND_MEET, _KIND_PARALLEL, _KIND_SKEW = range(4)
+# the pairwise sweep
 
 
 def _integer_rows(lines) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
@@ -80,55 +78,62 @@ def _integer_rows(lines) -> list[tuple[tuple[int, int, int], tuple[int, int, int
     return rows
 
 
-def _relation_kind(row1, row2) -> int:
+def _rows_meet(row1, row2) -> bool:
+    """Whether two integer rows are lines meeting in exactly one point:
+    not parallel, and coplanar."""
     (b1, d1), (b2, d2) = row1, row2
     n = (
         d1[1] * d2[2] - d1[2] * d2[1],
         d1[2] * d2[0] - d1[0] * d2[2],
         d1[0] * d2[1] - d1[1] * d2[0],
     )
-    w = (b2[0] - b1[0], b2[1] - b1[1], b2[2] - b1[2])
     if n == (0, 0, 0):
-        c = (
-            w[1] * d1[2] - w[2] * d1[1],
-            w[2] * d1[0] - w[0] * d1[2],
-            w[0] * d1[1] - w[1] * d1[0],
-        )
-        return _KIND_IDENTICAL if c == (0, 0, 0) else _KIND_PARALLEL
-    if w[0] * n[0] + w[1] * n[1] + w[2] * n[2] != 0:
-        return _KIND_SKEW
-    return _KIND_MEET
-
-
-def _sweep(rows) -> tuple[list[tuple[int, int]], tuple[int, int] | None]:
-    """All meeting index pairs in (i, j) order, and the first identical pair or None."""
-    meets = []
-    identical = None
-    for i, row in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            kind = _relation_kind(row, rows[j])
-            if kind == _KIND_MEET:
-                meets.append((i, j))
-            elif kind == _KIND_IDENTICAL and identical is None:
-                identical = (i, j)
-    return meets, identical
+        return False
+    return (b2[0] - b1[0]) * n[0] + (b2[1] - b1[1]) * n[1] + (b2[2] - b1[2]) * n[2] == 0
 
 
 def line_intersection_edges(lines) -> list[tuple[int, int]]:
-    """All meeting index pairs; identical lines violate the family
-    invariant and are fatal."""
-    edges, identical = _sweep(_integer_rows(lines))
-    if identical is not None:
-        raise ConstructionError(f"identical lines in family: {identical[0]}, {identical[1]}")
-    return edges
+    """All index pairs (i, j) of lines meeting in exactly one point, in
+    (i, j) order.  Identical lines are not listed here; a family finds
+    them by their canonical keys (``identical``) and treats them as
+    fatal."""
+    rows = _integer_rows(lines)
+    meets = []
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            if _rows_meet(row, rows[j]):
+                meets.append((i, j))
+    return meets
+
+
+class _SweptLines:
+    """A line family sweeps its lines pairwise once, when it is made:
+    ``meets`` are the meeting pairs in (i, j) order and ``identical`` is
+    the first pair of set-equal lines, or None."""
+
+    meets: list[tuple[int, int]]
+    identical: tuple[int, int] | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "meets", line_intersection_edges(self.lines))
+        first: dict[tuple, int] = {}
+        pairs = [(first.setdefault(line.canonical_key(), j), j) for j, line in enumerate(self.lines)]
+        object.__setattr__(self, "identical", min((p for p in pairs if p[0] != p[1]), default=None))
+
+    def intersection_edges(self) -> list[tuple[int, int]]:
+        """All meeting index pairs; identical lines violate the family
+        invariant and are fatal."""
+        if self.identical is not None:
+            raise ConstructionError(f"identical lines in family: {self.identical[0]}, {self.identical[1]}")
+        return self.meets
 
 
 # ---------------------------------------------------------------------------
 # families
 
 
-@dataclass
-class LineFamily:
+@dataclass(frozen=True)
+class LineFamily(_SweptLines):
     lines: tuple[Line3, ...]
     claimed_girth: int | None
     claimed_chromatic: int
@@ -137,12 +142,9 @@ class LineFamily:
     def labels(self) -> list[dict]:
         return [line_to_doc(l) for l in self.lines]
 
-    def intersection_edges(self) -> list[tuple[int, int]]:
-        return line_intersection_edges(self.lines)
 
-
-@dataclass
-class ShiftSystem:
+@dataclass(frozen=True)
+class ShiftSystem(_SweptLines):
     """Lines indexed by ascending value triples from a sampled set, whose
     exact intersection graph is the double shift graph."""
 
@@ -153,9 +155,6 @@ class ShiftSystem:
 
     def labels(self) -> list[list[str]]:
         return [[format_rat(a), format_rat(b), format_rat(c)] for a, b, c in self.triples]
-
-    def intersection_edges(self) -> list[tuple[int, int]]:
-        return line_intersection_edges(self.lines)
 
 
 # ---------------------------------------------------------------------------
@@ -194,31 +193,32 @@ def double_shift_graph(n: int) -> graphs.GeoGraph:
     return graphs.GeoGraph(triples, edges)
 
 
-def _shift_adjacent(t1, t2) -> bool:
-    return (t1[1], t1[2]) == (t2[0], t2[1]) or (t2[1], t2[2]) == (t1[0], t1[1])
-
-
 def verify_shift_system(system: ShiftSystem) -> tuple[bool, dict | None]:
     """Exact check that the system's graph is the double shift graph with
     all meets at the designed points and no spurious incidences.
 
-    Returns (True, None) or (False, diagnostic) naming the first bad pair.
+    Triples are adjacent when the last two values of one are the first two
+    of the other (a lookup on those two values).  A meeting pair from the
+    system's sweep meets at the designed point exactly when both lines
+    contain it.  Returns (True, None) or (False, diagnostic) naming the
+    first bad pair in (i, j) order.
     """
-    triples = system.triples
-    rows = _integer_rows(system.lines)
-    for i in range(len(triples)):
-        for j in range(i + 1, len(triples)):
-            kind = _relation_kind(rows[i], rows[j])
-            if _shift_adjacent(triples[i], triples[j]):
-                if kind != _KIND_MEET:
-                    return False, {"pair": (i, j), "reason": "expected meet"}
-                t1, t2 = sorted((triples[i], triples[j]))
-                expected = shift_meeting_point(t1[0], t1[1], t1[2], t2[2])
-                rel = line_line_relation(system.lines[i], system.lines[j])
-                if rel.point != expected:
-                    return False, {"pair": (i, j), "reason": "meet at unexpected point"}
-            elif kind in (_KIND_MEET, _KIND_IDENTICAL):
-                return False, {"pair": (i, j), "reason": "spurious incidence"}
+    triples, lines = system.triples, system.lines
+    by_prefix: dict[tuple, list[int]] = {}
+    for j, t in enumerate(triples):
+        by_prefix.setdefault(t[:2], []).append(j)
+    expected = {(min(i, j), max(i, j)) for i, t in enumerate(triples) for j in by_prefix.get(t[1:], ())}
+    meets = set(system.meets)
+    suspects = expected | meets | ({system.identical} if system.identical else set())
+    for i, j in sorted(suspects):
+        if (i, j) not in expected:
+            return False, {"pair": (i, j), "reason": "spurious incidence"}
+        if (i, j) not in meets:
+            return False, {"pair": (i, j), "reason": "expected meet"}
+        t1, t2 = sorted((triples[i], triples[j]))
+        point = shift_meeting_point(t1[0], t1[1], t1[2], t2[2])
+        if not (lines[i].contains_point(point) and lines[j].contains_point(point)):
+            return False, {"pair": (i, j), "reason": "meet at unexpected point"}
     return True, None
 
 
@@ -235,12 +235,12 @@ def build_shift_system(n: int, seed: int = 0, max_attempts: int = 64) -> ShiftSy
         values = tuple(Fraction(v) for v in sorted(rng.sample(range(1, 40 * n * n + 1), n)))
         triples = tuple(itertools.combinations(values, 3))
         lines = tuple(shift_line(*t) for t in triples)
-        system = ShiftSystem(
-            values, triples, lines, {"kind": "shift-system", "n": n, "seed": seed, "attempt": attempt}
-        )
+        provenance = {
+            "kind": "shift-system", "n": n, "seed": seed, "attempt": attempt, "rejected_samples": list(rejected)
+        }
+        system = ShiftSystem(values, triples, lines, provenance)
         ok, diagnostic = verify_shift_system(system)
         if ok:
-            system.provenance["rejected_samples"] = rejected
             return system
         rejected.append({"values": [format_rat(v) for v in values], "diagnostic": str(diagnostic)})
     raise ConstructionError(
@@ -260,10 +260,7 @@ def meeting_pair_lines() -> LineFamily:
     """Two lines through the origin along the x and y axes."""
     a = Line3(Point3.of(0, 0, 0), Dir3.of(1, 0, 0))
     b = Line3(Point3.of(0, 0, 0), Dir3.of(0, 1, 0))
-    fam = LineFamily((a, b), None, 2, {"kind": "base-pair"})
-    if fam.intersection_edges() != [(0, 1)]:
-        raise ConstructionError("pair base is not a single edge")
-    return fam
+    return recursion.checked_base(LineFamily((a, b), None, 2, {"kind": "base-pair"}), check_line_structure)
 
 
 def odd_cycle_lines(n: int) -> LineFamily:
@@ -282,11 +279,7 @@ def odd_cycle_lines(n: int) -> LineFamily:
         Line3(pts[i], Dir3.between(pts[i], pts[(i + 1) % n])) for i in range(n)
     )
     fam = LineFamily(lines, n, 3, {"kind": "base-odd-cycle", "n": n})
-    got = graphs.intersection_graph(fam)
-    same, witness = graphs.graph_equals_expected(got, graphs.cycle_graph(n), list(range(n)))
-    if not same:
-        raise ConstructionError(f"odd cycle line realization failed for n={n}", witness)
-    return fam
+    return recursion.checked_base(fam, check_line_structure)
 
 
 # ---------------------------------------------------------------------------
@@ -353,25 +346,17 @@ def frame_conditions(frame: TransversalFrame, lines) -> list[str]:
             failures.append("transversal")
             return failures
         hits.append(meet.point.as_tuple())
-    if len({h for h in hits}) != len(hits):
+    if len(set(hits)) != len(hits):
         failures.append("distinct-traces")
-    for i in range(len(hits)):
-        for j in range(i + 1, len(hits)):
-            if dot(vsub(hits[i], hits[j]), dvec) == 0:
-                failures.append("distinct-projections")
-                break
-        else:
-            continue
-        break
+    pairs = list(itertools.combinations(range(len(lines)), 2))
+    if any(dot(vsub(hits[i], hits[j]), dvec) == 0 for i, j in pairs):
+        failures.append("distinct-projections")
     dirs = [l.dir.as_tuple() for l in lines]
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            m = cross(dirs[i], dirs[j])
-            if is_zero(m):
-                continue
-            if dot(cross(nvec, m), dvec) == 0:
-                failures.append("parallel-plane-pairs")
-                return failures
+    for i, j in pairs:
+        m = cross(dirs[i], dirs[j])
+        if not is_zero(m) and dot(cross(nvec, m), dvec) == 0:
+            failures.append("parallel-plane-pairs")
+            break
     return failures
 
 
@@ -387,14 +372,7 @@ def choose_frame(fam: LineFamily, budget: Budget | int | None = None, max_height
     budget = as_budget(budget, label="frame search")
     lines = fam.lines
     dirs = [l.dir.as_tuple() for l in lines]
-    meets = []
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            rel = line_line_relation(lines[i], lines[j])
-            if rel.kind == LineRelation.MEET:
-                meets.append(rel.point.as_tuple())
-            elif rel.kind == LineRelation.IDENTICAL:
-                raise ConstructionError(f"identical lines in family: {i}, {j}")
+    meets = [line_line_relation(lines[i], lines[j]).point.as_tuple() for i, j in fam.intersection_edges()]
     rejections = {"transversal": 0, "distinct-traces": 0, "distinct-projections": 0, "parallel-plane-pairs": 0}
     for normal in _canonical_dirs(max_height):
         budget.spend()
@@ -555,41 +533,21 @@ def recursion_step_lines(
     colors: int,
     girth: int,
     provider,
-    verify_parent: bool = True,
     budget: Budget | int | None = None,
 ) -> LineFamily:
-    """One chromatic lift in the line geometry: parallel ground lines in a
-    transversal plane at the certificate elements, plus one scaled-and-slid
-    copy of the parent per certificate copy, with slide offsets chosen to
-    forbid any cross-copy incidence.  All structural claims are asserted
-    exactly before returning."""
-    parent_graph = graphs.intersection_graph(parent)
-    parent_girth = graphs.girth(parent_graph)
-    if parent_girth < girth:
-        raise ConstructionError(f"parent girth {parent_girth} is below the target {girth}")
-    if verify_parent and colors > 1:
-        budget = as_budget(budget, label="parent chromatic verification")
-        refutation = graphs.is_k_colorable(parent_graph, colors - 1, budget)
-        if refutation.status == "colorable":
-            raise ConstructionError(
-                f"parent admits a {colors - 1}-coloring; it does not need {colors} colors"
-            )
-        if refutation.status == "inconclusive":
-            raise ConstructionError(
-                f"could not verify the parent needs {colors} colors within budget"
-            )
+    """One chromatic lift (see ``recursion.lift``) in the line geometry:
+    parallel ground lines in a transversal plane at the certificate
+    elements, plus one scaled-and-slid copy of the parent per certificate
+    copy, with slide offsets chosen to forbid any cross-copy incidence."""
+    return recursion.lift(parent, colors, girth, provider, budget, _place_lines, check_line_structure)
 
+
+def _place_lines(parent: LineFamily, certify) -> recursion.Placement:
     frame = choose_frame(parent)
-    params = []
-    for l in parent.lines:
-        meet = line_plane_meet(l, frame.plane)
-        params.append(frame.param_of(meet.point))
-    ground_set = GroundSet.of(params)
-    cert = provider(ground_set, colors, girth)
-
+    params = [frame.param_of(line_plane_meet(l, frame.plane).point) for l in parent.lines]
+    cert = certify(params)
     ground = make_ground_lines(cert.elements, frame)
-    lines: list[Line3] = list(ground)
-    copy_blocks: list[list[int]] = []
+    copies: list[list[Line3]] = []
     placed = _PlacedLines()
     offsets_used: list[Rat] = []
     for copy in cert.copies:
@@ -598,90 +556,38 @@ def recursion_step_lines(
         offset = next(o for o in _offsets() if not is_forbidden(o))
         images = baseline if offset == 0 else embed_copy_lines(parent, frame, copy, offset)
         offsets_used.append(offset)
-        start = len(lines)
-        lines.extend(images)
-        copy_blocks.append(list(range(start, start + len(images))))
+        copies.append(images)
         placed.add(images)
-
-    lift_certified = cert.flags.all_true()
-    out = LineFamily(
-        tuple(lines),
-        girth,
-        colors + 1 if lift_certified else colors,
-        {
-            "kind": "recursion",
-            "geometry": "lines",
-            "girth_param": girth,
-            "colors_before": colors,
-            "blocks": {"ground": list(range(len(ground))), "copies": copy_blocks},
-            "parent_edges": [list(e) for e in sorted(parent_graph.edges)],
-            "parent_size": len(parent.lines),
-            "parent_params": [format_rat(t) for t in params],
-            "offsets": [format_rat(o) for o in offsets_used],
-            "certificate": certificate_to_doc(cert),
-            "chromatic_lift_certified": lift_certified,
-            "parent": parent.provenance,
-        },
-    )
-    report = check_line_structure(out)
-    if not report.ok:
-        fail = report.first_failure()
-        raise ConstructionError(f"structural assertion failed: {fail.name}", fail.detail)
-
-    out_girth = graphs.girth(graphs.intersection_graph(out))
-    floor_bound = min(parent_girth, 3 * math.ceil(girth / 3))
-    if out_girth < floor_bound:
-        raise ConstructionError(
-            f"girth lift violated: got {out_girth}, expected at least {floor_bound}"
-        )
-    return out
+    extra = {
+        "geometry": "lines",
+        "parent_params": [format_rat(t) for t in params],
+        "offsets": [format_rat(o) for o in offsets_used],
+    }
+    return recursion.Placement(parent, cert, ground, copies, extra)
 
 
 def check_line_structure(fam: LineFamily) -> StructureReport:
-    """Exact structural sweep mirroring the box checks: ground lines
+    """Exact structural sweep mirroring the box checks (see
+    ``recursion.check_structure``): no two lines identical; ground lines
     pairwise parallel-disjoint; every copy line meets exactly one ground
     line, the one at its own mapped parameter; no cross-copy incidence;
     each copy's internal graph matches the parent's."""
-    report = StructureReport()
-    prov = fam.provenance
-    kind = prov.get("kind")
-    if kind == "recursion":
-        _check_line_recursion(report, fam, prov)
-    elif kind == "base-odd-cycle":
-        got = graphs.intersection_graph(fam)
-        same, witness = graphs.graph_equals_expected(
-            got, graphs.cycle_graph(prov["n"]), list(range(prov["n"]))
-        )
-        report.add("graph-equals-cycle", same, "" if same else str(witness))
-    elif kind == "base-pair":
-        report.add("graph-is-single-edge", fam.intersection_edges() == [(0, 1)])
-    elif kind == "base-single":
-        report.add("graph-is-single-vertex", fam.intersection_edges() == [])
-    else:
-        report.add("structure-model", True, "no construction model; invariants only")
-    return report
+    return recursion.check_structure(fam, _check_line_copies)
 
 
-def _check_line_recursion(report: StructureReport, fam: LineFamily, prov: dict) -> None:
-    ground = prov["blocks"]["ground"]
-    copy_blocks = [list(c) for c in prov["blocks"]["copies"]]
-    owner = {}
-    for ci, members in enumerate(copy_blocks):
-        for i in members:
-            owner[i] = ci
-    rows = _integer_rows(fam.lines)
-    meets, identical = _sweep(rows)
+def _check_line_copies(report: StructureReport, fam: LineFamily, edges: recursion.CopyEdges) -> None:
+    identical = fam.identical
     report.add(
         "no-identical-lines", identical is None, "" if identical is None else f"pair {identical}"
     )
-    meet_set = set(meets)
 
+    ground = edges.ground
     bad_ground = next(
         (
             (i, j)
             for i in ground
             for j in ground
-            if i < j and _relation_kind(rows[i], rows[j]) != _KIND_PARALLEL
+            if i < j and line_line_relation(fam.lines[i], fam.lines[j]).kind != LineRelation.PARALLEL
         ),
         None,
     )
@@ -691,24 +597,7 @@ def _check_line_recursion(report: StructureReport, fam: LineFamily, prov: dict) 
         "" if bad_ground is None else f"ground pair {bad_ground}",
     )
 
-    cert = prov["certificate"]
-    elements = [rat(x) for x in cert["elements"]]
-    element_index = {x: gi for gi, x in zip(ground, elements)}
-    parent_params = [rat(t) for t in prov["parent_params"]]
-    copies = cert["copies"]
-
-    bad = None
-    for ci, members in enumerate(copy_blocks):
-        scale, shift = rat(copies[ci]["scale"]), rat(copies[ci]["shift"])
-        for p, i in enumerate(members):
-            expected_value = scale * parent_params[p] + shift
-            expected_g = element_index[expected_value]
-            met = [g for g in ground if (min(g, i), max(g, i)) in meet_set]
-            if met != [expected_g]:
-                bad = (i, met, expected_g)
-                break
-        if bad:
-            break
+    bad = _misplaced_copy_line(fam.provenance, edges)
     report.add(
         "copy-meets-exactly-own-ground",
         bad is None,
@@ -716,35 +605,30 @@ def _check_line_recursion(report: StructureReport, fam: LineFamily, prov: dict) 
     )
 
     # the first cross-copy meeting pair in block order
-    rank = {i: r for r, i in enumerate(owner)}
-    cross_pair = min(
-        (p for p in meets if p[0] in owner and p[1] in owner and owner[p[0]] != owner[p[1]]),
-        key=lambda p: (rank[p[0]], rank[p[1]]),
-        default=None,
-    )
+    rank = {i: r for r, i in enumerate(edges.owner)}
+    cross_pair = min(edges.cross, key=lambda p: (rank[p[0]], rank[p[1]]), default=None)
     report.add(
         "no-cross-copy-incidences",
         cross_pair is None,
         "" if cross_pair is None else f"cross-copy pair {cross_pair}",
     )
 
-    parent_edges = {tuple(e) for e in prov["parent_edges"]}
-    bad_block = None
-    for ci, members in enumerate(copy_blocks):
-        pos = {v: p for p, v in enumerate(members)}
-        got = set()
-        for ii in members:
-            for jj in members:
-                if ii < jj and (ii, jj) in meet_set:
-                    got.add(tuple(sorted((pos[ii], pos[jj]))))
-        if got != parent_edges:
-            bad_block = (ci, sorted(got ^ parent_edges)[:1])
-            break
-    report.add(
-        "copy-graph-matches-parent",
-        bad_block is None,
-        "" if bad_block is None else f"copy {bad_block[0]} differs at {bad_block[1]}",
-    )
+
+def _misplaced_copy_line(prov: dict, edges: recursion.CopyEdges):
+    """The first copy line, in block order, that does not meet exactly the
+    ground line at its own mapped parameter, as (line, ground lines met,
+    expected ground line); None when every copy line does."""
+    cert = prov["certificate"]
+    element_index = {rat(x): gi for gi, x in zip(edges.ground, cert["elements"])}
+    parent_params = [rat(t) for t in prov["parent_params"]]
+    for ci, members in enumerate(edges.copies):
+        scale, shift = rat(cert["copies"][ci]["scale"]), rat(cert["copies"][ci]["shift"])
+        for p, i in enumerate(members):
+            met = [g for g in edges.ground if g in edges.ground_met[i]]
+            expected_g = element_index[scale * parent_params[p] + shift]
+            if met != [expected_g]:
+                return i, met, expected_g
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -753,25 +637,8 @@ def _check_line_recursion(report: StructureReport, fam: LineFamily, prov: dict) 
 
 def build_line_family(girth: int, colors: int, policy: ProviderPolicy | None = None) -> LineFamily:
     """A line family with girth >= girth needing at least ``colors``
-    colors (certified when the certificates verify); bases and iteration
-    mirror the box construction."""
-    if girth < 3 or colors < 1:
-        raise ValueError("need girth >= 3 and colors >= 1")
-    policy = policy or ProviderPolicy()
-    if colors == 1:
-        return single_line_family()
-    if colors == 2:
-        return meeting_pair_lines()
-    if policy.name == "pigeonhole":
-        fam = meeting_pair_lines()
-        start = 2
-    else:
-        n = max(5, girth)
-        if n % 2 == 0:
-            n += 1
-        fam = odd_cycle_lines(n)
-        start = 3
-    for k in range(start, colors):
-        provider = policy.provider()
-        fam = recursion_step_lines(fam, k, girth, provider, budget=policy.chroma_budget)
-    return fam
+    colors (see ``recursion.build_family``); bases and iteration mirror
+    the box construction."""
+    return recursion.build_family(
+        girth, colors, policy, (single_line_family, meeting_pair_lines, odd_cycle_lines), recursion_step_lines
+    )

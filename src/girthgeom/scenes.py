@@ -28,6 +28,8 @@ def write_doc(path, doc: dict) -> None:
 def read_doc(path) -> dict:
     try:
         return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise SceneFormatError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise SceneFormatError(f"not valid JSON: {path}: {exc}") from exc
 

@@ -13,7 +13,8 @@ import math
 from fractions import Fraction
 
 from girthgeom.errors import ConstructionError
-from girthgeom.geometry import cross, dot, is_zero, vsub
+from girthgeom.geometry import LineRelation, cross, dot, is_zero, line_line_relation, vsub
+from girthgeom.lines import shift_meeting_point
 
 
 def brute_girth(n: int, edges: set[tuple[int, int]]) -> int | float:
@@ -137,3 +138,22 @@ def brute_forbidden_offsets(images_at_zero, placed_lines, frame) -> set[Fraction
                 if all(cw[i] == t * cu[i] for i in range(3)):
                     bad.add(t)
     return bad
+
+
+def brute_verify_shift_system(system) -> tuple[bool, dict | None]:
+    """The double-shift check pair by pair in (i, j) order with the
+    Fraction line relation: lines of adjacent triples must meet at the
+    designed point, and no other pair may meet or coincide."""
+    triples, lines = system.triples, system.lines
+    for i, j in itertools.combinations(range(len(triples)), 2):
+        t1, t2 = triples[i], triples[j]
+        rel = line_line_relation(lines[i], lines[j])
+        if (t1[1], t1[2]) == (t2[0], t2[1]) or (t2[1], t2[2]) == (t1[0], t1[1]):
+            if rel.kind != LineRelation.MEET:
+                return False, {"pair": (i, j), "reason": "expected meet"}
+            a, b = sorted((t1, t2))
+            if rel.point != shift_meeting_point(a[0], a[1], a[2], b[2]):
+                return False, {"pair": (i, j), "reason": "meet at unexpected point"}
+        elif rel.kind in (LineRelation.MEET, LineRelation.IDENTICAL):
+            return False, {"pair": (i, j), "reason": "spurious incidence"}
+    return True, None

@@ -185,3 +185,25 @@ class TestGallai:
     def test_make_refusal_exit(self, tmp_path):
         code = main(["gallai", "make", "--T", "0,1", "--k", "2", "--g", "9", "--out", str(tmp_path / "c.json")])
         assert code == EXIT_REFUSED
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gallai", "make", "--T", "0,1,2"],
+        ["gallai", "search", "--T", "0,1,2"],
+        ["gallai", "make", "--T", "0,1", "--k", "0", "--g", "4"],
+        ["build", "boxes", "--g", "6", "--k", "0", "--out", "x"],
+        ["build", "lines", "--g", "2", "--k", "3", "--out", "x"],
+        ["build", "shift", "--n", "2", "--out", "x"],
+        ["verify", "missing.scene.json"],
+        ["gallai", "check", "missing.json"],
+    ],
+)
+def test_argument_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []

@@ -1,12 +1,13 @@
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_forbidden_offsets
+from _oracles import brute_forbidden_offsets, brute_verify_shift_system
 from girthgeom import (
     BudgetExhausted,
     ConstructionError,
@@ -16,6 +17,7 @@ from girthgeom import (
     LineRelation,
     Point3,
     ProviderPolicy,
+    ShiftSystem,
     build_line_family,
     build_shift_system,
     check_line_structure,
@@ -412,3 +414,53 @@ class TestNegativeControls:
         fam = meeting_pair_lines()
         with pytest.raises(BudgetExhausted):
             choose_frame(fam, budget=1)
+
+
+def _shift_system(values, order, replaced) -> ShiftSystem:
+    """Triples of the values in the given scene order, each with its shift
+    line, except that for every (k, m, t) in ``replaced`` line k becomes
+    the line of triple m (t None) or the parallel to line k through the
+    point at parameter t of the line of triple m."""
+    values = tuple(F(v) for v in sorted(values))
+    combos = list(itertools.combinations(values, 3))
+    triples = tuple(combos[i] for i in order)
+    lines = [shift_line(*t) for t in triples]
+    for k, m, t in replaced:
+        k, other = k % len(lines), shift_line(*triples[m % len(triples)])
+        lines[k] = other if t is None else Line3(other.point_at(F(t)), lines[k].dir)
+    return ShiftSystem(values, triples, tuple(lines))
+
+
+class TestVerifyShiftSystem:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.sets(st.integers(-5, 40), min_size=4, max_size=7),
+        order=st.permutations(range(35)),
+        replaced=st.lists(
+            st.tuples(st.integers(0, 34), st.integers(0, 34), st.none() | st.integers(-40, 40)), max_size=2
+        ),
+    )
+    def test_matches_pairwise_oracle(self, values, order, replaced):
+        """Narrow value ranges give spurious incidences, and replaced lines
+        give missing meets and meets away from the designed points on
+        either line of a pair."""
+        count = math.comb(len(values), 3)
+        system = _shift_system(values, [i for i in order if i < count], replaced)
+        assert verify_shift_system(system) == brute_verify_shift_system(system)
+
+    def test_every_reason_comes_up(self):
+        rng = random.Random(1)
+        reasons = set()
+        for _ in range(120):
+            values = rng.sample(range(-5, rng.choice([7, 60])), rng.randint(4, 6))
+            count = math.comb(len(values), 3)
+            order = rng.sample(range(count), count)
+            replaced = [
+                (rng.randrange(count), rng.randrange(count), rng.choice([None, rng.randint(-40, 40)]))
+                for _ in range(rng.randint(0, 2))
+            ]
+            system = _shift_system(values, order, replaced)
+            result = verify_shift_system(system)
+            assert result == brute_verify_shift_system(system)
+            reasons.add(None if result[0] else result[1]["reason"])
+        assert reasons == {None, "expected meet", "meet at unexpected point", "spurious incidence"}
