@@ -55,9 +55,7 @@ from .geometry import (
     PlaneRelation,
     Point3,
     Rat,
-    apply_homothety,
     box_intersects,
-    interval_intersect,
     line_line_relation,
     line_plane_meet,
     perp_in_plane,

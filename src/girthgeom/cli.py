@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -51,16 +50,14 @@ _BUDGET_NAMES = {"small": 20_000, "default": 2_000_000, "large": 100_000_000}
 
 
 def parse_budget(text: str) -> int:
-    """A node count, or one of the named sizes, scaled by the
-    GIRTHGEOM_BUDGET_SCALE environment variable."""
+    """A node count (at least 1), or one of the named sizes."""
     base = _BUDGET_NAMES.get(text)
     if base is None:
         try:
             base = int(text)
         except ValueError:
             raise SceneFormatError(f"not a budget: {text!r} (use a node count or {sorted(_BUDGET_NAMES)})")
-    scale = float(os.environ.get("GIRTHGEOM_BUDGET_SCALE", "1"))
-    return max(1, int(base * scale))
+    return max(1, base)
 
 
 _MINIMUM = {"g": 3, "k": 1, "n": 3}
@@ -77,68 +74,57 @@ def _require(args, command: str, *names: str) -> None:
             raise SceneFormatError(f"{command}: --{name} must be at least {_MINIMUM[name]}, not {value}")
 
 
-def _girth_doc(graph, claimed_girth) -> dict:
-    """The computed girth ("infinity" for forests) against the claim."""
-    computed = graphs.girth(graph)
-    return {
-        "computed": "infinity" if computed == math.inf else int(computed),
-        "claimed_at_least": claimed_girth,
-        "ok": claimed_girth is None or computed >= claimed_girth,
-    }
-
-
 # ---------------------------------------------------------------------------
-# shared report pieces
+# the scene checker shared by build and verify
+
+CHECKS = ("geometry", "girth", "chroma")
 
 
-def _refute_below(graph, claimed_chromatic: int, budget: Budget) -> tuple[bool | None, int]:
-    """Whether claimed_chromatic - 1 colors are refuted (None when the
-    budget ran out first), and the search nodes spent."""
-    if claimed_chromatic <= 1:
-        return True, 0
-    refutation = graphs.is_k_colorable(graph, claimed_chromatic - 1, budget)
-    return {"refuted": True, "colorable": False}.get(refutation.status), refutation.nodes
+def _check(obj, graph, requested, chroma_budget: int) -> tuple[dict, bool, bool, int]:
+    """The requested checks of a scene against its graph: structure,
+    girth against the claim, and refutation of one color fewer than the
+    claimed chromatic number.  Returns (results, hard_failure,
+    budget_flag, refutation nodes)."""
+    results: dict = {"objects": graph.n, "graph": {"vertices": graph.n, "edges": graph.m}}
+    hard_fail = budget_flag = False
+    nodes = 0
+    if "geometry" in requested:
+        results["structure"] = _structure_report(obj, graph)
+        hard_fail |= not all(c["ok"] for c in results["structure"])
+    if "girth" in requested:
+        claimed_girth = getattr(obj, "claimed_girth", None)
+        computed = graphs.girth(graph)
+        results["girth"] = {
+            "computed": "infinity" if computed == math.inf else int(computed),
+            "claimed_at_least": claimed_girth,
+            "ok": claimed_girth is None or computed >= claimed_girth,
+        }
+        hard_fail |= not results["girth"]["ok"]
+    if "chroma" in requested:
+        claimed_chromatic = getattr(obj, "claimed_chromatic", 1)
+        refuted = True
+        if claimed_chromatic > 1:
+            budget = Budget(chroma_budget, "claim refutation")
+            refutation = graphs.is_k_colorable(graph, claimed_chromatic - 1, budget)
+            refuted, nodes = {"refuted": True, "colorable": False}.get(refutation.status), refutation.nodes
+        hard_fail |= refuted is False
+        budget_flag |= refuted is None
+        results["chromatic"] = {"claimed_at_least": claimed_chromatic, "refuted_below": refuted}
+    return results, hard_fail, budget_flag, nodes
 
 
-def _graph_report(graph, claimed_girth, claimed_chromatic, chroma_budget: int) -> tuple[dict, bool, bool]:
-    """Recompute girth and chromatic facts; returns (doc, hard_failure,
-    budget_flag)."""
-    girth_doc = _girth_doc(graph, claimed_girth)
-    hard_fail = not girth_doc["ok"]
-
-    refuted, refutation_nodes = _refute_below(graph, claimed_chromatic, Budget(chroma_budget, "claim refutation"))
-    chroma: dict = {"claimed_at_least": claimed_chromatic, "refuted_below": refuted}
-    hard_fail |= refuted is False
-    budget_flag = refuted is None
-    exact = graphs.chromatic_number(graph, Budget(chroma_budget, "exact chromatic"))
-    chroma["exact"] = exact.value
-    chroma["status"] = exact.status
-    chroma["nodes"] = refutation_nodes + (exact.coloring.nodes if exact.coloring else 0)
-    if exact.status == "inconclusive":
-        budget_flag = True
-
-    doc = {
-        "graph": {"vertices": graph.n, "edges": graph.m},
-        "girth": girth_doc,
-        "chromatic": chroma,
-    }
-    return doc, hard_fail, budget_flag
-
-
-def _structure_report(obj, graph) -> tuple[list[dict], bool]:
+def _structure_report(obj, graph) -> list[dict]:
     if isinstance(obj, boxmod.BoxFamily):
-        report = boxmod.check_box_structure(obj)
-    elif isinstance(obj, linemod.ShiftSystem):
-        ok, diagnostic = linemod.verify_shift_system(obj)
+        return boxmod.check_box_structure(obj).to_doc()
+    if isinstance(obj, linemod.ShiftSystem):
+        ok, diagnostic = obj.verification
         expected = linemod.double_shift_graph(len(obj.values))
         same, witness = graphs.graph_equals_expected(graph, expected, list(range(graph.n)))
         return [
             {"name": "shift-system-exact", "ok": ok, "detail": "" if ok else str(diagnostic)},
             {"name": "graph-equals-double-shift", "ok": same, "detail": "" if same else str(witness)},
-        ], not (ok and same)
-    else:
-        report = linemod.check_line_structure(obj)
-    return report.to_doc(), not report.ok
+        ]
+    return linemod.check_line_structure(obj).to_doc()
 
 
 def _recursion_levels(provenance: dict) -> list[dict]:
@@ -184,54 +170,51 @@ def _emit(report: dict, out_prefix: str | None, footer: list[str]) -> None:
 
 
 def cmd_build(args) -> int:
+    chroma_budget = parse_budget(args.chroma_budget)
     policy = ProviderPolicy(
         name=args.provider,
         vdw_length_hint=args.vdw_hint,
         certificate_budget=parse_budget(args.budget),
-        chroma_budget=parse_budget(args.chroma_budget),
+        chroma_budget=chroma_budget,
     )
     if args.kind == "shift":
         _require(args, "build shift", "n")
         obj = linemod.build_shift_system(args.n, seed=args.seed)
-        claimed_girth, claimed_chromatic = None, 1
         params = {"kind": "shift", "n": args.n, "seed": args.seed}
     else:
         _require(args, f"build {args.kind}", "g", "k")
         build = boxmod.build_box_family if args.kind == "boxes" else linemod.build_line_family
         obj = build(args.g, args.k, policy)
-        claimed_girth, claimed_chromatic = obj.claimed_girth, obj.claimed_chromatic
         params = {"kind": args.kind, "g": args.g, "k": args.k, "provider": args.provider, "seed": args.seed}
 
     graph = graphs.intersection_graph(obj)
-    structure, structure_fail = _structure_report(obj, graph)
-    graph_doc, hard_fail, budget_flag = _graph_report(
-        graph, claimed_girth, claimed_chromatic, parse_budget(args.chroma_budget)
+    results, hard_fail, budget_flag, nodes = _check(obj, graph, CHECKS, chroma_budget)
+    chroma = results["chromatic"]
+    exact = graphs.chromatic_number(graph, Budget(chroma_budget, "exact chromatic"))
+    chroma.update(
+        exact=exact.value, status=exact.status, nodes=nodes + (exact.coloring.nodes if exact.coloring else 0)
     )
-    if args.k is not None and claimed_chromatic < args.k:
+    budget_flag |= exact.status == "inconclusive"
+    if args.k is not None and chroma["claimed_at_least"] < args.k:
         # an uncertified certificate kept the chromatic claim below the
         # requested target: inconclusive, not a verified build
         budget_flag = True
-    hard_fail |= structure_fail
+    results["levels"] = _recursion_levels(obj.provenance if not isinstance(obj, linemod.ShiftSystem) else {})
 
     status, code = _status(hard_fail, budget_flag)
     out = args.out
+    claimed_girth = results["girth"]["claimed_at_least"]
     summary = [
         f"girthgeom build {args.kind}: {graph.n} objects, {graph.m} edges",
-        f"girth {graph_doc['girth']['computed']}"
-        + (f" (claimed at least {claimed_girth})" if claimed_girth else ""),
-        f"chromatic exact={graph_doc['chromatic']['exact']} status={graph_doc['chromatic']['status']}",
-        f"structure {'OK' if not structure_fail else 'FAILED'}",
+        f"girth {results['girth']['computed']}" + (f" (claimed at least {claimed_girth})" if claimed_girth else ""),
+        f"chromatic exact={chroma['exact']} status={chroma['status']}",
+        f"structure {'OK' if all(c['ok'] for c in results['structure']) else 'FAILED'}",
     ]
     report = {
         "kind": "run-report",
         "command": "build",
         "parameters": {**params, "budget": args.budget, "chroma_budget": args.chroma_budget},
-        "results": {
-            "objects": graph.n,
-            **graph_doc,
-            "structure": structure,
-            "levels": _recursion_levels(obj.provenance if not isinstance(obj, linemod.ShiftSystem) else {}),
-        },
+        "results": results,
         "summary": summary,
         "status": status,
     }
@@ -253,33 +236,13 @@ def cmd_verify(args) -> int:
     obj = scenes.load_scene(args.scene)
     requested = set(args.checks.split(","))
     if "all" in requested:
-        requested = {"geometry", "girth", "chroma"}
-    unknown = requested - {"geometry", "girth", "chroma"}
+        requested = set(CHECKS)
+    unknown = requested - set(CHECKS)
     if unknown:
         raise SceneFormatError(f"unknown checks: {sorted(unknown)}")
 
-    hard_fail = False
-    budget_flag = False
     graph = graphs.intersection_graph(obj)
-    results: dict = {"objects": graph.n, "graph": {"vertices": graph.n, "edges": graph.m}}
-
-    if "geometry" in requested:
-        structure, structure_fail = _structure_report(obj, graph)
-        results["structure"] = structure
-        hard_fail |= structure_fail
-
-    claimed_girth = getattr(obj, "claimed_girth", None)
-    claimed_chromatic = getattr(obj, "claimed_chromatic", 1)
-    if "girth" in requested:
-        results["girth"] = _girth_doc(graph, claimed_girth)
-        hard_fail |= not results["girth"]["ok"]
-
-    if "chroma" in requested:
-        refuted, _ = _refute_below(graph, claimed_chromatic, Budget(parse_budget(args.chroma_budget)))
-        hard_fail |= refuted is False
-        budget_flag |= refuted is None
-        results["chromatic"] = {"claimed_at_least": claimed_chromatic, "refuted_below": refuted}
-
+    results, hard_fail, budget_flag, _ = _check(obj, graph, requested, parse_budget(args.chroma_budget))
     status, code = _status(hard_fail, budget_flag)
     report = {
         "kind": "run-report",

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .budget import Budget, as_budget
 from .errors import BudgetExhausted, ProviderFailure, ProviderRefusal
 from .geometry import Homothety1D, Rat, format_rat, rat
+from .graphs import GeoGraph, shortest_cycle
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,6 @@ def enumerate_copies(ground: GroundSet, elements: tuple[Rat, ...]) -> tuple[Homo
 # ---------------------------------------------------------------------------
 # copy-cycle search
 
-_COPY, _ELEM = 0, 1
-
 
 def find_copy_cycle(copies, max_copies: int) -> CopyCycleWitness | None:
     """Exhaustively decide whether at most ``max_copies`` distinct copies
@@ -155,84 +154,25 @@ def find_copy_cycle(copies, max_copies: int) -> CopyCycleWitness | None:
 
     A cycle through j copies is exactly a 2j-cycle of the bipartite
     incidence graph between copies and elements, so this is a shortest
-    cycle scan over that graph.
+    cycle of that graph, found by the same search as family girth.
     """
     if max_copies < 2:
         raise ValueError("a cycle involves at least two copies")
     copies = tuple(copies)
-    elem_ids: dict[Rat, int] = {}
-    for c in copies:
-        for x in c.image:
-            elem_ids.setdefault(x, len(elem_ids))
-    # vertices: (kind, index); adjacency from incidences
-    adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for ci, c in enumerate(copies):
-        cv = (_COPY, ci)
-        for x in c.image:
-            ev = (_ELEM, elem_ids[x])
-            adj.setdefault(cv, []).append(ev)
-            adj.setdefault(ev, []).append(cv)
-    for v in adj:
-        adj[v].sort()
-
-    best_len: float = math.inf
-    best_cycle: list[tuple[int, int]] | None = None
-    for ci in range(len(copies)):
-        root = (_COPY, ci)
-        if root not in adj:
-            continue
-        dist = {root: 0}
-        parent: dict[tuple[int, int], tuple[int, int] | None] = {root: None}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                if 2 * dist[u] >= best_len:
-                    continue
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif parent[u] != w and parent.get(w) != u:
-                        cycle = _extract_cycle(u, w, parent)
-                        if cycle is not None and len(cycle) < best_len:
-                            best_len = len(cycle)
-                            best_cycle = cycle
-            frontier = nxt
-        if best_len == 4:
-            break
-    if best_cycle is None or best_len > 2 * max_copies:
+    vertex: dict[Rat, int] = {}  # element -> incidence vertex, numbered after the copies
+    edges = [(ci, vertex.setdefault(x, len(copies) + len(vertex))) for ci, c in enumerate(copies) for x in c.image]
+    elements = list(vertex)
+    cycle = shortest_cycle(GeoGraph(range(len(copies) + len(elements)), edges))
+    if cycle is None or len(cycle) > 2 * max_copies:
         return None
     # rotate so the cycle starts at a copy vertex, then read off the pairs
-    start = next(i for i, v in enumerate(best_cycle) if v[0] == _COPY)
-    ring = best_cycle[start:] + best_cycle[:start]
-    ids_to_elem = {i: x for x, i in elem_ids.items()}
-    wit_copies = tuple(copies[v[1]] for v in ring[0::2])
-    wit_elems = tuple(ids_to_elem[v[1]] for v in ring[1::2])
-    witness = CopyCycleWitness(wit_copies, wit_elems)
+    if cycle[0] >= len(copies):
+        cycle = cycle[1:] + cycle[:1]
+    witness = CopyCycleWitness(
+        tuple(copies[v] for v in cycle[0::2]), tuple(elements[v - len(copies)] for v in cycle[1::2])
+    )
     validate_cycle_witness(witness)
     return witness
-
-
-def _extract_cycle(u, w, parent) -> list | None:
-    """Simple cycle through the non-tree edge (u, w): both tree paths up
-    to their lowest common ancestor, closed by the edge."""
-    path_u = [u]
-    while parent[path_u[-1]] is not None:
-        path_u.append(parent[path_u[-1]])
-    index_u = {v: i for i, v in enumerate(path_u)}
-    path_w = [w]
-    while path_w[-1] not in index_u:
-        nxt = parent[path_w[-1]]
-        if nxt is None:
-            return None
-        path_w.append(nxt)
-    lca = path_w[-1]
-    cycle = path_u[: index_u[lca] + 1] + path_w[-2::-1]
-    if len(cycle) < 3:
-        return None
-    return cycle
 
 
 # ---------------------------------------------------------------------------

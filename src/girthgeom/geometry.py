@@ -120,11 +120,7 @@ class Dir3:
 
 @dataclass(frozen=True)
 class Interval:
-    """A closed interval [lo, hi] with lo <= hi.
-
-    The empty intersection is represented by None wherever an operation
-    can produce it; Interval instances themselves are always non-empty.
-    """
+    """A closed, non-empty interval [lo, hi] with lo <= hi."""
 
     lo: Rat
     hi: Rat
@@ -143,15 +139,6 @@ class Interval:
 
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-
-def interval_intersect(a: Interval, b: Interval) -> Interval | None:
-    """Set intersection of two closed intervals; None when empty."""
-    lo = max(a.lo, b.lo)
-    hi = min(a.hi, b.hi)
-    if lo > hi:
-        return None
-    return Interval(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -399,25 +386,3 @@ class AxisMap3:
             self.fz.apply_interval(b.zr),
         )
 
-
-def apply_homothety(mapping, obj):
-    """Generic dispatch: apply any of the three map kinds to a value of a
-    kind it acts on (rationals, intervals, points, boxes, lines)."""
-    if isinstance(mapping, Homothety1D):
-        if isinstance(obj, Interval):
-            return mapping.apply_interval(obj)
-        if isinstance(obj, (Fraction, int)):
-            return mapping.apply(rat(obj))
-    elif isinstance(mapping, Homothety3D):
-        if isinstance(obj, Point3):
-            return mapping.apply_point(obj)
-        if isinstance(obj, Line3):
-            return mapping.apply_line(obj)
-        if isinstance(obj, Box3):
-            return mapping.apply_box(obj)
-    elif isinstance(mapping, AxisMap3):
-        if isinstance(obj, Point3):
-            return mapping.apply_point(obj)
-        if isinstance(obj, Box3):
-            return mapping.apply_box(obj)
-    raise TypeError(f"cannot apply {type(mapping).__name__} to {type(obj).__name__}")

@@ -28,7 +28,7 @@ class GeoGraph:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
-            seen.add((min(u, v), max(u, v)))
+            seen.add((u, v) if u < v else (v, u))
         self.edges = frozenset(seen)
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in self.edges:
@@ -71,17 +71,24 @@ def intersection_graph(family) -> GeoGraph:
 # girth
 
 
-def girth(graph: GeoGraph) -> int | float:
-    """Length of a shortest cycle, math.inf for forests.
+def shortest_cycle(graph: GeoGraph) -> list[int] | None:
+    """A shortest cycle as its vertex sequence, None for forests.
 
     Per-vertex BFS: every non-tree edge (u, w) seen from a root yields a
     closed walk of length dist(u) + dist(w) + 1 through that root, which
     never undercuts a shortest cycle, and is tight for some root on one.
+    Each root searches only the vertices from itself up, which is still
+    tight from the lowest vertex of a shortest cycle.  The search stops
+    once no shorter cycle can exist: 3, or 4 for a bipartite graph.
+    The cycle is read off the shortest walk: the tree paths from u and w
+    up to their lowest common ancestor, closed by the edge.
     """
     best: int | float = math.inf
+    shortest = None
     adj = graph.adj
+    floor = 4 if _bipartite(adj) else 3
     for root in range(graph.n):
-        if best == 3:
+        if best == floor:
             break
         dist = {root: 0}
         parent = {root: -1}
@@ -93,16 +100,52 @@ def girth(graph: GeoGraph) -> int | float:
                 if 2 * du >= best:
                     continue
                 for w in adj[u]:
+                    if w < root:
+                        continue
                     if w not in dist:
                         dist[w] = du + 1
                         parent[w] = u
                         nxt.append(w)
-                    elif parent[u] != w and parent[w] != u:
-                        cand = du + dist[w] + 1
-                        if cand < best:
-                            best = cand
+                    elif parent[u] != w and parent[w] != u and du + dist[w] + 1 < best:
+                        best = du + dist[w] + 1
+                        shortest = parent, u, w
             frontier = nxt
-    return best
+    if shortest is None:
+        return None
+    parent, u, w = shortest
+    up = [u]
+    while parent[up[-1]] != -1:
+        up.append(parent[up[-1]])
+    index = {v: i for i, v in enumerate(up)}
+    down = [w]
+    while down[-1] not in index:
+        down.append(parent[down[-1]])
+    return up[: index[down[-1]] + 1] + down[-2::-1]
+
+
+def _bipartite(adj) -> bool:
+    """Whether the graph 2-colours, so that it has no odd cycle."""
+    side = [-1] * len(adj)
+    for s in range(len(adj)):
+        if side[s] != -1:
+            continue
+        side[s] = 0
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if side[w] == -1:
+                    side[w] = 1 - side[u]
+                    stack.append(w)
+                elif side[w] == side[u]:
+                    return False
+    return True
+
+
+def girth(graph: GeoGraph) -> int | float:
+    """Length of a shortest cycle, math.inf for forests."""
+    cycle = shortest_cycle(graph)
+    return math.inf if cycle is None else len(cycle)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import graphs, recursion
 from .budget import Budget, as_budget
@@ -34,7 +35,6 @@ from .geometry import (
     cross,
     dot,
     format_rat,
-    is_zero,
     line_line_relation,
     line_plane_meet,
     perp_in_plane,
@@ -153,6 +153,11 @@ class ShiftSystem(_SweptLines):
     lines: tuple[Line3, ...]
     provenance: dict = field(default_factory=dict)
 
+    @cached_property
+    def verification(self) -> tuple[bool, dict | None]:
+        """``verify_shift_system``'s (ok, diagnostic), taken on first use."""
+        return verify_shift_system(self)
+
     def labels(self) -> list[list[str]]:
         return [[format_rat(a), format_rat(b), format_rat(c)] for a, b, c in self.triples]
 
@@ -239,7 +244,7 @@ def build_shift_system(n: int, seed: int = 0, max_attempts: int = 64) -> ShiftSy
             "kind": "shift-system", "n": n, "seed": seed, "attempt": attempt, "rejected_samples": list(rejected)
         }
         system = ShiftSystem(values, triples, lines, provenance)
-        ok, diagnostic = verify_shift_system(system)
+        ok, diagnostic = system.verification
         if ok:
             return system
         rejected.append({"values": [format_rat(v) for v in values], "diagnostic": str(diagnostic)})
@@ -348,15 +353,12 @@ def frame_conditions(frame: TransversalFrame, lines) -> list[str]:
         hits.append(meet.point.as_tuple())
     if len(set(hits)) != len(hits):
         failures.append("distinct-traces")
-    pairs = list(itertools.combinations(range(len(lines)), 2))
-    if any(dot(vsub(hits[i], hits[j]), dvec) == 0 for i, j in pairs):
+    if len({dot(h, dvec) for h in hits}) != len(hits):
         failures.append("distinct-projections")
-    dirs = [l.dir.as_tuple() for l in lines]
-    for i, j in pairs:
-        m = cross(dirs[i], dirs[j])
-        if not is_zero(m) and dot(cross(nvec, m), dvec) == 0:
-            failures.append("parallel-plane-pairs")
-            break
+    # canonical directions are parallel only when equal
+    dirs = {l.dir.as_tuple() for l in lines}
+    if any(dot(cross(nvec, cross(d, e)), dvec) == 0 for d, e in itertools.combinations(dirs, 2)):
+        failures.append("parallel-plane-pairs")
     return failures
 
 
@@ -500,7 +502,6 @@ def embed_copy_lines(
     frame: TransversalFrame,
     copy: HomotheticCopy,
     offset: Rat,
-    avoid=(),
 ) -> list[Line3]:
     """The image of the parent under the 3-D realization of the copy's 1-D
     axis map (scaling about its fixed point on the axis, or a pure slide
@@ -508,9 +509,7 @@ def embed_copy_lines(
 
     Both pieces preserve the plane, so each image line still crosses it at
     one point whose axis parameter is the 1-D map of its parent's; the
-    image therefore meets exactly its own ground line.  If any image line
-    meets or coincides with a line in ``avoid``, the offset is in the
-    forbidden set and the call fails so the caller can retry.
+    image therefore meets exactly its own ground line.
     """
     offset = rat(offset)
     scale = copy.map.scale
@@ -522,10 +521,7 @@ def embed_copy_lines(
         center = frame.point_at(copy.map.fixed_point()).as_tuple()
         shift = vadd(vscale(1 - scale, center), vscale(offset, perp_vec))
     mapping = Homothety3D(scale, Point3(*shift))
-    images = [mapping.apply_line(l) for l in parent.lines]
-    if avoid and forbidden_offsets(images, _PlacedLines(avoid), frame)(0):
-        raise ConstructionError(f"offset {offset} conflicts with an already placed line")
-    return images
+    return [mapping.apply_line(l) for l in parent.lines]
 
 
 def recursion_step_lines(

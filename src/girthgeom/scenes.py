@@ -56,7 +56,7 @@ def box_family_from_doc(doc: dict) -> BoxFamily:
     try:
         boxes = tuple(box_from_doc(b) for b in doc["boxes"])
         return BoxFamily(boxes, _claim(doc.get("g")), int(doc["k"]), doc.get("provenance", {}))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise SceneFormatError(f"bad grounded-box-family document: {exc}") from exc
 
 
@@ -74,7 +74,7 @@ def line_family_from_doc(doc: dict) -> LineFamily:
     try:
         lines = tuple(line_from_doc(l) for l in doc["lines"])
         return LineFamily(lines, _claim(doc.get("g")), int(doc["k"]), doc.get("provenance", {}))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise SceneFormatError(f"bad line-family document: {exc}") from exc
 
 
@@ -102,7 +102,7 @@ def shift_system_from_doc(doc: dict) -> ShiftSystem:
         return ShiftSystem(values, triples, lines, doc.get("provenance", {}))
     except SceneFormatError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise SceneFormatError(f"bad shift-system document: {exc}") from exc
 
 
@@ -146,5 +146,5 @@ def save_certificate(path, cert: GallaiCertificate) -> None:
 def load_certificate(path) -> GallaiCertificate:
     try:
         return certificate_from_doc(read_doc(path))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise SceneFormatError(f"bad certificate document: {exc}") from exc

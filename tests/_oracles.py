@@ -157,3 +157,63 @@ def brute_verify_shift_system(system) -> tuple[bool, dict | None]:
         elif rel.kind in (LineRelation.MEET, LineRelation.IDENTICAL):
             return False, {"pair": (i, j), "reason": "spurious incidence"}
     return True, None
+
+
+def reference_copy_cycle(copies, max_copies: int):
+    """Shortest copy cycle of at most max_copies copies, by a BFS of its
+    own over (kind, index) vertices of the copy-element incidence graph,
+    rooted at copies only; returns (copies, elements) of a shortest
+    witness, or None."""
+    copies = tuple(copies)
+    elem_ids: dict = {}
+    for c in copies:
+        for x in c.image:
+            elem_ids.setdefault(x, len(elem_ids))
+    adj: dict = {}
+    for ci, c in enumerate(copies):
+        for x in c.image:
+            adj.setdefault((0, ci), []).append((1, elem_ids[x]))
+            adj.setdefault((1, elem_ids[x]), []).append((0, ci))
+    for v in adj:
+        adj[v].sort()
+
+    def extract(u, w, parent):
+        path_u = [u]
+        while parent[path_u[-1]] is not None:
+            path_u.append(parent[path_u[-1]])
+        index_u = {v: i for i, v in enumerate(path_u)}
+        path_w = [w]
+        while path_w[-1] not in index_u:
+            path_w.append(parent[path_w[-1]])
+        cycle = path_u[: index_u[path_w[-1]] + 1] + path_w[-2::-1]
+        return cycle if len(cycle) >= 3 else None
+
+    best_len, best_cycle = math.inf, None
+    for ci in range(len(copies)):
+        root = (0, ci)
+        if root not in adj:
+            continue
+        dist, parent, frontier = {root: 0}, {root: None}, [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                if 2 * dist[u] >= best_len:
+                    continue
+                for w in adj[u]:
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        parent[w] = u
+                        nxt.append(w)
+                    elif parent[u] != w and parent.get(w) != u:
+                        cycle = extract(u, w, parent)
+                        if cycle is not None and len(cycle) < best_len:
+                            best_len, best_cycle = len(cycle), cycle
+            frontier = nxt
+        if best_len == 4:
+            break
+    if best_cycle is None or best_len > 2 * max_copies:
+        return None
+    start = next(i for i, v in enumerate(best_cycle) if v[0] == 0)
+    ring = best_cycle[start:] + best_cycle[:start]
+    elems = {i: x for x, i in elem_ids.items()}
+    return tuple(copies[v[1]] for v in ring[0::2]), tuple(elems[v[1]] for v in ring[1::2])

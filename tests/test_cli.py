@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +208,30 @@ def test_argument_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys, arg
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "build, path, where",
+    [
+        (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", ("boxes", 0, "x", 0)),
+        (["build", "lines", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", ("lines", 0, "base", 0)),
+        (["build", "shift", "--n", "5"], "s.scene.json", ("values", 0)),
+        (["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4"], "s.json", ("elements", 0)),
+    ],
+    ids=["boxes", "lines", "shift", "certificate"],
+)
+def test_zero_denominator_exits_2_with_one_line(tmp_path, monkeypatch, capsys, build, path, where):
+    monkeypatch.chdir(tmp_path)
+    main([*build, "--out", path.removesuffix(".scene.json")])
+    doc = json.loads(Path(path).read_text())
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = "1/0"
+    Path(path).write_text(json.dumps(doc))
+    capsys.readouterr()
+    check = ["gallai", "check", path] if build[0] == "gallai" else ["verify", path]
+    assert main(check) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert "document" in captured.err

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from girthgeom import (
     Budget,
@@ -27,7 +29,7 @@ from girthgeom.gallai import (
     validate_cycle_witness,
 )
 
-from _oracles import brute_coloring_search, brute_copies
+from _oracles import brute_coloring_search, brute_copies, reference_copy_cycle
 
 
 def elems(*values):
@@ -130,6 +132,21 @@ class TestCopyCycles:
     def test_max_copies_below_two_rejected(self):
         with pytest.raises(ValueError):
             find_copy_cycle(self.pair_copies((1, 2), (2, 3)), 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sets(st.integers(0, 12), min_size=2, max_size=4),
+        st.sets(st.integers(-6, 30), max_size=14),
+        st.integers(2, 4),
+    )
+    def test_matches_reference_search(self, ground, universe, max_copies):
+        copies = enumerate_copies(GroundSet.of(ground), elems(*sorted(universe)))
+        witness = find_copy_cycle(copies, max_copies)
+        reference = reference_copy_cycle(copies, max_copies)
+        assert (witness is None) == (reference is None)
+        if witness is not None:
+            validate_cycle_witness(witness)
+            assert len(witness.copies) == len(reference[0]) <= max_copies
 
     def test_witness_validation_rejects_bad(self):
         copies = self.pair_copies((1, 2), (2, 3))

@@ -16,9 +16,7 @@ from girthgeom import (
     Plane3,
     PlaneRelation,
     Point3,
-    apply_homothety,
     box_intersects,
-    interval_intersect,
     line_line_relation,
     line_plane_meet,
     perp_in_plane,
@@ -48,13 +46,13 @@ class TestRat:
 
 class TestInterval:
     def test_shared_endpoint(self):
-        assert interval_intersect(Interval.of(0, 1), Interval.of(1, 2)) == Interval.of(1, 1)
+        assert Interval.of(0, 1).intersects(Interval.of(1, 2))
 
     def test_disjoint(self):
-        assert interval_intersect(Interval.of(0, 1), Interval.of(2, 3)) is None
+        assert not Interval.of(0, 1).intersects(Interval.of(2, 3))
 
     def test_overlap(self):
-        assert interval_intersect(Interval.of(0, 2), Interval.of(1, 3)) == Interval.of(1, 2)
+        assert Interval.of(0, 2).intersects(Interval.of(1, 3))
 
     def test_rejects_reversed(self):
         with pytest.raises(ValueError):
@@ -155,16 +153,16 @@ class TestPerpInPlane:
 
 class TestHomotheties:
     def test_scalar(self):
-        assert apply_homothety(Homothety1D.of(2, 1), 3) == F(7)
+        assert Homothety1D.of(2, 1).apply(F(3)) == F(7)
 
     def test_axis_map_on_unit_box(self):
         m = AxisMap3.of(Homothety1D.identity(), Homothety1D.of(F(1, 2), 0))
-        b = apply_homothety(m, box(0, 1, 0, 1, 0, 1))
+        b = m.apply_box(box(0, 1, 0, 1, 0, 1))
         assert b == box(0, 1, 0, 1, 0, F(1, 2))
 
     def test_identity_interval(self):
         iv = Interval.of(F(1, 3), F(7, 2))
-        assert apply_homothety(Homothety1D.identity(), iv) == iv
+        assert Homothety1D.identity().apply_interval(iv) == iv
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -187,7 +185,7 @@ class TestLineKeys:
 class TestHomothety3DOnBoxes:
     def test_box_image(self):
         f = Homothety3D(F(2), Point3.of(1, 0, -1))
-        b = apply_homothety(f, box(0, 1, 0, 1, 0, 1))
+        b = f.apply_box(box(0, 1, 0, 1, 0, 1))
         assert b == box(1, 3, 0, 2, -1, 1)
 
 

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from girthgeom import (
     Budget,
@@ -18,6 +20,7 @@ from girthgeom import (
     to_dimacs,
 )
 from girthgeom.errors import SceneFormatError
+from girthgeom.graphs import shortest_cycle
 
 from _oracles import all_graphs, brute_chromatic, brute_girth, brute_is_colorable
 
@@ -48,6 +51,28 @@ class TestGirth:
         for seed in range(60):
             n, edges = random_graph(8, 0.35, seed)
             assert girth(GeoGraph(range(n), edges)) == brute_girth(n, edges)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return n, set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_shortest_cycle_is_a_shortest_simple_cycle(graph):
+    n, edges = graph
+    cycle = shortest_cycle(GeoGraph(range(n), edges))
+    expected = brute_girth(n, edges)
+    if cycle is None:
+        assert expected == math.inf
+        return
+    assert len(cycle) == expected
+    assert len(set(cycle)) == len(cycle) >= 3
+    for u, w in zip(cycle, cycle[1:] + cycle[:1]):
+        assert (min(u, w), max(u, w)) in edges
 
 
 class TestColoring:

@@ -250,10 +250,9 @@ class TestEmbedCopyLines:
         frame = choose_frame(parent)
         copy = HomotheticCopy(Homothety1D.identity(), (F(0), F(1)))
         first = embed_copy_lines(parent, frame, copy, 0)
-        with pytest.raises(ConstructionError):
-            embed_copy_lines(parent, frame, copy, 0, avoid=first)
-        second = embed_copy_lines(parent, frame, copy, 1, avoid=first)
-        assert len(second) == 2
+        is_forbidden = forbidden_offsets(first, _PlacedLines(first), frame)
+        assert is_forbidden(0)
+        assert not is_forbidden(1)
 
 
 _PARENTS = [meeting_pair_lines(), odd_cycle_lines(5)]

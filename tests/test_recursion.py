@@ -143,3 +143,32 @@ class TestOneSweepPerFamily:
         assert main(["build", "shift", "--n", "7", "--seed", str(seed), "--out", "out"]) == EXIT_OK
         rejected = json.loads(Path("out.scene.json").read_text())["provenance"]["rejected_samples"]
         assert sweeps == [35] * (1 + len(rejected))
+
+
+@pytest.fixture
+def shift_checks(monkeypatch):
+    """The sizes of the shift systems checked by ``verify_shift_system``,
+    in call order."""
+    sizes = []
+    original = lines.verify_shift_system
+
+    def counted(system):
+        sizes.append(len(system.lines))
+        return original(system)
+
+    monkeypatch.setattr(lines, "verify_shift_system", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("seed", [1, 25])
+def test_shift_system_checked_once_per_sample(tmp_path, monkeypatch, capsys, shift_checks, seed):
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "shift", "--n", "7", "--seed", str(seed), "--out", "out"]) == EXIT_OK
+    rejected = json.loads(Path("out.scene.json").read_text())["provenance"]["rejected_samples"]
+    assert shift_checks == [35] * (1 + len(rejected))
+    shift_checks.clear()
+    assert main(["verify", "out.scene.json"]) == EXIT_OK
+    assert shift_checks == [35]
+    shift_checks.clear()
+    assert main(["verify", "out.scene.json", "--checks", "girth"]) == EXIT_OK
+    assert shift_checks == []
