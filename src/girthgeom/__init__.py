@@ -10,7 +10,6 @@ from .boxes import (
     build_box_family,
     check_box_structure,
     embed_copy_boxes,
-    ground_trace,
     make_ground_boxes,
     meeting_pair_family,
     normalize_traces,
@@ -67,7 +66,6 @@ from .graphs import (
     GeoGraph,
     chromatic_number,
     cycle_graph,
-    from_dimacs,
     girth,
     graph_equals_expected,
     intersection_graph,

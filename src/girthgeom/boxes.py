@@ -20,7 +20,6 @@ from .budget import Budget
 from .errors import ConstructionError
 from .gallai import GallaiCertificate, HomotheticCopy, ProviderPolicy
 from .geometry import AxisMap3, Box3, Homothety1D, Interval, Rat, format_rat, rat
-from .structure import StructureReport
 
 
 @dataclass(frozen=True)
@@ -59,11 +58,6 @@ class GroundedSquareBox:
     def translated_diag(self, delta: Rat) -> "GroundedSquareBox":
         """Translate along the x = y diagonal; preserves groundedness."""
         return GroundedSquareBox.of(self.trace + delta, self.side, self.box.zr.lo, self.box.zr.hi)
-
-
-def ground_trace(b: GroundedSquareBox) -> Rat:
-    """The x-coordinate of the box's contact edge with the x = y plane."""
-    return b.trace
 
 
 def box_to_doc(b: GroundedSquareBox) -> dict:
@@ -330,7 +324,7 @@ def _place_boxes(parent: BoxFamily, certify) -> recursion.Placement:
     return recursion.Placement(parent, cert, ground, copies, {"geometry": "boxes"})
 
 
-def check_box_structure(fam: BoxFamily) -> StructureReport:
+def check_box_structure(fam: BoxFamily) -> recursion.StructureReport:
     """Exact structural sweep of a family against its construction model
     (see ``recursion.check_structure``).
 
@@ -343,7 +337,7 @@ def check_box_structure(fam: BoxFamily) -> StructureReport:
     """
     if fam.provenance.get("kind") != "ground-only":
         return recursion.check_structure(fam, _check_box_copies)
-    report = StructureReport()
+    report = recursion.StructureReport()
     edges = fam.meets
     report.add(
         "ground-pairwise-disjoint",
@@ -353,7 +347,7 @@ def check_box_structure(fam: BoxFamily) -> StructureReport:
     return report
 
 
-def _check_box_copies(report: StructureReport, fam: BoxFamily, edges: recursion.CopyEdges) -> None:
+def _check_box_copies(report: recursion.StructureReport, fam: BoxFamily, edges: recursion.CopyEdges) -> None:
     ground_pairs = edges.ground_pairs
     report.add(
         "ground-pairwise-disjoint",

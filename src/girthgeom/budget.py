@@ -21,8 +21,8 @@ class Budget:
     label: str = ""
     used: int = field(default=0, compare=False)
 
-    def spend(self, nodes: int = 1) -> None:
-        self.used += nodes
+    def spend(self) -> None:
+        self.used += 1
         if self.used > self.max_nodes:
             raise BudgetExhausted(
                 f"search budget exhausted ({self.label or 'unlabelled'}): "

@@ -21,7 +21,7 @@ from . import boxes as boxmod
 from . import graphs
 from . import lines as linemod
 from . import scenes
-from .budget import Budget
+from .budget import DEFAULT_NODES, Budget
 from .errors import (
     BudgetExhausted,
     ConstructionError,
@@ -34,9 +34,8 @@ from .gallai import (
     GroundSet,
     ProviderPolicy,
     certificate_to_doc,
-    pigeonhole_certificate,
+    make_certificate,
     search_certificate,
-    vdw_certificate,
     verify_certificate,
 )
 from .geometry import rat
@@ -46,7 +45,7 @@ EXIT_CHECK_FAILED = 2
 EXIT_BUDGET = 3
 EXIT_REFUSED = 4
 
-_BUDGET_NAMES = {"small": 20_000, "default": 2_000_000, "large": 100_000_000}
+_BUDGET_NAMES = {"small": 20_000, "default": DEFAULT_NODES, "large": 100_000_000}
 
 
 def parse_budget(text: str) -> int:
@@ -147,9 +146,7 @@ def _recursion_levels(provenance: dict) -> list[dict]:
     return levels
 
 
-def _status(hard_fail: bool, budget_flag: bool, refused: bool = False) -> tuple[str, int]:
-    if refused:
-        return "refused", EXIT_REFUSED
+def _status(hard_fail: bool, budget_flag: bool) -> tuple[str, int]:
     if hard_fail:
         return "check-failed", EXIT_CHECK_FAILED
     if budget_flag:
@@ -280,10 +277,10 @@ def cmd_gallai(args) -> int:
     if args.action == "make":
         ground = _parse_ground(args.T)
         _require(args, "gallai make", "g", "k")
-        if args.provider == "pigeonhole" or (args.provider == "auto" and ground.size == 2):
-            cert = pigeonhole_certificate(ground, args.k, args.g)
-        else:
-            cert = vdw_certificate(ground, args.k, args.g, args.vdw_hint, Budget(budget_nodes))
+        name = args.provider
+        if name == "auto":
+            name = "pigeonhole" if ground.size == 2 else "vdw"
+        cert = make_certificate(ProviderPolicy(name, args.vdw_hint, budget_nodes), ground, args.k, args.g)
         doc = certificate_to_doc(cert)
         if args.out:
             scenes.write_doc(args.out, doc)
@@ -299,6 +296,7 @@ def cmd_gallai(args) -> int:
     if args.action == "check":
         cert = scenes.load_certificate(args.path)
         report = verify_certificate(cert, Budget(budget_nodes))
+        status, code = _status(not (report.all_ok() or report.budget_exhausted), report.budget_exhausted)
         doc = {
             "kind": "run-report",
             "command": "gallai-check",
@@ -310,13 +308,11 @@ def cmd_gallai(args) -> int:
                 "counterexample": list(report.counterexample) if report.counterexample else None,
                 "nodes": report.nodes,
             },
-            "status": "ok" if report.all_ok() else ("budget-exhausted" if report.budget_exhausted else "check-failed"),
+            "status": status,
         }
         print(scenes.dumps_doc(doc), end="")
-        print(f"status: {doc['status']}")
-        if report.all_ok():
-            return EXIT_OK
-        return EXIT_BUDGET if report.budget_exhausted else EXIT_CHECK_FAILED
+        print(f"status: {status}")
+        return code
 
     if args.action == "search":
         ground = _parse_ground(args.T)

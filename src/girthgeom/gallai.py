@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .budget import Budget, as_budget
+from .budget import DEFAULT_NODES, Budget, as_budget
 from .errors import BudgetExhausted, ProviderFailure, ProviderRefusal
 from .geometry import Homothety1D, Rat, format_rat, rat
 from .graphs import GeoGraph, shortest_cycle
@@ -234,6 +234,14 @@ def find_avoiding_coloring(
         budget.used += nodes
 
 
+def _avoiding_coloring(elements, colors: int, copies, budget: Budget) -> tuple[int, ...] | None:
+    """``find_avoiding_coloring`` over the elements, with each copy given
+    by the positions of its image."""
+    index = {x: i for i, x in enumerate(elements)}
+    copy_indices = [tuple(index[x] for x in c.image) for c in copies]
+    return find_avoiding_coloring(len(elements), colors, copy_indices, budget)
+
+
 # ---------------------------------------------------------------------------
 # verification
 
@@ -276,18 +284,13 @@ def verify_certificate(cert: GallaiCertificate, budget: Budget | int | None = No
         cycle = find_copy_cycle(expected, max_cycle_copies)
     sparsity_ok = cycle is None
 
-    index = {x: i for i, x in enumerate(cert.elements)}
-    copy_indices = [tuple(index[x] for x in c.image) for c in expected]
     coloring_ok: bool | None
     counterexample = None
-    exhausted = False
     try:
-        bad = find_avoiding_coloring(len(cert.elements), cert.colors, copy_indices, budget)
-        coloring_ok = bad is None
-        counterexample = bad
+        counterexample = _avoiding_coloring(cert.elements, cert.colors, expected, budget)
+        coloring_ok = counterexample is None
     except BudgetExhausted:
         coloring_ok = None
-        exhausted = True
     return CertificateReport(
         coloring_ok=coloring_ok,
         sparsity_ok=sparsity_ok,
@@ -295,7 +298,7 @@ def verify_certificate(cert: GallaiCertificate, budget: Budget | int | None = No
         counterexample=counterexample,
         cycle=cycle,
         nodes=budget.used,
-        budget_exhausted=exhausted,
+        budget_exhausted=coloring_ok is None,
     )
 
 
@@ -321,7 +324,8 @@ def _certify(cert: GallaiCertificate, budget: Budget) -> CertificateReport:
 
 
 def pigeonhole_certificate(ground: GroundSet, colors: int, girth: int) -> GallaiCertificate:
-    """Degenerate base provider for two-point ground sets: X = {1..k+1}.
+    """Degenerate base provider for two-point ground sets: X = {1..k+1},
+    the progression provider's two-term case.
 
     Any two points form a copy of a two-point set, so some pair is always
     monochromatic.  Pairs of copies share at most one element, hence no
@@ -335,13 +339,7 @@ def pigeonhole_certificate(ground: GroundSet, colors: int, girth: int) -> Gallai
             "pigeonhole provider refuses girth >= 9: any three points give a "
             "3-cycle of pair copies"
         )
-    elements = tuple(Fraction(i) for i in range(1, colors + 2))
-    copies = enumerate_copies(ground, elements)
-    cert = GallaiCertificate(ground, elements, copies, colors, girth)
-    report = _certify(cert, Budget(max_nodes=200_000, label="pigeonhole"))
-    if not report.all_ok():
-        raise ProviderFailure(f"pigeonhole certificate failed verification: {report}")
-    return cert
+    return vdw_certificate(ground, colors, girth, budget=Budget(200_000, "pigeonhole"))
 
 
 def vdw_certificate(
@@ -426,10 +424,7 @@ def search_certificate(
                 if max_cycle_copies >= 2 and len(copies) >= 2:
                     if find_copy_cycle(copies, max_cycle_copies) is not None:
                         continue
-                index = {x: i for i, x in enumerate(elements)}
-                copy_indices = [tuple(index[x] for x in c.image) for c in copies]
-                bad = find_avoiding_coloring(len(elements), colors, copy_indices, budget)
-                if bad is None:
+                if _avoiding_coloring(elements, colors, copies, budget) is None:
                     cert = GallaiCertificate(ground, elements, copies, colors, girth)
                     report = _certify(cert, Budget(max_nodes=budget.max_nodes, label="recheck"))
                     if not report.all_ok():
@@ -452,8 +447,8 @@ class ProviderPolicy:
 
     name: str = "auto"  # auto | pigeonhole | vdw | search
     vdw_length_hint: int | None = None
-    certificate_budget: int = 2_000_000
-    chroma_budget: int = 2_000_000
+    certificate_budget: int = DEFAULT_NODES
+    chroma_budget: int = DEFAULT_NODES
 
     def provider(self):
         def acquire(ground: GroundSet, colors: int, girth: int) -> GallaiCertificate:

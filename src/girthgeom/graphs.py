@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .budget import Budget, as_budget
-from .errors import BudgetExhausted, SceneFormatError
+from .errors import BudgetExhausted
 
 
 class GeoGraph:
@@ -51,10 +51,10 @@ class GeoGraph:
         return f"GeoGraph(n={self.n}, m={self.m})"
 
 
-def cycle_graph(n: int, labels: Sequence | None = None) -> GeoGraph:
+def cycle_graph(n: int) -> GeoGraph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return GeoGraph(labels or range(n), [(i, (i + 1) % n) for i in range(n)])
+    return GeoGraph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 def intersection_graph(family) -> GeoGraph:
@@ -166,14 +166,6 @@ class ColoringCertificate:
     assignment: tuple[int, ...] | None
     nodes: int
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "inconclusive"
-
-
-def _check_proper(graph: GeoGraph, assignment: Sequence[int]) -> bool:
-    return all(assignment[u] != assignment[v] for u, v in graph.edges)
-
 
 def is_k_colorable(graph: GeoGraph, k: int, budget: Budget | int | None = None) -> ColoringCertificate:
     """Proper k-coloring or exhaustive refutation, by backtracking with
@@ -239,7 +231,7 @@ def is_k_colorable(graph: GeoGraph, k: int, budget: Budget | int | None = None) 
         frame[1] = c
         if len(stack) == n:
             assignment = tuple(colors)
-            assert _check_proper(graph, assignment)
+            assert all(assignment[u] != assignment[v] for u, v in graph.edges)
             return ColoringCertificate(k, "colorable", assignment, nodes)
         stack.append([select(), -1, max(intro, c + 1)])
     return ColoringCertificate(k, "refuted", None, nodes)
@@ -251,8 +243,6 @@ class ChromaticResult:
     coloring and the exhaustive refutation one color below (when any)."""
 
     value: int | None
-    lower: int
-    upper: int | None
     coloring: ColoringCertificate | None
     refutation: ColoringCertificate | None
     status: str  # "exact" or "inconclusive"
@@ -264,15 +254,15 @@ def chromatic_number(graph: GeoGraph, budget: Budget | int | None = None) -> Chr
     budget = as_budget(budget, label="chromatic")
     if graph.n == 0:
         empty = ColoringCertificate(0, "colorable", (), 0)
-        return ChromaticResult(0, 0, 0, empty, None, "exact")
+        return ChromaticResult(0, empty, None, "exact")
     refutation = None
     k = 1
     while True:
         cert = is_k_colorable(graph, k, budget)
         if cert.status == "colorable":
-            return ChromaticResult(k, k, k, cert, refutation, "exact")
+            return ChromaticResult(k, cert, refutation, "exact")
         if cert.status == "inconclusive":
-            return ChromaticResult(None, k, None, None, refutation, "inconclusive")
+            return ChromaticResult(None, None, refutation, "inconclusive")
         refutation = cert
         k += 1
 
@@ -282,7 +272,7 @@ def chromatic_number(graph: GeoGraph, budget: Budget | int | None = None) -> Chr
 
 
 def graph_equals_expected(
-    graph: GeoGraph, expected: GeoGraph, bijection: Sequence[int] | dict
+    graph: GeoGraph, expected: GeoGraph, bijection: Sequence[int]
 ) -> tuple[bool, tuple[str, tuple[int, int]] | None]:
     """Edge-set equality under a vertex bijection graph -> expected.
 
@@ -292,10 +282,7 @@ def graph_equals_expected(
     """
     if graph.n != expected.n:
         raise ValueError("vertex counts differ")
-    if isinstance(bijection, dict):
-        mapping = [bijection[i] for i in range(graph.n)]
-    else:
-        mapping = list(bijection)
+    mapping = list(bijection)
     if sorted(mapping) != list(range(graph.n)):
         raise ValueError("bijection is not a permutation of the vertices")
     mapped = {(min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) for u, v in graph.edges}
@@ -309,7 +296,7 @@ def graph_equals_expected(
 
 
 # ---------------------------------------------------------------------------
-# DIMACS export / import
+# DIMACS export
 
 
 def to_dimacs(graph: GeoGraph) -> str:
@@ -318,26 +305,3 @@ def to_dimacs(graph: GeoGraph) -> str:
     for u, v in sorted(graph.edges):
         lines.append(f"e {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"
-
-
-def from_dimacs(text: str) -> GeoGraph:
-    n = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "edge":
-                raise SceneFormatError(f"bad problem line {lineno}: {raw!r}")
-            n = int(parts[2])
-        elif parts[0] == "e":
-            if len(parts) != 3:
-                raise SceneFormatError(f"bad edge line {lineno}: {raw!r}")
-            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
-        else:
-            raise SceneFormatError(f"unknown line {lineno}: {raw!r}")
-    if n is None:
-        raise SceneFormatError("missing 'p edge' header")
-    return GeoGraph(range(n), edges)

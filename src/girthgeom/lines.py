@@ -43,7 +43,9 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .structure import StructureReport
+
+SAMPLE_ATTEMPTS = 64  # value sets build_shift_system tries before it gives up
+FRAME_HEIGHT = 8  # largest coordinate of the integer directions choose_frame tries
 
 
 def line_to_doc(line: Line3) -> dict:
@@ -227,7 +229,7 @@ def verify_shift_system(system: ShiftSystem) -> tuple[bool, dict | None]:
     return True, None
 
 
-def build_shift_system(n: int, seed: int = 0, max_attempts: int = 64) -> ShiftSystem:
+def build_shift_system(n: int, seed: int = 0) -> ShiftSystem:
     """Sample a value set deterministically from the seed, build the
     triple lines, and accept only if the exact intersection graph matches
     the double shift graph; otherwise resample, recording the rejection.
@@ -235,7 +237,7 @@ def build_shift_system(n: int, seed: int = 0, max_attempts: int = 64) -> ShiftSy
     if n < 3:
         raise ValueError("need n >= 3")
     rejected = []
-    for attempt in range(max_attempts):
+    for attempt in range(SAMPLE_ATTEMPTS):
         rng = random.Random(seed * 1_000_003 + attempt)
         values = tuple(Fraction(v) for v in sorted(rng.sample(range(1, 40 * n * n + 1), n)))
         triples = tuple(itertools.combinations(values, 3))
@@ -249,7 +251,7 @@ def build_shift_system(n: int, seed: int = 0, max_attempts: int = 64) -> ShiftSy
             return system
         rejected.append({"values": [format_rat(v) for v in values], "diagnostic": str(diagnostic)})
     raise ConstructionError(
-        f"no valid sample within {max_attempts} attempts", {"rejected": rejected}
+        f"no valid sample within {SAMPLE_ATTEMPTS} attempts", {"rejected": rejected}
     )
 
 
@@ -309,11 +311,11 @@ class TransversalFrame:
         return dot(vsub(p.as_tuple(), self.axis.base.as_tuple()), d) / dot(d, d)
 
 
-def _canonical_dirs(max_height: int):
+def _canonical_dirs():
     """All canonical rational directions representable by integer vectors
-    of bounded height, deterministically ordered (height, then lexicode)."""
+    of height at most FRAME_HEIGHT, ordered (height, then lexicode)."""
     seen: set = set()
-    for h in range(1, max_height + 1):
+    for h in range(1, FRAME_HEIGHT + 1):
         batch = []
         for v in itertools.product(range(-h, h + 1), repeat=3):
             if v == (0, 0, 0) or max(abs(c) for c in v) != h:
@@ -362,7 +364,7 @@ def frame_conditions(frame: TransversalFrame, lines) -> list[str]:
     return failures
 
 
-def choose_frame(fam: LineFamily, budget: Budget | int | None = None, max_height: int = 8) -> TransversalFrame:
+def choose_frame(fam: LineFamily, budget: Budget | int | None = None) -> TransversalFrame:
     """Deterministic enumeration of candidate planes and axis directions,
     accepting the first frame whose four genericity conditions all hold.
 
@@ -376,7 +378,7 @@ def choose_frame(fam: LineFamily, budget: Budget | int | None = None, max_height
     dirs = [l.dir.as_tuple() for l in lines]
     meets = [line_line_relation(lines[i], lines[j]).point.as_tuple() for i, j in fam.intersection_edges()]
     rejections = {"transversal": 0, "distinct-traces": 0, "distinct-projections": 0, "parallel-plane-pairs": 0}
-    for normal in _canonical_dirs(max_height):
+    for normal in _canonical_dirs():
         budget.spend()
         nvec = normal.as_tuple()
         if any(dot(nvec, d) == 0 for d in dirs):
@@ -385,7 +387,7 @@ def choose_frame(fam: LineFamily, budget: Budget | int | None = None, max_height
         bad_offsets = {dot(nvec, p) for p in meets}
         offset = next(o for o in _offsets() if o not in bad_offsets)
         plane = Plane3(normal, offset)
-        for axis_dir in _canonical_dirs(max_height):
+        for axis_dir in _canonical_dirs():
             if dot(axis_dir.as_tuple(), nvec) != 0:
                 continue
             budget.spend()
@@ -397,7 +399,7 @@ def choose_frame(fam: LineFamily, budget: Budget | int | None = None, max_height
             for f in failures:
                 rejections[f] += 1
     raise BudgetExhausted(
-        f"no frame within height {max_height}; rejection counts: {rejections}",
+        f"no frame within height {FRAME_HEIGHT}; rejection counts: {rejections}",
         used=budget.used,
         limit=budget.max_nodes,
     )
@@ -562,7 +564,7 @@ def _place_lines(parent: LineFamily, certify) -> recursion.Placement:
     return recursion.Placement(parent, cert, ground, copies, extra)
 
 
-def check_line_structure(fam: LineFamily) -> StructureReport:
+def check_line_structure(fam: LineFamily) -> recursion.StructureReport:
     """Exact structural sweep mirroring the box checks (see
     ``recursion.check_structure``): no two lines identical; ground lines
     pairwise parallel-disjoint; every copy line meets exactly one ground
@@ -571,7 +573,7 @@ def check_line_structure(fam: LineFamily) -> StructureReport:
     return recursion.check_structure(fam, _check_line_copies)
 
 
-def _check_line_copies(report: StructureReport, fam: LineFamily, edges: recursion.CopyEdges) -> None:
+def _check_line_copies(report: recursion.StructureReport, fam: LineFamily, edges: recursion.CopyEdges) -> None:
     identical = fam.identical
     report.add(
         "no-identical-lines", identical is None, "" if identical is None else f"pair {identical}"

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import graphs
 from .budget import Budget, as_budget
 from .errors import ConstructionError
 from .gallai import GallaiCertificate, GroundSet, ProviderPolicy, certificate_to_doc
-from .structure import StructureReport
 
 
 class Placement(NamedTuple):
@@ -141,6 +141,33 @@ def checked_base(fam, check):
 
 # ---------------------------------------------------------------------------
 # structure
+
+
+@dataclass
+class StructureCheck:
+    name: str
+    ok: bool
+    detail: str = ""
+
+
+@dataclass
+class StructureReport:
+    """Named pass/fail results of one structural sweep."""
+
+    checks: list[StructureCheck] = field(default_factory=list)
+
+    def add(self, name: str, ok: bool, detail: str = "") -> None:
+        self.checks.append(StructureCheck(name, ok, detail))
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+    def first_failure(self) -> StructureCheck | None:
+        return next((c for c in self.checks if not c.ok), None)
+
+    def to_doc(self) -> list[dict]:
+        return [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks]
 
 
 class CopyEdges:

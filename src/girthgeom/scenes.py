@@ -7,10 +7,12 @@ inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
+from functools import partial
 from pathlib import Path
 
-from .boxes import BoxFamily, box_from_doc, box_to_doc
+from .boxes import BoxFamily, box_from_doc
 from .errors import SceneFormatError
 from .gallai import GallaiCertificate, certificate_from_doc, certificate_to_doc
 from .geometry import format_rat, rat
@@ -34,48 +36,49 @@ def read_doc(path) -> dict:
         raise SceneFormatError(f"not valid JSON: {path}: {exc}") from exc
 
 
-def _claim(value):
-    return None if value is None else int(value)
+def _parse(kind: str, doc, read):
+    """``read(doc)``, with a malformed field reported as a SceneFormatError
+    that names the document kind."""
+    try:
+        return read(doc)
+    except (KeyError, IndexError, AttributeError, ValueError, TypeError, ZeroDivisionError) as exc:
+        raise SceneFormatError(f"bad {kind} document: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # scene documents
 
 
-def box_family_to_doc(fam: BoxFamily) -> dict:
+def _family_to_doc(kind: str, key: str, fam) -> dict:
     return {
-        "kind": "grounded-box-family",
+        "kind": kind,
         "g": fam.claimed_girth,
         "k": fam.claimed_chromatic,
-        "boxes": [box_to_doc(b) for b in fam.boxes],
+        key: fam.labels(),
         "provenance": fam.provenance,
     }
+
+
+def _read_family(family, key: str, read_object, doc: dict):
+    objects = tuple(read_object(o) for o in doc[key])
+    g = doc.get("g")
+    return family(objects, None if g is None else int(g), int(doc["k"]), doc.get("provenance", {}))
+
+
+def box_family_to_doc(fam: BoxFamily) -> dict:
+    return _family_to_doc("grounded-box-family", "boxes", fam)
 
 
 def box_family_from_doc(doc: dict) -> BoxFamily:
-    try:
-        boxes = tuple(box_from_doc(b) for b in doc["boxes"])
-        return BoxFamily(boxes, _claim(doc.get("g")), int(doc["k"]), doc.get("provenance", {}))
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-        raise SceneFormatError(f"bad grounded-box-family document: {exc}") from exc
+    return _parse("grounded-box-family", doc, partial(_read_family, BoxFamily, "boxes", box_from_doc))
 
 
 def line_family_to_doc(fam: LineFamily) -> dict:
-    return {
-        "kind": "line-family",
-        "g": fam.claimed_girth,
-        "k": fam.claimed_chromatic,
-        "lines": [line_to_doc(l) for l in fam.lines],
-        "provenance": fam.provenance,
-    }
+    return _family_to_doc("line-family", "lines", fam)
 
 
 def line_family_from_doc(doc: dict) -> LineFamily:
-    try:
-        lines = tuple(line_from_doc(l) for l in doc["lines"])
-        return LineFamily(lines, _claim(doc.get("g")), int(doc["k"]), doc.get("provenance", {}))
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-        raise SceneFormatError(f"bad line-family document: {exc}") from exc
+    return _parse("line-family", doc, partial(_read_family, LineFamily, "lines", line_from_doc))
 
 
 def shift_system_to_doc(system: ShiftSystem) -> dict:
@@ -91,40 +94,42 @@ def shift_system_to_doc(system: ShiftSystem) -> dict:
     }
 
 
+def _read_shift_system(doc: dict) -> ShiftSystem:
+    values = tuple(rat(v) for v in doc["values"])
+    triples = tuple(tuple(rat(x) for x in entry["triple"]) for entry in doc["lines"])
+    lines = tuple(line_from_doc(entry) for entry in doc["lines"])
+    for t, l in zip(triples, lines):
+        if shift_line(*t) != l:
+            raise SceneFormatError(f"stored line does not match its triple {t}")
+    if triples != tuple(itertools.combinations(values, 3)):
+        raise SceneFormatError("shift-system triples are not the ascending triples of its values, in order")
+    return ShiftSystem(values, triples, lines, doc.get("provenance", {}))
+
+
 def shift_system_from_doc(doc: dict) -> ShiftSystem:
-    try:
-        values = tuple(rat(v) for v in doc["values"])
-        triples = tuple(tuple(rat(x) for x in entry["triple"]) for entry in doc["lines"])
-        lines = tuple(line_from_doc(entry) for entry in doc["lines"])
-        for t, l in zip(triples, lines):
-            if shift_line(*t) != l:
-                raise SceneFormatError(f"stored line does not match its triple {t}")
-        return ShiftSystem(values, triples, lines, doc.get("provenance", {}))
-    except SceneFormatError:
-        raise
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-        raise SceneFormatError(f"bad shift-system document: {exc}") from exc
+    return _parse("shift-system", doc, _read_shift_system)
+
+
+# scene kind -> (class, writer, reader)
+_SCENES = {
+    "grounded-box-family": (BoxFamily, box_family_to_doc, box_family_from_doc),
+    "line-family": (LineFamily, line_family_to_doc, line_family_from_doc),
+    "shift-system": (ShiftSystem, shift_system_to_doc, shift_system_from_doc),
+}
 
 
 def scene_to_doc(obj) -> dict:
-    if isinstance(obj, BoxFamily):
-        return box_family_to_doc(obj)
-    if isinstance(obj, LineFamily):
-        return line_family_to_doc(obj)
-    if isinstance(obj, ShiftSystem):
-        return shift_system_to_doc(obj)
+    for scene_class, to_doc, _ in _SCENES.values():
+        if isinstance(obj, scene_class):
+            return to_doc(obj)
     raise TypeError(f"not a scene object: {type(obj).__name__}")
 
 
 def scene_from_doc(doc: dict):
-    kind = doc.get("kind")
-    if kind == "grounded-box-family":
-        return box_family_from_doc(doc)
-    if kind == "line-family":
-        return line_family_from_doc(doc)
-    if kind == "shift-system":
-        return shift_system_from_doc(doc)
-    raise SceneFormatError(f"unknown scene kind: {kind!r}")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in _SCENES:
+        raise SceneFormatError(f"unknown scene kind: {kind!r}")
+    return _SCENES[kind][2](doc)
 
 
 def save_scene(path, obj) -> None:
@@ -144,7 +149,4 @@ def save_certificate(path, cert: GallaiCertificate) -> None:
 
 
 def load_certificate(path) -> GallaiCertificate:
-    try:
-        return certificate_from_doc(read_doc(path))
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-        raise SceneFormatError(f"bad certificate document: {exc}") from exc
+    return _parse("certificate", read_doc(path), certificate_from_doc)

@@ -15,7 +15,6 @@ from girthgeom import (
     embed_copy_boxes,
     girth,
     graph_equals_expected,
-    ground_trace,
     intersection_graph,
     make_ground_boxes,
     meeting_pair_family,
@@ -36,11 +35,11 @@ class TestGroundedSquareBox:
     def test_gadget_trace(self):
         eps = F(1, 3)
         b = GroundedSquareBox(Box3.from_bounds(5, 5 + eps, 5 - eps, 5, 0, 1))
-        assert ground_trace(b) == 5
+        assert b.trace == 5
 
     def test_trace_examples(self):
-        assert ground_trace(GroundedSquareBox(Box3.from_bounds(0, 2, -2, 0, 0, 1))) == 0
-        assert ground_trace(GroundedSquareBox(Box3.from_bounds(10, 25, -5, 10, 0, 20))) == 10
+        assert GroundedSquareBox(Box3.from_bounds(0, 2, -2, 0, 0, 1)).trace == 0
+        assert GroundedSquareBox(Box3.from_bounds(10, 25, -5, 10, 0, 20)).trace == 10
 
     def test_rejects_non_grounded(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -235,3 +236,45 @@ def test_zero_denominator_exits_2_with_one_line(tmp_path, monkeypatch, capsys, b
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert "document" in captured.err
+
+
+def _trim_value(doc):
+    doc["values"].pop()
+
+
+def _remove_line(doc):
+    doc["lines"].pop()
+
+
+def _change_value(doc):
+    doc["values"][0] = str(Fraction(doc["values"][0]) - 1)
+
+
+def _short_coordinates(doc):
+    doc["boxes"][0]["x"] = doc["boxes"][0]["x"][:1]
+
+
+@pytest.mark.parametrize(
+    "build, path, spoil",
+    [
+        (["build", "shift", "--n", "5"], "s.scene.json", _trim_value),
+        (["build", "shift", "--n", "5"], "s.scene.json", _remove_line),
+        (["build", "shift", "--n", "5"], "s.scene.json", _change_value),
+        (["build", "shift", "--n", "5"], "s.scene.json", lambda doc: [doc]),
+        (["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4"], "s.json", lambda doc: [doc]),
+        (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", _short_coordinates),
+    ],
+    ids=["shift-value-trimmed", "shift-line-removed", "shift-value-changed", "array-scene", "array-certificate",
+         "short-box-coordinates"],
+)
+def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, build, path, spoil):
+    monkeypatch.chdir(tmp_path)
+    main([*build, "--out", path.removesuffix(".scene.json")])
+    doc = json.loads(Path(path).read_text())
+    doc = spoil(doc) or doc
+    Path(path).write_text(json.dumps(doc))
+    capsys.readouterr()
+    check = ["gallai", "check", path] if build[0] == "gallai" else ["verify", path]
+    assert main(check) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -228,6 +228,14 @@ class TestPigeonholeProvider:
         with pytest.raises(ProviderRefusal):
             pigeonhole_certificate(GroundSet.of([0, 1, 2]), 2, 6)
 
+    @pytest.mark.parametrize("points", [[0, 1], [F(-5, 9), F(7, 3)]])
+    def test_is_two_term_progression_case(self, points):
+        ground = GroundSet.of(points)
+        for colors in range(1, 9):
+            for girth_param in range(3, 9):
+                ours = certificate_to_doc(pigeonhole_certificate(ground, colors, girth_param))
+                assert ours == certificate_to_doc(vdw_certificate(ground, colors, girth_param, length_hint=None))
+
 
 class TestVdwProvider:
     def test_two_colors_three_terms(self):

@@ -10,7 +10,6 @@ from girthgeom import (
     GeoGraph,
     chromatic_number,
     cycle_graph,
-    from_dimacs,
     girth,
     graph_equals_expected,
     intersection_graph,
@@ -19,7 +18,6 @@ from girthgeom import (
     odd_cycle_boxes,
     to_dimacs,
 )
-from girthgeom.errors import SceneFormatError
 from girthgeom.graphs import shortest_cycle
 
 from _oracles import all_graphs, brute_chromatic, brute_girth, brute_is_colorable
@@ -157,18 +155,7 @@ class TestGraphEquality:
 
 
 class TestDimacs:
-    def test_roundtrip(self):
-        g = cycle_graph(9)
-        again = from_dimacs(to_dimacs(g))
-        assert again == g
-
     def test_header(self):
         text = to_dimacs(cycle_graph(3))
         assert text.splitlines()[0] == "p edge 3 3"
         assert "e 1 2" in text
-
-    def test_parse_error(self):
-        with pytest.raises(SceneFormatError):
-            from_dimacs("p edge x\n")
-        with pytest.raises(SceneFormatError):
-            from_dimacs("e 1 2\n")
