@@ -5,7 +5,6 @@ exactly at construction time."""
 
 from .boxes import (
     BoxFamily,
-    CopyEmbedding,
     GroundedSquareBox,
     build_box_family,
     check_box_structure,
@@ -21,14 +20,10 @@ from .budget import Budget
 from .errors import (
     BudgetExhausted,
     ConstructionError,
-    GirthGeomError,
     ProviderFailure,
     ProviderRefusal,
-    SceneFormatError,
 )
 from .gallai import (
-    CertificateReport,
-    CopyCycleWitness,
     GallaiCertificate,
     GroundSet,
     HomotheticCopy,
@@ -53,16 +48,12 @@ from .geometry import (
     Plane3,
     PlaneRelation,
     Point3,
-    Rat,
-    box_intersects,
     line_line_relation,
     line_plane_meet,
     perp_in_plane,
     rat,
 )
 from .graphs import (
-    ChromaticResult,
-    ColoringCertificate,
     GeoGraph,
     chromatic_number,
     cycle_graph,
@@ -75,7 +66,6 @@ from .graphs import (
 from .lines import (
     LineFamily,
     ShiftSystem,
-    TransversalFrame,
     build_line_family,
     build_shift_system,
     check_line_structure,

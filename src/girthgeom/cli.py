@@ -277,10 +277,7 @@ def cmd_gallai(args) -> int:
     if args.action == "make":
         ground = _parse_ground(args.T)
         _require(args, "gallai make", "g", "k")
-        name = args.provider
-        if name == "auto":
-            name = "pigeonhole" if ground.size == 2 else "vdw"
-        cert = make_certificate(ProviderPolicy(name, args.vdw_hint, budget_nodes), ground, args.k, args.g)
+        cert = make_certificate(ProviderPolicy(args.provider, args.vdw_hint, budget_nodes), ground, args.k, args.g)
         doc = certificate_to_doc(cert)
         if args.out:
             scenes.write_doc(args.out, doc)
@@ -296,7 +293,7 @@ def cmd_gallai(args) -> int:
     if args.action == "check":
         cert = scenes.load_certificate(args.path)
         report = verify_certificate(cert, Budget(budget_nodes))
-        status, code = _status(not (report.all_ok() or report.budget_exhausted), report.budget_exhausted)
+        status, code = _status(not (report.all_true() or report.budget_exhausted), report.budget_exhausted)
         doc = {
             "kind": "run-report",
             "command": "gallai-check",

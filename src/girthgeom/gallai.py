@@ -74,15 +74,26 @@ def validate_cycle_witness(witness: CopyCycleWitness) -> None:
 
 @dataclass
 class CertificateFlags:
-    """Verification state; None means not yet decided (budget-gated)."""
+    """The three verdicts on a certificate; None means not yet decided
+    (budget-gated).  A verification also keeps the avoiding coloring it
+    found, the shortest copy cycle, and the refutation nodes it spent."""
 
     coloring_ok: bool | None = None
     sparsity_ok: bool | None = None
     copies_complete: bool | None = None
     note: str = ""
+    counterexample: tuple[int, ...] | None = field(default=None, repr=False)
+    cycle: CopyCycleWitness | None = field(default=None, repr=False)
+    nodes: int = field(default=0, repr=False)
 
     def all_true(self) -> bool:
         return self.coloring_ok is True and self.sparsity_ok is True and self.copies_complete is True
+
+    all_ok = all_true
+
+    @property
+    def budget_exhausted(self) -> bool:
+        return self.coloring_ok is None
 
 
 @dataclass
@@ -101,6 +112,12 @@ class GallaiCertificate:
             raise ValueError("colors must be positive")
         if self.girth < 3:
             raise ValueError("girth parameter must be at least 3")
+        universe = set(self.elements)
+        for copy in self.copies:
+            if tuple(copy.map.apply(t) for t in self.ground.points) != copy.image:
+                raise ValueError(f"stored copy image does not match its map: {copy}")
+            if not universe.issuperset(copy.image):
+                raise ValueError(f"copy image escapes the certificate elements: {copy}")
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +263,7 @@ def _avoiding_coloring(elements, colors: int, copies, budget: Budget) -> tuple[i
 # verification
 
 
-@dataclass
-class CertificateReport:
-    coloring_ok: bool | None
-    sparsity_ok: bool
-    copies_complete: bool
-    counterexample: tuple[int, ...] | None
-    cycle: CopyCycleWitness | None
-    nodes: int
-    budget_exhausted: bool
-
-    def all_ok(self) -> bool:
-        return bool(self.coloring_ok) and self.sparsity_ok and self.copies_complete
-
-
-def verify_certificate(cert: GallaiCertificate, budget: Budget | int | None = None) -> CertificateReport:
+def verify_certificate(cert: GallaiCertificate, budget: Budget | int | None = None) -> CertificateFlags:
     """Re-derive all three certificate properties from scratch.
 
     The coloring property is decided by refutation search over the true
@@ -269,12 +272,6 @@ def verify_certificate(cert: GallaiCertificate, budget: Budget | int | None = No
     is reported distinctly from False.
     """
     budget = as_budget(budget, label="certificate verification")
-    for copy in cert.copies:
-        image = tuple(copy.map.apply(t) for t in cert.ground.points)
-        if image != copy.image:
-            raise ValueError(f"stored copy image does not match its map: {copy}")
-        if not set(copy.image) <= set(cert.elements):
-            raise ValueError(f"copy image escapes the certificate elements: {copy}")
     expected = enumerate_copies(cert.ground, cert.elements)
     copies_complete = {c.image for c in cert.copies} == {c.image for c in expected}
 
@@ -291,14 +288,13 @@ def verify_certificate(cert: GallaiCertificate, budget: Budget | int | None = No
         coloring_ok = counterexample is None
     except BudgetExhausted:
         coloring_ok = None
-    return CertificateReport(
+    return CertificateFlags(
         coloring_ok=coloring_ok,
         sparsity_ok=sparsity_ok,
         copies_complete=copies_complete,
         counterexample=counterexample,
         cycle=cycle,
         nodes=budget.used,
-        budget_exhausted=coloring_ok is None,
     )
 
 
@@ -315,22 +311,17 @@ VDW_TABLE: dict[tuple[int, int], int] = {
 }
 
 
-def _certify(cert: GallaiCertificate, budget: Budget) -> CertificateReport:
-    report = verify_certificate(cert, budget)
-    cert.flags.coloring_ok = report.coloring_ok
-    cert.flags.sparsity_ok = report.sparsity_ok
-    cert.flags.copies_complete = report.copies_complete
-    return report
-
-
-def pigeonhole_certificate(ground: GroundSet, colors: int, girth: int) -> GallaiCertificate:
+def pigeonhole_certificate(
+    ground: GroundSet, colors: int, girth: int, budget: Budget | int | None = None
+) -> GallaiCertificate:
     """Degenerate base provider for two-point ground sets: X = {1..k+1},
     the progression provider's two-term case.
 
     Any two points form a copy of a two-point set, so some pair is always
     monochromatic.  Pairs of copies share at most one element, hence no
     2-cycles; but any three points chain into a 3-cycle of pairs, so the
-    provider refuses once 3-cycles start to matter (girth >= 9).
+    provider refuses once 3-cycles start to matter (girth >= 9).  The
+    coloring property is verified within ``budget``.
     """
     if ground.size != 2:
         raise ProviderRefusal("pigeonhole provider needs a two-point ground set")
@@ -339,7 +330,7 @@ def pigeonhole_certificate(ground: GroundSet, colors: int, girth: int) -> Gallai
             "pigeonhole provider refuses girth >= 9: any three points give a "
             "3-cycle of pair copies"
         )
-    return vdw_certificate(ground, colors, girth, budget=Budget(200_000, "pigeonhole"))
+    return vdw_certificate(ground, colors, girth, budget=budget)
 
 
 def vdw_certificate(
@@ -378,19 +369,18 @@ def vdw_certificate(
     elements = tuple(Fraction(i) for i in range(1, n_elems + 1))
     copies = enumerate_copies(ground, elements)
     cert = GallaiCertificate(ground, elements, copies, colors, girth)
-    budget = as_budget(budget, label="vdw verification")
-    report = _certify(cert, budget)
-    if not report.sparsity_ok:
+    cert.flags = verify_certificate(cert, budget)
+    if not cert.flags.sparsity_ok:
         raise ProviderRefusal(
             "progression set contains a short copy cycle at this girth; "
-            f"witness uses {len(report.cycle.copies)} copies"
+            f"witness uses {len(cert.flags.cycle.copies)} copies"
         )
-    if report.coloring_ok is False:
+    if cert.flags.coloring_ok is False:
         raise ProviderFailure(
             f"set of {n_elems} elements admits an avoiding coloring: "
-            f"{report.counterexample}"
+            f"{cert.flags.counterexample}"
         )
-    if report.coloring_ok is None:
+    if cert.flags.coloring_ok is None:
         cert.flags.note = "unverified-by-table: coloring search exceeded budget"
     return cert
 
@@ -426,9 +416,9 @@ def search_certificate(
                         continue
                 if _avoiding_coloring(elements, colors, copies, budget) is None:
                     cert = GallaiCertificate(ground, elements, copies, colors, girth)
-                    report = _certify(cert, Budget(max_nodes=budget.max_nodes, label="recheck"))
-                    if not report.all_ok():
-                        raise ProviderFailure(f"search produced an invalid certificate: {report}")
+                    cert.flags = verify_certificate(cert, Budget(max_nodes=budget.max_nodes, label="recheck"))
+                    if not cert.flags.all_true():
+                        raise ProviderFailure(f"search produced an invalid certificate: {cert.flags}")
                     return cert
 
 
@@ -440,9 +430,11 @@ def search_certificate(
 class ProviderPolicy:
     """How the recursive constructions acquire their certificates.
 
-    name: "auto" picks pigeonhole for two-point ground sets (small girth)
-    and falls back to explicit search; the other names force one provider.
-    Budgets are node counts; the hint feeds the progression provider.
+    name: "auto" picks pigeonhole for two-point ground sets and vdw for
+    larger ones; the other names force one provider, and only "search"
+    runs the explicit search.  Budgets are node counts, and every provider
+    spends at most certificate_budget; the hint feeds the progression
+    provider.
     """
 
     name: str = "auto"  # auto | pigeonhole | vdw | search
@@ -460,17 +452,18 @@ class ProviderPolicy:
 def make_certificate(
     policy: ProviderPolicy, ground: GroundSet, colors: int, girth: int
 ) -> GallaiCertificate:
+    """The certificate of the provider the policy names; the one place
+    where "auto" resolves to a provider."""
     name = policy.name
     if name == "auto":
-        name = "pigeonhole" if ground.size == 2 and girth <= 8 else "search"
+        name = "pigeonhole" if ground.size == 2 else "vdw"
+    budget = Budget(policy.certificate_budget, name)
     if name == "pigeonhole":
-        return pigeonhole_certificate(ground, colors, girth)
+        return pigeonhole_certificate(ground, colors, girth, budget)
     if name == "vdw":
-        return vdw_certificate(
-            ground, colors, girth, policy.vdw_length_hint, Budget(policy.certificate_budget, "vdw")
-        )
+        return vdw_certificate(ground, colors, girth, policy.vdw_length_hint, budget)
     if name == "search":
-        return search_certificate(ground, colors, girth, Budget(policy.certificate_budget, "search"))
+        return search_certificate(ground, colors, girth, budget)
     raise ValueError(f"unknown provider name: {policy.name!r}")
 
 

@@ -154,15 +154,6 @@ class Box3:
         return cls(Interval.of(xlo, xhi), Interval.of(ylo, yhi), Interval.of(zlo, zhi))
 
 
-def box_intersects(a: Box3, b: Box3) -> bool:
-    """Closed boxes intersect iff all three coordinate intervals overlap."""
-    return (
-        a.xr.intersects(b.xr)
-        and a.yr.intersects(b.yr)
-        and a.zr.intersects(b.zr)
-    )
-
-
 # ---------------------------------------------------------------------------
 # lines and planes
 
@@ -178,10 +169,6 @@ class Line3:
 
     def contains_point(self, p: Point3) -> bool:
         return is_zero(cross(vsub(p.as_tuple(), self.base.as_tuple()), self.dir.as_tuple()))
-
-    def same_line(self, other: "Line3") -> bool:
-        """Set equality: same direction and base offset parallel to it."""
-        return self.dir == other.dir and self.contains_point(other.base)
 
     def canonical_key(self) -> tuple:
         """A hashable key equal for exactly the set-equal lines.
@@ -234,18 +221,6 @@ class Plane3:
 
     normal: Dir3
     offset: Rat
-
-    @classmethod
-    def of(cls, nx, ny, nz, offset) -> "Plane3":
-        # Canonicalizing the normal rescales the equation; the offset must
-        # be divided by the same leading coefficient.
-        nx, ny, nz, offset = rat(nx), rat(ny), rat(nz), rat(offset)
-        for lead in (nx, ny, nz):
-            if lead != 0:
-                break
-        else:
-            raise ValueError("plane normal must not be zero")
-        return cls(Dir3(nx, ny, nz), offset / lead)
 
     def contains_point(self, p: Point3) -> bool:
         return dot(self.normal.as_tuple(), p.as_tuple()) == self.offset
@@ -318,10 +293,6 @@ class Homothety1D:
     def of(cls, scale, shift) -> "Homothety1D":
         return cls(rat(scale), rat(shift))
 
-    @classmethod
-    def identity(cls) -> "Homothety1D":
-        return cls(Fraction(1), Fraction(0))
-
     def apply(self, value: Rat) -> Rat:
         return self.scale * value + self.shift
 
@@ -353,10 +324,6 @@ class Homothety3D:
         # Positive uniform scaling preserves canonical directions exactly.
         return Line3(self.apply_point(l.base), l.dir)
 
-    def apply_box(self, b: Box3) -> Box3:
-        axis = lambda iv, c: Interval(self.scale * iv.lo + c, self.scale * iv.hi + c)
-        return Box3(axis(b.xr, self.shift.x), axis(b.yr, self.shift.y), axis(b.zr, self.shift.z))
-
 
 @dataclass(frozen=True)
 class AxisMap3:
@@ -375,9 +342,6 @@ class AxisMap3:
     @classmethod
     def of(cls, horizontal: Homothety1D, vertical: Homothety1D) -> "AxisMap3":
         return cls(horizontal, horizontal, vertical)
-
-    def apply_point(self, p: Point3) -> Point3:
-        return Point3(self.fx.apply(p.x), self.fy.apply(p.y), self.fz.apply(p.z))
 
     def apply_box(self, b: Box3) -> Box3:
         return Box3(

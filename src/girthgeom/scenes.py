@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .boxes import BoxFamily, box_from_doc
 from .errors import SceneFormatError
-from .gallai import GallaiCertificate, certificate_from_doc, certificate_to_doc
+from .gallai import GallaiCertificate, certificate_from_doc
 from .geometry import format_rat, rat
 from .lines import LineFamily, ShiftSystem, line_from_doc, line_to_doc, shift_line
 
@@ -142,10 +142,6 @@ def load_scene(path):
 
 # ---------------------------------------------------------------------------
 # certificate files
-
-
-def save_certificate(path, cert: GallaiCertificate) -> None:
-    write_doc(path, certificate_to_doc(cert))
 
 
 def load_certificate(path) -> GallaiCertificate:

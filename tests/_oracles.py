@@ -3,7 +3,8 @@
 These deliberately take different routes from the library: cycle
 enumeration instead of BFS, plain vertex-order color enumeration instead
 of saturation-ordered backtracking, ratio tests instead of map
-construction.  They are slow and only run at oracle scale.
+construction.  They are slow and only run at oracle scale.  The small
+geometry and file helpers at the end are used only by the tests, too.
 """
 
 from __future__ import annotations
@@ -13,8 +14,23 @@ import math
 from fractions import Fraction
 
 from girthgeom.errors import ConstructionError
-from girthgeom.geometry import LineRelation, cross, dot, is_zero, line_line_relation, vsub
+from girthgeom.gallai import certificate_to_doc
+from girthgeom.geometry import (
+    Box3,
+    Dir3,
+    Homothety1D,
+    Interval,
+    LineRelation,
+    Plane3,
+    cross,
+    dot,
+    is_zero,
+    line_line_relation,
+    rat,
+    vsub,
+)
 from girthgeom.lines import shift_meeting_point
+from girthgeom.scenes import write_doc
 
 
 def brute_girth(n: int, edges: set[tuple[int, int]]) -> int | float:
@@ -217,3 +233,42 @@ def reference_copy_cycle(copies, max_copies: int):
     ring = best_cycle[start:] + best_cycle[:start]
     elems = {i: x for x, i in elem_ids.items()}
     return tuple(copies[v[1]] for v in ring[0::2]), tuple(elems[v[1]] for v in ring[1::2])
+
+
+# ---------------------------------------------------------------------------
+# helpers used only by the tests
+
+
+def box_intersects(a, b) -> bool:
+    """Closed boxes intersect iff all three coordinate intervals overlap."""
+    return a.xr.intersects(b.xr) and a.yr.intersects(b.yr) and a.zr.intersects(b.zr)
+
+
+def identity_map() -> Homothety1D:
+    """x -> x."""
+    return Homothety1D(Fraction(1), Fraction(0))
+
+
+def homothety_box(f, b):
+    """The image of a box under a 3-D homothety ``f``."""
+    axis = lambda iv, c: Interval(f.scale * iv.lo + c, f.scale * iv.hi + c)
+    return Box3(axis(b.xr, f.shift.x), axis(b.yr, f.shift.y), axis(b.zr, f.shift.z))
+
+
+def plane_of(nx, ny, nz, offset) -> Plane3:
+    """The plane nx x + ny y + nz z = offset; canonicalizing the normal
+    divides the offset by the same leading coefficient."""
+    nx, ny, nz, offset = rat(nx), rat(ny), rat(nz), rat(offset)
+    lead = next((c for c in (nx, ny, nz) if c != 0), None)
+    if lead is None:
+        raise ValueError("plane normal must not be zero")
+    return Plane3(Dir3(nx, ny, nz), offset / lead)
+
+
+def same_line(a, b) -> bool:
+    """Set equality: same direction and base offset parallel to it."""
+    return a.dir == b.dir and a.contains_point(b.base)
+
+
+def save_certificate(path, cert) -> None:
+    write_doc(path, certificate_to_doc(cert))

@@ -26,6 +26,8 @@ from girthgeom import (
 from girthgeom.boxes import CopyEmbedding, plan_embeddings
 from girthgeom.gallai import GroundSet, pigeonhole_certificate
 
+from _oracles import identity_map
+
 
 def pigeonhole_provider(ground, colors, girth_param):
     return pigeonhole_certificate(ground, colors, girth_param)
@@ -106,12 +108,12 @@ class TestMakeGroundBoxes:
 class TestEmbedCopyBoxes:
     def test_identity_copy_keeps_parent(self):
         from girthgeom.gallai import HomotheticCopy
-        from girthgeom.geometry import AxisMap3, Homothety1D, Interval
+        from girthgeom.geometry import AxisMap3, Interval
 
         parent = meeting_pair_family()
-        copy = HomotheticCopy(Homothety1D.identity(), (F(0), F(1)))
+        copy = HomotheticCopy(identity_map(), (F(0), F(1)))
         emb = CopyEmbedding(
-            copy, Interval.of(0, 1), AxisMap3.of(Homothety1D.identity(), Homothety1D.identity())
+            copy, Interval.of(0, 1), AxisMap3.of(identity_map(), identity_map())
         )
         assert [b.box for b in embed_copy_boxes(parent, emb)] == [b.box for b in parent.boxes]
 
@@ -132,7 +134,7 @@ class TestEmbedCopyBoxes:
         mapping = Homothety1D(scale, F(7))
         copy = HomotheticCopy(mapping, tuple(mapping.apply(t) for t in sorted(parent.traces())))
         emb = CopyEmbedding(
-            copy, Interval.of(0, 1), AxisMap3.of(mapping, Homothety1D.identity())
+            copy, Interval.of(0, 1), AxisMap3.of(mapping, identity_map())
         )
         images = embed_copy_boxes(parent, emb)
         got = intersection_graph(BoxFamily(tuple(images), None, 1, {}))
@@ -140,12 +142,12 @@ class TestEmbedCopyBoxes:
 
     def test_domain_mismatch_rejected(self):
         from girthgeom.gallai import HomotheticCopy
-        from girthgeom.geometry import AxisMap3, Homothety1D, Interval
+        from girthgeom.geometry import AxisMap3, Interval
 
         parent = meeting_pair_family()
-        copy = HomotheticCopy(Homothety1D.identity(), (F(3), F(4)))
+        copy = HomotheticCopy(identity_map(), (F(3), F(4)))
         emb = CopyEmbedding(
-            copy, Interval.of(0, 1), AxisMap3.of(Homothety1D.identity(), Homothety1D.identity())
+            copy, Interval.of(0, 1), AxisMap3.of(identity_map(), identity_map())
         )
         with pytest.raises(ConstructionError):
             embed_copy_boxes(parent, emb)

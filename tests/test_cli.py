@@ -188,6 +188,27 @@ class TestGallai:
         code = main(["gallai", "make", "--T", "0,1", "--k", "2", "--g", "9", "--out", str(tmp_path / "c.json")])
         assert code == EXIT_REFUSED
 
+    @pytest.mark.parametrize("provider", ["pigeonhole", "vdw"])
+    def test_make_budget_binds_every_provider(self, tmp_path, provider):
+        out = tmp_path / "c.json"
+        argv = ["gallai", "make", "--T", "0,1", "--k", "8", "--g", "6", "--provider", provider, "--budget", "3"]
+        assert main([*argv, "--out", str(out)]) == EXIT_BUDGET
+        assert read(out)["flags"]["coloring_ok"] is None
+
+
+@pytest.mark.parametrize("kind", ["boxes", "lines"])
+def test_auto_build_beyond_the_table_is_refused_without_search(tmp_path, monkeypatch, kind):
+    # the step past the 5-cycle base needs a certificate for a five-point
+    # ground set with 3 colors: "auto" names the progression provider,
+    # whose table has no entry there, and never the unbounded search
+    from girthgeom import gallai
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("auto reached the explicit search")
+
+    monkeypatch.setattr(gallai, "search_certificate", no_search)
+    assert main(["build", kind, "--g", "4", "--k", "4", "--out", str(tmp_path / "f")]) == EXIT_REFUSED
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -254,6 +275,11 @@ def _short_coordinates(doc):
     doc["boxes"][0]["x"] = doc["boxes"][0]["x"][:1]
 
 
+def _edit_image(doc):
+    image = doc["copies"][0]["image"]
+    image[0] = str(Fraction(image[0]) + 1)
+
+
 @pytest.mark.parametrize(
     "build, path, spoil",
     [
@@ -263,9 +289,10 @@ def _short_coordinates(doc):
         (["build", "shift", "--n", "5"], "s.scene.json", lambda doc: [doc]),
         (["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4"], "s.json", lambda doc: [doc]),
         (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", _short_coordinates),
+        (["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4"], "s.json", _edit_image),
     ],
     ids=["shift-value-trimmed", "shift-line-removed", "shift-value-changed", "array-scene", "array-certificate",
-         "short-box-coordinates"],
+         "short-box-coordinates", "edited-copy-image"],
 )
 def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, build, path, spoil):
     monkeypatch.chdir(tmp_path)

@@ -21,11 +21,14 @@ from girthgeom import (
     vdw_certificate,
     verify_certificate,
 )
+from girthgeom import gallai
 from girthgeom.gallai import (
     CopyCycleWitness,
+    ProviderPolicy,
     certificate_from_doc,
     certificate_to_doc,
     find_avoiding_coloring,
+    make_certificate,
     validate_cycle_witness,
 )
 
@@ -300,6 +303,36 @@ class TestSearchProvider:
         cert = search_certificate(GroundSet.of([0, 1, 2]), 1, 4, Budget(100_000))
         assert len(cert.copies) >= 1
         assert cert.flags.all_true()
+
+
+def _outcome(policy, ground, colors, girth):
+    """The certificate document a policy yields, or its refusal message."""
+    try:
+        return certificate_to_doc(make_certificate(policy, GroundSet.of(ground), colors, girth))
+    except ProviderRefusal as exc:
+        return f"refused: {exc}"
+
+
+class TestAutoProvider:
+    @pytest.mark.parametrize(
+        "ground, colors, girth, hint, budget, named",
+        [
+            ([0, 1], 3, 6, None, 2_000_000, "pigeonhole"),
+            ([F(-5, 9), F(7, 3)], 2, 9, None, 2_000_000, "pigeonhole"),
+            ([0, 1], 8, 6, None, 3, "pigeonhole"),
+            ([0, 1, 2], 2, 4, None, 2_000_000, "vdw"),
+            ([0, 1, 2], 2, 6, None, 2_000_000, "vdw"),
+            ([0, 1, 2, 3, 4], 3, 4, None, 2_000_000, "vdw"),
+            ([0, 10, 15, 20, 30], 3, 4, 30, 25, "vdw"),
+        ],
+    )
+    def test_same_as_named_provider_and_never_searches(self, monkeypatch, ground, colors, girth, hint, budget, named):
+        def no_search(*args, **kwargs):
+            raise AssertionError("auto reached the explicit search")
+
+        monkeypatch.setattr(gallai, "search_certificate", no_search)
+        auto = _outcome(ProviderPolicy("auto", hint, budget), ground, colors, girth)
+        assert auto == _outcome(ProviderPolicy(named, hint, budget), ground, colors, girth)
 
 
 class TestCertificateDocs:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_forbidden_offsets, brute_verify_shift_system
+from _oracles import brute_forbidden_offsets, brute_verify_shift_system, identity_map, same_line
 from girthgeom import (
     BudgetExhausted,
     ConstructionError,
@@ -223,13 +223,12 @@ class TestMakeGroundLines:
 class TestEmbedCopyLines:
     def test_identity_copy_zero_offset(self):
         from girthgeom.gallai import HomotheticCopy
-        from girthgeom.geometry import Homothety1D
 
         parent = meeting_pair_lines()
         frame = choose_frame(parent)
-        copy = HomotheticCopy(Homothety1D.identity(), (F(0), F(1)))
+        copy = HomotheticCopy(identity_map(), (F(0), F(1)))
         images = embed_copy_lines(parent, frame, copy, 0)
-        assert all(a.same_line(b) for a, b in zip(images, parent.lines))
+        assert all(same_line(a, b) for a, b in zip(images, parent.lines))
 
     def test_translation_copy_preserves_graph(self):
         from girthgeom.gallai import HomotheticCopy
@@ -244,11 +243,10 @@ class TestEmbedCopyLines:
 
     def test_conflicting_offset_rejected_then_next_works(self):
         from girthgeom.gallai import HomotheticCopy
-        from girthgeom.geometry import Homothety1D
 
         parent = meeting_pair_lines()
         frame = choose_frame(parent)
-        copy = HomotheticCopy(Homothety1D.identity(), (F(0), F(1)))
+        copy = HomotheticCopy(identity_map(), (F(0), F(1)))
         first = embed_copy_lines(parent, frame, copy, 0)
         is_forbidden = forbidden_offsets(first, _PlacedLines(first), frame)
         assert is_forbidden(0)

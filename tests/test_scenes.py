@@ -21,12 +21,13 @@ from girthgeom.scenes import (
     line_family_to_doc,
     load_certificate,
     load_scene,
-    save_certificate,
     save_scene,
     scene_from_doc,
     shift_system_from_doc,
     shift_system_to_doc,
 )
+
+from _oracles import save_certificate
 
 
 def provider(ground, colors, girth):
