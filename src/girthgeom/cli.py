@@ -6,7 +6,7 @@ inconclusive; reports and scenes contain no wall-clock data, so identical
 inputs, seeds, and budgets produce byte-identical files.
 
 Exit codes: 0 ok, 2 check or assertion failure, 3 budget exhausted,
-4 provider refusal or failure.
+4 provider refusal or failure; a decided failure outranks a spent budget.
 """
 
 from __future__ import annotations
@@ -79,17 +79,18 @@ def _require(args, command: str, *names: str) -> None:
 CHECKS = ("geometry", "girth", "chroma")
 
 
-def _check(obj, graph, requested, chroma_budget: int) -> tuple[dict, bool, bool, int]:
+def _check(obj, graph, requested, chroma_budget: int) -> tuple[dict, list, graphs.ColoringCertificate | None]:
     """The requested checks of a scene against its graph: structure,
     girth against the claim, and refutation of one color fewer than the
-    claimed chromatic number.  Returns (results, hard_failure,
-    budget_flag, refutation nodes)."""
+    claimed chromatic number.  Returns the results, the verdict of each
+    check run, and the claim refutation (None when the claim is 1 or
+    unchecked)."""
     results: dict = {"objects": graph.n, "graph": {"vertices": graph.n, "edges": graph.m}}
-    hard_fail = budget_flag = False
-    nodes = 0
+    verdicts = []
+    refutation = None
     if "geometry" in requested:
         results["structure"] = _structure_report(obj, graph)
-        hard_fail |= not all(c["ok"] for c in results["structure"])
+        verdicts.append(all(c["ok"] for c in results["structure"]))
     if "girth" in requested:
         claimed_girth = getattr(obj, "claimed_girth", None)
         computed = graphs.girth(graph)
@@ -98,18 +99,17 @@ def _check(obj, graph, requested, chroma_budget: int) -> tuple[dict, bool, bool,
             "claimed_at_least": claimed_girth,
             "ok": claimed_girth is None or computed >= claimed_girth,
         }
-        hard_fail |= not results["girth"]["ok"]
+        verdicts.append(results["girth"]["ok"])
     if "chroma" in requested:
         claimed_chromatic = getattr(obj, "claimed_chromatic", 1)
         refuted = True
         if claimed_chromatic > 1:
             budget = Budget(chroma_budget, "claim refutation")
             refutation = graphs.is_k_colorable(graph, claimed_chromatic - 1, budget)
-            refuted, nodes = {"refuted": True, "colorable": False}.get(refutation.status), refutation.nodes
-        hard_fail |= refuted is False
-        budget_flag |= refuted is None
+            refuted = refutation.refuted
         results["chromatic"] = {"claimed_at_least": claimed_chromatic, "refuted_below": refuted}
-    return results, hard_fail, budget_flag, nodes
+        verdicts.append(refuted)
+    return results, verdicts, refutation
 
 
 def _structure_report(obj, graph) -> list[dict]:
@@ -146,10 +146,13 @@ def _recursion_levels(provenance: dict) -> list[dict]:
     return levels
 
 
-def _status(hard_fail: bool, budget_flag: bool) -> tuple[str, int]:
-    if hard_fail:
+def _status(*verdicts: bool | None) -> tuple[str, int]:
+    """The status and exit code of a run from the verdicts of its checks:
+    any False fails the run, otherwise any None (a budget ran out before
+    its check was decided) leaves it inconclusive."""
+    if any(v is False for v in verdicts):
         return "check-failed", EXIT_CHECK_FAILED
-    if budget_flag:
+    if any(v is None for v in verdicts):
         return "budget-exhausted", EXIT_BUDGET
     return "ok", EXIT_OK
 
@@ -185,20 +188,18 @@ def cmd_build(args) -> int:
         params = {"kind": args.kind, "g": args.g, "k": args.k, "provider": args.provider, "seed": args.seed}
 
     graph = graphs.intersection_graph(obj)
-    results, hard_fail, budget_flag, nodes = _check(obj, graph, CHECKS, chroma_budget)
+    results, verdicts, refutation = _check(obj, graph, CHECKS, chroma_budget)
     chroma = results["chromatic"]
-    exact = graphs.chromatic_number(graph, Budget(chroma_budget, "exact chromatic"))
-    chroma.update(
-        exact=exact.value, status=exact.status, nodes=nodes + (exact.coloring.nodes if exact.coloring else 0)
-    )
-    budget_flag |= exact.status == "inconclusive"
-    if args.k is not None and chroma["claimed_at_least"] < args.k:
-        # an uncertified certificate kept the chromatic claim below the
-        # requested target: inconclusive, not a verified build
-        budget_flag = True
+    exact = graphs.chromatic_number(graph, Budget(chroma_budget, "exact chromatic"), refutation)
+    nodes = [c.nodes for c in (refutation, exact.coloring) if c is not None]
+    chroma.update(exact=exact.value, status=exact.status, nodes=sum(nodes))
+    # an undecided chromatic number, or a claim an uncertified certificate
+    # kept below the --k target, leaves the build inconclusive, never failed
+    verdicts.append(exact.status == "exact" or None)
+    verdicts.append(args.k is None or chroma["claimed_at_least"] >= args.k or None)
     results["levels"] = _recursion_levels(obj.provenance if not isinstance(obj, linemod.ShiftSystem) else {})
 
-    status, code = _status(hard_fail, budget_flag)
+    status, code = _status(*verdicts)
     out = args.out
     claimed_girth = results["girth"]["claimed_at_least"]
     summary = [
@@ -239,8 +240,8 @@ def cmd_verify(args) -> int:
         raise SceneFormatError(f"unknown checks: {sorted(unknown)}")
 
     graph = graphs.intersection_graph(obj)
-    results, hard_fail, budget_flag, _ = _check(obj, graph, requested, parse_budget(args.chroma_budget))
-    status, code = _status(hard_fail, budget_flag)
+    results, verdicts, _ = _check(obj, graph, requested, parse_budget(args.chroma_budget))
+    status, code = _status(*verdicts)
     report = {
         "kind": "run-report",
         "command": "verify",
@@ -274,26 +275,9 @@ def _parse_ground(text: str | None) -> GroundSet:
 
 def cmd_gallai(args) -> int:
     budget_nodes = parse_budget(args.budget)
-    if args.action == "make":
-        ground = _parse_ground(args.T)
-        _require(args, "gallai make", "g", "k")
-        cert = make_certificate(ProviderPolicy(args.provider, args.vdw_hint, budget_nodes), ground, args.k, args.g)
-        doc = certificate_to_doc(cert)
-        if args.out:
-            scenes.write_doc(args.out, doc)
-            print(f"wrote {args.out}")
-        else:
-            print(scenes.dumps_doc(doc), end="")
-        print(f"elements: {len(cert.elements)} copies: {len(cert.copies)} flags: {cert.flags}")
-        budget_flag = not cert.flags.all_true()
-        status, code = _status(False, budget_flag)
-        print(f"status: {status}")
-        return code
-
     if args.action == "check":
-        cert = scenes.load_certificate(args.path)
-        report = verify_certificate(cert, Budget(budget_nodes))
-        status, code = _status(not (report.all_true() or report.budget_exhausted), report.budget_exhausted)
+        report = verify_certificate(scenes.load_certificate(args.path), Budget(budget_nodes))
+        status, code = _status(*report.verdicts)
         doc = {
             "kind": "run-report",
             "command": "gallai-check",
@@ -308,35 +292,43 @@ def cmd_gallai(args) -> int:
             "status": status,
         }
         print(scenes.dumps_doc(doc), end="")
-        print(f"status: {status}")
-        return code
-
-    if args.action == "search":
+    elif args.action == "make":
+        ground = _parse_ground(args.T)
+        _require(args, "gallai make", "g", "k")
+        cert = make_certificate(ProviderPolicy(args.provider, args.vdw_hint, budget_nodes), ground, args.k, args.g)
+        status, code = _status(*cert.flags.verdicts)
+        doc = certificate_to_doc(cert)
+        if args.out:
+            scenes.write_doc(args.out, doc)
+            print(f"wrote {args.out}")
+        else:
+            print(scenes.dumps_doc(doc), end="")
+        print(f"elements: {len(cert.elements)} copies: {len(cert.copies)} flags: {cert.flags}")
+    else:
         ground = _parse_ground(args.T)
         _require(args, "gallai search", "g", "k")
         try:
             cert = search_certificate(ground, args.k, args.g, Budget(budget_nodes, "certificate search"))
         except BudgetExhausted as exc:
+            status, code = _status(None)
             doc = {
                 "kind": "run-report",
                 "command": "gallai-search",
                 "parameters": {"T": args.T, "k": args.k, "g": args.g, "budget": args.budget},
                 "results": {"found": False, "nodes": exc.used, "limit": exc.limit},
-                "status": "budget-exhausted",
+                "status": status,
             }
             if args.out:
                 scenes.write_doc(args.out, doc)
             print(scenes.dumps_doc(doc), end="")
-            print("status: budget-exhausted")
-            return EXIT_BUDGET
-        if args.out:
-            scenes.write_doc(args.out, certificate_to_doc(cert))
-            print(f"wrote {args.out}")
-        print(f"found certificate with {len(cert.elements)} elements, {len(cert.copies)} copies")
-        print("status: ok")
-        return EXIT_OK
-
-    raise SceneFormatError(f"unknown gallai action: {args.action!r}")
+        else:
+            status, code = _status(*cert.flags.verdicts)
+            if args.out:
+                scenes.write_doc(args.out, certificate_to_doc(cert))
+                print(f"wrote {args.out}")
+            print(f"found certificate with {len(cert.elements)} elements, {len(cert.copies)} copies")
+    print(f"status: {status}")
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def validate_cycle_witness(witness: CopyCycleWitness) -> None:
 class CertificateFlags:
     """The three verdicts on a certificate; None means not yet decided
     (budget-gated).  A verification also keeps the avoiding coloring it
-    found, the shortest copy cycle, and the refutation nodes it spent."""
+    found, the shortest copy cycle, and the nodes its budget has spent."""
 
     coloring_ok: bool | None = None
     sparsity_ok: bool | None = None
@@ -86,14 +86,12 @@ class CertificateFlags:
     cycle: CopyCycleWitness | None = field(default=None, repr=False)
     nodes: int = field(default=0, repr=False)
 
-    def all_true(self) -> bool:
-        return self.coloring_ok is True and self.sparsity_ok is True and self.copies_complete is True
-
-    all_ok = all_true
-
     @property
-    def budget_exhausted(self) -> bool:
-        return self.coloring_ok is None
+    def verdicts(self) -> tuple[bool | None, bool | None, bool | None]:
+        return self.coloring_ok, self.sparsity_ok, self.copies_complete
+
+    def all_true(self) -> bool:
+        return all(v is True for v in self.verdicts)
 
 
 @dataclass
@@ -392,8 +390,10 @@ def search_certificate(
     growing N, smallest sets first.
 
     Candidates violating the cycle condition are rejected before the
-    coloring refutation runs.  Exhausting the budget raises; that is a
-    statement about the budget, never about nonexistence.
+    coloring refutation runs, and the set found is re-verified from
+    scratch; the search and the re-check spend one budget.  Exhausting
+    it raises; that is a statement about the budget, never about
+    nonexistence.
     """
     from itertools import combinations
 
@@ -416,7 +416,11 @@ def search_certificate(
                         continue
                 if _avoiding_coloring(elements, colors, copies, budget) is None:
                     cert = GallaiCertificate(ground, elements, copies, colors, girth)
-                    cert.flags = verify_certificate(cert, Budget(max_nodes=budget.max_nodes, label="recheck"))
+                    cert.flags = verify_certificate(cert, budget)
+                    if cert.flags.coloring_ok is None:
+                        raise BudgetExhausted(
+                            "certificate search budget exhausted in the final re-check", budget.used, budget.max_nodes
+                        )
                     if not cert.flags.all_true():
                         raise ProviderFailure(f"search produced an invalid certificate: {cert.flags}")
                     return cert

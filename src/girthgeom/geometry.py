@@ -76,9 +76,6 @@ class Point3:
     def as_tuple(self) -> Triple:
         return (self.x, self.y, self.z)
 
-    def translated(self, vec: Triple) -> "Point3":
-        return Point3(self.x + vec[0], self.y + vec[1], self.z + vec[2])
-
 
 @dataclass(frozen=True)
 class Dir3:
@@ -136,9 +133,6 @@ class Interval:
     @property
     def length(self) -> Rat:
         return self.hi - self.lo
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,12 @@ class ColoringCertificate:
     assignment: tuple[int, ...] | None
     nodes: int
 
+    @property
+    def refuted(self) -> bool | None:
+        """The verdict that k colors do not suffice; None when the budget
+        ran out first."""
+        return None if self.status == "inconclusive" else self.status == "refuted"
+
 
 def is_k_colorable(graph: GeoGraph, k: int, budget: Budget | int | None = None) -> ColoringCertificate:
     """Proper k-coloring or exhaustive refutation, by backtracking with
@@ -248,15 +254,20 @@ class ChromaticResult:
     status: str  # "exact" or "inconclusive"
 
 
-def chromatic_number(graph: GeoGraph, budget: Budget | int | None = None) -> ChromaticResult:
+def chromatic_number(
+    graph: GeoGraph, budget: Budget | int | None = None, refutation: ColoringCertificate | None = None
+) -> ChromaticResult:
     """Exact chromatic number, refutation-first: colorability at k is
-    decided only after every smaller color count has been refuted."""
+    decided only after every smaller color count has been refuted.  A
+    ``refutation`` of this graph that the caller already ran, if it
+    refuted k colors, starts the search at k + 1 instead of 1."""
     budget = as_budget(budget, label="chromatic")
     if graph.n == 0:
         empty = ColoringCertificate(0, "colorable", (), 0)
         return ChromaticResult(0, empty, None, "exact")
-    refutation = None
-    k = 1
+    if refutation is not None and not refutation.refuted:
+        refutation = None
+    k = 1 if refutation is None else refutation.colors + 1
     while True:
         cert = is_k_colorable(graph, k, budget)
         if cert.status == "colorable":

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import graphs, recursion
-from .budget import Budget, as_budget
+from .budget import Budget
 from .errors import BudgetExhausted, ConstructionError
 from .gallai import HomotheticCopy, ProviderPolicy
 from .geometry import (
@@ -364,22 +364,21 @@ def frame_conditions(frame: TransversalFrame, lines) -> list[str]:
     return failures
 
 
-def choose_frame(fam: LineFamily, budget: Budget | int | None = None) -> TransversalFrame:
+def choose_frame(fam: LineFamily) -> TransversalFrame:
     """Deterministic enumeration of candidate planes and axis directions,
     accepting the first frame whose four genericity conditions all hold.
 
     Plane normals and axis directions run over canonical rational
     directions in height order; offsets are chosen directly to dodge the
-    finitely many crossing-point collisions.  On exhaustion, the error
-    reports which condition kept failing.
+    finitely many crossing-point collisions.  The search is finite: it
+    ends once the directions up to FRAME_HEIGHT run out, with a
+    BudgetExhausted that reports which condition kept failing.
     """
-    budget = as_budget(budget, label="frame search")
     lines = fam.lines
     dirs = [l.dir.as_tuple() for l in lines]
     meets = [line_line_relation(lines[i], lines[j]).point.as_tuple() for i, j in fam.intersection_edges()]
     rejections = {"transversal": 0, "distinct-traces": 0, "distinct-projections": 0, "parallel-plane-pairs": 0}
     for normal in _canonical_dirs():
-        budget.spend()
         nvec = normal.as_tuple()
         if any(dot(nvec, d) == 0 for d in dirs):
             rejections["transversal"] += 1
@@ -390,7 +389,6 @@ def choose_frame(fam: LineFamily, budget: Budget | int | None = None) -> Transve
         for axis_dir in _canonical_dirs():
             if dot(axis_dir.as_tuple(), nvec) != 0:
                 continue
-            budget.spend()
             axis = Line3(plane.point_on(), axis_dir)
             frame = TransversalFrame(plane, axis, perp_in_plane(plane, axis))
             failures = frame_conditions(frame, lines)
@@ -398,11 +396,7 @@ def choose_frame(fam: LineFamily, budget: Budget | int | None = None) -> Transve
                 return frame
             for f in failures:
                 rejections[f] += 1
-    raise BudgetExhausted(
-        f"no frame within height {FRAME_HEIGHT}; rejection counts: {rejections}",
-        used=budget.used,
-        limit=budget.max_nodes,
-    )
+    raise BudgetExhausted(f"no frame within height {FRAME_HEIGHT}; rejection counts: {rejections}")
 
 
 def make_ground_lines(values, frame: TransversalFrame) -> list[Line3]:

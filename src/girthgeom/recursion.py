@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import graphs
 from .budget import Budget, as_budget
-from .errors import ConstructionError
+from .errors import BudgetExhausted, ConstructionError
 from .gallai import GallaiCertificate, GroundSet, ProviderPolicy, certificate_to_doc
 
 
@@ -38,7 +38,9 @@ def lift(
     check: Callable[[object], StructureReport],
 ):
     """One chromatic lift of ``parent``, which must have girth >= girth and
-    no proper coloring with colors - 1 colors.
+    no proper coloring with colors - 1 colors.  A parent that has such a
+    coloring is a ConstructionError; a refutation that runs out of
+    ``budget`` first raises BudgetExhausted, before anything is placed.
 
     ``place(parent, certify)`` places one thin ground object per element
     of the certificate ``certify(values)`` returns for the parent's ground
@@ -53,14 +55,16 @@ def lift(
         raise ConstructionError(f"parent girth {parent_girth} is below the target {girth}")
     if colors > 1:
         budget = as_budget(budget, label="parent chromatic verification")
-        refutation = graphs.is_k_colorable(parent_graph, colors - 1, budget)
-        if refutation.status == "colorable":
+        refuted = graphs.is_k_colorable(parent_graph, colors - 1, budget).refuted
+        if refuted is False:
             raise ConstructionError(
                 f"parent admits a {colors - 1}-coloring; it does not need {colors} colors"
             )
-        if refutation.status == "inconclusive":
-            raise ConstructionError(
-                f"could not verify the parent needs {colors} colors within budget"
+        if refuted is None:
+            raise BudgetExhausted(
+                f"could not verify the parent needs {colors} colors within budget",
+                used=budget.used,
+                limit=budget.max_nodes,
             )
 
     placed = place(parent, lambda values: provider(GroundSet.of(values), colors, girth))

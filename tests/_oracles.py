@@ -239,9 +239,14 @@ def reference_copy_cycle(copies, max_copies: int):
 # helpers used only by the tests
 
 
+def intervals_intersect(a, b) -> bool:
+    """Closed intervals intersect iff each starts before the other ends."""
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
 def box_intersects(a, b) -> bool:
     """Closed boxes intersect iff all three coordinate intervals overlap."""
-    return a.xr.intersects(b.xr) and a.yr.intersects(b.yr) and a.zr.intersects(b.zr)
+    return intervals_intersect(a.xr, b.xr) and intervals_intersect(a.yr, b.yr) and intervals_intersect(a.zr, b.zr)
 
 
 def identity_map() -> Homothety1D:

@@ -72,6 +72,18 @@ class TestBuild:
         assert report["results"]["chromatic"]["claimed_at_least"] == 3  # not the requested 4
         assert (tmp_path / "f.scene.json").exists()
 
+    def test_starved_parent_refutation_is_inconclusive_and_writes_nothing(self, tmp_path, capsys):
+        # two nodes cannot refute a 2-coloring of the 5-cycle parent, so
+        # the lift stops before placing anything: inconclusive, not failed
+        argv = ["build", "boxes", "--g", "4", "--k", "4", "--provider", "vdw", "--vdw-hint", "30",
+                "--budget", "25", "--chroma-budget", "2", "--out", str(tmp_path / "out" / "s44")]
+        assert main(argv) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert "parent needs 3 colors" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerify:
     @pytest.fixture
@@ -135,16 +147,20 @@ class TestGallai:
         main(["gallai", "make", "--T", "0,1", "--k", "2", "--g", "6", "--out", str(cert_path)])
         assert main(["gallai", "check", str(cert_path)]) == EXIT_OK
 
-    def test_check_detects_deleted_copy(self, tmp_path, capsys):
+    @pytest.mark.parametrize("budget", ["default", "10"])
+    def test_check_detects_deleted_copy(self, tmp_path, capsys, budget):
+        # at 10 nodes the refutation runs out, but the copy list is already
+        # decided incomplete: the check fails, it is not inconclusive
         cert_path = tmp_path / "cert.json"
         main(["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4", "--out", str(cert_path)])
         capsys.readouterr()
         doc = read(cert_path)
         doc["copies"] = doc["copies"][:-1]
         cert_path.write_text(json.dumps(doc))
-        assert main(["gallai", "check", str(cert_path)]) == EXIT_CHECK_FAILED
+        assert main(["gallai", "check", str(cert_path), "--budget", budget]) == EXIT_CHECK_FAILED
         report = json.loads(capsys.readouterr().out.rsplit("status:", 1)[0])
         assert report["results"]["copies_complete"] is False
+        assert report["results"]["coloring_ok"] is (True if budget == "default" else None)
 
     def test_search_budget_failure_shape(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -165,7 +181,7 @@ class TestGallai:
         from girthgeom.scenes import load_certificate
 
         cert = load_certificate(out)
-        assert verify_certificate(cert).all_ok()
+        assert verify_certificate(cert).all_true()
 
     def test_make_negative_ground(self, tmp_path):
         spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import brute_forbidden_offsets, brute_verify_shift_system, identity_map, same_line
+from girthgeom import lines as linemod
 from girthgeom import (
     BudgetExhausted,
     ConstructionError,
@@ -317,7 +318,8 @@ class TestForbiddenOffsets:
         extra = []
         for k, i, s, j, lift in extras:
             image = embed_copy_lines(parent, frame, copies[k % len(copies)], 0)[i % len(parent.lines)]
-            point = image.point_at(s).translated((0, 0, lift))
+            point = image.point_at(s)
+            point = Point3(point.x, point.y, point.z + lift)
             extra.append(Line3(point, dirs[j % len(dirs)]))
         _place_copies(parent, frame, copies, extra)
 
@@ -407,10 +409,10 @@ class TestNegativeControls:
         report = check_line_structure(bad)
         assert not report.ok
 
-    def test_budget_exhaustion_in_frame_search(self):
-        fam = meeting_pair_lines()
-        with pytest.raises(BudgetExhausted):
-            choose_frame(fam, budget=1)
+    def test_budget_exhaustion_in_frame_search(self, monkeypatch):
+        monkeypatch.setattr(linemod, "FRAME_HEIGHT", 0)
+        with pytest.raises(BudgetExhausted, match="rejection counts"):
+            choose_frame(meeting_pair_lines())
 
 
 def _shift_system(values, order, replaced) -> ShiftSystem:

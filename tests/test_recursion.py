@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from girthgeom import boxes, lines, meeting_pair_family, meeting_pair_lines, odd_cycle_boxes
+from girthgeom import boxes, graphs, lines, meeting_pair_family, meeting_pair_lines, odd_cycle_boxes
 from girthgeom import recursion_step_boxes, recursion_step_lines
 from girthgeom.cli import EXIT_BUDGET, EXIT_OK, main
 from girthgeom.gallai import ProviderPolicy, pigeonhole_certificate
@@ -80,6 +80,25 @@ def test_cli_files_are_byte_identical(tmp_path, monkeypatch, capsys, name):
     argv, build_code, hashes = GOLDEN[name]
     monkeypatch.chdir(tmp_path)
     assert build_and_verify(argv) == (build_code, EXIT_OK, hashes)
+
+
+def test_build_refutes_its_claim_once(tmp_path, monkeypatch, capsys):
+    # the lift refutes 1 color on the parent pair, the claim refutation 2
+    # colors on the output, and the chromatic number starts above it
+    calls = []
+    original = graphs.is_k_colorable
+
+    def counted(graph, k, budget=None):
+        calls.append((graph.n, k))
+        return original(graph, k, budget)
+
+    monkeypatch.setattr(graphs, "is_k_colorable", counted)
+    monkeypatch.chdir(tmp_path)
+    argv, build_code, hashes = GOLDEN["boxes"]
+    assert main(["build", *argv, "--out", "out"]) == build_code
+    assert calls == [(2, 1), (9, 2), (9, 3)]
+    for name in ("out.scene.json", "out.report.json"):
+        assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == hashes[name]
 
 
 @pytest.fixture
