@@ -55,8 +55,10 @@ def parse_budget(text: str) -> int:
         try:
             base = int(text)
         except ValueError:
-            raise SceneFormatError(f"not a budget: {text!r} (use a node count or {sorted(_BUDGET_NAMES)})")
-    return max(1, base)
+            base = 0
+    if base < 1:
+        raise SceneFormatError(f"not a budget: {text!r} (use a node count of at least 1 or {sorted(_BUDGET_NAMES)})")
+    return base
 
 
 _MINIMUM = {"g": 3, "k": 1, "n": 3}

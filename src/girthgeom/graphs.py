@@ -175,8 +175,12 @@ class ColoringCertificate:
 
 def is_k_colorable(graph: GeoGraph, k: int, budget: Budget | int | None = None) -> ColoringCertificate:
     """Proper k-coloring or exhaustive refutation, by backtracking with
-    saturation-degree vertex ordering and color-symmetry breaking (each
-    vertex may use at most one color beyond those already introduced)."""
+    color-symmetry breaking (each vertex may use at most one color beyond
+    those already introduced).  The next vertex is the uncolored one of
+    highest saturation (distinct colors among its colored neighbors), then
+    highest degree, then lowest index.  That rule is kept in one bitset
+    per saturation level over the vertices ranked by (degree, -index), so
+    a node costs the degree of its vertex, not a scan of the graph."""
     budget = as_budget(budget, label=f"{k}-coloring")
     n = graph.n
     if n == 0:
@@ -187,32 +191,41 @@ def is_k_colorable(graph: GeoGraph, k: int, budget: Budget | int | None = None) 
     colors = [-1] * n
     counts = [[0] * k for _ in range(n)]  # counts[w][c]: colored neighbors of w using c
     sat = [0] * n                         # distinct colors among colored neighbors
+    ranked = sorted(range(n), key=lambda v: (len(adj[v]), -v))
+    bit = [0] * n
+    for r, v in enumerate(ranked):
+        bit[v] = 1 << r
+    pending = [(1 << n) - 1] + [0] * k    # pending[s]: uncolored vertices of saturation s
     nodes = 0
 
     def select() -> int:
-        best_v, best_key = -1, (-1, -1, 1)
-        for v in range(n):
-            if colors[v] == -1:
-                key = (sat[v], len(adj[v]), -v)
-                if key > best_key:
-                    best_key, best_v = key, v
-        return best_v
+        for level in reversed(pending):
+            if level:
+                return ranked[level.bit_length() - 1]
 
     def assign(v: int, c: int) -> None:
         colors[v] = c
+        pending[sat[v]] ^= bit[v]
         for w in adj[v]:
             cw = counts[w]
             if cw[c] == 0:
+                if colors[w] == -1:
+                    pending[sat[w]] ^= bit[w]
+                    pending[sat[w] + 1] ^= bit[w]
                 sat[w] += 1
             cw[c] += 1
 
     def unassign(v: int, c: int) -> None:
         colors[v] = -1
+        pending[sat[v]] ^= bit[v]
         for w in adj[v]:
             cw = counts[w]
             cw[c] -= 1
             if cw[c] == 0:
                 sat[w] -= 1
+                if colors[w] == -1:
+                    pending[sat[w] + 1] ^= bit[w]
+                    pending[sat[w]] ^= bit[w]
 
     # frames: [vertex, color currently assigned (-1 if none), colors introduced above]
     stack: list[list[int]] = [[select(), -1, 0]]

@@ -3,8 +3,11 @@
 These deliberately take different routes from the library: cycle
 enumeration instead of BFS, plain vertex-order color enumeration instead
 of saturation-ordered backtracking, ratio tests instead of map
-construction.  They are slow and only run at oracle scale.  The small
-geometry and file helpers at the end are used only by the tests, too.
+construction.  They are slow and only run at oracle scale.  The one
+exception is ``scan_is_k_colorable``, the library's coloring search as
+it was with a linear scan for the next vertex: the reference that the
+incremental selection must match node for node.  The small geometry and
+file helpers at the end are used only by the tests, too.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from girthgeom.errors import ConstructionError
+from girthgeom.budget import as_budget
+from girthgeom.errors import BudgetExhausted, ConstructionError
 from girthgeom.gallai import certificate_to_doc
 from girthgeom.geometry import (
     Box3,
@@ -29,6 +33,7 @@ from girthgeom.geometry import (
     rat,
     vsub,
 )
+from girthgeom.graphs import ColoringCertificate
 from girthgeom.lines import shift_meeting_point
 from girthgeom.scenes import write_doc
 
@@ -93,6 +98,77 @@ def brute_chromatic(n: int, edges: set[tuple[int, int]]) -> int:
     while not brute_is_colorable(n, edges, k):
         k += 1
     return k
+
+
+def scan_is_k_colorable(graph, k: int, budget=None) -> ColoringCertificate:
+    """The saturation-ordered backtracking search with a linear scan for the
+    next vertex at every node: the reference for the library's search,
+    which must visit the same tree, spend the same nodes and return the
+    same assignment."""
+    budget = as_budget(budget, label=f"{k}-coloring")
+    n = graph.n
+    if n == 0:
+        return ColoringCertificate(k, "colorable", (), 0)
+    if k <= 0:
+        return ColoringCertificate(k, "refuted", None, 0)
+    adj = graph.adj
+    colors = [-1] * n
+    counts = [[0] * k for _ in range(n)]  # counts[w][c]: colored neighbors of w using c
+    sat = [0] * n                         # distinct colors among colored neighbors
+    nodes = 0
+
+    def select() -> int:
+        best_v, best_key = -1, (-1, -1, 1)
+        for v in range(n):
+            if colors[v] == -1:
+                key = (sat[v], len(adj[v]), -v)
+                if key > best_key:
+                    best_key, best_v = key, v
+        return best_v
+
+    def assign(v: int, c: int) -> None:
+        colors[v] = c
+        for w in adj[v]:
+            cw = counts[w]
+            if cw[c] == 0:
+                sat[w] += 1
+            cw[c] += 1
+
+    def unassign(v: int, c: int) -> None:
+        colors[v] = -1
+        for w in adj[v]:
+            cw = counts[w]
+            cw[c] -= 1
+            if cw[c] == 0:
+                sat[w] -= 1
+
+    # frames: [vertex, color currently assigned (-1 if none), colors introduced above]
+    stack: list[list[int]] = [[select(), -1, 0]]
+    while stack:
+        frame = stack[-1]
+        v, cur, intro = frame
+        if cur != -1:
+            unassign(v, cur)
+        cap = min(k - 1, intro)
+        c = cur + 1
+        while c <= cap and counts[v][c] > 0:
+            c += 1
+        if c > cap:
+            stack.pop()
+            continue
+        nodes += 1
+        try:
+            budget.spend()
+        except BudgetExhausted:
+            return ColoringCertificate(k, "inconclusive", None, nodes)
+        assign(v, c)
+        frame[1] = c
+        if len(stack) == n:
+            assignment = tuple(colors)
+            assert all(assignment[u] != assignment[v] for u, v in graph.edges)
+            return ColoringCertificate(k, "colorable", assignment, nodes)
+        stack.append([select(), -1, max(intro, c + 1)])
+    return ColoringCertificate(k, "refuted", None, nodes)
 
 
 def brute_coloring_search(n: int, k: int, copy_indices) -> tuple[int, ...] | None:

@@ -237,6 +237,9 @@ def test_auto_build_beyond_the_table_is_refused_without_search(tmp_path, monkeyp
         ["build", "shift", "--n", "2", "--out", "x"],
         ["verify", "missing.scene.json"],
         ["gallai", "check", "missing.json"],
+        ["gallai", "search", "--T", "0,1", "--k", "1", "--g", "3", "--budget", "0"],
+        ["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4", "--budget", "-1", "--out", "x"],
+        ["build", "shift", "--n", "5", "--chroma-budget", "-3", "--out", "x"],
     ],
 )
 def test_argument_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):

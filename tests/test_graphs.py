@@ -19,8 +19,9 @@ from girthgeom import (
     to_dimacs,
 )
 from girthgeom.graphs import shortest_cycle
+from girthgeom.lines import build_shift_system, double_shift_graph
 
-from _oracles import all_graphs, brute_chromatic, brute_girth, brute_is_colorable
+from _oracles import all_graphs, brute_chromatic, brute_girth, brute_is_colorable, scan_is_k_colorable
 
 
 def random_graph(n, p, seed):
@@ -114,6 +115,40 @@ class TestColoring:
             g = GeoGraph(range(n), edges)
             assert girth(g) == brute_girth(n, edges)
             assert chromatic_number(g).value == brute_chromatic(n, edges)
+
+
+@st.composite
+def coloring_graphs(draw):
+    n = draw(st.integers(0, 30))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return GeoGraph(range(n), draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+def same_search(graph, k, budget=None):
+    """The library search and the linear-scan reference give the same
+    status, assignment and node count."""
+    fast, scan = is_k_colorable(graph, k, budget), scan_is_k_colorable(graph, k, budget)
+    assert (fast.status, fast.assignment, fast.nodes) == (scan.status, scan.assignment, scan.nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coloring_graphs())
+def test_search_matches_linear_scan_reference(graph):
+    for k in range(6):
+        for budget in (None, 1, 7, 60):
+            same_search(graph, k, budget)
+
+
+@pytest.mark.parametrize("n", range(7, 18))
+def test_search_matches_linear_scan_reference_on_double_shift_graphs(n):
+    for k in (2, 3):
+        same_search(double_shift_graph(n), k)
+
+
+@pytest.mark.parametrize("n, seed, nodes", [(18, 0, 40_060), (19, 1, 148_330)])
+def test_shift_system_chromatic_number_and_node_count(n, seed, nodes):
+    result = chromatic_number(intersection_graph(build_shift_system(n, seed)))
+    assert (result.status, result.value, result.coloring.nodes) == ("exact", 3, nodes)
 
 
 class TestIntersectionGraph:
