@@ -96,6 +96,9 @@ class BoxFamily:
     def __post_init__(self):
         object.__setattr__(self, "meets", box_intersection_edges(self.boxes))
 
+    def __len__(self) -> int:
+        return len(self.boxes)
+
     def traces(self) -> list[Rat]:
         return [b.trace for b in self.boxes]
 
@@ -305,7 +308,7 @@ def recursion_step_boxes(
     colors: int,
     girth: int,
     provider,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> BoxFamily:
     """One chromatic lift (see ``recursion.lift``): thin ground boxes at the
     certificate elements plus one scaled copy of the parent per
@@ -332,19 +335,9 @@ def check_box_structure(fam: BoxFamily) -> recursion.StructureReport:
     copy box meets exactly one ground box, namely the one at its own
     trace; no box from one copy meets a box from another; and each copy's
     internal graph matches the parent's.  Base families must match their
-    expected graph exactly, and a "ground-only" family must be pairwise
-    disjoint.
+    expected graph exactly.
     """
-    if fam.provenance.get("kind") != "ground-only":
-        return recursion.check_structure(fam, _check_box_copies)
-    report = recursion.StructureReport()
-    edges = fam.meets
-    report.add(
-        "ground-pairwise-disjoint",
-        not edges,
-        "" if not edges else f"intersecting pair {edges[0]}",
-    )
-    return report
+    return recursion.check_structure(fam, _check_box_copies)
 
 
 def _check_box_copies(report: recursion.StructureReport, fam: BoxFamily, edges: recursion.CopyEdges) -> None:

@@ -31,11 +31,3 @@ class Budget:
                 limit=self.max_nodes,
             )
 
-
-def as_budget(budget: Budget | int | None, label: str = "") -> Budget:
-    """Coerce an int or None into a Budget (None means the default size)."""
-    if budget is None:
-        return Budget(label=label)
-    if isinstance(budget, int):
-        return Budget(max_nodes=budget, label=label)
-    return budget

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .budget import DEFAULT_NODES, Budget, as_budget
+from .budget import DEFAULT_NODES, Budget
 from .errors import BudgetExhausted, ProviderFailure, ProviderRefusal
 from .geometry import Homothety1D, Rat, format_rat, rat
 from .graphs import GeoGraph, shortest_cycle
@@ -177,7 +177,7 @@ def find_copy_cycle(copies, max_copies: int) -> CopyCycleWitness | None:
     vertex: dict[Rat, int] = {}  # element -> incidence vertex, numbered after the copies
     edges = [(ci, vertex.setdefault(x, len(copies) + len(vertex))) for ci, c in enumerate(copies) for x in c.image]
     elements = list(vertex)
-    cycle = shortest_cycle(GeoGraph(range(len(copies) + len(elements)), edges))
+    cycle = shortest_cycle(GeoGraph(len(copies) + len(elements), edges))
     if cycle is None or len(cycle) > 2 * max_copies:
         return None
     # rotate so the cycle starts at a copy vertex, then read off the pairs
@@ -203,8 +203,11 @@ def find_avoiding_coloring(
     Colors are tried in ascending order with a first-use canonical cap, so
     the first hit is the lexicographically least avoiding coloring; the
     least avoiding coloring is itself in canonical form, so the cap never
-    skips it and exhaustion refutes all colorings.
+    skips it and exhaustion refutes all colorings.  With no points the
+    empty coloring avoids every copy, since there are none.
     """
+    if n == 0:
+        return ()
     by_last: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for idx in copy_indices:
         by_last[idx[-1]].append(idx[:-1])
@@ -261,7 +264,7 @@ def _avoiding_coloring(elements, colors: int, copies, budget: Budget) -> tuple[i
 # verification
 
 
-def verify_certificate(cert: GallaiCertificate, budget: Budget | int | None = None) -> CertificateFlags:
+def verify_certificate(cert: GallaiCertificate, budget: Budget | None = None) -> CertificateFlags:
     """Re-derive all three certificate properties from scratch.
 
     The coloring property is decided by refutation search over the true
@@ -269,7 +272,7 @@ def verify_certificate(cert: GallaiCertificate, budget: Budget | int | None = No
     counterexample.  Budget exhaustion leaves coloring_ok as None, which
     is reported distinctly from False.
     """
-    budget = as_budget(budget, label="certificate verification")
+    budget = budget or Budget(label="certificate verification")
     expected = enumerate_copies(cert.ground, cert.elements)
     copies_complete = {c.image for c in cert.copies} == {c.image for c in expected}
 
@@ -310,7 +313,7 @@ VDW_TABLE: dict[tuple[int, int], int] = {
 
 
 def pigeonhole_certificate(
-    ground: GroundSet, colors: int, girth: int, budget: Budget | int | None = None
+    ground: GroundSet, colors: int, girth: int, budget: Budget | None = None
 ) -> GallaiCertificate:
     """Degenerate base provider for two-point ground sets: X = {1..k+1},
     the progression provider's two-term case.
@@ -336,7 +339,7 @@ def vdw_certificate(
     colors: int,
     girth: int,
     length_hint: int | None = None,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> GallaiCertificate:
     """Arithmetic-progression provider: X = {1..N} for an N long enough
     that a monochromatic progression covering the normalized ground set
@@ -375,7 +378,7 @@ def vdw_certificate(
         )
     if cert.flags.coloring_ok is False:
         raise ProviderFailure(
-            f"set of {n_elems} elements admits an avoiding coloring: "
+            f"set of {len(elements)} elements admits an avoiding coloring: "
             f"{cert.flags.counterexample}"
         )
     if cert.flags.coloring_ok is None:
@@ -384,7 +387,7 @@ def vdw_certificate(
 
 
 def search_certificate(
-    ground: GroundSet, colors: int, girth: int, budget: Budget | int | None = None
+    ground: GroundSet, colors: int, girth: int, budget: Budget | None = None
 ) -> GallaiCertificate:
     """Explicit search for a valid certificate over subsets of {1..N} for
     growing N, smallest sets first.
@@ -399,7 +402,7 @@ def search_certificate(
 
     if girth >= 9 and ground.size == 2:
         raise ProviderRefusal("two-point ground sets cannot reach girth >= 9")
-    budget = as_budget(budget, label="certificate search")
+    budget = budget or Budget(label="certificate search")
     max_cycle_copies = girth // 3
     top = 0
     while True:

@@ -293,11 +293,6 @@ class Homothety1D:
     def apply_interval(self, iv: Interval) -> Interval:
         return Interval(self.apply(iv.lo), self.apply(iv.hi))
 
-    def fixed_point(self) -> Rat:
-        if self.scale == 1:
-            raise ValueError("a pure translation has no fixed point")
-        return self.shift / (1 - self.scale)
-
 
 @dataclass(frozen=True)
 class Homothety3D:

@@ -9,19 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .budget import Budget, as_budget
+from .budget import Budget
 from .errors import BudgetExhausted
 
 
 class GeoGraph:
-    """A simple undirected graph whose vertices carry labels referring to
-    their source geometric objects."""
+    """A simple undirected graph on the vertices 0..n-1."""
 
-    def __init__(self, labels: Sequence, edges: Iterable[tuple[int, int]]):
-        self.labels = tuple(labels)
-        n = len(self.labels)
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        self.n = n
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if u == v:
@@ -37,10 +35,6 @@ class GeoGraph:
         self.adj = tuple(frozenset(s) for s in adj)
 
     @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
     def m(self) -> int:
         return len(self.edges)
 
@@ -54,17 +48,16 @@ class GeoGraph:
 def cycle_graph(n: int) -> GeoGraph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return GeoGraph(range(n), [(i, (i + 1) % n) for i in range(n)])
+    return GeoGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def intersection_graph(family) -> GeoGraph:
     """Exact intersection graph of a geometric family.
 
     The family supplies its own pairwise predicate through
-    ``intersection_edges()`` and vertex labels through ``labels()``;
-    vertex order is the family order.
+    ``intersection_edges()``; vertex i is the family's i-th object.
     """
-    return GeoGraph(family.labels(), family.intersection_edges())
+    return GeoGraph(len(family), family.intersection_edges())
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +166,7 @@ class ColoringCertificate:
         return None if self.status == "inconclusive" else self.status == "refuted"
 
 
-def is_k_colorable(graph: GeoGraph, k: int, budget: Budget | int | None = None) -> ColoringCertificate:
+def is_k_colorable(graph: GeoGraph, k: int, budget: Budget | None = None) -> ColoringCertificate:
     """Proper k-coloring or exhaustive refutation, by backtracking with
     color-symmetry breaking (each vertex may use at most one color beyond
     those already introduced).  The next vertex is the uncolored one of
@@ -181,7 +174,7 @@ def is_k_colorable(graph: GeoGraph, k: int, budget: Budget | int | None = None) 
     highest degree, then lowest index.  That rule is kept in one bitset
     per saturation level over the vertices ranked by (degree, -index), so
     a node costs the degree of its vertex, not a scan of the graph."""
-    budget = as_budget(budget, label=f"{k}-coloring")
+    budget = budget or Budget(label=f"{k}-coloring")
     n = graph.n
     if n == 0:
         return ColoringCertificate(k, "colorable", (), 0)
@@ -268,13 +261,13 @@ class ChromaticResult:
 
 
 def chromatic_number(
-    graph: GeoGraph, budget: Budget | int | None = None, refutation: ColoringCertificate | None = None
+    graph: GeoGraph, budget: Budget | None = None, refutation: ColoringCertificate | None = None
 ) -> ChromaticResult:
     """Exact chromatic number, refutation-first: colorability at k is
     decided only after every smaller color count has been refuted.  A
     ``refutation`` of this graph that the caller already ran, if it
     refuted k colors, starts the search at k + 1 instead of 1."""
-    budget = as_budget(budget, label="chromatic")
+    budget = budget or Budget(label="chromatic")
     if graph.n == 0:
         empty = ColoringCertificate(0, "colorable", (), 0)
         return ChromaticResult(0, empty, None, "exact")
@@ -296,9 +289,9 @@ def chromatic_number(
 
 
 def graph_equals_expected(
-    graph: GeoGraph, expected: GeoGraph, bijection: Sequence[int]
+    graph: GeoGraph, expected: GeoGraph
 ) -> tuple[bool, tuple[str, tuple[int, int]] | None]:
-    """Edge-set equality under a vertex bijection graph -> expected.
+    """Edge-set equality of two graphs on the same vertices.
 
     Returns (True, None) on exact correspondence, else (False, witness):
     witness names one "missing" edge (in expected, absent from graph) or
@@ -306,12 +299,8 @@ def graph_equals_expected(
     """
     if graph.n != expected.n:
         raise ValueError("vertex counts differ")
-    mapping = list(bijection)
-    if sorted(mapping) != list(range(graph.n)):
-        raise ValueError("bijection is not a permutation of the vertices")
-    mapped = {(min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) for u, v in graph.edges}
-    spurious = sorted(mapped - expected.edges)
-    missing = sorted(expected.edges - mapped)
+    spurious = sorted(graph.edges - expected.edges)
+    missing = sorted(expected.edges - graph.edges)
     if not spurious and not missing:
         return True, None
     if spurious and (not missing or spurious[0] <= missing[0]):

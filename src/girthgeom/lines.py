@@ -122,6 +122,9 @@ class _SweptLines:
         pairs = [(first.setdefault(line.canonical_key(), j), j) for j, line in enumerate(self.lines)]
         object.__setattr__(self, "identical", min((p for p in pairs if p[0] != p[1]), default=None))
 
+    def __len__(self) -> int:
+        return len(self.lines)
+
     def intersection_edges(self) -> list[tuple[int, int]]:
         """All meeting index pairs; identical lines violate the family
         invariant and are fatal."""
@@ -197,7 +200,7 @@ def double_shift_graph(n: int) -> graphs.GeoGraph:
     for a, b, c in triples:
         for f in range(c + 1, n + 1):
             edges.append((index[(a, b, c)], index[(b, c, f)]))
-    return graphs.GeoGraph(triples, edges)
+    return graphs.GeoGraph(len(triples), edges)
 
 
 def verify_shift_system(system: ShiftSystem) -> tuple[bool, dict | None]:
@@ -499,23 +502,19 @@ def embed_copy_lines(
     copy: HomotheticCopy,
     offset: Rat,
 ) -> list[Line3]:
-    """The image of the parent under the 3-D realization of the copy's 1-D
-    axis map (scaling about its fixed point on the axis, or a pure slide
-    along the axis), then translated by offset along the perpendicular.
+    """The image of the parent under p -> s p + (1 - s) B + h a + offset u,
+    where x -> s x + h is the copy's 1-D axis map, B the axis base point,
+    a the axis direction and u the in-plane perpendicular: a scaling
+    about the axis point the 1-D map fixes (a pure slide along the axis
+    when s = 1), then a slide by offset along u.
 
     Both pieces preserve the plane, so each image line still crosses it at
     one point whose axis parameter is the 1-D map of its parent's; the
     image therefore meets exactly its own ground line.
     """
-    offset = rat(offset)
-    scale = copy.map.scale
-    axis_vec = frame.axis.dir.as_tuple()
-    perp_vec = frame.perp.as_tuple()
-    if scale == 1:
-        shift = vadd(vscale(copy.map.shift, axis_vec), vscale(offset, perp_vec))
-    else:
-        center = frame.point_at(copy.map.fixed_point()).as_tuple()
-        shift = vadd(vscale(1 - scale, center), vscale(offset, perp_vec))
+    scale, h = copy.map.scale, copy.map.shift
+    base, a, u = frame.axis.base.as_tuple(), frame.axis.dir.as_tuple(), frame.perp.as_tuple()
+    shift = vadd(vadd(vscale(1 - scale, base), vscale(h, a)), vscale(rat(offset), u))
     mapping = Homothety3D(scale, Point3(*shift))
     return [mapping.apply_line(l) for l in parent.lines]
 
@@ -525,7 +524,7 @@ def recursion_step_lines(
     colors: int,
     girth: int,
     provider,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> LineFamily:
     """One chromatic lift (see ``recursion.lift``) in the line geometry:
     parallel ground lines in a transversal plane at the certificate

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import graphs
-from .budget import Budget, as_budget
+from .budget import Budget
 from .errors import BudgetExhausted, ConstructionError
 from .gallai import GallaiCertificate, GroundSet, ProviderPolicy, certificate_to_doc
 
@@ -33,7 +33,7 @@ def lift(
     colors: int,
     girth: int,
     provider,
-    budget: Budget | int | None,
+    budget: Budget | None,
     place: Callable,
     check: Callable[[object], StructureReport],
 ):
@@ -54,7 +54,7 @@ def lift(
     if parent_girth < girth:
         raise ConstructionError(f"parent girth {parent_girth} is below the target {girth}")
     if colors > 1:
-        budget = as_budget(budget, label="parent chromatic verification")
+        budget = budget or Budget(label="parent chromatic verification")
         refuted = graphs.is_k_colorable(parent_graph, colors - 1, budget).refuted
         if refuted is False:
             raise ConstructionError(
@@ -131,7 +131,8 @@ def build_family(girth: int, colors: int, policy: ProviderPolicy | None, bases, 
             n += 1
         fam, start = odd_cycle(n), 3
     for k in range(start, colors):
-        fam = step(fam, k, girth, policy.provider(), budget=policy.chroma_budget)
+        budget = Budget(policy.chroma_budget, "parent chromatic verification")
+        fam = step(fam, k, girth, policy.provider(), budget=budget)
     return fam
 
 
@@ -234,9 +235,7 @@ def check_structure(fam, check_copies: Callable) -> StructureReport:
         )
     elif kind == "base-odd-cycle":
         got = graphs.intersection_graph(fam)
-        same, witness = graphs.graph_equals_expected(
-            got, graphs.cycle_graph(prov["n"]), list(range(prov["n"]))
-        )
+        same, witness = graphs.graph_equals_expected(got, graphs.cycle_graph(prov["n"]))
         report.add("graph-equals-cycle", same, "" if same else str(witness))
     elif kind == "base-pair":
         report.add("graph-is-single-edge", fam.intersection_edges() == [(0, 1)])

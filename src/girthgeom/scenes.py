@@ -24,7 +24,10 @@ def dumps_doc(doc: dict) -> str:
 
 
 def write_doc(path, doc: dict) -> None:
-    Path(path).write_text(dumps_doc(doc))
+    """Write ``doc`` to ``path``, creating missing parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(dumps_doc(doc))
 
 
 def read_doc(path) -> dict:
@@ -65,23 +68,7 @@ def _read_family(family, key: str, read_object, doc: dict):
     return family(objects, None if g is None else int(g), int(doc["k"]), doc.get("provenance", {}))
 
 
-def box_family_to_doc(fam: BoxFamily) -> dict:
-    return _family_to_doc("grounded-box-family", "boxes", fam)
-
-
-def box_family_from_doc(doc: dict) -> BoxFamily:
-    return _parse("grounded-box-family", doc, partial(_read_family, BoxFamily, "boxes", box_from_doc))
-
-
-def line_family_to_doc(fam: LineFamily) -> dict:
-    return _family_to_doc("line-family", "lines", fam)
-
-
-def line_family_from_doc(doc: dict) -> LineFamily:
-    return _parse("line-family", doc, partial(_read_family, LineFamily, "lines", line_from_doc))
-
-
-def shift_system_to_doc(system: ShiftSystem) -> dict:
+def _shift_system_to_doc(system: ShiftSystem) -> dict:
     return {
         "kind": "shift-system",
         "n": len(system.values),
@@ -106,15 +93,19 @@ def _read_shift_system(doc: dict) -> ShiftSystem:
     return ShiftSystem(values, triples, lines, doc.get("provenance", {}))
 
 
-def shift_system_from_doc(doc: dict) -> ShiftSystem:
-    return _parse("shift-system", doc, _read_shift_system)
-
-
 # scene kind -> (class, writer, reader)
 _SCENES = {
-    "grounded-box-family": (BoxFamily, box_family_to_doc, box_family_from_doc),
-    "line-family": (LineFamily, line_family_to_doc, line_family_from_doc),
-    "shift-system": (ShiftSystem, shift_system_to_doc, shift_system_from_doc),
+    "grounded-box-family": (
+        BoxFamily,
+        partial(_family_to_doc, "grounded-box-family", "boxes"),
+        partial(_read_family, BoxFamily, "boxes", box_from_doc),
+    ),
+    "line-family": (
+        LineFamily,
+        partial(_family_to_doc, "line-family", "lines"),
+        partial(_read_family, LineFamily, "lines", line_from_doc),
+    ),
+    "shift-system": (ShiftSystem, _shift_system_to_doc, _read_shift_system),
 }
 
 
@@ -129,7 +120,7 @@ def scene_from_doc(doc: dict):
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in _SCENES:
         raise SceneFormatError(f"unknown scene kind: {kind!r}")
-    return _SCENES[kind][2](doc)
+    return _parse(kind, doc, _SCENES[kind][2])
 
 
 def save_scene(path, obj) -> None:

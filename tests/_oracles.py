@@ -16,7 +16,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from girthgeom.budget import as_budget
+from girthgeom.budget import Budget
 from girthgeom.errors import BudgetExhausted, ConstructionError
 from girthgeom.gallai import certificate_to_doc
 from girthgeom.geometry import (
@@ -105,7 +105,7 @@ def scan_is_k_colorable(graph, k: int, budget=None) -> ColoringCertificate:
     next vertex at every node: the reference for the library's search,
     which must visit the same tree, spend the same nodes and return the
     same assignment."""
-    budget = as_budget(budget, label=f"{k}-coloring")
+    budget = budget or Budget(label=f"{k}-coloring")
     n = graph.n
     if n == 0:
         return ColoringCertificate(k, "colorable", (), 0)

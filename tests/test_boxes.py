@@ -6,6 +6,7 @@ from girthgeom import (
     Box3,
     BoxFamily,
     ConstructionError,
+    GeoGraph,
     GroundedSquareBox,
     ProviderPolicy,
     build_box_family,
@@ -66,7 +67,7 @@ class TestOddCycleBoxes:
 
     def test_five_is_cycle(self):
         g = intersection_graph(odd_cycle_boxes(5))
-        ok, _ = graph_equals_expected(g, cycle_graph(5), list(range(5)))
+        ok, _ = graph_equals_expected(g, cycle_graph(5))
         assert ok
         assert girth(g) == 5
         assert chromatic_number(g).value == 3
@@ -75,7 +76,7 @@ class TestOddCycleBoxes:
     def test_general_odd_cycles(self, n):
         fam = odd_cycle_boxes(n)
         g = intersection_graph(fam)
-        ok, witness = graph_equals_expected(g, cycle_graph(n), list(range(n)))
+        ok, witness = graph_equals_expected(g, cycle_graph(n))
         assert ok, witness
         assert girth(g) == n
 
@@ -94,7 +95,7 @@ class TestMakeGroundBoxes:
     def test_three_values(self):
         boxes = make_ground_boxes([1, 2, 3], F(1, 3))
         assert boxes[0].box == Box3.from_bounds(1, F(4, 3), F(2, 3), 1, 0, 1)
-        fam = BoxFamily(tuple(boxes), None, 1, {"kind": "ground-only"})
+        fam = BoxFamily(tuple(boxes), None, 1)
         assert fam.intersection_edges() == []
 
     def test_single_value(self):
@@ -189,10 +190,8 @@ class TestRecursionStep:
         g = intersection_graph(c9)
         # cycle order: ground 1, copy{1,2}, ground 2, copy{2,3}, ground 3, copy{1,3} back
         order = [0, 3, 4, 1, 7, 8, 2, 6, 5]
-        mapping = [0] * 9
-        for pos, v in enumerate(order):
-            mapping[v] = pos
-        ok, witness = graph_equals_expected(g, cycle_graph(9), mapping)
+        nine_cycle = GeoGraph(9, [(order[i], order[(i + 1) % 9]) for i in range(9)])
+        ok, witness = graph_equals_expected(g, nine_cycle)
         assert ok, witness
         assert girth(g) == 9
         assert chromatic_number(g).value == 3

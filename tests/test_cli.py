@@ -204,6 +204,16 @@ class TestGallai:
         code = main(["gallai", "make", "--T", "0,1", "--k", "2", "--g", "9", "--out", str(tmp_path / "c.json")])
         assert code == EXIT_REFUSED
 
+    @pytest.mark.parametrize("hint", ["0", "-3"])
+    def test_make_hint_without_points_fails_with_one_line(self, tmp_path, capsys, hint):
+        # no points: the empty coloring avoids every copy, as there are none
+        out = tmp_path / "c.json"
+        argv = ["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4", "--provider", "vdw", "--vdw-hint", hint]
+        assert main([*argv, "--out", str(out)]) == EXIT_REFUSED
+        err = capsys.readouterr().err
+        assert err == "provider error: set of 0 elements admits an avoiding coloring: ()\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("provider", ["pigeonhole", "vdw"])
     def test_make_budget_binds_every_provider(self, tmp_path, provider):
         out = tmp_path / "c.json"
@@ -240,6 +250,7 @@ def test_auto_build_beyond_the_table_is_refused_without_search(tmp_path, monkeyp
         ["gallai", "search", "--T", "0,1", "--k", "1", "--g", "3", "--budget", "0"],
         ["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4", "--budget", "-1", "--out", "x"],
         ["build", "shift", "--n", "5", "--chroma-budget", "-3", "--out", "x"],
+        ["gallai", "check"],
     ],
 )
 def test_argument_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
@@ -249,6 +260,22 @@ def test_argument_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys, arg
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, code, written",
+    [
+        (["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4"], EXIT_OK, "x"),
+        (["gallai", "search", "--T", "0,1,2", "--k", "2", "--g", "4"], EXIT_OK, "x"),
+        (["verify", "g5.scene.json"], EXIT_OK, "x.report.json"),
+    ],
+    ids=["gallai-make", "gallai-search", "verify"],
+)
+def test_out_creates_missing_directories(tmp_path, monkeypatch, argv, code, written):
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "shift", "--n", "5", "--seed", "1", "--out", "g5"]) == EXIT_OK
+    assert main([*argv, "--out", "no/such/dir/x"]) == code
+    assert (tmp_path / "no/such/dir" / written).is_file()
 
 
 @pytest.mark.parametrize(

@@ -36,20 +36,20 @@ class TestGirth:
         assert girth(cycle_graph(5)) == 5
 
     def test_forest(self):
-        g = GeoGraph(range(4), [(0, 1), (1, 2), (1, 3)])
+        g = GeoGraph(4, [(0, 1), (1, 2), (1, 3)])
         assert girth(g) == math.inf
 
     def test_empty(self):
-        assert girth(GeoGraph(range(3), [])) == math.inf
+        assert girth(GeoGraph(3, [])) == math.inf
 
     def test_triangle_with_tail(self):
-        g = GeoGraph(range(5), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+        g = GeoGraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
         assert girth(g) == 3
 
     def test_matches_oracle_on_random(self):
         for seed in range(60):
             n, edges = random_graph(8, 0.35, seed)
-            assert girth(GeoGraph(range(n), edges)) == brute_girth(n, edges)
+            assert girth(GeoGraph(n, edges)) == brute_girth(n, edges)
 
 
 @st.composite
@@ -63,7 +63,7 @@ def small_graphs(draw):
 @given(small_graphs())
 def test_shortest_cycle_is_a_shortest_simple_cycle(graph):
     n, edges = graph
-    cycle = shortest_cycle(GeoGraph(range(n), edges))
+    cycle = shortest_cycle(GeoGraph(n, edges))
     expected = brute_girth(n, edges)
     if cycle is None:
         assert expected == math.inf
@@ -90,7 +90,7 @@ class TestColoring:
 
     def test_chromatic_examples(self):
         assert chromatic_number(cycle_graph(9)).value == 3
-        g = GeoGraph(range(3), [])
+        g = GeoGraph(3, [])
         assert chromatic_number(g).value == 1
 
     def test_chromatic_returns_refutation(self):
@@ -103,7 +103,7 @@ class TestColoring:
     def test_matches_oracle_on_random(self):
         for seed in range(40):
             n, edges = random_graph(7, 0.4, seed)
-            g = GeoGraph(range(n), edges)
+            g = GeoGraph(n, edges)
             assert chromatic_number(g).value == brute_chromatic(n, edges)
             for k in (1, 2, 3):
                 assert (is_k_colorable(g, k).status == "colorable") == brute_is_colorable(
@@ -112,7 +112,7 @@ class TestColoring:
 
     def test_exhaustive_small(self):
         for n, edges in all_graphs(4):
-            g = GeoGraph(range(n), edges)
+            g = GeoGraph(n, edges)
             assert girth(g) == brute_girth(n, edges)
             assert chromatic_number(g).value == brute_chromatic(n, edges)
 
@@ -121,13 +121,15 @@ class TestColoring:
 def coloring_graphs(draw):
     n = draw(st.integers(0, 30))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return GeoGraph(range(n), draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    return GeoGraph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
 
 
-def same_search(graph, k, budget=None):
-    """The library search and the linear-scan reference give the same
-    status, assignment and node count."""
-    fast, scan = is_k_colorable(graph, k, budget), scan_is_k_colorable(graph, k, budget)
+def same_search(graph, k, nodes=None):
+    """The library search and the linear-scan reference, each with its own
+    budget of ``nodes`` (None: the default), give the same status,
+    assignment and node count."""
+    fast = is_k_colorable(graph, k, None if nodes is None else Budget(nodes))
+    scan = scan_is_k_colorable(graph, k, None if nodes is None else Budget(nodes))
     assert (fast.status, fast.assignment, fast.nodes) == (scan.status, scan.assignment, scan.nodes)
 
 
@@ -163,30 +165,22 @@ class TestIntersectionGraph:
 
 class TestGraphEquality:
     def test_identity(self):
-        ok, witness = graph_equals_expected(cycle_graph(5), cycle_graph(5), list(range(5)))
+        ok, witness = graph_equals_expected(cycle_graph(5), cycle_graph(5))
         assert ok and witness is None
 
-    def test_rotation(self):
-        ok, _ = graph_equals_expected(cycle_graph(5), cycle_graph(5), [1, 2, 3, 4, 0])
-        assert ok
-
     def test_spurious_edge_reported(self):
-        g = GeoGraph(range(3), [(0, 1), (1, 2), (0, 2)])
-        expected = GeoGraph(range(3), [(0, 1), (1, 2)])
-        ok, witness = graph_equals_expected(g, expected, [0, 1, 2])
+        g = GeoGraph(3, [(0, 1), (1, 2), (0, 2)])
+        expected = GeoGraph(3, [(0, 1), (1, 2)])
+        ok, witness = graph_equals_expected(g, expected)
         assert not ok
         assert witness == ("spurious", (0, 2))
 
     def test_missing_edge_reported(self):
-        g = GeoGraph(range(3), [(0, 1)])
-        expected = GeoGraph(range(3), [(0, 1), (1, 2)])
-        ok, witness = graph_equals_expected(g, expected, [0, 1, 2])
+        g = GeoGraph(3, [(0, 1)])
+        expected = GeoGraph(3, [(0, 1), (1, 2)])
+        ok, witness = graph_equals_expected(g, expected)
         assert not ok
         assert witness == ("missing", (1, 2))
-
-    def test_bad_bijection(self):
-        with pytest.raises(ValueError):
-            graph_equals_expected(cycle_graph(3), cycle_graph(3), [0, 0, 1])
 
 
 class TestDimacs:

@@ -31,6 +31,7 @@ from girthgeom import (
     graph_equals_expected,
     intersection_graph,
     line_line_relation,
+    line_plane_meet,
     make_ground_lines,
     meeting_pair_lines,
     odd_cycle_lines,
@@ -41,7 +42,7 @@ from girthgeom import (
     verify_shift_system,
 )
 from girthgeom.gallai import HomotheticCopy, pigeonhole_certificate
-from girthgeom.geometry import Homothety1D
+from girthgeom.geometry import Homothety1D, dot, vsub
 from girthgeom.lines import _offsets, _PlacedLines, forbidden_offsets, frame_conditions
 
 
@@ -81,7 +82,8 @@ class TestDoubleShiftGraph:
         assert (g3.n, g3.m) == (1, 0)
         g4 = double_shift_graph(4)
         assert (g4.n, g4.m) == (4, 1)
-        assert sorted(g4.labels[u] for u, v in g4.edges for u in (u, v)) == [(1, 2, 3), (2, 3, 4)]
+        triples = list(itertools.combinations(range(1, 5), 3))
+        assert [(triples[u], triples[v]) for u, v in g4.edges] == [((1, 2, 3), (2, 3, 4))]
         g5 = double_shift_graph(5)
         assert (g5.n, g5.m) == (10, 5)
 
@@ -106,7 +108,7 @@ class TestBuildShiftSystem:
         assert ok, diagnostic
         g = intersection_graph(system)
         expected = double_shift_graph(n)
-        same, witness = graph_equals_expected(g, expected, list(range(g.n)))
+        same, witness = graph_equals_expected(g, expected)
         assert same, witness
 
     def test_n3_single_line(self):
@@ -140,7 +142,7 @@ class TestOddCycleLines:
     def test_cycles(self, n):
         fam = odd_cycle_lines(n)
         g = intersection_graph(fam)
-        ok, witness = graph_equals_expected(g, cycle_graph(n), list(range(n)))
+        ok, witness = graph_equals_expected(g, cycle_graph(n))
         assert ok, witness
         assert girth(g) == n
 
@@ -292,6 +294,33 @@ def _place_copies(parent, frame, copies, extra=()):
 
 _scales = st.one_of(st.just(F(1)), st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
 _shifts = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def _plane_coordinates(frame, line):
+    """Where a line crosses the frame's plane, as (axis parameter,
+    coordinate along the frame's perpendicular)."""
+    point = line_plane_meet(line, frame.plane).point
+    u = frame.perp.as_tuple()
+    return frame.param_of(point), dot(vsub(point.as_tuple(), frame.axis.base.as_tuple()), u) / dot(u, u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    which=st.sampled_from(range(len(_PARENTS))),
+    scale=st.just(F(1)) | st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3).filter(lambda s: s != 1),
+    shift=_shifts,
+    offset=st.integers(-5, 5),
+)
+def test_copy_line_crosses_the_plane_where_its_map_says(which, scale, shift, offset):
+    """Every image line keeps its parent's direction and crosses the plane
+    at the 1-D map of its parent's axis parameter, off the axis by the
+    parent's perpendicular coordinate times the scale, plus the offset."""
+    parent, frame = _PARENTS[which], _FRAMES[which]
+    copy = _copy(scale, shift)
+    for line, image in zip(parent.lines, embed_copy_lines(parent, frame, copy, offset)):
+        p, q = _plane_coordinates(frame, line)
+        assert image.dir == line.dir
+        assert _plane_coordinates(frame, image) == (copy.map.apply(p), scale * q + offset)
 
 
 class TestForbiddenOffsets:

@@ -14,17 +14,12 @@ from girthgeom import (
 from girthgeom.errors import SceneFormatError
 from girthgeom.gallai import pigeonhole_certificate
 from girthgeom.scenes import (
-    box_family_from_doc,
-    box_family_to_doc,
     dumps_doc,
-    line_family_from_doc,
-    line_family_to_doc,
     load_certificate,
     load_scene,
     save_scene,
     scene_from_doc,
-    shift_system_from_doc,
-    shift_system_to_doc,
+    scene_to_doc,
 )
 
 from _oracles import save_certificate
@@ -37,55 +32,55 @@ def provider(ground, colors, girth):
 class TestBoxScenes:
     def test_roundtrip_base(self):
         fam = odd_cycle_boxes(5)
-        again = box_family_from_doc(box_family_to_doc(fam))
+        again = scene_from_doc(scene_to_doc(fam))
         assert again.boxes == fam.boxes
         assert again.claimed_girth == 5 and again.claimed_chromatic == 3
 
     def test_roundtrip_recursion(self):
         fam = recursion_step_boxes(meeting_pair_family(), 2, 6, provider)
-        doc = box_family_to_doc(fam)
-        again = box_family_from_doc(doc)
+        doc = scene_to_doc(fam)
+        again = scene_from_doc(doc)
         assert again.boxes == fam.boxes
         assert again.provenance == fam.provenance
 
     def test_rationals_serialized_as_strings(self):
         fam = recursion_step_boxes(meeting_pair_family(), 2, 6, provider)
-        doc = box_family_to_doc(fam)
+        doc = scene_to_doc(fam)
         assert doc["boxes"][0]["x"] == ["1", "4/3"]
 
     def test_invalid_box_rejected(self):
-        doc = box_family_to_doc(odd_cycle_boxes(5))
+        doc = scene_to_doc(odd_cycle_boxes(5))
         doc["boxes"][0]["x"] = ["0", "1"]  # breaks the square invariant
         with pytest.raises(SceneFormatError):
-            box_family_from_doc(doc)
+            scene_from_doc(doc)
 
 
 class TestLineScenes:
     def test_roundtrip(self):
         fam = recursion_step_lines(meeting_pair_lines(), 2, 6, provider)
-        again = line_family_from_doc(line_family_to_doc(fam))
+        again = scene_from_doc(scene_to_doc(fam))
         assert again.lines == fam.lines
 
     def test_odd_cycle_roundtrip(self):
         fam = odd_cycle_lines(7)
-        again = line_family_from_doc(line_family_to_doc(fam))
+        again = scene_from_doc(scene_to_doc(fam))
         assert again.lines == fam.lines
 
 
 class TestShiftScenes:
     def test_roundtrip(self):
         system = build_shift_system(5, seed=3)
-        again = shift_system_from_doc(shift_system_to_doc(system))
+        again = scene_from_doc(scene_to_doc(system))
         assert again.values == system.values
         assert again.triples == system.triples
         assert again.lines == system.lines
 
     def test_tampered_line_rejected(self):
         system = build_shift_system(4, seed=0)
-        doc = shift_system_to_doc(system)
+        doc = scene_to_doc(system)
         doc["lines"][0]["base"] = ["0", "0", "0"]
         with pytest.raises(SceneFormatError):
-            shift_system_from_doc(doc)
+            scene_from_doc(doc)
 
 
 class TestSceneFiles:
@@ -108,7 +103,7 @@ class TestSceneFiles:
 
     def test_deterministic_bytes(self):
         fam = odd_cycle_boxes(5)
-        assert dumps_doc(box_family_to_doc(fam)) == dumps_doc(box_family_to_doc(odd_cycle_boxes(5)))
+        assert dumps_doc(scene_to_doc(fam)) == dumps_doc(scene_to_doc(odd_cycle_boxes(5)))
 
 
 class TestCertificateFiles:
