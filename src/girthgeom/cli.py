@@ -90,7 +90,8 @@ def _check(obj, graph, requested, chroma_budget: int) -> tuple[dict, list, graph
     verdicts = []
     refutation = None
     if "geometry" in requested:
-        results["structure"] = _structure_report(obj, graph)
+        # a malformed provenance field is a format error, as it is at load
+        results["structure"] = scenes._parse("provenance", obj, lambda o: _structure_report(o, graph))
         verdicts.append(all(c["ok"] for c in results["structure"]))
     if "girth" in requested:
         claimed_girth = getattr(obj, "claimed_girth", None)
@@ -194,10 +195,10 @@ def cmd_build(args) -> int:
     exact = graphs.chromatic_number(graph, Budget(chroma_budget, "exact chromatic"), refutation)
     nodes = [c.nodes for c in (refutation, exact.coloring) if c is not None]
     chroma.update(exact=exact.value, status=exact.status, nodes=sum(nodes))
-    # an undecided chromatic number, or a claim an uncertified certificate
-    # kept below the --k target, leaves the build inconclusive, never failed
+    # an undecided chromatic number, or a box or line claim an uncertified certificate
+    # kept below the --k target (shift scenes record no k), is inconclusive, never failed
     verdicts.append(exact.status == "exact" or None)
-    verdicts.append(args.k is None or chroma["claimed_at_least"] >= args.k or None)
+    verdicts.append(args.kind == "shift" or args.k is None or chroma["claimed_at_least"] >= args.k or None)
     results["levels"] = _recursion_levels(obj.provenance if not isinstance(obj, linemod.ShiftSystem) else {})
 
     status, code = _status(*verdicts)
@@ -293,6 +294,8 @@ def cmd_gallai(args) -> int:
             },
             "status": status,
         }
+        if args.out:
+            scenes.write_doc(args.out, doc)
         print(scenes.dumps_doc(doc), end="")
     elif args.action == "make":
         ground = _parse_ground(args.T)

@@ -4,8 +4,9 @@ A certificate packages a ground set T, a finite set X, and the complete
 list of scaled-and-shifted copies of T inside X, together with three
 verified properties: every k-coloring of X leaves some copy monochromatic
 (checked by exhaustive refutation search), no small collection of copies
-chains into a cycle, and the copy list is complete.  Providers construct
-candidate certificates; the verifier re-derives everything from scratch.
+chains into a cycle, and the copy list is complete.  Providers choose X;
+``derive_certificate`` derives its copies and verdicts, and the verifier
+runs the same derivation and compares the stored copy list with it.
 """
 
 from __future__ import annotations
@@ -252,51 +253,44 @@ def find_avoiding_coloring(
         budget.used += nodes
 
 
-def _avoiding_coloring(elements, colors: int, copies, budget: Budget) -> tuple[int, ...] | None:
-    """``find_avoiding_coloring`` over the elements, with each copy given
-    by the positions of its image."""
-    index = {x: i for i, x in enumerate(elements)}
-    copy_indices = [tuple(index[x] for x in c.image) for c in copies]
-    return find_avoiding_coloring(len(elements), colors, copy_indices, budget)
-
-
 # ---------------------------------------------------------------------------
-# verification
+# derivation and verification
+
+
+def derive_certificate(
+    ground: GroundSet, elements: tuple[Rat, ...], colors: int, girth: int, budget: Budget | None = None
+) -> GallaiCertificate:
+    """The certificate on ``elements`` with every copy of the ground set
+    in them, and the verdicts those copies give: the shortest copy cycle
+    decides sparsity and refutation search the coloring property.
+
+    A found avoiding coloring is kept as the counterexample.  Budget
+    exhaustion leaves coloring_ok as None, which is reported distinctly
+    from False.  The copy list is complete by construction.
+    """
+    budget = budget or Budget(label="certificate verification")
+    copies = enumerate_copies(ground, elements)
+    cycle = find_copy_cycle(copies, girth // 3) if girth // 3 >= 2 and len(copies) >= 2 else None
+    index = {x: i for i, x in enumerate(elements)}
+    positions = [tuple(index[x] for x in c.image) for c in copies]
+    try:
+        counterexample = find_avoiding_coloring(len(elements), colors, positions, budget)
+        coloring_ok = counterexample is None
+    except BudgetExhausted:
+        counterexample = coloring_ok = None
+    flags = CertificateFlags(
+        coloring_ok, cycle is None, True, counterexample=counterexample, cycle=cycle, nodes=budget.used
+    )
+    return GallaiCertificate(ground, elements, copies, colors, girth, flags)
 
 
 def verify_certificate(cert: GallaiCertificate, budget: Budget | None = None) -> CertificateFlags:
-    """Re-derive all three certificate properties from scratch.
-
-    The coloring property is decided by refutation search over the true
-    (recomputed) copy list; a found avoiding coloring is returned as the
-    counterexample.  Budget exhaustion leaves coloring_ok as None, which
-    is reported distinctly from False.
-    """
-    budget = budget or Budget(label="certificate verification")
-    expected = enumerate_copies(cert.ground, cert.elements)
-    copies_complete = {c.image for c in cert.copies} == {c.image for c in expected}
-
-    max_cycle_copies = cert.girth // 3
-    cycle = None
-    if max_cycle_copies >= 2 and len(expected) >= 2:
-        cycle = find_copy_cycle(expected, max_cycle_copies)
-    sparsity_ok = cycle is None
-
-    coloring_ok: bool | None
-    counterexample = None
-    try:
-        counterexample = _avoiding_coloring(cert.elements, cert.colors, expected, budget)
-        coloring_ok = counterexample is None
-    except BudgetExhausted:
-        coloring_ok = None
-    return CertificateFlags(
-        coloring_ok=coloring_ok,
-        sparsity_ok=sparsity_ok,
-        copies_complete=copies_complete,
-        counterexample=counterexample,
-        cycle=cycle,
-        nodes=budget.used,
-    )
+    """The verdicts ``derive_certificate`` reaches from the certificate's
+    own ground set, elements, colors and girth; the stored copy list is
+    complete when its images are the derived ones."""
+    derived = derive_certificate(cert.ground, cert.elements, cert.colors, cert.girth, budget)
+    derived.flags.copies_complete = {c.image for c in cert.copies} == {c.image for c in derived.copies}
+    return derived.flags
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +361,7 @@ def vdw_certificate(
             f"no table entry for {colors} colors and {terms}-term progressions; "
             f"pass a length hint"
         )
-    elements = tuple(Fraction(i) for i in range(1, n_elems + 1))
-    copies = enumerate_copies(ground, elements)
-    cert = GallaiCertificate(ground, elements, copies, colors, girth)
-    cert.flags = verify_certificate(cert, budget)
+    cert = derive_certificate(ground, tuple(Fraction(i) for i in range(1, n_elems + 1)), colors, girth, budget)
     if not cert.flags.sparsity_ok:
         raise ProviderRefusal(
             "progression set contains a short copy cycle at this girth; "
@@ -378,7 +369,7 @@ def vdw_certificate(
         )
     if cert.flags.coloring_ok is False:
         raise ProviderFailure(
-            f"set of {len(elements)} elements admits an avoiding coloring: "
+            f"set of {len(cert.elements)} elements admits an avoiding coloring: "
             f"{cert.flags.counterexample}"
         )
     if cert.flags.coloring_ok is None:
@@ -393,8 +384,9 @@ def search_certificate(
     growing N, smallest sets first.
 
     Candidates violating the cycle condition are rejected before the
-    coloring refutation runs, and the set found is re-verified from
-    scratch; the search and the re-check spend one budget.  Exhausting
+    coloring refutation runs, and the certificate of the set found comes
+    from ``derive_certificate``; the search and that re-check spend one
+    budget.  Exhausting
     it raises; that is a statement about the budget, never about
     nonexistence.
     """
@@ -417,15 +409,14 @@ def search_certificate(
                 if max_cycle_copies >= 2 and len(copies) >= 2:
                     if find_copy_cycle(copies, max_cycle_copies) is not None:
                         continue
-                if _avoiding_coloring(elements, colors, copies, budget) is None:
-                    cert = GallaiCertificate(ground, elements, copies, colors, girth)
-                    cert.flags = verify_certificate(cert, budget)
+                index = {x: i for i, x in enumerate(elements)}
+                positions = [tuple(index[x] for x in c.image) for c in copies]
+                if find_avoiding_coloring(len(elements), colors, positions, budget) is None:
+                    cert = derive_certificate(ground, elements, colors, girth, budget)
                     if cert.flags.coloring_ok is None:
                         raise BudgetExhausted(
                             "certificate search budget exhausted in the final re-check", budget.used, budget.max_nodes
                         )
-                    if not cert.flags.all_true():
-                        raise ProviderFailure(f"search produced an invalid certificate: {cert.flags}")
                     return cert
 
 

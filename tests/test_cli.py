@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from girthgeom.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_REFUSED, main
 
@@ -45,6 +49,13 @@ class TestBuild:
         assert report["results"]["chromatic"]["exact"] == 2
         checks = {c["name"]: c["ok"] for c in report["results"]["structure"]}
         assert checks["graph-equals-double-shift"]
+
+    def test_shift_ignores_the_k_target(self, tmp_path):
+        # a shift system's parameters record no k, so --k sets no target
+        # that its claim could miss
+        out = tmp_path / "k2"
+        assert main(["build", "shift", "--n", "5", "--seed", "1", "--k", "2", "--out", str(out)]) == EXIT_OK
+        assert read(tmp_path / "k2.report.json")["status"] == "ok"
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -162,6 +173,16 @@ class TestGallai:
         assert report["results"]["copies_complete"] is False
         assert report["results"]["coloring_ok"] is (True if budget == "default" else None)
 
+    def test_check_out_writes_the_printed_report(self, tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        main(["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4", "--out", str(cert_path)])
+        capsys.readouterr()
+        assert main(["gallai", "check", str(cert_path)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert main(["gallai", "check", str(cert_path), "--out", str(tmp_path / "check.json")]) == EXIT_OK
+        assert capsys.readouterr().out == printed
+        assert (tmp_path / "check.json").read_text() + "status: ok\n" == printed
+
     def test_search_budget_failure_shape(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(
@@ -268,12 +289,14 @@ def test_argument_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys, arg
         (["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4"], EXIT_OK, "x"),
         (["gallai", "search", "--T", "0,1,2", "--k", "2", "--g", "4"], EXIT_OK, "x"),
         (["verify", "g5.scene.json"], EXIT_OK, "x.report.json"),
+        (["gallai", "check", "c.json"], EXIT_OK, "x"),
     ],
-    ids=["gallai-make", "gallai-search", "verify"],
+    ids=["gallai-make", "gallai-search", "verify", "gallai-check"],
 )
 def test_out_creates_missing_directories(tmp_path, monkeypatch, argv, code, written):
     monkeypatch.chdir(tmp_path)
     assert main(["build", "shift", "--n", "5", "--seed", "1", "--out", "g5"]) == EXIT_OK
+    assert main(["gallai", "make", "--T", "0,1", "--k", "2", "--g", "6", "--out", "c.json"]) == EXIT_OK
     assert main([*argv, "--out", "no/such/dir/x"]) == code
     assert (tmp_path / "no/such/dir" / written).is_file()
 
@@ -351,3 +374,53 @@ def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, bui
     assert main(check) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def _field_paths(node, prefix=()):
+    """The path of every field below ``node``, as keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def provenance_scenes(tmp_path_factory):
+    """The scene documents of two recursion builds, and a scratch directory."""
+    root = tmp_path_factory.mktemp("provenance")
+    docs = {}
+    for kind in ("boxes", "lines"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            argv = ["build", kind, "--g", "6", "--k", "3", "--provider", "pigeonhole", "--out", str(root / kind)]
+            assert main(argv) == EXIT_OK
+        docs[kind] = read(root / f"{kind}.scene.json")
+    return root, docs
+
+
+_MUTATED = [None, -1, 0, 2, 10**6, 3.5, True, "x", "0", "1/0", "-1/2", [], [0], {}, {"a": 1}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["boxes", "lines"]), pick=st.randoms(use_true_random=False),
+       value=st.sampled_from(_MUTATED))
+def test_mutated_provenance_exits_0_or_2(provenance_scenes, kind, pick, value):
+    # one provenance field set to a wrong type or value: verify either
+    # passes, fails a check in its report, or names the bad field on one
+    # stderr line; no exception leaves main
+    root, docs = provenance_scenes
+    doc = json.loads(json.dumps(docs[kind]))
+    path = pick.choice(list(_field_paths(doc["provenance"])))
+    node = doc["provenance"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    scene = root / "mutated.scene.json"
+    scene.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(scene), "--checks", "all"])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    if code == EXIT_CHECK_FAILED and not out.getvalue().endswith("status: check-failed\n"):
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

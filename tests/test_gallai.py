@@ -27,6 +27,7 @@ from girthgeom.gallai import (
     ProviderPolicy,
     certificate_from_doc,
     certificate_to_doc,
+    derive_certificate,
     find_avoiding_coloring,
     make_certificate,
     validate_cycle_witness,
@@ -209,6 +210,57 @@ class TestVerify:
             ours = find_avoiding_coloring(len(xs), colors, idx, Budget(10_000_000))
             brute = brute_coloring_search(len(xs), colors, idx)
             assert ours == brute
+
+
+class TestDerive:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sets(st.integers(0, 6), min_size=2, max_size=3),
+        st.sets(st.integers(-4, 12), max_size=11),
+        st.integers(1, 3),
+        st.integers(3, 8),
+        st.integers(1, 400),
+    )
+    def test_verify_reaches_the_derived_verdicts(self, ground, universe, colors, girth, nodes):
+        cert = derive_certificate(GroundSet.of(ground), elems(*sorted(universe)), colors, girth, Budget(nodes))
+        assert cert.copies == enumerate_copies(cert.ground, cert.elements)
+        report = verify_certificate(cert, Budget(nodes))
+        assert report.verdicts == cert.flags.verdicts
+        assert report.copies_complete is True
+        assert (report.counterexample, report.cycle, report.nodes) == (
+            cert.flags.counterexample, cert.flags.cycle, cert.flags.nodes
+        )
+        if cert.copies:
+            dropped = GallaiCertificate(cert.ground, cert.elements, cert.copies[1:], colors, girth)
+            report = verify_certificate(dropped, Budget(nodes))
+            assert report.verdicts == (cert.flags.coloring_ok, cert.flags.sparsity_ok, False)
+
+
+@pytest.fixture
+def copy_enumerations(monkeypatch):
+    """The element counts of every ``enumerate_copies`` call."""
+    calls = []
+    original = gallai.enumerate_copies
+
+    def counted(ground, elements):
+        calls.append(len(elements))
+        return original(ground, elements)
+
+    monkeypatch.setattr(gallai, "enumerate_copies", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "provide, ground, colors, girth, size",
+    [
+        (vdw_certificate, [0, 1, 2], 2, 4, 9),
+        (vdw_certificate, [0, 1, 2], 3, 4, 27),
+        (pigeonhole_certificate, [0, 1], 3, 6, 4),
+    ],
+)
+def test_progression_certificate_enumerates_its_copies_once(copy_enumerations, provide, ground, colors, girth, size):
+    assert provide(GroundSet.of(ground), colors, girth).flags.all_true()
+    assert copy_enumerations == [size]
 
 
 class TestPigeonholeProvider:
