@@ -268,8 +268,15 @@ def derive_certificate(
     exhaustion leaves coloring_ok as None, which is reported distinctly
     from False.  The copy list is complete by construction.
     """
-    budget = budget or Budget(label="certificate verification")
     copies = enumerate_copies(ground, elements)
+    flags = _verdicts(elements, copies, colors, girth, budget)
+    return GallaiCertificate(ground, elements, copies, colors, girth, flags)
+
+
+def _verdicts(elements, copies, colors: int, girth: int, budget: Budget | None) -> CertificateFlags:
+    """The flags ``derive_certificate`` gives ``elements`` from all their
+    ``copies``; the search calls it on the copies it has enumerated."""
+    budget = budget or Budget(label="certificate verification")
     cycle = find_copy_cycle(copies, girth // 3) if girth // 3 >= 2 and len(copies) >= 2 else None
     index = {x: i for i, x in enumerate(elements)}
     positions = [tuple(index[x] for x in c.image) for c in copies]
@@ -278,10 +285,9 @@ def derive_certificate(
         coloring_ok = counterexample is None
     except BudgetExhausted:
         counterexample = coloring_ok = None
-    flags = CertificateFlags(
+    return CertificateFlags(
         coloring_ok, cycle is None, True, counterexample=counterexample, cycle=cycle, nodes=budget.used
     )
-    return GallaiCertificate(ground, elements, copies, colors, girth, flags)
 
 
 def verify_certificate(cert: GallaiCertificate, budget: Budget | None = None) -> CertificateFlags:
@@ -314,17 +320,13 @@ def pigeonhole_certificate(
 
     Any two points form a copy of a two-point set, so some pair is always
     monochromatic.  Pairs of copies share at most one element, hence no
-    2-cycles; but any three points chain into a 3-cycle of pairs, so the
-    provider refuses once 3-cycles start to matter (girth >= 9).  The
-    coloring property is verified within ``budget``.
+    2-cycles; any three points chain into a 3-cycle of pairs, which the
+    derivation finds and the provider refuses once 3-cycles matter
+    (girth >= 9, k >= 2).  The coloring property is verified within
+    ``budget``.
     """
     if ground.size != 2:
         raise ProviderRefusal("pigeonhole provider needs a two-point ground set")
-    if girth >= 9:
-        raise ProviderRefusal(
-            "pigeonhole provider refuses girth >= 9: any three points give a "
-            "3-cycle of pair copies"
-        )
     return vdw_certificate(ground, colors, girth, budget=budget)
 
 
@@ -340,14 +342,12 @@ def vdw_certificate(
     is unavoidable.
 
     N comes from the built-in table (or colors+1 for two-point sets)
-    unless a ``length_hint`` is supplied.  The coloring property is
-    verified within the budget; if the budget runs out the certificate is
-    returned with the flag left undecided and a note, never silently.
+    unless a ``length_hint`` is supplied.  Every verdict comes from
+    ``derive_certificate``: a short copy cycle it finds is a refusal that
+    names the witness, an avoiding coloring is a failure, and if the
+    budget runs out the certificate is returned with the coloring flag
+    left undecided and a note, never silently.
     """
-    if girth >= 9:
-        raise ProviderRefusal(
-            "dense progression sets contain short copy cycles; refusing girth >= 9"
-        )
     ints, _ = normalize_ground_set(ground)
     terms = ints[-1] + 1
     if length_hint is not None:
@@ -383,17 +383,20 @@ def search_certificate(
     """Explicit search for a valid certificate over subsets of {1..N} for
     growing N, smallest sets first.
 
-    Candidates violating the cycle condition are rejected before the
-    coloring refutation runs, and the certificate of the set found comes
-    from ``derive_certificate``; the search and that re-check spend one
-    budget.  Exhausting
-    it raises; that is a statement about the budget, never about
-    nonexistence.
+    Candidates without copies or with a short copy cycle are skipped;
+    every other candidate gets the verdicts ``derive_certificate`` would
+    give it, once, from the copies already enumerated and under the
+    search's budget, and the first whose coloring property holds is
+    returned.  Exhausting the budget raises; that is a statement
+    about the budget, never about nonexistence.  One lemma stops the
+    search up front: with two or more colors X needs three points, and
+    any three points chain three pair copies into a 3-cycle, so a
+    two-point ground set cannot reach girth >= 9.
     """
     from itertools import combinations
 
-    if girth >= 9 and ground.size == 2:
-        raise ProviderRefusal("two-point ground sets cannot reach girth >= 9")
+    if girth >= 9 and ground.size == 2 and colors >= 2:
+        raise ProviderRefusal("two-point ground sets cannot reach girth >= 9 with two or more colors")
     budget = budget or Budget(label="certificate search")
     max_cycle_copies = girth // 3
     top = 0
@@ -409,15 +412,11 @@ def search_certificate(
                 if max_cycle_copies >= 2 and len(copies) >= 2:
                     if find_copy_cycle(copies, max_cycle_copies) is not None:
                         continue
-                index = {x: i for i, x in enumerate(elements)}
-                positions = [tuple(index[x] for x in c.image) for c in copies]
-                if find_avoiding_coloring(len(elements), colors, positions, budget) is None:
-                    cert = derive_certificate(ground, elements, colors, girth, budget)
-                    if cert.flags.coloring_ok is None:
-                        raise BudgetExhausted(
-                            "certificate search budget exhausted in the final re-check", budget.used, budget.max_nodes
-                        )
-                    return cert
+                flags = _verdicts(elements, copies, colors, girth, budget)
+                if flags.coloring_ok is None:
+                    raise BudgetExhausted("certificate search budget exhausted", budget.used, budget.max_nodes)
+                if flags.coloring_ok:
+                    return GallaiCertificate(ground, elements, copies, colors, girth, flags)
 
 
 # ---------------------------------------------------------------------------

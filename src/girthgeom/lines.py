@@ -26,7 +26,6 @@ from .geometry import (
     Dir3,
     Homothety3D,
     Line3,
-    LineRelation,
     Plane3,
     PlaneRelation,
     Point3,
@@ -423,7 +422,10 @@ def _slot(v: Triple, u: Triple, d_n: Triple, d_p: Triple) -> tuple[tuple, int]:
     their keys agree.  Keys are linear, so key(v) = r + (whole + frac) *
     key(u) with r[i] = 0 at the first i where key(u)[i] != 0, and class =
     (r, frac): sliding by an integer t adds t to whole.  When key(u) is
-    zero, the class is the key."""
+    zero, the class is the key.  The split is what makes each tested
+    offset one integer lookup: testing key(v) + t * key(u) against the
+    placed keys directly is shorter, but builds and hashes a rational
+    key per offset, and copies can slide a hundred offsets or more."""
     if d_n == d_p:
         key, step = cross(v, d_p), cross(u, d_p)
     else:
@@ -572,14 +574,12 @@ def _check_line_copies(report: recursion.StructureReport, fam: LineFamily, edges
         "no-identical-lines", identical is None, "" if identical is None else f"pair {identical}"
     )
 
+    # two lines are parallel-disjoint exactly when their canonical keys
+    # share the direction but differ
     ground = edges.ground
+    key = {i: fam.lines[i].canonical_key() for i in ground}
     bad_ground = next(
-        (
-            (i, j)
-            for i in ground
-            for j in ground
-            if i < j and line_line_relation(fam.lines[i], fam.lines[j]).kind != LineRelation.PARALLEL
-        ),
+        ((i, j) for i in ground for j in ground if i < j and (key[i][0] != key[j][0] or key[i] == key[j])),
         None,
     )
     report.add(

@@ -346,6 +346,20 @@ def plane_of(nx, ny, nz, offset) -> Plane3:
     return Plane3(Dir3(nx, ny, nz), offset / lead)
 
 
+def reference_bad_ground_pair(lines, ground):
+    """The first pair i < j of ground indices, in ground order, whose lines
+    the pairwise classification does not call parallel-disjoint."""
+    return next(
+        (
+            (i, j)
+            for i in ground
+            for j in ground
+            if i < j and line_line_relation(lines[i], lines[j]).kind != LineRelation.PARALLEL
+        ),
+        None,
+    )
+
+
 def same_line(a, b) -> bool:
     """Set equality: same direction and base offset parallel to it."""
     return a.dir == b.dir and a.contains_point(b.base)

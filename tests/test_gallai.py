@@ -346,23 +346,63 @@ class TestSearchProvider:
         with pytest.raises(BudgetExhausted):
             search_certificate(GroundSet.of([0, 1, 2]), 2, 9, Budget(2000))
 
-    def test_one_budget_covers_search_and_recheck(self):
-        # finding {1..9} spends 2,417 nodes and re-checking it 39 more
+    def test_one_budget_covers_the_search(self):
+        # finding {1..9} spends 2,417 nodes, its own refutation included
         ground = GroundSet.of([0, 1, 2])
         with pytest.raises(BudgetExhausted):
-            search_certificate(ground, 2, 4, Budget(2417))
-        budget = Budget(2456)
-        assert search_certificate(ground, 2, 4, budget).flags.all_true()
-        assert budget.used == 2456
+            search_certificate(ground, 2, 4, Budget(2416))
+        budget = Budget(2417)
+        cert = search_certificate(ground, 2, 4, budget)
+        assert cert.elements == elems(*range(1, 10)) and cert.flags.all_true()
+        assert budget.used == 2417
+
+    def test_enumerates_and_refutes_each_candidate_once(self, monkeypatch):
+        # at girth 4 no cycle filter applies: every set with a copy is refuted
+        with_copies, refutations = [], []
+        enumerate_, refute = gallai.enumerate_copies, gallai.find_avoiding_coloring
+
+        def counted_enumerate(ground, elements):
+            copies = enumerate_(ground, elements)
+            with_copies.append((elements, bool(copies)))
+            return copies
+
+        def counted_refute(*args):
+            refutations.append(args[0])
+            return refute(*args)
+
+        monkeypatch.setattr(gallai, "enumerate_copies", counted_enumerate)
+        monkeypatch.setattr(gallai, "find_avoiding_coloring", counted_refute)
+        cert = search_certificate(GroundSet.of([0, 1, 2]), 2, 4, Budget(10_000))
+        assert len({xs for xs, _ in with_copies}) == len(with_copies)
+        assert len(refutations) == sum(found for _, found in with_copies)
+        assert with_copies[-1][0] == cert.elements == elems(*range(1, 10))
 
     def test_refuses_pairs_at_girth_nine(self):
-        with pytest.raises(ProviderRefusal):
+        with pytest.raises(ProviderRefusal, match="two-point ground sets"):
             search_certificate(GroundSet.of([0, 1]), 2, 9, Budget(1000))
 
     def test_single_color(self):
         cert = search_certificate(GroundSet.of([0, 1, 2]), 1, 4, Budget(100_000))
         assert len(cert.copies) >= 1
         assert cert.flags.all_true()
+
+
+class TestGirthNine:
+    """Girth >= 9 forbids copy 3-cycles; the progression providers get
+    that verdict from the derivation (the search's two-point lemma at
+    k >= 2 is in TestSearchProvider)."""
+
+    @pytest.mark.parametrize("name", ["auto", "pigeonhole", "vdw", "search"])
+    def test_single_color_pair_has_one_copy(self, name):
+        cert = make_certificate(ProviderPolicy(name), GroundSet.of([0, 1]), 1, 9)
+        assert cert.elements == elems(1, 2) and len(cert.copies) == 1
+        assert cert.flags.all_true()
+        assert verify_certificate(cert).verdicts == (True, True, True)
+
+    @pytest.mark.parametrize("name", ["auto", "pigeonhole", "vdw"])
+    def test_progression_refusal_names_the_witness(self, name):
+        with pytest.raises(ProviderRefusal, match="short copy cycle.*witness uses 3 copies"):
+            make_certificate(ProviderPolicy(name), GroundSet.of([0, 1]), 2, 9)
 
 
 def _outcome(policy, ground, colors, girth):

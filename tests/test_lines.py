@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_forbidden_offsets, brute_verify_shift_system, identity_map, same_line
+from _oracles import (
+    brute_forbidden_offsets,
+    brute_verify_shift_system,
+    identity_map,
+    reference_bad_ground_pair,
+    same_line,
+)
 from girthgeom import lines as linemod
 from girthgeom import (
     BudgetExhausted,
@@ -42,7 +48,7 @@ from girthgeom import (
     verify_shift_system,
 )
 from girthgeom.gallai import HomotheticCopy, pigeonhole_certificate
-from girthgeom.geometry import Homothety1D, dot, vsub
+from girthgeom.geometry import Homothety1D, dot, vadd, vsub
 from girthgeom.lines import _offsets, _PlacedLines, forbidden_offsets, frame_conditions
 
 
@@ -442,6 +448,42 @@ class TestNegativeControls:
         monkeypatch.setattr(linemod, "FRAME_HEIGHT", 0)
         with pytest.raises(BudgetExhausted, match="rejection counts"):
             choose_frame(meeting_pair_lines())
+
+
+@pytest.fixture(scope="module")
+def lifted_pair():
+    """The pigeonhole lift of the meeting pair: 3 ground lines and 3 copies."""
+    return recursion_step_lines(meeting_pair_lines(), 2, 6, pigeonhole_provider)
+
+
+class TestGroundCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        which=st.integers(0, 2),
+        how=st.sampled_from(["move", "tilt", "duplicate"]),
+        vec=st.tuples(*[st.integers(-2, 2)] * 3),
+        t=st.integers(-3, 3),
+    )
+    def test_matches_pairwise_oracle(self, lifted_pair, which, how, vec, t):
+        """One ground line moved by vec, tilted by vec, or replaced by ground
+        line t with its base slid to parameter t: set-equal lines with
+        other bases, meeting and skew lines, and still-parallel ones."""
+        fam = lifted_pair
+        ground = fam.provenance["blocks"]["ground"]
+        lines = list(fam.lines)
+        line = lines[ground[which]]
+        if how == "move":
+            lines[ground[which]] = Line3(Point3(*vadd(line.base.as_tuple(), vec)), line.dir)
+        elif how == "tilt" and any(vadd(line.dir.as_tuple(), vec)):
+            lines[ground[which]] = Line3(line.base, Dir3(*vadd(line.dir.as_tuple(), vec)))
+        elif how == "duplicate":
+            other = lines[ground[t % len(ground)]]
+            lines[ground[which]] = Line3(other.point_at(F(t)), other.dir)
+        mutated = LineFamily(tuple(lines), fam.claimed_girth, fam.claimed_chromatic, fam.provenance)
+        report = check_line_structure(mutated)
+        check = next(c for c in report.checks if c.name == "ground-pairwise-parallel-disjoint")
+        bad = reference_bad_ground_pair(lines, ground)
+        assert (check.ok, check.detail) == (bad is None, "" if bad is None else f"ground pair {bad}")
 
 
 def _shift_system(values, order, replaced) -> ShiftSystem:
