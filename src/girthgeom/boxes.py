@@ -10,8 +10,8 @@ re-verifies its own structural claims exactly before returning.
 
 from __future__ import annotations
 
+import heapq
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,7 +19,7 @@ from . import recursion
 from .budget import Budget
 from .errors import ConstructionError
 from .gallai import GallaiCertificate, HomotheticCopy, ProviderPolicy
-from .geometry import AxisMap3, Box3, Homothety1D, Interval, Rat, format_rat, rat
+from .geometry import AxisMap3, Box3, Homothety1D, Interval, Rat, format_rat, integer_rows, rat
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,8 @@ def box_from_doc(doc: dict) -> GroundedSquareBox:
 class BoxFamily:
     """A finite collection of grounded square boxes with its claimed graph
     properties.  Claims are never trusted: girth and chromatic number are
-    recomputed exactly whenever they matter, from the one pairwise sweep
-    the family makes of itself (``meets``)."""
+    recomputed exactly whenever they matter, from the one intersection
+    sweep the family makes of itself (``meets``)."""
 
     boxes: tuple[GroundedSquareBox, ...]
     claimed_girth: int | None  # None: the construction claims no finite cycle
@@ -119,30 +119,28 @@ class BoxFamily:
 
 
 def box_intersection_edges(boxes) -> list[tuple[int, int]]:
-    """All intersecting index pairs, decided exactly.
+    """All intersecting index pairs in (i, j) order, decided exactly.
 
-    Coordinates are moved onto a common integer grid first (a uniform
-    scaling, which preserves every intersection), so the quadratic sweep
-    runs on machine integers.
+    Coordinates are moved onto a common integer grid first
+    (``integer_rows``).  The sweep visits the boxes by rising z-low and
+    keeps those whose z-range still reaches it in a heap keyed by z-high;
+    only these are tested in x and y.  The copies of a recursion step sit
+    in disjoint z-slots (``plan_embeddings``), so the work follows the
+    output, not the number of pairs.
     """
-    rows = _integer_rows(boxes)
+    rows = integer_rows([(b.xr.lo, b.xr.hi, b.yr.lo, b.yr.hi, b.zr.lo, b.zr.hi) for b in (gb.box for gb in boxes)])
+    active: list[tuple[int, ...]] = []  # heap of (z-high, index, x-low, x-high, y-low, y-high)
     edges = []
-    for i in range(len(rows)):
+    for i in sorted(range(len(rows)), key=lambda i: rows[i][4]):
         xl, xh, yl, yh, zl, zh = rows[i]
-        for j in range(i + 1, len(rows)):
-            xl2, xh2, yl2, yh2, zl2, zh2 = rows[j]
-            if xl <= xh2 and xl2 <= xh and yl <= yh2 and yl2 <= yh and zl <= zh2 and zl2 <= zh:
-                edges.append((i, j))
+        while active and active[0][0] < zl:  # strict: boxes are closed, so touching z-faces meet
+            heapq.heappop(active)
+        for _, j, xl2, xh2, yl2, yh2 in active:
+            if xl <= xh2 and xl2 <= xh and yl <= yh2 and yl2 <= yh:
+                edges.append((min(i, j), max(i, j)))
+        heapq.heappush(active, (zh, i, xl, xh, yl, yh))
+    edges.sort()
     return edges
-
-
-def _integer_rows(boxes) -> list[tuple[int, int, int, int, int, int]]:
-    bounds = []
-    for gb in boxes:
-        b = gb.box
-        bounds.append((b.xr.lo, b.xr.hi, b.yr.lo, b.yr.hi, b.zr.lo, b.zr.hi))
-    scale = math.lcm(*(v.denominator for row in bounds for v in row))
-    return [tuple(int(v * scale) for v in row) for row in bounds]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ grazing edges) counts as intersection.  There is no floating-point path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -57,6 +58,15 @@ def vscale(s: Rat, u: Triple) -> Triple:
 
 def is_zero(u: Triple) -> bool:
     return u[0] == 0 and u[1] == 0 and u[2] == 0
+
+
+def integer_rows(rows) -> list[tuple[int, ...]]:
+    """Rows of rationals scaled by one common factor, the least common
+    multiple of all their denominators, so every entry is an integer.  A
+    uniform scaling preserves every incidence, so sweeps run on machine
+    integers."""
+    scale = math.lcm(1, *(v.denominator for row in rows for v in row))
+    return [tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def cycle_graph(n: int) -> GeoGraph:
 def intersection_graph(family) -> GeoGraph:
     """Exact intersection graph of a geometric family.
 
-    The family supplies its own pairwise predicate through
+    The family supplies its own meeting pairs through
     ``intersection_edges()``; vertex i is the family's i-th object.
     """
     return GeoGraph(len(family), family.intersection_edges())

@@ -34,6 +34,7 @@ from .geometry import (
     cross,
     dot,
     format_rat,
+    integer_rows,
     line_line_relation,
     line_plane_meet,
     perp_in_plane,
@@ -60,55 +61,59 @@ def line_from_doc(doc: dict) -> Line3:
 
 
 # ---------------------------------------------------------------------------
-# the pairwise sweep
+# the intersection sweep
 
 
-def _integer_rows(lines) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
-    """Scale all base points by one common factor (a uniform scaling, which
-    preserves every pairwise relation) and each direction by its own, so
-    the sweep runs on machine integers."""
-    denom = math.lcm(
-        *(c.denominator for l in lines for c in l.base.as_tuple()), 1
-    )
+def _integer_rows(lines) -> list[tuple[Triple, Triple]]:
+    """Each line as integer Plücker coordinates (d, m = b x d).  The base
+    points b share one common scale (``integer_rows``); each direction d
+    takes its own, which leaves it primitive with a positive leading entry
+    because Dir3 is canonical, so parallel lines have equal d."""
+    bases = integer_rows([l.base.as_tuple() for l in lines])
     rows = []
-    for l in lines:
-        b = tuple(int(c * denom) for c in l.base.as_tuple())
-        d = l.dir.as_tuple()
-        dd = math.lcm(*(c.denominator for c in d))
-        rows.append((b, tuple(int(c * dd) for c in d)))
+    for b, l in zip(bases, lines):
+        (d,) = integer_rows([l.dir.as_tuple()])
+        rows.append((d, cross(b, d)))
     return rows
-
-
-def _rows_meet(row1, row2) -> bool:
-    """Whether two integer rows are lines meeting in exactly one point:
-    not parallel, and coplanar."""
-    (b1, d1), (b2, d2) = row1, row2
-    n = (
-        d1[1] * d2[2] - d1[2] * d2[1],
-        d1[2] * d2[0] - d1[0] * d2[2],
-        d1[0] * d2[1] - d1[1] * d2[0],
-    )
-    if n == (0, 0, 0):
-        return False
-    return (b2[0] - b1[0]) * n[0] + (b2[1] - b1[1]) * n[1] + (b2[2] - b1[2]) * n[2] == 0
 
 
 def line_intersection_edges(lines) -> list[tuple[int, int]]:
     """All index pairs (i, j) of lines meeting in exactly one point, in
     (i, j) order.  Identical lines are not listed here; a family finds
     them by their canonical keys (``identical``) and treats them as
-    fatal."""
-    rows = _integer_rows(lines)
+    fatal.
+
+    Two lines meet in exactly one point iff their directions differ and
+    b.n = b'.n for n = d x d', which on the rows reads d'.m = -d.m'.  The
+    lines are grouped by direction, and each pair of groups with more than
+    one line between them is joined on that key, in time linear in their
+    sizes.  Pairs of one-line groups (a shift system has only these) are
+    tested directly.
+    """
+    groups: dict[Triple, list[tuple[int, Triple]]] = {}
+    for i, (d, m) in enumerate(_integer_rows(lines)):
+        groups.setdefault(d, []).append((i, m))
+    several = [(d, g) for d, g in groups.items() if len(g) > 1]
+    alone = [(d, g) for d, g in groups.items() if len(g) == 1]
     meets = []
-    for i, row in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            if _rows_meet(row, rows[j]):
+    for a, (d1, g1) in enumerate(several):
+        for d2, g2 in several[a + 1:] + alone:
+            keyed: dict[int, list[int]] = {}
+            for i, m in g1:
+                keyed.setdefault(dot(d2, m), []).append(i)
+            for j, m in g2:
+                meets.extend((min(i, j), max(i, j)) for i in keyed.get(-dot(d1, m), ()))
+    single = [(g[0][0], d, g[0][1]) for d, g in alone]  # in index order
+    for a, (i, (x, y, z), (u, v, w)) in enumerate(single):
+        for j, (p, q, r), (s, t, o) in single[a + 1:]:
+            if x * s + y * t + z * o + p * u + q * v + r * w == 0:  # d.m' + d'.m == 0
                 meets.append((i, j))
+    meets.sort()
     return meets
 
 
 class _SweptLines:
-    """A line family sweeps its lines pairwise once, when it is made:
+    """A line family sweeps its lines once, when it is made:
     ``meets`` are the meeting pairs in (i, j) order and ``identical`` is
     the first pair of set-equal lines, or None."""
 

@@ -3,11 +3,14 @@
 These deliberately take different routes from the library: cycle
 enumeration instead of BFS, plain vertex-order color enumeration instead
 of saturation-ordered backtracking, ratio tests instead of map
-construction.  They are slow and only run at oracle scale.  The one
-exception is ``scan_is_k_colorable``, the library's coloring search as
-it was with a linear scan for the next vertex: the reference that the
-incremental selection must match node for node.  The small geometry and
-file helpers at the end are used only by the tests, too.
+construction.  They are slow and only run at oracle scale.  The
+exceptions are the library's own earlier fast paths, kept as references
+the current ones must match exactly: ``scan_is_k_colorable``, the
+coloring search with a linear scan for the next vertex, which the
+incremental selection must match node for node; and the two all-pairs
+intersection sweeps, which the output-sensitive sweeps must match pair
+for pair.  The small geometry and file helpers at the end are used only
+by the tests, too.
 """
 
 from __future__ import annotations
@@ -309,6 +312,75 @@ def reference_copy_cycle(copies, max_copies: int):
     ring = best_cycle[start:] + best_cycle[:start]
     elems = {i: x for x, i in elem_ids.items()}
     return tuple(copies[v[1]] for v in ring[0::2]), tuple(elems[v[1]] for v in ring[1::2])
+
+
+# ---------------------------------------------------------------------------
+# all-pairs intersection sweeps
+
+
+def all_pairs_box_edges(boxes) -> list[tuple[int, int]]:
+    """Every pair of boxes tested on a common integer grid, in (i, j)
+    order: the reference for the library's z-sweep."""
+    rows = _box_integer_rows(boxes)
+    edges = []
+    for i in range(len(rows)):
+        xl, xh, yl, yh, zl, zh = rows[i]
+        for j in range(i + 1, len(rows)):
+            xl2, xh2, yl2, yh2, zl2, zh2 = rows[j]
+            if xl <= xh2 and xl2 <= xh and yl <= yh2 and yl2 <= yh and zl <= zh2 and zl2 <= zh:
+                edges.append((i, j))
+    return edges
+
+
+def _box_integer_rows(boxes) -> list[tuple[int, int, int, int, int, int]]:
+    bounds = []
+    for gb in boxes:
+        b = gb.box
+        bounds.append((b.xr.lo, b.xr.hi, b.yr.lo, b.yr.hi, b.zr.lo, b.zr.hi))
+    scale = math.lcm(*(v.denominator for row in bounds for v in row))
+    return [tuple(int(v * scale) for v in row) for row in bounds]
+
+
+def all_pairs_line_edges(lines) -> list[tuple[int, int]]:
+    """Every pair of lines tested for meeting in exactly one point, on
+    integer rows, in (i, j) order: the reference for the library's sweep
+    by direction class."""
+    rows = _line_integer_rows(lines)
+    meets = []
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            if _rows_meet(row, rows[j]):
+                meets.append((i, j))
+    return meets
+
+
+def _line_integer_rows(lines) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
+    """All base points scaled by one common factor, each direction by its
+    own."""
+    denom = math.lcm(
+        *(c.denominator for l in lines for c in l.base.as_tuple()), 1
+    )
+    rows = []
+    for l in lines:
+        b = tuple(int(c * denom) for c in l.base.as_tuple())
+        d = l.dir.as_tuple()
+        dd = math.lcm(*(c.denominator for c in d))
+        rows.append((b, tuple(int(c * dd) for c in d)))
+    return rows
+
+
+def _rows_meet(row1, row2) -> bool:
+    """Whether two integer rows are lines meeting in exactly one point:
+    not parallel, and coplanar."""
+    (b1, d1), (b2, d2) = row1, row2
+    n = (
+        d1[1] * d2[2] - d1[2] * d2[1],
+        d1[2] * d2[0] - d1[0] * d2[2],
+        d1[0] * d2[1] - d1[1] * d2[0],
+    )
+    if n == (0, 0, 0):
+        return False
+    return (b2[0] - b1[0]) * n[0] + (b2[1] - b1[1]) * n[1] + (b2[2] - b1[2]) * n[2] == 0
 
 
 # ---------------------------------------------------------------------------
