@@ -213,23 +213,30 @@ def find_avoiding_coloring(
     for idx in copy_indices:
         by_last[idx[-1]].append(idx[:-1])
     assigned = [-1] * n
+
+    def forbidden_at(pos: int) -> int:
+        """The colors that would complete a monochromatic copy ending at
+        pos.  Copies list their positions in ascending order, so this
+        reads only assigned[:pos] and the frame at pos keeps it."""
+        forbidden = 0
+        for prefix in by_last[pos]:
+            c0 = assigned[prefix[0]]
+            for j in prefix[1:]:
+                if assigned[j] != c0:
+                    break
+            else:
+                forbidden |= 1 << c0
+        return forbidden
+
     limit = budget.max_nodes - budget.used
     nodes = 0
-    # frames: [color currently tried at this position, colors introduced above]
-    stack: list[list[int]] = [[-1, 0]]
+    # frames: [color currently tried at this position, colors introduced above, forbidden colors]
+    stack: list[list[int]] = [[-1, 0, forbidden_at(0)]]
     try:
         while stack:
             pos = len(stack) - 1
             frame = stack[-1]
-            cur, intro = frame
-            forbidden = 0
-            for prefix in by_last[pos]:
-                c0 = assigned[prefix[0]]
-                for j in prefix[1:]:
-                    if assigned[j] != c0:
-                        break
-                else:
-                    forbidden |= 1 << c0
+            cur, intro, forbidden = frame
             cap = min(colors - 1, intro)
             c = cur + 1
             while c <= cap and (forbidden >> c) & 1:
@@ -247,7 +254,7 @@ def find_avoiding_coloring(
             assigned[pos] = c
             if pos + 1 == n:
                 return tuple(assigned)
-            stack.append([-1, max(intro, c + 1)])
+            stack.append([-1, max(intro, c + 1), forbidden_at(pos + 1)])
         return None
     finally:
         budget.used += nodes

@@ -214,10 +214,15 @@ def verify_shift_system(system: ShiftSystem) -> tuple[bool, dict | None]:
     Triples are adjacent when the last two values of one are the first two
     of the other (a lookup on those two values).  A meeting pair from the
     system's sweep meets at the designed point exactly when both lines
-    contain it.  Returns (True, None) or (False, diagnostic) naming the
-    first bad pair in (i, j) order.
+    contain it.  A line is designed when it equals ``shift_line`` of its
+    triple, and two designed lines of (a,b,c) and (b,c,d) contain that
+    point by the identity l(a,b,c)(cd) = l(b,c,d)(ab) = (ab+bc+cd,
+    abc+bcd, ab^2c+abcd+bc^2d); only a pair with a line that is not
+    designed gets the explicit incidence test.  Returns (True, None) or
+    (False, diagnostic) naming the first bad pair in (i, j) order.
     """
     triples, lines = system.triples, system.lines
+    designed = [shift_line(*t) == line for t, line in zip(triples, lines)]
     by_prefix: dict[tuple, list[int]] = {}
     for j, t in enumerate(triples):
         by_prefix.setdefault(t[:2], []).append(j)
@@ -229,6 +234,8 @@ def verify_shift_system(system: ShiftSystem) -> tuple[bool, dict | None]:
             return False, {"pair": (i, j), "reason": "spurious incidence"}
         if (i, j) not in meets:
             return False, {"pair": (i, j), "reason": "expected meet"}
+        if designed[i] and designed[j]:
+            continue
         t1, t2 = sorted((triples[i], triples[j]))
         point = shift_meeting_point(t1[0], t1[1], t1[2], t2[2])
         if not (lines[i].contains_point(point) and lines[j].contains_point(point)):

@@ -7,9 +7,11 @@ construction.  They are slow and only run at oracle scale.  The
 exceptions are the library's own earlier fast paths, kept as references
 the current ones must match exactly: ``scan_is_k_colorable``, the
 coloring search with a linear scan for the next vertex, which the
-incremental selection must match node for node; and the two all-pairs
-intersection sweeps, which the output-sensitive sweeps must match pair
-for pair.  The small geometry and file helpers at the end are used only
+incremental selection must match node for node;
+``rescan_avoiding_coloring``, the refutation search that rescans a
+position's copies at every visit, which the search that keeps them per
+frame must match node for node; and the two all-pairs intersection
+sweeps, which the output-sensitive sweeps must match pair for pair.  The small geometry and file helpers at the end are used only
 by the tests, too.
 """
 
@@ -172,6 +174,58 @@ def scan_is_k_colorable(graph, k: int, budget=None) -> ColoringCertificate:
             return ColoringCertificate(k, "colorable", assignment, nodes)
         stack.append([select(), -1, max(intro, c + 1)])
     return ColoringCertificate(k, "refuted", None, nodes)
+
+
+def rescan_avoiding_coloring(
+    n: int, colors: int, copy_indices: list[tuple[int, ...]], budget: Budget
+) -> tuple[int, ...] | None:
+    """``gallai.find_avoiding_coloring`` as it was before each frame kept
+    its forbidden colors: the same tree, rescanning the copies ending at a
+    position each time the search returns to it."""
+    if n == 0:
+        return ()
+    by_last: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for idx in copy_indices:
+        by_last[idx[-1]].append(idx[:-1])
+    assigned = [-1] * n
+    limit = budget.max_nodes - budget.used
+    nodes = 0
+    # frames: [color currently tried at this position, colors introduced above]
+    stack: list[list[int]] = [[-1, 0]]
+    try:
+        while stack:
+            pos = len(stack) - 1
+            frame = stack[-1]
+            cur, intro = frame
+            forbidden = 0
+            for prefix in by_last[pos]:
+                c0 = assigned[prefix[0]]
+                for j in prefix[1:]:
+                    if assigned[j] != c0:
+                        break
+                else:
+                    forbidden |= 1 << c0
+            cap = min(colors - 1, intro)
+            c = cur + 1
+            while c <= cap and (forbidden >> c) & 1:
+                c += 1
+            if c > cap:
+                assigned[pos] = -1
+                stack.pop()
+                continue
+            nodes += 1
+            if nodes > limit:
+                raise BudgetExhausted(
+                    "coloring search budget exhausted", budget.used + nodes, budget.max_nodes
+                )
+            frame[0] = c
+            assigned[pos] = c
+            if pos + 1 == n:
+                return tuple(assigned)
+            stack.append([-1, max(intro, c + 1)])
+        return None
+    finally:
+        budget.used += nodes
 
 
 def brute_coloring_search(n: int, k: int, copy_indices) -> tuple[int, ...] | None:

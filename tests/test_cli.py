@@ -143,6 +143,21 @@ class TestVerify:
         main(["build", "lines", "--g", "6", "--k", "3", "--provider", "pigeonhole", "--out", str(out)])
         assert main(["verify", str(tmp_path / "l9.scene.json")]) == EXIT_OK
 
+    def test_shift_line_off_its_triple_exits_2_with_one_line(self, tmp_path, capsys):
+        # the loader, not verify_shift_system, refuses a stored line that
+        # is not its triple's shift line
+        main(["build", "shift", "--n", "6", "--seed", "1", "--out", str(tmp_path / "s6")])
+        scene = tmp_path / "s6.scene.json"
+        doc = read(scene)
+        base = doc["lines"][7]["base"]
+        base[0] = str(Fraction(base[0]) + 1)
+        scene.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(scene)]) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "stored line does not match its triple" in err
+
 
 class TestGallai:
     def test_make_writes_certificate(self, tmp_path):

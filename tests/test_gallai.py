@@ -33,7 +33,7 @@ from girthgeom.gallai import (
     validate_cycle_witness,
 )
 
-from _oracles import brute_coloring_search, brute_copies, reference_copy_cycle
+from _oracles import brute_coloring_search, brute_copies, reference_copy_cycle, rescan_avoiding_coloring
 
 
 def elems(*values):
@@ -210,6 +210,32 @@ class TestVerify:
             ours = find_avoiding_coloring(len(xs), colors, idx, Budget(10_000_000))
             brute = brute_coloring_search(len(xs), colors, idx)
             assert ours == brute
+
+    @staticmethod
+    def _run(search, n, colors, copies, budget):
+        try:
+            return search(n, colors, copies, budget), budget.used
+        except BudgetExhausted as exc:
+            return ("exhausted", exc.used, exc.limit), budget.used
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        colors=st.integers(1, 3),
+        raw=st.lists(st.sets(st.integers(0, 11), min_size=2, max_size=4), max_size=30),
+        spent=st.integers(0, 5),
+        small=st.integers(0, 60),
+    )
+    def test_search_matches_the_rescanning_search_node_for_node(self, n, colors, raw, spent, small):
+        """Keeping each frame's forbidden colors searches the same tree:
+        the same coloring or refutation, the same nodes, and the same
+        exhaustion point under a small budget."""
+        members = ({i % n for i in c} for c in raw)
+        copies = sorted({tuple(sorted(m)) for m in members if len(m) >= 2})
+        for limit in (10_000_000, spent + small):
+            ours = self._run(find_avoiding_coloring, n, colors, copies, Budget(limit, used=spent))
+            reference = self._run(rescan_avoiding_coloring, n, colors, copies, Budget(limit, used=spent))
+            assert ours == reference
 
 
 class TestDerive:

@@ -71,15 +71,20 @@ class TestShiftLine:
         assert shift_line(a, b, c).point_at(c * d) == shift_line(b, c, d).point_at(a * b)
         assert shift_meeting_point(a, b, c, d) == Point3.of(23, 36, 132)
 
-    def test_identity_for_arbitrary_quadruples(self):
-        for a, b, c, d in [(1, 2, 3, 4), (F(1, 2), F(5, 3), 2, 7), (3, 10, 11, 12)]:
-            lhs = shift_line(a, b, c).point_at(F(c) * F(d))
-            rhs = shift_line(b, c, d).point_at(F(a) * F(b))
-            assert lhs == rhs
-
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             shift_line(2, 1, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.fractions(min_value=-20, max_value=20, max_denominator=7), min_size=4, max_size=4))
+    def test_identity_for_arbitrary_quadruples(self, values):
+        """The identity verify_shift_system relies on for designed lines,
+        over negative and fractional values too."""
+        a, b, c, d = sorted(values)
+        first, second = shift_line(a, b, c), shift_line(b, c, d)
+        point = first.point_at(c * d)
+        assert point == second.point_at(a * b) == shift_meeting_point(a, b, c, d)
+        assert first.contains_point(point) and second.contains_point(point)
 
 
 class TestDoubleShiftGraph:
@@ -486,11 +491,13 @@ class TestGroundCheck:
         assert (check.ok, check.detail) == (bad is None, "" if bad is None else f"ground pair {bad}")
 
 
-def _shift_system(values, order, replaced) -> ShiftSystem:
+def _shift_system(values, order, replaced, slid=()) -> ShiftSystem:
     """Triples of the values in the given scene order, each with its shift
     line, except that for every (k, m, t) in ``replaced`` line k becomes
     the line of triple m (t None) or the parallel to line k through the
-    point at parameter t of the line of triple m."""
+    point at parameter t of the line of triple m; then for every (k, t) in
+    ``slid`` line k keeps its point set but takes its point at parameter t
+    as its base."""
     values = tuple(F(v) for v in sorted(values))
     combos = list(itertools.combinations(values, 3))
     triples = tuple(combos[i] for i in order)
@@ -498,6 +505,9 @@ def _shift_system(values, order, replaced) -> ShiftSystem:
     for k, m, t in replaced:
         k, other = k % len(lines), shift_line(*triples[m % len(triples)])
         lines[k] = other if t is None else Line3(other.point_at(F(t)), lines[k].dir)
+    for k, t in slid:
+        k = k % len(lines)
+        lines[k] = Line3(lines[k].point_at(F(t)), lines[k].dir)
     return ShiftSystem(values, triples, tuple(lines))
 
 
@@ -509,14 +519,43 @@ class TestVerifyShiftSystem:
         replaced=st.lists(
             st.tuples(st.integers(0, 34), st.integers(0, 34), st.none() | st.integers(-40, 40)), max_size=2
         ),
+        slid=st.lists(st.tuples(st.integers(0, 34), st.integers(-40, 40).filter(bool)), max_size=1),
     )
-    def test_matches_pairwise_oracle(self, values, order, replaced):
+    def test_matches_pairwise_oracle(self, values, order, replaced, slid):
         """Narrow value ranges give spurious incidences, and replaced lines
         give missing meets and meets away from the designed points on
-        either line of a pair."""
+        either line of a pair.  A slid line is its designed line as a set
+        but not as stored, so its pairs take the explicit incidence test."""
         count = math.comb(len(values), 3)
-        system = _shift_system(values, [i for i in order if i < count], replaced)
+        system = _shift_system(values, [i for i in order if i < count], replaced, slid)
         assert verify_shift_system(system) == brute_verify_shift_system(system)
+
+    @staticmethod
+    def _meeting_points_computed(monkeypatch, system) -> list[tuple]:
+        calls = []
+
+        def counted(a, b, c, d):
+            calls.append((a, b, c, d))
+            return shift_meeting_point(a, b, c, d)
+
+        monkeypatch.setattr(linemod, "shift_meeting_point", counted)
+        assert verify_shift_system(system) == (True, None)
+        return calls
+
+    def test_designed_meets_take_no_incidence_test(self, monkeypatch):
+        assert self._meeting_points_computed(monkeypatch, build_shift_system(9, seed=1)) == []
+
+    def test_only_pairs_of_an_undesigned_line_fall_back(self, monkeypatch):
+        built = build_shift_system(9, seed=1)
+        k = 40
+        lines = list(built.lines)
+        lines[k] = Line3(lines[k].point_at(F(3)), lines[k].dir)  # the same set, another base point
+        system = ShiftSystem(built.values, built.triples, tuple(lines))
+        a, b, c = built.triples[k]
+        expected = sorted(
+            [(x, a, b, c) for x in built.values if x < a] + [(a, b, c, y) for y in built.values if y > c]
+        )
+        assert sorted(self._meeting_points_computed(monkeypatch, system)) == expected
 
     def test_every_reason_comes_up(self):
         rng = random.Random(1)
