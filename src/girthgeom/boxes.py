@@ -34,12 +34,12 @@ class GroundedSquareBox:
     box: Box3
 
     def __post_init__(self):
-        b = self.box
-        if b.xr.lo != b.yr.hi:
+        x, y, z = self.box.xr, self.box.yr, self.box.zr
+        if x.lo != y.hi:
             raise ValueError("box does not touch the x = y plane in an edge")
-        if b.xr.length != b.yr.length or b.xr.length == 0:
+        if x.lo == x.hi or x.length != y.length:
             raise ValueError("horizontal cross-section must be a non-degenerate square")
-        if b.zr.length == 0:
+        if z.lo == z.hi:
             raise ValueError("box must have non-empty interior")
 
     @classmethod
@@ -69,10 +69,12 @@ def box_to_doc(b: GroundedSquareBox) -> dict:
     }
 
 
-def box_from_doc(doc: dict) -> GroundedSquareBox:
-    return GroundedSquareBox(
-        Box3.from_bounds(doc["x"][0], doc["x"][1], doc["y"][0], doc["y"][1], doc["z"][0], doc["z"][1])
-    )
+def box_from_doc(doc: dict, read=rat) -> GroundedSquareBox:
+    """The box of a document whose axes x, y and z are each a list of two rationals."""
+    for axis in "xyz":
+        if not isinstance(doc[axis], list) or len(doc[axis]) != 2:
+            raise ValueError(f"box axis {axis} must be a list of two rationals, got {doc[axis]!r}")
+    return GroundedSquareBox(Box3(*(Interval(read(doc[a][0]), read(doc[a][1])) for a in "xyz")))
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +231,32 @@ def plan_embeddings(parent: BoxFamily, cert: GallaiCertificate) -> list[CopyEmbe
     return out
 
 
-def embed_copy_boxes(parent: BoxFamily, emb: CopyEmbedding) -> list[GroundedSquareBox]:
-    """The image of the parent family under one embedding, box for box."""
-    mapped = tuple(emb.copy.map.apply(t) for t in sorted(set(parent.traces())))
-    if mapped != emb.copy.image:
-        raise ConstructionError(
-            "copy domain mismatch: parent traces do not map onto the copy image",
-            {"mapped": mapped, "image": emb.copy.image},
-        )
-    return [GroundedSquareBox(emb.axis_map.apply_box(b.box)) for b in parent.boxes]
+def embed_copy_boxes(parent: BoxFamily, embeddings) -> list[list[GroundedSquareBox]]:
+    """The image of the parent family under each embedding, box for box:
+    each embedding maps the parent's distinct coordinates once and
+    assembles its boxes by index.  The traces it places must be its
+    copy's image."""
+    flat: dict[Rat, int] = {}  # distinct x and y coordinates -> index
+    tall: dict[Rat, int] = {}  # distinct z coordinates -> index
+    rows = [
+        [flat.setdefault(v, len(flat)) for v in (b.xr.lo, b.xr.hi, b.yr.lo, b.yr.hi)]
+        + [tall.setdefault(v, len(tall)) for v in (b.zr.lo, b.zr.hi)]
+        for b in (gb.box for gb in parent.boxes)
+    ]
+    traces = [flat[t] for t in sorted(set(parent.traces()))]
+    out = []
+    for emb in embeddings:
+        xs = [emb.axis_map.fx.apply(v) for v in flat]
+        zs = [emb.axis_map.fz.apply(v) for v in tall]
+        mapped = tuple(xs[i] for i in traces)
+        if mapped != emb.copy.image:
+            raise ConstructionError(
+                "copy domain mismatch: parent traces do not map onto the copy image",
+                {"mapped": mapped, "image": emb.copy.image},
+            )
+        out.append([GroundedSquareBox(Box3(Interval(xs[a], xs[b]), Interval(xs[c], xs[d]), Interval(zs[e], zs[f])))
+                    for a, b, c, d, e, f in rows])
+    return out
 
 
 def normalize_traces(fam: BoxFamily) -> BoxFamily:
@@ -321,7 +340,7 @@ def _place_boxes(parent: BoxFamily, certify) -> recursion.Placement:
     elements = cert.elements
     eps = min((b - a for a, b in zip(elements, elements[1:])), default=Fraction(1)) / 3
     ground = make_ground_boxes(elements, eps)
-    copies = [embed_copy_boxes(parent, emb) for emb in plan_embeddings(parent, cert)]
+    copies = embed_copy_boxes(parent, plan_embeddings(parent, cert))
     return recursion.Placement(parent, cert, ground, copies, {"geometry": "boxes"})
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .budget import DEFAULT_NODES, Budget
 from .errors import BudgetExhausted, ProviderFailure, ProviderRefusal
-from .geometry import Homothety1D, Rat, format_rat, rat
+from .geometry import Homothety1D, Rat, format_rat, integer_rows, rat
 from .graphs import GeoGraph, shortest_cycle
 
 
@@ -142,20 +142,26 @@ def enumerate_copies(ground: GroundSet, elements: tuple[Rat, ...]) -> tuple[Homo
 
     A map with positive scale sends min to min and max to max, so each
     candidate is determined by the images of the two extremes; interior
-    points are then membership-tested.
+    points are then membership-tested, on integers: the elements on one
+    grid (``integer_rows``), the ground set in normal form, whose gcd is
+    1, so an image is on the grid only when q = (b - a) / span is an
+    integer, and then its points are a + q * t.
     """
     pts = ground.points
     span = pts[-1] - pts[0]
-    interior = pts[1:-1]
-    universe = set(elements)
+    ints, _ = normalize_ground_set(ground)
+    interior = ints[1:-1]
+    grid = integer_rows([elements])[0]
+    universe = set(grid)
     out: list[HomotheticCopy] = []
-    for i, a in enumerate(elements):
-        for b in elements[i + 1:]:
-            scale = (b - a) / span
-            shift = a - scale * pts[0]
-            mids = tuple(scale * t + shift for t in interior)
-            if all(v in universe for v in mids):
-                image = (a, *mids, b)
+    for i, a in enumerate(grid):
+        for j in range(i + 1, len(grid)):
+            q, r = divmod(grid[j] - a, ints[-1])
+            if r == 0 and all(a + q * t in universe for t in interior):
+                lo, hi = elements[i], elements[j]
+                scale = (hi - lo) / span
+                shift = lo - scale * pts[0]
+                image = (lo, *(scale * t + shift for t in pts[1:-1]), hi)
                 out.append(HomotheticCopy(Homothety1D(scale, shift), image))
     return tuple(out)
 
@@ -499,15 +505,15 @@ def certificate_to_doc(cert: GallaiCertificate) -> dict:
     }
 
 
-def certificate_from_doc(doc: dict) -> GallaiCertificate:
+def certificate_from_doc(doc: dict, read=rat) -> GallaiCertificate:
     if doc.get("kind") != "gallai-certificate":
         raise ValueError(f"not a certificate document: kind={doc.get('kind')!r}")
-    ground = GroundSet(tuple(rat(v) for v in doc["ground_set"]))
-    elements = tuple(rat(v) for v in doc["elements"])
+    ground = GroundSet(tuple(map(read, doc["ground_set"])))
+    elements = tuple(map(read, doc["elements"]))
     copies = tuple(
         HomotheticCopy(
-            Homothety1D(rat(c["scale"]), rat(c["shift"])),
-            tuple(rat(x) for x in c["image"]),
+            Homothety1D(read(c["scale"]), read(c["shift"])),
+            tuple(map(read, c["image"])),
         )
         for c in doc["copies"]
     )

@@ -300,9 +300,6 @@ class Homothety1D:
     def apply(self, value: Rat) -> Rat:
         return self.scale * value + self.shift
 
-    def apply_interval(self, iv: Interval) -> Interval:
-        return Interval(self.apply(iv.lo), self.apply(iv.hi))
-
 
 @dataclass(frozen=True)
 class Homothety3D:
@@ -341,11 +338,3 @@ class AxisMap3:
     @classmethod
     def of(cls, horizontal: Homothety1D, vertical: Homothety1D) -> "AxisMap3":
         return cls(horizontal, horizontal, vertical)
-
-    def apply_box(self, b: Box3) -> Box3:
-        return Box3(
-            self.fx.apply_interval(b.xr),
-            self.fy.apply_interval(b.yr),
-            self.fz.apply_interval(b.zr),
-        )
-

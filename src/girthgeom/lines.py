@@ -56,8 +56,8 @@ def line_to_doc(line: Line3) -> dict:
     }
 
 
-def line_from_doc(doc: dict) -> Line3:
-    return Line3(Point3.of(*doc["base"]), Dir3.of(*doc["dir"]))
+def line_from_doc(doc: dict, read=rat) -> Line3:
+    return Line3(Point3(*map(read, doc["base"])), Dir3(*map(read, doc["dir"])))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 from .boxes import BoxFamily, box_from_doc
 from .errors import SceneFormatError
 from .gallai import GallaiCertificate, certificate_from_doc
-from .geometry import format_rat, rat
+from .geometry import Rat, format_rat, rat
 from .lines import LineFamily, ShiftSystem, line_from_doc, line_to_doc, shift_line
 
 
@@ -37,6 +37,18 @@ def read_doc(path) -> dict:
         raise SceneFormatError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise SceneFormatError(f"not valid JSON: {path}: {exc}") from exc
+
+
+class _Rationals(dict):
+    """The rationals of one document: each distinct string is parsed once,
+    by ``rat`` like any other value."""
+
+    def __missing__(self, text: str) -> Rat:
+        self[text] = rat(text)
+        return self[text]
+
+    def __call__(self, value) -> Rat:
+        return self[value] if isinstance(value, str) else rat(value)
 
 
 def _parse(kind: str, doc, read):
@@ -62,10 +74,12 @@ def _family_to_doc(kind: str, key: str, fam) -> dict:
     }
 
 
-def _read_family(family, key: str, read_object, doc: dict):
-    objects = tuple(read_object(o) for o in doc[key])
-    g = doc.get("g")
-    return family(objects, None if g is None else int(g), int(doc["k"]), doc.get("provenance", {}))
+def _read_family(family, key: str, read_object, doc: dict, read):
+    objects = tuple(read_object(o, read) for o in doc[key])
+    g, k = doc.get("g"), doc["k"]
+    if type(k) is not int or not (g is None or type(g) is int):
+        raise ValueError(f"g and k must be integers (g may be null), got g={g!r}, k={k!r}")
+    return family(objects, g, k, doc.get("provenance", {}))
 
 
 def _shift_system_to_doc(system: ShiftSystem) -> dict:
@@ -81,10 +95,10 @@ def _shift_system_to_doc(system: ShiftSystem) -> dict:
     }
 
 
-def _read_shift_system(doc: dict) -> ShiftSystem:
-    values = tuple(rat(v) for v in doc["values"])
-    triples = tuple(tuple(rat(x) for x in entry["triple"]) for entry in doc["lines"])
-    lines = tuple(line_from_doc(entry) for entry in doc["lines"])
+def _read_shift_system(doc: dict, read) -> ShiftSystem:
+    values = tuple(map(read, doc["values"]))
+    triples = tuple(tuple(map(read, entry["triple"])) for entry in doc["lines"])
+    lines = tuple(line_from_doc(entry, read) for entry in doc["lines"])
     for t, l in zip(triples, lines):
         if shift_line(*t) != l:
             raise SceneFormatError(f"stored line does not match its triple {t}")
@@ -120,7 +134,8 @@ def scene_from_doc(doc: dict):
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in _SCENES:
         raise SceneFormatError(f"unknown scene kind: {kind!r}")
-    return _parse(kind, doc, _SCENES[kind][2])
+    read = _SCENES[kind][2]
+    return _parse(kind, doc, lambda d: read(d, _Rationals()))
 
 
 def save_scene(path, obj) -> None:
@@ -136,4 +151,4 @@ def load_scene(path):
 
 
 def load_certificate(path) -> GallaiCertificate:
-    return _parse("certificate", read_doc(path), certificate_from_doc)
+    return _parse("certificate", read_doc(path), lambda d: certificate_from_doc(d, _Rationals()))

@@ -10,9 +10,13 @@ coloring search with a linear scan for the next vertex, which the
 incremental selection must match node for node;
 ``rescan_avoiding_coloring``, the refutation search that rescans a
 position's copies at every visit, which the search that keeps them per
-frame must match node for node; and the two all-pairs intersection
-sweeps, which the output-sensitive sweeps must match pair for pair.  The small geometry and file helpers at the end are used only
-by the tests, too.
+frame must match node for node; the two all-pairs intersection
+sweeps, which the output-sensitive sweeps must match pair for pair;
+``fraction_copies``, the copy enumeration in exact Fractions, which the
+integer-grid enumeration must match copy for copy; and
+``axis_map_box``, the per-box map that the embedding by coordinate
+table must match box for box.  The small geometry and file helpers at
+the end are used only by the tests, too.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from fractions import Fraction
 
 from girthgeom.budget import Budget
 from girthgeom.errors import BudgetExhausted, ConstructionError
-from girthgeom.gallai import certificate_to_doc
+from girthgeom.gallai import HomotheticCopy, certificate_to_doc
 from girthgeom.geometry import (
     Box3,
     Dir3,
@@ -253,6 +257,27 @@ def brute_copies(ground, elements) -> set[tuple[Fraction, ...]]:
     return out
 
 
+def fraction_copies(ground, elements) -> tuple[HomotheticCopy, ...]:
+    """The copy enumeration computed in exact Fractions: every pair of
+    elements as the images of the two extremes, each interior image
+    computed and membership-tested.  The library's integer-grid
+    enumeration must match it copy for copy, maps included."""
+    pts = ground.points
+    span = pts[-1] - pts[0]
+    interior = pts[1:-1]
+    universe = set(elements)
+    out: list[HomotheticCopy] = []
+    for i, a in enumerate(elements):
+        for b in elements[i + 1:]:
+            scale = (b - a) / span
+            shift = a - scale * pts[0]
+            mids = tuple(scale * t + shift for t in interior)
+            if all(v in universe for v in mids):
+                image = (a, *mids, b)
+                out.append(HomotheticCopy(Homothety1D(scale, shift), image))
+    return tuple(out)
+
+
 def all_graphs(n: int):
     """Every labeled graph on n vertices, as (n, edge set)."""
     pairs = list(itertools.combinations(range(n), 2))
@@ -460,6 +485,13 @@ def homothety_box(f, b):
     """The image of a box under a 3-D homothety ``f``."""
     axis = lambda iv, c: Interval(f.scale * iv.lo + c, f.scale * iv.hi + c)
     return Box3(axis(b.xr, f.shift.x), axis(b.yr, f.shift.y), axis(b.zr, f.shift.z))
+
+
+def axis_map_box(m, b) -> Box3:
+    """The image of a box under an axis map, interval by interval: the
+    per-box map the library's table embedding must match."""
+    axis = lambda f, iv: Interval(f.apply(iv.lo), f.apply(iv.hi))
+    return Box3(axis(m.fx, b.xr), axis(m.fy, b.yr), axis(m.fz, b.zr))
 
 
 def plane_of(nx, ny, nz, offset) -> Plane3:

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from girthgeom import (
     Box3,
@@ -25,9 +27,10 @@ from girthgeom import (
     single_box_family,
 )
 from girthgeom.boxes import CopyEmbedding, plan_embeddings
-from girthgeom.gallai import GroundSet, pigeonhole_certificate
+from girthgeom.gallai import GroundSet, HomotheticCopy, pigeonhole_certificate
+from girthgeom.geometry import AxisMap3, Homothety1D, Interval
 
-from _oracles import identity_map
+from _oracles import axis_map_box, identity_map
 
 
 def pigeonhole_provider(ground, colors, girth_param):
@@ -51,6 +54,19 @@ class TestGroundedSquareBox:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             GroundedSquareBox(Box3.from_bounds(0, 2, -1, 0, 0, 1))
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ((0, 2, 0, 1, 0, 0), "does not touch the x = y plane"),  # every check fails: the first one names it
+            ((0, 0, 0, 0, 0, 0), "non-degenerate square"),
+            ((0, 2, -1, 0, 0, 0), "non-degenerate square"),
+            ((0, 1, -1, 0, 1, 1), "non-empty interior"),
+        ],
+    )
+    def test_first_failed_check_names_the_error(self, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            GroundedSquareBox(Box3.from_bounds(*bounds))
 
 
 class TestOddCycleBoxes:
@@ -116,13 +132,13 @@ class TestEmbedCopyBoxes:
         emb = CopyEmbedding(
             copy, Interval.of(0, 1), AxisMap3.of(identity_map(), identity_map())
         )
-        assert [b.box for b in embed_copy_boxes(parent, emb)] == [b.box for b in parent.boxes]
+        assert [b.box for b in embed_copy_boxes(parent, [emb])[0]] == [b.box for b in parent.boxes]
 
     def test_pair_copy_traces(self):
         parent = meeting_pair_family()
         cert = pigeonhole_certificate(GroundSet.of(parent.traces()), 2, 6)
         emb = plan_embeddings(parent, cert)[0]  # copy {1, 2}
-        images = embed_copy_boxes(parent, emb)
+        (images,) = embed_copy_boxes(parent, [emb])
         assert [b.trace for b in images] == [F(1), F(2)]
         assert all(b.box.zr.lo >= emb.z_interval.lo and b.box.zr.hi <= emb.z_interval.hi for b in images)
 
@@ -137,7 +153,7 @@ class TestEmbedCopyBoxes:
         emb = CopyEmbedding(
             copy, Interval.of(0, 1), AxisMap3.of(mapping, identity_map())
         )
-        images = embed_copy_boxes(parent, emb)
+        (images,) = embed_copy_boxes(parent, [emb])
         got = intersection_graph(BoxFamily(tuple(images), None, 1, {}))
         assert got == intersection_graph(parent)
 
@@ -151,7 +167,36 @@ class TestEmbedCopyBoxes:
             copy, Interval.of(0, 1), AxisMap3.of(identity_map(), identity_map())
         )
         with pytest.raises(ConstructionError):
-            embed_copy_boxes(parent, emb)
+            embed_copy_boxes(parent, [emb])
+
+
+@st.composite
+def embedding_cases(draw):
+    """A parent whose boxes share traces, sides and z-ends from small
+    pools, and a few embeddings of it with random positive maps."""
+    z_ends = st.lists(st.sampled_from([F(0), F(1, 3), F(1), F(2)]), min_size=2, max_size=2, unique=True)
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        zlo, zhi = sorted(draw(z_ends))
+        trace = draw(st.sampled_from([F(v, 2) for v in range(-3, 4)]))
+        boxes.append(GroundedSquareBox.of(trace, draw(st.sampled_from([F(1, 2), F(1), F(3, 2)])), zlo, zhi))
+    parent = BoxFamily(tuple(boxes), None, 1, {})
+    scales = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
+    shifts = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    embeddings = []
+    for _ in range(draw(st.integers(1, 4))):
+        horizontal, vertical = Homothety1D(draw(scales), draw(shifts)), Homothety1D(draw(scales), draw(shifts))
+        copy = HomotheticCopy(horizontal, tuple(horizontal.apply(t) for t in sorted(set(parent.traces()))))
+        embeddings.append(CopyEmbedding(copy, Interval.of(0, 1), AxisMap3.of(horizontal, vertical)))
+    return parent, embeddings
+
+
+@settings(max_examples=200, deadline=None)
+@given(embedding_cases())
+def test_embedding_by_table_matches_the_per_box_map(case):
+    parent, embeddings = case
+    expected = [[GroundedSquareBox(axis_map_box(e.axis_map, b.box)) for b in parent.boxes] for e in embeddings]
+    assert embed_copy_boxes(parent, embeddings) == expected
 
 
 class TestNormalizeTraces:

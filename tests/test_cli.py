@@ -364,6 +364,23 @@ def _edit_image(doc):
     image[0] = str(Fraction(image[0]) + 1)
 
 
+def _axis_as_string(doc):
+    # ["0", "2"] -> "02": indexing the string would read the same two ends
+    doc["boxes"][0]["x"] = "".join(doc["boxes"][0]["x"])
+
+
+def _third_axis_entry(doc):
+    doc["boxes"][0]["x"].append("5")
+
+
+def _bad_string_twice(doc, text):
+    doc["boxes"][0]["x"][0] = doc["boxes"][1]["z"][1] = text
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
 @pytest.mark.parametrize(
     "build, path, spoil",
     [
@@ -374,9 +391,22 @@ def _edit_image(doc):
         (["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4"], "s.json", lambda doc: [doc]),
         (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", _short_coordinates),
         (["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4"], "s.json", _edit_image),
+        (["build", "boxes", "--g", "6", "--k", "2", "--provider", "pigeonhole"], "s.scene.json", _axis_as_string),
+        (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", _third_axis_entry),
+        (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json",
+         lambda doc: _bad_string_twice(doc, "one/two")),
+        (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json",
+         lambda doc: _bad_string_twice(doc, "1/0")),
+        (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", _set("g", 2.7)),
+        (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", _set("g", True)),
+        (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", _set("k", True)),
+        (["build", "lines", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", _set("k", "3")),
+        (["build", "lines", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", _set("g", 6.0)),
     ],
     ids=["shift-value-trimmed", "shift-line-removed", "shift-value-changed", "array-scene", "array-certificate",
-         "short-box-coordinates", "edited-copy-image"],
+         "short-box-coordinates", "edited-copy-image", "box-axis-string", "box-axis-three-entries",
+         "bad-string-twice", "zero-denominator-twice", "girth-float", "girth-bool", "colors-bool",
+         "line-colors-string", "line-girth-float"],
 )
 def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, build, path, spoil):
     monkeypatch.chdir(tmp_path)

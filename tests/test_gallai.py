@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from girthgeom import (
@@ -33,7 +33,13 @@ from girthgeom.gallai import (
     validate_cycle_witness,
 )
 
-from _oracles import brute_coloring_search, brute_copies, reference_copy_cycle, rescan_avoiding_coloring
+from _oracles import (
+    brute_coloring_search,
+    brute_copies,
+    fraction_copies,
+    reference_copy_cycle,
+    rescan_avoiding_coloring,
+)
 
 
 def elems(*values):
@@ -95,6 +101,36 @@ class TestEnumerateCopies:
         gs = GroundSet.of(ground)
         xs = tuple(sorted(F(v) for v in universe))
         assert {c.image for c in enumerate_copies(gs, xs)} == brute_copies(gs, xs)
+
+
+@st.composite
+def copy_instances(draw):
+    """A ground set and an element set, each on its own rational lattice
+    (so copies are frequent), plus a few off-lattice elements."""
+    lattice = st.fractions(min_value=F(1, 6), max_value=3, max_denominator=6)
+    origin = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    g_unit, g_origin, x_unit, x_origin = draw(lattice), draw(origin), draw(lattice), draw(origin)
+    ground = draw(st.lists(st.integers(-4, 6), min_size=2, max_size=5, unique=True))
+    picks = draw(st.lists(st.integers(-10, 14), max_size=16, unique=True))
+    extras = draw(st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=5), max_size=3))
+    elements = {x_origin + x_unit * p for p in picks} | set(extras)
+    return GroundSet.of([g_origin + g_unit * t for t in ground]), tuple(sorted(elements))
+
+
+class TestEnumerateCopiesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(copy_instances())
+    @example((GroundSet.of([0, 1]), ()))
+    @example((GroundSet.of([0, 1, 3]), elems(5)))
+    @example((GroundSet.of([F(-1, 2), F(1, 3)]), (F(-7, 3), F(-1, 4), F(2, 5))))
+    @example((GroundSet.of([F(-3, 2), F(-1, 2), F(5, 2)]), tuple(F(v, 4) for v in range(-12, 12))))
+    def test_matches_the_fraction_loop(self, instance):
+        ground, elements = instance
+        got = enumerate_copies(ground, elements)
+        want = fraction_copies(ground, elements)
+        assert [(c.map.scale, c.map.shift, c.image) for c in got] == [
+            (c.map.scale, c.map.shift, c.image) for c in want
+        ]
 
 
 class TestCopyCycles:

@@ -1,8 +1,12 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from girthgeom import (
+    BoxFamily,
+    LineFamily,
+    ShiftSystem,
     build_shift_system,
     meeting_pair_family,
     meeting_pair_lines,
@@ -10,9 +14,14 @@ from girthgeom import (
     odd_cycle_lines,
     recursion_step_boxes,
     recursion_step_lines,
+    single_box_family,
 )
+from girthgeom import scenes
+from girthgeom.boxes import box_from_doc
 from girthgeom.errors import SceneFormatError
-from girthgeom.gallai import pigeonhole_certificate
+from girthgeom.gallai import pigeonhole_certificate, vdw_certificate
+from girthgeom.geometry import rat
+from girthgeom.lines import line_from_doc
 from girthgeom.scenes import (
     dumps_doc,
     load_certificate,
@@ -122,3 +131,48 @@ class TestCertificateFiles:
         path.write_text(json.dumps({"kind": "gallai-certificate", "ground_set": ["0"]}))
         with pytest.raises(SceneFormatError):
             load_certificate(path)
+
+
+def _per_call_scene(doc):
+    """The scene of a document with every rational parsed by its own
+    ``rat`` call: the reference for the per-document reader."""
+    if doc["kind"] == "shift-system":
+        triples = tuple(tuple(rat(x) for x in entry["triple"]) for entry in doc["lines"])
+        lines = tuple(line_from_doc(entry) for entry in doc["lines"])
+        return ShiftSystem(tuple(rat(v) for v in doc["values"]), triples, lines, doc["provenance"])
+    family, key, read = (BoxFamily, "boxes", box_from_doc) if "boxes" in doc else (LineFamily, "lines", line_from_doc)
+    return family(tuple(read(o) for o in doc[key]), doc["g"], doc["k"], doc["provenance"])
+
+
+class TestPerDocumentParsing:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: recursion_step_boxes(odd_cycle_boxes(5), 1, 4, lambda g, k, gi: vdw_certificate(g, k, gi, 30)),
+            single_box_family,
+            lambda: recursion_step_lines(meeting_pair_lines(), 2, 6, provider),
+            lambda: build_shift_system(6, seed=1),
+        ],
+        ids=["box-step", "single-box", "line-step", "shift"],
+    )
+    def test_scene_equals_per_call_parsing(self, make):
+        doc = json.loads(dumps_doc(scene_to_doc(make())))
+        assert scene_from_doc(doc) == _per_call_scene(doc)
+
+    def test_certificate_equals_per_call_parsing(self, tmp_path):
+        from girthgeom.gallai import GroundSet, certificate_from_doc
+
+        cert = vdw_certificate(GroundSet.of([F(-1, 2), F(1, 3), F(7, 6)]), 2, 4)
+        path = tmp_path / "cert.json"
+        save_certificate(path, cert)
+        assert load_certificate(path) == certificate_from_doc(json.loads(path.read_text()))
+
+    def test_each_distinct_string_is_parsed_once_per_document(self, monkeypatch):
+        doc = scene_to_doc(recursion_step_boxes(meeting_pair_family(), 2, 6, provider))
+        strings = [v for b in doc["boxes"] for axis in "xyz" for v in b[axis]]
+        parsed = []
+        monkeypatch.setattr(scenes, "rat", lambda v: parsed.append(v) or rat(v))
+        scene_from_doc(doc)
+        assert sorted(parsed) == sorted(set(strings)) and len(strings) > len(set(strings))
+        scene_from_doc(doc)  # no cache outlives its document
+        assert len(parsed) == 2 * len(set(strings))
