@@ -77,7 +77,6 @@ from .lines import (
     odd_cycle_lines,
     recursion_step_lines,
     shift_line,
-    shift_meeting_point,
     single_line_family,
     verify_shift_system,
 )

@@ -282,15 +282,23 @@ def derive_certificate(
     from False.  The copy list is complete by construction.
     """
     copies = enumerate_copies(ground, elements)
-    flags = _verdicts(elements, copies, colors, girth, budget)
+    flags = _verdicts(elements, copies, colors, _short_copy_cycle(copies, girth), budget)
     return GallaiCertificate(ground, elements, copies, colors, girth, flags)
 
 
-def _verdicts(elements, copies, colors: int, girth: int, budget: Budget | None) -> CertificateFlags:
+def _short_copy_cycle(copies, girth: int) -> CopyCycleWitness | None:
+    """A copy cycle of at most girth // 3 copies, which breaks sparsity
+    at this girth, or None; no search runs when no such cycle can exist."""
+    return find_copy_cycle(copies, girth // 3) if girth // 3 >= 2 and len(copies) >= 2 else None
+
+
+def _verdicts(
+    elements, copies, colors: int, cycle: CopyCycleWitness | None, budget: Budget | None
+) -> CertificateFlags:
     """The flags ``derive_certificate`` gives ``elements`` from all their
-    ``copies``; the search calls it on the copies it has enumerated."""
+    ``copies`` and their short copy ``cycle``; the search calls it on the
+    copies it has enumerated, once their cycle search has found none."""
     budget = budget or Budget(label="certificate verification")
-    cycle = find_copy_cycle(copies, girth // 3) if girth // 3 >= 2 and len(copies) >= 2 else None
     index = {x: i for i, x in enumerate(elements)}
     positions = [tuple(index[x] for x in c.image) for c in copies]
     try:
@@ -398,20 +406,19 @@ def search_certificate(
 
     Candidates without copies or with a short copy cycle are skipped;
     every other candidate gets the verdicts ``derive_certificate`` would
-    give it, once, from the copies already enumerated and under the
-    search's budget, and the first whose coloring property holds is
-    returned.  Exhausting the budget raises; that is a statement
-    about the budget, never about nonexistence.  One lemma stops the
-    search up front: with two or more colors X needs three points, and
-    any three points chain three pair copies into a 3-cycle, so a
-    two-point ground set cannot reach girth >= 9.
+    give it, once, from the copies already enumerated and the copy cycle
+    already searched for, under the search's budget, and the first whose
+    coloring property holds is returned.  Exhausting the budget raises;
+    that is a statement about the budget, never about nonexistence.  One
+    lemma stops the search up front: with two or more colors X needs
+    three points, and any three points chain three pair copies into a
+    3-cycle, so a two-point ground set cannot reach girth >= 9.
     """
     from itertools import combinations
 
     if girth >= 9 and ground.size == 2 and colors >= 2:
         raise ProviderRefusal("two-point ground sets cannot reach girth >= 9 with two or more colors")
     budget = budget or Budget(label="certificate search")
-    max_cycle_copies = girth // 3
     top = 0
     while True:
         top += 1
@@ -420,12 +427,9 @@ def search_certificate(
                 budget.spend()
                 elements = tuple(Fraction(v) for v in rest + (top,))
                 copies = enumerate_copies(ground, elements)
-                if not copies:
+                if not copies or _short_copy_cycle(copies, girth) is not None:
                     continue
-                if max_cycle_copies >= 2 and len(copies) >= 2:
-                    if find_copy_cycle(copies, max_cycle_copies) is not None:
-                        continue
-                flags = _verdicts(elements, copies, colors, girth, budget)
+                flags = _verdicts(elements, copies, colors, None, budget)
                 if flags.coloring_ok is None:
                     raise BudgetExhausted("certificate search budget exhausted", budget.used, budget.max_nodes)
                 if flags.coloring_ok:
@@ -524,4 +528,7 @@ def certificate_from_doc(doc: dict, read=rat) -> GallaiCertificate:
         copies_complete=flags_doc.get("copies_complete"),
         note=flags_doc.get("note", ""),
     )
-    return GallaiCertificate(ground, elements, copies, int(doc["colors"]), int(doc["girth"]), flags)
+    colors, girth = doc["colors"], doc["girth"]
+    if type(colors) is not int or type(girth) is not int:
+        raise ValueError(f"colors and girth must be integers, got colors={colors!r}, girth={girth!r}")
+    return GallaiCertificate(ground, elements, copies, colors, girth, flags)

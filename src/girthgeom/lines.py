@@ -154,13 +154,22 @@ class LineFamily(_SweptLines):
 
 @dataclass(frozen=True)
 class ShiftSystem(_SweptLines):
-    """Lines indexed by ascending value triples from a sampled set, whose
-    exact intersection graph is the double shift graph."""
+    """The lines of a value set: one ``shift_line`` per ascending triple,
+    in ``itertools.combinations`` order, both derived from ``values``
+    when the system is made.  ``verification`` says whether its exact
+    intersection graph is the double shift graph."""
 
     values: tuple[Rat, ...]
-    triples: tuple[tuple[Rat, Rat, Rat], ...]
-    lines: tuple[Line3, ...]
     provenance: dict = field(default_factory=dict)
+    triples: tuple[tuple[Rat, Rat, Rat], ...] = field(init=False)
+    lines: tuple[Line3, ...] = field(init=False)
+
+    def __post_init__(self):
+        if len(self.values) < 3:
+            raise ValueError(f"a shift system needs at least 3 values, got {len(self.values)}")
+        object.__setattr__(self, "triples", tuple(itertools.combinations(self.values, 3)))
+        object.__setattr__(self, "lines", tuple(shift_line(*t) for t in self.triples))
+        super().__post_init__()
 
     @cached_property
     def verification(self) -> tuple[bool, dict | None]:
@@ -187,13 +196,6 @@ def shift_line(a, b, c) -> Line3:
     )
 
 
-def shift_meeting_point(a, b, c, d) -> Point3:
-    """Where the lines of (a,b,c) and (b,c,d) meet: the first evaluated at
-    t = cd, which equals the second evaluated at t = ab."""
-    a, b, c, d = rat(a), rat(b), rat(c), rat(d)
-    return shift_line(a, b, c).point_at(c * d)
-
-
 def double_shift_graph(n: int) -> graphs.GeoGraph:
     """Vertices: ascending triples from {1..n}; (a,b,c) ~ (b,c,d)."""
     if n < 3:
@@ -208,25 +210,15 @@ def double_shift_graph(n: int) -> graphs.GeoGraph:
 
 
 def verify_shift_system(system: ShiftSystem) -> tuple[bool, dict | None]:
-    """Exact check that the system's graph is the double shift graph with
-    all meets at the designed points and no spurious incidences.
-
-    Triples are adjacent when the last two values of one are the first two
-    of the other (a lookup on those two values).  A meeting pair from the
-    system's sweep meets at the designed point exactly when both lines
-    contain it.  A line is designed when it equals ``shift_line`` of its
-    triple, and two designed lines of (a,b,c) and (b,c,d) contain that
-    point by the identity l(a,b,c)(cd) = l(b,c,d)(ab) = (ab+bc+cd,
-    abc+bcd, ab^2c+abcd+bc^2d); only a pair with a line that is not
-    designed gets the explicit incidence test.  Returns (True, None) or
-    (False, diagnostic) naming the first bad pair in (i, j) order.
+    """Exact check that the system's intersection graph is the double
+    shift graph: its swept meeting pairs, and its identical pair if any,
+    against the graph's edges.  Every line is its triple's ``shift_line``,
+    so the lines of (a,b,c) and (b,c,d) that meet do so at the designed
+    point, by the identity l(a,b,c)(cd) = l(b,c,d)(ab) = (ab+bc+cd,
+    abc+bcd, ab^2c+abcd+bc^2d).  Returns (True, None) or (False,
+    diagnostic) naming the first bad pair in (i, j) order.
     """
-    triples, lines = system.triples, system.lines
-    designed = [shift_line(*t) == line for t, line in zip(triples, lines)]
-    by_prefix: dict[tuple, list[int]] = {}
-    for j, t in enumerate(triples):
-        by_prefix.setdefault(t[:2], []).append(j)
-    expected = {(min(i, j), max(i, j)) for i, t in enumerate(triples) for j in by_prefix.get(t[1:], ())}
+    expected = double_shift_graph(len(system.values)).edges
     meets = set(system.meets)
     suspects = expected | meets | ({system.identical} if system.identical else set())
     for i, j in sorted(suspects):
@@ -234,32 +226,22 @@ def verify_shift_system(system: ShiftSystem) -> tuple[bool, dict | None]:
             return False, {"pair": (i, j), "reason": "spurious incidence"}
         if (i, j) not in meets:
             return False, {"pair": (i, j), "reason": "expected meet"}
-        if designed[i] and designed[j]:
-            continue
-        t1, t2 = sorted((triples[i], triples[j]))
-        point = shift_meeting_point(t1[0], t1[1], t1[2], t2[2])
-        if not (lines[i].contains_point(point) and lines[j].contains_point(point)):
-            return False, {"pair": (i, j), "reason": "meet at unexpected point"}
     return True, None
 
 
 def build_shift_system(n: int, seed: int = 0) -> ShiftSystem:
-    """Sample a value set deterministically from the seed, build the
-    triple lines, and accept only if the exact intersection graph matches
-    the double shift graph; otherwise resample, recording the rejection.
+    """Sample a value set deterministically from the seed and accept its
+    system only if the exact intersection graph matches the double shift
+    graph; otherwise resample, recording the rejection.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
     rejected = []
     for attempt in range(SAMPLE_ATTEMPTS):
         rng = random.Random(seed * 1_000_003 + attempt)
         values = tuple(Fraction(v) for v in sorted(rng.sample(range(1, 40 * n * n + 1), n)))
-        triples = tuple(itertools.combinations(values, 3))
-        lines = tuple(shift_line(*t) for t in triples)
         provenance = {
             "kind": "shift-system", "n": n, "seed": seed, "attempt": attempt, "rejected_samples": list(rejected)
         }
-        system = ShiftSystem(values, triples, lines, provenance)
+        system = ShiftSystem(values, provenance)
         ok, diagnostic = system.verification
         if ok:
             return system

@@ -7,7 +7,6 @@ inputs produce byte-identical files.
 
 from __future__ import annotations
 
-import itertools
 import json
 from functools import partial
 from pathlib import Path
@@ -16,7 +15,7 @@ from .boxes import BoxFamily, box_from_doc
 from .errors import SceneFormatError
 from .gallai import GallaiCertificate, certificate_from_doc
 from .geometry import Rat, format_rat, rat
-from .lines import LineFamily, ShiftSystem, line_from_doc, line_to_doc, shift_line
+from .lines import LineFamily, ShiftSystem, line_from_doc, line_to_doc
 
 
 def dumps_doc(doc: dict) -> str:
@@ -96,15 +95,14 @@ def _shift_system_to_doc(system: ShiftSystem) -> dict:
 
 
 def _read_shift_system(doc: dict, read) -> ShiftSystem:
-    values = tuple(map(read, doc["values"]))
-    triples = tuple(tuple(map(read, entry["triple"])) for entry in doc["lines"])
-    lines = tuple(line_from_doc(entry, read) for entry in doc["lines"])
-    for t, l in zip(triples, lines):
-        if shift_line(*t) != l:
-            raise SceneFormatError(f"stored line does not match its triple {t}")
-    if triples != tuple(itertools.combinations(values, 3)):
+    system = ShiftSystem(tuple(map(read, doc["values"])), doc.get("provenance", {}))
+    entries = doc["lines"]
+    if tuple(tuple(map(read, entry["triple"])) for entry in entries) != system.triples:
         raise SceneFormatError("shift-system triples are not the ascending triples of its values, in order")
-    return ShiftSystem(values, triples, lines, doc.get("provenance", {}))
+    for t, line, entry in zip(system.triples, system.lines, entries):
+        if line_from_doc(entry, read) != line:
+            raise SceneFormatError(f"stored line does not match its triple {t}")
+    return system
 
 
 # scene kind -> (class, writer, reader)

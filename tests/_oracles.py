@@ -15,8 +15,10 @@ sweeps, which the output-sensitive sweeps must match pair for pair;
 ``fraction_copies``, the copy enumeration in exact Fractions, which the
 integer-grid enumeration must match copy for copy; and
 ``axis_map_box``, the per-box map that the embedding by coordinate
-table must match box for box.  The small geometry and file helpers at
-the end are used only by the tests, too.
+table must match box for box.  ``brute_verify_shift_system`` tests
+every pair of a shift system with the Fraction line relation, and each
+designed meet against ``shift_meeting_point``.  The small geometry and
+file helpers at the end are used only by the tests, too.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from girthgeom.geometry import (
     vsub,
 )
 from girthgeom.graphs import ColoringCertificate
-from girthgeom.lines import shift_meeting_point
+from girthgeom.lines import shift_line
 from girthgeom.scenes import write_doc
 
 
@@ -312,6 +314,13 @@ def brute_forbidden_offsets(images_at_zero, placed_lines, frame) -> set[Fraction
                 if all(cw[i] == t * cu[i] for i in range(3)):
                     bad.add(t)
     return bad
+
+
+def shift_meeting_point(a, b, c, d):
+    """Where the lines of (a,b,c) and (b,c,d) meet: the first evaluated at
+    t = cd, which equals the second evaluated at t = ab."""
+    a, b, c, d = rat(a), rat(b), rat(c), rat(d)
+    return shift_line(a, b, c).point_at(c * d)
 
 
 def brute_verify_shift_system(system) -> tuple[bool, dict | None]:

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from girthgeom import lines as linemod
 from girthgeom.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_REFUSED, main
+from girthgeom.scenes import save_scene
 
 
 def read(path):
@@ -157,6 +159,24 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "stored line does not match its triple" in err
+
+    def test_build_and_verify_each_make_one_shift_line_per_line(self, tmp_path, monkeypatch):
+        # a shift system derives its lines from its values once, and the
+        # loader compares the stored lines with those
+        made = []
+        original = linemod.shift_line
+
+        def counted(a, b, c):
+            made.append((a, b, c))
+            return original(a, b, c)
+
+        monkeypatch.setattr(linemod, "shift_line", counted)
+        system = linemod.build_shift_system(6, seed=1)
+        assert system.provenance["attempt"] == 0 and len(made) == len(system.lines) == 20
+        made.clear()
+        save_scene(tmp_path / "s6.scene.json", system)
+        assert main(["verify", str(tmp_path / "s6.scene.json")]) == EXIT_OK
+        assert len(made) == 20
 
 
 class TestGallai:
@@ -381,34 +401,56 @@ def _set(key, value):
     return lambda doc: doc.__setitem__(key, value)
 
 
+def _cut_to_two_values(doc):
+    doc["values"], doc["lines"] = doc["values"][:2], []
+
+
+def _swap_first_lines(doc):
+    doc["lines"][:2] = doc["lines"][1::-1]
+
+
+_SHIFT = ["build", "shift", "--n", "5"]
+_CERT = ["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4"]
+_BOXES = ["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"]
+_LINES = ["build", "lines", "--g", "6", "--k", "3", "--provider", "pigeonhole"]
+_TRIPLES = "triples are not the ascending triples of its values"
+_INTEGERS = "bad certificate document: colors and girth must be integers"
+
+
 @pytest.mark.parametrize(
-    "build, path, spoil",
+    "build, path, spoil, message",
     [
-        (["build", "shift", "--n", "5"], "s.scene.json", _trim_value),
-        (["build", "shift", "--n", "5"], "s.scene.json", _remove_line),
-        (["build", "shift", "--n", "5"], "s.scene.json", _change_value),
-        (["build", "shift", "--n", "5"], "s.scene.json", lambda doc: [doc]),
-        (["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4"], "s.json", lambda doc: [doc]),
-        (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", _short_coordinates),
-        (["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4"], "s.json", _edit_image),
-        (["build", "boxes", "--g", "6", "--k", "2", "--provider", "pigeonhole"], "s.scene.json", _axis_as_string),
-        (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", _third_axis_entry),
-        (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json",
-         lambda doc: _bad_string_twice(doc, "one/two")),
-        (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json",
-         lambda doc: _bad_string_twice(doc, "1/0")),
-        (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", _set("g", 2.7)),
-        (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", _set("g", True)),
-        (["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", _set("k", True)),
-        (["build", "lines", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", _set("k", "3")),
-        (["build", "lines", "--g", "6", "--k", "3", "--provider", "pigeonhole"], "s.scene.json", _set("g", 6.0)),
+        (_SHIFT, "s.scene.json", _trim_value, _TRIPLES),
+        (_SHIFT, "s.scene.json", _remove_line, _TRIPLES),
+        (_SHIFT, "s.scene.json", _change_value, _TRIPLES),
+        (_SHIFT, "s.scene.json", _swap_first_lines, _TRIPLES),
+        (_SHIFT, "s.scene.json", _cut_to_two_values, "bad shift-system document: a shift system needs at least 3"),
+        (_SHIFT, "s.scene.json", lambda doc: [doc], ""),
+        (_CERT, "s.json", lambda doc: [doc], ""),
+        (_BOXES, "s.scene.json", _short_coordinates, ""),
+        (_CERT, "s.json", _edit_image, ""),
+        (["build", "boxes", "--g", "6", "--k", "2", "--provider", "pigeonhole"], "s.scene.json", _axis_as_string,
+         ""),
+        (_BOXES, "s.scene.json", _third_axis_entry, ""),
+        (_BOXES, "s.scene.json", lambda doc: _bad_string_twice(doc, "one/two"), ""),
+        (_BOXES, "s.scene.json", lambda doc: _bad_string_twice(doc, "1/0"), ""),
+        (_BOXES, "s.scene.json", _set("g", 2.7), ""),
+        (_BOXES, "s.scene.json", _set("g", True), ""),
+        (_BOXES, "s.scene.json", _set("k", True), ""),
+        (_LINES, "s.scene.json", _set("k", "3"), ""),
+        (_LINES, "s.scene.json", _set("g", 6.0), ""),
+        (_CERT, "s.json", _set("colors", 2.7), _INTEGERS),
+        (_CERT, "s.json", _set("colors", True), _INTEGERS),
+        (_CERT, "s.json", _set("colors", "2"), _INTEGERS),
+        (_CERT, "s.json", _set("girth", 4.0), _INTEGERS),
     ],
-    ids=["shift-value-trimmed", "shift-line-removed", "shift-value-changed", "array-scene", "array-certificate",
-         "short-box-coordinates", "edited-copy-image", "box-axis-string", "box-axis-three-entries",
-         "bad-string-twice", "zero-denominator-twice", "girth-float", "girth-bool", "colors-bool",
-         "line-colors-string", "line-girth-float"],
+    ids=["shift-value-trimmed", "shift-line-removed", "shift-value-changed", "shift-lines-swapped",
+         "shift-two-values", "array-scene", "array-certificate", "short-box-coordinates", "edited-copy-image",
+         "box-axis-string", "box-axis-three-entries", "bad-string-twice", "zero-denominator-twice", "girth-float",
+         "girth-bool", "colors-bool", "line-colors-string", "line-girth-float", "certificate-colors-float",
+         "certificate-colors-bool", "certificate-colors-string", "certificate-girth-float"],
 )
-def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, build, path, spoil):
+def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, build, path, spoil, message):
     monkeypatch.chdir(tmp_path)
     main([*build, "--out", path.removesuffix(".scene.json")])
     doc = json.loads(Path(path).read_text())
@@ -419,6 +461,7 @@ def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, bui
     assert main(check) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert message in captured.err
 
 
 def _field_paths(node, prefix=()):

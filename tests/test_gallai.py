@@ -439,6 +439,29 @@ class TestSearchProvider:
         assert len(refutations) == sum(found for _, found in with_copies)
         assert with_copies[-1][0] == cert.elements == elems(*range(1, 10))
 
+    def test_searches_each_copy_cycle_once(self, monkeypatch):
+        # at girth 6 a candidate with two or more copies may hold a 2-copy
+        # cycle: the search looks for it once, and a survivor's verdicts reuse that
+        several, searched = [], []
+        enumerate_, find = gallai.enumerate_copies, gallai.find_copy_cycle
+
+        def counted_enumerate(ground, elements):
+            copies = enumerate_(ground, elements)
+            if len(copies) >= 2:
+                several.append(copies)
+            return copies
+
+        def counted_find(copies, max_copies):
+            searched.append(copies)
+            return find(copies, max_copies)
+
+        monkeypatch.setattr(gallai, "enumerate_copies", counted_enumerate)
+        monkeypatch.setattr(gallai, "find_copy_cycle", counted_find)
+        with pytest.raises(BudgetExhausted):
+            search_certificate(GroundSet.of([0, 1, 3]), 2, 6, Budget(2000))
+        assert len(several) > 100
+        assert searched == several
+
     def test_refuses_pairs_at_girth_nine(self):
         with pytest.raises(ProviderRefusal, match="two-point ground sets"):
             search_certificate(GroundSet.of([0, 1]), 2, 9, Budget(1000))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -13,6 +14,7 @@ from _oracles import (
     identity_map,
     reference_bad_ground_pair,
     same_line,
+    shift_meeting_point,
 )
 from girthgeom import lines as linemod
 from girthgeom import (
@@ -43,7 +45,6 @@ from girthgeom import (
     odd_cycle_lines,
     recursion_step_lines,
     shift_line,
-    shift_meeting_point,
     single_line_family,
     verify_shift_system,
 )
@@ -491,85 +492,69 @@ class TestGroundCheck:
         assert (check.ok, check.detail) == (bad is None, "" if bad is None else f"ground pair {bad}")
 
 
-def _shift_system(values, order, replaced, slid=()) -> ShiftSystem:
-    """Triples of the values in the given scene order, each with its shift
-    line, except that for every (k, m, t) in ``replaced`` line k becomes
-    the line of triple m (t None) or the parallel to line k through the
-    point at parameter t of the line of triple m; then for every (k, t) in
-    ``slid`` line k keeps its point set but takes its point at parameter t
-    as its base."""
-    values = tuple(F(v) for v in sorted(values))
-    combos = list(itertools.combinations(values, 3))
-    triples = tuple(combos[i] for i in order)
-    lines = [shift_line(*t) for t in triples]
-    for k, m, t in replaced:
-        k, other = k % len(lines), shift_line(*triples[m % len(triples)])
-        lines[k] = other if t is None else Line3(other.point_at(F(t)), lines[k].dir)
-    for k, t in slid:
-        k = k % len(lines)
-        lines[k] = Line3(lines[k].point_at(F(t)), lines[k].dir)
-    return ShiftSystem(values, triples, tuple(lines))
+def _without_meet(system: ShiftSystem, k: int) -> tuple[int, int]:
+    """Drop the system's k-th meeting pair from its sweep, as a sweep that
+    missed a designed meet would; returns the dropped pair."""
+    meets = list(system.meets)
+    dropped = meets.pop(k % len(meets))
+    object.__setattr__(system, "meets", meets)
+    return dropped
 
 
 class TestVerifyShiftSystem:
     @settings(max_examples=150, deadline=None)
     @given(
-        values=st.sets(st.integers(-5, 40), min_size=4, max_size=7),
-        order=st.permutations(range(35)),
-        replaced=st.lists(
-            st.tuples(st.integers(0, 34), st.integers(0, 34), st.none() | st.integers(-40, 40)), max_size=2
-        ),
-        slid=st.lists(st.tuples(st.integers(0, 34), st.integers(-40, 40).filter(bool)), max_size=1),
+        values=st.sets(st.integers(-5, 40), min_size=3, max_size=7)
+        | st.sets(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=3, max_size=6)
     )
-    def test_matches_pairwise_oracle(self, values, order, replaced, slid):
-        """Narrow value ranges give spurious incidences, and replaced lines
-        give missing meets and meets away from the designed points on
-        either line of a pair.  A slid line is its designed line as a set
-        but not as stored, so its pairs take the explicit incidence test."""
-        count = math.comb(len(values), 3)
-        system = _shift_system(values, [i for i in order if i < count], replaced, slid)
+    def test_matches_pairwise_oracle(self, values):
+        """Narrow value ranges give spurious incidences; the verdict and
+        the pair it names must be the pairwise oracle's."""
+        system = ShiftSystem(tuple(F(v) for v in sorted(values)))
         assert verify_shift_system(system) == brute_verify_shift_system(system)
 
-    @staticmethod
-    def _meeting_points_computed(monkeypatch, system) -> list[tuple]:
-        calls = []
-
-        def counted(a, b, c, d):
-            calls.append((a, b, c, d))
-            return shift_meeting_point(a, b, c, d)
-
-        monkeypatch.setattr(linemod, "shift_meeting_point", counted)
-        assert verify_shift_system(system) == (True, None)
-        return calls
-
     def test_designed_meets_take_no_incidence_test(self, monkeypatch):
-        assert self._meeting_points_computed(monkeypatch, build_shift_system(9, seed=1)) == []
+        """Every line is its triple's shift line, so the check compares
+        meeting pairs only: no line is built and no point is tested."""
+        system = build_shift_system(9, seed=1)
 
-    def test_only_pairs_of_an_undesigned_line_fall_back(self, monkeypatch):
-        built = build_shift_system(9, seed=1)
-        k = 40
-        lines = list(built.lines)
-        lines[k] = Line3(lines[k].point_at(F(3)), lines[k].dir)  # the same set, another base point
-        system = ShiftSystem(built.values, built.triples, tuple(lines))
-        a, b, c = built.triples[k]
-        expected = sorted(
-            [(x, a, b, c) for x in built.values if x < a] + [(a, b, c, y) for y in built.values if y > c]
-        )
-        assert sorted(self._meeting_points_computed(monkeypatch, system)) == expected
+        def refuse(*args):
+            raise AssertionError("verify_shift_system built a line or tested a point")
+
+        monkeypatch.setattr(linemod, "shift_line", refuse)
+        monkeypatch.setattr(linemod, "line_line_relation", refuse)
+        monkeypatch.setattr(Line3, "contains_point", refuse)
+        monkeypatch.setattr(Line3, "point_at", refuse)
+        assert verify_shift_system(system) == (True, None)
+
+    def test_no_system_holds_an_undesigned_line(self):
+        """A system is made from its values alone, and each line is its
+        triple's shift line, in combinations order."""
+        built = build_shift_system(6, seed=1)
+        assert built.triples == tuple(itertools.combinations(built.values, 3))
+        assert built.lines == tuple(shift_line(*t) for t in built.triples)
+        with pytest.raises(TypeError):
+            ShiftSystem(built.values, built.provenance, built.triples, built.lines)
+        with pytest.raises(ValueError):
+            dataclasses.replace(built, lines=built.lines[::-1])
+
+    @pytest.mark.parametrize("k", [0, 7, -1])
+    def test_a_missing_designed_meet_is_named(self, k):
+        system = build_shift_system(7, seed=1)
+        dropped = _without_meet(system, k)
+        assert verify_shift_system(system) == (False, {"pair": dropped, "reason": "expected meet"})
 
     def test_every_reason_comes_up(self):
         rng = random.Random(1)
         reasons = set()
         for _ in range(120):
             values = rng.sample(range(-5, rng.choice([7, 60])), rng.randint(4, 6))
-            count = math.comb(len(values), 3)
-            order = rng.sample(range(count), count)
-            replaced = [
-                (rng.randrange(count), rng.randrange(count), rng.choice([None, rng.randint(-40, 40)]))
-                for _ in range(rng.randint(0, 2))
-            ]
-            system = _shift_system(values, order, replaced)
+            system = ShiftSystem(tuple(F(v) for v in sorted(values)))
+            doctored = rng.random() < 0.2
+            if doctored:
+                _without_meet(system, rng.randrange(len(system.meets)))
             result = verify_shift_system(system)
-            assert result == brute_verify_shift_system(system)
+            if not doctored:
+                assert result == brute_verify_shift_system(system)
             reasons.add(None if result[0] else result[1]["reason"])
-        assert reasons == {None, "expected meet", "meet at unexpected point", "spurious incidence"}
+        assert reasons == {None, "expected meet", "spurious incidence"}
