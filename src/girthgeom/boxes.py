@@ -55,10 +55,6 @@ class GroundedSquareBox:
     def side(self) -> Rat:
         return self.box.xr.length
 
-    def translated_diag(self, delta: Rat) -> "GroundedSquareBox":
-        """Translate along the x = y diagonal; preserves groundedness."""
-        return GroundedSquareBox.of(self.trace + delta, self.side, self.box.zr.lo, self.box.zr.hi)
-
 
 def box_to_doc(b: GroundedSquareBox) -> dict:
     bb = b.box
@@ -110,6 +106,9 @@ class BoxFamily:
     def intersection_edges(self) -> list[tuple[int, int]]:
         return self.meets
 
+    def structure(self) -> recursion.StructureReport:
+        return check_box_structure(self)
+
     def blocks(self) -> list[list[int]]:
         """Rigid sub-collections for trace perturbation: the ground boxes
         as one block and each embedded copy as one block; otherwise every
@@ -159,7 +158,7 @@ def meeting_pair_family() -> BoxFamily:
     intersection graph needs two colors."""
     a = GroundedSquareBox(Box3.from_bounds(0, 2, -2, 0, 0, 1))
     b = GroundedSquareBox(Box3.from_bounds(1, 3, -1, 1, 0, 1))
-    return recursion.checked_base(BoxFamily((a, b), None, 2, {"kind": "base-pair"}), check_box_structure)
+    return recursion.checked_base(BoxFamily((a, b), None, 2, {"kind": "base-pair"}))
 
 
 def odd_cycle_boxes(n: int) -> BoxFamily:
@@ -185,7 +184,7 @@ def odd_cycle_boxes(n: int) -> BoxFamily:
             boxes.append(GroundedSquareBox.of(10 * i, 10, 0, 10))
     boxes.append(GroundedSquareBox.of(far, bridge_side, 15, 20))
     fam = BoxFamily(tuple(boxes), n, 3, {"kind": "base-odd-cycle", "n": n})
-    return recursion.checked_base(fam, check_box_structure)
+    return recursion.checked_base(fam)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +302,9 @@ def normalize_traces(fam: BoxFamily) -> BoxFamily:
         else:
             raise ConstructionError("trace normalization ran out of offsets")
         used.update(t + delta for t in own)
-        for i in members:
-            shifted[i] = fam.boxes[i].translated_diag(delta)
+        for i in members:  # along the x = y diagonal, which keeps each box grounded
+            b = fam.boxes[i]
+            shifted[i] = GroundedSquareBox.of(b.trace + delta, b.side, b.box.zr.lo, b.box.zr.hi)
 
     out = BoxFamily(
         tuple(shifted),
@@ -331,7 +331,7 @@ def recursion_step_boxes(
     certificate elements plus one scaled copy of the parent per
     certificate copy, each in its own z-slot.  The parent's traces are
     made pairwise distinct first."""
-    return recursion.lift(parent, colors, girth, provider, budget, _place_boxes, check_box_structure)
+    return recursion.lift(parent, colors, girth, provider, budget, _place_boxes)
 
 
 def _place_boxes(parent: BoxFamily, certify) -> recursion.Placement:

@@ -91,41 +91,24 @@ def _check(obj, graph, requested, chroma_budget: int) -> tuple[dict, list, graph
     refutation = None
     if "geometry" in requested:
         # a malformed provenance field is a format error, as it is at load
-        results["structure"] = scenes._parse("provenance", obj, lambda o: _structure_report(o, graph))
+        results["structure"] = scenes._parse("provenance", obj, lambda o: o.structure().to_doc())
         verdicts.append(all(c["ok"] for c in results["structure"]))
     if "girth" in requested:
-        claimed_girth = getattr(obj, "claimed_girth", None)
         computed = graphs.girth(graph)
         results["girth"] = {
             "computed": "infinity" if computed == math.inf else int(computed),
-            "claimed_at_least": claimed_girth,
-            "ok": claimed_girth is None or computed >= claimed_girth,
+            "claimed_at_least": obj.claimed_girth,
+            "ok": obj.claimed_girth is None or computed >= obj.claimed_girth,
         }
         verdicts.append(results["girth"]["ok"])
     if "chroma" in requested:
-        claimed_chromatic = getattr(obj, "claimed_chromatic", 1)
-        refuted = True
-        if claimed_chromatic > 1:
-            budget = Budget(chroma_budget, "claim refutation")
-            refutation = graphs.is_k_colorable(graph, claimed_chromatic - 1, budget)
-            refuted = refutation.refuted
-        results["chromatic"] = {"claimed_at_least": claimed_chromatic, "refuted_below": refuted}
+        claimed = obj.claimed_chromatic
+        if claimed > 1:
+            refutation = graphs.is_k_colorable(graph, claimed - 1, Budget(chroma_budget, "claim refutation"))
+        refuted = True if refutation is None else refutation.refuted
+        results["chromatic"] = {"claimed_at_least": claimed, "refuted_below": refuted}
         verdicts.append(refuted)
     return results, verdicts, refutation
-
-
-def _structure_report(obj, graph) -> list[dict]:
-    if isinstance(obj, boxmod.BoxFamily):
-        return boxmod.check_box_structure(obj).to_doc()
-    if isinstance(obj, linemod.ShiftSystem):
-        ok, diagnostic = obj.verification
-        expected = linemod.double_shift_graph(len(obj.values))
-        same, witness = graphs.graph_equals_expected(graph, expected)
-        return [
-            {"name": "shift-system-exact", "ok": ok, "detail": "" if ok else str(diagnostic)},
-            {"name": "graph-equals-double-shift", "ok": same, "detail": "" if same else str(witness)},
-        ]
-    return linemod.check_line_structure(obj).to_doc()
 
 
 def _recursion_levels(provenance: dict) -> list[dict]:
@@ -143,9 +126,7 @@ def _recursion_levels(provenance: dict) -> list[dict]:
             }
         )
         node = node.get("parent", {})
-    levels.append({"base": node.get("kind", "unknown")})
-    levels.reverse()
-    return levels
+    return [{"base": node.get("kind", "unknown")}, *reversed(levels)]
 
 
 def _status(*verdicts: bool | None) -> tuple[str, int]:
@@ -183,11 +164,13 @@ def cmd_build(args) -> int:
         _require(args, "build shift", "n")
         obj = linemod.build_shift_system(args.n, seed=args.seed)
         params = {"kind": "shift", "n": args.n, "seed": args.seed}
+        target, lineage = None, {}  # a shift scene records no k and no recursion levels
     else:
         _require(args, f"build {args.kind}", "g", "k")
         build = boxmod.build_box_family if args.kind == "boxes" else linemod.build_line_family
         obj = build(args.g, args.k, policy)
         params = {"kind": args.kind, "g": args.g, "k": args.k, "provider": args.provider, "seed": args.seed}
+        target, lineage = args.k, obj.provenance
 
     graph = graphs.intersection_graph(obj)
     results, verdicts, refutation = _check(obj, graph, CHECKS, chroma_budget)
@@ -195,11 +178,11 @@ def cmd_build(args) -> int:
     exact = graphs.chromatic_number(graph, Budget(chroma_budget, "exact chromatic"), refutation)
     nodes = [c.nodes for c in (refutation, exact.coloring) if c is not None]
     chroma.update(exact=exact.value, status=exact.status, nodes=sum(nodes))
-    # an undecided chromatic number, or a box or line claim an uncertified certificate
-    # kept below the --k target (shift scenes record no k), is inconclusive, never failed
+    # an undecided chromatic number, or a claim an uncertified certificate kept
+    # below the k target, is inconclusive, never failed
     verdicts.append(exact.status == "exact" or None)
-    verdicts.append(args.kind == "shift" or args.k is None or chroma["claimed_at_least"] >= args.k or None)
-    results["levels"] = _recursion_levels(obj.provenance if not isinstance(obj, linemod.ShiftSystem) else {})
+    verdicts.append(target is None or chroma["claimed_at_least"] >= target or None)
+    results["levels"] = _recursion_levels(lineage)
 
     status, code = _status(*verdicts)
     out = args.out

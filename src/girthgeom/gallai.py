@@ -363,9 +363,10 @@ def vdw_certificate(
     is unavoidable.
 
     N comes from the built-in table (or colors+1 for two-point sets)
-    unless a ``length_hint`` is supplied.  Every verdict comes from
-    ``derive_certificate``: a short copy cycle it finds is a refusal that
-    names the witness, an avoiding coloring is a failure, and if the
+    unless a ``length_hint`` is supplied.  Every verdict is the one
+    ``derive_certificate`` gives, reached in the search's order: a short
+    copy cycle is a refusal that names the witness, before any
+    refutation runs; an avoiding coloring is a failure; and if the
     budget runs out the certificate is returned with the coloring flag
     left undecided and a note, never silently.
     """
@@ -382,12 +383,13 @@ def vdw_certificate(
             f"no table entry for {colors} colors and {terms}-term progressions; "
             f"pass a length hint"
         )
-    cert = derive_certificate(ground, tuple(Fraction(i) for i in range(1, n_elems + 1)), colors, girth, budget)
-    if not cert.flags.sparsity_ok:
+    elements = tuple(Fraction(i) for i in range(1, n_elems + 1))
+    copies = enumerate_copies(ground, elements)
+    if (cycle := _short_copy_cycle(copies, girth)) is not None:
         raise ProviderRefusal(
-            "progression set contains a short copy cycle at this girth; "
-            f"witness uses {len(cert.flags.cycle.copies)} copies"
+            f"progression set contains a short copy cycle at this girth; witness uses {len(cycle.copies)} copies"
         )
+    cert = GallaiCertificate(ground, elements, copies, colors, girth, _verdicts(elements, copies, colors, None, budget))
     if cert.flags.coloring_ok is False:
         raise ProviderFailure(
             f"set of {len(cert.elements)} elements admits an avoiding coloring: "

@@ -151,13 +151,19 @@ class LineFamily(_SweptLines):
     def labels(self) -> list[dict]:
         return [line_to_doc(l) for l in self.lines]
 
+    def structure(self) -> recursion.StructureReport:
+        return check_line_structure(self)
+
 
 @dataclass(frozen=True)
 class ShiftSystem(_SweptLines):
     """The lines of a value set: one ``shift_line`` per ascending triple,
     in ``itertools.combinations`` order, both derived from ``values``
     when the system is made.  ``verification`` says whether its exact
-    intersection graph is the double shift graph."""
+    intersection graph is the double shift graph; it claims nothing else."""
+
+    claimed_girth = None
+    claimed_chromatic = 1
 
     values: tuple[Rat, ...]
     provenance: dict = field(default_factory=dict)
@@ -178,6 +184,16 @@ class ShiftSystem(_SweptLines):
 
     def labels(self) -> list[list[str]]:
         return [[format_rat(a), format_rat(b), format_rat(c)] for a, b, c in self.triples]
+
+    def structure(self) -> recursion.StructureReport:
+        """Both entries from the one ``verification``, whose first bad pair is the
+        first edge in which the swept graph and the double shift graph differ."""
+        ok, diagnostic = self.verification
+        report = recursion.StructureReport()
+        report.add("shift-system-exact", ok, "" if ok else str(diagnostic))
+        side = "" if ok else "spurious" if diagnostic["reason"] == "spurious incidence" else "missing"
+        report.add("graph-equals-double-shift", ok, "" if ok else str((side, diagnostic["pair"])))
+        return report
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +279,7 @@ def meeting_pair_lines() -> LineFamily:
     """Two lines through the origin along the x and y axes."""
     a = Line3(Point3.of(0, 0, 0), Dir3.of(1, 0, 0))
     b = Line3(Point3.of(0, 0, 0), Dir3.of(0, 1, 0))
-    return recursion.checked_base(LineFamily((a, b), None, 2, {"kind": "base-pair"}), check_line_structure)
+    return recursion.checked_base(LineFamily((a, b), None, 2, {"kind": "base-pair"}))
 
 
 def odd_cycle_lines(n: int) -> LineFamily:
@@ -282,7 +298,7 @@ def odd_cycle_lines(n: int) -> LineFamily:
         Line3(pts[i], Dir3.between(pts[i], pts[(i + 1) % n])) for i in range(n)
     )
     fam = LineFamily(lines, n, 3, {"kind": "base-odd-cycle", "n": n})
-    return recursion.checked_base(fam, check_line_structure)
+    return recursion.checked_base(fam)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +314,6 @@ class TransversalFrame:
     plane: Plane3
     axis: Line3
     perp: Dir3
-
-    def point_at(self, t: Rat) -> Point3:
-        return self.axis.point_at(rat(t))
 
     def param_of(self, p: Point3) -> Rat:
         d = self.axis.dir.as_tuple()
@@ -401,7 +414,7 @@ def make_ground_lines(values, frame: TransversalFrame) -> list[Line3]:
     values = sorted(rat(v) for v in values)
     if len(set(values)) != len(values):
         raise ValueError("ground line parameters must be distinct")
-    return [Line3(frame.point_at(x), frame.perp) for x in values]
+    return [Line3(frame.axis.point_at(x), frame.perp) for x in values]
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +539,7 @@ def recursion_step_lines(
     parallel ground lines in a transversal plane at the certificate
     elements, plus one scaled-and-slid copy of the parent per certificate
     copy, with slide offsets chosen to forbid any cross-copy incidence."""
-    return recursion.lift(parent, colors, girth, provider, budget, _place_lines, check_line_structure)
+    return recursion.lift(parent, colors, girth, provider, budget, _place_lines)
 
 
 def _place_lines(parent: LineFamily, certify) -> recursion.Placement:

@@ -6,6 +6,7 @@ own.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -35,7 +36,6 @@ def lift(
     provider,
     budget: Budget | None,
     place: Callable,
-    check: Callable[[object], StructureReport],
 ):
     """One chromatic lift of ``parent``, which must have girth >= girth and
     no proper coloring with colors - 1 colors.  A parent that has such a
@@ -45,7 +45,7 @@ def lift(
     ``place(parent, certify)`` places one thin ground object per element
     of the certificate ``certify(values)`` returns for the parent's ground
     values, and one homothetic copy of the parent per certificate copy.
-    The output's structure (``check``) and its girth floor
+    The output's structure (its ``structure()``) and its girth floor
     min(parent girth, 3 ceil(girth / 3)) are asserted before returning;
     any violation is a fatal construction bug.
     """
@@ -92,9 +92,8 @@ def lift(
             "parent": placed.parent.provenance,
         },
     )
-    report = check(out)
-    if not report.ok:
-        fail = report.first_failure()
+    fail = out.structure().first_failure()
+    if fail is not None:
         raise ConstructionError(f"structural assertion failed: {fail.name}", fail.detail)
 
     out_girth = graphs.girth(graphs.intersection_graph(out))
@@ -136,9 +135,9 @@ def build_family(girth: int, colors: int, policy: ProviderPolicy | None, bases, 
     return fam
 
 
-def checked_base(fam, check):
+def checked_base(fam):
     """A base family, returned once its own structure check passes."""
-    fail = check(fam).first_failure()
+    fail = fam.structure().first_failure()
     if fail is not None:
         raise ConstructionError(f"base realization failed: {fail.name}", fail.detail)
     return fam
@@ -177,10 +176,10 @@ class StructureReport:
 
 class CopyEdges:
     """The edges of a recursion output filed by the blocks of its
-    provenance, each list in edge order: pairs of ground objects, the
-    ground objects each copy object meets, pairs from two different
-    copies, and each copy's own edges as pairs of positions in the copy.
-    Objects in no block are skipped."""
+    provenance, which partition its objects, each list in edge order:
+    pairs of ground objects, the ground objects each copy object meets,
+    pairs from two different copies, and each copy's own edges as pairs
+    of positions in the copy."""
 
     def __init__(self, blocks: dict, edges):
         self.ground = list(blocks["ground"])
@@ -200,13 +199,11 @@ class CopyEdges:
                 self.ground_pairs.append((u, v))
             elif u in ground or v in ground:
                 g, c = (u, v) if u in ground else (v, u)
-                if c in self.owner:
-                    self.ground_met[c].append(g)
-            elif u in self.owner and v in self.owner:
-                if self.owner[u] == self.owner[v]:
-                    self.intra[self.owner[u]].add(tuple(sorted((pos[u], pos[v]))))
-                else:
-                    self.cross.append((u, v))
+                self.ground_met[c].append(g)
+            elif self.owner[u] == self.owner[v]:
+                self.intra[self.owner[u]].add(tuple(sorted((pos[u], pos[v]))))
+            else:
+                self.cross.append((u, v))
 
 
 def check_structure(fam, check_copies: Callable) -> StructureReport:
@@ -215,13 +212,18 @@ def check_structure(fam, check_copies: Callable) -> StructureReport:
     Base families must have exactly their expected graph.  A recursion
     output is checked by ``check_copies(report, fam, CopyEdges)`` for its
     ground objects and how the copies meet them and each other, then here
-    for each copy's own graph against the parent's.
+    for each copy's own graph against the parent's.  Blocks that do not
+    partition its objects, so leave some unchecked, are a ValueError.
     """
     report = StructureReport()
     prov = fam.provenance
     kind = prov.get("kind")
     if kind == "recursion":
-        edges = CopyEdges(prov["blocks"], fam.meets)
+        blocks = prov["blocks"]
+        members = list(itertools.chain(blocks["ground"], *blocks["copies"]))
+        if any(type(i) is not int for i in members) or sorted(members) != list(range(len(fam))):
+            raise ValueError(f"blocks ground and copies do not partition the {len(fam)} objects")
+        edges = CopyEdges(blocks, fam.meets)
         check_copies(report, fam, edges)
         parent_edges = {tuple(e) for e in prov["parent_edges"]}
         bad_block = next(

@@ -179,6 +179,28 @@ class TestVerify:
         assert len(made) == 20
 
 
+    def test_failing_shift_scene_report(self, tmp_path):
+        # these values put a spurious incidence at pair (7, 10) and make no
+        # two lines identical; both structure entries name that pair
+        system = linemod.ShiftSystem(tuple(Fraction(v) for v in (2, 9, 13, 14, 17, 25, 28)))
+        save_scene(tmp_path / "f.scene.json", system)
+        assert main(["verify", str(tmp_path / "f.scene.json"), "--out", str(tmp_path / "v")]) == EXIT_CHECK_FAILED
+        detail = {c["name"]: c["detail"] for c in read(tmp_path / "v.report.json")["results"]["structure"]}
+        assert detail == {
+            "shift-system-exact": "{'pair': (7, 10), 'reason': 'spurious incidence'}",
+            "graph-equals-double-shift": "('spurious', (7, 10))",
+        }
+
+    def test_shift_verify_builds_the_double_shift_graph_once(self, tmp_path, monkeypatch):
+        # both structure entries come from the system's one verification
+        main(["build", "shift", "--n", "6", "--seed", "1", "--out", str(tmp_path / "s6")])
+        built = []
+        original = linemod.double_shift_graph
+        monkeypatch.setattr(linemod, "double_shift_graph", lambda n: built.append(n) or original(n))
+        assert main(["verify", str(tmp_path / "s6.scene.json")]) == EXIT_OK
+        assert built == [6]
+
+
 class TestGallai:
     def test_make_writes_certificate(self, tmp_path):
         cert_path = tmp_path / "cert.json"
@@ -483,6 +505,31 @@ def provenance_scenes(tmp_path_factory):
             assert main(argv) == EXIT_OK
         docs[kind] = read(root / f"{kind}.scene.json")
     return root, docs
+
+
+@pytest.mark.parametrize("kind", ["boxes", "lines"])
+@pytest.mark.parametrize(
+    "name, value",
+    [("copies", None), ("ground", None), ("ground", True), ("ground", 1.0)],
+    ids=["copy-dropped", "ground-index-dropped", "ground-index-true", "ground-index-float"],
+)
+def test_blocks_that_do_not_partition_the_objects_exit_2(provenance_scenes, capsys, kind, name, value):
+    # the objects of a dropped block would be checked by nothing; an index
+    # is a JSON integer, as the writer writes it, not true or 1.0
+    root, docs = provenance_scenes
+    doc = json.loads(json.dumps(docs[kind]))
+    blocks = doc["provenance"]["blocks"]
+    if value is None:
+        blocks[name].pop()
+    else:
+        blocks[name][1] = value
+    scene = root / "unpartitioned.scene.json"
+    scene.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(scene)]) == EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "blocks" in err
 
 
 _MUTATED = [None, -1, 0, 2, 10**6, 3.5, True, "x", "0", "1/0", "-1/2", [], [0], {}, {"a": 1}]

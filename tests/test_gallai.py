@@ -369,6 +369,14 @@ class TestVdwProvider:
         with pytest.raises(ProviderRefusal):
             vdw_certificate(GroundSet.of([0, 1, 2]), 2, 9)
 
+    def test_refusal_spends_no_refutation(self):
+        # the short copy cycle is found before any coloring search runs,
+        # which would spend 112,547 nodes refuting W(3;3) for nothing
+        budget = Budget()
+        with pytest.raises(ProviderRefusal):
+            vdw_certificate(GroundSet.of([0, 1, 2]), 3, 9, budget=budget)
+        assert budget.used == 0
+
     def test_refuses_two_cycles_at_girth_six(self):
         # dense progression sets contain pairs of copies sharing two points
         with pytest.raises(ProviderRefusal):
