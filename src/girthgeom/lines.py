@@ -46,6 +46,7 @@ from .geometry import (
 
 SAMPLE_ATTEMPTS = 64  # value sets build_shift_system tries before it gives up
 FRAME_HEIGHT = 8  # largest coordinate of the integer directions choose_frame tries
+SWEEP_BLOCK = 128  # later lines packed into one integer per coordinate by the line sweep
 
 
 def line_to_doc(line: Line3) -> dict:
@@ -87,8 +88,8 @@ def line_intersection_edges(lines) -> list[tuple[int, int]]:
     b.n = b'.n for n = d x d', which on the rows reads d'.m = -d.m'.  The
     lines are grouped by direction, and each pair of groups with more than
     one line between them is joined on that key, in time linear in their
-    sizes.  Pairs of one-line groups (a shift system has only these) are
-    tested directly.
+    sizes.  The one-line groups (a shift system has only these) are tested
+    against each other by big-integer products (``_packed_meets``).
     """
     groups: dict[Triple, list[tuple[int, Triple]]] = {}
     for i, (d, m) in enumerate(_integer_rows(lines)):
@@ -103,12 +104,40 @@ def line_intersection_edges(lines) -> list[tuple[int, int]]:
                 keyed.setdefault(dot(d2, m), []).append(i)
             for j, m in g2:
                 meets.extend((min(i, j), max(i, j)) for i in keyed.get(-dot(d1, m), ()))
-    single = [(g[0][0], d, g[0][1]) for d, g in alone]  # in index order
-    for a, (i, (x, y, z), (u, v, w)) in enumerate(single):
-        for j, (p, q, r), (s, t, o) in single[a + 1:]:
-            if x * s + y * t + z * o + p * u + q * v + r * w == 0:  # d.m' + d'.m == 0
-                meets.append((i, j))
+    meets.extend(_packed_meets([(g[0][0], d, g[0][1]) for d, g in alone]))
     meets.sort()
+    return meets
+
+
+def _packed_meets(single) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of lines (index, d, m) in index order, with
+    pairwise distinct directions, for which d.m' + d'.m = 0.
+
+    Each block of later rows (m', d') is packed into six integers, one per
+    coordinate, at ``size`` bytes a row, so six products give every d.m' +
+    d'.m of the block at once.  |d.m' + d'.m| <= 6 max|d| max|m| <
+    6 * 2^(8 size - 4), so once 2^(8 size - 1) is added, each slot lies
+    strictly between 2^(8 size - 3) and 7 * 2^(8 size - 3): no carry crosses
+    a slot, no slot's top byte is zero, and so every match of ``hit`` (the
+    bytes of 2^(8 size - 1)) is one whole slot, whose pair meets."""
+    size = (max((abs(c) for _, d, _ in single for c in d), default=0).bit_length()
+            + max((abs(c) for _, _, m in single for c in m), default=0).bit_length() + 11) // 8
+    hit = bytes(size - 1) + b"\x80"
+    blocks = []
+    for start in range(0, len(single), SWEEP_BLOCK):
+        rows = single[start:start + SWEEP_BLOCK]
+        packed = [sum(c << 8 * size * s for s, c in enumerate(column)) for column in zip(*(m + d for _, d, m in rows))]
+        blocks.append((start, rows, packed, int.from_bytes(hit * len(rows), "little")))
+    meets = []
+    for a, (i, d, m) in enumerate(single):
+        x, y, z, u, v, w = d + m
+        for start, rows, (p, q, r, s, t, o), bias in blocks[a // SWEEP_BLOCK:]:
+            slots = (x * p + y * q + z * r + u * s + v * t + w * o + bias).to_bytes(size * len(rows), "little")
+            at = slots.find(hit)
+            while at >= 0:
+                if start + at // size > a:
+                    meets.append((i, rows[at // size][0]))
+                at = slots.find(hit, at + size)
     return meets
 
 
@@ -619,11 +648,16 @@ def _misplaced_copy_line(prov: dict, edges: recursion.CopyEdges):
     cert = prov["certificate"]
     element_index = {rat(x): gi for gi, x in zip(edges.ground, cert["elements"])}
     parent_params = [rat(t) for t in prov["parent_params"]]
+    if len(parent_params) != prov["parent_size"]:
+        raise ValueError(f"parent_params has {len(parent_params)} entries for {prov['parent_size']} parent lines")
     for ci, members in enumerate(edges.copies):
         scale, shift = rat(cert["copies"][ci]["scale"]), rat(cert["copies"][ci]["shift"])
         for p, i in enumerate(members):
             met = [g for g in edges.ground if g in edges.ground_met[i]]
-            expected_g = element_index[scale * parent_params[p] + shift]
+            expected_g = element_index.get(scale * parent_params[p] + shift)
+            if expected_g is None:
+                raise ValueError(f"parent_params[{p}] = {format_rat(parent_params[p])} maps outside the "
+                                 f"certificate elements under copy {ci}")
             if met != [expected_g]:
                 return i, met, expected_g
     return None

@@ -213,7 +213,8 @@ def check_structure(fam, check_copies: Callable) -> StructureReport:
     output is checked by ``check_copies(report, fam, CopyEdges)`` for its
     ground objects and how the copies meet them and each other, then here
     for each copy's own graph against the parent's.  Blocks that do not
-    partition its objects, so leave some unchecked, are a ValueError.
+    partition its objects, so leave some unchecked, or a copy block of
+    another size than the parent, are a ValueError.
     """
     report = StructureReport()
     prov = fam.provenance
@@ -223,6 +224,8 @@ def check_structure(fam, check_copies: Callable) -> StructureReport:
         members = list(itertools.chain(blocks["ground"], *blocks["copies"]))
         if any(type(i) is not int for i in members) or sorted(members) != list(range(len(fam))):
             raise ValueError(f"blocks ground and copies do not partition the {len(fam)} objects")
+        if any(len(c) != prov["parent_size"] for c in blocks["copies"]):
+            raise ValueError(f"a copy block does not hold the {prov['parent_size']} objects of the parent")
         edges = CopyEdges(blocks, fam.meets)
         check_copies(report, fam, edges)
         parent_edges = {tuple(e) for e in prov["parent_edges"]}

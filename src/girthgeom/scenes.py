@@ -76,8 +76,8 @@ def _family_to_doc(kind: str, key: str, fam) -> dict:
 def _read_family(family, key: str, read_object, doc: dict, read):
     objects = tuple(read_object(o, read) for o in doc[key])
     g, k = doc.get("g"), doc["k"]
-    if type(k) is not int or not (g is None or type(g) is int):
-        raise ValueError(f"g and k must be integers (g may be null), got g={g!r}, k={k!r}")
+    if type(k) is not int or k < 1 or not (g is None or type(g) is int and g >= 3):
+        raise ValueError(f"k must be an integer >= 1 and g one >= 3 or null, got g={g!r}, k={k!r}")
     return family(objects, g, k, doc.get("provenance", {}))
 
 

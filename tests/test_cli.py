@@ -436,6 +436,7 @@ _CERT = ["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4"]
 _BOXES = ["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"]
 _LINES = ["build", "lines", "--g", "6", "--k", "3", "--provider", "pigeonhole"]
 _TRIPLES = "triples are not the ascending triples of its values"
+_RANGES = "bad line-family document: k must be an integer >= 1 and g one >= 3 or null"
 _INTEGERS = "bad certificate document: colors and girth must be integers"
 
 
@@ -461,6 +462,8 @@ _INTEGERS = "bad certificate document: colors and girth must be integers"
         (_BOXES, "s.scene.json", _set("k", True), ""),
         (_LINES, "s.scene.json", _set("k", "3"), ""),
         (_LINES, "s.scene.json", _set("g", 6.0), ""),
+        (_LINES, "s.scene.json", _set("k", -5), _RANGES),
+        (_LINES, "s.scene.json", _set("g", 0), _RANGES),
         (_CERT, "s.json", _set("colors", 2.7), _INTEGERS),
         (_CERT, "s.json", _set("colors", True), _INTEGERS),
         (_CERT, "s.json", _set("colors", "2"), _INTEGERS),
@@ -469,7 +472,8 @@ _INTEGERS = "bad certificate document: colors and girth must be integers"
     ids=["shift-value-trimmed", "shift-line-removed", "shift-value-changed", "shift-lines-swapped",
          "shift-two-values", "array-scene", "array-certificate", "short-box-coordinates", "edited-copy-image",
          "box-axis-string", "box-axis-three-entries", "bad-string-twice", "zero-denominator-twice", "girth-float",
-         "girth-bool", "colors-bool", "line-colors-string", "line-girth-float", "certificate-colors-float",
+         "girth-bool", "colors-bool", "line-colors-string", "line-girth-float",
+         "line-colors-negative", "line-girth-zero", "certificate-colors-float",
          "certificate-colors-bool", "certificate-colors-string", "certificate-girth-float"],
 )
 def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, build, path, spoil, message):
@@ -530,6 +534,38 @@ def test_blocks_that_do_not_partition_the_objects_exit_2(provenance_scenes, caps
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "blocks" in err
+
+
+def _move_copy_member(prov):
+    copies = prov["blocks"]["copies"]
+    copies[1].append(copies[0].pop())
+
+
+@pytest.mark.parametrize(
+    "kind, spoil, message",
+    [
+        ("lines", lambda prov: prov["parent_params"].__setitem__(0, "7"),
+         "parent_params[0] = 7 maps outside the certificate elements"),
+        ("lines", lambda prov: prov["parent_params"].pop(), "parent_params has 1 entries for 2 parent lines"),
+        ("lines", _move_copy_member, "a copy block does not hold the 2 objects of the parent"),
+        ("boxes", _move_copy_member, "a copy block does not hold the 2 objects of the parent"),
+    ],
+    ids=["line-parent-param-off-the-elements", "line-parent-params-short", "line-copy-block-sizes",
+         "box-copy-block-sizes"],
+)
+def test_provenance_that_does_not_fit_the_parent_exits_2(provenance_scenes, capsys, kind, spoil, message):
+    # each copy is one image of the parent: its block has the parent's size
+    # and each parent parameter maps to a certificate element
+    root, docs = provenance_scenes
+    doc = json.loads(json.dumps(docs[kind]))
+    spoil(doc["provenance"])
+    scene = root / "misfit.scene.json"
+    scene.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(scene)]) == EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert message in err
 
 
 _MUTATED = [None, -1, 0, 2, 10**6, 3.5, True, "x", "0", "1/0", "-1/2", [], [0], {}, {"a": 1}]

@@ -12,6 +12,7 @@ from girthgeom import (
     GroundedSquareBox,
     Line3,
     Point3,
+    build_shift_system,
     meeting_pair_lines,
     odd_cycle_boxes,
     recursion_step_boxes,
@@ -19,7 +20,9 @@ from girthgeom import (
 )
 from girthgeom.boxes import box_intersection_edges
 from girthgeom.gallai import ProviderPolicy
-from girthgeom.lines import line_intersection_edges
+from girthgeom import lines as linemod
+from girthgeom.geometry import dot
+from girthgeom.lines import _integer_rows, _packed_meets, line_intersection_edges
 
 from _oracles import all_pairs_box_edges, all_pairs_line_edges
 
@@ -96,6 +99,110 @@ class TestLineSweep:
             Line3(Point3.of(F(1, 2), 1, F(3, 2)), Dir3.of(0, 0, 1)),  # through (1/2, 1, 3/2) on line 0
         ]
         assert line_intersection_edges(lines) == [(0, 3), (2, 3)] == all_pairs_line_edges(lines)
+
+
+# large, negative and fractional coordinates with mixed denominators
+_big = st.fractions(min_value=-(10**15), max_value=10**15, max_denominator=10**4)
+
+
+@st.composite
+def _distinct_direction_lines(draw):
+    """Lines with pairwise distinct directions, each new or through a point
+    of an earlier one, swept in blocks of a drawn size."""
+    dirs = draw(st.lists(st.tuples(_big, _big, _big).filter(any), max_size=12, unique_by=lambda d: Dir3.of(*d)))
+    lines = []
+    for d in dirs:
+        if lines and draw(st.booleans()):
+            base = draw(st.sampled_from(lines)).point_at(draw(_big))
+        else:
+            base = Point3(draw(_big), draw(_big), draw(_big))
+        lines.append(Line3(base, Dir3.of(*d)))
+    return lines, draw(st.sampled_from([1, 2, 3, 5, linemod.SWEEP_BLOCK]))
+
+
+def _pairwise(rows):
+    """The reference for the packed test: d.m' + d'.m == 0, one pair at a time."""
+    return [(i, j) for a, (i, d, m) in enumerate(rows) for j, e, n in rows[a + 1:] if dot(d, n) + dot(e, m) == 0]
+
+
+# slot-width edges: 2^k - 1 and 2^k move the bit length, and so the bytes per
+# slot; bit lengths summing to 4 mod 8 leave no spare bit in a slot, and at 5
+# mod 8 a width one bit short of the bound would round down a whole byte
+_bounds = st.sampled_from([1, 2, 3, 127, 128, 2**13 - 1, 2**31 - 1, 2**31, 2**38 - 1, 2**62 + 1])
+
+
+@st.composite
+def _extreme_rows(draw):
+    """Integer rows (index, d, m) whose entries are mostly +-max|d|, +-max|m|,
+    near them, or zero, so d.m' + d'.m reaches +-6 max|d| max|m| and
+    cancels to 0 from large terms; up to three blocks of them, picked from
+    a pool of a dozen rows."""
+    big_d, big_m = draw(_bounds), draw(_bounds)
+
+    def entry(bound):
+        return st.sampled_from([bound, bound - 1, 1, 0, -1, 1 - bound, -bound]) | st.integers(-bound, bound)
+
+    rows = st.tuples(st.tuples(*[entry(big_d)] * 3), st.tuples(*[entry(big_m)] * 3))
+    pool = draw(st.lists(rows, min_size=1, max_size=12))
+    pick = draw(st.randoms(use_true_random=False))
+    return [(i, *pick.choice(pool)) for i in range(draw(st.integers(0, 3 * linemod.SWEEP_BLOCK)))]
+
+
+class TestPackedMeets:
+    @settings(deadline=None, max_examples=100)
+    @given(_distinct_direction_lines())
+    def test_matches_all_pairs(self, drawn):
+        lines, block = drawn
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linemod, "SWEEP_BLOCK", block)
+            assert line_intersection_edges(lines) == all_pairs_line_edges(lines)
+
+    @settings(deadline=None, max_examples=60)
+    @given(_extreme_rows())
+    def test_rows_at_the_slot_bound(self, rows):
+        assert _packed_meets(rows) == _pairwise(rows)
+
+    @pytest.mark.parametrize(
+        "big_d, big_m",
+        [(1, 1), (3, 3), (3, 5), (2**31, 2**31 - 1), (2**62 + 1, 2**70), (2**13 - 1, 2**7 - 1),
+         (2**38 - 1, 2**38 - 1), (2**13 - 1, 2**8 - 1), (2**31 - 1, 2**38 - 1)],
+    )
+    def test_extreme_values_fill_their_slots(self, big_d, big_m):
+        # every value here is 0 or +-6 max|d| max|m|, the bound the slot width is chosen for
+        rows = [(i, (s * big_d,) * 3, (t * big_m,) * 3) for i, (s, t) in enumerate([(1, 1), (-1, 1), (1, -1)] * 50)]
+        assert {abs(dot(d, n) + dot(e, m)) for _, d, m in rows for _, e, n in rows} == {0, 6 * big_d * big_m}
+        assert _packed_meets(rows) == _pairwise(rows) != []
+
+    @pytest.mark.parametrize("value", [-1, 0, 1])
+    def test_large_terms_that_cancel_to_value(self, value):
+        # d.m' = big_d big_m + value and d'.m = -big_d big_m, around rows of the same widths
+        big_d, big_m = 2**40 + 1, 2**62 - 1
+        pair = [((big_d, 1, 0), (0, 0, big_m)), ((0, 0, -big_d), (big_m, value, 0))]
+        filler = [((big_d, big_d, 1), (big_m, -big_m, 7))] * 200
+        rows = [(i, d, m) for i, (d, m) in enumerate(filler[:150] + pair + filler[150:])]
+        assert ((150, 151) in _packed_meets(rows)) == (value == 0)
+        assert _packed_meets(rows) == _pairwise(rows)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_exact_meet_and_near_miss(self, offset):
+        # d x d' = (-b, 0, 1), so moving the second base by offset along z
+        # makes d.m' + d'.m on the integer rows exactly +-offset
+        a, b = 10**9 + 7, -(10**12)
+        p = Point3.of(-(10**15), 3 * 10**14, 10**13 + 1)
+        lines = [
+            Line3(Point3.of(1, 2, 3), Dir3.of(1, -1, 5)),  # meets neither
+            Line3(p, Dir3.of(1, a, b)),
+            Line3(Point3(p.x, p.y, p.z + offset), Dir3.of(1, a + 1, b)),
+        ]
+        (_, (d, m), (e, n)) = _integer_rows(lines)
+        assert abs(dot(d, n) + dot(e, m)) == abs(offset)
+        assert line_intersection_edges(lines) == ([(1, 2)] if offset == 0 else []) == all_pairs_line_edges(lines)
+
+    def test_shift_system_over_two_blocks(self):
+        lines = build_shift_system(11).lines
+        assert len(lines) == 165 > linemod.SWEEP_BLOCK
+        assert line_intersection_edges(lines) == all_pairs_line_edges(lines)
+        assert len(line_intersection_edges(lines)) == 330  # C(11, 4) designed meets
 
 
 class TestBenchmarkSizedSteps:
