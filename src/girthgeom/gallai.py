@@ -524,12 +524,11 @@ def certificate_from_doc(doc: dict, read=rat) -> GallaiCertificate:
         for c in doc["copies"]
     )
     flags_doc = doc.get("flags", {})
-    flags = CertificateFlags(
-        coloring_ok=flags_doc.get("coloring_ok"),
-        sparsity_ok=flags_doc.get("sparsity_ok"),
-        copies_complete=flags_doc.get("copies_complete"),
-        note=flags_doc.get("note", ""),
-    )
+    verdicts = [flags_doc.get(name) for name in ("coloring_ok", "sparsity_ok", "copies_complete")]
+    note = flags_doc.get("note", "")
+    if any(v is not None and type(v) is not bool for v in verdicts) or type(note) is not str:
+        raise ValueError(f"flags must be true, false or null and note a string, got {flags_doc!r}")
+    flags = CertificateFlags(*verdicts, note=note)
     colors, girth = doc["colors"], doc["girth"]
     if type(colors) is not int or type(girth) is not int:
         raise ValueError(f"colors and girth must be integers, got colors={colors!r}, girth={girth!r}")

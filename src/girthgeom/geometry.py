@@ -174,18 +174,6 @@ class Line3:
     def contains_point(self, p: Point3) -> bool:
         return is_zero(cross(vsub(p.as_tuple(), self.base.as_tuple()), self.dir.as_tuple()))
 
-    def canonical_key(self) -> tuple:
-        """A hashable key equal for exactly the set-equal lines.
-
-        The base point is slid along the line to zero the coordinate where
-        the canonical direction has its leading 1.
-        """
-        d = self.dir.as_tuple()
-        lead = 0 if d[0] != 0 else (1 if d[1] != 0 else 2)
-        t = self.base.as_tuple()[lead]
-        rep = vsub(self.base.as_tuple(), vscale(t, d))
-        return (d, rep)
-
 
 class LineRelation(Enum):
     IDENTICAL = "identical"

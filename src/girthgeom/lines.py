@@ -69,7 +69,8 @@ def _integer_rows(lines) -> list[tuple[Triple, Triple]]:
     """Each line as integer Plücker coordinates (d, m = b x d).  The base
     points b share one common scale (``integer_rows``); each direction d
     takes its own, which leaves it primitive with a positive leading entry
-    because Dir3 is canonical, so parallel lines have equal d."""
+    because Dir3 is canonical, so parallel lines have equal d, and two
+    lines of one call are identical exactly when their rows are equal."""
     bases = integer_rows([l.base.as_tuple() for l in lines])
     rows = []
     for b, l in zip(bases, lines):
@@ -78,11 +79,11 @@ def _integer_rows(lines) -> list[tuple[Triple, Triple]]:
     return rows
 
 
-def line_intersection_edges(lines) -> list[tuple[int, int]]:
+def line_intersection_edges(rows) -> list[tuple[int, int]]:
     """All index pairs (i, j) of lines meeting in exactly one point, in
-    (i, j) order.  Identical lines are not listed here; a family finds
-    them by their canonical keys (``identical``) and treats them as
-    fatal.
+    (i, j) order, from the lines' integer rows (``_integer_rows``).
+    Identical lines, whose rows are equal, are not listed here; a family
+    names the first pair of them (``identical``) and treats it as fatal.
 
     Two lines meet in exactly one point iff their directions differ and
     b.n = b'.n for n = d x d', which on the rows reads d'.m = -d.m'.  The
@@ -92,7 +93,7 @@ def line_intersection_edges(lines) -> list[tuple[int, int]]:
     against each other by big-integer products (``_packed_meets``).
     """
     groups: dict[Triple, list[tuple[int, Triple]]] = {}
-    for i, (d, m) in enumerate(_integer_rows(lines)):
+    for i, (d, m) in enumerate(rows):
         groups.setdefault(d, []).append((i, m))
     several = [(d, g) for d, g in groups.items() if len(g) > 1]
     alone = [(d, g) for d, g in groups.items() if len(g) == 1]
@@ -142,17 +143,21 @@ def _packed_meets(single) -> list[tuple[int, int]]:
 
 
 class _SweptLines:
-    """A line family sweeps its lines once, when it is made:
-    ``meets`` are the meeting pairs in (i, j) order and ``identical`` is
-    the first pair of set-equal lines, or None."""
+    """A line family sweeps its lines once, when it is made: ``rows`` are
+    their integer rows (``_integer_rows``), ``meets`` the meeting pairs in
+    (i, j) order, and ``identical`` the first pair of equal rows, which
+    are the identical lines, or None."""
 
+    rows: list[tuple[Triple, Triple]]
     meets: list[tuple[int, int]]
     identical: tuple[int, int] | None
 
     def __post_init__(self):
-        object.__setattr__(self, "meets", line_intersection_edges(self.lines))
+        rows = _integer_rows(self.lines)
         first: dict[tuple, int] = {}
-        pairs = [(first.setdefault(line.canonical_key(), j), j) for j, line in enumerate(self.lines)]
+        pairs = [(first.setdefault(row, j), j) for j, row in enumerate(rows)]
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "meets", line_intersection_edges(rows))
         object.__setattr__(self, "identical", min((p for p in pairs if p[0] != p[1]), default=None))
 
     def __len__(self) -> int:
@@ -610,12 +615,11 @@ def _check_line_copies(report: recursion.StructureReport, fam: LineFamily, edges
         "no-identical-lines", identical is None, "" if identical is None else f"pair {identical}"
     )
 
-    # two lines are parallel-disjoint exactly when their canonical keys
-    # share the direction but differ
-    ground = edges.ground
-    key = {i: fam.lines[i].canonical_key() for i in ground}
+    # two lines are parallel-disjoint exactly when their rows share the
+    # direction d but differ
+    ground, rows = edges.ground, fam.rows
     bad_ground = next(
-        ((i, j) for i in ground for j in ground if i < j and (key[i][0] != key[j][0] or key[i] == key[j])),
+        ((i, j) for i in ground for j in ground if i < j and (rows[i][0] != rows[j][0] or rows[i] == rows[j])),
         None,
     )
     report.add(

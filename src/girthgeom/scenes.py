@@ -95,13 +95,19 @@ def _shift_system_to_doc(system: ShiftSystem) -> dict:
 
 
 def _read_shift_system(doc: dict, read) -> ShiftSystem:
-    system = ShiftSystem(tuple(map(read, doc["values"])), doc.get("provenance", {}))
-    entries = doc["lines"]
-    if tuple(tuple(map(read, entry["triple"])) for entry in entries) != system.triples:
+    """The system of the stored values, accepted only if the document is
+    the one its writer makes, string for string: the triples, then each
+    line entry, then every other field."""
+    system = ShiftSystem(tuple(map(read, doc["values"])), doc["provenance"])
+    written = _shift_system_to_doc(system)
+    if [entry["triple"] for entry in doc["lines"]] != [entry["triple"] for entry in written["lines"]]:
         raise SceneFormatError("shift-system triples are not the ascending triples of its values, in order")
-    for t, line, entry in zip(system.triples, system.lines, entries):
-        if line_from_doc(entry, read) != line:
+    for t, entry, expected in zip(system.triples, doc["lines"], written["lines"]):
+        if entry != expected:
             raise SceneFormatError(f"stored line does not match its triple {t}")
+    for key in sorted(doc.keys() | written.keys()):
+        if doc.get(key) != written.get(key):
+            raise SceneFormatError(f"shift-system field {key!r} is not the one its values give")
     return system
 
 

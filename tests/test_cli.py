@@ -431,6 +431,19 @@ def _swap_first_lines(doc):
     doc["lines"][:2] = doc["lines"][1::-1]
 
 
+def _float_value(doc):
+    doc["values"][0] = float(doc["values"][0])
+
+
+def _unreduced_direction(doc):
+    # the leading direction entry of a shift line is 1; "2/2" parses to it
+    doc["lines"][0]["dir"][0] = "2/2"
+
+
+def _set_flag(key, value):
+    return lambda doc: doc["flags"].__setitem__(key, value)
+
+
 _SHIFT = ["build", "shift", "--n", "5"]
 _CERT = ["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4"]
 _BOXES = ["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"]
@@ -438,6 +451,7 @@ _LINES = ["build", "lines", "--g", "6", "--k", "3", "--provider", "pigeonhole"]
 _TRIPLES = "triples are not the ascending triples of its values"
 _RANGES = "bad line-family document: k must be an integer >= 1 and g one >= 3 or null"
 _INTEGERS = "bad certificate document: colors and girth must be integers"
+_FLAGS = "bad certificate document: flags must be true, false or null and note a string"
 
 
 @pytest.mark.parametrize(
@@ -468,13 +482,21 @@ _INTEGERS = "bad certificate document: colors and girth must be integers"
         (_CERT, "s.json", _set("colors", True), _INTEGERS),
         (_CERT, "s.json", _set("colors", "2"), _INTEGERS),
         (_CERT, "s.json", _set("girth", 4.0), _INTEGERS),
+        (_SHIFT, "s.scene.json", _set("n", 99), "shift-system field 'n'"),
+        (_SHIFT, "s.scene.json", _unreduced_direction, "stored line does not match its triple"),
+        (_SHIFT, "s.scene.json", _float_value, "shift-system field 'values'"),
+        (_SHIFT, "s.scene.json", _set("extra", 1), "shift-system field 'extra'"),
+        (_CERT, "s.json", _set_flag("coloring_ok", "yes"), _FLAGS),
+        (_CERT, "s.json", _set_flag("note", 5), _FLAGS),
     ],
     ids=["shift-value-trimmed", "shift-line-removed", "shift-value-changed", "shift-lines-swapped",
          "shift-two-values", "array-scene", "array-certificate", "short-box-coordinates", "edited-copy-image",
          "box-axis-string", "box-axis-three-entries", "bad-string-twice", "zero-denominator-twice", "girth-float",
          "girth-bool", "colors-bool", "line-colors-string", "line-girth-float",
          "line-colors-negative", "line-girth-zero", "certificate-colors-float",
-         "certificate-colors-bool", "certificate-colors-string", "certificate-girth-float"],
+         "certificate-colors-bool", "certificate-colors-string", "certificate-girth-float",
+         "shift-n-wrong", "shift-direction-unreduced", "shift-value-float", "shift-unknown-key",
+         "certificate-flag-string", "certificate-note-number"],
 )
 def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, build, path, spoil, message):
     monkeypatch.chdir(tmp_path)

@@ -12,6 +12,7 @@ from girthgeom import (
     Homothety3D,
     Interval,
     Line3,
+    LineFamily,
     LineRelation,
     PlaneRelation,
     Point3,
@@ -175,12 +176,12 @@ class TestHomotheties:
 
 
 class TestLineKeys:
-    def test_canonical_key_matches_set_equality(self):
+    def test_family_identical_matches_set_equality(self):
         l1 = Line3(Point3.of(0, 0, 0), Dir3.of(1, 2, 3))
         l2 = Line3(Point3.of(2, 4, 6), Dir3.of(-2, -4, -6))
         l3 = Line3(Point3.of(0, 1, 0), Dir3.of(1, 2, 3))
-        assert l1.canonical_key() == l2.canonical_key()
-        assert l1.canonical_key() != l3.canonical_key()
+        assert LineFamily((l1, l2), None, 1).identical == (0, 1)
+        assert LineFamily((l1, l3), None, 1).identical is None
 
 
 class TestHomothety3DOnBoxes:

@@ -16,6 +16,7 @@ from girthgeom import (
     recursion_step_lines,
     single_box_family,
 )
+from girthgeom import lines as linemod
 from girthgeom import scenes
 from girthgeom.boxes import box_from_doc
 from girthgeom.errors import SceneFormatError
@@ -90,6 +91,15 @@ class TestShiftScenes:
         doc["lines"][0]["base"] = ["0", "0", "0"]
         with pytest.raises(SceneFormatError):
             scene_from_doc(doc)
+
+    def test_load_compares_strings_and_makes_rows_once(self, monkeypatch):
+        doc = json.loads(dumps_doc(scene_to_doc(build_shift_system(6, seed=1))))
+        calls = []
+        monkeypatch.setattr(scenes, "line_from_doc", lambda *a: calls.append("line_from_doc"))
+        original = linemod._integer_rows
+        monkeypatch.setattr(linemod, "_integer_rows", lambda lines: calls.append("rows") or original(lines))
+        assert scene_to_doc(scene_from_doc(doc)) == doc
+        assert calls == ["rows"]
 
 
 class TestSceneFiles:

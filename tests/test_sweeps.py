@@ -11,6 +11,7 @@ from girthgeom import (
     Dir3,
     GroundedSquareBox,
     Line3,
+    LineFamily,
     Point3,
     build_shift_system,
     meeting_pair_lines,
@@ -24,7 +25,7 @@ from girthgeom import lines as linemod
 from girthgeom.geometry import dot
 from girthgeom.lines import _integer_rows, _packed_meets, line_intersection_edges
 
-from _oracles import all_pairs_box_edges, all_pairs_line_edges
+from _oracles import all_pairs_box_edges, all_pairs_line_edges, same_line
 
 # few distinct z-endpoints, so equal, nested and touching z-ranges are common
 _z_ends = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2)])
@@ -88,7 +89,9 @@ class TestLineSweep:
     @settings(deadline=None)
     @given(_lines())
     def test_matches_all_pairs(self, lines):
-        assert line_intersection_edges(lines) == all_pairs_line_edges(lines)
+        assert line_intersection_edges(_integer_rows(lines)) == all_pairs_line_edges(lines)
+        same = [(i, j) for j in range(len(lines)) for i in range(j) if same_line(lines[i], lines[j])]
+        assert LineFamily(tuple(lines), None, 1).identical == min(same, default=None)
 
     def test_direction_classes(self):
         base = Point3.of(0, 0, 0)
@@ -98,7 +101,7 @@ class TestLineSweep:
             Line3(base, Dir3.of(1, 2, 3)),  # identical to the first: never listed
             Line3(Point3.of(F(1, 2), 1, F(3, 2)), Dir3.of(0, 0, 1)),  # through (1/2, 1, 3/2) on line 0
         ]
-        assert line_intersection_edges(lines) == [(0, 3), (2, 3)] == all_pairs_line_edges(lines)
+        assert line_intersection_edges(_integer_rows(lines)) == [(0, 3), (2, 3)] == all_pairs_line_edges(lines)
 
 
 # large, negative and fractional coordinates with mixed denominators
@@ -155,7 +158,7 @@ class TestPackedMeets:
         lines, block = drawn
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linemod, "SWEEP_BLOCK", block)
-            assert line_intersection_edges(lines) == all_pairs_line_edges(lines)
+            assert line_intersection_edges(_integer_rows(lines)) == all_pairs_line_edges(lines)
 
     @settings(deadline=None, max_examples=60)
     @given(_extreme_rows())
@@ -196,13 +199,13 @@ class TestPackedMeets:
         ]
         (_, (d, m), (e, n)) = _integer_rows(lines)
         assert abs(dot(d, n) + dot(e, m)) == abs(offset)
-        assert line_intersection_edges(lines) == ([(1, 2)] if offset == 0 else []) == all_pairs_line_edges(lines)
+        assert line_intersection_edges(_integer_rows(lines)) == ([(1, 2)] if offset == 0 else []) == all_pairs_line_edges(lines)
 
     def test_shift_system_over_two_blocks(self):
         lines = build_shift_system(11).lines
         assert len(lines) == 165 > linemod.SWEEP_BLOCK
-        assert line_intersection_edges(lines) == all_pairs_line_edges(lines)
-        assert len(line_intersection_edges(lines)) == 330  # C(11, 4) designed meets
+        assert line_intersection_edges(_integer_rows(lines)) == all_pairs_line_edges(lines)
+        assert len(line_intersection_edges(_integer_rows(lines))) == 330  # C(11, 4) designed meets
 
 
 class TestBenchmarkSizedSteps:
