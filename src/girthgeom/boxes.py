@@ -66,11 +66,7 @@ def box_to_doc(b: GroundedSquareBox) -> dict:
 
 
 def box_from_doc(doc: dict, read=rat) -> GroundedSquareBox:
-    """The box of a document whose axes x, y and z are each a list of two rationals."""
-    for axis in "xyz":
-        if not isinstance(doc[axis], list) or len(doc[axis]) != 2:
-            raise ValueError(f"box axis {axis} must be a list of two rationals, got {doc[axis]!r}")
-    return GroundedSquareBox(Box3(*(Interval(read(doc[a][0]), read(doc[a][1])) for a in "xyz")))
+    return GroundedSquareBox(Box3(*(Interval(read(lo), read(hi)) for lo, hi in (doc["x"], doc["y"], doc["z"]))))
 
 
 # ---------------------------------------------------------------------------

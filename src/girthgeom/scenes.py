@@ -2,19 +2,21 @@
 "p/q" string (plain "p" for integers).
 
 Documents are written with sorted keys and a fixed layout so identical
-inputs produce byte-identical files.
+inputs produce byte-identical files.  A document loads only if the writer
+gives it back from the object it makes, value for value (``_load``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .boxes import BoxFamily, box_from_doc
 from .errors import SceneFormatError
-from .gallai import GallaiCertificate, certificate_from_doc
-from .geometry import Rat, format_rat, rat
+from .gallai import GallaiCertificate, certificate_from_doc, certificate_to_doc
+from .geometry import format_rat, rat
 from .lines import LineFamily, ShiftSystem, line_from_doc, line_to_doc
 
 
@@ -38,25 +40,49 @@ def read_doc(path) -> dict:
         raise SceneFormatError(f"not valid JSON: {path}: {exc}") from exc
 
 
-class _Rationals(dict):
-    """The rationals of one document: each distinct string is parsed once,
-    by ``rat`` like any other value."""
-
-    def __missing__(self, text: str) -> Rat:
-        self[text] = rat(text)
-        return self[text]
-
-    def __call__(self, value) -> Rat:
-        return self[value] if isinstance(value, str) else rat(value)
-
-
 def _parse(kind: str, doc, read):
     """``read(doc)``, with a malformed field reported as a SceneFormatError
     that names the document kind."""
     try:
         return read(doc)
-    except (KeyError, IndexError, AttributeError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, IndexError, AttributeError, ValueError, TypeError, ArithmeticError) as exc:
         raise SceneFormatError(f"bad {kind} document: {exc}") from exc
+
+
+_ABSENT = object()
+
+
+def _difference(stored, written, path: str = "") -> str | None:
+    """Where ``stored`` first differs from ``written``, in sorted key and
+    list order, or None.  A scalar must have the writer's type too, since
+    ``6.0 == 6`` and ``True == 1``; equal lists pass on ``==``, because the
+    writer puts only strings and dicts of strings in lists, and
+    ``provenance``, which it copies verbatim, is the stored object itself."""
+    same_type = type(stored) is type(written)
+    if stored is written or same_type and type(written) is not dict and stored == written:
+        return None
+    if same_type and type(written) is dict:
+        keys = sorted(stored.keys() | written.keys())
+        steps = ((f"{path}.{k}" if path else k, stored.get(k, _ABSENT), written.get(k, _ABSENT)) for k in keys)
+    elif same_type and type(written) is list:
+        pairs = itertools.zip_longest(stored, written, fillvalue=_ABSENT)
+        steps = ((f"{path}[{i}]", a, b) for i, (a, b) in enumerate(pairs))
+    else:
+        shown = "missing" if stored is _ABSENT else repr(stored)
+        return f"{path} is {shown}, its writer writes {'nothing' if written is _ABSENT else repr(written)}"
+    return next(filter(None, (_difference(a, b, where) for where, a, b in steps)), None)
+
+
+def _load(kind: str, doc, read, write):
+    """The object ``read`` makes of ``doc``, accepted only if ``write``
+    gives back the same document: layout, whitespace and key order are
+    free, every value is the writer's own.  ``read`` parses each distinct
+    rational of the document once."""
+    obj = _parse(kind, doc, lambda d: read(d, cache(rat)))
+    found = _difference(doc, write(obj))
+    if found:
+        raise SceneFormatError(f"bad {kind} document: {found}")
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +101,10 @@ def _family_to_doc(kind: str, key: str, fam) -> dict:
 
 def _read_family(family, key: str, read_object, doc: dict, read):
     objects = tuple(read_object(o, read) for o in doc[key])
-    g, k = doc.get("g"), doc["k"]
-    if type(k) is not int or k < 1 or not (g is None or type(g) is int and g >= 3):
-        raise ValueError(f"k must be an integer >= 1 and g one >= 3 or null, got g={g!r}, k={k!r}")
-    return family(objects, g, k, doc.get("provenance", {}))
+    g, k = None if doc["g"] is None else int(doc["g"]), int(doc["k"])
+    if k < 1 or g is not None and g < 3:
+        raise ValueError(f"k must be an integer >= 1 and g one >= 3 or null, got g={doc['g']!r}, k={doc['k']!r}")
+    return family(objects, g, k, doc["provenance"])
 
 
 def _shift_system_to_doc(system: ShiftSystem) -> dict:
@@ -95,20 +121,7 @@ def _shift_system_to_doc(system: ShiftSystem) -> dict:
 
 
 def _read_shift_system(doc: dict, read) -> ShiftSystem:
-    """The system of the stored values, accepted only if the document is
-    the one its writer makes, string for string: the triples, then each
-    line entry, then every other field."""
-    system = ShiftSystem(tuple(map(read, doc["values"])), doc["provenance"])
-    written = _shift_system_to_doc(system)
-    if [entry["triple"] for entry in doc["lines"]] != [entry["triple"] for entry in written["lines"]]:
-        raise SceneFormatError("shift-system triples are not the ascending triples of its values, in order")
-    for t, entry, expected in zip(system.triples, doc["lines"], written["lines"]):
-        if entry != expected:
-            raise SceneFormatError(f"stored line does not match its triple {t}")
-    for key in sorted(doc.keys() | written.keys()):
-        if doc.get(key) != written.get(key):
-            raise SceneFormatError(f"shift-system field {key!r} is not the one its values give")
-    return system
+    return ShiftSystem(tuple(map(read, doc["values"])), doc["provenance"])
 
 
 # scene kind -> (class, writer, reader)
@@ -136,10 +149,10 @@ def scene_to_doc(obj) -> dict:
 
 def scene_from_doc(doc: dict):
     kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind not in _SCENES:
-        raise SceneFormatError(f"unknown scene kind: {kind!r}")
-    read = _SCENES[kind][2]
-    return _parse(kind, doc, lambda d: read(d, _Rationals()))
+    if not isinstance(kind, str) or kind not in _SCENES:
+        raise SceneFormatError(f"bad scene document: unknown kind {kind!r}")
+    _, write, read = _SCENES[kind]
+    return _load(kind, doc, read, write)
 
 
 def save_scene(path, obj) -> None:
@@ -155,4 +168,4 @@ def load_scene(path):
 
 
 def load_certificate(path) -> GallaiCertificate:
-    return _parse("certificate", read_doc(path), lambda d: certificate_from_doc(d, _Rationals()))
+    return _load("certificate", read_doc(path), certificate_from_doc, certificate_to_doc)

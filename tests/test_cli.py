@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from girthgeom import lines as linemod
 from girthgeom.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_REFUSED, main
-from girthgeom.scenes import save_scene
+from girthgeom.errors import SceneFormatError
+from girthgeom.gallai import certificate_to_doc
+from girthgeom.scenes import load_certificate, load_scene, save_scene, scene_to_doc
 
 
 def read(path):
@@ -147,7 +149,7 @@ class TestVerify:
 
     def test_shift_line_off_its_triple_exits_2_with_one_line(self, tmp_path, capsys):
         # the loader, not verify_shift_system, refuses a stored line that
-        # is not its triple's shift line
+        # is not its triple's shift line: its writer writes another
         main(["build", "shift", "--n", "6", "--seed", "1", "--out", str(tmp_path / "s6")])
         scene = tmp_path / "s6.scene.json"
         doc = read(scene)
@@ -158,7 +160,7 @@ class TestVerify:
         assert main(["verify", str(scene)]) == EXIT_CHECK_FAILED
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert "stored line does not match its triple" in err
+        assert err.startswith("check failed: bad shift-system document: lines[7].base[0] is ")
 
     def test_build_and_verify_each_make_one_shift_line_per_line(self, tmp_path, monkeypatch):
         # a shift system derives its lines from its values once, and the
@@ -419,8 +421,16 @@ def _bad_string_twice(doc, text):
     doc["boxes"][0]["x"][0] = doc["boxes"][1]["z"][1] = text
 
 
-def _set(key, value):
-    return lambda doc: doc.__setitem__(key, value)
+def _set(*path):
+    """A spoiler that sets the field at ``path[:-1]`` to ``path[-1]``."""
+    *keys, last, value = path
+
+    def spoil(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+
+    return spoil
 
 
 def _cut_to_two_values(doc):
@@ -440,54 +450,79 @@ def _unreduced_direction(doc):
     doc["lines"][0]["dir"][0] = "2/2"
 
 
-def _set_flag(key, value):
-    return lambda doc: doc["flags"].__setitem__(key, value)
-
-
 _SHIFT = ["build", "shift", "--n", "5"]
 _CERT = ["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4"]
 _BOXES = ["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"]
 _LINES = ["build", "lines", "--g", "6", "--k", "3", "--provider", "pigeonhole"]
-_TRIPLES = "triples are not the ascending triples of its values"
-_RANGES = "bad line-family document: k must be an integer >= 1 and g one >= 3 or null"
-_INTEGERS = "bad certificate document: colors and girth must be integers"
-_FLAGS = "bad certificate document: flags must be true, false or null and note a string"
+_SHIFT_DOC = "bad shift-system document: "
+_CERT_DOC = "bad certificate document: "
+_BOXES_DOC = "bad grounded-box-family document: "
+_LINES_DOC = "bad line-family document: "
+_RANGES = _LINES_DOC + "k must be an integer >= 1 and g one >= 3 or null"
+# box 0 is {"x": ["1", "4/3"], "y": ["2/3", "1"], "z": ["0", "1"]}; line 0 has
+# "dir": ["1", "1/2", "1/2"]; the certificate's ground set is ["0", "1", "2"]
+# and its elements start "1"
+_RESPELLED = [
+    (build, path, _set(*where, text), f"{kind}{shown} is {text!r}, its writer writes '1'")
+    for text in ("1e0", " 1", "2/2")
+    for build, path, kind, where, shown in (
+        (_BOXES, "s.scene.json", _BOXES_DOC, ("boxes", 0, "x", 0), "boxes[0].x[0]"),
+        (_LINES, "s.scene.json", _LINES_DOC, ("lines", 0, "dir", 0), "lines[0].dir[0]"),
+        (_CERT, "s.json", _CERT_DOC, ("elements", 0), "elements[0]"),
+    )
+]
 
 
 @pytest.mark.parametrize(
     "build, path, spoil, message",
     [
-        (_SHIFT, "s.scene.json", _trim_value, _TRIPLES),
-        (_SHIFT, "s.scene.json", _remove_line, _TRIPLES),
-        (_SHIFT, "s.scene.json", _change_value, _TRIPLES),
-        (_SHIFT, "s.scene.json", _swap_first_lines, _TRIPLES),
-        (_SHIFT, "s.scene.json", _cut_to_two_values, "bad shift-system document: a shift system needs at least 3"),
-        (_SHIFT, "s.scene.json", lambda doc: [doc], ""),
-        (_CERT, "s.json", lambda doc: [doc], ""),
-        (_BOXES, "s.scene.json", _short_coordinates, ""),
-        (_CERT, "s.json", _edit_image, ""),
+        (_SHIFT, "s.scene.json", _trim_value, _SHIFT_DOC + "lines[2].base[0] is "),
+        (_SHIFT, "s.scene.json", _remove_line, _SHIFT_DOC + "lines[9] is missing, its writer writes {'triple': "),
+        (_SHIFT, "s.scene.json", _change_value, _SHIFT_DOC + "lines[0].base[0] is "),
+        (_SHIFT, "s.scene.json", _swap_first_lines, _SHIFT_DOC + "lines[0].base[0] is "),
+        (_SHIFT, "s.scene.json", _cut_to_two_values, _SHIFT_DOC + "a shift system needs at least 3"),
+        (_SHIFT, "s.scene.json", lambda doc: [doc], "bad scene document: unknown kind None"),
+        (_CERT, "s.json", lambda doc: [doc], _CERT_DOC),
+        (_BOXES, "s.scene.json", _short_coordinates, _BOXES_DOC),
+        (_CERT, "s.json", _edit_image, _CERT_DOC),
         (["build", "boxes", "--g", "6", "--k", "2", "--provider", "pigeonhole"], "s.scene.json", _axis_as_string,
-         ""),
-        (_BOXES, "s.scene.json", _third_axis_entry, ""),
-        (_BOXES, "s.scene.json", lambda doc: _bad_string_twice(doc, "one/two"), ""),
-        (_BOXES, "s.scene.json", lambda doc: _bad_string_twice(doc, "1/0"), ""),
-        (_BOXES, "s.scene.json", _set("g", 2.7), ""),
-        (_BOXES, "s.scene.json", _set("g", True), ""),
-        (_BOXES, "s.scene.json", _set("k", True), ""),
-        (_LINES, "s.scene.json", _set("k", "3"), ""),
-        (_LINES, "s.scene.json", _set("g", 6.0), ""),
+         _BOXES_DOC),
+        (_BOXES, "s.scene.json", _third_axis_entry, _BOXES_DOC),
+        (_BOXES, "s.scene.json", lambda doc: _bad_string_twice(doc, "one/two"), _BOXES_DOC),
+        (_BOXES, "s.scene.json", lambda doc: _bad_string_twice(doc, "1/0"), _BOXES_DOC),
+        (_BOXES, "s.scene.json", _set("g", 2.7), _BOXES_DOC),
+        (_BOXES, "s.scene.json", _set("g", True), _BOXES_DOC),
+        (_BOXES, "s.scene.json", _set("k", True), _BOXES_DOC),
+        (_LINES, "s.scene.json", _set("k", "3"), _LINES_DOC),
+        (_LINES, "s.scene.json", _set("g", 6.0), _LINES_DOC),
         (_LINES, "s.scene.json", _set("k", -5), _RANGES),
         (_LINES, "s.scene.json", _set("g", 0), _RANGES),
-        (_CERT, "s.json", _set("colors", 2.7), _INTEGERS),
-        (_CERT, "s.json", _set("colors", True), _INTEGERS),
-        (_CERT, "s.json", _set("colors", "2"), _INTEGERS),
-        (_CERT, "s.json", _set("girth", 4.0), _INTEGERS),
-        (_SHIFT, "s.scene.json", _set("n", 99), "shift-system field 'n'"),
-        (_SHIFT, "s.scene.json", _unreduced_direction, "stored line does not match its triple"),
-        (_SHIFT, "s.scene.json", _float_value, "shift-system field 'values'"),
-        (_SHIFT, "s.scene.json", _set("extra", 1), "shift-system field 'extra'"),
-        (_CERT, "s.json", _set_flag("coloring_ok", "yes"), _FLAGS),
-        (_CERT, "s.json", _set_flag("note", 5), _FLAGS),
+        (_CERT, "s.json", _set("colors", 2.7), _CERT_DOC + "colors is 2.7, its writer writes 2"),
+        (_CERT, "s.json", _set("colors", True), _CERT_DOC + "colors is True, its writer writes 1"),
+        (_CERT, "s.json", _set("colors", "2"), _CERT_DOC + "colors is '2', its writer writes 2"),
+        (_CERT, "s.json", _set("girth", 4.0), _CERT_DOC + "girth is 4.0, its writer writes 4"),
+        (_SHIFT, "s.scene.json", _set("n", 99), _SHIFT_DOC + "n is 99, its writer writes 5"),
+        (_SHIFT, "s.scene.json", _unreduced_direction,
+         _SHIFT_DOC + "lines[0].dir[0] is '2/2', its writer writes '1'"),
+        (_SHIFT, "s.scene.json", _float_value, _SHIFT_DOC + "values[0] is "),
+        (_SHIFT, "s.scene.json", _set("extra", 1), _SHIFT_DOC + "extra is 1, its writer writes nothing"),
+        (_CERT, "s.json", _set("flags", "coloring_ok", "yes"),
+         _CERT_DOC + "flags.coloring_ok is 'yes', its writer writes True"),
+        (_CERT, "s.json", _set("flags", "note", 5), _CERT_DOC + "flags.note is 5, its writer writes '5'"),
+        (_BOXES, "s.scene.json", _set("boxes", 0, "z", 0, 0.0),
+         _BOXES_DOC + "boxes[0].z[0] is 0.0, its writer writes '0'"),
+        (_BOXES, "s.scene.json", _set("boxes", 0, "z", 0, False),
+         _BOXES_DOC + "boxes[0].z[0] is False, its writer writes '0'"),
+        (_LINES, "s.scene.json", _set("lines", 0, "dir", 0, 1.0),
+         _LINES_DOC + "lines[0].dir[0] is 1.0, its writer writes '1'"),
+        (_CERT, "s.json", _set("ground_set", 2, 2.0), _CERT_DOC + "ground_set[2] is 2.0, its writer writes '2'"),
+        (_CERT, "s.json", _set("elements", 0, True), _CERT_DOC + "elements[0] is True, its writer writes '1'"),
+        *_RESPELLED,
+        (_BOXES, "s.scene.json", _set("boxes", 0, "w", ["0", "1"]),
+         _BOXES_DOC + "boxes[0].w is ['0', '1'], its writer writes nothing"),
+        (_CERT, "s.json", lambda doc: {key: doc[key] for key in doc if key != "flags"}, _CERT_DOC),
+        (_BOXES, "s.scene.json", _set("boxes", 0, "z", 0, float("inf")), _BOXES_DOC),
+        (_BOXES, "s.scene.json", _set("kind", []), "bad scene document: unknown kind []"),
     ],
     ids=["shift-value-trimmed", "shift-line-removed", "shift-value-changed", "shift-lines-swapped",
          "shift-two-values", "array-scene", "array-certificate", "short-box-coordinates", "edited-copy-image",
@@ -496,9 +531,15 @@ _FLAGS = "bad certificate document: flags must be true, false or null and note a
          "line-colors-negative", "line-girth-zero", "certificate-colors-float",
          "certificate-colors-bool", "certificate-colors-string", "certificate-girth-float",
          "shift-n-wrong", "shift-direction-unreduced", "shift-value-float", "shift-unknown-key",
-         "certificate-flag-string", "certificate-note-number"],
+         "certificate-flag-string", "certificate-note-number",
+         "box-coordinate-float", "box-coordinate-false", "line-direction-float", "certificate-ground-float",
+         "certificate-element-true",
+         *(f"{kind}-{name}" for name in ("exponent", "space", "unreduced") for kind in ("box", "line", "certificate")),
+         "box-unknown-key", "certificate-flags-missing", "box-coordinate-infinity", "scene-kind-list"],
 )
 def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, build, path, spoil, message):
+    # every refusal at load names its document kind; ``message`` is the
+    # start of the one stderr line after "check failed: "
     monkeypatch.chdir(tmp_path)
     main([*build, "--out", path.removesuffix(".scene.json")])
     doc = json.loads(Path(path).read_text())
@@ -509,7 +550,7 @@ def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, bui
     assert main(check) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-    assert message in captured.err
+    assert captured.err.startswith("check failed: " + message)
 
 
 def _field_paths(node, prefix=()):
@@ -617,3 +658,62 @@ def test_mutated_provenance_exits_0_or_2(provenance_scenes, kind, pick, value):
         assert err.getvalue().count("\n") == 1
     else:
         assert err.getvalue() == ""
+
+
+@pytest.fixture(scope="module")
+def built_documents(provenance_scenes):
+    """The two recursion scenes, a shift scene and a certificate, by kind,
+    and a scratch directory."""
+    root, docs = provenance_scenes
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["build", "shift", "--n", "5", "--seed", "1", "--out", str(root / "shift")]) == EXIT_OK
+        argv = ["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4", "--out", str(root / "c.json")]
+        assert main(argv) == EXIT_OK
+    return root, {**docs, "shift": read(root / "shift.scene.json"), "certificate": read(root / "c.json")}
+
+
+_MISSPELLED = st.one_of(st.floats(), st.booleans(), st.sampled_from(["1e0", " 1", "2/2"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["boxes", "lines", "shift", "certificate"]), data=st.data())
+def test_a_document_loads_only_as_its_writer_writes_it(built_documents, kind, data):
+    # one field set to a float, a bool or a misspelled rational, or one extra
+    # key, dropped key or extra list entry, anywhere but inside provenance
+    # (which the writer copies verbatim; see the test above): the load is
+    # refused with exit 2 and one stderr line, or the loaded object writes
+    # back the same document
+    root, docs = built_documents
+    doc = json.loads(json.dumps(docs[kind]))
+    # a random walk down from the root, so top-level fields are drawn as often as deep ones
+    node, path = doc, ()
+    while type(node) in (dict, list) and node and path != ("provenance",) and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(list(node) if type(node) is dict else range(len(node))))
+        parent, node, path = node, node[key], (*path, key)
+    edits = ["set", "drop"] if path else []
+    edits += ["key"] if type(node) is dict else ["entry"] if type(node) is list else []
+    edit, value = data.draw(st.sampled_from(edits)), data.draw(_MISSPELLED)
+    if edit == "set":
+        parent[path[-1]] = value
+    elif edit == "drop":
+        del parent[path[-1]]
+    elif edit == "key":
+        node["extra"] = value
+    else:
+        node.append(value)
+    file = root / "edited.json"
+    file.write_text(json.dumps(doc))
+    doc = read(file)
+    load, write, check = (
+        (load_certificate, certificate_to_doc, ["gallai", "check"]) if kind == "certificate"
+        else (load_scene, scene_to_doc, ["verify"])
+    )
+    try:
+        obj = load(file)
+    except SceneFormatError:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main([*check, str(file)]) == EXIT_CHECK_FAILED
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("check failed: bad ")
+    else:
+        assert json.dumps(write(obj), sort_keys=True) == json.dumps(doc, sort_keys=True)
