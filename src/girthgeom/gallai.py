@@ -210,55 +210,54 @@ def find_avoiding_coloring(
     least avoiding coloring is itself in canonical form, so the cap never
     skips it and exhaustion refutes all colorings.  With no points the
     empty coloring avoids every copy, since there are none.
+
+    Each position keeps its frame in three flat arrays: the color tried
+    there now (-1 before the first), the highest color the cap allows,
+    and the colors forbidden there, found once on stepping onto it.
+    Copies list their positions in ascending order, so a copy ending at p
+    is kept as its first member and a bitmask of its other earlier
+    members; it forbids the first member's color c exactly when
+    ``members[c]``, the positions colored c now, covers that bitmask.
     """
     if n == 0:
         return ()
-    by_last: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    by_last: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for idx in copy_indices:
-        by_last[idx[-1]].append(idx[:-1])
-    assigned = [-1] * n
-
-    def forbidden_at(pos: int) -> int:
-        """The colors that would complete a monochromatic copy ending at
-        pos.  Copies list their positions in ascending order, so this
-        reads only assigned[:pos] and the frame at pos keeps it."""
-        forbidden = 0
-        for prefix in by_last[pos]:
-            c0 = assigned[prefix[0]]
-            for j in prefix[1:]:
-                if assigned[j] != c0:
-                    break
-            else:
-                forbidden |= 1 << c0
-        return forbidden
-
+        by_last[idx[-1]].append((idx[0], sum(1 << j for j in idx[1:-1])))
+    assigned, cap, forbidden = [-1] * n, [min(colors - 1, 0)] * n, [0] * n
+    members = [0] * colors
     limit = budget.max_nodes - budget.used
-    nodes = 0
-    # frames: [color currently tried at this position, colors introduced above, forbidden colors]
-    stack: list[list[int]] = [[-1, 0, forbidden_at(0)]]
+    nodes = pos = 0
     try:
-        while stack:
-            pos = len(stack) - 1
-            frame = stack[-1]
-            cur, intro, forbidden = frame
-            cap = min(colors - 1, intro)
-            c = cur + 1
-            while c <= cap and (forbidden >> c) & 1:
+        while pos >= 0:
+            c = assigned[pos]
+            if c >= 0:
+                members[c] ^= 1 << pos
+            c += 1
+            top, banned = cap[pos], forbidden[pos]
+            while c <= top and (banned >> c) & 1:
                 c += 1
-            if c > cap:
+            if c > top:
                 assigned[pos] = -1
-                stack.pop()
+                pos -= 1
                 continue
             nodes += 1
             if nodes > limit:
                 raise BudgetExhausted(
                     "coloring search budget exhausted", budget.used + nodes, budget.max_nodes
                 )
-            frame[0] = c
             assigned[pos] = c
-            if pos + 1 == n:
+            members[c] ^= 1 << pos
+            pos += 1
+            if pos == n:
                 return tuple(assigned)
-            stack.append([-1, max(intro, c + 1), forbidden_at(pos + 1)])
+            cap[pos] = top + 1 if c == top < colors - 1 else top
+            banned = 0
+            for first, rest in by_last[pos]:
+                c0 = assigned[first]
+                if members[c0] & rest == rest:
+                    banned |= 1 << c0
+            forbidden[pos] = banned
         return None
     finally:
         budget.used += nodes

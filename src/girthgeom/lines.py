@@ -650,12 +650,14 @@ def _misplaced_copy_line(prov: dict, edges: recursion.CopyEdges):
     ground line at its own mapped parameter, as (line, ground lines met,
     expected ground line); None when every copy line does."""
     cert = prov["certificate"]
-    element_index = {rat(x): gi for gi, x in zip(edges.ground, cert["elements"])}
-    parent_params = [rat(t) for t in prov["parent_params"]]
+    elements = zip(edges.ground, enumerate(cert["elements"]))
+    element_index = {_written_rat(f"certificate.elements[{e}]", x): g for g, (e, x) in elements}
+    parent_params = [_written_rat(f"parent_params[{p}]", t) for p, t in enumerate(prov["parent_params"])]
     if len(parent_params) != prov["parent_size"]:
         raise ValueError(f"parent_params has {len(parent_params)} entries for {prov['parent_size']} parent lines")
     for ci, members in enumerate(edges.copies):
-        scale, shift = rat(cert["copies"][ci]["scale"]), rat(cert["copies"][ci]["shift"])
+        copy = cert["copies"][ci]
+        scale, shift = (_written_rat(f"certificate.copies[{ci}].{k}", copy[k]) for k in ("scale", "shift"))
         for p, i in enumerate(members):
             met = [g for g in edges.ground if g in edges.ground_met[i]]
             expected_g = element_index.get(scale * parent_params[p] + shift)
@@ -665,6 +667,17 @@ def _misplaced_copy_line(prov: dict, edges: recursion.CopyEdges):
             if met != [expected_g]:
                 return i, met, expected_g
     return None
+
+
+def _written_rat(field: str, value) -> Rat:
+    """The rational ``value`` is, if it is the string ``format_rat`` writes
+    for it; anything else is a ValueError naming the provenance field."""
+    try:
+        if format_rat(parsed := Fraction(value)) == value:
+            return parsed
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    raise ValueError(f"{field} is {value!r}, not a rational as its writer writes it")
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,12 @@ def read_doc(path) -> dict:
 
 def _parse(kind: str, doc, read):
     """``read(doc)``, with a malformed field reported as a SceneFormatError
-    that names the document kind."""
+    that names the document kind and, for a missing key, the key."""
     try:
         return read(doc)
     except (KeyError, IndexError, AttributeError, ValueError, TypeError, ArithmeticError) as exc:
-        raise SceneFormatError(f"bad {kind} document: {exc}") from exc
+        detail = f"{exc.args[0]} is missing" if type(exc) is KeyError else exc
+        raise SceneFormatError(f"bad {kind} document: {detail}") from exc
 
 
 _ABSENT = object()

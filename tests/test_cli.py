@@ -458,6 +458,7 @@ _SHIFT_DOC = "bad shift-system document: "
 _CERT_DOC = "bad certificate document: "
 _BOXES_DOC = "bad grounded-box-family document: "
 _LINES_DOC = "bad line-family document: "
+_PROVENANCE_DOC = "bad provenance document: "
 _RANGES = _LINES_DOC + "k must be an integer >= 1 and g one >= 3 or null"
 # box 0 is {"x": ["1", "4/3"], "y": ["2/3", "1"], "z": ["0", "1"]}; line 0 has
 # "dir": ["1", "1/2", "1/2"]; the certificate's ground set is ["0", "1", "2"]
@@ -520,9 +521,13 @@ _RESPELLED = [
         *_RESPELLED,
         (_BOXES, "s.scene.json", _set("boxes", 0, "w", ["0", "1"]),
          _BOXES_DOC + "boxes[0].w is ['0', '1'], its writer writes nothing"),
-        (_CERT, "s.json", lambda doc: {key: doc[key] for key in doc if key != "flags"}, _CERT_DOC),
+        (_CERT, "s.json", lambda doc: {key: doc[key] for key in doc if key != "flags"}, _CERT_DOC + "flags is missing"),
         (_BOXES, "s.scene.json", _set("boxes", 0, "z", 0, float("inf")), _BOXES_DOC),
         (_BOXES, "s.scene.json", _set("kind", []), "bad scene document: unknown kind []"),
+        (_LINES, "s.scene.json", _set("provenance", "certificate", "elements", 0, "2/2"),
+         _PROVENANCE_DOC + "certificate.elements[0] is '2/2', not a rational as its writer writes it"),
+        (_LINES, "s.scene.json", _set("provenance", "parent_params", 0, 0.0),
+         _PROVENANCE_DOC + "parent_params[0] is 0.0, not a rational as its writer writes it"),
     ],
     ids=["shift-value-trimmed", "shift-line-removed", "shift-value-changed", "shift-lines-swapped",
          "shift-two-values", "array-scene", "array-certificate", "short-box-coordinates", "edited-copy-image",
@@ -535,7 +540,8 @@ _RESPELLED = [
          "box-coordinate-float", "box-coordinate-false", "line-direction-float", "certificate-ground-float",
          "certificate-element-true",
          *(f"{kind}-{name}" for name in ("exponent", "space", "unreduced") for kind in ("box", "line", "certificate")),
-         "box-unknown-key", "certificate-flags-missing", "box-coordinate-infinity", "scene-kind-list"],
+         "box-unknown-key", "certificate-flags-missing", "box-coordinate-infinity", "scene-kind-list",
+         "line-provenance-element-unreduced", "line-parent-param-float"],
 )
 def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, build, path, spoil, message):
     # every refusal at load names its document kind; ``message`` is the

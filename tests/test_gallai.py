@@ -256,22 +256,37 @@ class TestVerify:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        n=st.integers(1, 12),
-        colors=st.integers(1, 3),
-        raw=st.lists(st.sets(st.integers(0, 11), min_size=2, max_size=4), max_size=30),
+        n=st.integers(1, 16),
+        colors=st.integers(1, 4),
+        raw=st.lists(st.sets(st.integers(0, 15), min_size=2, max_size=6), max_size=30),
         spent=st.integers(0, 5),
         small=st.integers(0, 60),
     )
     def test_search_matches_the_rescanning_search_node_for_node(self, n, colors, raw, spent, small):
-        """Keeping each frame's forbidden colors searches the same tree:
-        the same coloring or refutation, the same nodes, and the same
-        exhaustion point under a small budget."""
+        """Reading each copy as its first member and a bitmask of the rest
+        searches the same tree: the same coloring or refutation, the same
+        nodes, and the same exhaustion point under a small budget.  Copies
+        of two points have an empty bitmask."""
         members = ({i % n for i in c} for c in raw)
         copies = sorted({tuple(sorted(m)) for m in members if len(m) >= 2})
         for limit in (10_000_000, spent + small):
             ours = self._run(find_avoiding_coloring, n, colors, copies, Budget(limit, used=spent))
             reference = self._run(rescan_avoiding_coloring, n, colors, copies, Budget(limit, used=spent))
             assert ours == reference
+
+    @pytest.mark.parametrize(
+        "terms, n, colors, refuted, nodes",
+        [(3, 27, 3, True, 112_547), (4, 35, 2, True, 10_175), (3, 26, 3, False, 11_912)],
+        ids=["w33-refuted", "4ap35-refuted", "3ap26-colored"],
+    )
+    def test_search_matches_the_rescanning_search_at_real_scale(self, terms, n, colors, refuted, nodes):
+        # W(3;3) = 27 and W(4;2) = 35: the trees the certificates pin
+        xs = elems(*range(1, n + 1))
+        copies = [tuple(int(v) - 1 for v in c.image) for c in enumerate_copies(GroundSet.of(range(terms)), xs)]
+        ours = self._run(find_avoiding_coloring, n, colors, copies, Budget(10_000_000))
+        assert ours == self._run(rescan_avoiding_coloring, n, colors, copies, Budget(10_000_000))
+        result, used = ours
+        assert used == nodes and (result is None) == refuted
 
 
 class TestDerive:
