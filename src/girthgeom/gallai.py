@@ -83,9 +83,10 @@ class CertificateFlags:
     sparsity_ok: bool | None = None
     copies_complete: bool | None = None
     note: str = ""
-    counterexample: tuple[int, ...] | None = field(default=None, repr=False)
-    cycle: CopyCycleWitness | None = field(default=None, repr=False)
-    nodes: int = field(default=0, repr=False)
+    # what a verification found on the way; flags compare as their document does
+    counterexample: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    cycle: CopyCycleWitness | None = field(default=None, repr=False, compare=False)
+    nodes: int = field(default=0, repr=False, compare=False)
 
     @property
     def verdicts(self) -> tuple[bool | None, bool | None, bool | None]:
@@ -509,12 +510,22 @@ def certificate_to_doc(cert: GallaiCertificate) -> dict:
 
 
 def certificate_from_doc(doc: dict, read=rat) -> GallaiCertificate:
+    """The certificate a document holds.  A copy keeps its stored image,
+    accepted only as its map's image of the ground set: x = p/q is
+    (a/b) g + c/d for g = e/f exactly when p b d f = q (a e d + c b f)."""
     ground = GroundSet(tuple(map(read, doc["ground_set"])))
     elements = tuple(map(read, doc["elements"]))
-    # a copy's image is its map's image of the ground set; the loader refuses a stored image that differs
-    maps = [Homothety1D(read(c["scale"]), read(c["shift"])) for c in doc["copies"]]
-    copies = tuple(HomotheticCopy(m, tuple(map(m.apply, ground.points))) for m in maps)
+    points = [(g.numerator, g.denominator) for g in ground.points]
+    copies = []
+    for i, entry in enumerate(doc["copies"]):
+        m, image = Homothety1D(read(entry["scale"]), read(entry["shift"])), tuple(map(read, entry["image"]))
+        a, b, c, d = m.scale.numerator, m.scale.denominator, m.shift.numerator, m.shift.denominator
+        if len(image) != len(points) or any(
+            x.numerator * b * d * f != x.denominator * (a * e * d + c * b * f) for x, (e, f) in zip(image, points)
+        ):
+            raise ValueError(f"copies[{i}].image is {entry['image']!r}, not its map's image of the ground set")
+        copies.append(HomotheticCopy(m, image))
     flags_doc = doc["flags"]
     verdicts = [flags_doc[name] for name in ("coloring_ok", "sparsity_ok", "copies_complete")]
     flags = CertificateFlags(*(None if v is None else bool(v) for v in verdicts), note=str(flags_doc["note"]))
-    return GallaiCertificate(ground, elements, copies, int(doc["colors"]), int(doc["girth"]), flags)
+    return GallaiCertificate(ground, elements, tuple(copies), int(doc["colors"]), int(doc["girth"]), flags)

@@ -295,7 +295,7 @@ def build_shift_system(n: int, seed: int = 0) -> ShiftSystem:
         ok, diagnostic = system.verification
         if ok:
             return system
-        rejected.append({"values": [format_rat(v) for v in values], "diagnostic": str(diagnostic)})
+        rejected.append({"values": list(values), "diagnostic": str(diagnostic)})
     raise ConstructionError(
         f"no valid sample within {SAMPLE_ATTEMPTS} attempts", {"rejected": rejected}
     )
@@ -592,11 +592,7 @@ def _place_lines(parent: LineFamily, certify) -> recursion.Placement:
         offsets_used.append(offset)
         copies.append(images)
         placed.add(images)
-    extra = {
-        "geometry": "lines",
-        "parent_params": [format_rat(t) for t in params],
-        "offsets": [format_rat(o) for o in offsets_used],
-    }
+    extra = {"geometry": "lines", "parent_params": params, "offsets": offsets_used}
     return recursion.Placement(parent, cert, ground, copies, extra)
 
 
@@ -635,49 +631,27 @@ def _check_line_copies(report: recursion.StructureReport, fam: LineFamily, edges
         "" if bad is None else f"line {bad[0]} meets ground {bad[1]}, expected [{bad[2]}]",
     )
 
-    # the first cross-copy meeting pair in block order
-    rank = {i: r for r, i in enumerate(edges.owner)}
-    cross_pair = min(edges.cross, key=lambda p: (rank[p[0]], rank[p[1]]), default=None)
-    report.add(
-        "no-cross-copy-incidences",
-        cross_pair is None,
-        "" if cross_pair is None else f"cross-copy pair {cross_pair}",
-    )
+    cross = edges.cross
+    report.add("no-cross-copy-incidences", not cross, "" if not cross else f"cross-copy pair {cross[0]}")
 
 
 def _misplaced_copy_line(prov: dict, edges: recursion.CopyEdges):
     """The first copy line, in block order, that does not meet exactly the
     ground line at its own mapped parameter, as (line, ground lines met,
-    expected ground line); None when every copy line does."""
+    expected ground line); None when every copy line does.  Parent line p
+    lies at parent_params[p], the ground set's point of rank r, so copy c
+    maps it to c.image[r]; the lines each copy line meets are listed in
+    ground order, since ground lines come first."""
     cert = prov["certificate"]
-    elements = zip(edges.ground, enumerate(cert["elements"]))
-    element_index = {_written_rat(f"certificate.elements[{e}]", x): g for g, (e, x) in elements}
-    parent_params = [_written_rat(f"parent_params[{p}]", t) for p, t in enumerate(prov["parent_params"])]
-    if len(parent_params) != prov["parent_size"]:
-        raise ValueError(f"parent_params has {len(parent_params)} entries for {prov['parent_size']} parent lines")
-    for ci, members in enumerate(edges.copies):
-        copy = cert["copies"][ci]
-        scale, shift = (_written_rat(f"certificate.copies[{ci}].{k}", copy[k]) for k in ("scale", "shift"))
-        for p, i in enumerate(members):
-            met = [g for g in edges.ground if g in edges.ground_met[i]]
-            expected_g = element_index.get(scale * parent_params[p] + shift)
-            if expected_g is None:
-                raise ValueError(f"parent_params[{p}] = {format_rat(parent_params[p])} maps outside the "
-                                 f"certificate elements under copy {ci}")
-            if met != [expected_g]:
-                return i, met, expected_g
+    rank = {t: r for r, t in enumerate(cert.ground.points)}
+    ranks = [rank[t] for t in prov["parent_params"]]
+    ground_at = dict(zip(cert.elements, edges.ground))
+    for copy, members in zip(cert.copies, edges.copies):
+        for r, i in zip(ranks, members):
+            expected_g = ground_at[copy.image[r]]
+            if edges.ground_met[i] != [expected_g]:
+                return i, edges.ground_met[i], expected_g
     return None
-
-
-def _written_rat(field: str, value) -> Rat:
-    """The rational ``value`` is, if it is the string ``format_rat`` writes
-    for it; anything else is a ValueError naming the provenance field."""
-    try:
-        if format_rat(parsed := Fraction(value)) == value:
-            return parsed
-    except (TypeError, ValueError, ArithmeticError):
-        pass
-    raise ValueError(f"{field} is {value!r}, not a rational as its writer writes it")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import NamedTuple
 from . import graphs
 from .budget import Budget
 from .errors import BudgetExhausted, ConstructionError
-from .gallai import GallaiCertificate, GroundSet, ProviderPolicy, certificate_to_doc
+from .gallai import GallaiCertificate, GroundSet, ProviderPolicy
 
 
 class Placement(NamedTuple):
@@ -68,15 +68,9 @@ def lift(
             )
 
     placed = place(parent, lambda values: provider(GroundSet.of(values), colors, girth))
-    objects = list(placed.ground)
-    copy_blocks: list[list[int]] = []
-    for images in placed.copies:
-        copy_blocks.append(list(range(len(objects), len(objects) + len(images))))
-        objects.extend(images)
-
     lift_certified = placed.cert.flags.all_true()
     out = type(placed.parent)(
-        tuple(objects),
+        tuple(itertools.chain(placed.ground, *placed.copies)),
         girth,
         colors + 1 if lift_certified else colors,
         {
@@ -84,10 +78,10 @@ def lift(
             **placed.provenance,
             "girth_param": girth,
             "colors_before": colors,
-            "blocks": {"ground": list(range(len(placed.ground))), "copies": copy_blocks},
+            "blocks": block_layout(len(placed.ground), len(placed.copies), parent_graph.n),
             "parent_edges": [list(e) for e in sorted(parent_graph.edges)],
             "parent_size": parent_graph.n,
-            "certificate": certificate_to_doc(placed.cert),
+            "certificate": placed.cert,
             "chromatic_lift_certified": lift_certified,
             "parent": placed.parent.provenance,
         },
@@ -103,6 +97,13 @@ def lift(
             f"girth lift violated: got {out_girth}, expected at least {floor_bound}"
         )
     return out
+
+
+def block_layout(ground: int, copies: int, size: int) -> dict:
+    """The blocks of a lift's objects: its ground objects first, then one
+    block of ``size`` objects, an image of the parent, per copy."""
+    blocks = [list(range(ground + j * size, ground + (j + 1) * size)) for j in range(copies)]
+    return {"ground": list(range(ground)), "copies": blocks}
 
 
 def build_family(girth: int, colors: int, policy: ProviderPolicy | None, bases, step):
@@ -176,32 +177,26 @@ class StructureReport:
 
 class CopyEdges:
     """The edges of a recursion output filed by the blocks of its
-    provenance, which partition its objects, each list in edge order:
-    pairs of ground objects, the ground objects each copy object meets,
-    pairs from two different copies, and each copy's own edges as pairs
-    of positions in the copy."""
+    provenance, which ``block_layout`` lays out.  Each list is in edge
+    order: pairs of ground objects, the ground objects each copy object
+    meets, pairs from two different copies, and each copy's own edges as
+    pairs of positions in the copy."""
 
     def __init__(self, blocks: dict, edges):
-        self.ground = list(blocks["ground"])
-        self.copies = [list(c) for c in blocks["copies"]]
-        self.owner: dict[int, int] = {}
-        pos: dict[int, int] = {}
-        for ci, members in enumerate(self.copies):
-            for p, i in enumerate(members):
-                self.owner[i], pos[i] = ci, p
-        ground = set(self.ground)
+        self.ground, self.copies = blocks["ground"], blocks["copies"]
+        m, size = len(self.ground), len(self.copies[0]) if self.copies else 1
         self.ground_pairs: list[tuple[int, int]] = []
-        self.ground_met: dict[int, list[int]] = {i: [] for i in self.owner}
+        self.ground_met: dict[int, list[int]] = {i: [] for members in self.copies for i in members}
         self.cross: list[tuple[int, int]] = []
         self.intra: list[set[tuple[int, int]]] = [set() for _ in self.copies]
         for u, v in edges:
-            if u in ground and v in ground:
+            (cu, pu), (cv, pv) = divmod(u - m, size), divmod(v - m, size)
+            if v < m:
                 self.ground_pairs.append((u, v))
-            elif u in ground or v in ground:
-                g, c = (u, v) if u in ground else (v, u)
-                self.ground_met[c].append(g)
-            elif self.owner[u] == self.owner[v]:
-                self.intra[self.owner[u]].add(tuple(sorted((pos[u], pos[v]))))
+            elif u < m:
+                self.ground_met[v].append(u)
+            elif cu == cv:
+                self.intra[cu].add((pu, pv))
             else:
                 self.cross.append((u, v))
 
@@ -212,21 +207,14 @@ def check_structure(fam, check_copies: Callable) -> StructureReport:
     Base families must have exactly their expected graph.  A recursion
     output is checked by ``check_copies(report, fam, CopyEdges)`` for its
     ground objects and how the copies meet them and each other, then here
-    for each copy's own graph against the parent's.  Blocks that do not
-    partition its objects, so leave some unchecked, or a copy block of
-    another size than the parent, are a ValueError.
+    for each copy's own graph against the parent's.  Its provenance is
+    taken to fit its objects, as the scene reader makes sure it does.
     """
     report = StructureReport()
     prov = fam.provenance
     kind = prov.get("kind")
     if kind == "recursion":
-        blocks = prov["blocks"]
-        members = list(itertools.chain(blocks["ground"], *blocks["copies"]))
-        if any(type(i) is not int for i in members) or sorted(members) != list(range(len(fam))):
-            raise ValueError(f"blocks ground and copies do not partition the {len(fam)} objects")
-        if any(len(c) != prov["parent_size"] for c in blocks["copies"]):
-            raise ValueError(f"a copy block does not hold the {prov['parent_size']} objects of the parent")
-        edges = CopyEdges(blocks, fam.meets)
+        edges = CopyEdges(prov["blocks"], fam.meets)
         check_copies(report, fam, edges)
         parent_edges = {tuple(e) for e in prov["parent_edges"]}
         bad_block = next(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from .errors import SceneFormatError
 from .gallai import GallaiCertificate, certificate_from_doc, certificate_to_doc
 from .geometry import format_rat, rat
 from .lines import LineFamily, ShiftSystem, line_from_doc, line_to_doc
+from .recursion import block_layout
 
 
 def dumps_doc(doc: dict) -> str:
@@ -40,14 +42,20 @@ def read_doc(path) -> dict:
         raise SceneFormatError(f"not valid JSON: {path}: {exc}") from exc
 
 
+_MALFORMED = (KeyError, IndexError, AttributeError, ValueError, TypeError, ArithmeticError)
+
+
+def _detail(exc: Exception) -> str:
+    return f"{exc.args[0]} is missing" if type(exc) is KeyError else str(exc)
+
+
 def _parse(kind: str, doc, read):
     """``read(doc)``, with a malformed field reported as a SceneFormatError
     that names the document kind and, for a missing key, the key."""
     try:
         return read(doc)
-    except (KeyError, IndexError, AttributeError, ValueError, TypeError, ArithmeticError) as exc:
-        detail = f"{exc.args[0]} is missing" if type(exc) is KeyError else exc
-        raise SceneFormatError(f"bad {kind} document: {detail}") from exc
+    except _MALFORMED as exc:
+        raise SceneFormatError(f"bad {kind} document: {_detail(exc)}") from exc
 
 
 _ABSENT = object()
@@ -56,9 +64,9 @@ _ABSENT = object()
 def _difference(stored, written, path: str = "") -> str | None:
     """Where ``stored`` first differs from ``written``, in sorted key and
     list order, or None.  A scalar must have the writer's type too, since
-    ``6.0 == 6`` and ``True == 1``; equal lists pass on ``==``, because the
-    writer puts only strings and dicts of strings in lists, and
-    ``provenance``, which it copies verbatim, is the stored object itself."""
+    ``6.0 == 6`` and ``True == 1``; equal lists pass on ``==``, because in
+    lists the writer puts only strings, dicts of strings and provenance
+    integers, which the provenance reader accepts only as JSON integers."""
     same_type = type(stored) is type(written)
     if stored is written or same_type and type(written) is not dict and stored == written:
         return None
@@ -87,6 +95,107 @@ def _load(kind: str, doc, read, write):
 
 
 # ---------------------------------------------------------------------------
+# provenance: how a scene was made
+
+_BASES = {"base-single": {}, "base-pair": {}, "base-odd-cycle": {"n": int}}
+_RECURSION = {"geometry": str, "girth_param": int, "colors_before": int, "parent_size": int,
+              "blocks": {"ground": [int], "copies": [[int]]}, "parent_edges": [[int]],
+              "certificate": GallaiCertificate, "chromatic_lift_certified": bool, "parent": dict}
+# scene geometry -> provenance kind -> its fields besides "kind": a JSON type,
+# Fraction for a rational, a certificate, or a list or dict of these; the
+# parent (a dict) is a provenance of the same geometry
+_PROVENANCE = {
+    "boxes": {**_BASES, "recursion": _RECURSION},
+    "lines": {**_BASES, "recursion": {**_RECURSION, "parent_params": [Fraction], "offsets": [Fraction]}},
+    "shift": {"shift-system": {"n": int, "seed": int, "attempt": int,
+                               "rejected_samples": [{"values": [Fraction], "diagnostic": str}]}},
+}
+
+
+def _fields(prov: dict, geometry: str) -> dict:
+    """The fields of one provenance level: those of its kind, none when an
+    object made by hand has no kind, and ``traces_normalized`` when
+    ``boxes.normalize_traces`` has marked it."""
+    fields = {"kind": str, **_PROVENANCE[geometry][prov["kind"]]} if "kind" in prov else {}
+    return {**fields, "traces_normalized": bool} if "traces_normalized" in prov else fields
+
+
+def _read_field(spec, value, read, path: str):
+    """``value`` read as ``spec`` says; a value of another JSON type, or a
+    rational or certificate that does not read, is a ValueError naming its
+    path."""
+    if spec is Fraction or spec is GallaiCertificate:
+        try:
+            return read(value) if spec is Fraction else certificate_from_doc(value, read)
+        except _MALFORMED as exc:
+            raise ValueError(f"{path}: {_detail(exc)}") from exc
+    expected = spec if type(spec) is type else type(spec)
+    if type(value) is not expected:
+        shown = "missing" if value is _ABSENT else repr(value)
+        raise ValueError(f"{path} is {shown}, not of type {expected.__name__}")
+    if type(spec) is dict:
+        return {k: _read_field(s, value.get(k, _ABSENT), read, f"{path}.{k}") for k, s in spec.items()}
+    if type(spec) is list:
+        return [_read_field(spec[0], v, read, f"{path}[{i}]") for i, v in enumerate(value)]
+    return value
+
+
+def _read_provenance(doc, read, geometry: str, path: str = "provenance") -> dict:
+    """The provenance ``doc`` holds, read level by level through ``parent``."""
+    kind = _read_field(dict, doc, read, path).get("kind")
+    if "kind" in doc and _read_field(str, kind, read, f"{path}.kind") not in _PROVENANCE[geometry]:
+        raise ValueError(f"{path}.kind is {kind!r}, not a provenance kind of {geometry}")
+    prov = _read_field(_fields(doc, geometry), doc, read, path)
+    if kind == "recursion":
+        prov["parent"] = _read_provenance(prov["parent"], read, geometry, f"{path}.parent")
+    return prov
+
+
+def _write_field(spec, value):
+    if type(spec) is dict:
+        return {k: _write_field(s, value[k]) for k, s in spec.items()}
+    if type(spec) is list:
+        return [_write_field(spec[0], v) for v in value]
+    return format_rat(value) if spec is Fraction else certificate_to_doc(value) if spec is GallaiCertificate else value
+
+
+def _provenance_to_doc(prov: dict, geometry: str) -> dict:
+    """The provenance document.  A recursion's geometry and whether its
+    certificate certifies the lift come from the object, not from a stored
+    value, so a document that states them otherwise fails the compare."""
+    doc = _write_field(_fields(prov, geometry), prov)
+    if prov.get("kind") == "recursion":
+        certified, parent = prov["certificate"].flags.all_true(), _provenance_to_doc(prov["parent"], geometry)
+        doc.update(geometry=geometry, chromatic_lift_certified=certified, parent=parent)
+    return doc
+
+
+def _check_fit(prov: dict, size: int) -> None:
+    """A ValueError unless the family provenance fits its ``size`` objects:
+    a cycle has n of them; a recursion's parent has one object per point
+    of the certificate's ground set, its blocks list the objects in order,
+    one ground object per certificate element, then one block of
+    parent_size per certificate copy, its parent edges are sorted pairs
+    u < v of parent objects, and a line recursion's parent parameters are
+    the points of the ground set."""
+    if prov.get("kind") == "base-odd-cycle" and not 3 <= prov["n"] == size:
+        raise ValueError(f"provenance.n is {prov['n']}, not the {size} objects of the cycle")
+    if prov.get("kind") != "recursion":
+        return
+    cert, m, step = prov["certificate"], len(prov["certificate"].elements), prov["parent_size"]
+    if step != cert.ground.size:
+        raise ValueError(f"provenance.parent_size is {step}, not the {cert.ground.size} points of the ground set")
+    if prov["blocks"] != block_layout(m, len(cert.copies), step) or m + len(cert.copies) * step != size:
+        raise ValueError(f"provenance.blocks do not list the {size} objects in order: one ground object per "
+                         f"certificate element, then {step} per certificate copy")
+    edges = [tuple(e) for e in prov["parent_edges"]]
+    if edges != sorted(set(edges)) or any(len(e) != 2 or not 0 <= e[0] < e[1] < step for e in edges):
+        raise ValueError(f"provenance.parent_edges are not sorted pairs u < v of the {step} parent objects")
+    if "parent_params" in prov and sorted(prov["parent_params"]) != list(cert.ground.points):
+        raise ValueError("provenance.parent_params are not the points of the certificate's ground set")
+
+
+# ---------------------------------------------------------------------------
 # scene documents
 
 
@@ -96,7 +205,7 @@ def _family_to_doc(kind: str, key: str, fam) -> dict:
         "g": fam.claimed_girth,
         "k": fam.claimed_chromatic,
         key: fam.labels(),
-        "provenance": fam.provenance,
+        "provenance": _provenance_to_doc(fam.provenance, key),
     }
 
 
@@ -105,7 +214,9 @@ def _read_family(family, key: str, read_object, doc: dict, read):
     g, k = None if doc["g"] is None else int(doc["g"]), int(doc["k"])
     if k < 1 or g is not None and g < 3:
         raise ValueError(f"k must be an integer >= 1 and g one >= 3 or null, got g={doc['g']!r}, k={doc['k']!r}")
-    return family(objects, g, k, doc["provenance"])
+    prov = _read_provenance(doc["provenance"], read, key)
+    _check_fit(prov, len(objects))
+    return family(objects, g, k, prov)
 
 
 def _shift_system_to_doc(system: ShiftSystem) -> dict:
@@ -117,12 +228,13 @@ def _shift_system_to_doc(system: ShiftSystem) -> dict:
             {"triple": [format_rat(a), format_rat(b), format_rat(c)], **line_to_doc(l)}
             for (a, b, c), l in zip(system.triples, system.lines)
         ],
-        "provenance": system.provenance,
+        # n is derived from the values, like the top-level n
+        "provenance": {**_provenance_to_doc(system.provenance, "shift"), "n": len(system.values)},
     }
 
 
 def _read_shift_system(doc: dict, read) -> ShiftSystem:
-    return ShiftSystem(tuple(map(read, doc["values"])), doc["provenance"])
+    return ShiftSystem(tuple(map(read, doc["values"])), _read_provenance(doc["provenance"], read, "shift"))
 
 
 # scene kind -> (class, writer, reader)

@@ -56,8 +56,7 @@ def test_criterion_2_box_recursion_end_to_end():
     parent = gg.meeting_pair_family()
     fam = gg.recursion_step_boxes(parent, 2, 6, pigeonhole_provider)
     assert len(fam.boxes) == 9
-    cert_doc = fam.provenance["certificate"]
-    assert cert_doc["elements"] == ["1", "2", "3"]
+    assert fam.provenance["certificate"].elements == (1, 2, 3)
     g = gg.intersection_graph(fam)
     order = [0, 3, 4, 1, 7, 8, 2, 6, 5]
     nine_cycle = gg.GeoGraph(9, [(order[i], order[(i + 1) % 9]) for i in range(9)])

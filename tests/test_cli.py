@@ -451,6 +451,7 @@ def _unreduced_direction(doc):
 
 
 _SHIFT = ["build", "shift", "--n", "5"]
+_SHIFT6 = ["build", "shift", "--n", "6", "--seed", "1"]
 _CERT = ["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4"]
 _BOXES = ["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"]
 _LINES = ["build", "lines", "--g", "6", "--k", "3", "--provider", "pigeonhole"]
@@ -458,7 +459,6 @@ _SHIFT_DOC = "bad shift-system document: "
 _CERT_DOC = "bad certificate document: "
 _BOXES_DOC = "bad grounded-box-family document: "
 _LINES_DOC = "bad line-family document: "
-_PROVENANCE_DOC = "bad provenance document: "
 _RANGES = _LINES_DOC + "k must be an integer >= 1 and g one >= 3 or null"
 # box 0 is {"x": ["1", "4/3"], "y": ["2/3", "1"], "z": ["0", "1"]}; line 0 has
 # "dir": ["1", "1/2", "1/2"]; the certificate's ground set is ["0", "1", "2"]
@@ -525,9 +525,26 @@ _RESPELLED = [
         (_BOXES, "s.scene.json", _set("boxes", 0, "z", 0, float("inf")), _BOXES_DOC),
         (_BOXES, "s.scene.json", _set("kind", []), "bad scene document: unknown kind []"),
         (_LINES, "s.scene.json", _set("provenance", "certificate", "elements", 0, "2/2"),
-         _PROVENANCE_DOC + "certificate.elements[0] is '2/2', not a rational as its writer writes it"),
+         _LINES_DOC + "provenance.certificate.elements[0] is '2/2', its writer writes '1'"),
         (_LINES, "s.scene.json", _set("provenance", "parent_params", 0, 0.0),
-         _PROVENANCE_DOC + "parent_params[0] is 0.0, not a rational as its writer writes it"),
+         _LINES_DOC + "provenance.parent_params[0] is 0.0, its writer writes '0'"),
+        (_SHIFT6, "s.scene.json", _set("provenance", "n", 99), _SHIFT_DOC + "provenance.n is 99, its writer writes 6"),
+        (_SHIFT6, "s.scene.json", _set("provenance", "seed", "x"),
+         _SHIFT_DOC + "provenance.seed is 'x', not of type int"),
+        (_BOXES, "s.scene.json", _set("provenance", "chromatic_lift_certified", False),
+         _BOXES_DOC + "provenance.chromatic_lift_certified is False, its writer writes True"),
+        (_BOXES, "s.scene.json", _set("provenance", "colors_before", 2.5),
+         _BOXES_DOC + "provenance.colors_before is 2.5, not of type int"),
+        (_BOXES, "s.scene.json", _set("provenance", "geometry", "lines"),
+         _BOXES_DOC + "provenance.geometry is 'lines', its writer writes 'boxes'"),
+        (_BOXES, "s.scene.json", _set("provenance", "certificate", "copies", 0, "image", 0, "999"),
+         _BOXES_DOC + "provenance.certificate: copies[0].image is ['999', "),
+        (_BOXES, "s.scene.json", _set("provenance", "certificate", "flags", "coloring_ok", "yes"),
+         _BOXES_DOC + "provenance.certificate.flags.coloring_ok is 'yes', its writer writes True"),
+        (_BOXES, "s.scene.json", _set("provenance", "parent_edges", 0, [0, 7]),
+         _BOXES_DOC + "provenance.parent_edges are not sorted pairs u < v of the 2 parent objects"),
+        (_BOXES, "s.scene.json", _set("provenance", "parent_edges", [[0, 1], [0, 1]]),
+         _BOXES_DOC + "provenance.parent_edges are not sorted pairs u < v of the 2 parent objects"),
     ],
     ids=["shift-value-trimmed", "shift-line-removed", "shift-value-changed", "shift-lines-swapped",
          "shift-two-values", "array-scene", "array-certificate", "short-box-coordinates", "edited-copy-image",
@@ -541,7 +558,10 @@ _RESPELLED = [
          "certificate-element-true",
          *(f"{kind}-{name}" for name in ("exponent", "space", "unreduced") for kind in ("box", "line", "certificate")),
          "box-unknown-key", "certificate-flags-missing", "box-coordinate-infinity", "scene-kind-list",
-         "line-provenance-element-unreduced", "line-parent-param-float"],
+         "line-provenance-element-unreduced", "line-parent-param-float", "shift-provenance-n-wrong",
+         "shift-provenance-seed-string", "box-lift-uncertified", "box-colors-before-float", "box-geometry-lines",
+         "box-provenance-image-wrong", "box-provenance-flag-string", "box-parent-edge-out-of-range",
+         "box-parent-edge-repeated"],
 )
 def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, build, path, spoil, message):
     # every refusal at load names its document kind; ``message`` is the
@@ -569,13 +589,13 @@ def _field_paths(node, prefix=()):
 
 @pytest.fixture(scope="module")
 def provenance_scenes(tmp_path_factory):
-    """The scene documents of two recursion builds, and a scratch directory."""
+    """The scene documents of two recursion builds and a shift build, and a
+    scratch directory."""
     root = tmp_path_factory.mktemp("provenance")
     docs = {}
-    for kind in ("boxes", "lines"):
+    for kind, build in (("boxes", _BOXES), ("lines", _LINES), ("shift", [*_SHIFT, "--seed", "1"])):
         with contextlib.redirect_stdout(io.StringIO()):
-            argv = ["build", kind, "--g", "6", "--k", "3", "--provider", "pigeonhole", "--out", str(root / kind)]
-            assert main(argv) == EXIT_OK
+            assert main([*build, "--out", str(root / kind)]) == EXIT_OK
         docs[kind] = read(root / f"{kind}.scene.json")
     return root, docs
 
@@ -614,17 +634,20 @@ def _move_copy_member(prov):
     "kind, spoil, message",
     [
         ("lines", lambda prov: prov["parent_params"].__setitem__(0, "7"),
-         "parent_params[0] = 7 maps outside the certificate elements"),
-        ("lines", lambda prov: prov["parent_params"].pop(), "parent_params has 1 entries for 2 parent lines"),
-        ("lines", _move_copy_member, "a copy block does not hold the 2 objects of the parent"),
-        ("boxes", _move_copy_member, "a copy block does not hold the 2 objects of the parent"),
+         "provenance.parent_params are not the points of the certificate's ground set"),
+        ("lines", lambda prov: prov["parent_params"].pop(),
+         "provenance.parent_params are not the points of the certificate's ground set"),
+        ("lines", _move_copy_member, "provenance.blocks do not list the 9 objects in order"),
+        ("boxes", _move_copy_member, "provenance.blocks do not list the 9 objects in order"),
+        ("boxes", lambda prov: prov.__setitem__("parent_size", 0),
+         "provenance.parent_size is 0, not the 2 points of the ground set"),
     ],
     ids=["line-parent-param-off-the-elements", "line-parent-params-short", "line-copy-block-sizes",
-         "box-copy-block-sizes"],
+         "box-copy-block-sizes", "box-parent-size-zero"],
 )
 def test_provenance_that_does_not_fit_the_parent_exits_2(provenance_scenes, capsys, kind, spoil, message):
     # each copy is one image of the parent: its block has the parent's size
-    # and each parent parameter maps to a certificate element
+    # and the parent parameters are the certificate's ground set
     root, docs = provenance_scenes
     doc = json.loads(json.dumps(docs[kind]))
     spoil(doc["provenance"])
@@ -641,7 +664,7 @@ _MUTATED = [None, -1, 0, 2, 10**6, 3.5, True, "x", "0", "1/0", "-1/2", [], [0], 
 
 
 @settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(["boxes", "lines"]), pick=st.randoms(use_true_random=False),
+@given(kind=st.sampled_from(["boxes", "lines", "shift"]), pick=st.randoms(use_true_random=False),
        value=st.sampled_from(_MUTATED))
 def test_mutated_provenance_exits_0_or_2(provenance_scenes, kind, pick, value):
     # one provenance field set to a wrong type or value: verify either
@@ -672,10 +695,9 @@ def built_documents(provenance_scenes):
     and a scratch directory."""
     root, docs = provenance_scenes
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["build", "shift", "--n", "5", "--seed", "1", "--out", str(root / "shift")]) == EXIT_OK
         argv = ["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4", "--out", str(root / "c.json")]
         assert main(argv) == EXIT_OK
-    return root, {**docs, "shift": read(root / "shift.scene.json"), "certificate": read(root / "c.json")}
+    return root, {**docs, "certificate": read(root / "c.json")}
 
 
 _MISSPELLED = st.one_of(st.floats(), st.booleans(), st.sampled_from(["1e0", " 1", "2/2"]))
@@ -685,15 +707,14 @@ _MISSPELLED = st.one_of(st.floats(), st.booleans(), st.sampled_from(["1e0", " 1"
 @given(kind=st.sampled_from(["boxes", "lines", "shift", "certificate"]), data=st.data())
 def test_a_document_loads_only_as_its_writer_writes_it(built_documents, kind, data):
     # one field set to a float, a bool or a misspelled rational, or one extra
-    # key, dropped key or extra list entry, anywhere but inside provenance
-    # (which the writer copies verbatim; see the test above): the load is
-    # refused with exit 2 and one stderr line, or the loaded object writes
-    # back the same document
+    # key, dropped key or extra list entry, anywhere, provenance included: the
+    # load is refused with exit 2 and one stderr line, or the loaded object
+    # writes back the same document
     root, docs = built_documents
     doc = json.loads(json.dumps(docs[kind]))
     # a random walk down from the root, so top-level fields are drawn as often as deep ones
     node, path = doc, ()
-    while type(node) in (dict, list) and node and path != ("provenance",) and data.draw(st.booleans()):
+    while type(node) in (dict, list) and node and data.draw(st.booleans()):
         key = data.draw(st.sampled_from(list(node) if type(node) is dict else range(len(node))))
         parent, node, path = node, node[key], (*path, key)
     edits = ["set", "drop"] if path else []

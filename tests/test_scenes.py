@@ -147,12 +147,14 @@ def _per_call_scene(doc):
     """The scene of a document with every rational parsed by its own
     ``rat`` call: the reference for the per-document reader."""
     if doc["kind"] == "shift-system":
-        system = ShiftSystem(tuple(rat(v) for v in doc["values"]), doc["provenance"])
+        provenance = scenes._read_provenance(doc["provenance"], rat, "shift")
+        system = ShiftSystem(tuple(rat(v) for v in doc["values"]), provenance)
         assert tuple(tuple(rat(x) for x in entry["triple"]) for entry in doc["lines"]) == system.triples
         assert tuple(line_from_doc(entry) for entry in doc["lines"]) == system.lines
         return system
     family, key, read = (BoxFamily, "boxes", box_from_doc) if "boxes" in doc else (LineFamily, "lines", line_from_doc)
-    return family(tuple(read(o) for o in doc[key]), doc["g"], doc["k"], doc["provenance"])
+    provenance = scenes._read_provenance(doc["provenance"], rat, key)
+    return family(tuple(read(o) for o in doc[key]), doc["g"], doc["k"], provenance)
 
 
 class TestPerDocumentParsing:
