@@ -37,7 +37,6 @@ from .gallai import (
     verify_certificate,
 )
 from .geometry import (
-    AxisMap3,
     Box3,
     Dir3,
     Homothety1D,

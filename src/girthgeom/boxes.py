@@ -6,20 +6,38 @@ Two such boxes intersect iff their trace distance is at most the smaller
 side and their vertical extents overlap, which is what makes the cycle
 bases and the certificate-driven recursion work.  Every construction here
 re-verifies its own structural claims exactly before returning.
+
+A family keeps its boxes on one integer grid, a common denominator and
+one row of six integers per box, and builds, checks, sweeps and writes
+them as rows; box objects are views made on demand.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from . import recursion
 from .budget import Budget
 from .errors import ConstructionError
 from .gallai import GallaiCertificate, HomotheticCopy, ProviderPolicy
-from .geometry import AxisMap3, Box3, Homothety1D, Interval, Rat, format_rat, integer_rows, rat
+from .geometry import Box3, Homothety1D, Rat, format_rat, rat
+
+Row = tuple[int, int, int, int, int, int]  # (xlo, xhi, ylo, yhi, zlo, zhi), each times the grid's denominator
+
+
+def _fault(xlo, xhi, ylo, yhi, zlo, zhi) -> str | None:
+    """The first grounded-square check the bounds (rationals or grid integers) fail, or None."""
+    if xlo != yhi:
+        return "box does not touch the x = y plane in an edge"
+    if not xhi - xlo == yhi - ylo > 0:
+        return "horizontal cross-section must be a non-degenerate square"
+    if not zlo < zhi:
+        return "box must have non-empty interior"
 
 
 @dataclass(frozen=True)
@@ -34,13 +52,8 @@ class GroundedSquareBox:
     box: Box3
 
     def __post_init__(self):
-        x, y, z = self.box.xr, self.box.yr, self.box.zr
-        if x.lo != y.hi:
-            raise ValueError("box does not touch the x = y plane in an edge")
-        if x.lo == x.hi or x.length != y.length:
-            raise ValueError("horizontal cross-section must be a non-degenerate square")
-        if z.lo == z.hi:
-            raise ValueError("box must have non-empty interior")
+        if fault := _fault(*_bounds(self.box)):
+            raise ValueError(fault)
 
     @classmethod
     def of(cls, trace, side, zlo, zhi) -> "GroundedSquareBox":
@@ -53,51 +66,72 @@ class GroundedSquareBox:
 
     @property
     def side(self) -> Rat:
-        return self.box.xr.length
+        return self.box.xr.hi - self.box.xr.lo
 
 
-def box_to_doc(b: GroundedSquareBox) -> dict:
-    bb = b.box
-    return {
-        "x": [format_rat(bb.xr.lo), format_rat(bb.xr.hi)],
-        "y": [format_rat(bb.yr.lo), format_rat(bb.yr.hi)],
-        "z": [format_rat(bb.zr.lo), format_rat(bb.zr.hi)],
-    }
+def _bounds(b: Box3) -> tuple[Rat, ...]:
+    return b.xr.lo, b.xr.hi, b.yr.lo, b.yr.hi, b.zr.lo, b.zr.hi
 
 
-def box_from_doc(doc: dict, read=rat) -> GroundedSquareBox:
-    return GroundedSquareBox(Box3(*(Interval(read(lo), read(hi)) for lo, hi in (doc["x"], doc["y"], doc["z"]))))
+def to_grid(rows, read=rat) -> tuple[int, list[tuple[int, ...]]]:
+    """The least common denominator of the rows' entries and the rows times
+    it; ``read``, which gives an entry's rational, runs once per distinct entry."""
+    values = {v: read(v) for v in set(itertools.chain.from_iterable(rows))}
+    den = math.lcm(1, *(q.denominator for q in values.values()))
+    ints = {v: q.numerator * (den // q.denominator) for v, q in values.items()}
+    return den, [tuple(map(ints.__getitem__, row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
 # families
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoxFamily:
     """A finite collection of grounded square boxes with its claimed graph
-    properties.  Claims are never trusted: girth and chromatic number are
+    properties.  Box i has the bounds ``rows[i]`` divided by ``den``, the
+    least common denominator of all bounds; ``boxes`` makes them as
+    objects.  Claims are never trusted: girth and chromatic number are
     recomputed exactly whenever they matter, from the one intersection
     sweep the family makes of itself (``meets``)."""
 
-    boxes: tuple[GroundedSquareBox, ...]
+    den: int
+    rows: tuple[Row, ...]
     claimed_girth: int | None  # None: the construction claims no finite cycle
     claimed_chromatic: int
-    provenance: dict = field(default_factory=dict)
+    provenance: dict
     # all intersecting index pairs in (i, j) order, swept once when the family is made
-    meets: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    meets: list[tuple[int, int]] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "meets", box_intersection_edges(self.boxes))
+    def __init__(self, boxes, claimed_girth, claimed_chromatic, provenance=None, den=None):
+        """The family of the grounded square boxes ``boxes`` or, given ``den``,
+        of the rows ``boxes`` on that grid, each a grounded square box."""
+        den, rows = to_grid([_bounds(b.box) for b in boxes]) if den is None else (den, boxes)
+        for i, row in enumerate(rows):
+            if fault := _fault(*row):
+                raise ValueError(f"boxes[{i}]: {fault}")
+        common = math.gcd(den, *itertools.chain.from_iterable(rows))  # keep den least, so equal families are equal
+        rows = tuple(rows) if common == 1 else tuple(tuple(v // common for v in row) for row in rows)
+        vars(self).update(den=den // common, rows=rows, claimed_girth=claimed_girth,
+                          claimed_chromatic=claimed_chromatic, provenance={} if provenance is None else provenance,
+                          meets=box_intersection_edges(rows))
 
     def __len__(self) -> int:
-        return len(self.boxes)
+        return len(self.rows)
+
+    @property
+    def boxes(self) -> tuple[GroundedSquareBox, ...]:
+        """The boxes as objects, made anew on each call."""
+        return tuple(GroundedSquareBox(Box3.from_bounds(*(Fraction(v, self.den) for v in row))) for row in self.rows)
 
     def traces(self) -> list[Rat]:
-        return [b.trace for b in self.boxes]
+        return [Fraction(row[0], self.den) for row in self.rows]
 
     def labels(self) -> list[dict]:
-        return [box_to_doc(b) for b in self.boxes]
+        """Each box's bounds as "p/q" strings, each distinct value formatted once."""
+        text = {v: format_rat(Fraction(v, self.den)) for v in set(itertools.chain.from_iterable(self.rows))}
+        return [{"x": [text[a], text[b]], "y": [text[c], text[d]], "z": [text[e], text[f]]}
+                for a, b, c, d, e, f in self.rows]
 
     def intersection_edges(self) -> list[tuple[int, int]]:
         return self.meets
@@ -105,27 +139,17 @@ class BoxFamily:
     def structure(self) -> recursion.StructureReport:
         return check_box_structure(self)
 
-    def blocks(self) -> list[list[int]]:
-        """Rigid sub-collections for trace perturbation: the ground boxes
-        as one block and each embedded copy as one block; otherwise every
-        box is its own block."""
-        prov = self.provenance
-        if prov.get("kind") == "recursion":
-            return [list(prov["blocks"]["ground"])] + [list(c) for c in prov["blocks"]["copies"]]
-        return [[i] for i in range(len(self.boxes))]
 
+def box_intersection_edges(rows) -> list[tuple[int, int]]:
+    """All intersecting index pairs of the grid rows ``rows``, in (i, j)
+    order, decided exactly.
 
-def box_intersection_edges(boxes) -> list[tuple[int, int]]:
-    """All intersecting index pairs in (i, j) order, decided exactly.
-
-    Coordinates are moved onto a common integer grid first
-    (``integer_rows``).  The sweep visits the boxes by rising z-low and
-    keeps those whose z-range still reaches it in a heap keyed by z-high;
-    only these are tested in x and y.  The copies of a recursion step sit
-    in disjoint z-slots (``plan_embeddings``), so the work follows the
-    output, not the number of pairs.
+    The sweep visits the boxes by rising z-low and keeps those whose
+    z-range still reaches it in a heap keyed by z-high; only these are
+    tested in x and y.  The copies of a recursion step sit in disjoint
+    z-slots (``plan_embeddings``), so the work follows the output, not the
+    number of pairs.
     """
-    rows = integer_rows([(b.xr.lo, b.xr.hi, b.yr.lo, b.yr.hi, b.zr.lo, b.zr.hi) for b in (gb.box for gb in boxes)])
     active: list[tuple[int, ...]] = []  # heap of (z-high, index, x-low, x-high, y-low, y-high)
     edges = []
     for i in sorted(range(len(rows)), key=lambda i: rows[i][4]):
@@ -200,58 +224,40 @@ def make_ground_boxes(values, eps) -> list[GroundedSquareBox]:
     return [GroundedSquareBox.of(x, eps, 0, 1) for x in values]
 
 
-@dataclass(frozen=True)
-class CopyEmbedding:
-    """How one copy is realized: its 1-D map on traces, its private slice
-    of [0, 1] in z, and the combined axis-wise box map."""
-
-    copy: HomotheticCopy
-    z_interval: Interval
-    axis_map: AxisMap3
-
-
-def plan_embeddings(parent: BoxFamily, cert: GallaiCertificate) -> list[CopyEmbedding]:
-    """Disjoint z-slots for the copies: [0, 1] cut into equal closed
-    pieces, each shrunk at both ends so distinct slots cannot touch; the
-    parent's full vertical extent is mapped onto each slot."""
+def plan_embeddings(parent: BoxFamily, cert: GallaiCertificate) -> list[tuple[HomotheticCopy, Homothety1D]]:
+    """Each copy with its map of heights, which puts the parent's full
+    vertical extent onto the copy's own slot: [0, 1] cut into equal closed
+    slots, each shrunk at both ends by a quarter of its length."""
     count = len(cert.copies)
-    zlo = min(b.box.zr.lo for b in parent.boxes)
-    zhi = max(b.box.zr.hi for b in parent.boxes)
-    margin = Fraction(1, 4 * count)
-    out = []
-    for j, copy in enumerate(cert.copies):
-        slot = Interval(Fraction(j, count) + margin, Fraction(j + 1, count) - margin)
-        vertical = Homothety1D(slot.length / (zhi - zlo), slot.lo - slot.length / (zhi - zlo) * zlo)
-        out.append(CopyEmbedding(copy, slot, AxisMap3.of(copy.map, vertical)))
-    return out
+    zlo, zhi = min(row[4] for row in parent.rows), max(row[5] for row in parent.rows)
+    scale = Fraction(parent.den, 2 * count * (zhi - zlo))  # slot length 1 / (2 count) over the parent's height
+    start = scale * Fraction(zlo, parent.den)
+    return [(copy, Homothety1D(scale, Fraction(4 * j + 1, 4 * count) - start)) for j, copy in enumerate(cert.copies)]
 
 
-def embed_copy_boxes(parent: BoxFamily, embeddings) -> list[list[GroundedSquareBox]]:
-    """The image of the parent family under each embedding, box for box:
-    each embedding maps the parent's distinct coordinates once and
-    assembles its boxes by index.  The traces it places must be its
-    copy's image."""
-    flat: dict[Rat, int] = {}  # distinct x and y coordinates -> index
-    tall: dict[Rat, int] = {}  # distinct z coordinates -> index
-    rows = [
-        [flat.setdefault(v, len(flat)) for v in (b.xr.lo, b.xr.hi, b.yr.lo, b.yr.hi)]
-        + [tall.setdefault(v, len(tall)) for v in (b.zr.lo, b.zr.hi)]
-        for b in (gb.box for gb in parent.boxes)
-    ]
-    traces = [flat[t] for t in sorted(set(parent.traces()))]
+def embed_copy_boxes(parent: BoxFamily, embeddings, den: int = 1) -> tuple[int, list[list[Row]]]:
+    """The parent's image under each embedding (a copy, whose map acts on x
+    and y, and a map of heights) as rows on one grid: the least multiple of
+    ``den`` on which every map is integer affine on the parent's rows.  The
+    traces each copy places must be its image."""
+    p = parent.den
+    slope = lambda a: a.denominator * p // math.gcd(a.numerator, p)  # the denominator of a / p
+    grid = math.lcm(den, *(n for copy, vertical in embeddings for m in (copy.map, vertical)
+                           for n in (slope(m.scale), m.shift.denominator)))
+    def on_grid(m):  # (a, b) with m(u / p) = (a u + b) / grid for every integer u
+        return grid * m.scale.numerator // (m.scale.denominator * p), grid * m.shift.numerator // m.shift.denominator
+    traces = sorted({row[0] for row in parent.rows})
     out = []
-    for emb in embeddings:
-        xs = [emb.axis_map.fx.apply(v) for v in flat]
-        zs = [emb.axis_map.fz.apply(v) for v in tall]
-        mapped = tuple(xs[i] for i in traces)
-        if mapped != emb.copy.image:
-            raise ConstructionError(
-                "copy domain mismatch: parent traces do not map onto the copy image",
-                {"mapped": mapped, "image": emb.copy.image},
-            )
-        out.append([GroundedSquareBox(Box3(Interval(xs[a], xs[b]), Interval(xs[c], xs[d]), Interval(zs[e], zs[f])))
-                    for a, b, c, d, e, f in rows])
-    return out
+    for copy, vertical in embeddings:
+        (a, b), (s, t) = on_grid(copy.map), on_grid(vertical)
+        mapped = [a * u + b for u in traces]
+        if len(mapped) != len(copy.image) or any(v.numerator * grid != w * v.denominator
+                                                 for v, w in zip(copy.image, mapped)):
+            raise ConstructionError("copy domain mismatch: parent traces do not map onto the copy image",
+                                    {"mapped": tuple(Fraction(w, grid) for w in mapped), "image": copy.image})
+        out.append([(a * xl + b, a * xh + b, a * yl + b, a * yh + b, s * zl + t, s * zh + t)
+                    for xl, xh, yl, yh, zl, zh in parent.rows])
+    return grid, out
 
 
 def normalize_traces(fam: BoxFamily) -> BoxFamily:
@@ -262,35 +268,31 @@ def normalize_traces(fam: BoxFamily) -> BoxFamily:
     critical quantity, so every strict overlap, gap, and grazing contact
     survives.  The graph is re-swept afterwards and must match exactly.
     """
-    traces = fam.traces()
+    rows = fam.rows
+    traces = [row[0] for row in rows]
     if len(set(traces)) == len(traces):
         return fam
-    blocks = fam.blocks()
-    block_of = {}
-    for bi, members in enumerate(blocks):
-        for i in members:
-            block_of[i] = bi
-    before = fam.intersection_edges()
+    # rigid blocks: a recursion output's ground boxes and each of its copies; otherwise each box alone
+    prov = fam.provenance
+    blocks = ([prov["blocks"]["ground"], *prov["blocks"]["copies"]] if prov.get("kind") == "recursion"
+              else [[i] for i in range(len(rows))])
+    block_of = {i: bi for bi, members in enumerate(blocks) for i in members}
 
     critical = [abs(a - b) for a, b in itertools.combinations(traces, 2) if a != b]
-    n = len(fam.boxes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if block_of[i] == block_of[j]:
-                continue
-            bi, bj = fam.boxes[i].box, fam.boxes[j].box
-            for ri, rj in ((bi.xr, bj.xr), (bi.yr, bj.yr)):
-                for q in (ri.hi - rj.lo, rj.hi - ri.lo):
-                    if q != 0:
-                        critical.append(abs(q))
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        if block_of[i] != block_of[j]:
+            (xl, xh, yl, yh, _, _), (xl2, xh2, yl2, yh2, _, _) = rows[i], rows[j]
+            critical += (abs(q) for q in (xh - xl2, xh2 - xl, yh - yl2, yh2 - yl) if q != 0)
     if not critical:
         raise ConstructionError("cannot normalize traces: no safe perturbation size exists")
-    quantum = min(critical) / (2 * (len(blocks) + 1))
+    # the quantum min(critical) / (den * spread) is one unit of a grid spread times finer
+    spread = 2 * (len(blocks) + 1)
+    quantum = min(critical)
 
-    used: set[Rat] = set()
-    shifted: list[GroundedSquareBox | None] = [None] * n
-    for bi, members in enumerate(blocks):
-        own = [fam.boxes[i].trace for i in members]
+    used: set[int] = set()
+    shifted: list[Row | None] = [None] * len(rows)
+    for members in blocks:
+        own = [traces[i] * spread for i in members]
         for j in range(len(blocks) + 1):
             delta = j * quantum
             if all(t + delta not in used for t in own):
@@ -299,19 +301,14 @@ def normalize_traces(fam: BoxFamily) -> BoxFamily:
             raise ConstructionError("trace normalization ran out of offsets")
         used.update(t + delta for t in own)
         for i in members:  # along the x = y diagonal, which keeps each box grounded
-            b = fam.boxes[i]
-            shifted[i] = GroundedSquareBox.of(b.trace + delta, b.side, b.box.zr.lo, b.box.zr.hi)
+            xl, xh, yl, yh, zl, zh = (v * spread for v in rows[i])
+            shifted[i] = (xl + delta, xh + delta, yl + delta, yh + delta, zl, zh)
 
-    out = BoxFamily(
-        tuple(shifted),
-        fam.claimed_girth,
-        fam.claimed_chromatic,
-        {**fam.provenance, "traces_normalized": True},
-    )
-    new_traces = out.traces()
-    if len(set(new_traces)) != len(new_traces):
+    if len(used) != len(rows):
         raise ConstructionError("trace normalization left duplicate traces")
-    if out.intersection_edges() != before:
+    out = BoxFamily(shifted, fam.claimed_girth, fam.claimed_chromatic, {**fam.provenance, "traces_normalized": True},
+                    den=fam.den * spread)
+    if out.meets != fam.meets:
         raise ConstructionError("trace normalization changed the intersection graph")
     return out
 
@@ -335,9 +332,10 @@ def _place_boxes(parent: BoxFamily, certify) -> recursion.Placement:
     cert = certify(parent.traces())
     elements = cert.elements
     eps = min((b - a for a, b in zip(elements, elements[1:])), default=Fraction(1)) / 3
-    ground = make_ground_boxes(elements, eps)
-    copies = embed_copy_boxes(parent, plan_embeddings(parent, cert))
-    return recursion.Placement(parent, cert, ground, copies, {"geometry": "boxes"})
+    ground_den, ground = to_grid([_bounds(b.box) for b in make_ground_boxes(elements, eps)])
+    den, copies = embed_copy_boxes(parent, plan_embeddings(parent, cert), ground_den)
+    ground = [tuple(v * (den // ground_den) for v in row) for row in ground]
+    return recursion.Placement(parent, cert, ground, copies, {"geometry": "boxes"}, partial(BoxFamily, den=den))
 
 
 def check_box_structure(fam: BoxFamily) -> recursion.StructureReport:
@@ -369,14 +367,14 @@ def _check_box_copies(report: recursion.StructureReport, fam: BoxFamily, edges: 
         "" if bad_count is None else f"box {bad_count} meets {len(met[bad_count])} ground boxes",
     )
     if bad_count is None:
-        traces = fam.traces()
-        mismatched = next((i for i in met if traces[met[i][0]] != traces[i]), None)
+        rows = fam.rows
+        mismatched = next((i for i in met if rows[met[i][0]][0] != rows[i][0]), None)
         report.add(
             "copy-meets-own-ground",
             mismatched is None,
             ""
             if mismatched is None
-            else f"box {mismatched} meets ground box at trace {traces[met[mismatched][0]]}",
+            else f"box {mismatched} meets ground box at trace {Fraction(rows[met[mismatched][0]][0], fam.den)}",
         )
     report.add(
         "no-cross-copy-intersections",

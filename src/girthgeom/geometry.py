@@ -140,10 +140,6 @@ class Interval:
     def of(cls, lo, hi) -> "Interval":
         return cls(rat(lo), rat(hi))
 
-    @property
-    def length(self) -> Rat:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class Box3:
@@ -281,13 +277,6 @@ class Homothety1D:
         if self.scale <= 0:
             raise ValueError("scale must be strictly positive")
 
-    @classmethod
-    def of(cls, scale, shift) -> "Homothety1D":
-        return cls(rat(scale), rat(shift))
-
-    def apply(self, value: Rat) -> Rat:
-        return self.scale * value + self.shift
-
 
 @dataclass(frozen=True)
 class Homothety3D:
@@ -307,22 +296,3 @@ class Homothety3D:
     def apply_line(self, l: Line3) -> Line3:
         # Positive uniform scaling preserves canonical directions exactly.
         return Line3(self.apply_point(l.base), l.dir)
-
-
-@dataclass(frozen=True)
-class AxisMap3:
-    """Axis-wise map (x, y, z) -> (f(x), f(y), g(z)) where the same 1-D map
-    acts on both horizontal coordinates.  Maps boxes to boxes and keeps
-    square horizontal cross-sections square."""
-
-    fx: Homothety1D
-    fy: Homothety1D
-    fz: Homothety1D
-
-    def __post_init__(self):
-        if self.fx != self.fy:
-            raise ValueError("horizontal maps must coincide")
-
-    @classmethod
-    def of(cls, horizontal: Homothety1D, vertical: Homothety1D) -> "AxisMap3":
-        return cls(horizontal, horizontal, vertical)

@@ -57,10 +57,6 @@ def line_to_doc(line: Line3) -> dict:
     }
 
 
-def line_from_doc(doc: dict, read=rat) -> Line3:
-    return Line3(Point3(*map(read, doc["base"])), Dir3(*map(read, doc["dir"])))
-
-
 # ---------------------------------------------------------------------------
 # the intersection sweep
 
@@ -593,7 +589,7 @@ def _place_lines(parent: LineFamily, certify) -> recursion.Placement:
         copies.append(images)
         placed.add(images)
     extra = {"geometry": "lines", "parent_params": params, "offsets": offsets_used}
-    return recursion.Placement(parent, cert, ground, copies, extra)
+    return recursion.Placement(parent, cert, ground, copies, extra, LineFamily)
 
 
 def check_line_structure(fam: LineFamily) -> recursion.StructureReport:

@@ -19,14 +19,15 @@ from .gallai import GallaiCertificate, GroundSet, ProviderPolicy
 
 
 class Placement(NamedTuple):
-    """What a geometry placed in one step, with the parent as it was copied
-    and its own provenance entries ("geometry" and any extras)."""
+    """What a geometry placed in one step, with the parent as it was copied, its own
+    provenance entries ("geometry" and any extras) and ``family(objects, girth, colors, provenance)``."""
 
     parent: object
     cert: GallaiCertificate
     ground: list
     copies: list[list]
     provenance: dict
+    family: Callable
 
 
 def lift(
@@ -69,7 +70,7 @@ def lift(
 
     placed = place(parent, lambda values: provider(GroundSet.of(values), colors, girth))
     lift_certified = placed.cert.flags.all_true()
-    out = type(placed.parent)(
+    out = placed.family(
         tuple(itertools.chain(placed.ground, *placed.copies)),
         girth,
         colors + 1 if lift_certified else colors,

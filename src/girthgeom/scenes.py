@@ -14,11 +14,11 @@ from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
 
-from .boxes import BoxFamily, box_from_doc
+from .boxes import BoxFamily, to_grid
 from .errors import SceneFormatError
 from .gallai import GallaiCertificate, certificate_from_doc, certificate_to_doc
-from .geometry import format_rat, rat
-from .lines import LineFamily, ShiftSystem, line_from_doc, line_to_doc
+from .geometry import Dir3, Line3, Point3, format_rat, rat
+from .lines import LineFamily, ShiftSystem, line_to_doc
 from .recursion import block_layout
 
 
@@ -209,14 +209,49 @@ def _family_to_doc(kind: str, key: str, fam) -> dict:
     }
 
 
-def _read_family(family, key: str, read_object, doc: dict, read):
-    objects = tuple(read_object(o, read) for o in doc[key])
-    g, k = None if doc["g"] is None else int(doc["g"]), int(doc["k"])
+# scene key -> the path of each rational entry in one object's document
+_ENTRY_PATHS = {"boxes": [(axis, j) for axis in "xyz" for j in range(2)],
+                "lines": [(name, j) for name in ("base", "dir") for j in range(3)]}
+
+
+def _entries(docs, key: str, read) -> list[list]:
+    """The rational entries of each object document in ``docs``, the list at
+    ``key``; one that is missing or does not read is a ValueError naming its path."""
+    out = []
+    for i, obj in enumerate(docs):
+        row = []
+        for name, j in _ENTRY_PATHS[key]:
+            try:
+                row.append(obj[name][j])
+                read(row[-1])
+            except _MALFORMED as exc:
+                where = f"{key}[{i}].{name}" + ("" if type(exc) is KeyError else f"[{j}]")
+                missing = type(exc) in (KeyError, IndexError)
+                raise ValueError(f"{where} is missing" if missing else f"{where}: {exc}") from exc
+        out.append(row)
+    return out
+
+
+def _read_family(key: str, make, doc: dict, read):
+    """A family scene, made by ``make(entries, read, g, k, provenance)``."""
+    entries = _entries(doc[key], key, read)
+    g = None if doc["g"] is None else _read_field(int, doc["g"], read, "g")
+    k = _read_field(int, doc["k"], read, "k")
     if k < 1 or g is not None and g < 3:
-        raise ValueError(f"k must be an integer >= 1 and g one >= 3 or null, got g={doc['g']!r}, k={doc['k']!r}")
+        raise ValueError(f"k must be an integer >= 1 and g one >= 3 or null, got g={g!r}, k={k!r}")
     prov = _read_provenance(doc["provenance"], read, key)
-    _check_fit(prov, len(objects))
-    return family(objects, g, k, prov)
+    _check_fit(prov, len(entries))
+    return make(entries, read, g, k, prov)
+
+
+def _box_family(entries, read, *claims) -> BoxFamily:
+    den, rows = to_grid(entries, read)
+    return BoxFamily(rows, *claims, den=den)
+
+
+def _line_family(entries, read, *claims) -> LineFamily:
+    lines = tuple(Line3(Point3(*map(read, e[:3])), Dir3(*map(read, e[3:]))) for e in entries)
+    return LineFamily(lines, *claims)
 
 
 def _shift_system_to_doc(system: ShiftSystem) -> dict:
@@ -242,12 +277,12 @@ _SCENES = {
     "grounded-box-family": (
         BoxFamily,
         partial(_family_to_doc, "grounded-box-family", "boxes"),
-        partial(_read_family, BoxFamily, "boxes", box_from_doc),
+        partial(_read_family, "boxes", _box_family),
     ),
     "line-family": (
         LineFamily,
         partial(_family_to_doc, "line-family", "lines"),
-        partial(_read_family, LineFamily, "lines", line_from_doc),
+        partial(_read_family, "lines", _line_family),
     ),
     "shift-system": (ShiftSystem, _shift_system_to_doc, _read_shift_system),
 }

@@ -13,9 +13,11 @@ position's copies at every visit, which the search that keeps them per
 frame must match node for node; the two all-pairs intersection
 sweeps, which the output-sensitive sweeps must match pair for pair;
 ``fraction_copies``, the copy enumeration in exact Fractions, which the
-integer-grid enumeration must match copy for copy; and
-``axis_map_box``, the per-box map that the embedding by coordinate
-table must match box for box.  ``brute_verify_shift_system`` tests
+integer-grid enumeration must match copy for copy; and the box family's
+Fraction path, which its integer grid must match: ``box_to_doc`` and
+``box_from_doc`` for the labels and the scene reader,
+``fraction_embed_copy_boxes`` for the copy embedding, and
+``fraction_normalize_traces`` for trace normalization.  ``brute_verify_shift_system`` tests
 every pair of a shift system with the Fraction line relation, and each
 designed meet against ``shift_meeting_point``.  The small geometry and
 file helpers at the end are used only by the tests, too.
@@ -27,6 +29,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from girthgeom.boxes import BoxFamily, GroundedSquareBox
 from girthgeom.budget import Budget
 from girthgeom.errors import BudgetExhausted, ConstructionError
 from girthgeom.gallai import HomotheticCopy, certificate_to_doc
@@ -35,10 +38,13 @@ from girthgeom.geometry import (
     Dir3,
     Homothety1D,
     Interval,
+    Line3,
     LineRelation,
     Plane3,
+    Point3,
     cross,
     dot,
+    format_rat,
     is_zero,
     line_line_relation,
     rat,
@@ -472,6 +478,93 @@ def _rows_meet(row1, row2) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the box family's Fraction path, the reference for its integer grid
+
+
+def box_to_doc(b) -> dict:
+    """A box's document, each bound formatted on its own."""
+    bb = b.box
+    return {
+        "x": [format_rat(bb.xr.lo), format_rat(bb.xr.hi)],
+        "y": [format_rat(bb.yr.lo), format_rat(bb.yr.hi)],
+        "z": [format_rat(bb.zr.lo), format_rat(bb.zr.hi)],
+    }
+
+
+def box_from_doc(doc: dict, read=rat) -> GroundedSquareBox:
+    """The box of one box document, each bound parsed by ``read``."""
+    return GroundedSquareBox(Box3(*(Interval(read(lo), read(hi)) for lo, hi in (doc["x"], doc["y"], doc["z"]))))
+
+
+def line_from_doc(doc: dict, read=rat) -> Line3:
+    """The line of one line document, each entry parsed by ``read``."""
+    return Line3(Point3(*map(read, doc["base"])), Dir3(*map(read, doc["dir"])))
+
+
+def axis_map_box(maps, b) -> Box3:
+    """The image of a box under a pair of 1-D homotheties, the first on x
+    and y and the second on z, interval by interval."""
+    horizontal, vertical = maps
+    axis = lambda f, iv: Interval(apply(f, iv.lo), apply(f, iv.hi))
+    return Box3(axis(horizontal, b.xr), axis(horizontal, b.yr), axis(vertical, b.zr))
+
+
+def fraction_embed_copy_boxes(parent, embeddings) -> list[list[GroundedSquareBox]]:
+    """Each embedding (a copy, whose map acts on x and y, and a map of
+    heights) applied to the parent box by box in Fractions: the reference
+    for the library's embedding on the grid."""
+    return [[GroundedSquareBox(axis_map_box((copy.map, vertical), b.box)) for b in parent.boxes]
+            for copy, vertical in embeddings]
+
+
+def fraction_normalize_traces(fam):
+    """Trace normalization with every critical quantity and offset in
+    Fractions: the reference for the library's normalization on the grid,
+    which must give the same family."""
+    boxes, traces = fam.boxes, fam.traces()
+    if len(set(traces)) == len(traces):
+        return fam
+    prov = fam.provenance
+    if prov.get("kind") == "recursion":
+        blocks = [list(prov["blocks"]["ground"])] + [list(c) for c in prov["blocks"]["copies"]]
+    else:
+        blocks = [[i] for i in range(len(boxes))]
+    block_of = {i: bi for bi, members in enumerate(blocks) for i in members}
+    before = fam.intersection_edges()
+    critical = [abs(a - b) for a, b in itertools.combinations(traces, 2) if a != b]
+    for i, j in itertools.combinations(range(len(boxes)), 2):
+        if block_of[i] == block_of[j]:
+            continue
+        bi, bj = boxes[i].box, boxes[j].box
+        for ri, rj in ((bi.xr, bj.xr), (bi.yr, bj.yr)):
+            for q in (ri.hi - rj.lo, rj.hi - ri.lo):
+                if q != 0:
+                    critical.append(abs(q))
+    if not critical:
+        raise ConstructionError("cannot normalize traces: no safe perturbation size exists")
+    quantum = min(critical) / (2 * (len(blocks) + 1))
+    used = set()
+    shifted = [None] * len(boxes)
+    for members in blocks:
+        own = [boxes[i].trace for i in members]
+        for j in range(len(blocks) + 1):
+            delta = j * quantum
+            if all(t + delta not in used for t in own):
+                break
+        else:
+            raise ConstructionError("trace normalization ran out of offsets")
+        used.update(t + delta for t in own)
+        for i in members:
+            b = boxes[i]
+            shifted[i] = GroundedSquareBox.of(b.trace + delta, b.side, b.box.zr.lo, b.box.zr.hi)
+    out = BoxFamily(tuple(shifted), fam.claimed_girth, fam.claimed_chromatic,
+                    {**fam.provenance, "traces_normalized": True})
+    if len(set(out.traces())) != len(out) or out.intersection_edges() != before:
+        raise ConstructionError("trace normalization failed")
+    return out
+
+
+# ---------------------------------------------------------------------------
 # helpers used only by the tests
 
 
@@ -490,17 +583,15 @@ def identity_map() -> Homothety1D:
     return Homothety1D(Fraction(1), Fraction(0))
 
 
+def apply(m, value):
+    """The image of a rational under the 1-D homothety ``m``."""
+    return m.scale * value + m.shift
+
+
 def homothety_box(f, b):
     """The image of a box under a 3-D homothety ``f``."""
     axis = lambda iv, c: Interval(f.scale * iv.lo + c, f.scale * iv.hi + c)
     return Box3(axis(b.xr, f.shift.x), axis(b.yr, f.shift.y), axis(b.zr, f.shift.z))
-
-
-def axis_map_box(m, b) -> Box3:
-    """The image of a box under an axis map, interval by interval: the
-    per-box map the library's table embedding must match."""
-    axis = lambda f, iv: Interval(f.apply(iv.lo), f.apply(iv.hi))
-    return Box3(axis(m.fx, b.xr), axis(m.fy, b.yr), axis(m.fz, b.zr))
 
 
 def plane_of(nx, ny, nz, offset) -> Plane3:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -26,11 +27,18 @@ from girthgeom import (
     recursion_step_boxes,
     single_box_family,
 )
-from girthgeom.boxes import CopyEmbedding, plan_embeddings
+from girthgeom.boxes import plan_embeddings
 from girthgeom.gallai import GroundSet, HomotheticCopy, pigeonhole_certificate
-from girthgeom.geometry import AxisMap3, Homothety1D, Interval
+from girthgeom.geometry import Homothety1D
 
-from _oracles import axis_map_box, identity_map
+from _oracles import (
+    all_pairs_box_edges,
+    apply,
+    box_to_doc,
+    fraction_embed_copy_boxes,
+    fraction_normalize_traces,
+    identity_map,
+)
 
 
 def pigeonhole_provider(ground, colors, girth_param):
@@ -122,81 +130,109 @@ class TestMakeGroundBoxes:
             make_ground_boxes([0, 1], 1)
 
 
+def views(grid, rows) -> list[GroundedSquareBox]:
+    return [GroundedSquareBox(Box3.from_bounds(*(F(v, grid) for v in row))) for row in rows]
+
+
 class TestEmbedCopyBoxes:
     def test_identity_copy_keeps_parent(self):
-        from girthgeom.gallai import HomotheticCopy
-        from girthgeom.geometry import AxisMap3, Interval
-
         parent = meeting_pair_family()
         copy = HomotheticCopy(identity_map(), (F(0), F(1)))
-        emb = CopyEmbedding(
-            copy, Interval.of(0, 1), AxisMap3.of(identity_map(), identity_map())
-        )
-        assert [b.box for b in embed_copy_boxes(parent, [emb])[0]] == [b.box for b in parent.boxes]
+        grid, (rows,) = embed_copy_boxes(parent, [(copy, identity_map())])
+        assert (grid, tuple(rows)) == (parent.den, parent.rows)
 
     def test_pair_copy_traces(self):
         parent = meeting_pair_family()
         cert = pigeonhole_certificate(GroundSet.of(parent.traces()), 2, 6)
         emb = plan_embeddings(parent, cert)[0]  # copy {1, 2}
-        (images,) = embed_copy_boxes(parent, [emb])
+        grid, (rows,) = embed_copy_boxes(parent, [emb])
+        images = views(grid, rows)
         assert [b.trace for b in images] == [F(1), F(2)]
-        assert all(b.box.zr.lo >= emb.z_interval.lo and b.box.zr.hi <= emb.z_interval.hi for b in images)
+        count = len(cert.copies)  # slot 0 is [0, 1 / count] shrunk by a quarter of its length at each end
+        assert all(b.box.zr.lo >= F(1, 4 * count) and b.box.zr.hi <= F(3, 4 * count) for b in images)
 
     def test_small_copy_graph_isomorphic(self):
-        from girthgeom.gallai import HomotheticCopy
-        from girthgeom.geometry import AxisMap3, Homothety1D, Interval
-
         parent = odd_cycle_boxes(5)
-        scale = F(1, 100)
-        mapping = Homothety1D(scale, F(7))
-        copy = HomotheticCopy(mapping, tuple(mapping.apply(t) for t in sorted(parent.traces())))
-        emb = CopyEmbedding(
-            copy, Interval.of(0, 1), AxisMap3.of(mapping, identity_map())
-        )
-        (images,) = embed_copy_boxes(parent, [emb])
-        got = intersection_graph(BoxFamily(tuple(images), None, 1, {}))
+        mapping = Homothety1D(F(1, 100), F(7))
+        copy = HomotheticCopy(mapping, tuple(apply(mapping, t) for t in sorted(parent.traces())))
+        grid, (rows,) = embed_copy_boxes(parent, [(copy, identity_map())])
+        got = intersection_graph(BoxFamily(rows, None, 1, den=grid))
         assert got == intersection_graph(parent)
 
     def test_domain_mismatch_rejected(self):
-        from girthgeom.gallai import HomotheticCopy
-        from girthgeom.geometry import AxisMap3, Interval
-
         parent = meeting_pair_family()
         copy = HomotheticCopy(identity_map(), (F(3), F(4)))
-        emb = CopyEmbedding(
-            copy, Interval.of(0, 1), AxisMap3.of(identity_map(), identity_map())
-        )
         with pytest.raises(ConstructionError):
-            embed_copy_boxes(parent, [emb])
+            embed_copy_boxes(parent, [(copy, identity_map())])
+
+
+# bounds from small pools with mixed denominators, so traces, sides and
+# z-ends repeat and boxes touch, nest and share traces
+_traces = st.sampled_from([F(v, 2) for v in range(-3, 4)] + [F(1, 3), F(-2, 7)])
+_sides = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2, 5)])
+_z_ends = st.lists(st.sampled_from([F(0), F(1, 3), F(1), F(2), F(5, 6)]), min_size=2, max_size=2, unique=True)
+
+
+@st.composite
+def grounded_boxes(draw, max_size=6):
+    boxes = []
+    for _ in range(draw(st.integers(1, max_size))):
+        zlo, zhi = sorted(draw(_z_ends))
+        boxes.append(GroundedSquareBox.of(draw(_traces), draw(_sides), zlo, zhi))
+    return tuple(boxes)
 
 
 @st.composite
 def embedding_cases(draw):
-    """A parent whose boxes share traces, sides and z-ends from small
-    pools, and a few embeddings of it with random positive maps."""
-    z_ends = st.lists(st.sampled_from([F(0), F(1, 3), F(1), F(2)]), min_size=2, max_size=2, unique=True)
-    boxes = []
-    for _ in range(draw(st.integers(1, 6))):
-        zlo, zhi = sorted(draw(z_ends))
-        trace = draw(st.sampled_from([F(v, 2) for v in range(-3, 4)]))
-        boxes.append(GroundedSquareBox.of(trace, draw(st.sampled_from([F(1, 2), F(1), F(3, 2)])), zlo, zhi))
-    parent = BoxFamily(tuple(boxes), None, 1, {})
+    """A parent whose boxes share traces, sides and z-ends, and a few
+    embeddings of it with random positive maps."""
+    parent = BoxFamily(draw(grounded_boxes()), None, 1, {})
     scales = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
     shifts = st.fractions(min_value=-9, max_value=9, max_denominator=9)
     embeddings = []
     for _ in range(draw(st.integers(1, 4))):
         horizontal, vertical = Homothety1D(draw(scales), draw(shifts)), Homothety1D(draw(scales), draw(shifts))
-        copy = HomotheticCopy(horizontal, tuple(horizontal.apply(t) for t in sorted(set(parent.traces()))))
-        embeddings.append(CopyEmbedding(copy, Interval.of(0, 1), AxisMap3.of(horizontal, vertical)))
-    return parent, embeddings
+        copy = HomotheticCopy(horizontal, tuple(apply(horizontal, t) for t in sorted(set(parent.traces()))))
+        embeddings.append((copy, vertical))
+    return parent, embeddings, draw(st.sampled_from([1, 2, 6, 35]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(embedding_cases())
-def test_embedding_by_table_matches_the_per_box_map(case):
-    parent, embeddings = case
-    expected = [[GroundedSquareBox(axis_map_box(e.axis_map, b.box)) for b in parent.boxes] for e in embeddings]
-    assert embed_copy_boxes(parent, embeddings) == expected
+def test_embedding_on_the_grid_matches_the_fraction_map(case):
+    parent, embeddings, den = case
+    grid, copies = embed_copy_boxes(parent, embeddings, den)
+    assert grid % den == 0
+    assert [views(grid, rows) for rows in copies] == fraction_embed_copy_boxes(parent, embeddings)
+
+
+class TestGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(grounded_boxes(max_size=10))
+    def test_the_grid_gives_back_its_boxes_labels_and_meets(self, boxes):
+        fam = BoxFamily(boxes, None, 1)
+        assert fam.boxes == boxes
+        assert fam.labels() == [box_to_doc(b) for b in boxes]
+        assert fam.meets == all_pairs_box_edges(boxes)
+        assert fam.den == math.lcm(*(v.denominator for b in fam.labels() for axis in b.values() for v in map(F, axis)))
+
+    def test_the_grid_is_reduced_to_its_least_denominator(self):
+        fam = odd_cycle_boxes(5)
+        finer = BoxFamily([tuple(6 * v for v in row) for row in fam.rows], 5, 3, fam.provenance, den=6 * fam.den)
+        assert finer == fam and finer.den == 1
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((0, 2, 0, 1, 0, 1), r"boxes\[1\]: box does not touch the x = y plane"),
+            ((0, 2, -1, 0, 0, 1), r"boxes\[1\]: horizontal cross-section must be a non-degenerate square"),
+            ((1, 0, 2, 1, 0, 1), r"boxes\[1\]: horizontal cross-section must be a non-degenerate square"),
+            ((0, 1, -1, 0, 1, 0), r"boxes\[1\]: box must have non-empty interior"),
+        ],
+    )
+    def test_every_row_is_checked(self, row, message):
+        with pytest.raises(ValueError, match=message):
+            BoxFamily([(0, 1, -1, 0, 0, 1), row], None, 1, den=3)
 
 
 class TestNormalizeTraces:
@@ -219,6 +255,24 @@ class TestNormalizeTraces:
         fixed = normalize_traces(fam)
         assert len(set(fixed.traces())) == 2
         assert fixed.intersection_edges() == [(0, 1)]
+
+    def test_c9_matches_the_fraction_reference(self):
+        # the lift of C9 that ``build boxes --g 6 --k 4 --provider pigeonhole`` makes normalizes it first
+        c9 = build_box_family(6, 3, ProviderPolicy("pigeonhole"))
+        fixed, expected = normalize_traces(c9), fraction_normalize_traces(c9)
+        assert fixed == expected and fixed.labels() == [box_to_doc(b) for b in expected.boxes]
+
+    @settings(max_examples=200, deadline=None)
+    @given(grounded_boxes(max_size=8))
+    def test_matches_the_fraction_reference(self, boxes):
+        fam = BoxFamily(boxes, None, 1, {})
+        try:
+            expected = fraction_normalize_traces(fam)
+        except ConstructionError:
+            with pytest.raises(ConstructionError):
+                normalize_traces(fam)
+        else:
+            assert normalize_traces(fam) == expected
 
     def test_recursion_output_normalizes_by_blocks(self):
         c9 = recursion_step_boxes(meeting_pair_family(), 2, 6, pigeonhole_provider)

@@ -413,6 +413,10 @@ def _axis_as_string(doc):
     doc["boxes"][0]["x"] = "".join(doc["boxes"][0]["x"])
 
 
+def _drop_axis(doc):
+    del doc["boxes"][0]["y"]
+
+
 def _third_axis_entry(doc):
     doc["boxes"][0]["x"].append("5")
 
@@ -455,6 +459,7 @@ _SHIFT6 = ["build", "shift", "--n", "6", "--seed", "1"]
 _CERT = ["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4"]
 _BOXES = ["build", "boxes", "--g", "6", "--k", "3", "--provider", "pigeonhole"]
 _LINES = ["build", "lines", "--g", "6", "--k", "3", "--provider", "pigeonhole"]
+_C2 = ["build", "boxes", "--g", "6", "--k", "2", "--provider", "pigeonhole"]
 _SHIFT_DOC = "bad shift-system document: "
 _CERT_DOC = "bad certificate document: "
 _BOXES_DOC = "bad grounded-box-family document: "
@@ -484,10 +489,9 @@ _RESPELLED = [
         (_SHIFT, "s.scene.json", _cut_to_two_values, _SHIFT_DOC + "a shift system needs at least 3"),
         (_SHIFT, "s.scene.json", lambda doc: [doc], "bad scene document: unknown kind None"),
         (_CERT, "s.json", lambda doc: [doc], _CERT_DOC),
-        (_BOXES, "s.scene.json", _short_coordinates, _BOXES_DOC),
+        (_BOXES, "s.scene.json", _short_coordinates, _BOXES_DOC + "boxes[0].x[1] is missing"),
         (_CERT, "s.json", _edit_image, _CERT_DOC),
-        (["build", "boxes", "--g", "6", "--k", "2", "--provider", "pigeonhole"], "s.scene.json", _axis_as_string,
-         _BOXES_DOC),
+        (_C2, "s.scene.json", _axis_as_string, _BOXES_DOC),
         (_BOXES, "s.scene.json", _third_axis_entry, _BOXES_DOC),
         (_BOXES, "s.scene.json", lambda doc: _bad_string_twice(doc, "one/two"), _BOXES_DOC),
         (_BOXES, "s.scene.json", lambda doc: _bad_string_twice(doc, "1/0"), _BOXES_DOC),
@@ -545,6 +549,13 @@ _RESPELLED = [
          _BOXES_DOC + "provenance.parent_edges are not sorted pairs u < v of the 2 parent objects"),
         (_BOXES, "s.scene.json", _set("provenance", "parent_edges", [[0, 1], [0, 1]]),
          _BOXES_DOC + "provenance.parent_edges are not sorted pairs u < v of the 2 parent objects"),
+        (_C2, "s.scene.json", _set("k", "x"), _BOXES_DOC + "k is 'x', not of type int"),
+        (_C2, "s.scene.json", _set("g", "x"), _BOXES_DOC + "g is 'x', not of type int"),
+        (_C2, "s.scene.json", _set("boxes", 1, "z", 1, "x"),
+         _BOXES_DOC + "boxes[1].z[1]: Invalid literal for Fraction: 'x'"),
+        (_C2, "s.scene.json", _drop_axis, _BOXES_DOC + "boxes[0].y is missing"),
+        (_LINES, "s.scene.json", _set("lines", 2, "base", 1, "x"),
+         _LINES_DOC + "lines[2].base[1]: Invalid literal for Fraction: 'x'"),
     ],
     ids=["shift-value-trimmed", "shift-line-removed", "shift-value-changed", "shift-lines-swapped",
          "shift-two-values", "array-scene", "array-certificate", "short-box-coordinates", "edited-copy-image",
@@ -561,7 +572,8 @@ _RESPELLED = [
          "line-provenance-element-unreduced", "line-parent-param-float", "shift-provenance-n-wrong",
          "shift-provenance-seed-string", "box-lift-uncertified", "box-colors-before-float", "box-geometry-lines",
          "box-provenance-image-wrong", "box-provenance-flag-string", "box-parent-edge-out-of-range",
-         "box-parent-edge-repeated"],
+         "box-parent-edge-repeated", "box-colors-malformed", "box-girth-malformed", "box-coordinate-malformed",
+         "box-axis-missing", "line-base-malformed"],
 )
 def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, build, path, spoil, message):
     # every refusal at load names its document kind; ``message`` is the

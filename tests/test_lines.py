@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    apply,
     brute_forbidden_offsets,
     brute_verify_shift_system,
     identity_map,
@@ -332,7 +333,7 @@ def test_copy_line_crosses_the_plane_where_its_map_says(which, scale, shift, off
     for line, image in zip(parent.lines, embed_copy_lines(parent, frame, copy, offset)):
         p, q = _plane_coordinates(frame, line)
         assert image.dir == line.dir
-        assert _plane_coordinates(frame, image) == (copy.map.apply(p), scale * q + offset)
+        assert _plane_coordinates(frame, image) == (apply(copy.map, p), scale * q + offset)
 
 
 class TestForbiddenOffsets:

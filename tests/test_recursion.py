@@ -3,14 +3,16 @@ byte, and each family swept pairwise once."""
 
 import hashlib
 import json
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from girthgeom import boxes, graphs, lines, meeting_pair_family, meeting_pair_lines, odd_cycle_boxes
-from girthgeom import recursion_step_boxes, recursion_step_lines
+from girthgeom import BoxFamily, GroundedSquareBox, boxes, graphs, lines, meeting_pair_family, meeting_pair_lines
+from girthgeom import odd_cycle_boxes, recursion_step_boxes, recursion_step_lines
 from girthgeom.cli import EXIT_BUDGET, EXIT_OK, main
 from girthgeom.gallai import ProviderPolicy, pigeonhole_certificate
+from girthgeom.scenes import save_scene
 
 # sha256 of the four build files and of the verify report, taken before the
 # box and line recursion steps shared one lift step
@@ -80,6 +82,31 @@ def test_cli_files_are_byte_identical(tmp_path, monkeypatch, capsys, name):
     argv, build_code, hashes = GOLDEN[name]
     monkeypatch.chdir(tmp_path)
     assert build_and_verify(argv) == (build_code, EXIT_OK, hashes)
+
+
+# sha256 of the scene and of its verify report for one 4,020-box step on a
+# rational image of the C5 base, taken before the box family kept one integer
+# grid: the step moves every bound onto a new denominator at scale
+BOX_STEP = {
+    "step.scene.json": "962949b8c3f57bf76fde1ac6cf09bdbfcda023afd4523042b931a1faf9fd916e",
+    "verify.report.json": "7987a51ea31615f2619cf2ee9316974d991aaab51311d808814a7a21b2b9b2f7",
+}
+
+
+def test_box_step_on_a_rational_base_is_byte_identical(tmp_path, monkeypatch, capsys):
+    scale, shift = F(7, 3), F(-5, 2)  # the shift slides along x = y, which keeps every box grounded
+    base = odd_cycle_boxes(5)
+    moved = tuple(
+        GroundedSquareBox.of(scale * b.trace + shift, scale * b.side, scale * b.box.zr.lo, scale * b.box.zr.hi)
+        for b in base.boxes
+    )
+    parent = BoxFamily(moved, base.claimed_girth, base.claimed_chromatic, dict(base.provenance))
+    fam = recursion_step_boxes(parent, 1, 4, _vdw(100))
+    assert len(fam) == 4020
+    monkeypatch.chdir(tmp_path)
+    save_scene("step.scene.json", fam)
+    assert main(["verify", "step.scene.json", "--out", "verify"]) == EXIT_OK
+    assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in BOX_STEP} == BOX_STEP
 
 
 def test_build_refutes_its_claim_once(tmp_path, monkeypatch, capsys):

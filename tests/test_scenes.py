@@ -18,11 +18,9 @@ from girthgeom import (
 )
 from girthgeom import lines as linemod
 from girthgeom import scenes
-from girthgeom.boxes import box_from_doc
 from girthgeom.errors import SceneFormatError
 from girthgeom.gallai import pigeonhole_certificate, vdw_certificate
 from girthgeom.geometry import rat
-from girthgeom.lines import line_from_doc
 from girthgeom.scenes import (
     dumps_doc,
     load_certificate,
@@ -32,7 +30,7 @@ from girthgeom.scenes import (
     scene_to_doc,
 )
 
-from _oracles import save_certificate
+from _oracles import box_from_doc, line_from_doc, save_certificate
 
 
 def provider(ground, colors, girth):
@@ -95,7 +93,7 @@ class TestShiftScenes:
     def test_load_compares_strings_and_makes_rows_once(self, monkeypatch):
         doc = json.loads(dumps_doc(scene_to_doc(build_shift_system(6, seed=1))))
         calls = []
-        monkeypatch.setattr(scenes, "line_from_doc", lambda *a: calls.append("line_from_doc"))
+        monkeypatch.setattr(scenes, "_entries", lambda *a: calls.append("entries"))
         original = linemod._integer_rows
         monkeypatch.setattr(linemod, "_integer_rows", lambda lines: calls.append("rows") or original(lines))
         assert scene_to_doc(scene_from_doc(doc)) == doc

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from girthgeom import (
+    BoxFamily,
     Dir3,
     GroundedSquareBox,
     Line3,
@@ -43,7 +44,7 @@ class TestBoxSweep:
     @settings(deadline=None)
     @given(st.lists(_grounded_box(), max_size=14))
     def test_matches_all_pairs(self, boxes):
-        assert box_intersection_edges(boxes) == all_pairs_box_edges(boxes)
+        assert box_intersection_edges(BoxFamily(tuple(boxes), None, 1).rows) == all_pairs_box_edges(boxes)
 
     @pytest.mark.parametrize(
         "z_ranges, edges",
@@ -56,7 +57,7 @@ class TestBoxSweep:
     )
     def test_z_contact_cases(self, z_ranges, edges):
         boxes = [GroundedSquareBox.of(0, 1, zlo, zhi) for zlo, zhi in z_ranges]
-        assert box_intersection_edges(boxes) == edges == all_pairs_box_edges(boxes)
+        assert box_intersection_edges(BoxFamily(tuple(boxes), None, 1).rows) == edges == all_pairs_box_edges(boxes)
 
 
 # a few directions with zero components; scaled and negated copies of them
