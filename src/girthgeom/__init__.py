@@ -36,22 +36,7 @@ from .gallai import (
     vdw_certificate,
     verify_certificate,
 )
-from .geometry import (
-    Box3,
-    Dir3,
-    Homothety1D,
-    Homothety3D,
-    Interval,
-    Line3,
-    LineRelation,
-    Plane3,
-    PlaneRelation,
-    Point3,
-    line_line_relation,
-    line_plane_meet,
-    perp_in_plane,
-    rat,
-)
+from .geometry import Box3, Dir3, Homothety1D, Interval, Line3, Point3, rat
 from .graphs import (
     GeoGraph,
     chromatic_number,
@@ -75,7 +60,6 @@ from .lines import (
     meeting_pair_lines,
     odd_cycle_lines,
     recursion_step_lines,
-    shift_line,
     single_line_family,
     verify_shift_system,
 )

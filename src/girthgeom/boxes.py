@@ -25,7 +25,7 @@ from . import recursion
 from .budget import Budget
 from .errors import ConstructionError
 from .gallai import GallaiCertificate, HomotheticCopy, ProviderPolicy
-from .geometry import Box3, Homothety1D, Rat, format_rat, rat
+from .geometry import Box3, Homothety1D, Rat, format_ratio, rat, to_grid
 
 Row = tuple[int, int, int, int, int, int]  # (xlo, xhi, ylo, yhi, zlo, zhi), each times the grid's denominator
 
@@ -71,15 +71,6 @@ class GroundedSquareBox:
 
 def _bounds(b: Box3) -> tuple[Rat, ...]:
     return b.xr.lo, b.xr.hi, b.yr.lo, b.yr.hi, b.zr.lo, b.zr.hi
-
-
-def to_grid(rows, read=rat) -> tuple[int, list[tuple[int, ...]]]:
-    """The least common denominator of the rows' entries and the rows times
-    it; ``read``, which gives an entry's rational, runs once per distinct entry."""
-    values = {v: read(v) for v in set(itertools.chain.from_iterable(rows))}
-    den = math.lcm(1, *(q.denominator for q in values.values()))
-    ints = {v: q.numerator * (den // q.denominator) for v, q in values.items()}
-    return den, [tuple(map(ints.__getitem__, row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +120,7 @@ class BoxFamily:
 
     def labels(self) -> list[dict]:
         """Each box's bounds as "p/q" strings, each distinct value formatted once."""
-        text = {v: format_rat(Fraction(v, self.den)) for v in set(itertools.chain.from_iterable(self.rows))}
+        text = {v: format_ratio(v, self.den) for v in set(itertools.chain.from_iterable(self.rows))}
         return [{"x": [text[a], text[b]], "y": [text[c], text[d]], "z": [text[e], text[f]]}
                 for a, b, c, d, e, f in self.rows]
 

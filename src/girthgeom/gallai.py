@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .budget import DEFAULT_NODES, Budget
 from .errors import BudgetExhausted, ProviderFailure, ProviderRefusal
-from .geometry import Homothety1D, Rat, format_rat, integer_rows, rat
+from .geometry import Homothety1D, Rat, format_rat, rat, to_grid
 from .graphs import GeoGraph, shortest_cycle
 
 
@@ -125,11 +125,8 @@ class GallaiCertificate:
 def normalize_ground_set(ground: GroundSet) -> tuple[tuple[int, ...], Homothety1D]:
     """Rescale a rational ground set onto integers with minimum 0 and
     difference gcd 1; the returned map sends those integers back exactly."""
-    pts = ground.points
-    base = pts[0]
-    diffs = [p - base for p in pts]
-    denom = math.lcm(*(d.denominator for d in diffs))
-    raw = [int(d * denom) for d in diffs]
+    base = ground.points[0]
+    denom, (raw,) = to_grid([[p - base for p in ground.points]])
     g = math.gcd(*raw)
     ints = tuple(r // g for r in raw)
     return ints, Homothety1D(Fraction(g, denom), base)
@@ -142,7 +139,7 @@ def enumerate_copies(ground: GroundSet, elements: tuple[Rat, ...]) -> tuple[Homo
     A map with positive scale sends min to min and max to max, so each
     candidate is determined by the images of the two extremes; interior
     points are then membership-tested, on integers: the elements on one
-    grid (``integer_rows``), the ground set in normal form, whose gcd is
+    grid (``to_grid``), the ground set in normal form, whose gcd is
     1, so an image is on the grid only when q = (b - a) / span is an
     integer, and then its points are a + q * t.
     """
@@ -150,7 +147,7 @@ def enumerate_copies(ground: GroundSet, elements: tuple[Rat, ...]) -> tuple[Homo
     span = pts[-1] - pts[0]
     ints, _ = normalize_ground_set(ground)
     interior = ints[1:-1]
-    grid = integer_rows([elements])[0]
+    _, (grid,) = to_grid([elements])
     universe = set(grid)
     out: list[HomotheticCopy] = []
     for i, a in enumerate(grid):

@@ -6,6 +6,11 @@ Algebraically independent coordinates are replaced by seeded rational
 samples plus exhaustive exact verification: a sample is accepted only if
 its intersection graph is exactly the expected one, and rejected samples
 are recorded.
+
+A family keeps its lines on one integer grid: a common denominator for
+the base points and, per line, an integer base row and a primitive
+direction row.  It frames, slides, sweeps, checks and writes them as
+rows; line objects are views made on demand.
 """
 
 from __future__ import annotations
@@ -16,68 +21,56 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 from . import graphs, recursion
 from .budget import Budget
 from .errors import BudgetExhausted, ConstructionError
-from .gallai import HomotheticCopy, ProviderPolicy
-from .geometry import (
-    Dir3,
-    Homothety3D,
-    Line3,
-    Plane3,
-    PlaneRelation,
-    Point3,
-    Rat,
-    Triple,
-    cross,
-    dot,
-    format_rat,
-    integer_rows,
-    line_line_relation,
-    line_plane_meet,
-    perp_in_plane,
-    rat,
-    vadd,
-    vscale,
-    vsub,
-)
+from .gallai import ProviderPolicy
+from .geometry import Dir3, Line3, Point3, Rat, cross, dot, format_rat, format_ratio, rat, to_grid
 
 SAMPLE_ATTEMPTS = 64  # value sets build_shift_system tries before it gives up
 FRAME_HEIGHT = 8  # largest coordinate of the integer directions choose_frame tries
 SWEEP_BLOCK = 128  # later lines packed into one integer per coordinate by the line sweep
 
+Row = tuple[int, int, int]  # a base point times its grid's denominator, or a direction row
 
-def line_to_doc(line: Line3) -> dict:
-    b, d = line.base, line.dir
-    return {
-        "base": [format_rat(b.x), format_rat(b.y), format_rat(b.z)],
-        "dir": [format_rat(d.dx), format_rat(d.dy), format_rat(d.dz)],
-    }
+
+def _lead(v: Row) -> int:
+    return next(c for c in v if c)
+
+
+def direction_row(v: Row) -> Row:
+    """The primitive integer row with a positive leading entry along the
+    nonzero integer vector ``v``: each direction has one row, so parallel
+    lines have equal rows."""
+    g = math.gcd(*v)
+    if g == 0:
+        raise ValueError("direction must not be the zero vector")
+    g = g if _lead(v) > 0 else -g
+    return (v[0] // g, v[1] // g, v[2] // g)
+
+
+def grid_rows(bases, dirs, read=rat) -> tuple[int, list[tuple[Row, Row]]]:
+    """The grid of the lines through ``bases`` along ``dirs`` (triples of
+    rationals, or of entries that ``read`` parses): the bases' least
+    common denominator, and per line its base row and direction row.
+    Each distinct direction triple is put on a grid of its own once."""
+    den, ints = to_grid(bases, read)
+    dir_rows: dict = {}
+    for d in dirs:
+        if d not in dir_rows:
+            dir_rows[d] = direction_row(to_grid([d], read)[1][0])
+    return den, [(b, dir_rows[d]) for b, d in zip(ints, dirs)]
 
 
 # ---------------------------------------------------------------------------
 # the intersection sweep
 
 
-def _integer_rows(lines) -> list[tuple[Triple, Triple]]:
-    """Each line as integer Plücker coordinates (d, m = b x d).  The base
-    points b share one common scale (``integer_rows``); each direction d
-    takes its own, which leaves it primitive with a positive leading entry
-    because Dir3 is canonical, so parallel lines have equal d, and two
-    lines of one call are identical exactly when their rows are equal."""
-    bases = integer_rows([l.base.as_tuple() for l in lines])
-    rows = []
-    for b, l in zip(bases, lines):
-        (d,) = integer_rows([l.dir.as_tuple()])
-        rows.append((d, cross(b, d)))
-    return rows
-
-
 def line_intersection_edges(rows) -> list[tuple[int, int]]:
     """All index pairs (i, j) of lines meeting in exactly one point, in
-    (i, j) order, from the lines' integer rows (``_integer_rows``).
+    (i, j) order, from their integer Plücker rows (d, m = b x d) on one grid.
     Identical lines, whose rows are equal, are not listed here; a family
     names the first pair of them (``identical``) and treats it as fatal.
 
@@ -88,7 +81,7 @@ def line_intersection_edges(rows) -> list[tuple[int, int]]:
     sizes.  The one-line groups (a shift system has only these) are tested
     against each other by big-integer products (``_packed_meets``).
     """
-    groups: dict[Triple, list[tuple[int, Triple]]] = {}
+    groups: dict[Row, list[tuple[int, Row]]] = {}
     for i, (d, m) in enumerate(rows):
         groups.setdefault(d, []).append((i, m))
     several = [(d, g) for d, g in groups.items() if len(g) > 1]
@@ -138,26 +131,41 @@ def _packed_meets(single) -> list[tuple[int, int]]:
     return meets
 
 
-class _SweptLines:
-    """A line family sweeps its lines once, when it is made: ``rows`` are
-    their integer rows (``_integer_rows``), ``meets`` the meeting pairs in
-    (i, j) order, and ``identical`` the first pair of equal rows, which
-    are the identical lines, or None."""
+class _LineGrid:
+    """Lines on one integer grid, swept once when they are put on it: line
+    i passes through ``rows[i][0]`` divided by ``den``, the least common
+    denominator of the base points, along ``rows[i][1]``.  ``meets`` are
+    the meeting pairs in (i, j) order, and ``identical`` the first pair of
+    identical lines, or None."""
 
-    rows: list[tuple[Triple, Triple]]
-    meets: list[tuple[int, int]]
-    identical: tuple[int, int] | None
-
-    def __post_init__(self):
-        rows = _integer_rows(self.lines)
+    def _put(self, den: int, rows, **fields) -> None:
+        common = math.gcd(den, *(c for b, _ in rows for c in b))  # keep den least, so equal families are equal
+        if common > 1:
+            den, rows = den // common, [(tuple(c // common for c in b), d) for b, d in rows]
+        plucker = [(d, cross(b, d)) for b, d in rows]  # equal exactly for identical lines
         first: dict[tuple, int] = {}
-        pairs = [(first.setdefault(row, j), j) for j, row in enumerate(rows)]
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "meets", line_intersection_edges(rows))
-        object.__setattr__(self, "identical", min((p for p in pairs if p[0] != p[1]), default=None))
+        pairs = [(first.setdefault(row, j), j) for j, row in enumerate(plucker)]
+        vars(self).update(den=den, rows=tuple(rows), meets=line_intersection_edges(plucker),
+                          identical=min((p for p in pairs if p[0] != p[1]), default=None), **fields)
 
     def __len__(self) -> int:
-        return len(self.lines)
+        return len(self.rows)
+
+    @property
+    def lines(self) -> tuple[Line3, ...]:
+        """The lines as objects, made anew on each call."""
+        dirs = {d: Dir3(*map(Fraction, d)) for d in {d for _, d in self.rows}}
+        return tuple(Line3(Point3(*(Fraction(c, self.den) for c in b)), dirs[d]) for b, d in self.rows)
+
+    def line_docs(self) -> list[dict]:
+        """Each line's base point and direction, scaled to a leading 1, as
+        "p/q" strings; each distinct grid value is formatted once."""
+        text = {c: format_ratio(c, self.den) for c in {c for b, _ in self.rows for c in b}}
+        dirs = {}
+        for d in {d for _, d in self.rows}:
+            lead = _lead(d)
+            dirs[d] = [format_ratio(c, lead) for c in d]
+        return [{"base": [text[x], text[y], text[z]], "dir": list(dirs[d])} for (x, y, z), d in self.rows]
 
     def intersection_edges(self) -> list[tuple[int, int]]:
         """All meeting index pairs; identical lines violate the family
@@ -171,41 +179,58 @@ class _SweptLines:
 # families
 
 
-@dataclass(frozen=True)
-class LineFamily(_SweptLines):
-    lines: tuple[Line3, ...]
+@dataclass(frozen=True, init=False)
+class LineFamily(_LineGrid):
+    den: int
+    rows: tuple[tuple[Row, Row], ...]
     claimed_girth: int | None
     claimed_chromatic: int
-    provenance: dict = field(default_factory=dict)
+    provenance: dict
+    meets: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    identical: tuple[int, int] | None = field(init=False, repr=False, compare=False)
+
+    def __init__(self, lines, claimed_girth, claimed_chromatic, provenance=None, den=None):
+        """The family of the line objects ``lines`` or, given ``den``, of
+        the grid rows ``lines``, each a base row and a direction row."""
+        if den is None:
+            den, lines = grid_rows([l.base.as_tuple() for l in lines], [l.dir.as_tuple() for l in lines])
+        self._put(den, lines, claimed_girth=claimed_girth, claimed_chromatic=claimed_chromatic,
+                  provenance={} if provenance is None else provenance)
 
     def labels(self) -> list[dict]:
-        return [line_to_doc(l) for l in self.lines]
+        return self.line_docs()
 
     def structure(self) -> recursion.StructureReport:
         return check_line_structure(self)
 
 
-@dataclass(frozen=True)
-class ShiftSystem(_SweptLines):
-    """The lines of a value set: one ``shift_line`` per ascending triple,
-    in ``itertools.combinations`` order, both derived from ``values``
-    when the system is made.  ``verification`` says whether its exact
+@dataclass(frozen=True, init=False)
+class ShiftSystem(_LineGrid):
+    """The lines of a strictly increasing value set: one shift line per
+    ascending triple (a, b, c), t -> (ab + bc + t, abc + bt, ab^2c + (ab +
+    bc)t), in ``itertools.combinations`` order, both derived from
+    ``values`` when the system is made, the lines straight onto the grid
+    (``_shift_grid``).  ``verification`` says whether its exact
     intersection graph is the double shift graph; it claims nothing else."""
 
     claimed_girth = None
     claimed_chromatic = 1
 
     values: tuple[Rat, ...]
-    provenance: dict = field(default_factory=dict)
+    provenance: dict
     triples: tuple[tuple[Rat, Rat, Rat], ...] = field(init=False)
-    lines: tuple[Line3, ...] = field(init=False)
+    den: int = field(init=False, repr=False)
+    rows: tuple[tuple[Row, Row], ...] = field(init=False, repr=False)
+    meets: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    identical: tuple[int, int] | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if len(self.values) < 3:
-            raise ValueError(f"a shift system needs at least 3 values, got {len(self.values)}")
-        object.__setattr__(self, "triples", tuple(itertools.combinations(self.values, 3)))
-        object.__setattr__(self, "lines", tuple(shift_line(*t) for t in self.triples))
-        super().__post_init__()
+    def __init__(self, values, provenance=None):
+        if len(values) < 3:
+            raise ValueError(f"a shift system needs at least 3 values, got {len(values)}")
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise ValueError("shift system values must be strictly increasing")
+        self._put(*_shift_grid(values), values=values, provenance={} if provenance is None else provenance,
+                  triples=tuple(itertools.combinations(values, 3)))
 
     @cached_property
     def verification(self) -> tuple[bool, dict | None]:
@@ -230,16 +255,18 @@ class ShiftSystem(_SweptLines):
 # double-shift system
 
 
-def shift_line(a, b, c) -> Line3:
-    """The line t -> (ab + bc + t, abc + bt, ab^2c + (ab + bc)t): base point
-    (ab+bc, abc, ab^2c), direction (1, b, ab+bc)."""
-    a, b, c = rat(a), rat(b), rat(c)
-    if not a < b < c:
-        raise ValueError("shift line needs a < b < c")
-    return Line3(
-        Point3(a * b + b * c, a * b * c, a * b * b * c),
-        Dir3(Fraction(1), b, a * b + b * c),
-    )
+def _shift_grid(values) -> tuple[int, list[tuple[Row, Row]]]:
+    """The grid rows of the shift line of every ascending triple of
+    ``values`` (see ``ShiftSystem``), in combinations order.  With the values on their grid,
+    q a, q b, q c = A, B, C, the base point (ab + bc, abc, ab^2c) is
+    ((AB + BC) q^2, ABC q, AB^2C) / q^4 and the direction (1, b, ab + bc)
+    is along (q^2, B q, AB + BC)."""
+    q, (ints,) = to_grid([values])
+    rows = []
+    for a, b, c in itertools.combinations(ints, 3):
+        s = a * b + b * c
+        rows.append(((s * q * q, a * b * c * q, a * b * b * c), direction_row((q * q, b * q, s))))
+    return q**4, rows
 
 
 def double_shift_graph(n: int) -> graphs.GeoGraph:
@@ -258,7 +285,7 @@ def double_shift_graph(n: int) -> graphs.GeoGraph:
 def verify_shift_system(system: ShiftSystem) -> tuple[bool, dict | None]:
     """Exact check that the system's intersection graph is the double
     shift graph: its swept meeting pairs, and its identical pair if any,
-    against the graph's edges.  Every line is its triple's ``shift_line``,
+    against the graph's edges.  Every line is its triple's shift line l,
     so the lines of (a,b,c) and (b,c,d) that meet do so at the designed
     point, by the identity l(a,b,c)(cd) = l(b,c,d)(ab) = (ab+bc+cd,
     abc+bcd, ab^2c+abcd+bc^2d).  Returns (True, None) or (False,
@@ -302,14 +329,13 @@ def build_shift_system(n: int, seed: int = 0) -> ShiftSystem:
 
 
 def single_line_family() -> LineFamily:
-    return LineFamily((Line3(Point3.of(0, 0, 0), Dir3.of(1, 0, 0)),), None, 1, {"kind": "base-single"})
+    return LineFamily([((0, 0, 0), (1, 0, 0))], None, 1, {"kind": "base-single"}, den=1)
 
 
 def meeting_pair_lines() -> LineFamily:
     """Two lines through the origin along the x and y axes."""
-    a = Line3(Point3.of(0, 0, 0), Dir3.of(1, 0, 0))
-    b = Line3(Point3.of(0, 0, 0), Dir3.of(0, 1, 0))
-    return recursion.checked_base(LineFamily((a, b), None, 2, {"kind": "base-pair"}))
+    rows = [((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (0, 1, 0))]
+    return recursion.checked_base(LineFamily(rows, None, 2, {"kind": "base-pair"}, den=1))
 
 
 def odd_cycle_lines(n: int) -> LineFamily:
@@ -323,11 +349,9 @@ def odd_cycle_lines(n: int) -> LineFamily:
     """
     if n < 5 or n % 2 == 0:
         raise ValueError("need an odd cycle length of at least 5")
-    pts = [Point3.of(i, i * i, i * i * i) for i in range(n)]
-    lines = tuple(
-        Line3(pts[i], Dir3.between(pts[i], pts[(i + 1) % n])) for i in range(n)
-    )
-    fam = LineFamily(lines, n, 3, {"kind": "base-odd-cycle", "n": n})
+    pts = [(i, i * i, i * i * i) for i in range(n)]
+    rows = [(p, direction_row(tuple(b - a for a, b in zip(p, pts[(i + 1) % n])))) for i, p in enumerate(pts)]
+    fam = LineFamily(rows, n, 3, {"kind": "base-odd-cycle", "n": n}, den=1)
     return recursion.checked_base(fam)
 
 
@@ -339,98 +363,135 @@ def odd_cycle_lines(n: int) -> LineFamily:
 class TransversalFrame:
     """A plane crossed by every family line at a distinct point, an axis
     line inside it with all crossing points projecting to distinct axis
-    parameters, and the in-plane perpendicular direction."""
+    parameters, and the in-plane direction perpendicular to the axis.
 
-    plane: Plane3
-    axis: Line3
-    perp: Dir3
+    The plane is {x : normal . x = offset * lead}, where lead is the
+    normal's first nonzero entry, so ``offset`` is the plane's offset for
+    the normal scaled to a leading 1.  The axis runs along ``axis`` through
+    ``origin``, the point offset times the unit vector at that entry.
+    ``normal``, ``axis`` and ``perp`` are direction rows."""
 
-    def param_of(self, p: Point3) -> Rat:
-        d = self.axis.dir.as_tuple()
-        return dot(vsub(p.as_tuple(), self.axis.base.as_tuple()), d) / dot(d, d)
+    normal: Row
+    offset: int
+    axis: Row
+    perp: Row
+
+    @property
+    def origin(self) -> Row:
+        lead = next(i for i, c in enumerate(self.normal) if c)
+        return tuple(self.offset if i == lead else 0 for i in range(3))
 
 
 def _canonical_dirs():
-    """All canonical rational directions representable by integer vectors
-    of height at most FRAME_HEIGHT, ordered (height, then lexicode)."""
-    seen: set = set()
-    for h in range(1, FRAME_HEIGHT + 1):
-        batch = []
-        for v in itertools.product(range(-h, h + 1), repeat=3):
-            if v == (0, 0, 0) or max(abs(c) for c in v) != h:
-                continue
-            t = Dir3.of(*v).as_tuple()
-            if t not in seen:
-                seen.add(t)
-                batch.append(t)
-        batch.sort()
-        for t in batch:
-            yield Dir3(*t)
+    """All direction rows of height (largest absolute entry) at most
+    FRAME_HEIGHT, by height, then in the lexicographic order of the
+    direction scaled to a leading 1."""
+    for height in range(1, FRAME_HEIGHT + 1):
+        yield from _dirs_of_height(height)
+
+
+@cache
+def _dirs_of_height(height: int) -> tuple[Row, ...]:
+    scale = math.lcm(*range(1, height + 1))  # a multiple of every leading entry, so the sort keys are exact
+    rows = [v for v in itertools.product(range(-height, height + 1), repeat=3)
+            if max(map(abs, v)) == height and math.gcd(*v) == 1 and _lead(v) > 0]
+    return tuple(sorted(rows, key=lambda v: tuple(c * scale // _lead(v) for c in v)))
 
 
 def _offsets():
-    yield Fraction(0)
+    yield 0
     k = 1
     while True:
-        yield Fraction(k)
-        yield Fraction(-k)
+        yield k
+        yield -k
         k += 1
 
 
-def frame_conditions(frame: TransversalFrame, lines) -> list[str]:
+def _crossings(frame: TransversalFrame, fam: LineFamily) -> tuple[int, list[Row]] | None:
+    """Where each line of ``fam`` crosses the frame's plane, as integer
+    rows over one common denominator, returned with it; None when some
+    line does not cross the plane."""
+    n = frame.normal
+    slopes = {d: dot(n, d) for d in {d for _, d in fam.rows}}
+    if 0 in slopes.values():
+        return None
+    q = math.lcm(*slopes.values())
+    level = frame.offset * _lead(n) * fam.den  # the plane, on the family's grid
+    # b + (level - n.b) / (n.d) d, times q
+    hits = [tuple(q * c + (level - dot(n, b)) * (q // slopes[d]) * e for c, e in zip(b, d)) for b, d in fam.rows]
+    return fam.den * q, hits
+
+
+def axis_params(frame: TransversalFrame, fam: LineFamily) -> list[Rat]:
+    """The axis parameter of each line's crossing point p: (p - origin) . a
+    / (a . a), for a the axis direction scaled to a leading 1."""
+    q, hits = _crossings(frame, fam)
+    a = frame.axis
+    at_origin, lead, norm = q * dot(frame.origin, a), _lead(a), dot(a, a)
+    return [Fraction(lead * (dot(h, a) - at_origin), q * norm) for h in hits]
+
+
+def frame_conditions(frame: TransversalFrame, fam: LineFamily) -> list[str]:
     """The failed genericity conditions (empty when the frame is valid):
     (1) every line transversal, (2) distinct crossing points, (3) distinct
     axis projections, (4) for every non-parallel direction pair (d, d*),
-    (normal x (d x d*)) . axis-dir is nonzero."""
+    (normal x (d x d*)) . axis is nonzero."""
+    crossings = _crossings(frame, fam)
+    if crossings is None:
+        return ["transversal"]
     failures = []
-    nvec = frame.plane.normal.as_tuple()
-    dvec = frame.axis.dir.as_tuple()
-    hits = []
-    for l in lines:
-        meet = line_plane_meet(l, frame.plane)
-        if meet.kind != PlaneRelation.MEET:
-            failures.append("transversal")
-            return failures
-        hits.append(meet.point.as_tuple())
+    hits = crossings[1]
     if len(set(hits)) != len(hits):
         failures.append("distinct-traces")
-    if len({dot(h, dvec) for h in hits}) != len(hits):
+    if len({dot(h, frame.axis) for h in hits}) != len(hits):
         failures.append("distinct-projections")
-    # canonical directions are parallel only when equal
-    dirs = {l.dir.as_tuple() for l in lines}
-    if any(dot(cross(nvec, cross(d, e)), dvec) == 0 for d, e in itertools.combinations(dirs, 2)):
+    # direction rows are parallel only when equal
+    dirs = {d for _, d in fam.rows}
+    if any(dot(cross(frame.normal, cross(d, e)), frame.axis) == 0 for d, e in itertools.combinations(dirs, 2)):
         failures.append("parallel-plane-pairs")
     return failures
+
+
+def _meeting_points(fam: LineFamily) -> list[tuple[Row, int]]:
+    """Each meeting point of the family as an integer row and its
+    denominator: b + s d on line (b, d) at s = ((b* - b) x d*) . N / N . N,
+    with N = d x d* for the other line (b*, d*)."""
+    points = []
+    for i, j in fam.intersection_edges():
+        (b, d), (c, e) = fam.rows[i], fam.rows[j]
+        normal = cross(d, e)
+        size = dot(normal, normal)
+        s = dot(cross(tuple(y - x for x, y in zip(b, c)), e), normal)
+        points.append((tuple(size * x + s * y for x, y in zip(b, d)), fam.den * size))
+    return points
 
 
 def choose_frame(fam: LineFamily) -> TransversalFrame:
     """Deterministic enumeration of candidate planes and axis directions,
     accepting the first frame whose four genericity conditions all hold.
 
-    Plane normals and axis directions run over canonical rational
-    directions in height order; offsets are chosen directly to dodge the
-    finitely many crossing-point collisions.  The search is finite: it
-    ends once the directions up to FRAME_HEIGHT run out, with a
-    BudgetExhausted that reports which condition kept failing.
+    Plane normals and axis directions run over direction rows in height
+    order; offsets are chosen directly to dodge the finitely many
+    crossing-point collisions.  The search is finite: it ends once the
+    directions up to FRAME_HEIGHT run out, with a BudgetExhausted that
+    reports which condition kept failing.
     """
-    lines = fam.lines
-    dirs = [l.dir.as_tuple() for l in lines]
-    meets = [line_line_relation(lines[i], lines[j]).point.as_tuple() for i, j in fam.intersection_edges()]
+    dirs = {d for _, d in fam.rows}
+    meets = _meeting_points(fam)
     rejections = {"transversal": 0, "distinct-traces": 0, "distinct-projections": 0, "parallel-plane-pairs": 0}
     for normal in _canonical_dirs():
-        nvec = normal.as_tuple()
-        if any(dot(nvec, d) == 0 for d in dirs):
+        if any(dot(normal, d) == 0 for d in dirs):
             rejections["transversal"] += 1
             continue
-        bad_offsets = {dot(nvec, p) for p in meets}
+        lead = _lead(normal)
+        levels = [(dot(normal, p), lead * q) for p, q in meets]
+        bad_offsets = {v // w for v, w in levels if v % w == 0}
         offset = next(o for o in _offsets() if o not in bad_offsets)
-        plane = Plane3(normal, offset)
-        for axis_dir in _canonical_dirs():
-            if dot(axis_dir.as_tuple(), nvec) != 0:
+        for axis in _canonical_dirs():
+            if dot(axis, normal) != 0:
                 continue
-            axis = Line3(plane.point_on(), axis_dir)
-            frame = TransversalFrame(plane, axis, perp_in_plane(plane, axis))
-            failures = frame_conditions(frame, lines)
+            frame = TransversalFrame(normal, offset, axis, direction_row(cross(normal, axis)))
+            failures = frame_conditions(frame, fam)
             if not failures:
                 return frame
             for f in failures:
@@ -438,88 +499,101 @@ def choose_frame(fam: LineFamily) -> TransversalFrame:
     raise BudgetExhausted(f"no frame within height {FRAME_HEIGHT}; rejection counts: {rejections}")
 
 
-def make_ground_lines(values, frame: TransversalFrame) -> list[Line3]:
-    """One line per axis parameter: inside the plane, through the axis
-    point, in the perpendicular direction.  Pairwise parallel-disjoint."""
+def make_ground_lines(values, frame: TransversalFrame) -> tuple[int, list[tuple[Row, Row]]]:
+    """One line per axis parameter, as grid rows with the grid's
+    denominator: inside the plane, through the axis point, in the
+    perpendicular direction.  Pairwise parallel-disjoint."""
     values = sorted(rat(v) for v in values)
     if len(set(values)) != len(values):
         raise ValueError("ground line parameters must be distinct")
-    return [Line3(frame.axis.point_at(x), frame.perp) for x in values]
+    lead = _lead(frame.axis)
+    den, (steps,) = to_grid([[x / lead for x in values]])
+    base = [den * c for c in frame.origin]
+    return den, [(tuple(c + t * a for c, a in zip(base, frame.axis)), frame.perp) for t in steps]
 
 
 # ---------------------------------------------------------------------------
 # recursion
 
 
-def _slot(v: Triple, u: Triple, d_n: Triple, d_p: Triple) -> tuple[tuple, int]:
-    """Where base v with direction d_n sits against lines of direction d_p
-    under slides along u, as (class, whole).  The key of v is
-    (v . (d_n x d_p),), or v x d_p when d_n == d_p (canonical directions
-    are parallel only when equal); two lines meet or coincide exactly when
-    their keys agree.  Keys are linear, so key(v) = r + (whole + frac) *
-    key(u) with r[i] = 0 at the first i where key(u)[i] != 0, and class =
-    (r, frac): sliding by an integer t adds t to whole.  When key(u) is
-    zero, the class is the key.  The split is what makes each tested
-    offset one integer lookup: testing key(v) + t * key(u) against the
-    placed keys directly is shorter, but builds and hashes a rational
-    key per offset, and copies can slide a hundred offsets or more."""
+def _slot(d_n: Row, d_p: Row, slide: Row) -> Callable[[Row], tuple[tuple, int]]:
+    """Where a base row v with direction d_n sits against the lines of
+    direction d_p under integer multiples of ``slide``, as a function of v
+    giving (class, whole).
+
+    The key of v is (v . (d_n x d_p),), or v x d_p when d_n == d_p
+    (direction rows are parallel only when equal); two lines meet or
+    coincide exactly when their keys agree.  Keys are linear, so sliding
+    by t adds t * step, step being the key of ``slide``.  With s the first
+    nonzero entry of step and k the key's entry there, class = (s * key -
+    k * step, k mod s) and whole = k // s: sliding by t adds t to whole and
+    keeps class, which makes each tested offset one integer lookup.  When
+    step is zero, the class is the key."""
     if d_n == d_p:
-        key, step = cross(v, d_p), cross(u, d_p)
+        key = lambda v: cross(v, d_p)
     else:
-        m = cross(d_n, d_p)
-        key, step = (dot(v, m),), (dot(u, m),)
-    if not any(step):
-        return (key, None), 0
-    lam = next(k / s for k, s in zip(key, step) if s)
-    whole = math.floor(lam)
-    return (tuple(k - lam * s for k, s in zip(key, step)), lam - whole), whole
+        normal = cross(d_n, d_p)
+        key = lambda v: (dot(v, normal),)
+    step = key(slide)
+    at = next((i for i, c in enumerate(step) if c), None)
+    if at is None:
+        return lambda v: ((key(v), None), 0)
+    s = step[at]
+
+    def slot(v: Row) -> tuple[tuple, int]:
+        own = key(v)
+        k = own[at]
+        return (tuple(s * c - k * t for c, t in zip(own, step)), k % s), k // s
+
+    return slot
 
 
 class _PlacedLines:
-    """Placed lines filed by slot per placed direction d_p and (image direction
-    d_n, slide direction u); each line once per (d_n, u), when next asked for."""
+    """Placed lines, as grid rows, filed by slot per placed direction d_p and
+    (image direction d_n, slide); each line once per (d_n, slide), when next
+    asked for."""
 
-    def __init__(self, lines=()):
-        self._bases: dict[Triple, list[Triple]] = {}  # d_p -> bases
-        self._slots: dict[tuple, tuple[dict, int]] = {}  # (d_p, d_n, u) -> (class -> wholes, bases filed)
-        self.add(lines)
+    def __init__(self, rows=()):
+        self._bases: dict[Row, list[Row]] = {}  # d_p -> bases
+        self._slots: dict[tuple, tuple[Callable, dict, int]] = {}  # (d_p, d_n, slide) -> (slot, class -> wholes, filed)
+        self.add(rows)
 
     def __len__(self) -> int:
         return sum(len(bases) for bases in self._bases.values())
 
-    def add(self, lines) -> None:
-        for line in lines:
-            self._bases.setdefault(line.dir.as_tuple(), []).append(line.base.as_tuple())
+    def add(self, rows) -> None:
+        for base, d in rows:
+            self._bases.setdefault(d, []).append(base)
 
-    def slots(self, d_n: Triple, u: Triple):
-        """(d_p, class -> wholes of the placed lines of direction d_p) for each d_p."""
+    def slots(self, d_n: Row, slide: Row):
+        """(slot of d_n against d_p, class -> wholes of the placed lines of
+        direction d_p) for each d_p."""
         for d_p, bases in self._bases.items():
-            classes, filed = self._slots.get((d_p, d_n, u), ({}, 0))
+            slot, classes, filed = self._slots.get((d_p, d_n, slide)) or (_slot(d_n, d_p, slide), {}, 0)
             for base in bases[filed:]:
-                cls, whole = _slot(base, u, d_n, d_p)
+                cls, whole = slot(base)
                 classes.setdefault(cls, set()).add(whole)
-            self._slots[d_p, d_n, u] = classes, len(bases)
-            yield d_p, classes
+            self._slots[d_p, d_n, slide] = slot, classes, len(bases)
+            yield slot, classes
 
 
-def forbidden_offsets(images_at_zero, placed: _PlacedLines, frame: TransversalFrame) -> Callable[[int], bool]:
-    """An exact membership test for the integer slide offsets at which some
-    image line would meet or coincide with an already placed line.
+def forbidden_offsets(images_at_zero, placed: _PlacedLines, slide: Row) -> Callable[[int], bool]:
+    """An exact membership test for the integer multiples of ``slide`` by
+    which sliding the image rows would make some image line meet or
+    coincide with an already placed line, all rows on one grid.
 
-    Sliding an image by t along the frame's perpendicular u adds t to its
-    whole and keeps its class (see _slot), so each (image, placed
-    direction) pair costs one integer lookup per tested offset.  key(u) is
-    nonzero for the parent's direction pairs (the frame's plane-pair
-    condition) and for parallel lines (every line crosses the plane).  A
-    pair with key(u) zero that is coplanar at offset 0 stays coplanar at
-    every offset: that raises ConstructionError here.
+    Sliding an image by t adds t to its whole and keeps its class (see
+    _slot), so each (image, placed direction) pair costs one integer
+    lookup per tested offset.  The slide's key is nonzero for the
+    parent's direction pairs (the frame's plane-pair condition) and for
+    parallel lines (every line crosses the plane).  A pair whose slide key
+    is zero and that is coplanar at offset 0 stays coplanar at every
+    offset: that raises ConstructionError here.
     """
-    u = frame.perp.as_tuple()
     probes = []
-    for img in images_at_zero:
-        base, d_n = img.base.as_tuple(), img.dir.as_tuple()
-        for d_p, classes in placed.slots(d_n, u):
-            cls, whole = _slot(base, u, d_n, d_p)
+    for base, d_n in images_at_zero:
+        for slot, classes in placed.slots(d_n, slide):
+            cls, whole = slot(base)
             if cls not in classes:
                 continue
             if cls[1] is None:
@@ -535,27 +609,30 @@ def forbidden_offsets(images_at_zero, placed: _PlacedLines, frame: TransversalFr
     return is_forbidden
 
 
-def embed_copy_lines(
-    parent: LineFamily,
-    frame: TransversalFrame,
-    copy: HomotheticCopy,
-    offset: Rat,
-) -> list[Line3]:
-    """The image of the parent under p -> s p + (1 - s) B + h a + offset u,
-    where x -> s x + h is the copy's 1-D axis map, B the axis base point,
-    a the axis direction and u the in-plane perpendicular: a scaling
-    about the axis point the 1-D map fixes (a pure slide along the axis
-    when s = 1), then a slide by offset along u.
+def embed_copy_lines(parent: LineFamily, frame: TransversalFrame, copies, den: int = 1) -> tuple[int, list[list]]:
+    """The parent's image under each copy, at slide offset 0, as rows on
+    one grid: the least multiple of ``den`` on which every copy's map is
+    integer affine on the parent's rows.
 
-    Both pieces preserve the plane, so each image line still crosses it at
-    one point whose axis parameter is the 1-D map of its parent's; the
-    image therefore meets exactly its own ground line.
+    A copy with 1-D axis map x -> s x + h maps p -> s p + (1 - s) B + h a,
+    where B is the axis point and a the axis direction scaled to a leading
+    1: a scaling about the axis point the 1-D map fixes (a pure slide
+    along the axis when s = 1).  It preserves the plane, so each image
+    line still crosses it at one point whose axis parameter is the 1-D
+    map of its parent's; the image therefore meets exactly its own ground
+    line.  Directions are unchanged.
     """
-    scale, h = copy.map.scale, copy.map.shift
-    base, a, u = frame.axis.base.as_tuple(), frame.axis.dir.as_tuple(), frame.perp.as_tuple()
-    shift = vadd(vadd(vscale(1 - scale, base), vscale(h, a)), vscale(rat(offset), u))
-    mapping = Homothety3D(scale, Point3(*shift))
-    return [mapping.apply_line(l) for l in parent.lines]
+    p, lead, origin = parent.den, _lead(frame.axis), frame.origin
+    slope = lambda s: s.denominator * p // math.gcd(s.numerator, p)  # the denominator of s / p
+    grid = math.lcm(den, *(n for copy in copies for n in (slope(copy.map.scale), (copy.map.shift / lead).denominator)))
+    out = []
+    for copy in copies:
+        s, h = copy.map.scale, copy.map.shift / lead
+        k = grid * s.numerator // (s.denominator * p)  # s on the parent's grid onto this one
+        fixed, along = grid // s.denominator * (s.denominator - s.numerator), grid // h.denominator * h.numerator
+        shift = [fixed * o + along * a for o, a in zip(origin, frame.axis)]
+        out.append([(tuple(k * c + t for c, t in zip(b, shift)), d) for b, d in parent.rows])
+    return grid, out
 
 
 def recursion_step_lines(
@@ -574,22 +651,25 @@ def recursion_step_lines(
 
 def _place_lines(parent: LineFamily, certify) -> recursion.Placement:
     frame = choose_frame(parent)
-    params = [frame.param_of(line_plane_meet(l, frame.plane).point) for l in parent.lines]
+    params = axis_params(frame, parent)
     cert = certify(params)
-    ground = make_ground_lines(cert.elements, frame)
-    copies: list[list[Line3]] = []
+    ground_den, ground = make_ground_lines(cert.elements, frame)
+    lead = _lead(frame.perp)  # a slide by one unit of the perpendicular scaled to a leading 1 is integer on the grid
+    den, images = embed_copy_lines(parent, frame, cert.copies, math.lcm(ground_den, lead))
+    ground = [(tuple(c * (den // ground_den) for c in b), d) for b, d in ground]
+    slide = tuple(den // lead * c for c in frame.perp)
+    copies: list[list] = []
     placed = _PlacedLines()
-    offsets_used: list[Rat] = []
-    for copy in cert.copies:
-        baseline = embed_copy_lines(parent, frame, copy, 0)
-        is_forbidden = forbidden_offsets(baseline, placed, frame)
+    offsets_used: list[int] = []
+    for baseline in images:
+        is_forbidden = forbidden_offsets(baseline, placed, slide)
         offset = next(o for o in _offsets() if not is_forbidden(o))
-        images = baseline if offset == 0 else embed_copy_lines(parent, frame, copy, offset)
+        rows = baseline if offset == 0 else [(tuple(c + offset * w for c, w in zip(b, slide)), d) for b, d in baseline]
         offsets_used.append(offset)
-        copies.append(images)
-        placed.add(images)
+        copies.append(rows)
+        placed.add(rows)
     extra = {"geometry": "lines", "parent_params": params, "offsets": offsets_used}
-    return recursion.Placement(parent, cert, ground, copies, extra, LineFamily)
+    return recursion.Placement(parent, cert, ground, copies, extra, partial(LineFamily, den=den))
 
 
 def check_line_structure(fam: LineFamily) -> recursion.StructureReport:
@@ -607,11 +687,12 @@ def _check_line_copies(report: recursion.StructureReport, fam: LineFamily, edges
         "no-identical-lines", identical is None, "" if identical is None else f"pair {identical}"
     )
 
-    # two lines are parallel-disjoint exactly when their rows share the
-    # direction d but differ
-    ground, rows = edges.ground, fam.rows
+    # two lines are parallel-disjoint exactly when their Plücker rows (d, b x d)
+    # share the direction d but differ
+    plucker = {i: (fam.rows[i][1], cross(*fam.rows[i])) for i in edges.ground}
     bad_ground = next(
-        ((i, j) for i in ground for j in ground if i < j and (rows[i][0] != rows[j][0] or rows[i] == rows[j])),
+        ((i, j) for i in plucker for j in plucker
+         if i < j and (plucker[i][0] != plucker[j][0] or plucker[i] == plucker[j])),
         None,
     )
     report.add(
@@ -627,8 +708,10 @@ def _check_line_copies(report: recursion.StructureReport, fam: LineFamily, edges
         "" if bad is None else f"line {bad[0]} meets ground {bad[1]}, expected [{bad[2]}]",
     )
 
-    cross = edges.cross
-    report.add("no-cross-copy-incidences", not cross, "" if not cross else f"cross-copy pair {cross[0]}")
+    cross_pairs = edges.cross
+    report.add(
+        "no-cross-copy-incidences", not cross_pairs, "" if not cross_pairs else f"cross-copy pair {cross_pairs[0]}"
+    )
 
 
 def _misplaced_copy_line(prov: dict, edges: recursion.CopyEdges):

@@ -14,11 +14,11 @@ from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
 
-from .boxes import BoxFamily, to_grid
+from .boxes import BoxFamily
 from .errors import SceneFormatError
 from .gallai import GallaiCertificate, certificate_from_doc, certificate_to_doc
-from .geometry import Dir3, Line3, Point3, format_rat, rat
-from .lines import LineFamily, ShiftSystem, line_to_doc
+from .geometry import format_rat, rat, to_grid
+from .lines import LineFamily, ShiftSystem, grid_rows
 from .recursion import block_layout
 
 
@@ -250,8 +250,8 @@ def _box_family(entries, read, *claims) -> BoxFamily:
 
 
 def _line_family(entries, read, *claims) -> LineFamily:
-    lines = tuple(Line3(Point3(*map(read, e[:3])), Dir3(*map(read, e[3:]))) for e in entries)
-    return LineFamily(lines, *claims)
+    den, rows = grid_rows([e[:3] for e in entries], [tuple(e[3:]) for e in entries], read)
+    return LineFamily(rows, *claims, den=den)
 
 
 def _shift_system_to_doc(system: ShiftSystem) -> dict:
@@ -259,10 +259,7 @@ def _shift_system_to_doc(system: ShiftSystem) -> dict:
         "kind": "shift-system",
         "n": len(system.values),
         "values": [format_rat(v) for v in system.values],
-        "lines": [
-            {"triple": [format_rat(a), format_rat(b), format_rat(c)], **line_to_doc(l)}
-            for (a, b, c), l in zip(system.triples, system.lines)
-        ],
+        "lines": [{"triple": triple, **line} for triple, line in zip(system.labels(), system.line_docs())],
         # n is derived from the values, like the top-level n
         "provenance": {**_provenance_to_doc(system.provenance, "shift"), "n": len(system.values)},
     }

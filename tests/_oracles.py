@@ -17,41 +17,34 @@ integer-grid enumeration must match copy for copy; and the box family's
 Fraction path, which its integer grid must match: ``box_to_doc`` and
 ``box_from_doc`` for the labels and the scene reader,
 ``fraction_embed_copy_boxes`` for the copy embedding, and
-``fraction_normalize_traces`` for trace normalization.  ``brute_verify_shift_system`` tests
-every pair of a shift system with the Fraction line relation, and each
-designed meet against ``shift_meeting_point``.  The small geometry and
-file helpers at the end are used only by the tests, too.
+``fraction_normalize_traces`` for trace normalization; and the line
+family's Fraction path, which its integer grid must match: the line and
+plane relations, ``line_to_doc`` and ``line_from_doc`` for the labels
+and the scene reader, ``fraction_choose_frame`` for the frame search and
+its axis parameters, and ``fraction_embed_copy_lines`` for the copy map.
+``shift_line``, the Fraction closed form of a shift line, is the reference
+for the rows a shift system derives on integers, and
+``brute_verify_shift_system`` tests every pair of a shift system with the
+Fraction line relation, and each designed meet against
+``shift_meeting_point``.  The small geometry and file helpers at the end
+are used only by the tests, too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 from girthgeom.boxes import BoxFamily, GroundedSquareBox
 from girthgeom.budget import Budget
 from girthgeom.errors import BudgetExhausted, ConstructionError
 from girthgeom.gallai import HomotheticCopy, certificate_to_doc
-from girthgeom.geometry import (
-    Box3,
-    Dir3,
-    Homothety1D,
-    Interval,
-    Line3,
-    LineRelation,
-    Plane3,
-    Point3,
-    cross,
-    dot,
-    format_rat,
-    is_zero,
-    line_line_relation,
-    rat,
-    vsub,
-)
+from girthgeom.geometry import Box3, Dir3, Homothety1D, Interval, Line3, Point3, Rat, Triple, cross, dot, format_rat, rat
 from girthgeom.graphs import ColoringCertificate
-from girthgeom.lines import shift_line
+from girthgeom.lines import FRAME_HEIGHT
 from girthgeom.scenes import write_doc
 
 
@@ -293,11 +286,11 @@ def all_graphs(n: int):
         yield n, {pairs[i] for i in range(len(pairs)) if (mask >> i) & 1}
 
 
-def brute_forbidden_offsets(images_at_zero, placed_lines, frame) -> set[Fraction]:
-    """Every slide offset at which some image line meets or coincides with
-    a placed line, solved pair by pair: each (image, placed) pair gives at
-    most one bad value, from a linear equation in the offset."""
-    u = frame.perp.as_tuple()
+def brute_forbidden_offsets(images_at_zero, placed_lines, u) -> set[Fraction]:
+    """Every multiple of the slide vector ``u`` (a rational triple) by
+    which sliding the image lines makes one meet or coincide with a placed
+    line, solved pair by pair: each (image, placed) pair gives at most one
+    bad value, from a linear equation in the offset."""
     bad = set()
     for img in images_at_zero:
         b_n = img.base.as_tuple()
@@ -322,11 +315,25 @@ def brute_forbidden_offsets(images_at_zero, placed_lines, frame) -> set[Fraction
     return bad
 
 
+def shift_line(a, b, c) -> Line3:
+    """The shift line of (a, b, c) in Fractions, t -> (ab + bc + t, abc +
+    bt, ab^2c + (ab + bc)t): base point (ab+bc, abc, ab^2c), direction (1,
+    b, ab+bc).  The reference for the rows a shift system derives on
+    integers."""
+    a, b, c = rat(a), rat(b), rat(c)
+    if not a < b < c:
+        raise ValueError("shift line needs a < b < c")
+    return Line3(
+        Point3(a * b + b * c, a * b * c, a * b * b * c),
+        Dir3(Fraction(1), b, a * b + b * c),
+    )
+
+
 def shift_meeting_point(a, b, c, d):
     """Where the lines of (a,b,c) and (b,c,d) meet: the first evaluated at
     t = cd, which equals the second evaluated at t = ab."""
     a, b, c, d = rat(a), rat(b), rat(c), rat(d)
-    return shift_line(a, b, c).point_at(c * d)
+    return point_at(shift_line(a, b, c), c * d)
 
 
 def brute_verify_shift_system(system) -> tuple[bool, dict | None]:
@@ -565,6 +572,257 @@ def fraction_normalize_traces(fam):
 
 
 # ---------------------------------------------------------------------------
+# the line family's Fraction path, the reference for its integer grid
+
+
+def vsub(u: Triple, v: Triple) -> Triple:
+    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
+
+
+def vadd(u: Triple, v: Triple) -> Triple:
+    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
+
+
+def vscale(s: Rat, u: Triple) -> Triple:
+    return (s * u[0], s * u[1], s * u[2])
+
+
+def is_zero(u: Triple) -> bool:
+    return u[0] == 0 and u[1] == 0 and u[2] == 0
+
+
+def point_at(line: Line3, t: Rat) -> Point3:
+    """The point base + t dir of a line, dir scaled to a leading 1."""
+    return Point3(*vadd(line.base.as_tuple(), vscale(t, line.dir.as_tuple())))
+
+
+def contains_point(line: Line3, p: Point3) -> bool:
+    return is_zero(cross(vsub(p.as_tuple(), line.base.as_tuple()), line.dir.as_tuple()))
+
+
+def line_to_doc(line: Line3) -> dict:
+    """A line's document, each entry formatted on its own."""
+    b, d = line.base, line.dir
+    return {
+        "base": [format_rat(b.x), format_rat(b.y), format_rat(b.z)],
+        "dir": [format_rat(d.dx), format_rat(d.dy), format_rat(d.dz)],
+    }
+
+
+class LineRelation(Enum):
+    IDENTICAL = "identical"
+    MEET = "meet"
+    PARALLEL = "parallel-disjoint"
+    SKEW = "skew"
+
+
+@dataclass(frozen=True)
+class LineMeeting:
+    kind: LineRelation
+    point: Point3 | None = None
+
+
+def line_line_relation(l1: Line3, l2: Line3) -> LineMeeting:
+    """Exact classification of a pair of lines, with the common point
+    when they meet in exactly one point."""
+    d1 = l1.dir.as_tuple()
+    d2 = l2.dir.as_tuple()
+    w = vsub(l2.base.as_tuple(), l1.base.as_tuple())
+    if l1.dir == l2.dir:
+        if is_zero(cross(w, d1)):
+            return LineMeeting(LineRelation.IDENTICAL)
+        return LineMeeting(LineRelation.PARALLEL)
+    n = cross(d1, d2)
+    if dot(w, n) != 0:
+        return LineMeeting(LineRelation.SKEW)
+    p = point_at(l1, dot(cross(w, d2), n) / dot(n, n))
+    assert contains_point(l2, p)
+    return LineMeeting(LineRelation.MEET, p)
+
+
+@dataclass(frozen=True)
+class Plane3:
+    """The plane { p : normal . p = offset } with canonical normal."""
+
+    normal: Dir3
+    offset: Rat
+
+    def contains_point(self, p: Point3) -> bool:
+        return dot(self.normal.as_tuple(), p.as_tuple()) == self.offset
+
+    def contains_line(self, l: Line3) -> bool:
+        return self.contains_point(l.base) and dot(self.normal.as_tuple(), l.dir.as_tuple()) == 0
+
+    def point_on(self) -> Point3:
+        """A deterministic representative point of the plane."""
+        n = self.normal.as_tuple()
+        coords = [Fraction(0)] * 3
+        lead = 0 if n[0] != 0 else (1 if n[1] != 0 else 2)
+        coords[lead] = self.offset / n[lead]
+        return Point3(*coords)
+
+
+class PlaneRelation(Enum):
+    MEET = "meet"
+    CONTAINED = "contained"
+    PARALLEL = "parallel-disjoint"
+
+
+@dataclass(frozen=True)
+class PlaneMeeting:
+    kind: PlaneRelation
+    point: Point3 | None = None
+
+
+def line_plane_meet(l: Line3, plane: Plane3) -> PlaneMeeting:
+    """Exact classification of a line against a plane, with the crossing
+    point when the line is transversal."""
+    n = plane.normal.as_tuple()
+    nd = dot(n, l.dir.as_tuple())
+    if nd == 0:
+        if plane.contains_point(l.base):
+            return PlaneMeeting(PlaneRelation.CONTAINED)
+        return PlaneMeeting(PlaneRelation.PARALLEL)
+    t = (plane.offset - dot(n, l.base.as_tuple())) / nd
+    return PlaneMeeting(PlaneRelation.MEET, point_at(l, t))
+
+
+def perp_in_plane(plane: Plane3, line: Line3) -> Dir3:
+    """The direction within ``plane`` perpendicular to ``line``, which must
+    lie in it: the canonical form of normal x dir."""
+    if not plane.contains_line(line):
+        raise ValueError("line is not contained in the plane")
+    return Dir3(*cross(plane.normal.as_tuple(), line.dir.as_tuple()))
+
+
+@dataclass(frozen=True)
+class Homothety3D:
+    """p -> scale * p + shift in 3-space, with scale > 0."""
+
+    scale: Rat
+    shift: Point3
+
+    def __post_init__(self):
+        if self.scale <= 0:
+            raise ValueError("scale must be strictly positive")
+
+    def apply_point(self, p: Point3) -> Point3:
+        s = self.scale
+        return Point3(s * p.x + self.shift.x, s * p.y + self.shift.y, s * p.z + self.shift.z)
+
+    def apply_line(self, l: Line3) -> Line3:
+        # positive uniform scaling preserves canonical directions exactly
+        return Line3(self.apply_point(l.base), l.dir)
+
+
+@dataclass(frozen=True)
+class FractionFrame:
+    """A transversal frame in Fractions: a plane, an axis line inside it,
+    and the in-plane direction perpendicular to the axis."""
+
+    plane: Plane3
+    axis: Line3
+    perp: Dir3
+
+    def param_of(self, p: Point3) -> Rat:
+        d = self.axis.dir.as_tuple()
+        return dot(vsub(p.as_tuple(), self.axis.base.as_tuple()), d) / dot(d, d)
+
+
+def fraction_canonical_dirs():
+    """All canonical rational directions representable by integer vectors
+    of height at most FRAME_HEIGHT, ordered (height, then lexicode)."""
+    seen: set = set()
+    for h in range(1, FRAME_HEIGHT + 1):
+        batch = []
+        for v in itertools.product(range(-h, h + 1), repeat=3):
+            if v == (0, 0, 0) or max(abs(c) for c in v) != h:
+                continue
+            t = Dir3.of(*v).as_tuple()
+            if t not in seen:
+                seen.add(t)
+                batch.append(t)
+        batch.sort()
+        for t in batch:
+            yield Dir3(*t)
+
+
+def _fraction_offsets():
+    yield Fraction(0)
+    k = 1
+    while True:
+        yield Fraction(k)
+        yield Fraction(-k)
+        k += 1
+
+
+def fraction_frame_conditions(frame: FractionFrame, lines) -> list[str]:
+    """The failed genericity conditions of a Fraction frame, in the order
+    the library lists them."""
+    failures = []
+    nvec = frame.plane.normal.as_tuple()
+    dvec = frame.axis.dir.as_tuple()
+    hits = []
+    for l in lines:
+        meet = line_plane_meet(l, frame.plane)
+        if meet.kind != PlaneRelation.MEET:
+            return ["transversal"]
+        hits.append(meet.point.as_tuple())
+    if len(set(hits)) != len(hits):
+        failures.append("distinct-traces")
+    if len({dot(h, dvec) for h in hits}) != len(hits):
+        failures.append("distinct-projections")
+    dirs = {l.dir.as_tuple() for l in lines}
+    if any(dot(cross(nvec, cross(d, e)), dvec) == 0 for d, e in itertools.combinations(dirs, 2)):
+        failures.append("parallel-plane-pairs")
+    return failures
+
+
+def fraction_choose_frame(lines) -> tuple[FractionFrame, list[Rat]]:
+    """The frame search in Fractions, on line objects, with the axis
+    parameter of each line's crossing point: the reference for the
+    library's search on the grid, which must pick the same frame."""
+    lines = list(lines)
+    dirs = [l.dir.as_tuple() for l in lines]
+    meets = [
+        rel.point.as_tuple()
+        for l1, l2 in itertools.combinations(lines, 2)
+        if (rel := line_line_relation(l1, l2)).kind == LineRelation.MEET
+    ]
+    for normal in fraction_canonical_dirs():
+        nvec = normal.as_tuple()
+        if any(dot(nvec, d) == 0 for d in dirs):
+            continue
+        bad_offsets = {dot(nvec, p) for p in meets}
+        plane = Plane3(normal, next(o for o in _fraction_offsets() if o not in bad_offsets))
+        for axis_dir in fraction_canonical_dirs():
+            if dot(axis_dir.as_tuple(), nvec) != 0:
+                continue
+            axis = Line3(plane.point_on(), axis_dir)
+            frame = FractionFrame(plane, axis, perp_in_plane(plane, axis))
+            if not fraction_frame_conditions(frame, lines):
+                return frame, [frame.param_of(line_plane_meet(l, plane).point) for l in lines]
+    raise AssertionError("no frame within FRAME_HEIGHT")
+
+
+def fraction_make_ground_lines(values, frame: FractionFrame) -> list[Line3]:
+    """One line per axis parameter, through the axis point, along the
+    frame's perpendicular."""
+    return [Line3(point_at(frame.axis, rat(x)), frame.perp) for x in sorted(values)]
+
+
+def fraction_embed_copy_lines(lines, frame: FractionFrame, copy, offset) -> list[Line3]:
+    """The image of the lines under p -> s p + (1 - s) B + h a + offset u,
+    applied line by line as a Fraction homothety: the reference for the
+    library's copy map on the grid."""
+    scale, h = copy.map.scale, copy.map.shift
+    base, a, u = frame.axis.base.as_tuple(), frame.axis.dir.as_tuple(), frame.perp.as_tuple()
+    shift = vadd(vadd(vscale(1 - scale, base), vscale(h, a)), vscale(rat(offset), u))
+    mapping = Homothety3D(scale, Point3(*shift))
+    return [mapping.apply_line(l) for l in lines]
+
+
+# ---------------------------------------------------------------------------
 # helpers used only by the tests
 
 
@@ -620,7 +878,7 @@ def reference_bad_ground_pair(lines, ground):
 
 def same_line(a, b) -> bool:
     """Set equality: same direction and base offset parallel to it."""
-    return a.dir == b.dir and a.contains_point(b.base)
+    return a.dir == b.dir and contains_point(a, b.base)
 
 
 def save_certificate(path, cert) -> None:

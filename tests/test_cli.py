@@ -163,16 +163,17 @@ class TestVerify:
         assert err.startswith("check failed: bad shift-system document: lines[7].base[0] is ")
 
     def test_build_and_verify_each_make_one_shift_line_per_line(self, tmp_path, monkeypatch):
-        # a shift system derives its lines from its values once, and the
-        # loader compares the stored lines with those
+        # a shift system puts the lines of its values on its grid once, one
+        # row per line, and the loader compares the stored lines with those
         made = []
-        original = linemod.shift_line
+        original = linemod._shift_grid
 
-        def counted(a, b, c):
-            made.append((a, b, c))
-            return original(a, b, c)
+        def counted(values):
+            den, rows = original(values)
+            made.extend(rows)
+            return den, rows
 
-        monkeypatch.setattr(linemod, "shift_line", counted)
+        monkeypatch.setattr(linemod, "_shift_grid", counted)
         system = linemod.build_shift_system(6, seed=1)
         assert system.provenance["attempt"] == 0 and len(made) == len(system.lines) == 20
         made.clear()

@@ -9,13 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    LineRelation,
+    all_pairs_line_edges,
     apply,
     brute_forbidden_offsets,
     brute_verify_shift_system,
+    contains_point,
+    fraction_choose_frame,
+    fraction_embed_copy_lines,
+    fraction_make_ground_lines,
     identity_map,
+    line_line_relation,
+    line_plane_meet,
+    line_to_doc,
+    point_at,
     reference_bad_ground_pair,
     same_line,
+    shift_line,
     shift_meeting_point,
+    vadd,
+    vsub,
 )
 from girthgeom import lines as linemod
 from girthgeom import (
@@ -24,7 +37,6 @@ from girthgeom import (
     Dir3,
     Line3,
     LineFamily,
-    LineRelation,
     Point3,
     ProviderPolicy,
     ShiftSystem,
@@ -39,19 +51,16 @@ from girthgeom import (
     girth,
     graph_equals_expected,
     intersection_graph,
-    line_line_relation,
-    line_plane_meet,
     make_ground_lines,
     meeting_pair_lines,
     odd_cycle_lines,
     recursion_step_lines,
-    shift_line,
     single_line_family,
     verify_shift_system,
 )
 from girthgeom.gallai import HomotheticCopy, pigeonhole_certificate
-from girthgeom.geometry import Homothety1D, dot, vadd, vsub
-from girthgeom.lines import _offsets, _PlacedLines, forbidden_offsets, frame_conditions
+from girthgeom.geometry import Homothety1D, dot
+from girthgeom.lines import _offsets, _PlacedLines, axis_params, forbidden_offsets, frame_conditions, grid_rows
 
 
 def pigeonhole_provider(ground, colors, girth_param):
@@ -70,7 +79,7 @@ class TestShiftLine:
     def test_parameter_identity(self):
         # evaluating consecutive triples at the crossed parameters agrees
         a, b, c, d = F(1), F(2), F(3), F(5)
-        assert shift_line(a, b, c).point_at(c * d) == shift_line(b, c, d).point_at(a * b)
+        assert point_at(shift_line(a, b, c), c * d) == point_at(shift_line(b, c, d), a * b)
         assert shift_meeting_point(a, b, c, d) == Point3.of(23, 36, 132)
 
     def test_ordering_enforced(self):
@@ -84,9 +93,9 @@ class TestShiftLine:
         over negative and fractional values too."""
         a, b, c, d = sorted(values)
         first, second = shift_line(a, b, c), shift_line(b, c, d)
-        point = first.point_at(c * d)
-        assert point == second.point_at(a * b) == shift_meeting_point(a, b, c, d)
-        assert first.contains_point(point) and second.contains_point(point)
+        point = point_at(first, c * d)
+        assert point == point_at(second, a * b) == shift_meeting_point(a, b, c, d)
+        assert contains_point(first, point) and contains_point(second, point)
 
 
 class TestDoubleShiftGraph:
@@ -139,6 +148,20 @@ class TestBuildShiftSystem:
     def test_deterministic(self):
         assert build_shift_system(5, seed=7).values == build_shift_system(5, seed=7).values
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sets(st.fractions(min_value=-20, max_value=20, max_denominator=12), min_size=3, max_size=7))
+    def test_grid_holds_each_triples_shift_line(self, values):
+        """The rows made from the values on integers are the Fraction shift
+        lines, over negative values and mixed denominators."""
+        system = ShiftSystem(tuple(sorted(values)))
+        lines = tuple(shift_line(*t) for t in system.triples)
+        assert system.lines == lines
+        assert system.line_docs() == [line_to_doc(l) for l in lines]
+
+    def test_values_out_of_order_are_refused(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ShiftSystem((F(1), F(3), F(3), F(4)))
+
     def test_adjacent_pairs_meet_at_designed_points(self):
         system = build_shift_system(6, seed=2)
         vals = system.values
@@ -169,6 +192,75 @@ class TestOddCycleLines:
             odd_cycle_lines(6)
 
 
+def _views(den, rows):
+    """Grid rows on the grid ``den`` as line objects."""
+    return LineFamily(rows, None, 1, den=den).lines
+
+
+def _moved_pair():
+    """The meeting pair scaled by 7/3 and moved by (-5/2, 1/3, 4/7)."""
+    base = meeting_pair_lines()
+    shift = (F(-5, 2), F(1, 3), F(4, 7))
+    lines = tuple(Line3(Point3(*(F(7, 3) * c + t for c, t in zip(l.base.as_tuple(), shift))), l.dir) for l in base.lines)
+    return LineFamily(lines, None, 2, dict(base.provenance))
+
+
+def _assert_frame_matches_reference(fam):
+    """The frame and the axis parameters choose_frame finds on the grid are
+    the ones the Fraction search finds on the line objects."""
+    frame = choose_frame(fam)
+    ref, params = fraction_choose_frame(fam.lines)
+    assert (Dir3.of(*frame.normal), frame.offset) == (ref.plane.normal, ref.plane.offset)
+    assert Line3(Point3.of(*frame.origin), Dir3.of(*frame.axis)) == ref.axis
+    assert Dir3.of(*frame.perp) == ref.perp
+    assert axis_params(frame, fam) == params
+    assert frame_conditions(frame, fam) == []
+
+
+# mixed denominators; directions are drawn as any nonzero rational vector,
+# scaled and negated, and a line is new or through a point of an earlier one
+_rats = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+_raw_dirs = st.sampled_from([(1, 0, 0), (0, 2, 0), (0, 0, -3), (1, 1, 0), (2, 0, -2), (F(1, 2), F(3, 2), F(5, 2)), (-1, 2, 3)])
+_dir_scales = st.sampled_from([F(1), F(-1), F(2), F(-1, 3), F(5, 7)])
+
+
+@st.composite
+def _raw_lines(draw):
+    bases, dirs = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        scale = draw(_dir_scales)
+        dirs.append(tuple(scale * c for c in draw(_raw_dirs)))
+        if bases and draw(st.booleans()):
+            i, t = draw(st.integers(0, len(bases) - 1)), draw(_rats)
+            bases.append(tuple(x + t * y for x, y in zip(bases[i], dirs[i])))
+        else:
+            bases.append(tuple(draw(_rats) for _ in range(3)))
+    return bases, dirs
+
+
+class TestGrid:
+    @settings(max_examples=150, deadline=None)
+    @given(_raw_lines())
+    def test_matches_the_line_objects(self, drawn):
+        """The grid of raw base and direction vectors gives back their
+        lines, is the grid of those lines, writes each as ``line_to_doc``
+        does, and sweeps the pairs the all-pairs oracle finds."""
+        bases, dirs = drawn
+        lines = tuple(Line3(Point3(*b), Dir3(*d)) for b, d in zip(bases, dirs))
+        den, rows = grid_rows(bases, dirs)
+        fam = LineFamily(rows, None, 1, den=den)
+        assert fam.lines == lines
+        assert LineFamily(lines, None, 1) == fam
+        assert fam.labels() == [line_to_doc(l) for l in lines]
+        assert fam.meets == all_pairs_line_edges(lines)
+        same = [(i, j) for j in range(len(lines)) for i in range(j) if same_line(lines[i], lines[j])]
+        assert fam.identical == min(same, default=None)
+
+    def test_zero_direction_is_refused(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            grid_rows([(0, 0, 0)], [(F(0), F(0), F(0))])
+
+
 class TestChooseFrame:
     def test_two_vertical_lines(self):
         fam = LineFamily(
@@ -181,10 +273,10 @@ class TestChooseFrame:
             {},
         )
         frame = choose_frame(fam)
-        assert frame_conditions(frame, fam.lines) == []
+        assert frame_conditions(frame, fam) == []
         # parallel family: the plane-pair condition is vacuous
-        hits = [frame.param_of(Point3.of(0, 0, 0)), frame.param_of(Point3.of(1, 0, 0))]
-        assert hits[0] != hits[1]
+        params = axis_params(frame, fam)
+        assert params[0] != params[1]
 
     def test_line_inside_candidate_plane_rejected(self):
         # the first candidate plane is z = 0; a line inside it must be skipped
@@ -198,17 +290,37 @@ class TestChooseFrame:
             {},
         )
         frame = choose_frame(fam)
-        assert frame.plane.normal.as_tuple()[2] != 0 or True  # frame found despite rejections
-        failures = frame_conditions(frame, fam.lines)
-        assert failures == []
+        assert frame_conditions(frame, fam) == []
         # both lines lie in z = 0, so that normal cannot have been accepted
-        assert frame.plane.normal != Dir3.of(0, 0, 1)
+        assert frame.normal != (0, 0, 1)
 
     def test_frame_reverifies_idempotently(self):
         fam = meeting_pair_lines()
         frame = choose_frame(fam)
-        assert frame_conditions(frame, fam.lines) == []
-        assert frame_conditions(frame, fam.lines) == []
+        assert frame_conditions(frame, fam) == []
+        assert frame_conditions(frame, fam) == []
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 11])
+    def test_cycle_matches_fraction_reference(self, n):
+        _assert_frame_matches_reference(odd_cycle_lines(n))
+
+    def test_pigeonhole_output_matches_fraction_reference(self):
+        fam = build_line_family(6, 3, ProviderPolicy("pigeonhole"))
+        assert len(fam) == 9
+        _assert_frame_matches_reference(fam)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        which=st.sampled_from([meeting_pair_lines, lambda: odd_cycle_lines(5), _moved_pair]),
+        scale=st.fractions(min_value=F(1, 7), max_value=7, max_denominator=7).filter(lambda s: s > 0),
+        shift=st.tuples(*[st.fractions(min_value=-5, max_value=5, max_denominator=12)] * 3),
+    )
+    def test_rational_images_match_fraction_reference(self, which, scale, shift):
+        """Scaled and moved families, whose base points have mixed
+        denominators, get the reference's frame and parameters."""
+        fam = which()
+        lines = tuple(Line3(Point3(*(scale * c + t for c, t in zip(l.base.as_tuple(), shift))), l.dir) for l in fam.lines)
+        _assert_frame_matches_reference(LineFamily(lines, None, 1))
 
 
 class TestMakeGroundLines:
@@ -223,83 +335,114 @@ class TestMakeGroundLines:
             {},
         )
         frame = choose_frame(fam)
-        ground = make_ground_lines([0, 1], frame)
+        ground = _views(*make_ground_lines([0, 1], frame))
         assert len(ground) == 2
         rel = line_line_relation(ground[0], ground[1])
         assert rel.kind == LineRelation.PARALLEL
 
     def test_all_parallel(self):
         frame = choose_frame(meeting_pair_lines())
-        ground = make_ground_lines([1, 2, 3], frame)
+        ground = _views(*make_ground_lines([1, 2, 3], frame))
         for i in range(3):
             for j in range(i + 1, 3):
                 assert line_line_relation(ground[i], ground[j]).kind == LineRelation.PARALLEL
 
-
-class TestEmbedCopyLines:
-    def test_identity_copy_zero_offset(self):
-        from girthgeom.gallai import HomotheticCopy
-
-        parent = meeting_pair_lines()
-        frame = choose_frame(parent)
-        copy = HomotheticCopy(identity_map(), (F(0), F(1)))
-        images = embed_copy_lines(parent, frame, copy, 0)
-        assert all(same_line(a, b) for a, b in zip(images, parent.lines))
-
-    def test_translation_copy_preserves_graph(self):
-        from girthgeom.gallai import HomotheticCopy
-        from girthgeom.geometry import Homothety1D
-
-        parent = meeting_pair_lines()
-        frame = choose_frame(parent)
-        copy = HomotheticCopy(Homothety1D(F(1), F(5)), (F(0), F(1)))
-        images = embed_copy_lines(parent, frame, copy, 0)
-        fam = LineFamily(tuple(images), None, 1, {})
-        assert intersection_graph(fam) == intersection_graph(parent)
-
-    def test_conflicting_offset_rejected_then_next_works(self):
-        from girthgeom.gallai import HomotheticCopy
-
-        parent = meeting_pair_lines()
-        frame = choose_frame(parent)
-        copy = HomotheticCopy(identity_map(), (F(0), F(1)))
-        first = embed_copy_lines(parent, frame, copy, 0)
-        is_forbidden = forbidden_offsets(first, _PlacedLines(first), frame)
-        assert is_forbidden(0)
-        assert not is_forbidden(1)
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.sets(st.fractions(min_value=-9, max_value=9, max_denominator=30), min_size=1, max_size=6))
+    def test_matches_fraction_reference(self, values):
+        parent = odd_cycle_lines(5)
+        ref, _ = fraction_choose_frame(parent.lines)
+        assert _views(*make_ground_lines(values, choose_frame(parent))) == tuple(fraction_make_ground_lines(values, ref))
 
 
-_PARENTS = [meeting_pair_lines(), odd_cycle_lines(5)]
+_PARENTS = [meeting_pair_lines(), odd_cycle_lines(5), _moved_pair()]
 _FRAMES = [choose_frame(p) for p in _PARENTS]
+_REFS = [fraction_choose_frame(p.lines)[0] for p in _PARENTS]
 
 
 def _copy(scale, shift):
     return HomotheticCopy(Homothety1D(F(scale), F(shift)), ())
 
 
-def _place_copies(parent, frame, copies, extra=()):
+def _slid(rows, slide, t):
+    return [(tuple(c + t * w for c, w in zip(b, slide)), d) for b, d in rows]
+
+
+def _embed(which, copies, den=1):
+    """The copies' images of parent ``which`` at offset 0 on one grid, a
+    multiple of ``den``, with the grid's slide by one unit of the frame's
+    perpendicular scaled to a leading 1, as the recursion lays them out."""
+    frame = _FRAMES[which]
+    lead = linemod._lead(frame.perp)
+    grid, images = embed_copy_lines(_PARENTS[which], frame, copies, math.lcm(den, lead))
+    return grid, images, tuple(grid // lead * c for c in frame.perp)
+
+
+class TestEmbedCopyLines:
+    def test_identity_copy_zero_offset(self):
+        parent = meeting_pair_lines()
+        copy = HomotheticCopy(identity_map(), (F(0), F(1)))
+        den, (images,), _ = _embed(0, [copy])
+        assert all(same_line(a, b) for a, b in zip(_views(den, images), parent.lines))
+
+    def test_translation_copy_preserves_graph(self):
+        parent = meeting_pair_lines()
+        copy = HomotheticCopy(Homothety1D(F(1), F(5)), (F(0), F(1)))
+        den, (images,), _ = _embed(0, [copy])
+        assert intersection_graph(LineFamily(images, None, 1, den=den)) == intersection_graph(parent)
+
+    def test_conflicting_offset_rejected_then_next_works(self):
+        copy = HomotheticCopy(identity_map(), (F(0), F(1)))
+        _, (first,), slide = _embed(0, [copy])
+        is_forbidden = forbidden_offsets(first, _PlacedLines(first), slide)
+        assert is_forbidden(0)
+        assert not is_forbidden(1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        which=st.sampled_from(range(len(_PARENTS))),
+        maps=st.lists(st.tuples(st.fractions(min_value=F(1, 9), max_value=5, max_denominator=9).filter(lambda s: s > 0),
+                                st.fractions(min_value=-6, max_value=6, max_denominator=10)), min_size=1, max_size=4),
+        offset=st.integers(-5, 5),
+    )
+    def test_matches_fraction_reference(self, which, maps, offset):
+        """Every copy's rows, slid by ``offset`` units, are the Fraction
+        homothety's image lines."""
+        copies = [_copy(*m) for m in maps]
+        den, images, slide = _embed(which, copies)
+        for copy, rows in zip(copies, images):
+            expected = fraction_embed_copy_lines(_PARENTS[which].lines, _REFS[which], copy, offset)
+            assert _views(den, _slid(rows, slide, offset)) == tuple(expected)
+
+
+def _place_copies(which, copies, extra=()):
     """Place each copy at its first free offset, the way the recursion
-    does, checking the index against the all-pairs oracle at every copy.
-    Returns the chosen offsets."""
-    placed, index = list(extra), _PlacedLines(extra)
+    does, checking the index against the all-pairs oracle at every copy,
+    and each placed copy against the Fraction copy map.  ``extra`` are
+    line objects placed first.  Returns the chosen offsets."""
+    parent, ref = _PARENTS[which], _REFS[which]
+    extra_den, extra_rows = grid_rows([l.base.as_tuple() for l in extra], [l.dir.as_tuple() for l in extra])
+    den, images, slide = _embed(which, copies, extra_den)
+    placed = list(extra)
+    index = _PlacedLines([(tuple(c * (den // extra_den) for c in b), d) for b, d in extra_rows])
     chosen = []
-    for copy in copies:
-        baseline = embed_copy_lines(parent, frame, copy, 0)
+    for copy, baseline in zip(copies, images):
         try:
-            bad = brute_forbidden_offsets(baseline, placed, frame)
+            bad = brute_forbidden_offsets(_views(den, baseline), placed, ref.perp.as_tuple())
         except ConstructionError:
             with pytest.raises(ConstructionError, match="coplanar under every slide offset"):
-                forbidden_offsets(baseline, index, frame)
+                forbidden_offsets(baseline, index, slide)
             return chosen + ["coplanar"]
-        is_forbidden = forbidden_offsets(baseline, index, frame)
+        is_forbidden = forbidden_offsets(baseline, index, slide)
         assert len(index) == len(placed)
         assert all(is_forbidden(t) for t in bad if t.denominator == 1)
         for t in itertools.islice(_offsets(), 8):
             assert is_forbidden(t) == (t in bad)
         offset = next(o for o in _offsets() if not is_forbidden(o))
         assert offset == next(o for o in _offsets() if o not in bad)
-        images = embed_copy_lines(parent, frame, copy, offset)
-        placed.extend(images)
+        images = _slid(baseline, slide, offset)
+        assert _views(den, images) == tuple(fraction_embed_copy_lines(parent.lines, ref, copy, offset))
+        placed.extend(_views(den, images))
         index.add(images)
         chosen.append(offset)
     return chosen
@@ -310,7 +453,7 @@ _shifts = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 def _plane_coordinates(frame, line):
-    """Where a line crosses the frame's plane, as (axis parameter,
+    """Where a line crosses the Fraction frame's plane, as (axis parameter,
     coordinate along the frame's perpendicular)."""
     point = line_plane_meet(line, frame.plane).point
     u = frame.perp.as_tuple()
@@ -328,12 +471,13 @@ def test_copy_line_crosses_the_plane_where_its_map_says(which, scale, shift, off
     """Every image line keeps its parent's direction and crosses the plane
     at the 1-D map of its parent's axis parameter, off the axis by the
     parent's perpendicular coordinate times the scale, plus the offset."""
-    parent, frame = _PARENTS[which], _FRAMES[which]
+    parent, ref = _PARENTS[which], _REFS[which]
     copy = _copy(scale, shift)
-    for line, image in zip(parent.lines, embed_copy_lines(parent, frame, copy, offset)):
-        p, q = _plane_coordinates(frame, line)
+    den, (rows,), slide = _embed(which, [copy])
+    for line, image in zip(parent.lines, _views(den, _slid(rows, slide, offset))):
+        p, q = _plane_coordinates(ref, line)
         assert image.dir == line.dir
-        assert _plane_coordinates(frame, image) == (apply(copy.map, p), scale * q + offset)
+        assert _plane_coordinates(ref, image) == (apply(copy.map, p), scale * q + offset)
 
 
 class TestForbiddenOffsets:
@@ -353,36 +497,35 @@ class TestForbiddenOffsets:
         image at offset 0, along a parent direction (a meeting) or along the
         frame's perpendicular (coplanar under every offset), optionally
         lifted off that point."""
-        parent, frame = _PARENTS[which], _FRAMES[which]
+        parent, ref = _PARENTS[which], _REFS[which]
         copies = [_copy(*m) for m in maps]
         copies += [copies[r % len(copies)] for r in repeats]
-        dirs = [l.dir for l in parent.lines] + [frame.perp]
+        dirs = [l.dir for l in parent.lines] + [ref.perp]
         extra = []
         for k, i, s, j, lift in extras:
-            image = embed_copy_lines(parent, frame, copies[k % len(copies)], 0)[i % len(parent.lines)]
-            point = image.point_at(s)
+            image = fraction_embed_copy_lines(parent.lines, ref, copies[k % len(copies)], 0)[i % len(parent.lines)]
+            point = point_at(image, s)
             point = Point3(point.x, point.y, point.z + lift)
             extra.append(Line3(point, dirs[j % len(dirs)]))
-        _place_copies(parent, frame, copies, extra)
+        _place_copies(which, copies, extra)
 
     def test_repeated_copy_slides_off_zero(self):
-        parent, frame = _PARENTS[1], _FRAMES[1]
-        chosen = _place_copies(parent, frame, [_copy(2, 1), _copy(2, 1), _copy(2, 1)])
+        chosen = _place_copies(1, [_copy(2, 1), _copy(2, 1), _copy(2, 1)])
         assert chosen[0] == 0 and 0 not in chosen[1:]
 
     def test_meeting_line_slides_off_zero(self):
-        parent, frame = _PARENTS[0], _FRAMES[0]
-        image = embed_copy_lines(parent, frame, _copy(1, 3), 0)[0]
-        crossing = Line3(image.point_at(F(5, 2)), parent.lines[1].dir)
-        assert _place_copies(parent, frame, [_copy(1, 3)], [crossing]) != [0]
+        parent, ref = _PARENTS[0], _REFS[0]
+        image = fraction_embed_copy_lines(parent.lines, ref, _copy(1, 3), 0)[0]
+        crossing = Line3(point_at(image, F(5, 2)), parent.lines[1].dir)
+        assert _place_copies(0, [_copy(1, 3)], [crossing]) != [0]
         with pytest.raises(ValueError):
-            forbidden_offsets([image], _PlacedLines([crossing]), frame)(F(1, 2))
+            forbidden_offsets([], _PlacedLines(), _FRAMES[0].perp)(F(1, 2))
 
     def test_coplanar_under_every_offset_raises(self):
-        parent, frame = _PARENTS[0], _FRAMES[0]
-        image = embed_copy_lines(parent, frame, _copy(1, 3), 0)[0]
-        along_perp = Line3(image.point_at(F(5, 2)), frame.perp)
-        assert _place_copies(parent, frame, [_copy(1, 3)], [along_perp]) == ["coplanar"]
+        parent, ref = _PARENTS[0], _REFS[0]
+        image = fraction_embed_copy_lines(parent.lines, ref, _copy(1, 3), 0)[0]
+        along_perp = Line3(point_at(image, F(5, 2)), ref.perp)
+        assert _place_copies(0, [_copy(1, 3)], [along_perp]) == ["coplanar"]
 
 
 class TestRecursionStep:
@@ -485,7 +628,7 @@ class TestGroundCheck:
             lines[ground[which]] = Line3(line.base, Dir3(*vadd(line.dir.as_tuple(), vec)))
         elif how == "duplicate":
             other = lines[ground[t % len(ground)]]
-            lines[ground[which]] = Line3(other.point_at(F(t)), other.dir)
+            lines[ground[which]] = Line3(point_at(other, F(t)), other.dir)
         mutated = LineFamily(tuple(lines), fam.claimed_girth, fam.claimed_chromatic, fam.provenance)
         report = check_line_structure(mutated)
         check = next(c for c in report.checks if c.name == "ground-pairwise-parallel-disjoint")
@@ -516,16 +659,14 @@ class TestVerifyShiftSystem:
 
     def test_designed_meets_take_no_incidence_test(self, monkeypatch):
         """Every line is its triple's shift line, so the check compares
-        meeting pairs only: no line is built and no point is tested."""
+        meeting pairs only: no line object or point is made."""
         system = build_shift_system(9, seed=1)
 
         def refuse(*args):
-            raise AssertionError("verify_shift_system built a line or tested a point")
+            raise AssertionError("verify_shift_system made a line or a point")
 
-        monkeypatch.setattr(linemod, "shift_line", refuse)
-        monkeypatch.setattr(linemod, "line_line_relation", refuse)
-        monkeypatch.setattr(Line3, "contains_point", refuse)
-        monkeypatch.setattr(Line3, "point_at", refuse)
+        for name in ("_shift_grid", "Line3", "Point3", "Dir3"):
+            monkeypatch.setattr(linemod, name, refuse)
         assert verify_shift_system(system) == (True, None)
 
     def test_no_system_holds_an_undesigned_line(self):
@@ -536,8 +677,8 @@ class TestVerifyShiftSystem:
         assert built.lines == tuple(shift_line(*t) for t in built.triples)
         with pytest.raises(TypeError):
             ShiftSystem(built.values, built.provenance, built.triples, built.lines)
-        with pytest.raises(ValueError):
-            dataclasses.replace(built, lines=built.lines[::-1])
+        with pytest.raises(ValueError):  # its grid rows are derived, so replace refuses them
+            dataclasses.replace(built, rows=built.rows[::-1])
 
     @pytest.mark.parametrize("k", [0, 7, -1])
     def test_a_missing_designed_meet_is_named(self, k):

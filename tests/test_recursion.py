@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from girthgeom import BoxFamily, GroundedSquareBox, boxes, graphs, lines, meeting_pair_family, meeting_pair_lines
+from girthgeom import BoxFamily, GroundedSquareBox, Line3, LineFamily, Point3, boxes, graphs, lines
+from girthgeom import meeting_pair_family, meeting_pair_lines
 from girthgeom import odd_cycle_boxes, recursion_step_boxes, recursion_step_lines
 from girthgeom.cli import EXIT_BUDGET, EXIT_OK, main
 from girthgeom.gallai import ProviderPolicy, pigeonhole_certificate
@@ -107,6 +108,29 @@ def test_box_step_on_a_rational_base_is_byte_identical(tmp_path, monkeypatch, ca
     save_scene("step.scene.json", fam)
     assert main(["verify", "step.scene.json", "--out", "verify"]) == EXIT_OK
     assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in BOX_STEP} == BOX_STEP
+
+
+# sha256 of the scene and of its verify report for one 625-line step on a
+# rational image of the meeting pair, taken before the line family kept one
+# integer grid: the frame, the copy maps and the slide offsets all see
+# mixed denominators
+LINE_STEP = {
+    "step.scene.json": "fc236f643542490ce072845ce1052e9d2ac481bb8ea80881fa9eaede203a159b",
+    "verify.report.json": "812674670ba448e5233de2d75600c9b09ed2ed0a94d027b82b9f4530f82355f2",
+}
+
+
+def test_line_step_on_a_rational_base_is_byte_identical(tmp_path, monkeypatch, capsys):
+    scale, shift = F(7, 3), (F(-5, 2), F(1, 3), F(4, 7))
+    base = meeting_pair_lines()
+    moved = tuple(Line3(Point3(*(scale * c + t for c, t in zip(l.base.as_tuple(), shift))), l.dir) for l in base.lines)
+    parent = LineFamily(moved, base.claimed_girth, base.claimed_chromatic, dict(base.provenance))
+    fam = recursion_step_lines(parent, 2, 4, _vdw(25))
+    assert len(fam.labels()) == 625
+    monkeypatch.chdir(tmp_path)
+    save_scene("step.scene.json", fam)
+    assert main(["verify", "step.scene.json", "--out", "verify"]) == EXIT_OK
+    assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in LINE_STEP} == LINE_STEP
 
 
 def test_build_refutes_its_claim_once(tmp_path, monkeypatch, capsys):

@@ -94,8 +94,8 @@ class TestShiftScenes:
         doc = json.loads(dumps_doc(scene_to_doc(build_shift_system(6, seed=1))))
         calls = []
         monkeypatch.setattr(scenes, "_entries", lambda *a: calls.append("entries"))
-        original = linemod._integer_rows
-        monkeypatch.setattr(linemod, "_integer_rows", lambda lines: calls.append("rows") or original(lines))
+        original = linemod._shift_grid
+        monkeypatch.setattr(linemod, "_shift_grid", lambda values: calls.append("rows") or original(values))
         assert scene_to_doc(scene_from_doc(doc)) == doc
         assert calls == ["rows"]
 
@@ -155,6 +155,34 @@ def _per_call_scene(doc):
     return family(tuple(read(o) for o in doc[key]), doc["g"], doc["k"], provenance)
 
 
+def _rational_strings(node):
+    """Every string in a document that reads as a rational."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from _rational_strings(child)
+    elif isinstance(node, str):
+        try:
+            rat(node)
+        except ValueError:
+            return
+        yield node
+
+
+def _assert_parsed_once(monkeypatch, doc, key, names):
+    """Loading ``doc`` twice parses every rational string in it once per
+    load, the objects' repeated entries included."""
+    strings = [v for obj in doc[key] for name in names for v in obj[name]]
+    rationals = set(_rational_strings(doc))  # the objects' entries and the provenance's rationals
+    parsed = []
+    monkeypatch.setattr(scenes, "rat", lambda v: parsed.append(v) or rat(v))
+    scene_from_doc(doc)
+    assert sorted(parsed) == sorted(rationals) and set(strings) <= rationals and len(strings) > len(set(strings))
+    scene_from_doc(doc)  # no cache outlives its document
+    assert len(parsed) == 2 * len(rationals)
+
+
 class TestPerDocumentParsing:
     @pytest.mark.parametrize(
         "make",
@@ -180,10 +208,19 @@ class TestPerDocumentParsing:
 
     def test_each_distinct_string_is_parsed_once_per_document(self, monkeypatch):
         doc = scene_to_doc(recursion_step_boxes(meeting_pair_family(), 2, 6, provider))
-        strings = [v for b in doc["boxes"] for axis in "xyz" for v in b[axis]]
-        parsed = []
-        monkeypatch.setattr(scenes, "rat", lambda v: parsed.append(v) or rat(v))
-        scene_from_doc(doc)
-        assert sorted(parsed) == sorted(set(strings)) and len(strings) > len(set(strings))
-        scene_from_doc(doc)  # no cache outlives its document
-        assert len(parsed) == 2 * len(set(strings))
+        _assert_parsed_once(monkeypatch, doc, "boxes", "xyz")
+
+    def test_each_distinct_line_string_is_parsed_once_per_document(self, monkeypatch):
+        doc = scene_to_doc(recursion_step_lines(meeting_pair_lines(), 2, 6, provider))
+        _assert_parsed_once(monkeypatch, doc, "lines", ("base", "dir"))
+
+    def test_line_reader_makes_no_line_object(self, monkeypatch):
+        # the reader puts the strings on the grid, and the compare writes from it
+        doc = scene_to_doc(recursion_step_lines(meeting_pair_lines(), 2, 4, lambda g, k, gi: vdw_certificate(g, k, gi, 12)))
+
+        def refuse(*args):
+            raise AssertionError("the line reader made a line object")
+
+        for name in ("Line3", "Point3", "Dir3"):
+            monkeypatch.setattr(linemod, name, refuse)
+        assert scene_to_doc(scene_from_doc(doc)) == doc

@@ -23,10 +23,16 @@ from girthgeom import (
 from girthgeom.boxes import box_intersection_edges
 from girthgeom.gallai import ProviderPolicy
 from girthgeom import lines as linemod
-from girthgeom.geometry import dot
-from girthgeom.lines import _integer_rows, _packed_meets, line_intersection_edges
+from girthgeom.geometry import cross, dot
+from girthgeom.lines import _packed_meets, grid_rows, line_intersection_edges
 
-from _oracles import all_pairs_box_edges, all_pairs_line_edges, same_line
+from _oracles import all_pairs_box_edges, all_pairs_line_edges, point_at, same_line
+
+
+def _plucker(lines):
+    """The lines' integer Plücker rows (d, b x d) on their grid."""
+    _, rows = grid_rows([l.base.as_tuple() for l in lines], [l.dir.as_tuple() for l in lines])
+    return [(d, cross(b, d)) for b, d in rows]
 
 # few distinct z-endpoints, so equal, nested and touching z-ranges are common
 _z_ends = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2)])
@@ -79,7 +85,7 @@ def _lines(draw):
         d = draw(_dirs) if kind in ("new", "through") else src.dir.as_tuple()
         d = tuple(draw(_dir_scales) * c for c in d)
         if kind in ("identical", "through"):
-            base = src.point_at(draw(_coords))
+            base = point_at(src, draw(_coords))
         else:
             base = Point3(draw(_coords), draw(_coords), draw(_coords))
         lines.append(Line3(base, Dir3.of(*d)))
@@ -90,7 +96,7 @@ class TestLineSweep:
     @settings(deadline=None)
     @given(_lines())
     def test_matches_all_pairs(self, lines):
-        assert line_intersection_edges(_integer_rows(lines)) == all_pairs_line_edges(lines)
+        assert line_intersection_edges(_plucker(lines)) == all_pairs_line_edges(lines)
         same = [(i, j) for j in range(len(lines)) for i in range(j) if same_line(lines[i], lines[j])]
         assert LineFamily(tuple(lines), None, 1).identical == min(same, default=None)
 
@@ -102,7 +108,7 @@ class TestLineSweep:
             Line3(base, Dir3.of(1, 2, 3)),  # identical to the first: never listed
             Line3(Point3.of(F(1, 2), 1, F(3, 2)), Dir3.of(0, 0, 1)),  # through (1/2, 1, 3/2) on line 0
         ]
-        assert line_intersection_edges(_integer_rows(lines)) == [(0, 3), (2, 3)] == all_pairs_line_edges(lines)
+        assert line_intersection_edges(_plucker(lines)) == [(0, 3), (2, 3)] == all_pairs_line_edges(lines)
 
 
 # large, negative and fractional coordinates with mixed denominators
@@ -117,7 +123,7 @@ def _distinct_direction_lines(draw):
     lines = []
     for d in dirs:
         if lines and draw(st.booleans()):
-            base = draw(st.sampled_from(lines)).point_at(draw(_big))
+            base = point_at(draw(st.sampled_from(lines)), draw(_big))
         else:
             base = Point3(draw(_big), draw(_big), draw(_big))
         lines.append(Line3(base, Dir3.of(*d)))
@@ -159,7 +165,7 @@ class TestPackedMeets:
         lines, block = drawn
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linemod, "SWEEP_BLOCK", block)
-            assert line_intersection_edges(_integer_rows(lines)) == all_pairs_line_edges(lines)
+            assert line_intersection_edges(_plucker(lines)) == all_pairs_line_edges(lines)
 
     @settings(deadline=None, max_examples=60)
     @given(_extreme_rows())
@@ -198,15 +204,15 @@ class TestPackedMeets:
             Line3(p, Dir3.of(1, a, b)),
             Line3(Point3(p.x, p.y, p.z + offset), Dir3.of(1, a + 1, b)),
         ]
-        (_, (d, m), (e, n)) = _integer_rows(lines)
+        (_, (d, m), (e, n)) = _plucker(lines)
         assert abs(dot(d, n) + dot(e, m)) == abs(offset)
-        assert line_intersection_edges(_integer_rows(lines)) == ([(1, 2)] if offset == 0 else []) == all_pairs_line_edges(lines)
+        assert line_intersection_edges(_plucker(lines)) == ([(1, 2)] if offset == 0 else []) == all_pairs_line_edges(lines)
 
     def test_shift_system_over_two_blocks(self):
         lines = build_shift_system(11).lines
         assert len(lines) == 165 > linemod.SWEEP_BLOCK
-        assert line_intersection_edges(_integer_rows(lines)) == all_pairs_line_edges(lines)
-        assert len(line_intersection_edges(_integer_rows(lines))) == 330  # C(11, 4) designed meets
+        assert line_intersection_edges(_plucker(lines)) == all_pairs_line_edges(lines)
+        assert len(line_intersection_edges(_plucker(lines))) == 330  # C(11, 4) designed meets
 
 
 class TestBenchmarkSizedSteps:
