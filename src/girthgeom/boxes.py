@@ -25,7 +25,7 @@ from . import recursion
 from .budget import Budget
 from .errors import ConstructionError
 from .gallai import GallaiCertificate, HomotheticCopy, ProviderPolicy
-from .geometry import Box3, Homothety1D, Rat, format_ratio, rat, to_grid
+from .geometry import Box3, Homothety1D, Rat, format_ratio, grid_maps, rat, to_grid
 
 Row = tuple[int, int, int, int, int, int]  # (xlo, xhi, ylo, yhi, zlo, zhi), each times the grid's denominator
 
@@ -54,19 +54,6 @@ class GroundedSquareBox:
     def __post_init__(self):
         if fault := _fault(*_bounds(self.box)):
             raise ValueError(fault)
-
-    @classmethod
-    def of(cls, trace, side, zlo, zhi) -> "GroundedSquareBox":
-        t, s = rat(trace), rat(side)
-        return cls(Box3.from_bounds(t, t + s, t - s, t, zlo, zhi))
-
-    @property
-    def trace(self) -> Rat:
-        return self.box.xr.lo
-
-    @property
-    def side(self) -> Rat:
-        return self.box.xr.hi - self.box.xr.lo
 
 
 def _bounds(b: Box3) -> tuple[Rat, ...]:
@@ -159,17 +146,20 @@ def box_intersection_edges(rows) -> list[tuple[int, int]]:
 # base families
 
 
+def _square(t: int, s: int, zlo: int, zhi: int) -> Row:
+    """The row of the box [t, t+s] x [t-s, t] x [zlo, zhi]: trace t, side s."""
+    return (t, t + s, t - s, t, zlo, zhi)
+
+
 def single_box_family() -> BoxFamily:
-    box = GroundedSquareBox.of(0, 1, 0, 1)
-    return BoxFamily((box,), None, 1, {"kind": "base-single"})
+    return BoxFamily([_square(0, 1, 0, 1)], None, 1, {"kind": "base-single"}, den=1)
 
 
 def meeting_pair_family() -> BoxFamily:
     """Two overlapping grounded square boxes: the smallest base whose
     intersection graph needs two colors."""
-    a = GroundedSquareBox(Box3.from_bounds(0, 2, -2, 0, 0, 1))
-    b = GroundedSquareBox(Box3.from_bounds(1, 3, -1, 1, 0, 1))
-    return recursion.checked_base(BoxFamily((a, b), None, 2, {"kind": "base-pair"}))
+    rows = [_square(0, 2, 0, 1), _square(1, 2, 0, 1)]
+    return recursion.checked_base(BoxFamily(rows, None, 2, {"kind": "base-pair"}, den=1))
 
 
 def odd_cycle_boxes(n: int) -> BoxFamily:
@@ -185,16 +175,8 @@ def odd_cycle_boxes(n: int) -> BoxFamily:
     if n < 5 or n % 2 == 0:
         raise ValueError("need an odd cycle length of at least 5")
     far = 5 * (n - 2)
-    end_side = max(15, far)
-    bridge_side = max(20, far)
-    boxes = []
-    for i in range(n - 1):
-        if i == 0 or i == n - 2:
-            boxes.append(GroundedSquareBox.of(10 * i, end_side, 0, 20))
-        else:
-            boxes.append(GroundedSquareBox.of(10 * i, 10, 0, 10))
-    boxes.append(GroundedSquareBox.of(far, bridge_side, 15, 20))
-    fam = BoxFamily(tuple(boxes), n, 3, {"kind": "base-odd-cycle", "n": n})
+    path = [_square(10 * i, max(15, far), 0, 20) if i in (0, n - 2) else _square(10 * i, 10, 0, 10) for i in range(n - 1)]
+    fam = BoxFamily([*path, _square(far, max(20, far), 15, 20)], n, 3, {"kind": "base-odd-cycle", "n": n}, den=1)
     return recursion.checked_base(fam)
 
 
@@ -202,9 +184,10 @@ def odd_cycle_boxes(n: int) -> BoxFamily:
 # recursion machinery
 
 
-def make_ground_boxes(values, eps) -> list[GroundedSquareBox]:
-    """One thin box [x, x+eps] x [x-eps, x] x [0, 1] per value; requires
-    0 < eps strictly below the least gap so the boxes stay disjoint."""
+def make_ground_boxes(values, eps) -> tuple[int, list[Row]]:
+    """One thin box [x, x+eps] x [x-eps, x] x [0, 1] per value, as grid rows
+    with the grid's denominator; requires 0 < eps strictly below the least
+    gap so the boxes stay disjoint."""
     values = sorted(rat(v) for v in values)
     eps = rat(eps)
     if eps <= 0:
@@ -212,7 +195,8 @@ def make_ground_boxes(values, eps) -> list[GroundedSquareBox]:
     gaps = [b - a for a, b in zip(values, values[1:])]
     if gaps and eps >= min(gaps):
         raise ValueError(f"eps {eps} is not below the least value gap {min(gaps)}")
-    return [GroundedSquareBox.of(x, eps, 0, 1) for x in values]
+    den, (ints,) = to_grid([[*values, eps]])  # every bound is a value plus or minus eps, so this is their grid
+    return den, [_square(x, ints[-1], 0, den) for x in ints[:-1]]
 
 
 def plan_embeddings(parent: BoxFamily, cert: GallaiCertificate) -> list[tuple[HomotheticCopy, Homothety1D]]:
@@ -231,16 +215,11 @@ def embed_copy_boxes(parent: BoxFamily, embeddings, den: int = 1) -> tuple[int, 
     and y, and a map of heights) as rows on one grid: the least multiple of
     ``den`` on which every map is integer affine on the parent's rows.  The
     traces each copy places must be its image."""
-    p = parent.den
-    slope = lambda a: a.denominator * p // math.gcd(a.numerator, p)  # the denominator of a / p
-    grid = math.lcm(den, *(n for copy, vertical in embeddings for m in (copy.map, vertical)
-                           for n in (slope(m.scale), m.shift.denominator)))
-    def on_grid(m):  # (a, b) with m(u / p) = (a u + b) / grid for every integer u
-        return grid * m.scale.numerator // (m.scale.denominator * p), grid * m.shift.numerator // m.shift.denominator
+    grid, maps = grid_maps([(m.scale, m.shift) for copy, vertical in embeddings for m in (copy.map, vertical)],
+                           parent.den, den)
     traces = sorted({row[0] for row in parent.rows})
     out = []
-    for copy, vertical in embeddings:
-        (a, b), (s, t) = on_grid(copy.map), on_grid(vertical)
+    for (copy, _), (a, b), (s, t) in zip(embeddings, maps[::2], maps[1::2]):
         mapped = [a * u + b for u in traces]
         if len(mapped) != len(copy.image) or any(v.numerator * grid != w * v.denominator
                                                  for v, w in zip(copy.image, mapped)):
@@ -323,10 +302,10 @@ def _place_boxes(parent: BoxFamily, certify) -> recursion.Placement:
     cert = certify(parent.traces())
     elements = cert.elements
     eps = min((b - a for a, b in zip(elements, elements[1:])), default=Fraction(1)) / 3
-    ground_den, ground = to_grid([_bounds(b.box) for b in make_ground_boxes(elements, eps)])
+    ground_den, ground = make_ground_boxes(elements, eps)
     den, copies = embed_copy_boxes(parent, plan_embeddings(parent, cert), ground_den)
     ground = [tuple(v * (den // ground_den) for v in row) for row in ground]
-    return recursion.Placement(parent, cert, ground, copies, {"geometry": "boxes"}, partial(BoxFamily, den=den))
+    return recursion.Placement(parent, cert, ground, copies, {}, partial(BoxFamily, den=den))
 
 
 def check_box_structure(fam: BoxFamily) -> recursion.StructureReport:

@@ -115,15 +115,8 @@ def _recursion_levels(provenance: dict) -> list[dict]:
     node = provenance
     while node.get("kind") == "recursion":
         cert = node["certificate"]
-        levels.append(
-            {
-                "colors_before": node["colors_before"],
-                "girth_param": node["girth_param"],
-                "elements": len(cert.elements),
-                "copies": len(cert.copies),
-                "chromatic_lift_certified": node["chromatic_lift_certified"],
-            }
-        )
+        levels.append({"colors_before": cert.colors, "girth_param": cert.girth, "elements": len(cert.elements),
+                       "copies": len(cert.copies), "chromatic_lift_certified": cert.flags.all_true()})
         node = node.get("parent", {})
     return [{"base": node.get("kind", "unknown")}, *reversed(levels)]
 

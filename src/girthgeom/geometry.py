@@ -41,11 +41,11 @@ def format_ratio(numerator: int, denominator: int) -> str:
 # vector helpers on coordinate triples
 
 
-def dot(u: Triple, v: Triple) -> Rat:
+def dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def cross(u: Triple, v: Triple) -> Triple:
+def cross(u, v):
     return (
         u[1] * v[2] - u[2] * v[1],
         u[2] * v[0] - u[0] * v[2],
@@ -62,6 +62,16 @@ def to_grid(rows, read=rat) -> tuple[int, list[tuple[int, ...]]]:
     den = math.lcm(1, *(q.denominator for q in values.values()))
     ints = {v: q.numerator * (den // q.denominator) for v, q in values.items()}
     return den, [tuple(map(ints.__getitem__, row)) for row in rows]
+
+
+def grid_maps(maps, p: int, den: int = 1) -> tuple[int, list[tuple[int, int]]]:
+    """The least multiple ``grid`` of ``den`` on which each rational map
+    u / p -> s u / p + t in the list ``maps`` of pairs (s, t) is integer
+    affine on the integers u of a grid of denominator ``p``, and each map's
+    (a, b), with s u / p + t = (a u + b) / grid for every u."""
+    slopes = (s.denominator * p // math.gcd(s.numerator, p) for s, _ in maps)  # the denominator of s / p
+    grid = math.lcm(den, *slopes, *(t.denominator for _, t in maps))
+    return grid, [(grid * s.numerator // (s.denominator * p), grid * t.numerator // t.denominator) for s, t in maps]
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +117,6 @@ class Dir3:
     @classmethod
     def of(cls, dx, dy, dz) -> "Dir3":
         return cls(rat(dx), rat(dy), rat(dz))
-
-    @classmethod
-    def between(cls, p: Point3, q: Point3) -> "Dir3":
-        return cls(q.x - p.x, q.y - p.y, q.z - p.z)
 
     def as_tuple(self) -> Triple:
         return (self.dx, self.dy, self.dz)

@@ -27,7 +27,7 @@ from . import graphs, recursion
 from .budget import Budget
 from .errors import BudgetExhausted, ConstructionError
 from .gallai import ProviderPolicy
-from .geometry import Dir3, Line3, Point3, Rat, cross, dot, format_rat, format_ratio, rat, to_grid
+from .geometry import Dir3, Line3, Point3, Rat, cross, dot, format_rat, format_ratio, grid_maps, rat, to_grid
 
 SAMPLE_ATTEMPTS = 64  # value sets build_shift_system tries before it gives up
 FRAME_HEIGHT = 8  # largest coordinate of the integer directions choose_frame tries
@@ -622,16 +622,12 @@ def embed_copy_lines(parent: LineFamily, frame: TransversalFrame, copies, den: i
     map of its parent's; the image therefore meets exactly its own ground
     line.  Directions are unchanged.
     """
-    p, lead, origin = parent.den, _lead(frame.axis), frame.origin
-    slope = lambda s: s.denominator * p // math.gcd(s.numerator, p)  # the denominator of s / p
-    grid = math.lcm(den, *(n for copy in copies for n in (slope(copy.map.scale), (copy.map.shift / lead).denominator)))
+    p, lead = parent.den, _lead(frame.axis)
+    grid, maps = grid_maps([(copy.map.scale, copy.map.shift / lead) for copy in copies], p, den)
     out = []
-    for copy in copies:
-        s, h = copy.map.scale, copy.map.shift / lead
-        k = grid * s.numerator // (s.denominator * p)  # s on the parent's grid onto this one
-        fixed, along = grid // s.denominator * (s.denominator - s.numerator), grid // h.denominator * h.numerator
-        shift = [fixed * o + along * a for o, a in zip(origin, frame.axis)]
-        out.append([(tuple(k * c + t for c, t in zip(b, shift)), d) for b, d in parent.rows])
+    for k, t in maps:  # k = grid s / p and t = grid h / lead, so (1 - s) B is (grid - k p) B on the grid
+        shift = [(grid - k * p) * o + t * e for o, e in zip(frame.origin, frame.axis)]
+        out.append([(tuple(k * c + w for c, w in zip(b, shift)), d) for b, d in parent.rows])
     return grid, out
 
 
@@ -668,7 +664,7 @@ def _place_lines(parent: LineFamily, certify) -> recursion.Placement:
         offsets_used.append(offset)
         copies.append(rows)
         placed.add(rows)
-    extra = {"geometry": "lines", "parent_params": params, "offsets": offsets_used}
+    extra = {"parent_params": params, "offsets": offsets_used}
     return recursion.Placement(parent, cert, ground, copies, extra, partial(LineFamily, den=den))
 
 

@@ -20,7 +20,8 @@ from .gallai import GallaiCertificate, GroundSet, ProviderPolicy
 
 class Placement(NamedTuple):
     """What a geometry placed in one step, with the parent as it was copied, its own
-    provenance entries ("geometry" and any extras) and ``family(objects, girth, colors, provenance)``."""
+    provenance entries (none, or a line step's parameters and offsets) and
+    ``family(objects, girth, colors, provenance)``."""
 
     parent: object
     cert: GallaiCertificate
@@ -46,9 +47,12 @@ def lift(
     ``place(parent, certify)`` places one thin ground object per element
     of the certificate ``certify(values)`` returns for the parent's ground
     values, and one homothetic copy of the parent per certificate copy.
-    The output's structure (its ``structure()``) and its girth floor
-    min(parent girth, 3 ceil(girth / 3)) are asserted before returning;
-    any violation is a fatal construction bug.
+    That certificate must be for those values, ``colors`` and ``girth``,
+    or the lift is a ConstructionError; the provenance records it, and
+    the parameters of the step are read from it.  The output's structure
+    (its ``structure()``) and its girth floor min(parent girth, 3
+    ceil(girth / 3)) are asserted before returning; any violation is a
+    fatal construction bug.
     """
     parent_graph = graphs.intersection_graph(parent)
     parent_girth = graphs.girth(parent_graph)
@@ -68,22 +72,28 @@ def lift(
                 limit=budget.max_nodes,
             )
 
-    placed = place(parent, lambda values: provider(GroundSet.of(values), colors, girth))
-    lift_certified = placed.cert.flags.all_true()
+    def certify(values) -> GallaiCertificate:
+        ground = GroundSet.of(values)
+        cert = provider(ground, colors, girth)
+        if (cert.ground, cert.colors, cert.girth) != (ground, colors, girth):
+            raise ConstructionError(
+                f"the provider's certificate is not for the {ground.size} ground values, {colors} colors "
+                f"and girth {girth} it was asked for",
+                {"ground_set": cert.ground.points, "colors": cert.colors, "girth": cert.girth},
+            )
+        return cert
+
+    placed = place(parent, certify)
     out = placed.family(
         tuple(itertools.chain(placed.ground, *placed.copies)),
         girth,
-        colors + 1 if lift_certified else colors,
+        colors + 1 if placed.cert.flags.all_true() else colors,
         {
             "kind": "recursion",
             **placed.provenance,
-            "girth_param": girth,
-            "colors_before": colors,
             "blocks": block_layout(len(placed.ground), len(placed.copies), parent_graph.n),
             "parent_edges": [list(e) for e in sorted(parent_graph.edges)],
-            "parent_size": parent_graph.n,
             "certificate": placed.cert,
-            "chromatic_lift_certified": lift_certified,
             "parent": placed.parent.provenance,
         },
     )

@@ -98,9 +98,8 @@ def _load(kind: str, doc, read, write):
 # provenance: how a scene was made
 
 _BASES = {"base-single": {}, "base-pair": {}, "base-odd-cycle": {"n": int}}
-_RECURSION = {"geometry": str, "girth_param": int, "colors_before": int, "parent_size": int,
-              "blocks": {"ground": [int], "copies": [[int]]}, "parent_edges": [[int]],
-              "certificate": GallaiCertificate, "chromatic_lift_certified": bool, "parent": dict}
+_RECURSION = {"blocks": {"ground": [int], "copies": [[int]]}, "parent_edges": [[int]],
+              "certificate": GallaiCertificate, "parent": dict}
 # scene geometry -> provenance kind -> its fields besides "kind": a JSON type,
 # Fraction for a rational, a certificate, or a list or dict of these; the
 # parent (a dict) is a provenance of the same geometry
@@ -160,31 +159,33 @@ def _write_field(spec, value):
 
 
 def _provenance_to_doc(prov: dict, geometry: str) -> dict:
-    """The provenance document.  A recursion's geometry and whether its
-    certificate certifies the lift come from the object, not from a stored
-    value, so a document that states them otherwise fails the compare."""
+    """The provenance document.  A recursion's geometry comes from the
+    scene kind, and its girth parameter, colors before the step, parent
+    size and whether the lift is certified from its certificate, not from
+    stored values, so a document that states them otherwise fails the
+    compare."""
     doc = _write_field(_fields(prov, geometry), prov)
     if prov.get("kind") == "recursion":
-        certified, parent = prov["certificate"].flags.all_true(), _provenance_to_doc(prov["parent"], geometry)
-        doc.update(geometry=geometry, chromatic_lift_certified=certified, parent=parent)
+        cert = prov["certificate"]
+        doc.update(geometry=geometry, girth_param=cert.girth, colors_before=cert.colors, parent_size=cert.ground.size,
+                   chromatic_lift_certified=cert.flags.all_true(), parent=_provenance_to_doc(prov["parent"], geometry))
     return doc
 
 
 def _check_fit(prov: dict, size: int) -> None:
     """A ValueError unless the family provenance fits its ``size`` objects:
-    a cycle has n of them; a recursion's parent has one object per point
-    of the certificate's ground set, its blocks list the objects in order,
-    one ground object per certificate element, then one block of
-    parent_size per certificate copy, its parent edges are sorted pairs
-    u < v of parent objects, and a line recursion's parent parameters are
-    the points of the ground set."""
+    a cycle has n of them; a recursion's blocks list the objects in order,
+    one ground object per certificate element, then one block per
+    certificate copy with one parent object per point of the certificate's
+    ground set, its parent edges are sorted pairs u < v of parent objects,
+    and a line recursion's parent parameters are the points of the ground
+    set."""
     if prov.get("kind") == "base-odd-cycle" and not 3 <= prov["n"] == size:
         raise ValueError(f"provenance.n is {prov['n']}, not the {size} objects of the cycle")
     if prov.get("kind") != "recursion":
         return
-    cert, m, step = prov["certificate"], len(prov["certificate"].elements), prov["parent_size"]
-    if step != cert.ground.size:
-        raise ValueError(f"provenance.parent_size is {step}, not the {cert.ground.size} points of the ground set")
+    cert = prov["certificate"]
+    m, step = len(cert.elements), cert.ground.size
     if prov["blocks"] != block_layout(m, len(cert.copies), step) or m + len(cert.copies) * step != size:
         raise ValueError(f"provenance.blocks do not list the {size} objects in order: one ground object per "
                          f"certificate element, then {step} per certificate copy")

@@ -16,7 +16,9 @@ sweeps, which the output-sensitive sweeps must match pair for pair;
 integer-grid enumeration must match copy for copy; and the box family's
 Fraction path, which its integer grid must match: ``box_to_doc`` and
 ``box_from_doc`` for the labels and the scene reader,
-``fraction_embed_copy_boxes`` for the copy embedding, and
+``fraction_base_boxes`` and ``fraction_make_ground_boxes`` for the
+bases and the ground boxes, ``fraction_embed_copy_boxes`` for the copy
+embedding, and
 ``fraction_normalize_traces`` for trace normalization; and the line
 family's Fraction path, which its integer grid must match: the line and
 plane relations, ``line_to_doc`` and ``line_from_doc`` for the labels
@@ -434,10 +436,7 @@ def all_pairs_box_edges(boxes) -> list[tuple[int, int]]:
 
 
 def _box_integer_rows(boxes) -> list[tuple[int, int, int, int, int, int]]:
-    bounds = []
-    for gb in boxes:
-        b = gb.box
-        bounds.append((b.xr.lo, b.xr.hi, b.yr.lo, b.yr.hi, b.zr.lo, b.zr.hi))
+    bounds = [box_bounds(b) for b in boxes]
     scale = math.lcm(*(v.denominator for row in bounds for v in row))
     return [tuple(int(v * scale) for v in row) for row in bounds]
 
@@ -486,6 +485,44 @@ def _rows_meet(row1, row2) -> bool:
 
 # ---------------------------------------------------------------------------
 # the box family's Fraction path, the reference for its integer grid
+
+
+def square_box(trace, side, zlo, zhi) -> GroundedSquareBox:
+    """The box [t, t+s] x [t-s, t] x [zlo, zhi] of trace t and side s."""
+    t, s = rat(trace), rat(side)
+    return GroundedSquareBox(Box3.from_bounds(t, t + s, t - s, t, zlo, zhi))
+
+
+def trace(b: GroundedSquareBox) -> Rat:
+    """Where the box touches the x = y plane: its least x."""
+    return b.box.xr.lo
+
+
+def side(b: GroundedSquareBox) -> Rat:
+    return b.box.xr.hi - b.box.xr.lo
+
+
+def fraction_base_boxes(kind: str, n: int = 0) -> tuple[GroundedSquareBox, ...]:
+    """The boxes of the base ``kind`` ("single", "pair" or "odd-cycle" of
+    length n) in Fractions: the reference for the bases' grid rows."""
+    if kind == "single":
+        return (square_box(0, 1, 0, 1),)
+    if kind == "pair":
+        return (GroundedSquareBox(Box3.from_bounds(0, 2, -2, 0, 0, 1)), GroundedSquareBox(Box3.from_bounds(1, 3, -1, 1, 0, 1)))
+    far = 5 * (n - 2)
+    ends = max(15, far)
+    path = [square_box(10 * i, ends, 0, 20) if i in (0, n - 2) else square_box(10 * i, 10, 0, 10) for i in range(n - 1)]
+    return (*path, square_box(far, max(20, far), 15, 20))
+
+
+def fraction_make_ground_boxes(values, eps) -> list[GroundedSquareBox]:
+    """One thin box [x, x+eps] x [x-eps, x] x [0, 1] per value, in Fractions."""
+    return [square_box(x, eps, 0, 1) for x in sorted(map(rat, values))]
+
+
+def box_bounds(b: GroundedSquareBox) -> tuple[Rat, ...]:
+    bb = b.box
+    return bb.xr.lo, bb.xr.hi, bb.yr.lo, bb.yr.hi, bb.zr.lo, bb.zr.hi
 
 
 def box_to_doc(b) -> dict:
@@ -553,7 +590,7 @@ def fraction_normalize_traces(fam):
     used = set()
     shifted = [None] * len(boxes)
     for members in blocks:
-        own = [boxes[i].trace for i in members]
+        own = [trace(boxes[i]) for i in members]
         for j in range(len(blocks) + 1):
             delta = j * quantum
             if all(t + delta not in used for t in own):
@@ -563,7 +600,7 @@ def fraction_normalize_traces(fam):
         used.update(t + delta for t in own)
         for i in members:
             b = boxes[i]
-            shifted[i] = GroundedSquareBox.of(b.trace + delta, b.side, b.box.zr.lo, b.box.zr.hi)
+            shifted[i] = square_box(trace(b) + delta, side(b), b.box.zr.lo, b.box.zr.hi)
     out = BoxFamily(tuple(shifted), fam.claimed_girth, fam.claimed_chromatic,
                     {**fam.provenance, "traces_normalized": True})
     if len(set(out.traces())) != len(out) or out.intersection_edges() != before:

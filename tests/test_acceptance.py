@@ -115,7 +115,8 @@ def test_criterion_3_structural_lemma_suite():
         sizes.append(f"{name}({len(fam.boxes) if hasattr(fam, 'boxes') else len(fam.lines)} objects {elapsed:.2f}s)")
     # 2000 disjoint ground boxes: the quadratic sweep stays within budget
     t0 = time.perf_counter()
-    big = BoxFamily(tuple(make_ground_boxes(range(1, 2001), F(1, 3))), None, 1)
+    den, rows = make_ground_boxes(range(1, 2001), F(1, 3))
+    big = BoxFamily(rows, None, 1, den=den)
     elapsed = time.perf_counter() - t0
     assert big.meets == []
     assert elapsed < 10.0
@@ -128,9 +129,10 @@ def test_criterion_4_girth_lift_law():
     for name, fam, _ in _constructed_instances():
         prov = fam.provenance
         assert prov["kind"] == "recursion"
-        girth_param = prov["girth_param"]
+        cert = prov["certificate"]
+        girth_param = cert.girth
         parent_edges = [tuple(e) for e in prov["parent_edges"]]
-        parent_graph = gg.GeoGraph(prov["parent_size"], parent_edges)
+        parent_graph = gg.GeoGraph(cert.ground.size, parent_edges)
         parent_girth = gg.girth(parent_graph)
         out_girth = gg.girth(gg.intersection_graph(fam))
         bound = min(parent_girth, 3 * math.ceil(girth_param / 3))

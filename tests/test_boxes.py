@@ -29,15 +29,21 @@ from girthgeom import (
 )
 from girthgeom.boxes import plan_embeddings
 from girthgeom.gallai import GroundSet, HomotheticCopy, pigeonhole_certificate
-from girthgeom.geometry import Homothety1D
+from girthgeom.geometry import Homothety1D, to_grid
 
 from _oracles import (
     all_pairs_box_edges,
     apply,
+    box_bounds,
     box_to_doc,
+    fraction_base_boxes,
     fraction_embed_copy_boxes,
+    fraction_make_ground_boxes,
     fraction_normalize_traces,
     identity_map,
+    side,
+    square_box,
+    trace,
 )
 
 
@@ -49,11 +55,11 @@ class TestGroundedSquareBox:
     def test_gadget_trace(self):
         eps = F(1, 3)
         b = GroundedSquareBox(Box3.from_bounds(5, 5 + eps, 5 - eps, 5, 0, 1))
-        assert b.trace == 5
+        assert trace(b) == 5
 
     def test_trace_examples(self):
-        assert GroundedSquareBox(Box3.from_bounds(0, 2, -2, 0, 0, 1)).trace == 0
-        assert GroundedSquareBox(Box3.from_bounds(10, 25, -5, 10, 0, 20)).trace == 10
+        assert trace(GroundedSquareBox(Box3.from_bounds(0, 2, -2, 0, 0, 1))) == 0
+        assert trace(GroundedSquareBox(Box3.from_bounds(10, 25, -5, 10, 0, 20))) == 10
 
     def test_rejects_non_grounded(self):
         with pytest.raises(ValueError):
@@ -80,7 +86,7 @@ class TestGroundedSquareBox:
 class TestOddCycleBoxes:
     def test_five_matches_frozen_parameters(self):
         fam = odd_cycle_boxes(5)
-        params = [(b.trace, b.side, b.box.zr.lo, b.box.zr.hi) for b in fam.boxes]
+        params = [(trace(b), side(b), b.box.zr.lo, b.box.zr.hi) for b in fam.boxes]
         assert params == [
             (0, 15, 0, 20),
             (10, 10, 0, 10),
@@ -117,17 +123,33 @@ class TestOddCycleBoxes:
 
 class TestMakeGroundBoxes:
     def test_three_values(self):
-        boxes = make_ground_boxes([1, 2, 3], F(1, 3))
-        assert boxes[0].box == Box3.from_bounds(1, F(4, 3), F(2, 3), 1, 0, 1)
-        fam = BoxFamily(tuple(boxes), None, 1)
+        den, rows = make_ground_boxes([1, 2, 3], F(1, 3))
+        assert (den, rows[0]) == (3, (3, 4, 2, 3, 0, 3))
+        fam = BoxFamily(rows, None, 1, den=den)
         assert fam.intersection_edges() == []
 
     def test_single_value(self):
-        assert len(make_ground_boxes([0], F(1, 2))) == 1
+        assert make_ground_boxes([0], F(1, 2)) == (2, [(0, 1, -1, 0, 0, 2)])
 
     def test_eps_at_gap_rejected(self):
         with pytest.raises(ValueError):
             make_ground_boxes([0, 1], 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=1, max_size=8),
+           st.fractions(min_value=F(1, 30), max_value=1, max_denominator=30))
+    def test_rows_are_the_grid_of_the_fraction_boxes(self, values, fraction):
+        gaps = [b - a for a, b in zip(sorted(values), sorted(values)[1:])]
+        eps = fraction * min(gaps, default=1) / 2  # strictly below the least gap
+        expected = to_grid([box_bounds(b) for b in fraction_make_ground_boxes(values, eps)])
+        assert make_ground_boxes(values, eps) == expected
+
+
+@pytest.mark.parametrize("make, kind, n", [(single_box_family, "single", 0), (meeting_pair_family, "pair", 0),
+                                           *((lambda n=n: odd_cycle_boxes(n), "odd-cycle", n) for n in (5, 7, 9, 13))])
+def test_bases_are_the_grid_of_the_fraction_boxes(make, kind, n):
+    fam = make()
+    assert (fam.den, list(fam.rows)) == to_grid([box_bounds(b) for b in fraction_base_boxes(kind, n)])
 
 
 def views(grid, rows) -> list[GroundedSquareBox]:
@@ -147,7 +169,7 @@ class TestEmbedCopyBoxes:
         emb = plan_embeddings(parent, cert)[0]  # copy {1, 2}
         grid, (rows,) = embed_copy_boxes(parent, [emb])
         images = views(grid, rows)
-        assert [b.trace for b in images] == [F(1), F(2)]
+        assert [trace(b) for b in images] == [F(1), F(2)]
         count = len(cert.copies)  # slot 0 is [0, 1 / count] shrunk by a quarter of its length at each end
         assert all(b.box.zr.lo >= F(1, 4 * count) and b.box.zr.hi <= F(3, 4 * count) for b in images)
 
@@ -178,7 +200,7 @@ def grounded_boxes(draw, max_size=6):
     boxes = []
     for _ in range(draw(st.integers(1, max_size))):
         zlo, zhi = sorted(draw(_z_ends))
-        boxes.append(GroundedSquareBox.of(draw(_traces), draw(_sides), zlo, zhi))
+        boxes.append(square_box(draw(_traces), draw(_sides), zlo, zhi))
     return tuple(boxes)
 
 
@@ -241,16 +263,16 @@ class TestNormalizeTraces:
         assert normalize_traces(fam) is fam
 
     def test_two_disjoint_equal_traces(self):
-        a = GroundedSquareBox.of(0, 1, 0, 1)
-        b = GroundedSquareBox.of(0, 1, 5, 6)  # same trace, z-disjoint
+        a = square_box(0, 1, 0, 1)
+        b = square_box(0, 1, 5, 6)  # same trace, z-disjoint
         fam = BoxFamily((a, b), None, 1, {})
         fixed = normalize_traces(fam)
         assert len(set(fixed.traces())) == 2
         assert fixed.intersection_edges() == fam.intersection_edges() == []
 
     def test_two_intersecting_equal_traces(self):
-        a = GroundedSquareBox.of(0, 2, 0, 1)
-        b = GroundedSquareBox.of(0, 1, 0, 1)
+        a = square_box(0, 2, 0, 1)
+        b = square_box(0, 1, 0, 1)
         fam = BoxFamily((a, b), None, 1, {})
         fixed = normalize_traces(fam)
         assert len(set(fixed.traces())) == 2
@@ -295,7 +317,7 @@ class TestRecursionStep:
         assert girth(g) == 9
         assert chromatic_number(g).value == 3
         assert c9.claimed_chromatic == 3
-        assert c9.provenance["chromatic_lift_certified"] is True
+        assert c9.provenance["certificate"].flags.all_true()
 
     def test_structure_report_all_ok(self):
         c9 = recursion_step_boxes(meeting_pair_family(), 2, 6, pigeonhole_provider)
@@ -324,7 +346,7 @@ class TestRecursionStep:
         policy = ProviderPolicy("vdw", vdw_length_hint=30, certificate_budget=25)
         fam = recursion_step_boxes(parent, 3, 4, policy.provider())
         assert fam.claimed_chromatic == 3  # not lifted
-        assert fam.provenance["chromatic_lift_certified"] is False
+        assert not fam.provenance["certificate"].flags.all_true()
         assert check_box_structure(fam).ok
 
     def test_parent_girth_too_small_rejected(self):
@@ -341,8 +363,8 @@ class TestRecursionStep:
         # c9 has duplicate traces; a further step must normalize first.
         # Use a pigeonhole-compatible trick: build from a two-box subfamily
         # with equal traces.
-        a = GroundedSquareBox.of(0, 2, 0, 1)
-        b = GroundedSquareBox.of(0, 1, 0, 1)
+        a = square_box(0, 2, 0, 1)
+        b = square_box(0, 1, 0, 1)
         fam = BoxFamily((a, b), None, 2, {})
         out = recursion_step_boxes(fam, 2, 6, pigeonhole_provider)
         assert check_box_structure(out).ok
@@ -395,7 +417,7 @@ class TestNegativeControls:
     def test_corrupted_recursion_fails_structure(self):
         c9 = recursion_step_boxes(meeting_pair_family(), 2, 6, pigeonhole_provider)
         bad_boxes = list(c9.boxes)
-        bad_boxes[2] = GroundedSquareBox.of(2, 1, 0, 1)  # ground box moved onto trace 2
+        bad_boxes[2] = square_box(2, 1, 0, 1)  # ground box moved onto trace 2
         bad = BoxFamily(tuple(bad_boxes), c9.claimed_girth, c9.claimed_chromatic, c9.provenance)
         report = check_box_structure(bad)
         assert not report.ok

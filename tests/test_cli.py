@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from girthgeom import Box3, Dir3, GroundedSquareBox, Interval, Line3, Point3, ProviderPolicy, build_box_family
 from girthgeom import lines as linemod
+from girthgeom import recursion_step_boxes, vdw_certificate
 from girthgeom.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_REFUSED, main
 from girthgeom.errors import SceneFormatError
-from girthgeom.gallai import certificate_to_doc
+from girthgeom.gallai import certificate_to_doc, normalize_ground_set
 from girthgeom.scenes import load_certificate, load_scene, save_scene, scene_to_doc
 
 
@@ -539,7 +541,7 @@ _RESPELLED = [
         (_BOXES, "s.scene.json", _set("provenance", "chromatic_lift_certified", False),
          _BOXES_DOC + "provenance.chromatic_lift_certified is False, its writer writes True"),
         (_BOXES, "s.scene.json", _set("provenance", "colors_before", 2.5),
-         _BOXES_DOC + "provenance.colors_before is 2.5, not of type int"),
+         _BOXES_DOC + "provenance.colors_before is 2.5, its writer writes 2"),
         (_BOXES, "s.scene.json", _set("provenance", "geometry", "lines"),
          _BOXES_DOC + "provenance.geometry is 'lines', its writer writes 'boxes'"),
         (_BOXES, "s.scene.json", _set("provenance", "certificate", "copies", 0, "image", 0, "999"),
@@ -653,7 +655,7 @@ def _move_copy_member(prov):
         ("lines", _move_copy_member, "provenance.blocks do not list the 9 objects in order"),
         ("boxes", _move_copy_member, "provenance.blocks do not list the 9 objects in order"),
         ("boxes", lambda prov: prov.__setitem__("parent_size", 0),
-         "provenance.parent_size is 0, not the 2 points of the ground set"),
+         "provenance.parent_size is 0, its writer writes 2"),
     ],
     ids=["line-parent-param-off-the-elements", "line-parent-params-short", "line-copy-block-sizes",
          "box-copy-block-sizes", "box-parent-size-zero"],
@@ -671,6 +673,66 @@ def test_provenance_that_does_not_fit_the_parent_exits_2(provenance_scenes, caps
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert message in err
+
+
+@pytest.fixture(scope="module")
+def two_step_scene():
+    """The scene document of c9 lifted once more at one color, by a
+    progression certificate with a single copy (73 boxes)."""
+    def one_copy(ground, colors, girth):
+        return vdw_certificate(ground, colors, girth, length_hint=normalize_ground_set(ground)[0][-1] + 1)
+
+    fam = recursion_step_boxes(build_box_family(6, 3, ProviderPolicy("pigeonhole")), 1, 6, one_copy)
+    assert len(fam) == 73
+    return scene_to_doc(fam)
+
+
+# a value of the writer's type that differs from what the writer derives
+_DERIVED = {"geometry": "shift", "girth_param": 99, "colors_before": 7, "parent_size": 3,
+            "chromatic_lift_certified": False}
+
+
+@pytest.mark.parametrize("field", sorted(_DERIVED))
+@pytest.mark.parametrize("scene, where", [("boxes", ()), ("lines", ()), ("two-step", ("parent",))],
+                         ids=["c9", "l9", "two-step-parent"])
+def test_a_derived_provenance_field_that_differs_exits_2(provenance_scenes, two_step_scene, capsys, scene, where,
+                                                         field):
+    # the writer derives these from the scene kind and the certificate, so a
+    # stored value is compared with the derived one, level by level
+    root, docs = provenance_scenes
+    doc = json.loads(json.dumps(two_step_scene if scene == "two-step" else docs[scene]))
+    prov = doc["provenance"]
+    for key in where:
+        prov = prov[key]
+    assert prov[field] != _DERIVED[field]
+    prov[field] = _DERIVED[field]
+    path = root / "derived.scene.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"provenance.{''.join(k + '.' for k in where)}{field} is {_DERIVED[field]!r}, its writer writes " in err
+
+
+def test_the_two_step_scene_verifies(tmp_path, capsys, two_step_scene):
+    path = tmp_path / "two.scene.json"
+    path.write_text(json.dumps(two_step_scene))
+    assert main(["verify", str(path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [_BOXES, _LINES, ["build", "shift", "--n", "7"]], ids=["boxes", "lines", "shift"])
+def test_build_and_verify_make_no_box_or_line_object(tmp_path, monkeypatch, capsys, argv):
+    # families are built, read, checked and written as grid rows; the
+    # objects are views that only a caller asks for
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} made")
+
+    for cls in (GroundedSquareBox, Box3, Interval, Line3, Point3, Dir3):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert main(["verify", f"{out}.scene.json"]) == EXIT_OK
 
 
 _MUTATED = [None, -1, 0, 2, 10**6, 3.5, True, "x", "0", "1/0", "-1/2", [], [0], {}, {"a": 1}]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from girthgeom import Box3, Dir3, Homothety1D, Interval, Line3, LineFamily, Point3, rat
-from girthgeom.geometry import cross, dot
+from girthgeom.geometry import cross, dot, grid_maps
 
 from _oracles import (
     Homothety3D,
@@ -256,3 +256,22 @@ def test_perp_postconditions(line, offset):
     u = perp_in_plane(plane, line)
     assert dot(u.as_tuple(), line.dir.as_tuple()) == 0
     assert dot(u.as_tuple(), plane.normal.as_tuple()) == 0
+
+
+def _integer_on(grid: int, maps, p: int) -> bool:
+    """Whether every map u / p -> s u / p + t is integer affine on the grid
+    of denominator ``grid``: grid s / p and grid t are integers."""
+    return all((grid * s / p).denominator == 1 and (grid * t).denominator == 1 for s, t in maps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool),
+                          st.fractions(min_value=-9, max_value=9, max_denominator=12)), max_size=4),
+       st.integers(1, 36), st.integers(1, 12), st.integers(-50, 50))
+def test_grid_maps_is_the_least_grid_of_every_map(maps, p, den, u):
+    grid, pairs = grid_maps(maps, p, den)
+    assert grid % den == 0 and len(pairs) == len(maps)
+    for (s, t), (a, b) in zip(maps, pairs):
+        assert F(a * u + b, grid) == s * F(u, p) + t
+    assert _integer_on(grid, maps, p)
+    assert not any(_integer_on(d, maps, p) for d in range(den, grid, den) if grid % d == 0)

@@ -8,12 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from girthgeom import BoxFamily, GroundedSquareBox, Line3, LineFamily, Point3, boxes, graphs, lines
+from girthgeom import BoxFamily, Line3, LineFamily, Point3, boxes, graphs, lines
 from girthgeom import meeting_pair_family, meeting_pair_lines
 from girthgeom import odd_cycle_boxes, recursion_step_boxes, recursion_step_lines
 from girthgeom.cli import EXIT_BUDGET, EXIT_OK, main
-from girthgeom.gallai import ProviderPolicy, pigeonhole_certificate
+from girthgeom.errors import ConstructionError
+from girthgeom.gallai import GroundSet, ProviderPolicy, pigeonhole_certificate
 from girthgeom.scenes import save_scene
+
+from _oracles import side, square_box, trace
 
 # sha256 of the four build files and of the verify report, taken before the
 # box and line recursion steps shared one lift step
@@ -98,7 +101,7 @@ def test_box_step_on_a_rational_base_is_byte_identical(tmp_path, monkeypatch, ca
     scale, shift = F(7, 3), F(-5, 2)  # the shift slides along x = y, which keeps every box grounded
     base = odd_cycle_boxes(5)
     moved = tuple(
-        GroundedSquareBox.of(scale * b.trace + shift, scale * b.side, scale * b.box.zr.lo, scale * b.box.zr.hi)
+        square_box(scale * trace(b) + shift, scale * side(b), scale * b.box.zr.lo, scale * b.box.zr.hi)
         for b in base.boxes
     )
     parent = BoxFamily(moved, base.claimed_girth, base.claimed_chromatic, dict(base.provenance))
@@ -173,6 +176,24 @@ def pigeonhole_provider(ground, colors, girth_param):
 
 def _vdw(length):
     return ProviderPolicy("vdw", vdw_length_hint=length).provider()
+
+
+@pytest.mark.parametrize("step, parent", [(recursion_step_boxes, meeting_pair_family),
+                                          (recursion_step_lines, meeting_pair_lines)], ids=["boxes", "lines"])
+@pytest.mark.parametrize(
+    "provider",
+    [
+        lambda ground, colors, girth: pigeonhole_certificate(GroundSet.of([t + 1 for t in ground.points]), colors, girth),
+        lambda ground, colors, girth: pigeonhole_certificate(ground, colors - 1, girth),
+        lambda ground, colors, girth: pigeonhole_certificate(ground, colors, girth - 1),
+    ],
+    ids=["other-ground-set", "one-color-fewer", "other-girth"],
+)
+def test_a_certificate_for_another_question_is_refused(step, parent, provider):
+    # the provenance records the certificate as the step's parameters, so it
+    # must be for the ground values, colors and girth the step asked about
+    with pytest.raises(ConstructionError, match="not for the 2 ground values, 2 colors and girth 6"):
+        step(parent(), 2, 6, provider)
 
 
 class TestOneSweepPerFamily:

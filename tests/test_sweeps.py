@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from girthgeom import (
     BoxFamily,
     Dir3,
-    GroundedSquareBox,
     Line3,
     LineFamily,
     Point3,
@@ -26,7 +25,7 @@ from girthgeom import lines as linemod
 from girthgeom.geometry import cross, dot
 from girthgeom.lines import _packed_meets, grid_rows, line_intersection_edges
 
-from _oracles import all_pairs_box_edges, all_pairs_line_edges, point_at, same_line
+from _oracles import all_pairs_box_edges, all_pairs_line_edges, point_at, same_line, square_box
 
 
 def _plucker(lines):
@@ -43,7 +42,7 @@ _sides = st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3)
 @st.composite
 def _grounded_box(draw):
     zlo, zhi = sorted(draw(st.lists(_z_ends, min_size=2, max_size=2, unique=True)))
-    return GroundedSquareBox.of(draw(_traces), draw(_sides), zlo, zhi)
+    return square_box(draw(_traces), draw(_sides), zlo, zhi)
 
 
 class TestBoxSweep:
@@ -62,7 +61,7 @@ class TestBoxSweep:
         ],
     )
     def test_z_contact_cases(self, z_ranges, edges):
-        boxes = [GroundedSquareBox.of(0, 1, zlo, zhi) for zlo, zhi in z_ranges]
+        boxes = [square_box(0, 1, zlo, zhi) for zlo, zhi in z_ranges]
         assert box_intersection_edges(BoxFamily(tuple(boxes), None, 1).rows) == edges == all_pairs_box_edges(boxes)
 
 
