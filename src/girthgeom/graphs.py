@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .budget import Budget
-from .errors import BudgetExhausted
 
 
 class GeoGraph:
@@ -171,9 +170,16 @@ def is_k_colorable(graph: GeoGraph, k: int, budget: Budget | None = None) -> Col
     color-symmetry breaking (each vertex may use at most one color beyond
     those already introduced).  The next vertex is the uncolored one of
     highest saturation (distinct colors among its colored neighbors), then
-    highest degree, then lowest index.  That rule is kept in one bitset
-    per saturation level over the vertices ranked by (degree, -index), so
-    a node costs the degree of its vertex, not a scan of the graph."""
+    highest degree, then lowest index.
+
+    The state is bitsets over the vertices ranked by (degree, -index), so
+    the top bit wins a tie: ``near_c[c]`` holds the ranks with a neighbor
+    colored c, and the slice ``sat[s]`` those with more than s distinct
+    neighbor colors.  Coloring rank r with c moves r's neighbors outside
+    ``near_c[c]`` up the slices in at most k big-integer steps, and each
+    depth keeps the words it replaced for the backtrack.  r's neighbor mask
+    is built when r is first colored, so a search that ends early builds
+    few."""
     budget = budget or Budget(label=f"{k}-coloring")
     n = graph.n
     if n == 0:
@@ -181,72 +187,74 @@ def is_k_colorable(graph: GeoGraph, k: int, budget: Budget | None = None) -> Col
     if k <= 0:
         return ColoringCertificate(k, "refuted", None, 0)
     adj = graph.adj
-    colors = [-1] * n
-    counts = [[0] * k for _ in range(n)]  # counts[w][c]: colored neighbors of w using c
-    sat = [0] * n                         # distinct colors among colored neighbors
     ranked = sorted(range(n), key=lambda v: (len(adj[v]), -v))
-    bit = [0] * n
-    for r, v in enumerate(ranked):
-        bit[v] = 1 << r
-    pending = [(1 << n) - 1] + [0] * k    # pending[s]: uncolored vertices of saturation s
-    nodes = 0
-
-    def select() -> int:
-        for level in reversed(pending):
-            if level:
-                return ranked[level.bit_length() - 1]
-
-    def assign(v: int, c: int) -> None:
-        colors[v] = c
-        pending[sat[v]] ^= bit[v]
-        for w in adj[v]:
-            cw = counts[w]
-            if cw[c] == 0:
-                if colors[w] == -1:
-                    pending[sat[w]] ^= bit[w]
-                    pending[sat[w] + 1] ^= bit[w]
-                sat[w] += 1
-            cw[c] += 1
-
-    def unassign(v: int, c: int) -> None:
-        colors[v] = -1
-        pending[sat[v]] ^= bit[v]
-        for w in adj[v]:
-            cw = counts[w]
-            cw[c] -= 1
-            if cw[c] == 0:
-                sat[w] -= 1
-                if colors[w] == -1:
-                    pending[sat[w] + 1] ^= bit[w]
-                    pending[sat[w]] ^= bit[w]
-
-    # frames: [vertex, color currently assigned (-1 if none), colors introduced above]
-    stack: list[list[int]] = [[select(), -1, 0]]
-    while stack:
-        frame = stack[-1]
-        v, cur, intro = frame
-        if cur != -1:
-            unassign(v, cur)
-        cap = min(k - 1, intro)
-        c = cur + 1
-        while c <= cap and counts[v][c] > 0:
-            c += 1
-        if c > cap:
-            stack.pop()
-            continue
-        nodes += 1
-        try:
-            budget.spend()
-        except BudgetExhausted:
-            return ColoringCertificate(k, "inconclusive", None, nodes)
-        assign(v, c)
-        frame[1] = c
-        if len(stack) == n:
-            assignment = tuple(colors)
-            assert all(assignment[u] != assignment[v] for u, v in graph.edges)
-            return ColoringCertificate(k, "colorable", assignment, nodes)
-        stack.append([select(), -1, max(intro, c + 1)])
-    return ColoringCertificate(k, "refuted", None, nodes)
+    rank = {v: r for r, v in enumerate(ranked)}
+    near: list[int | None] = [None] * n  # near[r]: the ranks adjacent to rank r
+    near_c = [0] * k
+    sat = [0] * k
+    uncolored = (1 << n) - 1
+    # per depth: the rank colored there, its color (-1 before the first),
+    # the highest color it may take, and the near_c word and slices it replaced
+    at_rank, at_color, at_cap = [0] * n, [-1] * n, [0] * n
+    at_near, at_sat = [0] * n, [sat] * n
+    limit = budget.max_nodes - budget.used
+    nodes = depth = 0
+    at_rank[0] = n - 1
+    try:
+        while depth >= 0:
+            r, cur = at_rank[depth], at_color[depth]
+            bit = 1 << r
+            if cur == -1:
+                uncolored ^= bit
+                at_sat[depth] = sat
+            else:
+                near_c[cur] = at_near[depth]
+                sat = at_sat[depth]
+            cap = at_cap[depth]
+            c = cur + 1
+            while c <= cap and near_c[c] & bit:
+                c += 1
+            if c > cap:
+                uncolored ^= bit
+                at_color[depth] = -1
+                depth -= 1
+                continue
+            nodes += 1
+            if nodes > limit:
+                return ColoringCertificate(k, "inconclusive", None, nodes)
+            at_color[depth] = c
+            mask = near[r]
+            if mask is None:
+                mask = near[r] = sum(1 << rank[w] for w in adj[ranked[r]])
+            old = at_near[depth] = near_c[c]
+            near_c[c] = old | mask
+            carry = mask & ~old
+            if carry:
+                sat = sat.copy()
+                for s in range(k):
+                    level = sat[s]
+                    sat[s] = level | carry
+                    carry &= level
+                    if not carry:
+                        break
+            if depth == n - 1:
+                assignment = [0] * n
+                for d in range(n):
+                    assignment[ranked[at_rank[d]]] = at_color[d]
+                assert all(assignment[u] != assignment[v] for u, v in graph.edges)
+                return ColoringCertificate(k, "colorable", tuple(assignment), nodes)
+            depth += 1
+            for level in reversed(sat):
+                top = level & uncolored
+                if top:
+                    break
+            else:
+                top = uncolored
+            at_rank[depth] = top.bit_length() - 1
+            at_cap[depth] = cap + 1 if c == cap < k - 1 else cap
+        return ColoringCertificate(k, "refuted", None, nodes)
+    finally:
+        budget.used += nodes
 
 
 @dataclass

@@ -172,28 +172,29 @@ def _provenance_to_doc(prov: dict, geometry: str) -> dict:
     return doc
 
 
-def _check_fit(prov: dict, size: int) -> None:
-    """A ValueError unless the family provenance fits its ``size`` objects:
-    a cycle has n of them; a recursion's blocks list the objects in order,
-    one ground object per certificate element, then one block per
-    certificate copy with one parent object per point of the certificate's
-    ground set, its parent edges are sorted pairs u < v of parent objects,
-    and a line recursion's parent parameters are the points of the ground
-    set."""
+def _check_fit(prov: dict, size: int, path: str = "provenance") -> None:
+    """A ValueError unless the family provenance at ``path`` fits its
+    ``size`` objects: a cycle has n of them; a recursion's blocks list the
+    objects in order, one ground object per certificate element, then one
+    block per certificate copy with one parent object per point of the
+    certificate's ground set, its parent edges are sorted pairs u < v of
+    parent objects, a line recursion's parent parameters are the points of
+    the ground set, and its parent fits that many objects in turn."""
     if prov.get("kind") == "base-odd-cycle" and not 3 <= prov["n"] == size:
-        raise ValueError(f"provenance.n is {prov['n']}, not the {size} objects of the cycle")
+        raise ValueError(f"{path}.n is {prov['n']}, not the {size} objects of the cycle")
     if prov.get("kind") != "recursion":
         return
     cert = prov["certificate"]
     m, step = len(cert.elements), cert.ground.size
     if prov["blocks"] != block_layout(m, len(cert.copies), step) or m + len(cert.copies) * step != size:
-        raise ValueError(f"provenance.blocks do not list the {size} objects in order: one ground object per "
+        raise ValueError(f"{path}.blocks do not list the {size} objects in order: one ground object per "
                          f"certificate element, then {step} per certificate copy")
     edges = [tuple(e) for e in prov["parent_edges"]]
     if edges != sorted(set(edges)) or any(len(e) != 2 or not 0 <= e[0] < e[1] < step for e in edges):
-        raise ValueError(f"provenance.parent_edges are not sorted pairs u < v of the {step} parent objects")
+        raise ValueError(f"{path}.parent_edges are not sorted pairs u < v of the {step} parent objects")
     if "parent_params" in prov and sorted(prov["parent_params"]) != list(cert.ground.points):
-        raise ValueError("provenance.parent_params are not the points of the certificate's ground set")
+        raise ValueError(f"{path}.parent_params are not the points of the certificate's ground set")
+    _check_fit(prov["parent"], step, f"{path}.parent")
 
 
 # ---------------------------------------------------------------------------

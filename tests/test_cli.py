@@ -721,6 +721,30 @@ def test_the_two_step_scene_verifies(tmp_path, capsys, two_step_scene):
     assert main(["verify", str(path)]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda prov: prov["blocks"]["copies"].pop(),
+         "provenance.parent.blocks do not list the 9 objects in order"),
+        (lambda prov: prov.__setitem__("parent_edges", [[0, 99]]),
+         "provenance.parent.parent_edges are not sorted pairs u < v of the 2 parent objects"),
+    ],
+    ids=["parent-copy-dropped", "parent-edge-out-of-range"],
+)
+def test_a_parent_provenance_that_does_not_fit_exits_2(tmp_path, capsys, two_step_scene, spoil, message):
+    # every level of a recursion provenance fits the objects of its own
+    # step: the parent level fits the 9 objects of c9, one copy's worth
+    doc = json.loads(json.dumps(two_step_scene))
+    spoil(doc["provenance"]["parent"])
+    path = tmp_path / "misfit.scene.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert message in err
+
+
 @pytest.mark.parametrize("argv", [_BOXES, _LINES, ["build", "shift", "--n", "7"]], ids=["boxes", "lines", "shift"])
 def test_build_and_verify_make_no_box_or_line_object(tmp_path, monkeypatch, capsys, argv):
     # families are built, read, checked and written as grid rows; the

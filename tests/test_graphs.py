@@ -15,9 +15,13 @@ from girthgeom import (
     intersection_graph,
     is_k_colorable,
     meeting_pair_family,
+    meeting_pair_lines,
     odd_cycle_boxes,
+    recursion_step_boxes,
+    recursion_step_lines,
     to_dimacs,
 )
+from girthgeom.gallai import ProviderPolicy
 from girthgeom.graphs import shortest_cycle
 from girthgeom.lines import build_shift_system, double_shift_graph
 
@@ -127,10 +131,13 @@ def coloring_graphs(draw):
 def same_search(graph, k, nodes=None):
     """The library search and the linear-scan reference, each with its own
     budget of ``nodes`` (None: the default), give the same status,
-    assignment and node count."""
-    fast = is_k_colorable(graph, k, None if nodes is None else Budget(nodes))
-    scan = scan_is_k_colorable(graph, k, None if nodes is None else Budget(nodes))
-    assert (fast.status, fast.assignment, fast.nodes) == (scan.status, scan.assignment, scan.nodes)
+    assignment and node count, and leave their budgets equally spent."""
+    fast_budget = Budget() if nodes is None else Budget(nodes)
+    scan_budget = Budget() if nodes is None else Budget(nodes)
+    fast = is_k_colorable(graph, k, fast_budget)
+    scan = scan_is_k_colorable(graph, k, scan_budget)
+    assert (fast.status, fast.assignment, fast.nodes, fast_budget.used) == (
+        scan.status, scan.assignment, scan.nodes, scan_budget.used)
 
 
 @settings(max_examples=150, deadline=None)
@@ -143,8 +150,36 @@ def test_search_matches_linear_scan_reference(graph):
 
 @pytest.mark.parametrize("n", range(7, 18))
 def test_search_matches_linear_scan_reference_on_double_shift_graphs(n):
-    for k in (2, 3):
+    for k in (2, 3, 4):
         same_search(double_shift_graph(n), k)
+
+
+def _vdw(length):
+    return ProviderPolicy("vdw", vdw_length_hint=length).provider()
+
+
+@pytest.mark.parametrize(
+    "step",
+    [lambda: recursion_step_boxes(odd_cycle_boxes(5), 1, 4, _vdw(100)),
+     lambda: recursion_step_lines(meeting_pair_lines(), 2, 4, _vdw(25))],
+    ids=["4020-boxes", "625-lines"],
+)
+def test_search_matches_linear_scan_reference_on_recursion_steps(step):
+    # large sparse graphs, where most vertices are never colored before the
+    # search ends: 1 and 17 nodes on the boxes, 1 and 74 on the lines
+    graph = intersection_graph(step())
+    for k in (1, 2):
+        same_search(graph, k)
+        same_search(graph, k, 5)
+
+
+def test_one_budget_covers_every_color_count():
+    # chromatic_number refutes 1 and 2 colors, then colors with 3, all
+    # from the budget it is given
+    budget = Budget()
+    result = chromatic_number(intersection_graph(build_shift_system(18, 0)), budget)
+    assert (result.refutation.nodes, result.coloring.nodes) == (18, 40_060)
+    assert budget.used == 1 + 18 + 40_060
 
 
 @pytest.mark.parametrize("n, seed, nodes", [(18, 0, 40_060), (19, 1, 148_330)])
