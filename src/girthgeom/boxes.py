@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -123,21 +124,32 @@ def box_intersection_edges(rows) -> list[tuple[int, int]]:
     order, decided exactly.
 
     The sweep visits the boxes by rising z-low and keeps those whose
-    z-range still reaches it in a heap keyed by z-high; only these are
-    tested in x and y.  The copies of a recursion step sit in disjoint
-    z-slots (``plan_embeddings``), so the work follows the output, not the
-    number of pairs.
+    z-range still reaches it in a heap keyed by z-high.  Grounded squares
+    meet in x and y exactly when their traces are at most the smaller side
+    apart (``BoxFamily`` refuses other rows), so the active boxes of side
+    s are filed by class c = s.bit_length(), sorted by trace, and a box
+    reads class c only within min(s, 2^c) of its trace.  Copies sit in
+    disjoint z-slots (``plan_embeddings``), so the work follows the output.
     """
-    active: list[tuple[int, ...]] = []  # heap of (z-high, index, x-low, x-high, y-low, y-high)
+    active: list[tuple] = []  # heap of (z-high, (trace, side, index), the list of its class)
+    classes: dict[int, list] = {}  # 2^c -> the (trace, side, index) of class c, sorted
     edges = []
-    for i in sorted(range(len(rows)), key=lambda i: rows[i][4]):
-        xl, xh, yl, yh, zl, zh = rows[i]
+    for i in sorted(range(len(rows)), key=[row[4] for row in rows].__getitem__):
+        t, xh, _, _, zl, zh = rows[i]
+        s = xh - t
         while active and active[0][0] < zl:  # strict: boxes are closed, so touching z-faces meet
-            heapq.heappop(active)
-        for _, j, xl2, xh2, yl2, yh2 in active:
-            if xl <= xh2 and xl2 <= xh and yl <= yh2 and yl2 <= yh:
-                edges.append((min(i, j), max(i, j)))
-        heapq.heappush(active, (zh, i, xl, xh, yl, yh))
+            _, box, members = heapq.heappop(active)
+            del members[bisect_left(members, box)]
+            if not members:  # an empty class would still be read
+                del classes[1 << box[1].bit_length()]
+        for bound, members in classes.items():
+            reach = min(s, bound)
+            for t2, s2, j in members[bisect_left(members, (t - reach,)):bisect_left(members, (t + reach + 1,))]:
+                if -s2 <= t - t2 <= s2:  # and |t - t2| <= reach <= s
+                    edges.append((j, i) if j < i else (i, j))
+        members = classes.setdefault(1 << s.bit_length(), [])
+        insort(members, (t, s, i))
+        heapq.heappush(active, (zh, (t, s, i), members))
     edges.sort()
     return edges
 

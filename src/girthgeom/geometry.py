@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,9 +20,13 @@ Rat = Fraction
 
 Triple = tuple[Rat, Rat, Rat]
 
+_WRITTEN = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)  # as format_rat writes; other strings go to Fraction(str)
+
 
 def rat(value: Rat | int | str) -> Rat:
     """Coerce an int, a "p/q" string, or a Fraction to an exact rational."""
+    if type(value) is str and (written := _WRITTEN.fullmatch(value)):
+        return Fraction(int(written[1]), int(written[2] or 1))
     return value if isinstance(value, Fraction) else Fraction(value)
 
 

@@ -19,19 +19,16 @@ class GeoGraph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            seen.add((u, v) if u < v else (v, u))
-        self.edges = frozenset(seen)
+        edges = list(edges)
+        self.edges = frozenset([(u, v) if u < v else (v, u) for u, v in edges])
+        if not all(0 <= u < v < n for u, v in self.edges):
+            u, v = next((u, v) for u, v in edges if u == v or not (0 <= u < n and 0 <= v < n))
+            raise ValueError(f"loop at vertex {u}" if u == v else f"edge ({u}, {v}) out of range")
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        self.adj = tuple(frozenset(s) for s in adj)
+        self.adj = tuple(map(frozenset, adj))
 
     @property
     def m(self) -> int:
@@ -73,35 +70,39 @@ def shortest_cycle(graph: GeoGraph) -> list[int] | None:
     tight from the lowest vertex of a shortest cycle.  The search stops
     once no shorter cycle can exist: 3, or 4 for a bipartite graph.
     The cycle is read off the shortest walk: the tree paths from u and w
-    up to their lowest common ancestor, closed by the edge.
+    up to their lowest common ancestor, closed by the edge.  Distances and
+    parents are kept in two arrays, reset after each root.
     """
     best: int | float = math.inf
     shortest = None
     adj = graph.adj
     floor = 4 if _bipartite(adj) else 3
+    dist = [-1] * graph.n  # -1: not reached from the current root
+    parent = [-1] * graph.n
     for root in range(graph.n):
         if best == floor:
             break
-        dist = {root: 0}
-        parent = {root: -1}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                du = dist[u]
-                if 2 * du >= best:
+        dist[root] = 0
+        parent[root] = -1
+        queue = [root]  # by distance; the loop visits what it appends
+        for u in queue:
+            du = dist[u]
+            if 2 * du >= best:
+                break
+            up = parent[u]
+            for w in adj[u]:
+                if w < root or w == up:
                     continue
-                for w in adj[u]:
-                    if w < root:
-                        continue
-                    if w not in dist:
-                        dist[w] = du + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif parent[u] != w and parent[w] != u and du + dist[w] + 1 < best:
-                        best = du + dist[w] + 1
-                        shortest = parent, u, w
-            frontier = nxt
+                dw = dist[w]
+                if dw == -1:
+                    dist[w] = du + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif du + dw + 1 < best:  # not u's child either: w is listed once, and found before u got to it
+                    best = du + dw + 1
+                    shortest = parent.copy(), u, w
+        for v in queue:
+            dist[v] = -1
     if shortest is None:
         return None
     parent, u, w = shortest

@@ -201,13 +201,12 @@ class CopyEdges:
         self.cross: list[tuple[int, int]] = []
         self.intra: list[set[tuple[int, int]]] = [set() for _ in self.copies]
         for u, v in edges:
-            (cu, pu), (cv, pv) = divmod(u - m, size), divmod(v - m, size)
             if v < m:
                 self.ground_pairs.append((u, v))
             elif u < m:
                 self.ground_met[v].append(u)
-            elif cu == cv:
-                self.intra[cu].add((pu, pv))
+            elif (u - m) // size == (v - m) // size:
+                self.intra[(u - m) // size].add(((u - m) % size, (v - m) % size))
             else:
                 self.cross.append((u, v))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from json.encoder import encode_basestring_ascii as _string
 from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
@@ -19,11 +20,27 @@ from .errors import SceneFormatError
 from .gallai import GallaiCertificate, certificate_from_doc, certificate_to_doc
 from .geometry import format_rat, rat, to_grid
 from .lines import LineFamily, ShiftSystem, grid_rows
-from .recursion import block_layout
+from .recursion import CopyEdges, block_layout
 
 
 def dumps_doc(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, without the pure-Python encoder of an indent."""
+    return _dumps(doc, "\n") + "\n"
+
+
+def _dumps(value, newline: str) -> str:
+    if type(value) in (str, int):
+        return _string(value) if type(value) is str else repr(value)
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    inner = newline + "  "
+    if isinstance(value, dict):  # of string keys
+        items, ends = [_string(k) + ": " + _dumps(v, inner) for k, v in sorted(value.items())], "{}"
+    else:
+        items, ends = [_dumps(v, inner) for v in value], "[]"
+    items[0] = ends[0] + inner + items[0]  # the brackets join the end items, so one join copies a long list once
+    items[-1] += newline + ends[1]
+    return ("," + inner).join(items)
 
 
 def write_doc(path, doc: dict) -> None:
@@ -135,6 +152,10 @@ def _read_field(spec, value, read, path: str):
     if type(spec) is dict:
         return {k: _read_field(s, value.get(k, _ABSENT), read, f"{path}.{k}") for k, s in spec.items()}
     if type(spec) is list:
+        if spec[0] is int and all(type(v) is int for v in value):
+            return list(value)
+        if spec[0] == [int] and all(type(r) is list and all(type(v) is int for v in r) for r in value):
+            return [list(r) for r in value]
         return [_read_field(spec[0], v, read, f"{path}[{i}]") for i, v in enumerate(value)]
     return value
 
@@ -154,7 +175,7 @@ def _write_field(spec, value):
     if type(spec) is dict:
         return {k: _write_field(s, value[k]) for k, s in spec.items()}
     if type(spec) is list:
-        return [_write_field(spec[0], v) for v in value]
+        return list(value) if spec[0] is int else [_write_field(spec[0], v) for v in value]
     return format_rat(value) if spec is Fraction else certificate_to_doc(value) if spec is GallaiCertificate else value
 
 
@@ -172,14 +193,16 @@ def _provenance_to_doc(prov: dict, geometry: str) -> dict:
     return doc
 
 
-def _check_fit(prov: dict, size: int, path: str = "provenance") -> None:
+def _check_fit(prov: dict, size: int, path: str = "provenance", graph=None) -> None:
     """A ValueError unless the family provenance at ``path`` fits its
     ``size`` objects: a cycle has n of them; a recursion's blocks list the
     objects in order, one ground object per certificate element, then one
     block per certificate copy with one parent object per point of the
     certificate's ground set, its parent edges are sorted pairs u < v of
     parent objects, a line recursion's parent parameters are the points of
-    the ground set, and its parent fits that many objects in turn."""
+    the ground set, and its parent fits that many objects in turn.  Below
+    the top, in the ``graph`` the level above records, no ground objects
+    meet, each copy object meets one, and each copy induces the edges."""
     if prov.get("kind") == "base-odd-cycle" and not 3 <= prov["n"] == size:
         raise ValueError(f"{path}.n is {prov['n']}, not the {size} objects of the cycle")
     if prov.get("kind") != "recursion":
@@ -194,7 +217,15 @@ def _check_fit(prov: dict, size: int, path: str = "provenance") -> None:
         raise ValueError(f"{path}.parent_edges are not sorted pairs u < v of the {step} parent objects")
     if "parent_params" in prov and sorted(prov["parent_params"]) != list(cert.ground.points):
         raise ValueError(f"{path}.parent_params are not the points of the certificate's ground set")
-    _check_fit(prov["parent"], step, f"{path}.parent")
+    if graph is not None:
+        filed = CopyEdges(prov["blocks"], graph)
+        faults = itertools.chain(
+            (f"ground objects {e} meet" for e in filed.ground_pairs),
+            (f"copy object {i} meets {len(g)} ground objects" for i, g in filed.ground_met.items() if len(g) != 1),
+            (f"copy {j} does not induce its parent_edges" for j, got in enumerate(filed.intra) if got != set(edges)))
+        if fault := next(faults, None):
+            raise ValueError(f"{path} does not fit the graph the level above records: {fault}")
+    _check_fit(prov["parent"], step, f"{path}.parent", edges)
 
 
 # ---------------------------------------------------------------------------
@@ -216,44 +247,34 @@ _ENTRY_PATHS = {"boxes": [(axis, j) for axis in "xyz" for j in range(2)],
                 "lines": [(name, j) for name in ("base", "dir") for j in range(3)]}
 
 
-def _entries(docs, key: str, read) -> list[list]:
-    """The rational entries of each object document in ``docs``, the list at
-    ``key``; one that is missing or does not read is a ValueError naming its path."""
-    out = []
+def _entries(docs, key: str, read) -> None:
+    """A ValueError naming the first rational entry of the object documents
+    in ``docs``, the list at ``key``, that is missing or does not read."""
     for i, obj in enumerate(docs):
-        row = []
         for name, j in _ENTRY_PATHS[key]:
             try:
-                row.append(obj[name][j])
-                read(row[-1])
+                read(obj[name][j])
             except _MALFORMED as exc:
                 where = f"{key}[{i}].{name}" + ("" if type(exc) is KeyError else f"[{j}]")
                 missing = type(exc) in (KeyError, IndexError)
                 raise ValueError(f"{where} is missing" if missing else f"{where}: {exc}") from exc
-        out.append(row)
-    return out
 
 
-def _read_family(key: str, make, doc: dict, read):
-    """A family scene, made by ``make(entries, read, g, k, provenance)``."""
-    entries = _entries(doc[key], key, read)
+def _read_family(key: str, grid, family, doc: dict, read):
+    """A family scene, made by ``family`` on the grid ``grid(entries, read)`` of its objects' entries."""
+    docs = doc[key]
+    try:
+        den, rows = grid([[obj[name][j] for name, j in _ENTRY_PATHS[key]] for obj in docs], read)
+    except _MALFORMED:
+        _entries(docs, key, read)  # reads them again, to name the one that fails
+        raise
     g = None if doc["g"] is None else _read_field(int, doc["g"], read, "g")
     k = _read_field(int, doc["k"], read, "k")
     if k < 1 or g is not None and g < 3:
         raise ValueError(f"k must be an integer >= 1 and g one >= 3 or null, got g={g!r}, k={k!r}")
     prov = _read_provenance(doc["provenance"], read, key)
-    _check_fit(prov, len(entries))
-    return make(entries, read, g, k, prov)
-
-
-def _box_family(entries, read, *claims) -> BoxFamily:
-    den, rows = to_grid(entries, read)
-    return BoxFamily(rows, *claims, den=den)
-
-
-def _line_family(entries, read, *claims) -> LineFamily:
-    den, rows = grid_rows([e[:3] for e in entries], [tuple(e[3:]) for e in entries], read)
-    return LineFamily(rows, *claims, den=den)
+    _check_fit(prov, len(rows))
+    return family(rows, g, k, prov, den=den)
 
 
 def _shift_system_to_doc(system: ShiftSystem) -> dict:
@@ -276,12 +297,13 @@ _SCENES = {
     "grounded-box-family": (
         BoxFamily,
         partial(_family_to_doc, "grounded-box-family", "boxes"),
-        partial(_read_family, "boxes", _box_family),
+        partial(_read_family, "boxes", to_grid, BoxFamily),
     ),
     "line-family": (
         LineFamily,
         partial(_family_to_doc, "line-family", "lines"),
-        partial(_read_family, "lines", _line_family),
+        partial(_read_family, "lines", lambda rows, read: grid_rows([r[:3] for r in rows], [tuple(r[3:]) for r in rows],
+                                                                 read), LineFamily),
     ),
     "shift-system": (ShiftSystem, _shift_system_to_doc, _read_shift_system),
 }

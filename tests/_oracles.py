@@ -12,6 +12,12 @@ incremental selection must match node for node;
 position's copies at every visit, which the search that keeps them per
 frame must match node for node; the two all-pairs intersection
 sweeps, which the output-sensitive sweeps must match pair for pair;
+``zheap_box_edges``, the z-sweep that tests every active pair of boxes,
+which the sweep by side class must match pair for pair;
+``dict_shortest_cycle``, the girth search with two dicts per root, which
+the search on arrays must match cycle for cycle; ``stdlib_dumps_doc``,
+the standard library's indented encoder, which the scene writer must
+match byte for byte;
 ``fraction_copies``, the copy enumeration in exact Fractions, which the
 integer-grid enumeration must match copy for copy; and the box family's
 Fraction path, which its integer grid must match: ``box_to_doc`` and
@@ -34,7 +40,9 @@ are used only by the tests, too.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -45,7 +53,7 @@ from girthgeom.budget import Budget
 from girthgeom.errors import BudgetExhausted, ConstructionError
 from girthgeom.gallai import HomotheticCopy, certificate_to_doc
 from girthgeom.geometry import Box3, Dir3, Homothety1D, Interval, Line3, Point3, Rat, Triple, cross, dot, format_rat, rat
-from girthgeom.graphs import ColoringCertificate
+from girthgeom.graphs import ColoringCertificate, _bipartite
 from girthgeom.lines import FRAME_HEIGHT
 from girthgeom.scenes import write_doc
 
@@ -76,6 +84,50 @@ def brute_girth(n: int, edges: set[tuple[int, int]]) -> int | float:
     for s in range(n):
         extend(s, [s], {s})
     return best
+
+
+def dict_shortest_cycle(graph) -> list[int] | None:
+    """The per-root BFS of ``graphs.shortest_cycle`` with a dict of
+    distances and a dict of parents per root: the reference the search on
+    arrays must match, returned cycle included."""
+    best: int | float = math.inf
+    shortest = None
+    adj = graph.adj
+    floor = 4 if _bipartite(adj) else 3
+    for root in range(graph.n):
+        if best == floor:
+            break
+        dist = {root: 0}
+        parent = {root: -1}
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                du = dist[u]
+                if 2 * du >= best:
+                    continue
+                for w in adj[u]:
+                    if w < root:
+                        continue
+                    if w not in dist:
+                        dist[w] = du + 1
+                        parent[w] = u
+                        nxt.append(w)
+                    elif parent[u] != w and parent[w] != u and du + dist[w] + 1 < best:
+                        best = du + dist[w] + 1
+                        shortest = parent, u, w
+            frontier = nxt
+    if shortest is None:
+        return None
+    parent, u, w = shortest
+    up = [u]
+    while parent[up[-1]] != -1:
+        up.append(parent[up[-1]])
+    index = {v: i for i, v in enumerate(up)}
+    down = [w]
+    while down[-1] not in index:
+        down.append(parent[down[-1]])
+    return up[: index[down[-1]] + 1] + down[-2::-1]
 
 
 def brute_is_colorable(n: int, edges: set[tuple[int, int]], k: int) -> bool:
@@ -432,6 +484,24 @@ def all_pairs_box_edges(boxes) -> list[tuple[int, int]]:
             xl2, xh2, yl2, yh2, zl2, zh2 = rows[j]
             if xl <= xh2 and xl2 <= xh and yl <= yh2 and yl2 <= yh and zl <= zh2 and zl2 <= zh:
                 edges.append((i, j))
+    return edges
+
+
+def zheap_box_edges(rows) -> list[tuple[int, int]]:
+    """The z-sweep over grid rows that tests a box in x and y against every
+    box still active in z: the reference for the sweep by side class, at
+    sizes where the all-pairs loop is slow."""
+    active: list[tuple[int, ...]] = []  # heap of (z-high, index, x-low, x-high, y-low, y-high)
+    edges = []
+    for i in sorted(range(len(rows)), key=lambda i: rows[i][4]):
+        xl, xh, yl, yh, zl, zh = rows[i]
+        while active and active[0][0] < zl:
+            heapq.heappop(active)
+        for _, j, xl2, xh2, yl2, yh2 in active:
+            if xl <= xh2 and xl2 <= xh and yl <= yh2 and yl2 <= yh:
+                edges.append((min(i, j), max(i, j)))
+        heapq.heappush(active, (zh, i, xl, xh, yl, yh))
+    edges.sort()
     return edges
 
 
@@ -916,6 +986,12 @@ def reference_bad_ground_pair(lines, ground):
 def same_line(a, b) -> bool:
     """Set equality: same direction and base offset parallel to it."""
     return a.dir == b.dir and contains_point(a, b.base)
+
+
+def stdlib_dumps_doc(doc) -> str:
+    """The scene writer's reference: the standard library's encoder with
+    sorted keys and an indent of two."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def save_certificate(path, cert) -> None:

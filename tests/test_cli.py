@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import io
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from girthgeom import Box3, Dir3, GroundedSquareBox, Interval, Line3, Point3, ProviderPolicy, build_box_family
 from girthgeom import lines as linemod
+from girthgeom import scenes
 from girthgeom import recursion_step_boxes, vdw_certificate
 from girthgeom.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_REFUSED, main
 from girthgeom.errors import SceneFormatError
@@ -728,8 +731,10 @@ def test_the_two_step_scene_verifies(tmp_path, capsys, two_step_scene):
          "provenance.parent.blocks do not list the 9 objects in order"),
         (lambda prov: prov.__setitem__("parent_edges", [[0, 99]]),
          "provenance.parent.parent_edges are not sorted pairs u < v of the 2 parent objects"),
+        (lambda prov: prov.__setitem__("parent_edges", []),
+         "provenance.parent does not fit the graph the level above records: copy 0 does not induce its parent_edges"),
     ],
-    ids=["parent-copy-dropped", "parent-edge-out-of-range"],
+    ids=["parent-copy-dropped", "parent-edge-out-of-range", "parent-edges-empty"],
 )
 def test_a_parent_provenance_that_does_not_fit_exits_2(tmp_path, capsys, two_step_scene, spoil, message):
     # every level of a recursion provenance fits the objects of its own
@@ -743,6 +748,77 @@ def test_a_parent_provenance_that_does_not_fit_exits_2(tmp_path, capsys, two_ste
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "change, fault",
+    [
+        ((), None),
+        ((("drop", (0, 3)),), "copy object 3 meets 0 ground objects"),
+        ((("add", (1, 3)),), "copy object 3 meets 2 ground objects"),
+        ((("add", (0, 1)),), "ground objects (0, 1) meet"),
+        ((("drop", (3, 4)),), "copy 0 does not induce its parent_edges"),
+        ((("drop", (7, 8)), ("add", (0, 7))), "copy object 7 meets 2 ground objects"),
+    ],
+    ids=["as-recorded", "copy-meets-none", "copy-meets-two", "ground-pair-meets", "copy-misses-its-edge",
+         "first-fault-in-order"],
+)
+def test_a_parent_level_is_checked_against_the_graph_above(two_step_scene, change, fault):
+    # the parent level of the two-step scene is c9's lift: ground 0..2, copies
+    # (3, 4), (5, 6), (7, 8) of the meeting pair, in the graph the top records
+    prov = scenes.scene_from_doc(json.loads(json.dumps(two_step_scene))).provenance
+    graph = {tuple(e) for e in prov["parent_edges"]}
+    for action, edge in change:
+        graph = graph - {edge} if action == "drop" else graph | {edge}
+    check = functools.partial(scenes._check_fit, prov["parent"], 9, "provenance.parent", sorted(graph))
+    if fault is None:
+        check()
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"provenance.parent does not fit the graph the level "
+                                                       f"above records: {fault}")):
+            check()
+
+
+def _missing_pair(edges, size):
+    """The first sorted pair of the ``size`` parent objects that ``edges``
+    lacks, or the out-of-range pair (0, size) when it lacks none."""
+    have = {tuple(e) for e in edges}
+    return next(([u, v] for u in range(size) for v in range(u + 1, size) if (u, v) not in have), [0, size])
+
+
+def _drop_pair(prov):
+    del prov["parent_edges"][0]
+
+
+def _add_pair(prov):
+    prov["parent_edges"] = sorted([*prov["parent_edges"], _missing_pair(prov["parent_edges"], prov["parent_size"])])
+
+
+def _move_pair(prov):
+    moved = _missing_pair(prov["parent_edges"], prov["parent_size"])
+    prov["parent_edges"] = sorted([*prov["parent_edges"][:-1], moved])
+
+
+def _change_block_entry(prov):
+    prov["blocks"]["copies"][0][0] += 1
+
+
+@pytest.mark.parametrize("spoil", [_drop_pair, _add_pair, _move_pair, _change_block_entry],
+                         ids=["drop-pair", "add-pair", "move-pair", "change-block-entry"])
+@pytest.mark.parametrize("where", [(), ("parent",)], ids=["top", "parent"])
+def test_a_spoiled_level_of_the_two_step_provenance_exits_2(tmp_path, capsys, two_step_scene, where, spoil):
+    # each level's parent edges and blocks are checked: the top's against the
+    # swept graph, and each level below against the graph the level above records
+    doc = json.loads(json.dumps(two_step_scene))
+    prov = doc["provenance"]
+    for key in where:
+        prov = prov[key]
+    spoil(prov)
+    path = tmp_path / "spoiled.scene.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == EXIT_CHECK_FAILED
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [_BOXES, _LINES, ["build", "shift", "--n", "7"]], ids=["boxes", "lines", "shift"])

@@ -43,6 +43,22 @@ class TestRat:
         v = rat("6/4")
         assert (v.numerator, v.denominator) == (3, 2)
 
+    @settings(max_examples=400)
+    @given(st.from_regex(r"-?[0-9]{1,25}(/[0-9]{1,25})?", fullmatch=True)
+           | st.from_regex(r"\s*[-+]?[0-9_]{0,4}[/.eE]?[-+0-9_]{0,4}\s*", fullmatch=True)
+           | st.text(max_size=6)
+           | st.sampled_from(["1/0", "-0/0", "+1", " 1", "1 ", "1_0", "١", "1/", "/2", "--1", "1.5", "1e3", "", "1" * 5000]))
+    def test_strings_read_as_fraction_reads_them(self, text):
+        # the written form is read without Fraction's parser: same value, same error
+        def outcome(read):
+            try:
+                value = read(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                return type(exc), str(exc)
+            return type(value), value, value.numerator, value.denominator
+
+        assert outcome(rat) == outcome(F)
+
 
 class TestInterval:
     def test_shared_endpoint(self):

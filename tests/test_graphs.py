@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,14 @@ from girthgeom.gallai import ProviderPolicy
 from girthgeom.graphs import shortest_cycle
 from girthgeom.lines import build_shift_system, double_shift_graph
 
-from _oracles import all_graphs, brute_chromatic, brute_girth, brute_is_colorable, scan_is_k_colorable
+from _oracles import (
+    all_graphs,
+    brute_chromatic,
+    brute_girth,
+    brute_is_colorable,
+    dict_shortest_cycle,
+    scan_is_k_colorable,
+)
 
 
 def random_graph(n, p, seed):
@@ -49,6 +57,19 @@ class TestGirth:
     def test_triangle_with_tail(self):
         g = GeoGraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
         assert girth(g) == 3
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (2, 5), (1, 1)], "edge (2, 5) out of range"),
+            ([(0, 1), (1, 1), (2, 5)], "loop at vertex 1"),
+            ([(5, 0)], "edge (5, 0) out of range"),
+            ([(2, 1), (-1, 2)], "edge (-1, 2) out of range"),
+        ],
+    )
+    def test_the_first_bad_edge_is_named(self, edges, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GeoGraph(3, iter(edges))
 
     def test_matches_oracle_on_random(self):
         for seed in range(60):
@@ -76,6 +97,53 @@ def test_shortest_cycle_is_a_shortest_simple_cycle(graph):
     assert len(set(cycle)) == len(cycle) >= 3
     for u, w in zip(cycle, cycle[1:] + cycle[:1]):
         assert (min(u, w), max(u, w)) in edges
+
+
+@st.composite
+def _shaped_graphs(draw):
+    """Small graphs of a drawn shape: any, a forest (each vertex joined to at
+    most one earlier one), bipartite (edges only across a drawn split), or
+    disconnected (two graphs side by side, no edge between them)."""
+    n = draw(st.integers(0, 11))
+    shape = draw(st.sampled_from(["any", "forest", "bipartite", "disconnected"]))
+    if shape == "forest":
+        parents = [draw(st.integers(-1, v - 1)) for v in range(n)]
+        return n, {(p, v) for v, p in enumerate(parents) if p >= 0}
+    side = [draw(st.booleans()) for _ in range(n)]
+    cut = draw(st.integers(0, n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if shape == "any" or (shape == "bipartite" and side[i] != side[j])
+             or (shape == "disconnected" and (i < cut) == (j < cut))]
+    return n, set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_shaped_graphs())
+def test_shortest_cycle_is_the_dict_search_cycle(graph):
+    # certificate witnesses are read off this cycle, so the search on arrays
+    # must return the very cycle the search with dicts per root returned
+    n, edges = graph
+    g = GeoGraph(n, edges)
+    cycle = shortest_cycle(g)
+    assert cycle == dict_shortest_cycle(g)
+    assert (math.inf if cycle is None else len(cycle)) == brute_girth(n, edges)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: intersection_graph(recursion_step_boxes(odd_cycle_boxes(5), 1, 4,
+                                                        ProviderPolicy("vdw", vdw_length_hint=100).provider())),
+        lambda: intersection_graph(recursion_step_lines(meeting_pair_lines(), 2, 4,
+                                                        ProviderPolicy("vdw", vdw_length_hint=25).provider())),
+        lambda: double_shift_graph(7),
+        lambda: GeoGraph(12, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (6, 7), (7, 8), (8, 9), (9, 6)]),
+    ],
+    ids=["box-step", "line-step", "double-shift-7", "path-triangle-square"],
+)
+def test_shortest_cycle_is_the_dict_search_cycle_on_larger_graphs(make):
+    g = make()
+    assert shortest_cycle(g) == dict_shortest_cycle(g) is not None
 
 
 class TestColoring:

@@ -1,7 +1,10 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from girthgeom import (
     BoxFamily,
@@ -30,7 +33,7 @@ from girthgeom.scenes import (
     scene_to_doc,
 )
 
-from _oracles import box_from_doc, line_from_doc, save_certificate
+from _oracles import box_from_doc, line_from_doc, save_certificate, stdlib_dumps_doc
 
 
 def provider(ground, colors, girth):
@@ -121,6 +124,68 @@ class TestSceneFiles:
     def test_deterministic_bytes(self):
         fam = odd_cycle_boxes(5)
         assert dumps_doc(scene_to_doc(fam)) == dumps_doc(scene_to_doc(odd_cycle_boxes(5)))
+
+
+# strings that need escaping or are not ASCII, besides whatever text draws
+_strings = st.text() | st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x7f", "é", "\u2028", "😀", "\ud800", "1/3"])
+_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200)
+            | st.floats(allow_nan=True, allow_infinity=True) | _strings)
+_documents = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_strings, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestWriter:
+    """``dumps_doc`` writes what the standard library's indented encoder
+    writes (``stdlib_dumps_doc``), byte for byte; every document the suite
+    writes is compared with it as well (``conftest.py``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_documents)
+    def test_matches_the_stdlib_encoder(self, doc):
+        assert dumps_doc(doc) == stdlib_dumps_doc(doc)
+
+    @pytest.mark.parametrize(
+        "doc", [{}, [], {"a": {}, "b": [], "c": [[]], "d": [{}]}, (), {"t": (1, ("x",))}, [[[[1]]]], "", 0, None],
+    )
+    def test_empty_and_nested_containers(self, doc):
+        assert dumps_doc(doc) == stdlib_dumps_doc(doc)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: recursion_step_boxes(odd_cycle_boxes(5), 1, 4, lambda g, k, gi: vdw_certificate(g, k, gi, 100)),
+         lambda: recursion_step_lines(meeting_pair_lines(), 2, 4, lambda g, k, gi: vdw_certificate(g, k, gi, 25)),
+         lambda: build_shift_system(9, seed=2)],
+        ids=["box-step", "line-step", "shift"],
+    )
+    def test_scene_and_labels(self, make):
+        obj = make()
+        for doc in (scene_to_doc(obj), {"labels": obj.labels()}):
+            assert dumps_doc(doc) == stdlib_dumps_doc(doc)
+
+
+class TestProvenanceIntegers:
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            (("blocks", "ground", 0), 0.0, "provenance.blocks.ground[0] is 0.0, not of type int"),
+            (("blocks", "copies", 1, 0), True, "provenance.blocks.copies[1][0] is True, not of type int"),
+            (("blocks", "copies", 1), 5, "provenance.blocks.copies[1] is 5, not of type list"),
+            (("parent_edges", 0, 1), "1", "provenance.parent_edges[0][1] is '1', not of type int"),
+        ],
+    )
+    def test_an_integer_of_another_type_is_named(self, where, value, message):
+        # lists of integers are read in one check, and otherwise entry by entry
+        doc = scene_to_doc(recursion_step_boxes(meeting_pair_family(), 2, 6, provider))
+        node = doc["provenance"]
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        with pytest.raises(SceneFormatError, match=re.escape(message)):
+            scene_from_doc(doc)
 
 
 class TestCertificateFiles:

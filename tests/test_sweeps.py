@@ -25,7 +25,7 @@ from girthgeom import lines as linemod
 from girthgeom.geometry import cross, dot
 from girthgeom.lines import _packed_meets, grid_rows, line_intersection_edges
 
-from _oracles import all_pairs_box_edges, all_pairs_line_edges, point_at, same_line, square_box
+from _oracles import all_pairs_box_edges, all_pairs_line_edges, point_at, same_line, square_box, zheap_box_edges
 
 
 def _plucker(lines):
@@ -43,6 +43,22 @@ _sides = st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3)
 def _grounded_box(draw):
     zlo, zhi = sorted(draw(st.lists(_z_ends, min_size=2, max_size=2, unique=True)))
     return square_box(draw(_traces), draw(_sides), zlo, zhi)
+
+
+@st.composite
+def _ground_and_copies(draw):
+    """Boxes shaped like a lift's: long-lived boxes that span every height,
+    thin like ground boxes or wide, among short boxes in z-slots of their
+    own, in a drawn order."""
+    traces = st.integers(-40, 40)
+    ground = [square_box(t, draw(st.sampled_from([1, 2, 3, 31, 32, 33, 60])), 0, 100)
+              for t in draw(st.lists(traces, max_size=8))]
+    copies = []
+    for slot in range(draw(st.integers(0, 5))):
+        for _ in range(draw(st.integers(1, 4))):
+            zlo = 10 + 15 * slot + draw(st.integers(0, 5))
+            copies.append(square_box(draw(traces), draw(st.integers(1, 40)), zlo, zlo + draw(st.integers(1, 10))))
+    return draw(st.permutations(ground + copies))
 
 
 class TestBoxSweep:
@@ -63,6 +79,40 @@ class TestBoxSweep:
     def test_z_contact_cases(self, z_ranges, edges):
         boxes = [square_box(0, 1, zlo, zhi) for zlo, zhi in z_ranges]
         assert box_intersection_edges(BoxFamily(tuple(boxes), None, 1).rows) == edges == all_pairs_box_edges(boxes)
+
+    @settings(deadline=None)
+    @given(_ground_and_copies())
+    def test_long_lived_boxes_among_short_ones(self, boxes):
+        assert box_intersection_edges(BoxFamily(tuple(boxes), None, 1).rows) == all_pairs_box_edges(boxes)
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 7, 40])
+    def test_sides_at_the_edges_of_their_classes(self, c):
+        # sides 2^c - 1, 2^c and 2^c + 1 fall in classes c, c + 1 and c + 1,
+        # and traces this far apart meet exactly when within the smaller side
+        sides = [2**c - 1, 2**c, 2**c + 1]
+        traces = [0, *sides, *(-s for s in sides), 2 * sides[0], 2 * sides[2]]
+        boxes = [square_box(t, s, 0, 1) for t in traces for s in sides]
+        rows = BoxFamily(tuple(boxes), None, 1).rows
+        assert [(row[0], row[1] - row[0]) for row in rows] == [(t, s) for t in traces for s in sides]
+        assert box_intersection_edges(rows) == all_pairs_box_edges(boxes)
+
+    @pytest.mark.parametrize(
+        "first, second, meet",
+        [
+            ((0, 4, 0, 1), (2, 2, 0, 1), True),  # y-faces touch at y = 0
+            ((0, 4, 0, 1), (-2, 2, 0, 1), True),  # x-faces touch at x = 0
+            ((0, 2, 0, 1), (2, 2, 0, 1), True),  # the vertical edges above (2, 0) touch
+            ((0, 2, 0, 1), (3, 2, 0, 1), False),
+            ((0, 4, 0, 1), (-3, 2, 0, 1), False),  # one apart in x
+            ((0, 2, 0, 1), (2, 2, 1, 2), True),  # edges touch in xy, faces in z: a corner
+            ((0, 2, 0, 1), (2, 2, F(3, 2), 2), False),
+            ((0, 2, 0, 1), (1, 1, 1, 3), True),  # z-faces touch
+        ],
+    )
+    def test_touching_faces_and_edges(self, first, second, meet):
+        for boxes in ([square_box(*first), square_box(*second)], [square_box(*second), square_box(*first)]):
+            assert box_intersection_edges(BoxFamily(tuple(boxes), None, 1).rows) == ([(0, 1)] if meet else [])
+            assert all_pairs_box_edges(boxes) == ([(0, 1)] if meet else [])
 
 
 # a few directions with zero components; scaled and negated copies of them
@@ -221,7 +271,7 @@ class TestBenchmarkSizedSteps:
     def test_box_step(self):
         fam = recursion_step_boxes(odd_cycle_boxes(5), 1, 4, ProviderPolicy("vdw", vdw_length_hint=100).provider())
         assert len(fam.boxes) == 4020
-        assert fam.meets == all_pairs_box_edges(fam.boxes)
+        assert fam.meets == all_pairs_box_edges(fam.boxes) == zheap_box_edges(fam.rows)
         assert len(fam.meets) == 7840
 
     def test_line_step(self):
