@@ -18,7 +18,7 @@ import heapq
 import itertools
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -66,21 +66,10 @@ def _bounds(b: Box3) -> tuple[Rat, ...]:
 
 
 @dataclass(frozen=True, init=False)
-class BoxFamily:
-    """A finite collection of grounded square boxes with its claimed graph
-    properties.  Box i has the bounds ``rows[i]`` divided by ``den``, the
-    least common denominator of all bounds; ``boxes`` makes them as
-    objects.  Claims are never trusted: girth and chromatic number are
-    recomputed exactly whenever they matter, from the one intersection
-    sweep the family makes of itself (``meets``)."""
-
-    den: int
-    rows: tuple[Row, ...]
-    claimed_girth: int | None  # None: the construction claims no finite cycle
-    claimed_chromatic: int
-    provenance: dict
-    # all intersecting index pairs in (i, j) order, swept once when the family is made
-    meets: list[tuple[int, int]] = field(repr=False, compare=False)
+class BoxFamily(recursion.Family):
+    """Grounded square boxes (see ``recursion.Family``): box i has the
+    bounds ``rows[i]`` divided by ``den``, the least common denominator of
+    all bounds; ``boxes`` makes them as objects."""
 
     def __init__(self, boxes, claimed_girth, claimed_chromatic, provenance=None, den=None):
         """The family of the grounded square boxes ``boxes`` or, given ``den``,
@@ -95,9 +84,6 @@ class BoxFamily:
                           claimed_chromatic=claimed_chromatic, provenance={} if provenance is None else provenance,
                           meets=box_intersection_edges(rows))
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     @property
     def boxes(self) -> tuple[GroundedSquareBox, ...]:
         """The boxes as objects, made anew on each call."""
@@ -106,14 +92,15 @@ class BoxFamily:
     def traces(self) -> list[Rat]:
         return [Fraction(row[0], self.den) for row in self.rows]
 
+    kind, key = "grounded-box-family", "boxes"
+    entries = tuple((axis, j) for axis in "xyz" for j in range(2))  # the rationals labels writes, in row order
+    grid = staticmethod(to_grid)
+
     def labels(self) -> list[dict]:
         """Each box's bounds as "p/q" strings, each distinct value formatted once."""
         text = {v: format_ratio(v, self.den) for v in set(itertools.chain.from_iterable(self.rows))}
         return [{"x": [text[a], text[b]], "y": [text[c], text[d]], "z": [text[e], text[f]]}
                 for a, b, c, d, e, f in self.rows]
-
-    def intersection_edges(self) -> list[tuple[int, int]]:
-        return self.meets
 
     def structure(self) -> recursion.StructureReport:
         return check_box_structure(self)

@@ -51,19 +51,6 @@ def direction_row(v: Row) -> Row:
     return (v[0] // g, v[1] // g, v[2] // g)
 
 
-def grid_rows(bases, dirs, read=rat) -> tuple[int, list[tuple[Row, Row]]]:
-    """The grid of the lines through ``bases`` along ``dirs`` (triples of
-    rationals, or of entries that ``read`` parses): the bases' least
-    common denominator, and per line its base row and direction row.
-    Each distinct direction triple is put on a grid of its own once."""
-    den, ints = to_grid(bases, read)
-    dir_rows: dict = {}
-    for d in dirs:
-        if d not in dir_rows:
-            dir_rows[d] = direction_row(to_grid([d], read)[1][0])
-    return den, [(b, dir_rows[d]) for b, d in zip(ints, dirs)]
-
-
 # ---------------------------------------------------------------------------
 # the intersection sweep
 
@@ -131,25 +118,34 @@ def _packed_meets(single) -> list[tuple[int, int]]:
     return meets
 
 
-class _LineGrid:
-    """Lines on one integer grid, swept once when they are put on it: line
-    i passes through ``rows[i][0]`` divided by ``den``, the least common
-    denominator of the base points, along ``rows[i][1]``.  ``meets`` are
-    the meeting pairs in (i, j) order, and ``identical`` the first pair of
-    identical lines, or None."""
+# ---------------------------------------------------------------------------
+# families
 
-    def _put(self, den: int, rows, **fields) -> None:
-        common = math.gcd(den, *(c for b, _ in rows for c in b))  # keep den least, so equal families are equal
+
+@dataclass(frozen=True, init=False)
+class LineFamily(recursion.Family):
+    """Lines on one integer grid (see ``recursion.Family``), swept once when
+    they are put on it: line i passes through ``rows[i][0]`` divided by
+    ``den``, the least common denominator of the base points, along
+    ``rows[i][1]``.  ``identical`` is the first pair of identical lines, or
+    None."""
+
+    identical: tuple[int, int] | None = field(init=False, repr=False, compare=False)
+
+    def __init__(self, lines, claimed_girth, claimed_chromatic, provenance=None, den=None):
+        """The family of the line objects ``lines`` or, given ``den``, of
+        the grid rows ``lines``, each a base row and a direction row."""
+        if den is None:
+            den, lines = self.grid([(*l.base.as_tuple(), *l.dir.as_tuple()) for l in lines])
+        common = math.gcd(den, *(c for b, _ in lines for c in b))  # keep den least, so equal families are equal
         if common > 1:
-            den, rows = den // common, [(tuple(c // common for c in b), d) for b, d in rows]
-        plucker = [(d, cross(b, d)) for b, d in rows]  # equal exactly for identical lines
+            den, lines = den // common, [(tuple(c // common for c in b), d) for b, d in lines]
+        plucker = [(d, cross(b, d)) for b, d in lines]  # equal exactly for identical lines
         first: dict[tuple, int] = {}
         pairs = [(first.setdefault(row, j), j) for j, row in enumerate(plucker)]
-        vars(self).update(den=den, rows=tuple(rows), meets=line_intersection_edges(plucker),
-                          identical=min((p for p in pairs if p[0] != p[1]), default=None), **fields)
-
-    def __len__(self) -> int:
-        return len(self.rows)
+        vars(self).update(den=den, rows=tuple(lines), claimed_girth=claimed_girth, claimed_chromatic=claimed_chromatic,
+                          provenance={} if provenance is None else provenance, meets=line_intersection_edges(plucker),
+                          identical=min((p for p in pairs if p[0] != p[1]), default=None))
 
     @property
     def lines(self) -> tuple[Line3, ...]:
@@ -157,14 +153,24 @@ class _LineGrid:
         dirs = {d: Dir3(*map(Fraction, d)) for d in {d for _, d in self.rows}}
         return tuple(Line3(Point3(*(Fraction(c, self.den) for c in b)), dirs[d]) for b, d in self.rows)
 
-    def line_docs(self) -> list[dict]:
+    kind, key = "line-family", "lines"
+    entries = tuple((name, j) for name in ("base", "dir") for j in range(3))  # the rationals labels writes
+
+    @staticmethod
+    def grid(entries, read=rat) -> tuple[int, list[tuple[Row, Row]]]:
+        """The grid of the lines whose entries are a base point and a direction,
+        rationals or what ``read`` parses: the bases' least common denominator,
+        and per line its base row and direction row.  Each distinct direction
+        is put on a grid of its own once."""
+        den, bases = to_grid([e[:3] for e in entries], read)
+        dirs = {d: direction_row(to_grid([d], read)[1][0]) for d in dict.fromkeys(tuple(e[3:]) for e in entries)}
+        return den, [(b, dirs[tuple(e[3:])]) for b, e in zip(bases, entries)]
+
+    def labels(self) -> list[dict]:
         """Each line's base point and direction, scaled to a leading 1, as
         "p/q" strings; each distinct grid value is formatted once."""
         text = {c: format_ratio(c, self.den) for c in {c for b, _ in self.rows for c in b}}
-        dirs = {}
-        for d in {d for _, d in self.rows}:
-            lead = _lead(d)
-            dirs[d] = [format_ratio(c, lead) for c in d]
+        dirs = {d: [format_ratio(c, lead) for c in d] for d in {d for _, d in self.rows} for lead in (_lead(d),)}
         return [{"base": [text[x], text[y], text[z]], "dir": list(dirs[d])} for (x, y, z), d in self.rows]
 
     def intersection_edges(self) -> list[tuple[int, int]]:
@@ -174,63 +180,33 @@ class _LineGrid:
             raise ConstructionError(f"identical lines in family: {self.identical[0]}, {self.identical[1]}")
         return self.meets
 
-
-# ---------------------------------------------------------------------------
-# families
-
-
-@dataclass(frozen=True, init=False)
-class LineFamily(_LineGrid):
-    den: int
-    rows: tuple[tuple[Row, Row], ...]
-    claimed_girth: int | None
-    claimed_chromatic: int
-    provenance: dict
-    meets: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
-    identical: tuple[int, int] | None = field(init=False, repr=False, compare=False)
-
-    def __init__(self, lines, claimed_girth, claimed_chromatic, provenance=None, den=None):
-        """The family of the line objects ``lines`` or, given ``den``, of
-        the grid rows ``lines``, each a base row and a direction row."""
-        if den is None:
-            den, lines = grid_rows([l.base.as_tuple() for l in lines], [l.dir.as_tuple() for l in lines])
-        self._put(den, lines, claimed_girth=claimed_girth, claimed_chromatic=claimed_chromatic,
-                  provenance={} if provenance is None else provenance)
-
-    def labels(self) -> list[dict]:
-        return self.line_docs()
-
     def structure(self) -> recursion.StructureReport:
         return check_line_structure(self)
 
 
 @dataclass(frozen=True, init=False)
-class ShiftSystem(_LineGrid):
+class ShiftSystem(LineFamily):
     """The lines of a strictly increasing value set: one shift line per
     ascending triple (a, b, c), t -> (ab + bc + t, abc + bt, ab^2c + (ab +
     bc)t), in ``itertools.combinations`` order, both derived from
     ``values`` when the system is made, the lines straight onto the grid
     (``_shift_grid``).  ``verification`` says whether its exact
-    intersection graph is the double shift graph; it claims nothing else."""
+    intersection graph is the double shift graph; it claims nothing else.
+    Its scene writes each line's triple (``labels``) beside the line's
+    family labels."""
 
-    claimed_girth = None
-    claimed_chromatic = 1
-
+    kind = "shift-system"
     values: tuple[Rat, ...]
-    provenance: dict
     triples: tuple[tuple[Rat, Rat, Rat], ...] = field(init=False)
-    den: int = field(init=False, repr=False)
-    rows: tuple[tuple[Row, Row], ...] = field(init=False, repr=False)
-    meets: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
-    identical: tuple[int, int] | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, values, provenance=None):
         if len(values) < 3:
             raise ValueError(f"a shift system needs at least 3 values, got {len(values)}")
         if any(a >= b for a, b in zip(values, values[1:])):
             raise ValueError("shift system values must be strictly increasing")
-        self._put(*_shift_grid(values), values=values, provenance={} if provenance is None else provenance,
-                  triples=tuple(itertools.combinations(values, 3)))
+        den, rows = _shift_grid(values)
+        super().__init__(rows, None, 1, provenance, den=den)
+        vars(self).update(values=values, triples=tuple(itertools.combinations(values, 3)))
 
     @cached_property
     def verification(self) -> tuple[bool, dict | None]:

@@ -1,7 +1,7 @@
-"""The chromatic lift and the structure checks shared by the box and the
-line geometry; each geometry supplies only how it places its ground
-objects and copies, and the structure checks whose names or logic are its
-own.
+"""The family base, the chromatic lift and the structure checks shared by
+the box and the line geometry; each geometry supplies only its rows, how
+it places its ground objects and copies, and the structure checks whose
+names or logic are its own.
 """
 
 from __future__ import annotations
@@ -16,6 +16,33 @@ from . import graphs
 from .budget import Budget
 from .errors import BudgetExhausted, ConstructionError
 from .gallai import GallaiCertificate, GroundSet, ProviderPolicy
+
+
+@dataclass(frozen=True, init=False)
+class Family:
+    """A finite family of objects on one integer grid, with its claims:
+    object i is ``rows[i]``, in its kind's form, over ``den``, the least
+    denominator its kind keeps.  Claims are never trusted; girth and
+    chromatic number are recomputed exactly from the one sweep the family
+    makes of itself when it is made, its meeting pairs in (i, j) order
+    (``meets``).  A kind read from a scene declares its format beside the
+    ``labels()`` that writes it: the scene ``kind``, the ``key`` of its
+    object list, ``entries`` (the path of each rational of one object) and
+    ``grid(entries, read)`` (the den and rows of all objects' entries)."""
+
+    # the constructors differ by kind, and a shift system derives all four, so replace refuses them
+    den: int = field(init=False)
+    rows: tuple = field(init=False)
+    claimed_girth: int | None = field(init=False)  # None: the construction claims no finite cycle
+    claimed_chromatic: int = field(init=False)
+    provenance: dict
+    meets: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def intersection_edges(self) -> list[tuple[int, int]]:
+        return self.meets
 
 
 class Placement(NamedTuple):
@@ -147,6 +174,18 @@ def build_family(girth: int, colors: int, policy: ProviderPolicy | None, bases, 
     return fam
 
 
+# base kind -> the name of its structure check
+BASE_CHECKS = {"base-single": "graph-is-single-vertex", "base-pair": "graph-is-single-edge",
+               "base-odd-cycle": "graph-equals-cycle"}
+
+
+def base_graph(prov: dict) -> graphs.GeoGraph:
+    """The graph of the base kind ``prov`` names: one vertex, one edge, or the n-cycle."""
+    if prov["kind"] == "base-odd-cycle":
+        return graphs.cycle_graph(prov["n"])
+    return graphs.GeoGraph(1, []) if prov["kind"] == "base-single" else graphs.GeoGraph(2, [(0, 1)])
+
+
 def checked_base(fam):
     """A base family, returned once its own structure check passes."""
     fail = fam.structure().first_failure()
@@ -214,11 +253,12 @@ class CopyEdges:
 def check_structure(fam, check_copies: Callable) -> StructureReport:
     """Exact structural sweep of a family against its construction model.
 
-    Base families must have exactly their expected graph.  A recursion
-    output is checked by ``check_copies(report, fam, CopyEdges)`` for its
-    ground objects and how the copies meet them and each other, then here
-    for each copy's own graph against the parent's.  Its provenance is
-    taken to fit its objects, as the scene reader makes sure it does.
+    Base families must have exactly their kind's graph (``base_graph``).
+    A recursion output is checked by ``check_copies(report, fam,
+    CopyEdges)`` for its ground objects and how the copies meet them and
+    each other, then here for each copy's own graph against the parent's.
+    Its provenance is taken to fit its objects, as the scene reader makes
+    sure it does.
     """
     report = StructureReport()
     prov = fam.provenance
@@ -236,14 +276,10 @@ def check_structure(fam, check_copies: Callable) -> StructureReport:
             bad_block is None,
             "" if bad_block is None else f"copy {bad_block[0]} differs at {bad_block[1]}",
         )
-    elif kind == "base-odd-cycle":
-        got = graphs.intersection_graph(fam)
-        same, witness = graphs.graph_equals_expected(got, graphs.cycle_graph(prov["n"]))
-        report.add("graph-equals-cycle", same, "" if same else str(witness))
-    elif kind == "base-pair":
-        report.add("graph-is-single-edge", fam.intersection_edges() == [(0, 1)])
-    elif kind == "base-single":
-        report.add("graph-is-single-vertex", fam.intersection_edges() == [])
+    elif kind in BASE_CHECKS:
+        got, want = graphs.intersection_graph(fam), base_graph(prov)
+        same, witness = graphs.graph_equals_expected(got, want) if got.n == want.n else (False, f"{got.n} objects")
+        report.add(BASE_CHECKS[kind], same, "" if same else str(witness))
     else:
         report.add("structure-model", True, "no construction model; invariants only")
     return report

@@ -18,9 +18,10 @@ from pathlib import Path
 from .boxes import BoxFamily
 from .errors import SceneFormatError
 from .gallai import GallaiCertificate, certificate_from_doc, certificate_to_doc
-from .geometry import format_rat, rat, to_grid
-from .lines import LineFamily, ShiftSystem, grid_rows
-from .recursion import CopyEdges, block_layout
+from .geometry import format_rat, rat
+from .graphs import GeoGraph
+from .lines import LineFamily, ShiftSystem
+from .recursion import BASE_CHECKS, CopyEdges, base_graph, block_layout
 
 
 def dumps_doc(doc: dict) -> str:
@@ -200,12 +201,17 @@ def _check_fit(prov: dict, size: int, path: str = "provenance", graph=None) -> N
     block per certificate copy with one parent object per point of the
     certificate's ground set, its parent edges are sorted pairs u < v of
     parent objects, a line recursion's parent parameters are the points of
-    the ground set, and its parent fits that many objects in turn.  Below
-    the top, in the ``graph`` the level above records, no ground objects
-    meet, each copy object meets one, and each copy induces the edges."""
-    if prov.get("kind") == "base-odd-cycle" and not 3 <= prov["n"] == size:
+    the ground set and its offsets one per copy, and its parent fits that
+    many objects in turn.  Below the top, the ``graph`` the level above
+    records is the base kind's graph at a base, and at a recursion no
+    ground objects meet, each copy object meets one, and each copy induces
+    the edges."""
+    kind = prov.get("kind")
+    if kind == "base-odd-cycle" and not 3 <= prov["n"] == size:
         raise ValueError(f"{path}.n is {prov['n']}, not the {size} objects of the cycle")
-    if prov.get("kind") != "recursion":
+    if graph is not None and kind in BASE_CHECKS and base_graph(prov) != GeoGraph(size, graph):
+        raise ValueError(f"{path}.kind is {kind!r}, but the level above records {size} objects and edges {graph}")
+    if kind != "recursion":
         return
     cert = prov["certificate"]
     m, step = len(cert.elements), cert.ground.size
@@ -217,6 +223,8 @@ def _check_fit(prov: dict, size: int, path: str = "provenance", graph=None) -> N
         raise ValueError(f"{path}.parent_edges are not sorted pairs u < v of the {step} parent objects")
     if "parent_params" in prov and sorted(prov["parent_params"]) != list(cert.ground.points):
         raise ValueError(f"{path}.parent_params are not the points of the certificate's ground set")
+    if len(prov.get("offsets", cert.copies)) != len(cert.copies):
+        raise ValueError(f"{path}.offsets do not hold one slide offset per certificate copy")
     if graph is not None:
         filed = CopyEdges(prov["blocks"], graph)
         faults = itertools.chain(
@@ -232,57 +240,52 @@ def _check_fit(prov: dict, size: int, path: str = "provenance", graph=None) -> N
 # scene documents
 
 
-def _family_to_doc(kind: str, key: str, fam) -> dict:
+def _family_to_doc(fam) -> dict:
     return {
-        "kind": kind,
+        "kind": fam.kind,
         "g": fam.claimed_girth,
         "k": fam.claimed_chromatic,
-        key: fam.labels(),
-        "provenance": _provenance_to_doc(fam.provenance, key),
+        fam.key: fam.labels(),
+        "provenance": _provenance_to_doc(fam.provenance, fam.key),
     }
 
 
-# scene key -> the path of each rational entry in one object's document
-_ENTRY_PATHS = {"boxes": [(axis, j) for axis in "xyz" for j in range(2)],
-                "lines": [(name, j) for name in ("base", "dir") for j in range(3)]}
-
-
-def _entries(docs, key: str, read) -> None:
+def _entries(docs, family, read) -> None:
     """A ValueError naming the first rational entry of the object documents
-    in ``docs``, the list at ``key``, that is missing or does not read."""
+    in ``docs``, the list at ``family.key``, that is missing or does not read."""
     for i, obj in enumerate(docs):
-        for name, j in _ENTRY_PATHS[key]:
+        for name, j in family.entries:
             try:
                 read(obj[name][j])
             except _MALFORMED as exc:
-                where = f"{key}[{i}].{name}" + ("" if type(exc) is KeyError else f"[{j}]")
+                where = f"{family.key}[{i}].{name}" + ("" if type(exc) is KeyError else f"[{j}]")
                 missing = type(exc) in (KeyError, IndexError)
                 raise ValueError(f"{where} is missing" if missing else f"{where}: {exc}") from exc
 
 
-def _read_family(key: str, grid, family, doc: dict, read):
-    """A family scene, made by ``family`` on the grid ``grid(entries, read)`` of its objects' entries."""
-    docs = doc[key]
+def _read_family(family, doc: dict, read):
+    """A scene of the kind ``family``, made on the grid of its objects' entries."""
+    docs = doc[family.key]
     try:
-        den, rows = grid([[obj[name][j] for name, j in _ENTRY_PATHS[key]] for obj in docs], read)
+        den, rows = family.grid([[obj[name][j] for name, j in family.entries] for obj in docs], read)
     except _MALFORMED:
-        _entries(docs, key, read)  # reads them again, to name the one that fails
+        _entries(docs, family, read)  # reads them again, to name the one that fails
         raise
     g = None if doc["g"] is None else _read_field(int, doc["g"], read, "g")
     k = _read_field(int, doc["k"], read, "k")
     if k < 1 or g is not None and g < 3:
         raise ValueError(f"k must be an integer >= 1 and g one >= 3 or null, got g={g!r}, k={k!r}")
-    prov = _read_provenance(doc["provenance"], read, key)
+    prov = _read_provenance(doc["provenance"], read, family.key)
     _check_fit(prov, len(rows))
     return family(rows, g, k, prov, den=den)
 
 
 def _shift_system_to_doc(system: ShiftSystem) -> dict:
     return {
-        "kind": "shift-system",
+        "kind": system.kind,
         "n": len(system.values),
         "values": [format_rat(v) for v in system.values],
-        "lines": [{"triple": triple, **line} for triple, line in zip(system.labels(), system.line_docs())],
+        "lines": [{"triple": triple, **line} for triple, line in zip(system.labels(), LineFamily.labels(system))],
         # n is derived from the values, like the top-level n
         "provenance": {**_provenance_to_doc(system.provenance, "shift"), "n": len(system.values)},
     }
@@ -293,25 +296,13 @@ def _read_shift_system(doc: dict, read) -> ShiftSystem:
 
 
 # scene kind -> (class, writer, reader)
-_SCENES = {
-    "grounded-box-family": (
-        BoxFamily,
-        partial(_family_to_doc, "grounded-box-family", "boxes"),
-        partial(_read_family, "boxes", to_grid, BoxFamily),
-    ),
-    "line-family": (
-        LineFamily,
-        partial(_family_to_doc, "line-family", "lines"),
-        partial(_read_family, "lines", lambda rows, read: grid_rows([r[:3] for r in rows], [tuple(r[3:]) for r in rows],
-                                                                 read), LineFamily),
-    ),
-    "shift-system": (ShiftSystem, _shift_system_to_doc, _read_shift_system),
-}
+_SCENES = {cls.kind: (cls, _family_to_doc, partial(_read_family, cls)) for cls in (BoxFamily, LineFamily)}
+_SCENES[ShiftSystem.kind] = (ShiftSystem, _shift_system_to_doc, _read_shift_system)
 
 
 def scene_to_doc(obj) -> dict:
     for scene_class, to_doc, _ in _SCENES.values():
-        if isinstance(obj, scene_class):
+        if type(obj) is scene_class:
             return to_doc(obj)
     raise TypeError(f"not a scene object: {type(obj).__name__}")
 

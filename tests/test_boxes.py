@@ -414,6 +414,22 @@ class TestBuildBoxFamily:
 
 
 class TestNegativeControls:
+    @pytest.mark.parametrize(
+        "prov, boxes, name, detail",
+        [
+            ({"kind": "base-single"}, [(0, 1), (5, 1)], "graph-is-single-vertex", "2 objects"),
+            ({"kind": "base-pair"}, [(0, 1), (5, 1)], "graph-is-single-edge", "('missing', (0, 1))"),
+            ({"kind": "base-pair"}, [(0, 2), (1, 2), (5, 1)], "graph-is-single-edge", "3 objects"),
+            ({"kind": "base-odd-cycle", "n": 3}, [(0, 2), (1, 2), (5, 1)], "graph-equals-cycle", "('missing', (0, 2))"),
+        ],
+        ids=["single-of-two", "pair-apart", "pair-of-three", "cycle-open"],
+    )
+    def test_a_base_without_its_kinds_graph_fails_structure(self, prov, boxes, name, detail):
+        # a base is checked against its kind's whole graph, object count included
+        fam = BoxFamily(tuple(square_box(t, s, 0, 1) for t, s in boxes), None, 1, prov)
+        report = check_box_structure(fam)
+        assert [(c.name, c.ok, c.detail) for c in report.checks] == [(name, False, detail)]
+
     def test_corrupted_recursion_fails_structure(self):
         c9 = recursion_step_boxes(meeting_pair_family(), 2, 6, pigeonhole_provider)
         bad_boxes = list(c9.boxes)

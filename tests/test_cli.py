@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from girthgeom import Box3, Dir3, GroundedSquareBox, Interval, Line3, Point3, ProviderPolicy, build_box_family
+from girthgeom import Box3, Dir3, GroundedSquareBox, Interval, Line3, LineFamily, Point3, ProviderPolicy, ShiftSystem
+from girthgeom import build_box_family, build_shift_system, cycle_graph, odd_cycle_lines, rat
 from girthgeom import lines as linemod
 from girthgeom import scenes
 from girthgeom import recursion_step_boxes, vdw_certificate
@@ -819,6 +820,107 @@ def test_a_spoiled_level_of_the_two_step_provenance_exits_2(tmp_path, capsys, tw
     capsys.readouterr()
     assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == EXIT_CHECK_FAILED
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _spoiled_scene_exits_2(tmp_path, capsys, doc, message):
+    path = tmp_path / "spoiled.scene.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "scene, where, base",
+    [
+        ("boxes", ("parent",), {"kind": "base-single"}),
+        ("lines", ("parent",), {"kind": "base-single"}),
+        ("two-step", ("parent", "parent"), {"kind": "base-single"}),
+        ("two-step", ("parent",), {"kind": "base-single"}),
+        ("two-step", ("parent",), {"kind": "base-pair"}),
+    ],
+    ids=["c9-base", "l9-base", "two-step-base", "two-step-parent-as-single", "two-step-parent-as-pair"],
+)
+def test_a_relabelled_base_exits_2(provenance_scenes, two_step_scene, tmp_path, capsys, scene, where, base):
+    # below the top only the graph a level records is left to check a base
+    # against: one object and no edge, two objects and the edge (0, 1), or C_n
+    doc = json.loads(json.dumps(two_step_scene if scene == "two-step" else provenance_scenes[1][scene]))
+    prov = doc["provenance"]
+    for key in where[:-1]:
+        prov = prov[key]
+    assert prov[where[-1]]["kind"] != base["kind"]
+    prov[where[-1]] = base
+    path = "provenance." + ".".join(where)
+    _spoiled_scene_exits_2(tmp_path, capsys, doc, f"{path}.kind is {base['kind']!r}, but the level above records ")
+
+
+@pytest.mark.parametrize("scene", ["boxes", "lines"], ids=["c9", "l9"])
+def test_a_pair_base_whose_recorded_graph_has_no_edge_exits_2(provenance_scenes, tmp_path, capsys, scene):
+    doc = json.loads(json.dumps(provenance_scenes[1][scene]))
+    doc["provenance"]["parent_edges"] = []
+    _spoiled_scene_exits_2(tmp_path, capsys, doc, "provenance.parent.kind is 'base-pair', but the level above "
+                                                  "records 2 objects and edges []")
+
+
+@pytest.mark.parametrize(
+    "kind, size, graph",
+    [("base-single", 2, []), ("base-single", 2, [(0, 1)]), ("base-pair", 2, []), ("base-pair", 3, [(0, 1)]),
+     ("base-odd-cycle", 5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+     ("base-odd-cycle", 5, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)])],
+    ids=["single-of-two", "single-as-pair", "pair-without-edge", "pair-of-three", "cycle-without-closing-edge",
+         "cycle-in-another-order"],
+)
+def test_a_base_is_checked_against_the_graph_above(kind, size, graph):
+    # the graph the level above records is sorted pairs in range (checked
+    # there), so a base level compares it with its kind's graph as it stands
+    prov = {"kind": kind, "n": 5} if kind == "base-odd-cycle" else {"kind": kind}
+    with pytest.raises(ValueError, match=re.escape(f"provenance.parent.kind is {kind!r}, but the level above records "
+                                                   f"{size} objects and edges {graph}")):
+        scenes._check_fit(prov, size, "provenance.parent", graph)
+    fits, fit_graph = {"base-single": (1, []), "base-pair": (2, [(0, 1)])}.get(kind, (5, sorted(cycle_graph(5).edges)))
+    scenes._check_fit(prov, fits, "provenance.parent", fit_graph)
+
+
+@pytest.mark.parametrize("spoil", [lambda offsets: [], lambda offsets: offsets[:-1], lambda offsets: offsets + ["0"]],
+                         ids=["emptied", "one-dropped", "lengthened"])
+def test_line_offsets_hold_one_entry_per_copy(provenance_scenes, tmp_path, capsys, spoil):
+    # the frame the offsets slide along is not stored, so only their count is checked
+    doc = json.loads(json.dumps(provenance_scenes[1]["lines"]))
+    doc["provenance"]["offsets"] = spoil(doc["provenance"]["offsets"])
+    _spoiled_scene_exits_2(tmp_path, capsys, doc, "provenance.offsets do not hold one slide offset per certificate copy")
+
+
+_SAMPLES = {"grounded-box-family": lambda: build_box_family(6, 3, ProviderPolicy("pigeonhole")),
+            "line-family": lambda: odd_cycle_lines(5), "shift-system": lambda: build_shift_system(5, seed=1)}
+
+
+@pytest.mark.parametrize("kind", sorted(scenes._SCENES))
+def test_each_kind_reads_the_entries_its_labels_write(kind):
+    # a family scene is read at the paths its kind declares, so they are the
+    # rationals labels() writes for one object, in row order, and they give
+    # back the family's grid; a shift scene writes each line's triple beside
+    # the labels of its line family
+    cls = scenes._SCENES[kind][0]
+    fam = _SAMPLES[kind]()
+    assert type(fam) is cls and cls.kind == kind
+    labels = LineFamily.labels(fam) if cls is ShiftSystem else fam.labels()
+    for label in labels:
+        assert [(name, j) for name, values in label.items() for j in range(len(values))] == list(cls.entries)
+        assert all(type(label[name][j]) is str for name, j in cls.entries)
+    assert cls.grid([[obj[name][j] for name, j in cls.entries] for obj in labels], rat) == (fam.den, list(fam.rows))
+    written = scene_to_doc(fam)[cls.key]
+    assert written == ([{"triple": t, **line} for t, line in zip(fam.labels(), labels)] if cls is ShiftSystem else labels)
+
+
+def test_a_scene_object_is_written_by_its_exact_class():
+    system = build_shift_system(5, seed=1)
+    assert isinstance(system, LineFamily) and scene_to_doc(system)["kind"] == "shift-system"
+    as_lines = LineFamily(system.rows, None, 1, den=system.den)
+    assert as_lines != system and scene_to_doc(as_lines)["kind"] == "line-family"
+    with pytest.raises(TypeError, match="not a scene object"):
+        scene_to_doc(cycle_graph(5))
 
 
 @pytest.mark.parametrize("argv", [_BOXES, _LINES, ["build", "shift", "--n", "7"]], ids=["boxes", "lines", "shift"])

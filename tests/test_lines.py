@@ -60,7 +60,7 @@ from girthgeom import (
 )
 from girthgeom.gallai import HomotheticCopy, pigeonhole_certificate
 from girthgeom.geometry import Homothety1D, dot
-from girthgeom.lines import _offsets, _PlacedLines, axis_params, forbidden_offsets, frame_conditions, grid_rows
+from girthgeom.lines import _offsets, _PlacedLines, axis_params, forbidden_offsets, frame_conditions
 
 
 def pigeonhole_provider(ground, colors, girth_param):
@@ -156,7 +156,7 @@ class TestBuildShiftSystem:
         system = ShiftSystem(tuple(sorted(values)))
         lines = tuple(shift_line(*t) for t in system.triples)
         assert system.lines == lines
-        assert system.line_docs() == [line_to_doc(l) for l in lines]
+        assert LineFamily.labels(system) == [line_to_doc(l) for l in lines]
 
     def test_values_out_of_order_are_refused(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -247,7 +247,7 @@ class TestGrid:
         does, and sweeps the pairs the all-pairs oracle finds."""
         bases, dirs = drawn
         lines = tuple(Line3(Point3(*b), Dir3(*d)) for b, d in zip(bases, dirs))
-        den, rows = grid_rows(bases, dirs)
+        den, rows = LineFamily.grid([(*b, *d) for b, d in zip(bases, dirs)])
         fam = LineFamily(rows, None, 1, den=den)
         assert fam.lines == lines
         assert LineFamily(lines, None, 1) == fam
@@ -258,7 +258,7 @@ class TestGrid:
 
     def test_zero_direction_is_refused(self):
         with pytest.raises(ValueError, match="zero vector"):
-            grid_rows([(0, 0, 0)], [(F(0), F(0), F(0))])
+            LineFamily.grid([(0, 0, 0, F(0), F(0), F(0))])
 
 
 class TestChooseFrame:
@@ -421,7 +421,7 @@ def _place_copies(which, copies, extra=()):
     and each placed copy against the Fraction copy map.  ``extra`` are
     line objects placed first.  Returns the chosen offsets."""
     parent, ref = _PARENTS[which], _REFS[which]
-    extra_den, extra_rows = grid_rows([l.base.as_tuple() for l in extra], [l.dir.as_tuple() for l in extra])
+    extra_den, extra_rows = LineFamily.grid([(*l.base.as_tuple(), *l.dir.as_tuple()) for l in extra])
     den, images, slide = _embed(which, copies, extra_den)
     placed = list(extra)
     index = _PlacedLines([(tuple(c * (den // extra_den) for c in b), d) for b, d in extra_rows])

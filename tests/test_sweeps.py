@@ -23,14 +23,14 @@ from girthgeom.boxes import box_intersection_edges
 from girthgeom.gallai import ProviderPolicy
 from girthgeom import lines as linemod
 from girthgeom.geometry import cross, dot
-from girthgeom.lines import _packed_meets, grid_rows, line_intersection_edges
+from girthgeom.lines import _packed_meets, line_intersection_edges
 
 from _oracles import all_pairs_box_edges, all_pairs_line_edges, point_at, same_line, square_box, zheap_box_edges
 
 
 def _plucker(lines):
     """The lines' integer Plücker rows (d, b x d) on their grid."""
-    _, rows = grid_rows([l.base.as_tuple() for l in lines], [l.dir.as_tuple() for l in lines])
+    _, rows = LineFamily.grid([(*l.base.as_tuple(), *l.dir.as_tuple()) for l in lines])
     return [(d, cross(b, d)) for b, d in rows]
 
 # few distinct z-endpoints, so equal, nested and touching z-ranges are common
