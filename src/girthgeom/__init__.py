@@ -26,7 +26,6 @@ from .errors import (
 from .gallai import (
     GallaiCertificate,
     GroundSet,
-    HomotheticCopy,
     ProviderPolicy,
     enumerate_copies,
     find_copy_cycle,

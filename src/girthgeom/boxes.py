@@ -25,7 +25,7 @@ from functools import partial
 from . import recursion
 from .budget import Budget
 from .errors import ConstructionError
-from .gallai import GallaiCertificate, HomotheticCopy, ProviderPolicy
+from .gallai import GallaiCertificate, ProviderPolicy
 from .geometry import Box3, Homothety1D, Rat, format_ratio, grid_maps, rat, to_grid
 
 Row = tuple[int, int, int, int, int, int]  # (xlo, xhi, ylo, yhi, zlo, zhi), each times the grid's denominator
@@ -198,32 +198,33 @@ def make_ground_boxes(values, eps) -> tuple[int, list[Row]]:
     return den, [_square(x, ints[-1], 0, den) for x in ints[:-1]]
 
 
-def plan_embeddings(parent: BoxFamily, cert: GallaiCertificate) -> list[tuple[HomotheticCopy, Homothety1D]]:
-    """Each copy with its map of heights, which puts the parent's full
-    vertical extent onto the copy's own slot: [0, 1] cut into equal closed
-    slots, each shrunk at both ends by a quarter of its length."""
+def plan_embeddings(parent: BoxFamily, cert: GallaiCertificate) -> list[tuple[tuple, Homothety1D, Homothety1D]]:
+    """Each copy with its map and its map of heights, which puts the
+    parent's full vertical extent onto the copy's own slot: [0, 1] cut into
+    equal closed slots, each shrunk at both ends by a quarter of its length."""
     count = len(cert.copies)
     zlo, zhi = min(row[4] for row in parent.rows), max(row[5] for row in parent.rows)
     scale = Fraction(parent.den, 2 * count * (zhi - zlo))  # slot length 1 / (2 count) over the parent's height
     start = scale * Fraction(zlo, parent.den)
-    return [(copy, Homothety1D(scale, Fraction(4 * j + 1, 4 * count) - start)) for j, copy in enumerate(cert.copies)]
+    return [(copy, m, Homothety1D(scale, Fraction(4 * j + 1, 4 * count) - start))
+            for j, (copy, m) in enumerate(zip(cert.copies, cert.maps()))]
 
 
-def embed_copy_boxes(parent: BoxFamily, embeddings, den: int = 1) -> tuple[int, list[list[Row]]]:
-    """The parent's image under each embedding (a copy, whose map acts on x
-    and y, and a map of heights) as rows on one grid: the least multiple of
-    ``den`` on which every map is integer affine on the parent's rows.  The
-    traces each copy places must be its image."""
-    grid, maps = grid_maps([(m.scale, m.shift) for copy, vertical in embeddings for m in (copy.map, vertical)],
-                           parent.den, den)
+def embed_copy_boxes(parent: BoxFamily, embeddings, ground_den: int, ground: list[Row]) -> tuple[int, list[list[Row]]]:
+    """The parent's image under each embedding (a copy's positions among
+    the ``ground`` rows, its map, which acts on x and y, and a map of
+    heights) as rows on one grid: the least multiple of ``ground_den`` on
+    which every map is integer affine on the parent's rows.  The traces a
+    copy places must be those of the ground rows at its positions."""
+    grid, maps = grid_maps([(m.scale, m.shift) for _, horizontal, vertical in embeddings
+                            for m in (horizontal, vertical)], parent.den, ground_den)
     traces = sorted({row[0] for row in parent.rows})
     out = []
-    for (copy, _), (a, b), (s, t) in zip(embeddings, maps[::2], maps[1::2]):
-        mapped = [a * u + b for u in traces]
-        if len(mapped) != len(copy.image) or any(v.numerator * grid != w * v.denominator
-                                                 for v, w in zip(copy.image, mapped)):
+    for (copy, _, _), (a, b), (s, t) in zip(embeddings, maps[::2], maps[1::2]):
+        mapped, image = [a * u + b for u in traces], [ground[p][0] * (grid // ground_den) for p in copy]
+        if mapped != image:
             raise ConstructionError("copy domain mismatch: parent traces do not map onto the copy image",
-                                    {"mapped": tuple(Fraction(w, grid) for w in mapped), "image": copy.image})
+                                    {"grid": grid, "mapped": mapped, "image": image})
         out.append([(a * xl + b, a * xh + b, a * yl + b, a * yh + b, s * zl + t, s * zh + t)
                     for xl, xh, yl, yh, zl, zh in parent.rows])
     return grid, out
@@ -302,7 +303,7 @@ def _place_boxes(parent: BoxFamily, certify) -> recursion.Placement:
     elements = cert.elements
     eps = min((b - a for a, b in zip(elements, elements[1:])), default=Fraction(1)) / 3
     ground_den, ground = make_ground_boxes(elements, eps)
-    den, copies = embed_copy_boxes(parent, plan_embeddings(parent, cert), ground_den)
+    den, copies = embed_copy_boxes(parent, plan_embeddings(parent, cert), ground_den, ground)
     ground = [tuple(v * (den // ground_den) for v in row) for row in ground]
     return recursion.Placement(parent, cert, ground, copies, {}, partial(BoxFamily, den=den))
 

@@ -1,7 +1,8 @@
 """Coloring certificates over finite rational sets.
 
 A certificate packages a ground set T, a finite set X, and the complete
-list of scaled-and-shifted copies of T inside X, together with three
+list of scaled-and-shifted copies of T inside X, each kept as the
+positions of its points in X, together with three
 verified properties: every k-coloring of X leaves some copy monochromatic
 (checked by exhaustive refutation search), no small collection of copies
 chains into a cycle, and the copy list is complete.  Providers choose X;
@@ -12,7 +13,7 @@ runs the same derivation and compares the stored copy list with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .budget import DEFAULT_NODES, Budget
@@ -43,28 +44,20 @@ class GroundSet:
 
 
 @dataclass(frozen=True)
-class HomotheticCopy:
-    """An image of the ground set inside X, with the witnessing map."""
-
-    map: Homothety1D
-    image: tuple[Rat, ...]
-
-
-@dataclass(frozen=True)
 class CopyCycleWitness:
-    """Distinct copies C_0..C_{j-1} and distinct elements x_0..x_{j-1}
-    with x_i in C_i and in C_{i+1} (indices cyclic)."""
+    """Distinct copies C_0..C_{j-1} and distinct element positions
+    x_0..x_{j-1} with x_i in C_i and in C_{i+1} (indices cyclic)."""
 
-    copies: tuple[HomotheticCopy, ...]
-    elements: tuple[Rat, ...]
+    copies: tuple[tuple[int, ...], ...]
+    elements: tuple[int, ...]
 
 
 def validate_cycle_witness(witness: CopyCycleWitness) -> None:
     j = len(witness.copies)
     if j < 2 or len(witness.elements) != j:
         raise ValueError("witness needs >= 2 copies and one element per copy pair")
-    images = [set(c.image) for c in witness.copies]
-    if len({c.image for c in witness.copies}) != j:
+    images = [set(c) for c in witness.copies]
+    if len(set(witness.copies)) != j:
         raise ValueError("witness copies are not distinct")
     if len(set(witness.elements)) != j:
         raise ValueError("witness elements are not distinct")
@@ -100,7 +93,7 @@ class CertificateFlags:
 class GallaiCertificate:
     ground: GroundSet
     elements: tuple[Rat, ...]
-    copies: tuple[HomotheticCopy, ...]
+    copies: tuple[tuple[int, ...], ...]  # each the ascending positions of its image in elements
     colors: int
     girth: int
     flags: CertificateFlags = field(default_factory=CertificateFlags)
@@ -112,10 +105,21 @@ class GallaiCertificate:
             raise ValueError("colors must be positive")
         if self.girth < 3:
             raise ValueError("girth parameter must be at least 3")
-        universe = set(self.elements)
-        for copy in self.copies:
-            if not universe.issuperset(copy.image):
-                raise ValueError(f"copy image escapes the certificate elements: {copy}")
+        if any(not 0 <= p < len(self.elements) for c in self.copies for p in c):
+            raise ValueError("copy positions escape the certificate elements")
+
+    def maps(self) -> list[Homothety1D]:
+        """Each copy's map, derived, never stored: the positive scale-and-shift
+        that sends the ground set's least and greatest points lo and hi to the
+        copy's first and last elements, and so its other points to the others.
+        On the elements' grid (``to_grid``) of denominator e the ground set
+        spans a / b steps, so an image that starts at u / e and spans v steps
+        has scale w / a for w = v b, and shift u / e - (w / a) lo."""
+        (lo, *_, hi), (e, (grid,)) = self.ground.points, to_grid([self.elements])
+        span = (hi - lo) * e
+        a, b, n, d = span.numerator, span.denominator, lo.numerator, lo.denominator
+        spans = [(grid[c[0]], (grid[c[-1]] - grid[c[0]]) * b) for c in self.copies]
+        return [Homothety1D(Fraction(w, a), Fraction(u * a * d - w * n * e, e * a * d)) for u, w in spans]
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +136,10 @@ def normalize_ground_set(ground: GroundSet) -> tuple[tuple[int, ...], Homothety1
     return ints, Homothety1D(Fraction(g, denom), base)
 
 
-def enumerate_copies(ground: GroundSet, elements: tuple[Rat, ...]) -> tuple[HomotheticCopy, ...]:
+def enumerate_copies(ground: GroundSet, elements: tuple[Rat, ...]) -> tuple[tuple[int, ...], ...]:
     """All images of the ground set under positive scale-and-shift maps
-    that land inside ``elements``, in ascending image order.
+    that land inside ``elements``, in ascending image order, each as the
+    positions of its points in ``elements``.
 
     A map with positive scale sends min to min and max to max, so each
     candidate is determined by the images of the two extremes; interior
@@ -143,22 +148,16 @@ def enumerate_copies(ground: GroundSet, elements: tuple[Rat, ...]) -> tuple[Homo
     1, so an image is on the grid only when q = (b - a) / span is an
     integer, and then its points are a + q * t.
     """
-    pts = ground.points
-    span = pts[-1] - pts[0]
     ints, _ = normalize_ground_set(ground)
     interior = ints[1:-1]
     _, (grid,) = to_grid([elements])
-    universe = set(grid)
-    out: list[HomotheticCopy] = []
+    position = {x: p for p, x in enumerate(grid)}
+    out: list[tuple[int, ...]] = []
     for i, a in enumerate(grid):
         for j in range(i + 1, len(grid)):
             q, r = divmod(grid[j] - a, ints[-1])
-            if r == 0 and all(a + q * t in universe for t in interior):
-                lo, hi = elements[i], elements[j]
-                scale = (hi - lo) / span
-                shift = lo - scale * pts[0]
-                image = (lo, *(scale * t + shift for t in pts[1:-1]), hi)
-                out.append(HomotheticCopy(Homothety1D(scale, shift), image))
+            if r == 0 and all(a + q * t in position for t in interior):
+                out.append((i, *(position[a + q * t] for t in interior), j))
     return tuple(out)
 
 
@@ -177,8 +176,8 @@ def find_copy_cycle(copies, max_copies: int) -> CopyCycleWitness | None:
     if max_copies < 2:
         raise ValueError("a cycle involves at least two copies")
     copies = tuple(copies)
-    vertex: dict[Rat, int] = {}  # element -> incidence vertex, numbered after the copies
-    edges = [(ci, vertex.setdefault(x, len(copies) + len(vertex))) for ci, c in enumerate(copies) for x in c.image]
+    vertex: dict[int, int] = {}  # element position -> incidence vertex, numbered after the copies
+    edges = [(ci, vertex.setdefault(p, len(copies) + len(vertex))) for ci, c in enumerate(copies) for p in c]
     elements = list(vertex)
     cycle = shortest_cycle(GeoGraph(len(copies) + len(elements), edges))
     if cycle is None or len(cycle) > 2 * max_copies:
@@ -294,10 +293,8 @@ def _verdicts(
     ``copies`` and their short copy ``cycle``; the search calls it on the
     copies it has enumerated, once their cycle search has found none."""
     budget = budget or Budget(label="certificate verification")
-    index = {x: i for i, x in enumerate(elements)}
-    positions = [tuple(index[x] for x in c.image) for c in copies]
     try:
-        counterexample = find_avoiding_coloring(len(elements), colors, positions, budget)
+        counterexample = find_avoiding_coloring(len(elements), colors, copies, budget)
         coloring_ok = counterexample is None
     except BudgetExhausted:
         counterexample = coloring_ok = None
@@ -309,9 +306,9 @@ def _verdicts(
 def verify_certificate(cert: GallaiCertificate, budget: Budget | None = None) -> CertificateFlags:
     """The verdicts ``derive_certificate`` reaches from the certificate's
     own ground set, elements, colors and girth; the stored copy list is
-    complete when its images are the derived ones."""
+    complete when its copies are the derived ones."""
     derived = derive_certificate(cert.ground, cert.elements, cert.colors, cert.girth, budget)
-    derived.flags.copies_complete = {c.image for c in cert.copies} == {c.image for c in derived.copies}
+    derived.flags.copies_complete = set(cert.copies) == set(derived.copies)
     return derived.flags
 
 
@@ -483,17 +480,14 @@ def make_certificate(
 
 
 def certificate_to_doc(cert: GallaiCertificate) -> dict:
+    elements = [format_rat(x) for x in cert.elements]  # each formatted once, and each image written with them
     return {
         "kind": "gallai-certificate",
         "ground_set": [format_rat(t) for t in cert.ground.points],
-        "elements": [format_rat(x) for x in cert.elements],
+        "elements": elements,
         "copies": [
-            {
-                "scale": format_rat(c.map.scale),
-                "shift": format_rat(c.map.shift),
-                "image": [format_rat(x) for x in c.image],
-            }
-            for c in cert.copies
+            {"scale": format_rat(m.scale), "shift": format_rat(m.shift), "image": [elements[p] for p in copy]}
+            for copy, m in zip(cert.copies, cert.maps())
         ],
         "colors": cert.colors,
         "girth": cert.girth,
@@ -507,22 +501,19 @@ def certificate_to_doc(cert: GallaiCertificate) -> dict:
 
 
 def certificate_from_doc(doc: dict, read=rat) -> GallaiCertificate:
-    """The certificate a document holds.  A copy keeps its stored image,
-    accepted only as its map's image of the ground set: x = p/q is
-    (a/b) g + c/d for g = e/f exactly when p b d f = q (a e d + c b f)."""
-    ground = GroundSet(tuple(map(read, doc["ground_set"])))
-    elements = tuple(map(read, doc["elements"]))
-    points = [(g.numerator, g.denominator) for g in ground.points]
-    copies = []
-    for i, entry in enumerate(doc["copies"]):
-        m, image = Homothety1D(read(entry["scale"]), read(entry["shift"])), tuple(map(read, entry["image"]))
-        a, b, c, d = m.scale.numerator, m.scale.denominator, m.shift.numerator, m.shift.denominator
-        if len(image) != len(points) or any(
-            x.numerator * b * d * f != x.denominator * (a * e * d + c * b * f) for x, (e, f) in zip(image, points)
-        ):
-            raise ValueError(f"copies[{i}].image is {entry['image']!r}, not its map's image of the ground set")
-        copies.append(HomotheticCopy(m, image))
+    """The certificate a document holds.  A copy is read as the positions
+    of its image among the elements, as the writer writes them, and
+    accepted only if it is one of the copies the elements hold; a stored
+    scale or shift that is not its map's is left to the writer's compare."""
     flags_doc = doc["flags"]
     verdicts = [flags_doc[name] for name in ("coloring_ok", "sparsity_ok", "copies_complete")]
     flags = CertificateFlags(*(None if v is None else bool(v) for v in verdicts), note=str(flags_doc["note"]))
-    return GallaiCertificate(ground, elements, tuple(copies), int(doc["colors"]), int(doc["girth"]), flags)
+    ground, elements = GroundSet(tuple(map(read, doc["ground_set"]))), tuple(map(read, doc["elements"]))
+    cert = GallaiCertificate(ground, elements, (), int(doc["colors"]), int(doc["girth"]), flags)
+    position = {format_rat(x): p for p, x in enumerate(elements)}
+    copies = [tuple(position.get(x, -1) for x in entry["image"]) for entry in doc["copies"]]
+    held = set(enumerate_copies(ground, elements))
+    if (i := next((i for i, copy in enumerate(copies) if copy not in held), None)) is not None:
+        image = doc["copies"][i]["image"]
+        raise ValueError(f"copies[{i}].image is {image!r}, not the written elements of a copy of the ground set")
+    return replace(cert, copies=tuple(copies))

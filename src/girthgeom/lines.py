@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -161,9 +162,14 @@ class LineFamily(recursion.Family):
         """The grid of the lines whose entries are a base point and a direction,
         rationals or what ``read`` parses: the bases' least common denominator,
         and per line its base row and direction row.  Each distinct direction
-        is put on a grid of its own once."""
+        is put on a grid of its own once; a zero one is refused by its path."""
         den, bases = to_grid([e[:3] for e in entries], read)
-        dirs = {d: direction_row(to_grid([d], read)[1][0]) for d in dict.fromkeys(tuple(e[3:]) for e in entries)}
+        dirs: dict[tuple, Row] = {}
+        for i, e in enumerate(entries):
+            if (d := tuple(e[3:])) not in dirs:
+                if not any(v := to_grid([d], read)[1][0]):
+                    raise ValueError(f"{LineFamily.key}[{i}].dir must not be the zero vector")
+                dirs[d] = direction_row(v)
         return den, [(b, dirs[tuple(e[3:])]) for b, e in zip(bases, entries)]
 
     def labels(self) -> list[dict]:
@@ -585,10 +591,10 @@ def forbidden_offsets(images_at_zero, placed: _PlacedLines, slide: Row) -> Calla
     return is_forbidden
 
 
-def embed_copy_lines(parent: LineFamily, frame: TransversalFrame, copies, den: int = 1) -> tuple[int, list[list]]:
-    """The parent's image under each copy, at slide offset 0, as rows on
-    one grid: the least multiple of ``den`` on which every copy's map is
-    integer affine on the parent's rows.
+def embed_copy_lines(parent: LineFamily, frame: TransversalFrame, maps, den: int = 1) -> tuple[int, list[list]]:
+    """The parent's image under each copy's map in ``maps``, at slide
+    offset 0, as rows on one grid: the least multiple of ``den`` on which
+    every map is integer affine on the parent's rows.
 
     A copy with 1-D axis map x -> s x + h maps p -> s p + (1 - s) B + h a,
     where B is the axis point and a the axis direction scaled to a leading
@@ -599,9 +605,9 @@ def embed_copy_lines(parent: LineFamily, frame: TransversalFrame, copies, den: i
     line.  Directions are unchanged.
     """
     p, lead = parent.den, _lead(frame.axis)
-    grid, maps = grid_maps([(copy.map.scale, copy.map.shift / lead) for copy in copies], p, den)
+    grid, ints = grid_maps([(m.scale, m.shift / lead) for m in maps], p, den)
     out = []
-    for k, t in maps:  # k = grid s / p and t = grid h / lead, so (1 - s) B is (grid - k p) B on the grid
+    for k, t in ints:  # k = grid s / p and t = grid h / lead, so (1 - s) B is (grid - k p) B on the grid
         shift = [(grid - k * p) * o + t * e for o, e in zip(frame.origin, frame.axis)]
         out.append([(tuple(k * c + w for c, w in zip(b, shift)), d) for b, d in parent.rows])
     return grid, out
@@ -627,7 +633,7 @@ def _place_lines(parent: LineFamily, certify) -> recursion.Placement:
     cert = certify(params)
     ground_den, ground = make_ground_lines(cert.elements, frame)
     lead = _lead(frame.perp)  # a slide by one unit of the perpendicular scaled to a leading 1 is integer on the grid
-    den, images = embed_copy_lines(parent, frame, cert.copies, math.lcm(ground_den, lead))
+    den, images = embed_copy_lines(parent, frame, cert.maps(), math.lcm(ground_den, lead))
     ground = [(tuple(c * (den // ground_den) for c in b), d) for b, d in ground]
     slide = tuple(den // lead * c for c in frame.perp)
     copies: list[list] = []
@@ -691,15 +697,14 @@ def _misplaced_copy_line(prov: dict, edges: recursion.CopyEdges):
     ground line at its own mapped parameter, as (line, ground lines met,
     expected ground line); None when every copy line does.  Parent line p
     lies at parent_params[p], the ground set's point of rank r, so copy c
-    maps it to c.image[r]; the lines each copy line meets are listed in
-    ground order, since ground lines come first."""
+    maps it to the element at c[r], where ground line edges.ground[c[r]]
+    lies; the lines each copy line meets are listed in ground order, since
+    ground lines come first."""
     cert = prov["certificate"]
-    rank = {t: r for r, t in enumerate(cert.ground.points)}
-    ranks = [rank[t] for t in prov["parent_params"]]
-    ground_at = dict(zip(cert.elements, edges.ground))
+    ranks = [bisect_left(cert.ground.points, t) for t in prov["parent_params"]]
     for copy, members in zip(cert.copies, edges.copies):
         for r, i in zip(ranks, members):
-            expected_g = ground_at[copy.image[r]]
+            expected_g = edges.ground[copy[r]]
             if edges.ground_met[i] != [expected_g]:
                 return i, edges.ground_met[i], expected_g
     return None

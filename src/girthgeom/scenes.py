@@ -201,11 +201,11 @@ def _check_fit(prov: dict, size: int, path: str = "provenance", graph=None) -> N
     block per certificate copy with one parent object per point of the
     certificate's ground set, its parent edges are sorted pairs u < v of
     parent objects, a line recursion's parent parameters are the points of
-    the ground set and its offsets one per copy, and its parent fits that
-    many objects in turn.  Below the top, the ``graph`` the level above
-    records is the base kind's graph at a base, and at a recursion no
-    ground objects meet, each copy object meets one, and each copy induces
-    the edges."""
+    the ground set and its offsets one integer per copy, and its parent
+    fits that many objects in turn.  Below the top, the ``graph`` the level
+    above records is the base kind's graph at a base, and at a recursion no
+    ground objects meet, each copy object meets one, no two copies meet,
+    and each copy induces the edges."""
     kind = prov.get("kind")
     if kind == "base-odd-cycle" and not 3 <= prov["n"] == size:
         raise ValueError(f"{path}.n is {prov['n']}, not the {size} objects of the cycle")
@@ -225,11 +225,14 @@ def _check_fit(prov: dict, size: int, path: str = "provenance", graph=None) -> N
         raise ValueError(f"{path}.parent_params are not the points of the certificate's ground set")
     if len(prov.get("offsets", cert.copies)) != len(cert.copies):
         raise ValueError(f"{path}.offsets do not hold one slide offset per certificate copy")
+    if (i := next((i for i, t in enumerate(prov.get("offsets", ())) if t.denominator != 1), None)) is not None:
+        raise ValueError(f"{path}.offsets[{i}] is {format_rat(prov['offsets'][i])}, not an integer slide offset")
     if graph is not None:
         filed = CopyEdges(prov["blocks"], graph)
         faults = itertools.chain(
             (f"ground objects {e} meet" for e in filed.ground_pairs),
             (f"copy object {i} meets {len(g)} ground objects" for i, g in filed.ground_met.items() if len(g) != 1),
+            (f"cross-copy pair {e}" for e in filed.cross),
             (f"copy {j} does not induce its parent_edges" for j, got in enumerate(filed.intra) if got != set(edges)))
         if fault := next(faults, None):
             raise ValueError(f"{path} does not fit the graph the level above records: {fault}")

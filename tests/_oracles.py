@@ -51,7 +51,7 @@ from fractions import Fraction
 from girthgeom.boxes import BoxFamily, GroundedSquareBox
 from girthgeom.budget import Budget
 from girthgeom.errors import BudgetExhausted, ConstructionError
-from girthgeom.gallai import HomotheticCopy, certificate_to_doc
+from girthgeom.gallai import certificate_to_doc
 from girthgeom.geometry import Box3, Dir3, Homothety1D, Interval, Line3, Point3, Rat, Triple, cross, dot, format_rat, rat
 from girthgeom.graphs import ColoringCertificate, _bipartite
 from girthgeom.lines import FRAME_HEIGHT
@@ -312,24 +312,23 @@ def brute_copies(ground, elements) -> set[tuple[Fraction, ...]]:
     return out
 
 
-def fraction_copies(ground, elements) -> tuple[HomotheticCopy, ...]:
+def fraction_copies(ground, elements) -> tuple[tuple[Homothety1D, tuple[Rat, ...]], ...]:
     """The copy enumeration computed in exact Fractions: every pair of
     elements as the images of the two extremes, each interior image
-    computed and membership-tested.  The library's integer-grid
-    enumeration must match it copy for copy, maps included."""
+    computed and membership-tested, as (map, image) pairs.  The library's
+    integer-grid enumeration must match it copy for copy, maps included."""
     pts = ground.points
     span = pts[-1] - pts[0]
     interior = pts[1:-1]
     universe = set(elements)
-    out: list[HomotheticCopy] = []
+    out = []
     for i, a in enumerate(elements):
         for b in elements[i + 1:]:
             scale = (b - a) / span
             shift = a - scale * pts[0]
             mids = tuple(scale * t + shift for t in interior)
             if all(v in universe for v in mids):
-                image = (a, *mids, b)
-                out.append(HomotheticCopy(Homothety1D(scale, shift), image))
+                out.append((Homothety1D(scale, shift), (a, *mids, b)))
     return tuple(out)
 
 
@@ -412,16 +411,16 @@ def brute_verify_shift_system(system) -> tuple[bool, dict | None]:
 def reference_copy_cycle(copies, max_copies: int):
     """Shortest copy cycle of at most max_copies copies, by a BFS of its
     own over (kind, index) vertices of the copy-element incidence graph,
-    rooted at copies only; returns (copies, elements) of a shortest
-    witness, or None."""
+    rooted at copies only, each the positions of its elements; returns
+    (copies, elements) of a shortest witness, or None."""
     copies = tuple(copies)
     elem_ids: dict = {}
     for c in copies:
-        for x in c.image:
+        for x in c:
             elem_ids.setdefault(x, len(elem_ids))
     adj: dict = {}
     for ci, c in enumerate(copies):
-        for x in c.image:
+        for x in c:
             adj.setdefault((0, ci), []).append((1, elem_ids[x]))
             adj.setdefault((1, elem_ids[x]), []).append((0, ci))
     for v in adj:
@@ -624,11 +623,11 @@ def axis_map_box(maps, b) -> Box3:
 
 
 def fraction_embed_copy_boxes(parent, embeddings) -> list[list[GroundedSquareBox]]:
-    """Each embedding (a copy, whose map acts on x and y, and a map of
-    heights) applied to the parent box by box in Fractions: the reference
-    for the library's embedding on the grid."""
-    return [[GroundedSquareBox(axis_map_box((copy.map, vertical), b.box)) for b in parent.boxes]
-            for copy, vertical in embeddings]
+    """Each embedding (a copy's positions, its map, which acts on x and y,
+    and a map of heights) applied to the parent box by box in Fractions:
+    the reference for the library's embedding on the grid."""
+    return [[GroundedSquareBox(axis_map_box((horizontal, vertical), b.box)) for b in parent.boxes]
+            for _, horizontal, vertical in embeddings]
 
 
 def fraction_normalize_traces(fam):
@@ -918,11 +917,11 @@ def fraction_make_ground_lines(values, frame: FractionFrame) -> list[Line3]:
     return [Line3(point_at(frame.axis, rat(x)), frame.perp) for x in sorted(values)]
 
 
-def fraction_embed_copy_lines(lines, frame: FractionFrame, copy, offset) -> list[Line3]:
-    """The image of the lines under p -> s p + (1 - s) B + h a + offset u,
-    applied line by line as a Fraction homothety: the reference for the
-    library's copy map on the grid."""
-    scale, h = copy.map.scale, copy.map.shift
+def fraction_embed_copy_lines(lines, frame: FractionFrame, copy_map, offset) -> list[Line3]:
+    """The image of the lines under p -> s p + (1 - s) B + h a + offset u
+    for the copy map x -> s x + h, applied line by line as a Fraction
+    homothety: the reference for the library's copy map on the grid."""
+    scale, h = copy_map.scale, copy_map.shift
     base, a, u = frame.axis.base.as_tuple(), frame.axis.dir.as_tuple(), frame.perp.as_tuple()
     shift = vadd(vadd(vscale(1 - scale, base), vscale(h, a)), vscale(rat(offset), u))
     mapping = Homothety3D(scale, Point3(*shift))

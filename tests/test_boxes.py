@@ -28,7 +28,7 @@ from girthgeom import (
     single_box_family,
 )
 from girthgeom.boxes import plan_embeddings
-from girthgeom.gallai import GroundSet, HomotheticCopy, pigeonhole_certificate
+from girthgeom.gallai import GroundSet, pigeonhole_certificate
 from girthgeom.geometry import Homothety1D, to_grid
 
 from _oracles import (
@@ -156,18 +156,24 @@ def views(grid, rows) -> list[GroundedSquareBox]:
     return [GroundedSquareBox(Box3.from_bounds(*(F(v, grid) for v in row))) for row in rows]
 
 
+def ground_boxes(values):
+    """The ground boxes at ``values``, as ``make_ground_boxes`` makes them
+    for a lift: their grid's denominator and rows."""
+    values = sorted(values)
+    return make_ground_boxes(values, min((b - a for a, b in zip(values, values[1:])), default=F(1)) / 3)
+
+
 class TestEmbedCopyBoxes:
     def test_identity_copy_keeps_parent(self):
         parent = meeting_pair_family()
-        copy = HomotheticCopy(identity_map(), (F(0), F(1)))
-        grid, (rows,) = embed_copy_boxes(parent, [(copy, identity_map())])
-        assert (grid, tuple(rows)) == (parent.den, parent.rows)
+        grid, (rows,) = embed_copy_boxes(parent, [((0, 1), identity_map(), identity_map())], *ground_boxes([0, 1]))
+        assert tuple(views(grid, rows)) == parent.boxes
 
     def test_pair_copy_traces(self):
         parent = meeting_pair_family()
         cert = pigeonhole_certificate(GroundSet.of(parent.traces()), 2, 6)
         emb = plan_embeddings(parent, cert)[0]  # copy {1, 2}
-        grid, (rows,) = embed_copy_boxes(parent, [emb])
+        grid, (rows,) = embed_copy_boxes(parent, [emb], *ground_boxes(cert.elements))
         images = views(grid, rows)
         assert [trace(b) for b in images] == [F(1), F(2)]
         count = len(cert.copies)  # slot 0 is [0, 1 / count] shrunk by a quarter of its length at each end
@@ -176,16 +182,22 @@ class TestEmbedCopyBoxes:
     def test_small_copy_graph_isomorphic(self):
         parent = odd_cycle_boxes(5)
         mapping = Homothety1D(F(1, 100), F(7))
-        copy = HomotheticCopy(mapping, tuple(apply(mapping, t) for t in sorted(parent.traces())))
-        grid, (rows,) = embed_copy_boxes(parent, [(copy, identity_map())])
+        image = [apply(mapping, t) for t in sorted(parent.traces())]
+        grid, (rows,) = embed_copy_boxes(parent, [((0, 1, 2, 3, 4), mapping, identity_map())], *ground_boxes(image))
         got = intersection_graph(BoxFamily(rows, None, 1, den=grid))
         assert got == intersection_graph(parent)
 
     def test_domain_mismatch_rejected(self):
         parent = meeting_pair_family()
-        copy = HomotheticCopy(identity_map(), (F(3), F(4)))
-        with pytest.raises(ConstructionError):
-            embed_copy_boxes(parent, [(copy, identity_map())])
+        with pytest.raises(ConstructionError, match="copy domain mismatch"):
+            embed_copy_boxes(parent, [((0, 1), identity_map(), identity_map())], *ground_boxes([3, 4]))
+
+    @pytest.mark.parametrize("copy", [(0, 2), (1, 2)])
+    def test_positions_off_the_map_rejected(self, copy):
+        # the traces 0 and 1 map onto the ground boxes at 0 and 1, not at the copy's positions
+        parent = meeting_pair_family()
+        with pytest.raises(ConstructionError, match="copy domain mismatch"):
+            embed_copy_boxes(parent, [(copy, identity_map(), identity_map())], *ground_boxes([0, 1, 2]))
 
 
 # bounds from small pools with mixed denominators, so traces, sides and
@@ -206,25 +218,26 @@ def grounded_boxes(draw, max_size=6):
 
 @st.composite
 def embedding_cases(draw):
-    """A parent whose boxes share traces, sides and z-ends, and a few
-    embeddings of it with random positive maps."""
+    """A parent whose boxes share traces, sides and z-ends, a few
+    embeddings of it with random positive maps, and the ground boxes at
+    the traces they place."""
     parent = BoxFamily(draw(grounded_boxes()), None, 1, {})
     scales = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
     shifts = st.fractions(min_value=-9, max_value=9, max_denominator=9)
-    embeddings = []
-    for _ in range(draw(st.integers(1, 4))):
-        horizontal, vertical = Homothety1D(draw(scales), draw(shifts)), Homothety1D(draw(scales), draw(shifts))
-        copy = HomotheticCopy(horizontal, tuple(apply(horizontal, t) for t in sorted(set(parent.traces()))))
-        embeddings.append((copy, vertical))
-    return parent, embeddings, draw(st.sampled_from([1, 2, 6, 35]))
+    maps = [(Homothety1D(draw(scales), draw(shifts)), Homothety1D(draw(scales), draw(shifts)))
+            for _ in range(draw(st.integers(1, 4)))]
+    images = [[apply(horizontal, t) for t in sorted(set(parent.traces()))] for horizontal, _ in maps]
+    values = sorted({x for image in images for x in image})
+    embeddings = [(tuple(map(values.index, image)), *m) for image, m in zip(images, maps)]
+    return parent, embeddings, ground_boxes(values)
 
 
 @settings(max_examples=200, deadline=None)
 @given(embedding_cases())
 def test_embedding_on_the_grid_matches_the_fraction_map(case):
-    parent, embeddings, den = case
-    grid, copies = embed_copy_boxes(parent, embeddings, den)
-    assert grid % den == 0
+    parent, embeddings, (ground_den, ground) = case
+    grid, copies = embed_copy_boxes(parent, embeddings, ground_den, ground)
+    assert grid % ground_den == 0
     assert [views(grid, rows) for rows in copies] == fraction_embed_copy_boxes(parent, embeddings)
 
 

@@ -563,6 +563,21 @@ _RESPELLED = [
         (_C2, "s.scene.json", _drop_axis, _BOXES_DOC + "boxes[0].y is missing"),
         (_LINES, "s.scene.json", _set("lines", 2, "base", 1, "x"),
          _LINES_DOC + "lines[2].base[1]: Invalid literal for Fraction: 'x'"),
+        (_LINES, "s.scene.json", _set("lines", 3, "dir", ["0", "0", "0"]),
+         _LINES_DOC + "lines[3].dir must not be the zero vector"),
+        (_LINES, "s.scene.json", _set("provenance", "offsets", 0, "1/2"),
+         _LINES_DOC + "provenance.offsets[0] is 1/2, not an integer slide offset"),
+        # a copy is read as the positions of its image among the elements, and
+        # its scale and shift are its derived map's, as the writer writes them
+        (_CERT, "s.json", _set("copies", 0, "image", ["1", "2", "4"]),
+         _CERT_DOC + "copies[0].image is ['1', '2', '4'], not the written elements of a copy of the ground set"),
+        (_CERT, "s.json", _set("copies", 0, "image", ["3", "2", "1"]),
+         _CERT_DOC + "copies[0].image is ['3', '2', '1'], not the written elements of a copy of the ground set"),
+        (_CERT, "s.json", _set("copies", 0, "image", ["1", "3", "5"]),
+         _CERT_DOC + "copies[0].scale is '1', its writer writes '2'"),
+        (_CERT, "s.json", _set("copies", 0, "scale", "7"), _CERT_DOC + "copies[0].scale is '7', its writer writes '1'"),
+        (_CERT, "s.json", _set("copies", 0, "shift", "0"), _CERT_DOC + "copies[0].shift is '0', its writer writes '1'"),
+        (_CERT, "s.json", _set("elements", 0, "2"), _CERT_DOC + "certificate elements must be strictly increasing"),
     ],
     ids=["shift-value-trimmed", "shift-line-removed", "shift-value-changed", "shift-lines-swapped",
          "shift-two-values", "array-scene", "array-certificate", "short-box-coordinates", "edited-copy-image",
@@ -580,7 +595,9 @@ _RESPELLED = [
          "shift-provenance-seed-string", "box-lift-uncertified", "box-colors-before-float", "box-geometry-lines",
          "box-provenance-image-wrong", "box-provenance-flag-string", "box-parent-edge-out-of-range",
          "box-parent-edge-repeated", "box-colors-malformed", "box-girth-malformed", "box-coordinate-malformed",
-         "box-axis-missing", "line-base-malformed"],
+         "box-axis-missing", "line-base-malformed", "line-direction-zero", "line-offset-half",
+         "certificate-image-not-a-copy", "certificate-image-reversed", "certificate-image-of-another-copy",
+         "certificate-scale-changed", "certificate-shift-changed", "certificate-element-repeated"],
 )
 def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, build, path, spoil, message):
     # every refusal at load names its document kind; ``message`` is the
@@ -760,9 +777,10 @@ def test_a_parent_provenance_that_does_not_fit_exits_2(tmp_path, capsys, two_ste
         ((("add", (0, 1)),), "ground objects (0, 1) meet"),
         ((("drop", (3, 4)),), "copy 0 does not induce its parent_edges"),
         ((("drop", (7, 8)), ("add", (0, 7))), "copy object 7 meets 2 ground objects"),
+        ((("add", (3, 5)),), "cross-copy pair (3, 5)"),
     ],
     ids=["as-recorded", "copy-meets-none", "copy-meets-two", "ground-pair-meets", "copy-misses-its-edge",
-         "first-fault-in-order"],
+         "first-fault-in-order", "cross-copy-pair"],
 )
 def test_a_parent_level_is_checked_against_the_graph_above(two_step_scene, change, fault):
     # the parent level of the two-step scene is c9's lift: ground 0..2, copies

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,6 @@ from girthgeom import (
     GallaiCertificate,
     GroundSet,
     Homothety1D,
-    HomotheticCopy,
     ProviderFailure,
     ProviderRefusal,
     enumerate_copies,
@@ -67,27 +67,30 @@ class TestNormalize:
         assert tuple(apply(mapping, F(i)) for i in ints) == ground.points
 
 
+def copies_of(ground: GroundSet, elements):
+    """The certificate of the copies of ``ground`` in ``elements``, which
+    derives their maps."""
+    return GallaiCertificate(ground, elements, enumerate_copies(ground, elements), 1, 3)
+
+
 class TestEnumerateCopies:
     def test_pairs(self):
         copies = enumerate_copies(GroundSet.of([0, 1]), elems(1, 2, 3))
-        assert [c.image for c in copies] == [elems(1, 2), elems(1, 3), elems(2, 3)]
+        assert copies == ((0, 1), (0, 2), (1, 2))
 
     def test_progressions_in_nine(self):
-        copies = enumerate_copies(GroundSet.of([0, 1, 2]), elems(*range(1, 10)))
-        assert len(copies) == 16
-        by_step = {}
-        for c in copies:
-            by_step.setdefault(c.map.scale, []).append(c)
-        assert {s: len(v) for s, v in by_step.items()} == {F(1): 7, F(2): 5, F(3): 3, F(4): 1}
+        cert = copies_of(GroundSet.of([0, 1, 2]), elems(*range(1, 10)))
+        assert len(cert.copies) == 16
+        assert Counter(m.scale for m in cert.maps()) == {F(1): 7, F(2): 5, F(3): 3, F(4): 1}
 
     def test_asymmetric_shape_single_copy(self):
         copies = enumerate_copies(GroundSet.of([0, 1, 3]), elems(0, 1, 2, 3))
-        assert [c.image for c in copies] == [elems(0, 1, 3)]
+        assert copies == ((0, 1, 3),)
 
     def test_witness_map_reproduces_image(self):
-        ground = GroundSet.of([0, 2, 3])
-        for c in enumerate_copies(ground, elems(*range(13))):
-            assert tuple(apply(c.map, t) for t in ground.points) == c.image
+        cert = copies_of(GroundSet.of([0, 2, 3]), elems(*range(13)))
+        for c, m in zip(cert.copies, cert.maps()):
+            assert tuple(apply(m, t) for t in cert.ground.points) == tuple(cert.elements[p] for p in c)
 
     @pytest.mark.parametrize(
         "ground,universe",
@@ -101,7 +104,7 @@ class TestEnumerateCopies:
     def test_matches_ratio_oracle(self, ground, universe):
         gs = GroundSet.of(ground)
         xs = tuple(sorted(F(v) for v in universe))
-        assert {c.image for c in enumerate_copies(gs, xs)} == brute_copies(gs, xs)
+        assert {tuple(xs[p] for p in c) for c in enumerate_copies(gs, xs)} == brute_copies(gs, xs)
 
 
 @st.composite
@@ -126,43 +129,38 @@ class TestEnumerateCopiesOracle:
     @example((GroundSet.of([F(-1, 2), F(1, 3)]), (F(-7, 3), F(-1, 4), F(2, 5))))
     @example((GroundSet.of([F(-3, 2), F(-1, 2), F(5, 2)]), tuple(F(v, 4) for v in range(-12, 12))))
     def test_matches_the_fraction_loop(self, instance):
+        """The copies are the Fraction loop's images, in its order, as
+        positions among the elements, and their derived maps are its maps."""
         ground, elements = instance
-        got = enumerate_copies(ground, elements)
+        cert = copies_of(ground, elements)
         want = fraction_copies(ground, elements)
-        assert [(c.map.scale, c.map.shift, c.image) for c in got] == [
-            (c.map.scale, c.map.shift, c.image) for c in want
-        ]
+        assert [tuple(elements[p] for p in c) for c in cert.copies] == [image for _, image in want]
+        assert all(c == tuple(sorted(set(c))) for c in cert.copies)
+        assert cert.maps() == [m for m, _ in want]
 
 
 class TestCopyCycles:
-    def pair_copies(self, *pairs):
-        out = []
-        for a, b in pairs:
-            scale = F(b - a)
-            out.append(HomotheticCopy(Homothety1D(scale, F(a)), (F(a), F(b))))
-        return out
-
     def test_three_pairs_form_triangle(self):
-        copies = self.pair_copies((1, 2), (1, 3), (2, 3))
+        copies = [(1, 2), (1, 3), (2, 3)]
         witness = find_copy_cycle(copies, 3)
         assert witness is not None
         assert len(witness.copies) == 3
         validate_cycle_witness(witness)
 
     def test_no_two_cycle_among_pairs(self):
-        copies = self.pair_copies((1, 2), (1, 3), (2, 3))
+        copies = [(1, 2), (1, 3), (2, 3)]
         assert find_copy_cycle(copies, 2) is None
 
     def test_single_copy_never_cycles(self):
-        copies = self.pair_copies((1, 2))
+        copies = [(1, 2)]
         assert find_copy_cycle(copies, 3) is None
 
     def test_two_cycle_needs_two_shared_elements(self):
         copies = enumerate_copies(GroundSet.of([0, 1, 2]), elems(1, 2, 3, 4))
-        # {1,2,3} and {2,3,4} share elements 2 and 3
+        # {1,2,3} and {2,3,4} share elements 2 and 3, at positions 1 and 2
         witness = find_copy_cycle(copies, 2)
         assert witness is not None
-        assert len(witness.copies) == 2
+        assert len(witness.copies) == 2 and sorted(witness.elements) == [1, 2]
         validate_cycle_witness(witness)
 
     def test_any_three_points_of_pairs_cycle(self):
@@ -172,7 +170,7 @@ class TestCopyCycles:
 
     def test_max_copies_below_two_rejected(self):
         with pytest.raises(ValueError):
-            find_copy_cycle(self.pair_copies((1, 2), (2, 3)), 1)
+            find_copy_cycle([(1, 2), (2, 3)], 1)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -190,10 +188,10 @@ class TestCopyCycles:
             assert len(witness.copies) == len(reference[0]) <= max_copies
 
     def test_witness_validation_rejects_bad(self):
-        copies = self.pair_copies((1, 2), (2, 3))
+        copies = [(1, 2), (2, 3)]
         with pytest.raises(ValueError):
             validate_cycle_witness(
-                CopyCycleWitness(tuple(copies), (F(2), F(5)))
+                CopyCycleWitness(tuple(copies), (2, 5))
             )
 
 
@@ -227,6 +225,12 @@ class TestVerify:
         report = verify_certificate(cert)
         assert report.copies_complete is False
 
+    @pytest.mark.parametrize("copy", [(0, 9, 18), (-1, 0, 1)])
+    def test_copy_positions_out_of_range_refused(self, copy):
+        cert = make_cert([0, 1, 2], range(1, 10), 2, 4)
+        with pytest.raises(ValueError, match="copy positions escape the certificate elements"):
+            GallaiCertificate(cert.ground, cert.elements, (*cert.copies, copy), cert.colors, cert.girth)
+
     def test_budget_exhaustion_distinct_from_false(self):
         report = verify_certificate(make_cert([0, 1, 2], range(1, 28), 3, 4), Budget(50))
         assert report.coloring_ok is None
@@ -241,9 +245,7 @@ class TestVerify:
         ]:
             gs = GroundSet.of([0, 1, 2])
             xs = elems(*universe)
-            copies = enumerate_copies(gs, xs)
-            index = {x: i for i, x in enumerate(xs)}
-            idx = [tuple(index[v] for v in c.image) for c in copies]
+            idx = list(enumerate_copies(gs, xs))
             ours = find_avoiding_coloring(len(xs), colors, idx, Budget(10_000_000))
             brute = brute_coloring_search(len(xs), colors, idx)
             assert ours == brute
@@ -283,7 +285,7 @@ class TestVerify:
     def test_search_matches_the_rescanning_search_at_real_scale(self, terms, n, colors, refuted, nodes):
         # W(3;3) = 27 and W(4;2) = 35: the trees the certificates pin
         xs = elems(*range(1, n + 1))
-        copies = [tuple(int(v) - 1 for v in c.image) for c in enumerate_copies(GroundSet.of(range(terms)), xs)]
+        copies = list(enumerate_copies(GroundSet.of(range(terms)), xs))
         ours = self._run(find_avoiding_coloring, n, colors, copies, Budget(10_000_000))
         assert ours == self._run(rescan_avoiding_coloring, n, colors, copies, Budget(10_000_000))
         result, used = ours

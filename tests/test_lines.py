@@ -58,7 +58,7 @@ from girthgeom import (
     single_line_family,
     verify_shift_system,
 )
-from girthgeom.gallai import HomotheticCopy, pigeonhole_certificate
+from girthgeom.gallai import pigeonhole_certificate
 from girthgeom.geometry import Homothety1D, dot
 from girthgeom.lines import _offsets, _PlacedLines, axis_params, forbidden_offsets, frame_conditions
 
@@ -361,38 +361,39 @@ _REFS = [fraction_choose_frame(p.lines)[0] for p in _PARENTS]
 
 
 def _copy(scale, shift):
-    return HomotheticCopy(Homothety1D(F(scale), F(shift)), ())
+    return Homothety1D(F(scale), F(shift))
 
 
 def _slid(rows, slide, t):
     return [(tuple(c + t * w for c, w in zip(b, slide)), d) for b, d in rows]
 
 
-def _embed(which, copies, den=1):
-    """The copies' images of parent ``which`` at offset 0 on one grid, a
-    multiple of ``den``, with the grid's slide by one unit of the frame's
-    perpendicular scaled to a leading 1, as the recursion lays them out."""
+def _embed(which, maps, den=1):
+    """The images of parent ``which`` under the copy ``maps`` at offset 0
+    on one grid, a multiple of ``den``, with the grid's slide by one unit
+    of the frame's perpendicular scaled to a leading 1, as the recursion
+    lays them out."""
     frame = _FRAMES[which]
     lead = linemod._lead(frame.perp)
-    grid, images = embed_copy_lines(_PARENTS[which], frame, copies, math.lcm(den, lead))
+    grid, images = embed_copy_lines(_PARENTS[which], frame, maps, math.lcm(den, lead))
     return grid, images, tuple(grid // lead * c for c in frame.perp)
 
 
 class TestEmbedCopyLines:
     def test_identity_copy_zero_offset(self):
         parent = meeting_pair_lines()
-        copy = HomotheticCopy(identity_map(), (F(0), F(1)))
+        copy = identity_map()
         den, (images,), _ = _embed(0, [copy])
         assert all(same_line(a, b) for a, b in zip(_views(den, images), parent.lines))
 
     def test_translation_copy_preserves_graph(self):
         parent = meeting_pair_lines()
-        copy = HomotheticCopy(Homothety1D(F(1), F(5)), (F(0), F(1)))
+        copy = Homothety1D(F(1), F(5))
         den, (images,), _ = _embed(0, [copy])
         assert intersection_graph(LineFamily(images, None, 1, den=den)) == intersection_graph(parent)
 
     def test_conflicting_offset_rejected_then_next_works(self):
-        copy = HomotheticCopy(identity_map(), (F(0), F(1)))
+        copy = identity_map()
         _, (first,), slide = _embed(0, [copy])
         is_forbidden = forbidden_offsets(first, _PlacedLines(first), slide)
         assert is_forbidden(0)
@@ -477,7 +478,7 @@ def test_copy_line_crosses_the_plane_where_its_map_says(which, scale, shift, off
     for line, image in zip(parent.lines, _views(den, _slid(rows, slide, offset))):
         p, q = _plane_coordinates(ref, line)
         assert image.dir == line.dir
-        assert _plane_coordinates(ref, image) == (apply(copy.map, p), scale * q + offset)
+        assert _plane_coordinates(ref, image) == (apply(copy, p), scale * q + offset)
 
 
 class TestForbiddenOffsets:

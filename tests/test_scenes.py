@@ -221,9 +221,11 @@ def _per_call_scene(doc):
 
 
 def _rational_strings(node):
-    """Every string in a document that reads as a rational."""
+    """Every string in a document that reads as a rational, but for a
+    certificate's copies: their images are read as positions among its
+    elements, and their scales and shifts only compared with the writer's."""
     if isinstance(node, dict):
-        node = list(node.values())
+        node = [v for k, v in node.items() if not (k == "copies" and node.get("kind") == "gallai-certificate")]
     if isinstance(node, list):
         for child in node:
             yield from _rational_strings(child)
