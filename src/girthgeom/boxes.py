@@ -244,7 +244,7 @@ def normalize_traces(fam: BoxFamily) -> BoxFamily:
         return fam
     # rigid blocks: a recursion output's ground boxes and each of its copies; otherwise each box alone
     prov = fam.provenance
-    blocks = ([prov["blocks"]["ground"], *prov["blocks"]["copies"]] if prov.get("kind") == "recursion"
+    blocks = (recursion.block_layout(prov["certificate"]) if prov.get("kind") == "recursion"
               else [[i] for i in range(len(rows))])
     block_of = {i: bi for bi, members in enumerate(blocks) for i in members}
 

@@ -132,9 +132,8 @@ def _status(*verdicts: bool | None) -> tuple[str, int]:
     return "ok", EXIT_OK
 
 
-def _emit(report: dict, out_prefix: str | None, footer: list[str]) -> None:
-    if out_prefix is not None:
-        scenes.write_doc(f"{out_prefix}.report.json", report)
+def _emit(report: dict, out_prefix: str, footer: list[str]) -> None:
+    scenes.write_doc(f"{out_prefix}.report.json", report)
     for line in footer:
         print(line)
     print(f"status: {report['status']}")

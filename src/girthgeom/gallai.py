@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 
 from .budget import DEFAULT_NODES, Budget
 from .errors import BudgetExhausted, ProviderFailure, ProviderRefusal
@@ -126,14 +127,12 @@ class GallaiCertificate:
 # normalization and copy enumeration
 
 
-def normalize_ground_set(ground: GroundSet) -> tuple[tuple[int, ...], Homothety1D]:
+def normalize_ground_set(ground: GroundSet) -> tuple[int, ...]:
     """Rescale a rational ground set onto integers with minimum 0 and
-    difference gcd 1; the returned map sends those integers back exactly."""
-    base = ground.points[0]
-    denom, (raw,) = to_grid([[p - base for p in ground.points]])
+    difference gcd 1."""
+    _, (raw,) = to_grid([[p - ground.points[0] for p in ground.points]])
     g = math.gcd(*raw)
-    ints = tuple(r // g for r in raw)
-    return ints, Homothety1D(Fraction(g, denom), base)
+    return tuple(r // g for r in raw)
 
 
 def enumerate_copies(ground: GroundSet, elements: tuple[Rat, ...]) -> tuple[tuple[int, ...], ...]:
@@ -148,7 +147,7 @@ def enumerate_copies(ground: GroundSet, elements: tuple[Rat, ...]) -> tuple[tupl
     1, so an image is on the grid only when q = (b - a) / span is an
     integer, and then its points are a + q * t.
     """
-    ints, _ = normalize_ground_set(ground)
+    ints = normalize_ground_set(ground)
     interior = ints[1:-1]
     _, (grid,) = to_grid([elements])
     position = {x: p for p, x in enumerate(grid)}
@@ -362,7 +361,7 @@ def vdw_certificate(
     budget runs out the certificate is returned with the coloring flag
     left undecided and a note, never silently.
     """
-    ints, _ = normalize_ground_set(ground)
+    ints = normalize_ground_set(ground)
     terms = ints[-1] + 1
     if length_hint is not None:
         n_elems = length_hint
@@ -451,10 +450,7 @@ class ProviderPolicy:
     chroma_budget: int = DEFAULT_NODES
 
     def provider(self):
-        def acquire(ground: GroundSet, colors: int, girth: int) -> GallaiCertificate:
-            return make_certificate(self, ground, colors, girth)
-
-        return acquire
+        return partial(make_certificate, self)
 
 
 def make_certificate(

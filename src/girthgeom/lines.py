@@ -667,7 +667,7 @@ def _check_line_copies(report: recursion.StructureReport, fam: LineFamily, edges
 
     # two lines are parallel-disjoint exactly when their Plücker rows (d, b x d)
     # share the direction d but differ
-    plucker = {i: (fam.rows[i][1], cross(*fam.rows[i])) for i in edges.ground}
+    plucker = {i: (fam.rows[i][1], cross(*fam.rows[i])) for i in range(len(fam.provenance["certificate"].elements))}
     bad_ground = next(
         ((i, j) for i in plucker for j in plucker
          if i < j and (plucker[i][0] != plucker[j][0] or plucker[i] == plucker[j])),
@@ -697,16 +697,15 @@ def _misplaced_copy_line(prov: dict, edges: recursion.CopyEdges):
     ground line at its own mapped parameter, as (line, ground lines met,
     expected ground line); None when every copy line does.  Parent line p
     lies at parent_params[p], the ground set's point of rank r, so copy c
-    maps it to the element at c[r], where ground line edges.ground[c[r]]
-    lies; the lines each copy line meets are listed in ground order, since
-    ground lines come first."""
+    maps it to the element at c[r], where ground line c[r] lies; the lines
+    each copy line meets are listed in ground order, since ground lines
+    come first."""
     cert = prov["certificate"]
     ranks = [bisect_left(cert.ground.points, t) for t in prov["parent_params"]]
-    for copy, members in zip(cert.copies, edges.copies):
+    for copy, members in zip(cert.copies, recursion.block_layout(cert)[1:]):
         for r, i in zip(ranks, members):
-            expected_g = edges.ground[copy[r]]
-            if edges.ground_met[i] != [expected_g]:
-                return i, edges.ground_met[i], expected_g
+            if edges.ground_met[i] != [copy[r]]:
+                return i, edges.ground_met[i], copy[r]
     return None
 
 

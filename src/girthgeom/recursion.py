@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -77,9 +78,9 @@ def lift(
     That certificate must be for those values, ``colors`` and ``girth``,
     or the lift is a ConstructionError; the provenance records it, and
     the parameters of the step are read from it.  The output's structure
-    (its ``structure()``) and its girth floor min(parent girth, 3
-    ceil(girth / 3)) are asserted before returning; any violation is a
-    fatal construction bug.
+    (its ``structure()``, and that its first copy induces the parent's
+    graph) and its girth floor min(parent girth, 3 ceil(girth / 3)) are
+    asserted before returning; any violation is a fatal construction bug.
     """
     parent_graph = graphs.intersection_graph(parent)
     parent_girth = graphs.girth(parent_graph)
@@ -115,18 +116,15 @@ def lift(
         tuple(itertools.chain(placed.ground, *placed.copies)),
         girth,
         colors + 1 if placed.cert.flags.all_true() else colors,
-        {
-            "kind": "recursion",
-            **placed.provenance,
-            "blocks": block_layout(len(placed.ground), len(placed.copies), parent_graph.n),
-            "parent_edges": [list(e) for e in sorted(parent_graph.edges)],
-            "certificate": placed.cert,
-            "parent": placed.parent.provenance,
-        },
+        {"kind": "recursion", **placed.provenance, "certificate": placed.cert, "parent": placed.parent.provenance},
     )
     fail = out.structure().first_failure()
     if fail is not None:
         raise ConstructionError(f"structural assertion failed: {fail.name}", fail.detail)
+    induced, want = set(parent_edges(placed.cert, out.meets)), parent_graph.edges
+    if induced != want:
+        raise ConstructionError("structural assertion failed: copy-graph-matches-parent",
+                                f"copy 0 differs at {sorted(induced ^ want)[:1]}")
 
     out_girth = graphs.girth(graphs.intersection_graph(out))
     floor_bound = min(parent_girth, 3 * math.ceil(girth / 3))
@@ -137,11 +135,21 @@ def lift(
     return out
 
 
-def block_layout(ground: int, copies: int, size: int) -> dict:
-    """The blocks of a lift's objects: its ground objects first, then one
-    block of ``size`` objects, an image of the parent, per copy."""
-    blocks = [list(range(ground + j * size, ground + (j + 1) * size)) for j in range(copies)]
-    return {"ground": list(range(ground)), "copies": blocks}
+def block_layout(cert: GallaiCertificate) -> list[list[int]]:
+    """The blocks of the objects of a lift by ``cert``, in order: one ground
+    object per element, then one block per copy, an image of the parent
+    with one object per point of the ground set."""
+    m, size = len(cert.elements), cert.ground.size
+    return [list(range(m)), *(list(range(m + j * size, m + (j + 1) * size)) for j in range(len(cert.copies)))]
+
+
+def parent_edges(cert: GallaiCertificate, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The parent's graph as the lift by ``cert`` records it: the pairs
+    among the sorted ``edges`` of its objects that its first copy block
+    induces, as positions in the copy.  They are one slice of ``edges``."""
+    m, size = len(cert.elements), cert.ground.size
+    return [(u - m, v - m) for u, v in edges[bisect_left(edges, (m,)):bisect_left(edges, (m + size,))]
+            if v < m + size]
 
 
 def build_family(girth: int, colors: int, policy: ProviderPolicy | None, bases, step):
@@ -226,19 +234,17 @@ class StructureReport:
 
 
 class CopyEdges:
-    """The edges of a recursion output filed by the blocks of its
-    provenance, which ``block_layout`` lays out.  Each list is in edge
-    order: pairs of ground objects, the ground objects each copy object
-    meets, pairs from two different copies, and each copy's own edges as
-    pairs of positions in the copy."""
+    """The edges of a lift by ``cert`` filed by the blocks of
+    ``block_layout``.  Each list is in edge order: pairs of ground objects,
+    the ground objects each copy object meets, pairs from two different
+    copies, and each copy's own edges as pairs of positions in the copy."""
 
-    def __init__(self, blocks: dict, edges):
-        self.ground, self.copies = blocks["ground"], blocks["copies"]
-        m, size = len(self.ground), len(self.copies[0]) if self.copies else 1
+    def __init__(self, cert: GallaiCertificate, edges):
+        m, size = len(cert.elements), cert.ground.size
         self.ground_pairs: list[tuple[int, int]] = []
-        self.ground_met: dict[int, list[int]] = {i: [] for members in self.copies for i in members}
+        self.ground_met: dict[int, list[int]] = {i: [] for i in range(m, m + len(cert.copies) * size)}
         self.cross: list[tuple[int, int]] = []
-        self.intra: list[set[tuple[int, int]]] = [set() for _ in self.copies]
+        self.intra: list[set[tuple[int, int]]] = [set() for _ in cert.copies]
         for u, v in edges:
             if v < m:
                 self.ground_pairs.append((u, v))
@@ -256,21 +262,19 @@ def check_structure(fam, check_copies: Callable) -> StructureReport:
     Base families must have exactly their kind's graph (``base_graph``).
     A recursion output is checked by ``check_copies(report, fam,
     CopyEdges)`` for its ground objects and how the copies meet them and
-    each other, then here for each copy's own graph against the parent's.
-    Its provenance is taken to fit its objects, as the scene reader makes
-    sure it does.
+    each other, then here for each copy's own graph against the first
+    copy's, which the provenance records as the parent's graph
+    (``parent_edges``).  Its provenance is taken to fit its objects, as
+    ``lift`` and the scene reader make sure it does.
     """
     report = StructureReport()
     prov = fam.provenance
     kind = prov.get("kind")
     if kind == "recursion":
-        edges = CopyEdges(prov["blocks"], fam.meets)
+        edges = CopyEdges(prov["certificate"], fam.meets)
         check_copies(report, fam, edges)
-        parent_edges = {tuple(e) for e in prov["parent_edges"]}
-        bad_block = next(
-            ((ci, sorted(got ^ parent_edges)[:1]) for ci, got in enumerate(edges.intra) if got != parent_edges),
-            None,
-        )
+        first = edges.intra[0] if edges.intra else set()
+        bad_block = next(((ci, sorted(got ^ first)[:1]) for ci, got in enumerate(edges.intra) if got != first), None)
         report.add(
             "copy-graph-matches-parent",
             bad_block is None,

@@ -21,7 +21,7 @@ from .gallai import GallaiCertificate, certificate_from_doc, certificate_to_doc
 from .geometry import format_rat, rat
 from .graphs import GeoGraph
 from .lines import LineFamily, ShiftSystem
-from .recursion import BASE_CHECKS, CopyEdges, base_graph, block_layout
+from .recursion import BASE_CHECKS, CopyEdges, base_graph, block_layout, parent_edges
 
 
 def dumps_doc(doc: dict) -> str:
@@ -81,12 +81,14 @@ _ABSENT = object()
 
 def _difference(stored, written, path: str = "") -> str | None:
     """Where ``stored`` first differs from ``written``, in sorted key and
-    list order, or None.  A scalar must have the writer's type too, since
-    ``6.0 == 6`` and ``True == 1``; equal lists pass on ``==``, because in
-    lists the writer puts only strings, dicts of strings and provenance
-    integers, which the provenance reader accepts only as JSON integers."""
+    list order, or None.  A value must have the writer's type too, since
+    ``6.0 == 6`` and ``True == 1``.  In lists the writer puts only strings,
+    integers, lists of integers and dicts with no number in them, so equal
+    lists are equal by type as well unless the stored one holds a float or
+    bool, as an entry or an entry's entry."""
     same_type = type(stored) is type(written)
-    if stored is written or same_type and type(written) is not dict and stored == written:
+    if stored is written or same_type and type(written) is not dict and stored == written and (
+            type(stored) is not list or {float, bool}.isdisjoint(map(type, _flattened(stored)))):
         return None
     if same_type and type(written) is dict:
         keys = sorted(stored.keys() | written.keys())
@@ -98,6 +100,11 @@ def _difference(stored, written, path: str = "") -> str | None:
         shown = "missing" if stored is _ABSENT else repr(stored)
         return f"{path} is {shown}, its writer writes {'nothing' if written is _ABSENT else repr(written)}"
     return next(filter(None, (_difference(a, b, where) for where, a, b in steps)), None)
+
+
+def _flattened(values: list):
+    """The entries of ``values``, or of its entries when they are lists."""
+    return itertools.chain.from_iterable(values) if values and type(values[0]) is list else values
 
 
 def _load(kind: str, doc, read, write):
@@ -116,8 +123,7 @@ def _load(kind: str, doc, read, write):
 # provenance: how a scene was made
 
 _BASES = {"base-single": {}, "base-pair": {}, "base-odd-cycle": {"n": int}}
-_RECURSION = {"blocks": {"ground": [int], "copies": [[int]]}, "parent_edges": [[int]],
-              "certificate": GallaiCertificate, "parent": dict}
+_RECURSION = {"certificate": GallaiCertificate, "parent": dict}
 # scene geometry -> provenance kind -> its fields besides "kind": a JSON type,
 # Fraction for a rational, a certificate, or a list or dict of these; the
 # parent (a dict) is a provenance of the same geometry
@@ -153,10 +159,6 @@ def _read_field(spec, value, read, path: str):
     if type(spec) is dict:
         return {k: _read_field(s, value.get(k, _ABSENT), read, f"{path}.{k}") for k, s in spec.items()}
     if type(spec) is list:
-        if spec[0] is int and all(type(v) is int for v in value):
-            return list(value)
-        if spec[0] == [int] and all(type(r) is list and all(type(v) is int for v in r) for r in value):
-            return [list(r) for r in value]
         return [_read_field(spec[0], v, read, f"{path}[{i}]") for i, v in enumerate(value)]
     return value
 
@@ -176,67 +178,66 @@ def _write_field(spec, value):
     if type(spec) is dict:
         return {k: _write_field(s, value[k]) for k, s in spec.items()}
     if type(spec) is list:
-        return list(value) if spec[0] is int else [_write_field(spec[0], v) for v in value]
+        return [_write_field(spec[0], v) for v in value]
     return format_rat(value) if spec is Fraction else certificate_to_doc(value) if spec is GallaiCertificate else value
 
 
-def _provenance_to_doc(prov: dict, geometry: str) -> dict:
-    """The provenance document.  A recursion's geometry comes from the
-    scene kind, and its girth parameter, colors before the step, parent
-    size and whether the lift is certified from its certificate, not from
-    stored values, so a document that states them otherwise fails the
-    compare."""
+def _provenance_to_doc(prov: dict, geometry: str, edges) -> dict:
+    """The provenance document of a family with the sorted meeting pairs
+    ``edges``.  A recursion's geometry comes from the scene kind, its parent
+    edges from ``edges`` (``recursion.parent_edges``), and its blocks and
+    the rest from its certificate, not from stored values, so a document
+    that states them otherwise fails the compare."""
     doc = _write_field(_fields(prov, geometry), prov)
     if prov.get("kind") == "recursion":
-        cert = prov["certificate"]
+        cert, graph = prov["certificate"], parent_edges(prov["certificate"], edges)
+        ground, *copies = block_layout(cert)
         doc.update(geometry=geometry, girth_param=cert.girth, colors_before=cert.colors, parent_size=cert.ground.size,
-                   chromatic_lift_certified=cert.flags.all_true(), parent=_provenance_to_doc(prov["parent"], geometry))
+                   blocks={"ground": ground, "copies": copies}, parent_edges=[list(e) for e in graph],
+                   chromatic_lift_certified=cert.flags.all_true(),
+                   parent=_provenance_to_doc(prov["parent"], geometry, graph))
     return doc
 
 
-def _check_fit(prov: dict, size: int, path: str = "provenance", graph=None) -> None:
+def _check_fit(prov: dict, size: int, edges, path: str = "provenance", below: bool = False) -> None:
     """A ValueError unless the family provenance at ``path`` fits its
-    ``size`` objects: a cycle has n of them; a recursion's blocks list the
-    objects in order, one ground object per certificate element, then one
-    block per certificate copy with one parent object per point of the
-    certificate's ground set, its parent edges are sorted pairs u < v of
-    parent objects, a line recursion's parent parameters are the points of
-    the ground set and its offsets one integer per copy, and its parent
-    fits that many objects in turn.  Below the top, the ``graph`` the level
-    above records is the base kind's graph at a base, and at a recursion no
-    ground objects meet, each copy object meets one, no two copies meet,
-    and each copy induces the edges."""
+    ``size`` objects and their sorted meeting pairs ``edges``: a cycle has
+    n objects; a recursion one per certificate element, then one per point
+    of the ground set for each certificate copy, a line recursion's parent
+    parameters are the ground set's points and its offsets one integer per
+    copy, and its parent fits the graph its first copy induces
+    (``recursion.parent_edges``).  Below the top, a base has its kind's
+    graph, and at a recursion no ground objects meet, each copy object
+    meets one, no two copies meet, and every copy induces what the first
+    does; at the top the structure report checks these."""
     kind = prov.get("kind")
     if kind == "base-odd-cycle" and not 3 <= prov["n"] == size:
         raise ValueError(f"{path}.n is {prov['n']}, not the {size} objects of the cycle")
-    if graph is not None and kind in BASE_CHECKS and base_graph(prov) != GeoGraph(size, graph):
-        raise ValueError(f"{path}.kind is {kind!r}, but the level above records {size} objects and edges {graph}")
+    if below and kind in BASE_CHECKS and base_graph(prov) != GeoGraph(size, edges):
+        raise ValueError(f"{path}.kind is {kind!r}, but the level above records {size} objects and edges {edges}")
     if kind != "recursion":
         return
     cert = prov["certificate"]
     m, step = len(cert.elements), cert.ground.size
-    if prov["blocks"] != block_layout(m, len(cert.copies), step) or m + len(cert.copies) * step != size:
-        raise ValueError(f"{path}.blocks do not list the {size} objects in order: one ground object per "
+    if m + len(cert.copies) * step != size:
+        raise ValueError(f"{path}.certificate does not lay out the {size} objects: one ground object per "
                          f"certificate element, then {step} per certificate copy")
-    edges = [tuple(e) for e in prov["parent_edges"]]
-    if edges != sorted(set(edges)) or any(len(e) != 2 or not 0 <= e[0] < e[1] < step for e in edges):
-        raise ValueError(f"{path}.parent_edges are not sorted pairs u < v of the {step} parent objects")
     if "parent_params" in prov and sorted(prov["parent_params"]) != list(cert.ground.points):
         raise ValueError(f"{path}.parent_params are not the points of the certificate's ground set")
     if len(prov.get("offsets", cert.copies)) != len(cert.copies):
         raise ValueError(f"{path}.offsets do not hold one slide offset per certificate copy")
     if (i := next((i for i, t in enumerate(prov.get("offsets", ())) if t.denominator != 1), None)) is not None:
         raise ValueError(f"{path}.offsets[{i}] is {format_rat(prov['offsets'][i])}, not an integer slide offset")
-    if graph is not None:
-        filed = CopyEdges(prov["blocks"], graph)
+    if below:
+        filed = CopyEdges(cert, edges)
         faults = itertools.chain(
             (f"ground objects {e} meet" for e in filed.ground_pairs),
             (f"copy object {i} meets {len(g)} ground objects" for i, g in filed.ground_met.items() if len(g) != 1),
             (f"cross-copy pair {e}" for e in filed.cross),
-            (f"copy {j} does not induce its parent_edges" for j, got in enumerate(filed.intra) if got != set(edges)))
+            (f"copy {j} induces other edges than copy 0" for j, got in enumerate(filed.intra) if got != filed.intra[0]))
         if fault := next(faults, None):
             raise ValueError(f"{path} does not fit the graph the level above records: {fault}")
-    _check_fit(prov["parent"], step, f"{path}.parent", edges)
+    _check_fit(prov["parent"], step, parent_edges(cert, edges), f"{path}.parent", below=True)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +250,7 @@ def _family_to_doc(fam) -> dict:
         "g": fam.claimed_girth,
         "k": fam.claimed_chromatic,
         fam.key: fam.labels(),
-        "provenance": _provenance_to_doc(fam.provenance, fam.key),
+        "provenance": _provenance_to_doc(fam.provenance, fam.key, fam.meets),
     }
 
 
@@ -278,9 +279,9 @@ def _read_family(family, doc: dict, read):
     k = _read_field(int, doc["k"], read, "k")
     if k < 1 or g is not None and g < 3:
         raise ValueError(f"k must be an integer >= 1 and g one >= 3 or null, got g={g!r}, k={k!r}")
-    prov = _read_provenance(doc["provenance"], read, family.key)
-    _check_fit(prov, len(rows))
-    return family(rows, g, k, prov, den=den)
+    fam = family(rows, g, k, _read_provenance(doc["provenance"], read, family.key), den=den)
+    _check_fit(fam.provenance, len(rows), fam.meets)
+    return fam
 
 
 def _shift_system_to_doc(system: ShiftSystem) -> dict:
@@ -290,7 +291,7 @@ def _shift_system_to_doc(system: ShiftSystem) -> dict:
         "values": [format_rat(v) for v in system.values],
         "lines": [{"triple": triple, **line} for triple, line in zip(system.labels(), LineFamily.labels(system))],
         # n is derived from the values, like the top-level n
-        "provenance": {**_provenance_to_doc(system.provenance, "shift"), "n": len(system.values)},
+        "provenance": {**_provenance_to_doc(system.provenance, "shift", system.meets), "n": len(system.values)},
     }
 
 

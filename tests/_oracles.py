@@ -638,8 +638,10 @@ def fraction_normalize_traces(fam):
     if len(set(traces)) == len(traces):
         return fam
     prov = fam.provenance
-    if prov.get("kind") == "recursion":
-        blocks = [list(prov["blocks"]["ground"])] + [list(c) for c in prov["blocks"]["copies"]]
+    if prov.get("kind") == "recursion":  # ground boxes, one per element, then one block per copy of the parent
+        cert = prov["certificate"]
+        m, size = len(cert.elements), cert.ground.size
+        blocks = [list(range(m))] + [list(range(m + j * size, m + (j + 1) * size)) for j in range(len(cert.copies))]
     else:
         blocks = [[i] for i in range(len(boxes))]
     block_of = {i: bi for bi, members in enumerate(blocks) for i in members}

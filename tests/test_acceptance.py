@@ -21,6 +21,7 @@ from girthgeom.gallai import (
     verify_certificate,
 )
 from girthgeom.lines import frame_conditions
+from girthgeom.recursion import parent_edges
 
 from _oracles import box_intersects, brute_chromatic, brute_girth, point_at, shift_line
 
@@ -131,8 +132,7 @@ def test_criterion_4_girth_lift_law():
         assert prov["kind"] == "recursion"
         cert = prov["certificate"]
         girth_param = cert.girth
-        parent_edges = [tuple(e) for e in prov["parent_edges"]]
-        parent_graph = gg.GeoGraph(cert.ground.size, parent_edges)
+        parent_graph = gg.GeoGraph(cert.ground.size, parent_edges(cert, fam.meets))
         parent_girth = gg.girth(parent_graph)
         out_girth = gg.girth(gg.intersection_graph(fam))
         bound = min(parent_girth, 3 * math.ceil(girth_param / 3))

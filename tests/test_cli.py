@@ -18,6 +18,7 @@ from girthgeom import recursion_step_boxes, vdw_certificate
 from girthgeom.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_REFUSED, main
 from girthgeom.errors import SceneFormatError
 from girthgeom.gallai import certificate_to_doc, normalize_ground_set
+from girthgeom.recursion import parent_edges
 from girthgeom.scenes import load_certificate, load_scene, save_scene, scene_to_doc
 
 
@@ -552,10 +553,11 @@ _RESPELLED = [
          _BOXES_DOC + "provenance.certificate: copies[0].image is ['999', "),
         (_BOXES, "s.scene.json", _set("provenance", "certificate", "flags", "coloring_ok", "yes"),
          _BOXES_DOC + "provenance.certificate.flags.coloring_ok is 'yes', its writer writes True"),
+        # blocks and parent edges are derived, from the certificate and the first copy's edges
         (_BOXES, "s.scene.json", _set("provenance", "parent_edges", 0, [0, 7]),
-         _BOXES_DOC + "provenance.parent_edges are not sorted pairs u < v of the 2 parent objects"),
+         _BOXES_DOC + "provenance.parent_edges[0][1] is 7, its writer writes 1"),
         (_BOXES, "s.scene.json", _set("provenance", "parent_edges", [[0, 1], [0, 1]]),
-         _BOXES_DOC + "provenance.parent_edges are not sorted pairs u < v of the 2 parent objects"),
+         _BOXES_DOC + "provenance.parent_edges[1] is [0, 1], its writer writes nothing"),
         (_C2, "s.scene.json", _set("k", "x"), _BOXES_DOC + "k is 'x', not of type int"),
         (_C2, "s.scene.json", _set("g", "x"), _BOXES_DOC + "g is 'x', not of type int"),
         (_C2, "s.scene.json", _set("boxes", 1, "z", 1, "x"),
@@ -673,8 +675,8 @@ def _move_copy_member(prov):
          "provenance.parent_params are not the points of the certificate's ground set"),
         ("lines", lambda prov: prov["parent_params"].pop(),
          "provenance.parent_params are not the points of the certificate's ground set"),
-        ("lines", _move_copy_member, "provenance.blocks do not list the 9 objects in order"),
-        ("boxes", _move_copy_member, "provenance.blocks do not list the 9 objects in order"),
+        ("lines", _move_copy_member, "provenance.blocks.copies[0][1] is missing, its writer writes 4"),
+        ("boxes", _move_copy_member, "provenance.blocks.copies[0][1] is missing, its writer writes 4"),
         ("boxes", lambda prov: prov.__setitem__("parent_size", 0),
          "provenance.parent_size is 0, its writer writes 2"),
     ],
@@ -701,7 +703,7 @@ def two_step_scene():
     """The scene document of c9 lifted once more at one color, by a
     progression certificate with a single copy (73 boxes)."""
     def one_copy(ground, colors, girth):
-        return vdw_certificate(ground, colors, girth, length_hint=normalize_ground_set(ground)[0][-1] + 1)
+        return vdw_certificate(ground, colors, girth, length_hint=normalize_ground_set(ground)[-1] + 1)
 
     fam = recursion_step_boxes(build_box_family(6, 3, ProviderPolicy("pigeonhole")), 1, 6, one_copy)
     assert len(fam) == 73
@@ -742,17 +744,31 @@ def test_the_two_step_scene_verifies(tmp_path, capsys, two_step_scene):
     assert main(["verify", str(path)]) == EXIT_OK
 
 
+def test_no_level_of_the_loaded_two_step_scene_stores_blocks_or_parent_edges(two_step_scene):
+    prov = scenes.scene_from_doc(json.loads(json.dumps(two_step_scene))).provenance
+    # c9, the parent, was copied with its traces made distinct
+    assert prov.keys() == prov["parent"].keys() - {"traces_normalized"} == {"kind", "certificate", "parent"}
+    assert prov["parent"]["parent"] == {"kind": "base-pair"}
+
+
 @pytest.mark.parametrize(
     "spoil, message",
     [
         (lambda prov: prov["blocks"]["copies"].pop(),
-         "provenance.parent.blocks do not list the 9 objects in order"),
+         "provenance.parent.blocks.copies[2] is missing, its writer writes [7, 8]"),
         (lambda prov: prov.__setitem__("parent_edges", [[0, 99]]),
-         "provenance.parent.parent_edges are not sorted pairs u < v of the 2 parent objects"),
+         "provenance.parent.parent_edges[0][1] is 99, its writer writes 1"),
         (lambda prov: prov.__setitem__("parent_edges", []),
-         "provenance.parent does not fit the graph the level above records: copy 0 does not induce its parent_edges"),
+         "provenance.parent.parent_edges[0] is missing, its writer writes [0, 1]"),
+        (lambda prov: prov["blocks"]["ground"].__setitem__(0, 0.0),
+         "provenance.parent.blocks.ground[0] is 0.0, its writer writes 0"),
+        (lambda prov: prov["blocks"]["copies"][0].__setitem__(1, 4.0),
+         "provenance.parent.blocks.copies[0][1] is 4.0, its writer writes 4"),
+        (lambda prov: prov["parent_edges"][0].__setitem__(1, True),
+         "provenance.parent.parent_edges[0][1] is True, its writer writes 1"),
     ],
-    ids=["parent-copy-dropped", "parent-edge-out-of-range", "parent-edges-empty"],
+    ids=["parent-copy-dropped", "parent-edge-out-of-range", "parent-edges-empty", "parent-ground-index-float",
+         "parent-copy-index-float", "parent-edge-true"],
 )
 def test_a_parent_provenance_that_does_not_fit_exits_2(tmp_path, capsys, two_step_scene, spoil, message):
     # every level of a recursion provenance fits the objects of its own
@@ -775,7 +791,7 @@ def test_a_parent_provenance_that_does_not_fit_exits_2(tmp_path, capsys, two_ste
         ((("drop", (0, 3)),), "copy object 3 meets 0 ground objects"),
         ((("add", (1, 3)),), "copy object 3 meets 2 ground objects"),
         ((("add", (0, 1)),), "ground objects (0, 1) meet"),
-        ((("drop", (3, 4)),), "copy 0 does not induce its parent_edges"),
+        ((("drop", (3, 4)),), "copy 1 induces other edges than copy 0"),
         ((("drop", (7, 8)), ("add", (0, 7))), "copy object 7 meets 2 ground objects"),
         ((("add", (3, 5)),), "cross-copy pair (3, 5)"),
     ],
@@ -784,12 +800,13 @@ def test_a_parent_provenance_that_does_not_fit_exits_2(tmp_path, capsys, two_ste
 )
 def test_a_parent_level_is_checked_against_the_graph_above(two_step_scene, change, fault):
     # the parent level of the two-step scene is c9's lift: ground 0..2, copies
-    # (3, 4), (5, 6), (7, 8) of the meeting pair, in the graph the top records
-    prov = scenes.scene_from_doc(json.loads(json.dumps(two_step_scene))).provenance
-    graph = {tuple(e) for e in prov["parent_edges"]}
+    # (3, 4), (5, 6), (7, 8) of the meeting pair, in the graph the top's first copy induces
+    fam = scenes.scene_from_doc(json.loads(json.dumps(two_step_scene)))
+    graph = set(parent_edges(fam.provenance["certificate"], fam.meets))
     for action, edge in change:
         graph = graph - {edge} if action == "drop" else graph | {edge}
-    check = functools.partial(scenes._check_fit, prov["parent"], 9, "provenance.parent", sorted(graph))
+    check = functools.partial(scenes._check_fit, fam.provenance["parent"], 9, sorted(graph), "provenance.parent",
+                              below=True)
     if fault is None:
         check()
     else:
@@ -876,10 +893,53 @@ def test_a_relabelled_base_exits_2(provenance_scenes, two_step_scene, tmp_path, 
 
 @pytest.mark.parametrize("scene", ["boxes", "lines"], ids=["c9", "l9"])
 def test_a_pair_base_whose_recorded_graph_has_no_edge_exits_2(provenance_scenes, tmp_path, capsys, scene):
+    # the graph a level records is derived from its first copy, so stored edges that differ fail the compare
     doc = json.loads(json.dumps(provenance_scenes[1][scene]))
     doc["provenance"]["parent_edges"] = []
+    _spoiled_scene_exits_2(tmp_path, capsys, doc, "provenance.parent_edges[0] is missing, its writer writes [0, 1]")
+
+
+# object 4 of c9 and l9, the second of the first copy, moved off object 3 but still on its own ground object
+_APART = {"boxes": _set("boxes", 4, "z", ["7/24", "1/3"]), "lines": _set("lines", 4, "base", ["0", "1/2", "-3/2"])}
+
+
+@pytest.mark.parametrize("scene", ["boxes", "lines"], ids=["c9", "l9"])
+def test_a_first_copy_moved_apart_fails_the_pair_base_below_it(provenance_scenes, tmp_path, capsys, scene):
+    # the first copy now induces no edge, which the parent level, a meeting pair, is checked against
+    doc = json.loads(json.dumps(provenance_scenes[1][scene]))
+    _APART[scene](doc)
     _spoiled_scene_exits_2(tmp_path, capsys, doc, "provenance.parent.kind is 'base-pair', but the level above "
                                                   "records 2 objects and edges []")
+
+
+def test_a_first_copy_with_other_edges_is_refused_at_load(two_step_scene, tmp_path, capsys):
+    # the top's one copy is a copy of c9; its box 3 laid on its box 4 meets
+    # ground 1 in place of ground 0, which still fits the level below, but
+    # the stored parent edges now differ from those the writer derives from
+    # the copy, so the scene is refused at load, before any structure check
+    doc = json.loads(json.dumps(two_step_scene))
+    m = len(doc["provenance"]["certificate"]["elements"])
+    doc["boxes"][m + 3] = doc["boxes"][m + 4]
+    _spoiled_scene_exits_2(tmp_path, capsys, doc, "provenance.parent_edges[0][1] is 3, its writer writes 5")
+
+
+@pytest.mark.parametrize(
+    "box, z, name, detail",
+    [(6, ["1/3", "3/8"], "copy-graph-matches-parent", "copy 1 differs at [(0, 1)]"),
+     (4, ["1/12", "5/12"], "no-cross-copy-intersections", "intersecting cross-copy pair (4, 5)")],
+    ids=["later-copy-apart", "first-copy-meets-the-next"],
+)
+def test_a_fault_of_the_top_level_is_named_by_the_structure_report(provenance_scenes, tmp_path, capsys, box, z, name,
+                                                                   detail):
+    # the derived parent edges are what the first copy induces by itself, so
+    # the scene loads, and its report names the fault as before
+    doc = json.loads(json.dumps(provenance_scenes[1]["boxes"]))
+    doc["boxes"][box]["z"] = z
+    path = tmp_path / "top.scene.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--out", str(tmp_path / "top")]) == EXIT_CHECK_FAILED
+    structure = read(tmp_path / "top.report.json")["results"]["structure"]
+    assert [c for c in structure if not c["ok"]] == [{"name": name, "ok": False, "detail": detail}]
 
 
 @pytest.mark.parametrize(
@@ -891,14 +951,14 @@ def test_a_pair_base_whose_recorded_graph_has_no_edge_exits_2(provenance_scenes,
          "cycle-in-another-order"],
 )
 def test_a_base_is_checked_against_the_graph_above(kind, size, graph):
-    # the graph the level above records is sorted pairs in range (checked
-    # there), so a base level compares it with its kind's graph as it stands
+    # the graph the level above records is sorted pairs in range (derived
+    # from its first copy), so a base level compares it with its kind's graph as it stands
     prov = {"kind": kind, "n": 5} if kind == "base-odd-cycle" else {"kind": kind}
     with pytest.raises(ValueError, match=re.escape(f"provenance.parent.kind is {kind!r}, but the level above records "
                                                    f"{size} objects and edges {graph}")):
-        scenes._check_fit(prov, size, "provenance.parent", graph)
+        scenes._check_fit(prov, size, graph, "provenance.parent", below=True)
     fits, fit_graph = {"base-single": (1, []), "base-pair": (2, [(0, 1)])}.get(kind, (5, sorted(cycle_graph(5).edges)))
-    scenes._check_fit(prov, fits, "provenance.parent", fit_graph)
+    scenes._check_fit(prov, fits, fit_graph, "provenance.parent", below=True)
 
 
 @pytest.mark.parametrize("spoil", [lambda offsets: [], lambda offsets: offsets[:-1], lambda offsets: offsets + ["0"]],

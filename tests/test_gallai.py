@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -10,7 +11,6 @@ from girthgeom import (
     BudgetExhausted,
     GallaiCertificate,
     GroundSet,
-    Homothety1D,
     ProviderFailure,
     ProviderRefusal,
     enumerate_copies,
@@ -49,22 +49,23 @@ def elems(*values):
 
 class TestNormalize:
     def test_half_steps(self):
-        ints, mapping = normalize_ground_set(GroundSet.of([F(1, 2), 1, F(3, 2)]))
-        assert ints == (0, 1, 2)
-        assert mapping == Homothety1D(F(1, 2), F(1, 2))
+        assert normalize_ground_set(GroundSet.of([F(1, 2), 1, F(3, 2)])) == (0, 1, 2)
 
     def test_identity(self):
-        ints, mapping = normalize_ground_set(GroundSet.of([0, 1]))
-        assert ints == (0, 1)
-        assert mapping == Homothety1D(F(1), F(0))
+        assert normalize_ground_set(GroundSet.of([0, 1])) == (0, 1)
 
     def test_gcd_fifteen(self):
-        ground = GroundSet.of([10, 25, 40, 55, 70])
-        ints, mapping = normalize_ground_set(ground)
-        assert ints == (0, 1, 2, 3, 4)
-        assert mapping == Homothety1D(F(15), F(10))
-        # re-applying the map reproduces the ground set exactly
-        assert tuple(apply(mapping, F(i)) for i in ints) == ground.points
+        assert normalize_ground_set(GroundSet.of([10, 25, 40, 55, 70])) == (0, 1, 2, 3, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=12), min_size=2, max_size=6, unique=True))
+    def test_a_positive_map_sends_the_integers_onto_the_ground_set(self, values):
+        # minimum 0 and difference gcd 1: the ground set is lo + s * ints for one s > 0
+        ground = GroundSet.of(values)
+        ints = normalize_ground_set(ground)
+        lo, scale = ground.points[0], (ground.points[-1] - ground.points[0]) / ints[-1]
+        assert ints[0] == 0 and math.gcd(*ints) == 1
+        assert tuple(lo + scale * i for i in ints) == ground.points
 
 
 def copies_of(ground: GroundSet, elements):
@@ -380,8 +381,7 @@ class TestVdwProvider:
     def test_scaled_ground_set(self):
         cert = vdw_certificate(GroundSet.of([0, 2, 4]), 2, 4)
         assert len(cert.elements) == 9
-        ints, mapping = normalize_ground_set(cert.ground)
-        assert ints == (0, 1, 2) and mapping.scale == 2
+        assert normalize_ground_set(cert.ground) == (0, 1, 2)
 
     def test_refuses_girth_nine(self):
         with pytest.raises(ProviderRefusal):

@@ -620,7 +620,7 @@ class TestGroundCheck:
         line t with its base slid to parameter t: set-equal lines with
         other bases, meeting and skew lines, and still-parallel ones."""
         fam = lifted_pair
-        ground = fam.provenance["blocks"]["ground"]
+        ground = range(len(fam.provenance["certificate"].elements))  # the ground lines come first
         lines = list(fam.lines)
         line = lines[ground[which]]
         if how == "move":

@@ -8,13 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from girthgeom import BoxFamily, Line3, LineFamily, Point3, boxes, graphs, lines
+from girthgeom import BoxFamily, Dir3, Line3, LineFamily, Point3, boxes, graphs, lines, recursion
 from girthgeom import meeting_pair_family, meeting_pair_lines
 from girthgeom import odd_cycle_boxes, recursion_step_boxes, recursion_step_lines
 from girthgeom.cli import EXIT_BUDGET, EXIT_OK, main
 from girthgeom.errors import ConstructionError
 from girthgeom.gallai import GroundSet, ProviderPolicy, pigeonhole_certificate
-from girthgeom.scenes import save_scene
+from girthgeom.scenes import save_scene, scene_from_doc, scene_to_doc
 
 from _oracles import side, square_box, trace
 
@@ -194,6 +194,34 @@ def test_a_certificate_for_another_question_is_refused(step, parent, provider):
     # must be for the ground values, colors and girth the step asked about
     with pytest.raises(ConstructionError, match="not for the 2 ground values, 2 colors and girth 6"):
         step(parent(), 2, 6, provider)
+
+
+# two objects of distinct traces or parameters that do not meet
+_APART = {
+    "boxes": lambda: BoxFamily((square_box(0, 1, 0, 1), square_box(5, 1, 0, 1)), None, 1, {"kind": "base-pair"}),
+    "lines": lambda: LineFamily((Line3(Point3(0, 0, 0), Dir3(1, 0, 0)), Line3(Point3(0, 0, 1), Dir3(0, 1, 0))),
+                                None, 1, {"kind": "base-pair"}),
+}
+
+
+@pytest.mark.parametrize("geometry, parent", [("boxes", meeting_pair_family), ("lines", meeting_pair_lines)],
+                         ids=["boxes", "lines"])
+def test_a_lift_whose_copies_do_not_induce_the_parent_graph_is_refused(geometry, parent):
+    # every copy is placed from two objects that do not meet, so the copies
+    # agree with each other, but the graph the first one induces, which the
+    # provenance records as the parent's, lacks the parent's edge
+    place = boxes._place_boxes if geometry == "boxes" else lines._place_lines
+    with pytest.raises(ConstructionError, match="copy-graph-matches-parent") as raised:
+        recursion.lift(parent(), 2, 6, pigeonhole_provider, None, lambda _, certify: place(_APART[geometry](), certify))
+    assert raised.value.detail == "copy 0 differs at [(0, 1)]"
+
+
+def test_no_level_of_a_lift_stores_what_its_certificate_and_graph_determine():
+    # blocks and parent edges are derived: from the certificate, and from the edges the first copy induces
+    fam = recursion_step_boxes(odd_cycle_boxes(5), 1, 4, _vdw(100))
+    assert len(fam) == 4020
+    for prov in (fam.provenance, scene_from_doc(scene_to_doc(fam)).provenance):
+        assert (prov.keys(), prov["parent"]) == ({"kind", "certificate", "parent"}, {"kind": "base-odd-cycle", "n": 5})
 
 
 class TestOneSweepPerFamily:
