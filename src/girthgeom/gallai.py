@@ -13,13 +13,14 @@ runs the same derivation and compares the stored copy list with it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 
 from .budget import DEFAULT_NODES, Budget
 from .errors import BudgetExhausted, ProviderFailure, ProviderRefusal
-from .geometry import Homothety1D, Rat, format_rat, rat, to_grid
+from .geometry import Homothety1D, Rat, format_rat, format_ratio, rat, to_grid
 from .graphs import GeoGraph, shortest_cycle
 
 
@@ -109,18 +110,23 @@ class GallaiCertificate:
         if any(not 0 <= p < len(self.elements) for c in self.copies for p in c):
             raise ValueError("copy positions escape the certificate elements")
 
-    def maps(self) -> list[Homothety1D]:
-        """Each copy's map, derived, never stored: the positive scale-and-shift
-        that sends the ground set's least and greatest points lo and hi to the
-        copy's first and last elements, and so its other points to the others.
-        On the elements' grid (``to_grid``) of denominator e the ground set
-        spans a / b steps, so an image that starts at u / e and spans v steps
-        has scale w / a for w = v b, and shift u / e - (w / a) lo."""
+    def map_ratios(self) -> Iterator[tuple[int, int, int, int]]:
+        """Each copy's map, derived, never stored, as its scale p / q and shift r / s, yielded as
+        integers (p, q, r, s) with q, s > 0: the positive scale-and-shift that sends the ground
+        set's least and greatest points lo and hi to the copy's first and last elements, and so
+        its other points to the others.  On the elements' grid (``to_grid``) of denominator e the
+        ground set spans a / b steps, so an image that starts at u / e and spans v steps has
+        scale w / a for w = v b, and shift u / e - (w / a) lo."""
         (lo, *_, hi), (e, (grid,)) = self.ground.points, to_grid([self.elements])
         span = (hi - lo) * e
         a, b, n, d = span.numerator, span.denominator, lo.numerator, lo.denominator
-        spans = [(grid[c[0]], (grid[c[-1]] - grid[c[0]]) * b) for c in self.copies]
-        return [Homothety1D(Fraction(w, a), Fraction(u * a * d - w * n * e, e * a * d)) for u, w in spans]
+        for c in self.copies:
+            u, w = grid[c[0]], (grid[c[-1]] - grid[c[0]]) * b
+            yield w, a, u * a * d - w * n * e, e * a * d
+
+    def maps(self) -> list[Homothety1D]:
+        """Each copy's map (``map_ratios``) as a ``Homothety1D``."""
+        return [Homothety1D(Fraction(p, q), Fraction(r, s)) for p, q, r, s in self.map_ratios()]
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +488,8 @@ def certificate_to_doc(cert: GallaiCertificate) -> dict:
         "ground_set": [format_rat(t) for t in cert.ground.points],
         "elements": elements,
         "copies": [
-            {"scale": format_rat(m.scale), "shift": format_rat(m.shift), "image": [elements[p] for p in copy]}
-            for copy, m in zip(cert.copies, cert.maps())
+            {"scale": format_ratio(p, q), "shift": format_ratio(r, s), "image": [elements[i] for i in copy]}
+            for copy, (p, q, r, s) in zip(cert.copies, cert.map_ratios())
         ],
         "colors": cert.colors,
         "girth": cert.girth,

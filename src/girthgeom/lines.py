@@ -87,19 +87,24 @@ def line_intersection_edges(rows) -> list[tuple[int, int]]:
     return meets
 
 
+def _slot_size(single) -> int:
+    """The least ``size`` with B < 3 * 2^(8 size - 3), for ``_packed_meets``'s bound B on the rows
+    ``single``: B < 3 * 2^k exactly when B // 3 < 2^k."""
+    tops = [max(map(abs, column)) for column in zip(*(d + m for _, d, m in single))]
+    return ((2 * sum(a * b for a, b in zip(tops, tops[3:])) // 3).bit_length() + 10) // 8
+
+
 def _packed_meets(single) -> list[tuple[int, int]]:
     """The pairs (i, j), i < j, of lines (index, d, m) in index order, with
     pairwise distinct directions, for which d.m' + d'.m = 0.
 
-    Each block of later rows (m', d') is packed into six integers, one per
-    coordinate, at ``size`` bytes a row, so six products give every d.m' +
-    d'.m of the block at once.  |d.m' + d'.m| <= 6 max|d| max|m| <
-    6 * 2^(8 size - 4), so once 2^(8 size - 1) is added, each slot lies
-    strictly between 2^(8 size - 3) and 7 * 2^(8 size - 3): no carry crosses
-    a slot, no slot's top byte is zero, and so every match of ``hit`` (the
-    bytes of 2^(8 size - 1)) is one whole slot, whose pair meets."""
-    size = (max((abs(c) for _, d, _ in single for c in d), default=0).bit_length()
-            + max((abs(c) for _, _, m in single for c in m), default=0).bit_length() + 11) // 8
+    Each block of later rows (m', d') is packed into six integers, one per coordinate, at
+    ``size`` bytes a row, so six products give every d.m' + d'.m of the block at once.  Each
+    |d.m' + d'.m| is at most B = 2 sum_k max|d_k| max|m_k| < 3 * 2^(8 size - 3) (``_slot_size``),
+    so once 2^(8 size - 1) is added, each slot lies strictly between 2^(8 size - 3) and
+    7 * 2^(8 size - 3): no carry crosses a slot, no slot's top byte is zero, and so every match
+    of ``hit`` (the bytes of 2^(8 size - 1)) is one whole slot, whose pair meets."""
+    size = _slot_size(single)
     hit = bytes(size - 1) + b"\x80"
     blocks = []
     for start in range(0, len(single), SWEEP_BLOCK):
@@ -251,17 +256,18 @@ def _shift_grid(values) -> tuple[int, list[tuple[Row, Row]]]:
     return q**4, rows
 
 
-def double_shift_graph(n: int) -> graphs.GeoGraph:
-    """Vertices: ascending triples from {1..n}; (a,b,c) ~ (b,c,d)."""
+def double_shift_edges(n: int) -> list[tuple[int, int]]:
+    """The double shift graph's edges (a,b,c) ~ (b,c,d) on the ascending triples from {1..n},
+    numbered in combinations order, which lists them in (i, j) order."""
     if n < 3:
         raise ValueError("need n >= 3")
-    triples = list(itertools.combinations(range(1, n + 1), 3))
-    index = {t: i for i, t in enumerate(triples)}
-    edges = []
-    for a, b, c in triples:
-        for f in range(c + 1, n + 1):
-            edges.append((index[(a, b, c)], index[(b, c, f)]))
-    return graphs.GeoGraph(len(triples), edges)
+    index = {t: i for i, t in enumerate(itertools.combinations(range(1, n + 1), 3))}
+    return [(i, index[b, c, f]) for (_, b, c), i in index.items() for f in range(c + 1, n + 1)]
+
+
+def double_shift_graph(n: int) -> graphs.GeoGraph:
+    """Vertices: ascending triples from {1..n}; (a,b,c) ~ (b,c,d)."""
+    return graphs.GeoGraph(math.comb(n, 3), double_shift_edges(n))
 
 
 def verify_shift_system(system: ShiftSystem) -> tuple[bool, dict | None]:
@@ -271,10 +277,13 @@ def verify_shift_system(system: ShiftSystem) -> tuple[bool, dict | None]:
     so the lines of (a,b,c) and (b,c,d) that meet do so at the designed
     point, by the identity l(a,b,c)(cd) = l(b,c,d)(ab) = (ab+bc+cd,
     abc+bcd, ab^2c+abcd+bc^2d).  Returns (True, None) or (False,
-    diagnostic) naming the first bad pair in (i, j) order.
+    diagnostic) naming the first bad pair in (i, j) order, which sets are
+    scanned for only if the sorted edge lists differ or two lines are identical.
     """
-    expected = double_shift_graph(len(system.values)).edges
-    meets = set(system.meets)
+    expected = double_shift_edges(len(system.values))
+    if expected == system.meets and system.identical is None:
+        return True, None
+    expected, meets = set(expected), set(system.meets)
     suspects = expected | meets | ({system.identical} if system.identical else set())
     for i, j in sorted(suspects):
         if (i, j) not in expected:

@@ -205,8 +205,8 @@ class TestVerify:
         # both structure entries come from the system's one verification
         main(["build", "shift", "--n", "6", "--seed", "1", "--out", str(tmp_path / "s6")])
         built = []
-        original = linemod.double_shift_graph
-        monkeypatch.setattr(linemod, "double_shift_graph", lambda n: built.append(n) or original(n))
+        original = linemod.double_shift_edges
+        monkeypatch.setattr(linemod, "double_shift_edges", lambda n: built.append(n) or original(n))
         assert main(["verify", str(tmp_path / "s6.scene.json")]) == EXIT_OK
         assert built == [6]
 

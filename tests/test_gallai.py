@@ -556,6 +556,18 @@ class TestCertificateDocs:
         assert again.copies == cert.copies
         assert again.flags.all_true()
 
+    @pytest.mark.parametrize(
+        "ground, universe",
+        [([0, 1], [F(k, 4) for k in range(-5, 6)]), ([F(-1, 3), F(1, 6), F(2, 3)], [F(k, 6) for k in range(-7, 12)]),
+         ([F(1, 2), F(7, 2)], [F(k, 3) for k in range(-4, 20)])],
+    )
+    def test_copy_maps_written_as_their_rationals(self, ground, universe):
+        # the writer formats the integers behind maps(); negative shifts and every denominator included
+        cert = copies_of(GroundSet.of(ground), tuple(universe))
+        written = [(c["scale"], c["shift"]) for c in certificate_to_doc(cert)["copies"]]
+        assert written == [(str(m.scale), str(m.shift)) for m in cert.maps()]
+        assert any("/" in t and t.startswith("-") for _, t in written)
+
     def test_rationals_as_strings(self):
         cert = pigeonhole_certificate(GroundSet.of([F(1, 2), F(3, 2)]), 2, 6)
         doc = certificate_to_doc(cert)

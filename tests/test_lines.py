@@ -121,6 +121,12 @@ class TestDoubleShiftGraph:
         for n in range(3, 9):
             assert double_shift_graph(n).m == math.comb(n, 4)
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_edge_list_is_the_graphs_in_order(self, n):
+        triples = list(itertools.combinations(range(1, n + 1), 3))
+        rule = [(i, j) for i, s in enumerate(triples) for j, t in enumerate(triples) if s[1:] == t[:2]]
+        assert linemod.double_shift_edges(n) == sorted(double_shift_graph(n).edges) == sorted(rule)
+
 
 class TestBuildShiftSystem:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -669,6 +675,17 @@ class TestVerifyShiftSystem:
         for name in ("_shift_grid", "Line3", "Point3", "Dir3"):
             monkeypatch.setattr(linemod, name, refuse)
         assert verify_shift_system(system) == (True, None)
+
+    def test_a_matching_system_builds_no_graph(self, monkeypatch):
+        """Equal sorted edge lists decide a good system: no GeoGraph is made."""
+        system = build_shift_system(18, seed=0)
+        monkeypatch.setattr(linemod.graphs, "GeoGraph", None)
+        assert verify_shift_system(system) == (True, None)
+
+    def test_an_identical_pair_is_named_when_the_edges_match(self):
+        system = build_shift_system(6, seed=1)
+        object.__setattr__(system, "identical", (0, 1))
+        assert verify_shift_system(system) == (False, {"pair": (0, 1), "reason": "spurious incidence"})
 
     def test_no_system_holds_an_undesigned_line(self):
         """A system is made from its values alone, and each line is its

@@ -184,18 +184,20 @@ def _pairwise(rows):
     return [(i, j) for a, (i, d, m) in enumerate(rows) for j, e, n in rows[a + 1:] if dot(d, n) + dot(e, m) == 0]
 
 
-# slot-width edges: 2^k - 1 and 2^k move the bit length, and so the bytes per
-# slot; bit lengths summing to 4 mod 8 leave no spare bit in a slot, and at 5
-# mod 8 a width one bit short of the bound would round down a whole byte
+# slot-width edges: 2^k - 1 and 2^k move the bit length of max|d| max|m|, and
+# so the bytes per slot; pairs such as 2^13 - 1 with 2^7 - 1, or 2^38 - 1 with
+# itself, bring the bound B (see _extreme_rows) within 1 % of 3 * 2^(8 size - 3),
+# where a slot has no spare bit
 _bounds = st.sampled_from([1, 2, 3, 127, 128, 2**13 - 1, 2**31 - 1, 2**31, 2**38 - 1, 2**62 + 1])
 
 
 @st.composite
 def _extreme_rows(draw):
     """Integer rows (index, d, m) whose entries are mostly +-max|d|, +-max|m|,
-    near them, or zero, so d.m' + d'.m reaches +-6 max|d| max|m| and
-    cancels to 0 from large terms; up to three blocks of them, picked from
-    a pool of a dozen rows."""
+    near them, or zero, so d.m' + d'.m reaches +-B, for B = 2 sum_k max|d_k|
+    max|m_k| (6 max|d| max|m| when every coordinate can reach the maxima),
+    and cancels to 0 from large terms; up to three blocks of them, picked
+    from a pool of a dozen rows."""
     big_d, big_m = draw(_bounds), draw(_bounds)
 
     def entry(bound):
@@ -227,7 +229,8 @@ class TestPackedMeets:
          (2**38 - 1, 2**38 - 1), (2**13 - 1, 2**8 - 1), (2**31 - 1, 2**38 - 1)],
     )
     def test_extreme_values_fill_their_slots(self, big_d, big_m):
-        # every value here is 0 or +-6 max|d| max|m|, the bound the slot width is chosen for
+        # every value here is 0 or +-B = 2 sum_k max|d_k| max|m_k| = 6 max|d| max|m|, the bound
+        # the slot width is chosen for
         rows = [(i, (s * big_d,) * 3, (t * big_m,) * 3) for i, (s, t) in enumerate([(1, 1), (-1, 1), (1, -1)] * 50)]
         assert {abs(dot(d, n) + dot(e, m)) for _, d, m in rows for _, e, n in rows} == {0, 6 * big_d * big_m}
         assert _packed_meets(rows) == _pairwise(rows) != []
@@ -256,6 +259,32 @@ class TestPackedMeets:
         (_, (d, m), (e, n)) = _plucker(lines)
         assert abs(dot(d, n) + dot(e, m)) == abs(offset)
         assert line_intersection_edges(_plucker(lines)) == ([(1, 2)] if offset == 0 else []) == all_pairs_line_edges(lines)
+
+    @pytest.mark.parametrize("extra, size", [(0, 10), (1, 11)])
+    def test_maxima_tens_of_bits_apart(self, extra, size):
+        # d of bit lengths (1, 14, 29) and m of (78, 56, 41), as a shift system's rows are
+        # anti-aligned, with sum_k max|d_k| max|m_k| = 3 * 2^76 - 1 + extra: so B sits one even
+        # step below 3 * 2^77, the most 10-byte slots take, or on it
+        d1, d2, m1, m2 = 2**13 + 5, 2**28 + 3, 2**55 + 11, 2**40 + 9
+        top_d, top_m = (1, d1, d2), (3 * 2**76 - 1 + extra - d1 * m1 - d2 * m2, m1, m2)
+        filler = [(top_d, top_m), (tuple(-c for c in top_d), tuple(-c for c in top_m))] * 50
+        cancel = []  # x + d1 m1 + d2 m2 = value, with terms of 69 and 70 bits
+        for value in (-1, 0, 1):
+            cancel += [((1, d1, 0), (0, 0, m2)), ((0, 0, d2), (value - d1 * m1 - d2 * m2, m1, 0))]
+        rows = [(i, d, m) for i, (d, m) in enumerate(filler[:70] + cancel + filler[70:] + filler)]
+        bound = 2 * (3 * 2**76 - 1 + extra)
+        assert max(abs(dot(d, n) + dot(e, m)) for _, d, m in rows for _, e, n in rows) == bound
+        assert linemod._slot_size(rows) == size
+        assert _packed_meets(rows) == _pairwise(rows)
+        assert {(70, 71), (72, 73), (74, 75)} & set(_packed_meets(rows)) == {(72, 73)}
+
+    @pytest.mark.parametrize("n, seed, old", [(18, 0, 13), (21, 1, 14)])
+    def test_shift_rows_take_ten_byte_slots(self, n, seed, old):
+        # the old width, from 6 max|d| max|m|, was (bits of max|d| + bits of max|m| + 11) // 8
+        rows = [(i, d, cross(b, d)) for i, (b, d) in enumerate(build_shift_system(n, seed=seed).rows)]
+        old_width = (max(abs(c) for _, d, _ in rows for c in d).bit_length()
+                     + max(abs(c) for _, _, m in rows for c in m).bit_length() + 11) // 8
+        assert (linemod._slot_size(rows), old_width) == (10, old)
 
     def test_shift_system_over_two_blocks(self):
         lines = build_shift_system(11).lines
