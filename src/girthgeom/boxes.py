@@ -26,7 +26,7 @@ from . import recursion
 from .budget import Budget
 from .errors import ConstructionError
 from .gallai import GallaiCertificate, ProviderPolicy
-from .geometry import Box3, Homothety1D, Rat, format_ratio, grid_maps, rat, to_grid
+from .geometry import Box3, Rat, format_ratio, grid_maps, rat, to_grid
 
 Row = tuple[int, int, int, int, int, int]  # (xlo, xhi, ylo, yhi, zlo, zhi), each times the grid's denominator
 
@@ -198,26 +198,28 @@ def make_ground_boxes(values, eps) -> tuple[int, list[Row]]:
     return den, [_square(x, ints[-1], 0, den) for x in ints[:-1]]
 
 
-def plan_embeddings(parent: BoxFamily, cert: GallaiCertificate) -> list[tuple[tuple, Homothety1D, Homothety1D]]:
-    """Each copy with its map and its map of heights, which puts the
-    parent's full vertical extent onto the copy's own slot: [0, 1] cut into
-    equal closed slots, each shrunk at both ends by a quarter of its length."""
+def plan_embeddings(parent: BoxFamily, cert: GallaiCertificate) -> list[tuple[tuple, tuple, tuple]]:
+    """Each copy with its map (``map_ratios``) and its map of heights, as
+    the integers (a, b, c, d) of scale a / b and shift c / d, which puts
+    the parent's full vertical extent onto the copy's own slot: [0, 1] cut
+    into equal closed slots, each shrunk at both ends by a quarter of its
+    length."""
     count = len(cert.copies)
     zlo, zhi = min(row[4] for row in parent.rows), max(row[5] for row in parent.rows)
-    scale = Fraction(parent.den, 2 * count * (zhi - zlo))  # slot length 1 / (2 count) over the parent's height
-    start = scale * Fraction(zlo, parent.den)
-    return [(copy, m, Homothety1D(scale, Fraction(4 * j + 1, 4 * count) - start))
-            for j, (copy, m) in enumerate(zip(cert.copies, cert.maps()))]
+    height = zhi - zlo  # z / den -> (z - zlo) / (2 count height) + (4 j + 1) / (4 count): slots of length 1 / (2 count)
+    return [(copy, m, (parent.den, 2 * count * height, (4 * j + 1) * height - 2 * zlo, 4 * count * height))
+            for j, (copy, m) in enumerate(zip(cert.copies, cert.map_ratios()))]
 
 
 def embed_copy_boxes(parent: BoxFamily, embeddings, ground_den: int, ground: list[Row]) -> tuple[int, list[list[Row]]]:
     """The parent's image under each embedding (a copy's positions among
     the ``ground`` rows, its map, which acts on x and y, and a map of
-    heights) as rows on one grid: the least multiple of ``ground_den`` on
-    which every map is integer affine on the parent's rows.  The traces a
-    copy places must be those of the ground rows at its positions."""
-    grid, maps = grid_maps([(m.scale, m.shift) for _, horizontal, vertical in embeddings
-                            for m in (horizontal, vertical)], parent.den, ground_den)
+    heights, each as ``plan_embeddings`` gives them) as rows on one grid:
+    the least multiple of ``ground_den`` on which every map is integer
+    affine on the parent's rows.  The traces a copy places must be those
+    of the ground rows at its positions."""
+    grid, maps = grid_maps([m for _, horizontal, vertical in embeddings for m in (horizontal, vertical)],
+                           parent.den, ground_den)
     traces = sorted({row[0] for row in parent.rows})
     out = []
     for (copy, _, _), (a, b), (s, t) in zip(embeddings, maps[::2], maps[1::2]):
@@ -314,8 +316,10 @@ def check_box_structure(fam: BoxFamily) -> recursion.StructureReport:
 
     Recursion outputs must satisfy: ground boxes pairwise disjoint; every
     copy box meets exactly one ground box, namely the one at its own
-    trace; no box from one copy meets a box from another; and each copy's
-    internal graph matches the parent's.  Base families must match their
+    trace, and the boxes of each copy meet its own ground boxes as the
+    first copy's do (``recursion.misplaced_copy_object``); no box from one
+    copy meets a box from another; and each copy's internal graph matches
+    the parent's.  Base families must match their
     expected graph exactly.
     """
     return recursion.check_structure(fam, _check_box_copies)
@@ -339,13 +343,9 @@ def _check_box_copies(report: recursion.StructureReport, fam: BoxFamily, edges: 
     if bad_count is None:
         rows = fam.rows
         mismatched = next((i for i in met if rows[met[i][0]][0] != rows[i][0]), None)
-        report.add(
-            "copy-meets-own-ground",
-            mismatched is None,
-            ""
-            if mismatched is None
-            else f"box {mismatched} meets ground box at trace {Fraction(rows[met[mismatched][0]][0], fam.den)}",
-        )
+        detail = (f"box {mismatched} meets ground box at trace {Fraction(rows[met[mismatched][0]][0], fam.den)}"
+                  if mismatched is not None else recursion.misplaced_copy_object(fam.provenance["certificate"], met))
+        report.add("copy-meets-own-ground", detail is None, detail or "")
     report.add(
         "no-cross-copy-intersections",
         not edges.cross,

@@ -20,7 +20,7 @@ from functools import partial
 
 from .budget import DEFAULT_NODES, Budget
 from .errors import BudgetExhausted, ProviderFailure, ProviderRefusal
-from .geometry import Homothety1D, Rat, format_rat, format_ratio, rat, to_grid
+from .geometry import Rat, format_rat, format_ratio, rat, to_grid
 from .graphs import GeoGraph, shortest_cycle
 
 
@@ -123,10 +123,6 @@ class GallaiCertificate:
         for c in self.copies:
             u, w = grid[c[0]], (grid[c[-1]] - grid[c[0]]) * b
             yield w, a, u * a * d - w * n * e, e * a * d
-
-    def maps(self) -> list[Homothety1D]:
-        """Each copy's map (``map_ratios``) as a ``Homothety1D``."""
-        return [Homothety1D(Fraction(p, q), Fraction(r, s)) for p, q, r, s in self.map_ratios()]
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +501,10 @@ def certificate_to_doc(cert: GallaiCertificate) -> dict:
 def certificate_from_doc(doc: dict, read=rat) -> GallaiCertificate:
     """The certificate a document holds.  A copy is read as the positions
     of its image among the elements, as the writer writes them, and
-    accepted only if it is one of the copies the elements hold; a stored
-    scale or shift that is not its map's is left to the writer's compare."""
+    accepted only if that image is a copy of the ground set
+    (``_is_copy``); no copy is enumerated, so that ``verify_certificate``
+    makes the one enumeration a check needs.  A stored scale or shift that
+    is not its map's is left to the writer's compare."""
     flags_doc = doc["flags"]
     verdicts = [flags_doc[name] for name in ("coloring_ok", "sparsity_ok", "copies_complete")]
     flags = CertificateFlags(*(None if v is None else bool(v) for v in verdicts), note=str(flags_doc["note"]))
@@ -514,8 +512,18 @@ def certificate_from_doc(doc: dict, read=rat) -> GallaiCertificate:
     cert = GallaiCertificate(ground, elements, (), int(doc["colors"]), int(doc["girth"]), flags)
     position = {format_rat(x): p for p, x in enumerate(elements)}
     copies = [tuple(position.get(x, -1) for x in entry["image"]) for entry in doc["copies"]]
-    held = set(enumerate_copies(ground, elements))
-    if (i := next((i for i, copy in enumerate(copies) if copy not in held), None)) is not None:
+    ints, (grid,) = normalize_ground_set(ground), to_grid([elements])[1]
+    if (i := next((i for i, copy in enumerate(copies) if not _is_copy(ints, grid, copy)), None)) is not None:
         image = doc["copies"][i]["image"]
         raise ValueError(f"copies[{i}].image is {image!r}, not the written elements of a copy of the ground set")
     return replace(cert, copies=tuple(copies))
+
+
+def _is_copy(ints: tuple[int, ...], grid: list[int], copy: tuple[int, ...]) -> bool:
+    """Whether ``enumerate_copies`` gives the positions ``copy`` (-1 for none) among elements on the
+    integer ``grid`` for the ground set in normal form ``ints``: a + q t for each point t, with q > 0."""
+    if len(copy) != len(ints) or min(copy) < 0:
+        return False
+    a = grid[copy[0]]
+    q, r = divmod(grid[copy[-1]] - a, ints[-1])
+    return r == 0 < q and all(grid[p] == a + q * t for p, t in zip(copy, ints))

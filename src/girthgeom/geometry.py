@@ -61,22 +61,36 @@ def cross(u, v):
 def to_grid(rows, read=rat) -> tuple[int, list[tuple[int, ...]]]:
     """The least common denominator of the rows' entries and the rows times
     it, so every entry is an integer: a uniform scaling, which keeps every
-    incidence.  ``read``, which gives an entry's rational, runs once per
-    distinct entry."""
-    values = {v: read(v) for v in set(itertools.chain.from_iterable(rows))}
-    den = math.lcm(1, *(q.denominator for q in values.values()))
-    ints = {v: q.numerator * (den // q.denominator) for v, q in values.items()}
+    incidence.  An entry written as ``format_rat`` writes it is split into
+    its integers; ``read``, which gives any other entry's rational, runs
+    once per distinct entry."""
+    ratios = {v: _ratio(v, read) for v in set(itertools.chain.from_iterable(rows))}
+    den = math.lcm(1, *(q for _, q in ratios.values()))
+    ints = {v: p * (den // q) for v, (p, q) in ratios.items()}
     return den, [tuple(map(ints.__getitem__, row)) for row in rows]
 
 
+def _ratio(value, read) -> tuple[int, int]:
+    """The reduced numerator and denominator of ``value``: a written "p" or "p/q"
+    string with q > 0 split without a Fraction, any other value as ``read`` gives it."""
+    if type(value) is str and (written := _WRITTEN.fullmatch(value)):
+        p, q = int(written[1]), int(written[2] or 1)
+        if q:
+            g = math.gcd(p, q)
+            return p // g, q // g
+    value = read(value)  # a zero denominator raises here, as it does for Fraction
+    return value.numerator, value.denominator
+
+
 def grid_maps(maps, p: int, den: int = 1) -> tuple[int, list[tuple[int, int]]]:
-    """The least multiple ``grid`` of ``den`` on which each rational map
-    u / p -> s u / p + t in the list ``maps`` of pairs (s, t) is integer
-    affine on the integers u of a grid of denominator ``p``, and each map's
-    (a, b), with s u / p + t = (a u + b) / grid for every u."""
-    slopes = (s.denominator * p // math.gcd(s.numerator, p) for s, _ in maps)  # the denominator of s / p
-    grid = math.lcm(den, *slopes, *(t.denominator for _, t in maps))
-    return grid, [(grid * s.numerator // (s.denominator * p), grid * t.numerator // t.denominator) for s, t in maps]
+    """The least multiple ``grid`` of ``den`` on which each map
+    u / p -> (a / b) u / p + c / d of the integers (a, b, c, d), b, d > 0,
+    in the list ``maps`` is integer affine on the integers u of a grid of
+    denominator ``p``, and each map's (k, t), with
+    (a / b) u / p + c / d = (k u + t) / grid for every u."""
+    slopes = (b * p // math.gcd(a, b * p) for a, b, _, _ in maps)  # the denominator of a / (b p)
+    grid = math.lcm(den, *slopes, *(d // math.gcd(c, d) for _, _, c, d in maps))
+    return grid, [(grid * a // (b * p), grid * c // d) for a, b, c, d in maps]
 
 
 # ---------------------------------------------------------------------------

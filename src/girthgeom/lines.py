@@ -601,7 +601,8 @@ def forbidden_offsets(images_at_zero, placed: _PlacedLines, slide: Row) -> Calla
 
 
 def embed_copy_lines(parent: LineFamily, frame: TransversalFrame, maps, den: int = 1) -> tuple[int, list[list]]:
-    """The parent's image under each copy's map in ``maps``, at slide
+    """The parent's image under each copy's map in ``maps``, the integers
+    (a, b, c, d) of scale a / b and shift c / d (``map_ratios``), at slide
     offset 0, as rows on one grid: the least multiple of ``den`` on which
     every map is integer affine on the parent's rows.
 
@@ -614,7 +615,7 @@ def embed_copy_lines(parent: LineFamily, frame: TransversalFrame, maps, den: int
     line.  Directions are unchanged.
     """
     p, lead = parent.den, _lead(frame.axis)
-    grid, ints = grid_maps([(m.scale, m.shift / lead) for m in maps], p, den)
+    grid, ints = grid_maps([(a, b, c, d * lead) for a, b, c, d in maps], p, den)
     out = []
     for k, t in ints:  # k = grid s / p and t = grid h / lead, so (1 - s) B is (grid - k p) B on the grid
         shift = [(grid - k * p) * o + t * e for o, e in zip(frame.origin, frame.axis)]
@@ -642,7 +643,7 @@ def _place_lines(parent: LineFamily, certify) -> recursion.Placement:
     cert = certify(params)
     ground_den, ground = make_ground_lines(cert.elements, frame)
     lead = _lead(frame.perp)  # a slide by one unit of the perpendicular scaled to a leading 1 is integer on the grid
-    den, images = embed_copy_lines(parent, frame, cert.maps(), math.lcm(ground_den, lead))
+    den, images = embed_copy_lines(parent, frame, cert.map_ratios(), math.lcm(ground_den, lead))
     ground = [(tuple(c * (den // ground_den) for c in b), d) for b, d in ground]
     slide = tuple(den // lead * c for c in frame.perp)
     copies: list[list] = []

@@ -256,6 +256,21 @@ class CopyEdges:
                 self.cross.append((u, v))
 
 
+def misplaced_copy_object(cert: GallaiCertificate, ground_met: dict[int, list[int]]) -> str | None:
+    """How the copy objects of a lift by ``cert`` fail to meet their own
+    ground objects, or None: object i of the first copy meets the ground
+    object at rank r_i of its image, each rank once, and object i of every
+    copy the one at rank r_i of its own.  ``ground_met`` lists the ground
+    objects each copy object meets (``CopyEdges``)."""
+    m, size, images = len(cert.elements), cert.ground.size, cert.copies
+    first = [ground_met[m + i] for i in range(size)] if images else []
+    if images and sorted(first) != [[g] for g in images[0]]:
+        return f"copy 0 meets ground objects {first}, not each of {list(images[0])} once"
+    ranks = [images[0].index(g) for g, in first]
+    return next((f"object {i} meets ground {ground_met[i]}, expected [{copy[r]}]" for j, copy in enumerate(images)
+                 for i, r in enumerate(ranks, m + j * size) if ground_met[i] != [copy[r]]), None)
+
+
 def check_structure(fam, check_copies: Callable) -> StructureReport:
     """Exact structural sweep of a family against its construction model.
 

@@ -13,6 +13,7 @@ import json
 from json.encoder import encode_basestring_ascii as _string
 from fractions import Fraction
 from functools import cache, partial
+from operator import itemgetter
 from pathlib import Path
 
 from .boxes import BoxFamily
@@ -21,27 +22,62 @@ from .gallai import GallaiCertificate, certificate_from_doc, certificate_to_doc
 from .geometry import format_rat, rat
 from .graphs import GeoGraph
 from .lines import LineFamily, ShiftSystem
-from .recursion import BASE_CHECKS, CopyEdges, base_graph, block_layout, parent_edges
+from .recursion import BASE_CHECKS, CopyEdges, base_graph, block_layout, misplaced_copy_object, parent_edges
 
 
 def dumps_doc(doc: dict) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, without the pure-Python encoder of an indent."""
-    return _dumps(doc, "\n") + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, written one depth at a time (``_texts``)."""
+    return _texts([doc], "\n")[0] + "\n"
 
 
-def _dumps(value, newline: str) -> str:
-    if type(value) in (str, int):
-        return _string(value) if type(value) is str else repr(value)
-    if not value or not isinstance(value, (dict, list, tuple)):
-        return json.dumps(value)
+def _texts(values: list, newline: str) -> list[str]:
+    """The indented texts of ``values``, all at one depth of a document of
+    plain dicts, lists and scalars, where ``newline`` and the indent of
+    that depth start a line.  Strings or integers alone are encoded by one
+    ``map``; dicts of one key order, or non-empty lists of one length, fill
+    one ``%`` template (``_fill``).  A depth of several shapes is written
+    shape by shape, and empty containers and other scalars by ``json.dumps``."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(_string, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    shapes = set(map(tuple, values)) if kinds == {dict} else set(map(len, values)) if kinds <= {list, tuple} else ()
+    if len(shapes) == 1 and (shape := shapes.pop()):
+        return _fill(values, shape, newline)
+    groups: dict = {}
+    for i, shape in enumerate(map(_shape, values)):
+        groups.setdefault(shape, []).append(i)
+    out = [""] * len(values)
+    for shape, positions in groups.items():
+        group = [values[i] for i in positions]
+        texts = (list(map(json.dumps, group)) if shape is None
+                 else _texts(group, newline) if type(shape) is type else _fill(group, shape, newline))
+        for i, text in zip(positions, texts):
+            out[i] = text
+    return out
+
+
+def _shape(value):
+    """What ``_texts`` groups by: a string's or integer's type, a dict's keys, a list's length, else None."""
+    kind = type(value)
+    if kind is str or kind is int:
+        return kind
+    return (tuple(value) if kind is dict else len(value) if kind is list or kind is tuple else None) or None
+
+
+def _fill(group: list, shape, newline: str) -> list[str]:
+    """The texts of the containers in ``group``, all of one ``shape`` (a
+    dict's keys or a list's length): one template filled with the texts of
+    their members, which a list writes one depth deeper in one call, and a
+    dict, whose values are alike at one key, in one call per key."""
     inner = newline + "  "
-    if isinstance(value, dict):  # of string keys
-        items, ends = [_string(k) + ": " + _dumps(v, inner) for k, v in sorted(value.items())], "{}"
-    else:
-        items, ends = [_dumps(v, inner) for v in value], "[]"
-    items[0] = ends[0] + inner + items[0]  # the brackets join the end items, so one join copies a long list once
-    items[-1] += newline + ends[1]
-    return ("," + inner).join(items)
+    if type(shape) is tuple:
+        keys = sorted(shape)
+        template = "{" + ",".join(inner + _string(k).replace("%", "%%") + ": %s" for k in keys) + newline + "}"
+        return list(map(template.__mod__, zip(*(_texts(list(map(itemgetter(k), group)), inner) for k in keys))))
+    template = "[" + ",".join([inner + "%s"] * shape) + newline + "]"
+    return list(map(template.__mod__, zip(*[iter(_texts(list(itertools.chain.from_iterable(group)), inner))] * shape)))
 
 
 def write_doc(path, doc: dict) -> None:
@@ -208,8 +244,10 @@ def _check_fit(prov: dict, size: int, edges, path: str = "provenance", below: bo
     copy, and its parent fits the graph its first copy induces
     (``recursion.parent_edges``).  Below the top, a base has its kind's
     graph, and at a recursion no ground objects meet, each copy object
-    meets one, no two copies meet, and every copy induces what the first
-    does; at the top the structure report checks these."""
+    meets one of its own copy's, as the first copy's objects do
+    (``recursion.misplaced_copy_object``), no two copies meet, and every
+    copy induces what the first does; at the top the structure report
+    checks these."""
     kind = prov.get("kind")
     if kind == "base-odd-cycle" and not 3 <= prov["n"] == size:
         raise ValueError(f"{path}.n is {prov['n']}, not the {size} objects of the cycle")
@@ -233,6 +271,7 @@ def _check_fit(prov: dict, size: int, edges, path: str = "provenance", below: bo
         faults = itertools.chain(
             (f"ground objects {e} meet" for e in filed.ground_pairs),
             (f"copy object {i} meets {len(g)} ground objects" for i, g in filed.ground_met.items() if len(g) != 1),
+            filter(None, [misplaced_copy_object(cert, filed.ground_met)]),
             (f"cross-copy pair {e}" for e in filed.cross),
             (f"copy {j} induces other edges than copy 0" for j, got in enumerate(filed.intra) if got != filed.intra[0]))
         if fault := next(faults, None):

@@ -949,6 +949,17 @@ def identity_map() -> Homothety1D:
     return Homothety1D(Fraction(1), Fraction(0))
 
 
+def ratios(m: Homothety1D) -> tuple[int, int, int, int]:
+    """The integers (a, b, c, d) of the scale a / b and shift c / d of
+    ``m``, the form in which the lift takes a map."""
+    return m.scale.numerator, m.scale.denominator, m.shift.numerator, m.shift.denominator
+
+
+def homotheties(cert) -> list[Homothety1D]:
+    """Each copy's map of ``cert`` (``map_ratios``) as a Homothety1D."""
+    return [Homothety1D(Fraction(a, b), Fraction(c, d)) for a, b, c, d in cert.map_ratios()]
+
+
 def apply(m, value):
     """The image of a rational under the 1-D homothety ``m``."""
     return m.scale * value + m.shift

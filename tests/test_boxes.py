@@ -41,6 +41,7 @@ from _oracles import (
     fraction_make_ground_boxes,
     fraction_normalize_traces,
     identity_map,
+    ratios,
     side,
     square_box,
     trace,
@@ -163,10 +164,17 @@ def ground_boxes(values):
     return make_ground_boxes(values, min((b - a for a, b in zip(values, values[1:])), default=F(1)) / 3)
 
 
+def embedding(copy, horizontal, vertical) -> tuple:
+    """A copy's positions with its map and its map of heights, each a
+    Homothety1D, in the integers ``embed_copy_boxes`` takes."""
+    return copy, ratios(horizontal), ratios(vertical)
+
+
 class TestEmbedCopyBoxes:
     def test_identity_copy_keeps_parent(self):
         parent = meeting_pair_family()
-        grid, (rows,) = embed_copy_boxes(parent, [((0, 1), identity_map(), identity_map())], *ground_boxes([0, 1]))
+        grid, (rows,) = embed_copy_boxes(parent, [embedding((0, 1), identity_map(), identity_map())],
+                                         *ground_boxes([0, 1]))
         assert tuple(views(grid, rows)) == parent.boxes
 
     def test_pair_copy_traces(self):
@@ -183,21 +191,22 @@ class TestEmbedCopyBoxes:
         parent = odd_cycle_boxes(5)
         mapping = Homothety1D(F(1, 100), F(7))
         image = [apply(mapping, t) for t in sorted(parent.traces())]
-        grid, (rows,) = embed_copy_boxes(parent, [((0, 1, 2, 3, 4), mapping, identity_map())], *ground_boxes(image))
+        grid, (rows,) = embed_copy_boxes(parent, [embedding((0, 1, 2, 3, 4), mapping, identity_map())],
+                                         *ground_boxes(image))
         got = intersection_graph(BoxFamily(rows, None, 1, den=grid))
         assert got == intersection_graph(parent)
 
     def test_domain_mismatch_rejected(self):
         parent = meeting_pair_family()
         with pytest.raises(ConstructionError, match="copy domain mismatch"):
-            embed_copy_boxes(parent, [((0, 1), identity_map(), identity_map())], *ground_boxes([3, 4]))
+            embed_copy_boxes(parent, [embedding((0, 1), identity_map(), identity_map())], *ground_boxes([3, 4]))
 
     @pytest.mark.parametrize("copy", [(0, 2), (1, 2)])
     def test_positions_off_the_map_rejected(self, copy):
         # the traces 0 and 1 map onto the ground boxes at 0 and 1, not at the copy's positions
         parent = meeting_pair_family()
         with pytest.raises(ConstructionError, match="copy domain mismatch"):
-            embed_copy_boxes(parent, [(copy, identity_map(), identity_map())], *ground_boxes([0, 1, 2]))
+            embed_copy_boxes(parent, [embedding(copy, identity_map(), identity_map())], *ground_boxes([0, 1, 2]))
 
 
 # bounds from small pools with mixed denominators, so traces, sides and
@@ -236,7 +245,7 @@ def embedding_cases(draw):
 @given(embedding_cases())
 def test_embedding_on_the_grid_matches_the_fraction_map(case):
     parent, embeddings, (ground_den, ground) = case
-    grid, copies = embed_copy_boxes(parent, embeddings, ground_den, ground)
+    grid, copies = embed_copy_boxes(parent, [embedding(*e) for e in embeddings], ground_den, ground)
     assert grid % ground_den == 0
     assert [views(grid, rows) for rows in copies] == fraction_embed_copy_boxes(parent, embeddings)
 

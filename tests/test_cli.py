@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from girthgeom import Box3, Dir3, GroundedSquareBox, Interval, Line3, LineFamily, Point3, ProviderPolicy, ShiftSystem
+from girthgeom import Box3, BoxFamily, Dir3, GroundedSquareBox, Interval, Line3, LineFamily, Point3, ProviderPolicy
+from girthgeom import ShiftSystem
 from girthgeom import build_box_family, build_shift_system, cycle_graph, odd_cycle_lines, rat
 from girthgeom import lines as linemod
 from girthgeom import scenes
@@ -794,9 +795,12 @@ def test_a_parent_provenance_that_does_not_fit_exits_2(tmp_path, capsys, two_ste
         ((("drop", (3, 4)),), "copy 1 induces other edges than copy 0"),
         ((("drop", (7, 8)), ("add", (0, 7))), "copy object 7 meets 2 ground objects"),
         ((("add", (3, 5)),), "cross-copy pair (3, 5)"),
+        ((("drop", (0, 3)), ("add", (1, 3))), "copy 0 meets ground objects [[1], [1]], not each of [0, 1] once"),
+        ((("drop", (0, 5)), ("drop", (2, 6)), ("add", (2, 5)), ("add", (0, 6))),
+         "object 5 meets ground [2], expected [0]"),
     ],
     ids=["as-recorded", "copy-meets-none", "copy-meets-two", "ground-pair-meets", "copy-misses-its-edge",
-         "first-fault-in-order", "cross-copy-pair"],
+         "first-fault-in-order", "cross-copy-pair", "first-copy-on-one-ground", "later-copy-by-other-ranks"],
 )
 def test_a_parent_level_is_checked_against_the_graph_above(two_step_scene, change, fault):
     # the parent level of the two-step scene is c9's lift: ground 0..2, copies
@@ -912,15 +916,49 @@ def test_a_first_copy_moved_apart_fails_the_pair_base_below_it(provenance_scenes
                                                   "records 2 objects and edges []")
 
 
+# the top's one copy is a copy of c9, whose first copy is its boxes 3 and 4 on its ground boxes 0 and 1; with
+# box 3 laid on box 4, both meet ground 1, so the level below does not fit the graph the top's copy induces
+_LAID_ON_ITS_NEIGHBOUR = ("provenance.parent does not fit the graph the level above records: "
+                          "copy 0 meets ground objects [[1], [1]], not each of [0, 1] once")
+
+
 def test_a_first_copy_with_other_edges_is_refused_at_load(two_step_scene, tmp_path, capsys):
-    # the top's one copy is a copy of c9; its box 3 laid on its box 4 meets
-    # ground 1 in place of ground 0, which still fits the level below, but
-    # the stored parent edges now differ from those the writer derives from
-    # the copy, so the scene is refused at load, before any structure check
+    # the stored parent edges differ from those the writer derives from the
+    # copy too, but the level below is read, and refused, before that compare
     doc = json.loads(json.dumps(two_step_scene))
     m = len(doc["provenance"]["certificate"]["elements"])
     doc["boxes"][m + 3] = doc["boxes"][m + 4]
-    _spoiled_scene_exits_2(tmp_path, capsys, doc, "provenance.parent_edges[0][1] is 3, its writer writes 5")
+    _spoiled_scene_exits_2(tmp_path, capsys, doc, _LAID_ON_ITS_NEIGHBOUR)
+
+
+def test_a_copy_laid_on_its_neighbour_with_matching_parent_edges_exits_2(two_step_scene, tmp_path, capsys):
+    # the same scene with every stored derived field as the writer derives it
+    # from the spoiled boxes: each copy object meets one ground object, no
+    # copies meet, and every copy induces what the first does, so only the
+    # ranks the first copy meets its ground by are left to refuse it
+    fam = scenes.scene_from_doc(json.loads(json.dumps(two_step_scene)))
+    m = len(fam.provenance["certificate"].elements)
+    rows = list(fam.rows)
+    rows[m + 3] = rows[m + 4]
+    spoiled = BoxFamily(rows, fam.claimed_girth, fam.claimed_chromatic, fam.provenance, den=fam.den)
+    doc = scene_to_doc(spoiled)
+    assert doc["provenance"]["parent_edges"] != two_step_scene["provenance"]["parent_edges"]
+    _spoiled_scene_exits_2(tmp_path, capsys, doc, _LAID_ON_ITS_NEIGHBOUR)
+
+
+def test_a_top_level_copy_laid_on_its_neighbour_fails_copy_meets_own_ground(provenance_scenes, tmp_path):
+    # c9's box 3 laid on box 4: the first copy still induces the meeting
+    # pair, and each of its boxes meets the ground box at its own trace, but
+    # both meet ground 1, so the copy does not meet its ground by ranks
+    doc = json.loads(json.dumps(provenance_scenes[1]["boxes"]))
+    doc["boxes"][3] = doc["boxes"][4]
+    path = tmp_path / "laid.scene.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--out", str(tmp_path / "laid")]) == EXIT_CHECK_FAILED
+    structure = read(tmp_path / "laid.report.json")["results"]["structure"]
+    assert [c for c in structure if not c["ok"]] == [
+        {"name": "copy-meets-own-ground", "ok": False, "detail": "copy 0 meets ground objects [[1], [1]], not each "
+                                                                  "of [0, 1] once"}]
 
 
 @pytest.mark.parametrize(

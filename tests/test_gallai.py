@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -32,14 +33,19 @@ from girthgeom.gallai import (
     make_certificate,
     validate_cycle_witness,
 )
+from girthgeom.cli import main
+from girthgeom.geometry import format_rat
+from girthgeom.scenes import load_certificate
 
 from _oracles import (
     apply,
     brute_coloring_search,
     brute_copies,
     fraction_copies,
+    homotheties,
     reference_copy_cycle,
     rescan_avoiding_coloring,
+    save_certificate,
 )
 
 
@@ -82,7 +88,7 @@ class TestEnumerateCopies:
     def test_progressions_in_nine(self):
         cert = copies_of(GroundSet.of([0, 1, 2]), elems(*range(1, 10)))
         assert len(cert.copies) == 16
-        assert Counter(m.scale for m in cert.maps()) == {F(1): 7, F(2): 5, F(3): 3, F(4): 1}
+        assert Counter(m.scale for m in homotheties(cert)) == {F(1): 7, F(2): 5, F(3): 3, F(4): 1}
 
     def test_asymmetric_shape_single_copy(self):
         copies = enumerate_copies(GroundSet.of([0, 1, 3]), elems(0, 1, 2, 3))
@@ -90,7 +96,7 @@ class TestEnumerateCopies:
 
     def test_witness_map_reproduces_image(self):
         cert = copies_of(GroundSet.of([0, 2, 3]), elems(*range(13)))
-        for c, m in zip(cert.copies, cert.maps()):
+        for c, m in zip(cert.copies, homotheties(cert)):
             assert tuple(apply(m, t) for t in cert.ground.points) == tuple(cert.elements[p] for p in c)
 
     @pytest.mark.parametrize(
@@ -137,7 +143,7 @@ class TestEnumerateCopiesOracle:
         want = fraction_copies(ground, elements)
         assert [tuple(elements[p] for p in c) for c in cert.copies] == [image for _, image in want]
         assert all(c == tuple(sorted(set(c))) for c in cert.copies)
-        assert cert.maps() == [m for m, _ in want]
+        assert homotheties(cert) == [m for m, _ in want]
 
 
 class TestCopyCycles:
@@ -342,6 +348,33 @@ def copy_enumerations(monkeypatch):
 def test_progression_certificate_enumerates_its_copies_once(copy_enumerations, provide, ground, colors, girth, size):
     assert provide(GroundSet.of(ground), colors, girth).flags.all_true()
     assert copy_enumerations == [size]
+
+
+def test_gallai_check_enumerates_the_copies_once(copy_enumerations, tmp_path, capsys):
+    # the reader tests each stored copy by itself, and the verifier enumerates them all
+    path = tmp_path / "cert.json"
+    save_certificate(path, vdw_certificate(GroundSet.of([F(1, 2), F(3, 2), F(5, 2)]), 2, 4))
+    copy_enumerations.clear()
+    assert load_certificate(path).copies and copy_enumerations == []
+    assert main(["gallai", "check", str(path)]) == 0
+    assert copy_enumerations == [9] and '"copies_complete": true' in capsys.readouterr().out
+
+
+@settings(max_examples=200, deadline=None)
+@given(copy_instances(), st.lists(st.integers(-1, 15), min_size=1, max_size=5))
+@example((GroundSet.of([0, 1, 2]), elems(1, 2, 3)), [1, 1, 1])
+def test_a_stored_copy_is_read_when_the_enumeration_holds_it(instance, positions):
+    # the reader's test of one stored copy accepts exactly the enumerated copies
+    ground, elements = instance
+    held = enumerate_copies(ground, elements)
+    doc = certificate_to_doc(GallaiCertificate(ground, elements, (), 1, 3))
+    for copies in (held, (tuple(p if p < len(elements) else -1 for p in positions), *held)):
+        doc["copies"] = [{"image": [format_rat(elements[p]) if p >= 0 else "-" for p in c]} for c in copies]
+        if set(copies) <= set(held):
+            assert certificate_from_doc(doc).copies == copies
+        else:
+            with pytest.raises(ValueError, match=re.escape("copies[0].image is ")):
+                certificate_from_doc(doc)
 
 
 class TestPigeonholeProvider:
@@ -562,10 +595,10 @@ class TestCertificateDocs:
          ([F(1, 2), F(7, 2)], [F(k, 3) for k in range(-4, 20)])],
     )
     def test_copy_maps_written_as_their_rationals(self, ground, universe):
-        # the writer formats the integers behind maps(); negative shifts and every denominator included
+        # the writer formats the integers of map_ratios(); negative shifts and every denominator included
         cert = copies_of(GroundSet.of(ground), tuple(universe))
         written = [(c["scale"], c["shift"]) for c in certificate_to_doc(cert)["copies"]]
-        assert written == [(str(m.scale), str(m.shift)) for m in cert.maps()]
+        assert written == [(str(m.scale), str(m.shift)) for m in homotheties(cert)]
         assert any("/" in t and t.startswith("-") for _, t in written)
 
     def test_rationals_as_strings(self):

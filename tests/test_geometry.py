@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from girthgeom import Box3, Dir3, Homothety1D, Interval, Line3, LineFamily, Point3, rat
-from girthgeom.geometry import cross, dot, grid_maps
+from girthgeom.geometry import cross, dot, grid_maps, to_grid
 
 from _oracles import (
     Homothety3D,
@@ -275,19 +276,38 @@ def test_perp_postconditions(line, offset):
 
 
 def _integer_on(grid: int, maps, p: int) -> bool:
-    """Whether every map u / p -> s u / p + t is integer affine on the grid
-    of denominator ``grid``: grid s / p and grid t are integers."""
-    return all((grid * s / p).denominator == 1 and (grid * t).denominator == 1 for s, t in maps)
+    """Whether every map u / p -> (a / b) u / p + c / d is integer affine on
+    the grid of denominator ``grid``: grid a / (b p) and grid c / d are integers."""
+    return all(grid * a % (b * p) == 0 and grid * c % d == 0 for a, b, c, d in maps)
 
 
+# scales and shifts as integers in any terms, not only the lowest, as the certificate gives them
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool),
-                          st.fractions(min_value=-9, max_value=9, max_denominator=12)), max_size=4),
+@given(st.lists(st.tuples(st.integers(-60, 60).filter(bool), st.integers(1, 12), st.integers(-60, 60),
+                          st.integers(1, 12)), max_size=4),
        st.integers(1, 36), st.integers(1, 12), st.integers(-50, 50))
 def test_grid_maps_is_the_least_grid_of_every_map(maps, p, den, u):
     grid, pairs = grid_maps(maps, p, den)
     assert grid % den == 0 and len(pairs) == len(maps)
-    for (s, t), (a, b) in zip(maps, pairs):
-        assert F(a * u + b, grid) == s * F(u, p) + t
+    for (a, b, c, d), (k, t) in zip(maps, pairs):
+        assert F(k * u + t, grid) == F(a, b) * F(u, p) + F(c, d)
     assert _integer_on(grid, maps, p)
     assert not any(_integer_on(d, maps, p) for d in range(den, grid, den) if grid % d == 0)
+
+
+def test_to_grid_splits_written_strings_in_lowest_terms():
+    # no Fraction is made of a written string, and the grid is still the least one
+    assert to_grid([["2/4", "3", "-6/8"], ["0/5", "-7"]]) == (4, [(2, 12, -3), (0, -28)])
+    assert to_grid([["2/4", F(1, 3)]]) == (6, [(3, 2)])
+
+
+@pytest.mark.parametrize("entry", ["1/0", "-3/00", "x", "1.5", " 2", "+2", "1e3", "٣"])
+def test_to_grid_reads_any_other_string_as_a_fraction(entry):
+    # a zero denominator or another form goes through ``rat``, whose value and error it keeps
+    try:
+        want = rat(entry)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            to_grid([[entry]])
+    else:
+        assert to_grid([[entry]]) == (want.denominator, [(want.numerator,)])

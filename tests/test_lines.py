@@ -23,6 +23,7 @@ from _oracles import (
     line_plane_meet,
     line_to_doc,
     point_at,
+    ratios,
     reference_bad_ground_pair,
     same_line,
     shift_line,
@@ -381,7 +382,7 @@ def _embed(which, maps, den=1):
     lays them out."""
     frame = _FRAMES[which]
     lead = linemod._lead(frame.perp)
-    grid, images = embed_copy_lines(_PARENTS[which], frame, maps, math.lcm(den, lead))
+    grid, images = embed_copy_lines(_PARENTS[which], frame, list(map(ratios, maps)), math.lcm(den, lead))
     return grid, images, tuple(grid // lead * c for c in frame.perp)
 
 

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from girthgeom import (
@@ -23,7 +23,8 @@ from girthgeom import lines as linemod
 from girthgeom import scenes
 from girthgeom.errors import SceneFormatError
 from girthgeom.gallai import pigeonhole_certificate, vdw_certificate
-from girthgeom.geometry import rat
+from girthgeom import geometry
+from girthgeom.geometry import _ratio, rat
 from girthgeom.scenes import (
     dumps_doc,
     load_certificate,
@@ -138,6 +139,18 @@ _documents = st.recursive(
 )
 
 
+# keys that a template must escape or encode, over which dicts share key sets often
+_KEYS = ["a", "%s", "%", 'q"%d', "é", "\u2028"]
+_cells = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.sampled_from(["x", "%s", '"', "é", "😀", ""]),
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+    | st.fixed_dictionaries({}, optional=dict.fromkeys(_KEYS, inner)).flatmap(
+        lambda d: st.sampled_from([d, dict(reversed(d.items()))])),
+    max_leaves=30,
+)
+_tables = st.lists(_cells, min_size=2, max_size=12)
+
+
 class TestWriter:
     """``dumps_doc`` writes what the standard library's indented encoder
     writes (``stdlib_dumps_doc``), byte for byte; every document the suite
@@ -165,6 +178,18 @@ class TestWriter:
         obj = make()
         for doc in (scene_to_doc(obj), {"labels": obj.labels()}):
             assert dumps_doc(doc) == stdlib_dumps_doc(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tables)
+    @example([{"a": [[1, 2], [3], [], [4, 5], (6, 7), ()],
+               "%s": [{"x": 1}, {"y": 2}, {"y": 3, "x": 4}, {}, {"x": 5, "y": 6}],
+               'q"%d': [True, None, 1.5, 2, "é", '"']},
+              {"%s": 0, 'q"%d': "😀", "a": {}}])
+    def test_siblings_of_one_shape_and_of_several_match_the_stdlib_encoder(self, doc):
+        # the writer fills one template per shape at each depth, so siblings
+        # share shapes here: dicts over a few key sets in either key order,
+        # lists and tuples of a few lengths, among scalars of every kind
+        assert dumps_doc(doc) == stdlib_dumps_doc(doc)
 
 
 class TestProvenanceIntegers:
@@ -239,14 +264,18 @@ def _rational_strings(node):
 
 
 def _assert_parsed_once(monkeypatch, doc, key, names):
-    """Loading ``doc`` twice parses every rational string in it once per
-    load, the objects' repeated entries included."""
+    """Loading ``doc`` twice parses every rational string of its provenance
+    once per load, and puts the objects' entries, repeated ones included,
+    on the grid by splitting them into integers, with no Fraction made of
+    any of them."""
     strings = [v for obj in doc[key] for name in names for v in obj[name]]
-    rationals = set(_rational_strings(doc))  # the objects' entries and the provenance's rationals
-    parsed = []
+    rationals = set(_rational_strings(doc["provenance"]))
+    parsed, split = [], []
     monkeypatch.setattr(scenes, "rat", lambda v: parsed.append(v) or rat(v))
+    monkeypatch.setattr(geometry, "_ratio", lambda v, read: split.append(v) or _ratio(v, read))
     scene_from_doc(doc)
-    assert sorted(parsed) == sorted(rationals) and set(strings) <= rationals and len(strings) > len(set(strings))
+    assert sorted(parsed) == sorted(rationals) and len(strings) > len(set(strings))
+    assert {v for v in split if type(v) is str} == set(strings)
     scene_from_doc(doc)  # no cache outlives its document
     assert len(parsed) == 2 * len(rationals)
 
