@@ -35,7 +35,7 @@ from .gallai import (
     vdw_certificate,
     verify_certificate,
 )
-from .geometry import Box3, Dir3, Homothety1D, Interval, Line3, Point3, rat
+from .geometry import Box3, Dir3, Interval, Line3, Point3, rat
 from .graphs import (
     GeoGraph,
     chromatic_number,

@@ -312,45 +312,23 @@ def _place_boxes(parent: BoxFamily, certify) -> recursion.Placement:
 
 def check_box_structure(fam: BoxFamily) -> recursion.StructureReport:
     """Exact structural sweep of a family against its construction model
-    (see ``recursion.check_structure``).
-
-    Recursion outputs must satisfy: ground boxes pairwise disjoint; every
-    copy box meets exactly one ground box, namely the one at its own
-    trace, and the boxes of each copy meet its own ground boxes as the
-    first copy's do (``recursion.misplaced_copy_object``); no box from one
-    copy meets a box from another; and each copy's internal graph matches
-    the parent's.  Base families must match their
-    expected graph exactly.
-    """
+    (see ``recursion.check_structure``): a recursion output's graph must
+    be its model, with every copy box on the ground box at its own trace,
+    and a base's its kind's graph."""
     return recursion.check_structure(fam, _check_box_copies)
 
 
-def _check_box_copies(report: recursion.StructureReport, fam: BoxFamily, edges: recursion.CopyEdges) -> None:
-    ground_pairs = edges.ground_pairs
-    report.add(
-        "ground-pairwise-disjoint",
-        not ground_pairs,
-        "" if not ground_pairs else f"intersecting ground pair {ground_pairs[0]}",
-    )
-
-    met = edges.ground_met
-    bad_count = next((i for i in met if len(met[i]) != 1), None)
-    report.add(
-        "copy-meets-exactly-one-ground",
-        bad_count is None,
-        "" if bad_count is None else f"box {bad_count} meets {len(met[bad_count])} ground boxes",
-    )
-    if bad_count is None:
-        rows = fam.rows
-        mismatched = next((i for i in met if rows[met[i][0]][0] != rows[i][0]), None)
-        detail = (f"box {mismatched} meets ground box at trace {Fraction(rows[met[mismatched][0]][0], fam.den)}"
-                  if mismatched is not None else recursion.misplaced_copy_object(fam.provenance["certificate"], met))
-        report.add("copy-meets-own-ground", detail is None, detail or "")
-    report.add(
-        "no-cross-copy-intersections",
-        not edges.cross,
-        "" if not edges.cross else f"intersecting cross-copy pair {edges.cross[0]}",
-    )
+def _check_box_copies(report: recursion.StructureReport, fam: BoxFamily, faults: dict[str, str]) -> None:
+    report.add("ground-pairwise-disjoint", "ground" not in faults, faults.get("ground", ""))
+    report.add("copy-meets-exactly-one-ground", "count" not in faults, faults.get("count", ""))
+    if "count" not in faults:  # a copy box on the ground box at another trace fails before its ranks are read
+        rows, meets, m = fam.rows, fam.meets, len(fam.provenance["certificate"].elements)
+        off = min(((v, rows[g][0]) for g, v in meets[:bisect_left(meets, (m,))] if v >= m and rows[g][0] != rows[v][0]),
+                  default=None)
+        detail = (faults.get("placed", "") if off is None
+                  else f"box {off[0]} meets ground box at trace {Fraction(off[1], fam.den)}")
+        report.add("copy-meets-own-ground", not detail, detail)
+    report.add("no-cross-copy-intersections", "cross" not in faults, faults.get("cross", ""))
 
 
 # ---------------------------------------------------------------------------

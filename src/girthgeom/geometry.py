@@ -1,6 +1,6 @@
 """Exact rational primitives for 3-space: points, directions, intervals,
-boxes, lines and scale-plus-translate maps on the rational line, and the
-one integer grid every family keeps its objects on.
+boxes and lines, and the one integer grid every family keeps its
+objects on.
 
 Every coordinate is exact: a `fractions.Fraction` in an object, an integer
 on a family's grid (``to_grid``).  Every predicate is decided exactly, so
@@ -183,18 +183,3 @@ class Line3:
     base: Point3
     dir: Dir3
 
-
-# ---------------------------------------------------------------------------
-# scale-plus-translate maps
-
-
-@dataclass(frozen=True)
-class Homothety1D:
-    """x -> scale * x + shift on the rational line, with scale > 0."""
-
-    scale: Rat
-    shift: Rat
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be strictly positive")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -662,61 +661,22 @@ def _place_lines(parent: LineFamily, certify) -> recursion.Placement:
 
 def check_line_structure(fam: LineFamily) -> recursion.StructureReport:
     """Exact structural sweep mirroring the box checks (see
-    ``recursion.check_structure``): no two lines identical; ground lines
-    pairwise parallel-disjoint; every copy line meets exactly one ground
-    line, the one at its own mapped parameter; no cross-copy incidence;
-    each copy's internal graph matches the parent's."""
+    ``recursion.check_structure``): no two lines identical, ground lines
+    pairwise parallel-disjoint, and a recursion output's graph its model,
+    with every copy line on the ground line at its own parameter."""
     return recursion.check_structure(fam, _check_line_copies)
 
 
-def _check_line_copies(report: recursion.StructureReport, fam: LineFamily, edges: recursion.CopyEdges) -> None:
-    identical = fam.identical
-    report.add(
-        "no-identical-lines", identical is None, "" if identical is None else f"pair {identical}"
-    )
-
-    # two lines are parallel-disjoint exactly when their Plücker rows (d, b x d)
-    # share the direction d but differ
-    plucker = {i: (fam.rows[i][1], cross(*fam.rows[i])) for i in range(len(fam.provenance["certificate"].elements))}
-    bad_ground = next(
-        ((i, j) for i in plucker for j in plucker
-         if i < j and (plucker[i][0] != plucker[j][0] or plucker[i] == plucker[j])),
-        None,
-    )
-    report.add(
-        "ground-pairwise-parallel-disjoint",
-        bad_ground is None,
-        "" if bad_ground is None else f"ground pair {bad_ground}",
-    )
-
-    bad = _misplaced_copy_line(fam.provenance, edges)
-    report.add(
-        "copy-meets-exactly-own-ground",
-        bad is None,
-        "" if bad is None else f"line {bad[0]} meets ground {bad[1]}, expected [{bad[2]}]",
-    )
-
-    cross_pairs = edges.cross
-    report.add(
-        "no-cross-copy-incidences", not cross_pairs, "" if not cross_pairs else f"cross-copy pair {cross_pairs[0]}"
-    )
-
-
-def _misplaced_copy_line(prov: dict, edges: recursion.CopyEdges):
-    """The first copy line, in block order, that does not meet exactly the
-    ground line at its own mapped parameter, as (line, ground lines met,
-    expected ground line); None when every copy line does.  Parent line p
-    lies at parent_params[p], the ground set's point of rank r, so copy c
-    maps it to the element at c[r], where ground line c[r] lies; the lines
-    each copy line meets are listed in ground order, since ground lines
-    come first."""
-    cert = prov["certificate"]
-    ranks = [bisect_left(cert.ground.points, t) for t in prov["parent_params"]]
-    for copy, members in zip(cert.copies, recursion.block_layout(cert)[1:]):
-        for r, i in zip(ranks, members):
-            if edges.ground_met[i] != [copy[r]]:
-                return i, edges.ground_met[i], copy[r]
-    return None
+def _check_line_copies(report: recursion.StructureReport, fam: LineFamily, faults: dict[str, str]) -> None:
+    report.add("no-identical-lines", fam.identical is None, "" if fam.identical is None else f"pair {fam.identical}")
+    # two lines are parallel-disjoint exactly when their Plücker rows (d, b x d) share the direction d but differ
+    ground = enumerate((d, cross(b, d)) for b, d in fam.rows[:len(fam.provenance["certificate"].elements)])
+    bad = next(((i, j) for (i, p), (j, q) in itertools.combinations(ground, 2) if p[0] != q[0] or p == q), None)
+    detail = faults.get("ground", "") if bad is None else f"ground pair {bad}"
+    report.add("ground-pairwise-parallel-disjoint", not detail, detail)
+    detail = faults.get("count", faults.get("placed", ""))
+    report.add("copy-meets-exactly-own-ground", not detail, detail)
+    report.add("no-cross-copy-incidences", "cross" not in faults, faults.get("cross", ""))
 
 
 # ---------------------------------------------------------------------------

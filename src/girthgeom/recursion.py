@@ -233,68 +233,89 @@ class StructureReport:
         return [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks]
 
 
-class CopyEdges:
-    """The edges of a lift by ``cert`` filed by the blocks of
-    ``block_layout``.  Each list is in edge order: pairs of ground objects,
-    the ground objects each copy object meets, pairs from two different
-    copies, and each copy's own edges as pairs of positions in the copy."""
-
-    def __init__(self, cert: GallaiCertificate, edges):
-        m, size = len(cert.elements), cert.ground.size
-        self.ground_pairs: list[tuple[int, int]] = []
-        self.ground_met: dict[int, list[int]] = {i: [] for i in range(m, m + len(cert.copies) * size)}
-        self.cross: list[tuple[int, int]] = []
-        self.intra: list[set[tuple[int, int]]] = [set() for _ in cert.copies]
-        for u, v in edges:
-            if v < m:
-                self.ground_pairs.append((u, v))
-            elif u < m:
-                self.ground_met[v].append(u)
-            elif (u - m) // size == (v - m) // size:
-                self.intra[(u - m) // size].add(((u - m) % size, (v - m) % size))
-            else:
-                self.cross.append((u, v))
+def copy_ranks(prov: dict, edges: list[tuple[int, int]]) -> list[int] | None:
+    """rho of the recursion level ``prov`` whose objects meet in the sorted
+    ``edges``: object i of each copy lies at the ground point of rank
+    rho(i) of the copy's image, each rank once; None when the level fixes
+    no such ranks.  A level that stores ``parent_params`` (lines) holds the
+    point of rank rho(i) as its i-th parameter; any other level reads rho
+    from its first copy, whose object i meets one ground object, the one
+    of rank rho(i) of its image."""
+    cert = prov["certificate"]
+    m, size = len(cert.elements), cert.ground.size
+    if "parent_params" in prov:
+        ranks = [bisect_left(cert.ground.points, t) for t in prov["parent_params"]]
+    elif cert.copies:
+        first = sorted((v, g) for g, v in edges[:bisect_left(edges, (m,))] if m <= v < m + size)
+        rank = {g: r for r, g in enumerate(cert.copies[0])}
+        ranks = [rank.get(g, -1) for _, g in first] if [v for v, _ in first] == list(range(m, m + size)) else []
+    else:
+        ranks = list(range(size))
+    return ranks if sorted(ranks) == list(range(size)) else None
 
 
-def misplaced_copy_object(cert: GallaiCertificate, ground_met: dict[int, list[int]]) -> str | None:
-    """How the copy objects of a lift by ``cert`` fail to meet their own
-    ground objects, or None: object i of the first copy meets the ground
-    object at rank r_i of its image, each rank once, and object i of every
-    copy the one at rank r_i of its own.  ``ground_met`` lists the ground
-    objects each copy object meets (``CopyEdges``)."""
-    m, size, images = len(cert.elements), cert.ground.size, cert.copies
-    first = [ground_met[m + i] for i in range(size)] if images else []
-    if images and sorted(first) != [[g] for g in images[0]]:
-        return f"copy 0 meets ground objects {first}, not each of {list(images[0])} once"
-    ranks = [images[0].index(g) for g, in first]
-    return next((f"object {i} meets ground {ground_met[i]}, expected [{copy[r]}]" for j, copy in enumerate(images)
-                 for i, r in enumerate(ranks, m + j * size) if ground_met[i] != [copy[r]]), None)
+def lifted_edges(cert: GallaiCertificate, ranks, parent: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The sorted edges of L(P, cert, rho), the model of a lift by ``cert``
+    of the graph P with the sorted edges ``parent``, rho the ``ranks``:
+    object i of copy j, at m + j size + i, meets the ground object at rank
+    rho(i) of the copy's image, and each copy block induces P."""
+    m, size = len(cert.elements), cert.ground.size
+    starts = range(m, m + len(cert.copies) * size, size)
+    placed = sorted((copy[r], start + i) for copy, start in zip(cert.copies, starts) for i, r in enumerate(ranks))
+    return placed + [(start + a, start + b) for start in starts for a, b in parent]
+
+
+def level_faults(prov: dict, edges: list[tuple[int, int]]) -> dict[str, str]:
+    """How the sorted ``edges`` of the recursion level ``prov`` differ from
+    its model, L(P, cert, rho) (``lifted_edges``), with P the graph its
+    first copy induces (``parent_edges``) and rho its ``copy_ranks``: none
+    when they are the model, else the first fault of each rule they break,
+    in this order: two ground objects meet ("ground"); a copy object meets
+    other than one ground object ("count"), or, when each meets one, not
+    the one rho puts it on ("placed"); two copies meet ("cross"); a copy
+    block induces other edges than P ("copy")."""
+    cert = prov["certificate"]
+    m, size = len(cert.elements), cert.ground.size
+    ranks = copy_ranks(prov, edges)
+    model = lifted_edges(cert, range(size) if ranks is None else ranks, parent_edges(cert, edges))
+    if ranks is not None and edges == model:
+        return {}
+    diff = sorted(set(edges).symmetric_difference(model))
+    met: dict[int, list[int]] = {}
+    for g, v in edges[:bisect_left(edges, (m,))]:
+        met.setdefault(v, []).append(g)
+    moved = sorted({v for g, v in diff if g < m <= v})
+    count = [f"copy object {v} meets {len(met.get(v, ()))} ground objects" for v in moved if len(met.get(v, ())) != 1]
+    if count:
+        placed = []
+    elif ranks is None:
+        placed = [f"copy 0 meets ground objects {[met[v] for v in range(m, m + size)]}, not each of "
+                  f"{list(cert.copies[0])} once"]
+    else:
+        placed = [f"object {v} meets ground {met[v]}, expected [{cert.copies[(v - m) // size][ranks[(v - m) % size]]}]"
+                  for v in moved]
+    blocks = [(u, v, u - (u - m) % size) for u, v in diff if u >= m]  # with the first object of u's copy
+    found = {"ground": [f"intersecting ground pair {e}" for e in diff if e[1] < m], "count": count, "placed": placed,
+             "cross": [f"intersecting cross-copy pair {(u, v)}" for u, v, a in blocks if v >= a + size],
+             "copy": [f"copy {(a - m) // size} differs at [{(u - a, v - a)}]" for u, v, a in blocks if v < a + size]}
+    return {rule: texts[0] for rule, texts in found.items() if texts}
 
 
 def check_structure(fam, check_copies: Callable) -> StructureReport:
-    """Exact structural sweep of a family against its construction model.
-
-    Base families must have exactly their kind's graph (``base_graph``).
-    A recursion output is checked by ``check_copies(report, fam,
-    CopyEdges)`` for its ground objects and how the copies meet them and
-    each other, then here for each copy's own graph against the first
-    copy's, which the provenance records as the parent's graph
-    (``parent_edges``).  Its provenance is taken to fit its objects, as
-    ``lift`` and the scene reader make sure it does.
-    """
+    """Exact structural sweep of a family against its construction model:
+    a base's graph must be its kind's (``base_graph``), and a recursion
+    output's its model (``level_faults``).  ``check_copies(report, fam,
+    faults)`` reports the faults of its ground objects and of how its
+    copies meet them and each other, and this the faults of its copy
+    blocks.  Its provenance is taken to fit its objects, as ``lift`` and
+    the scene reader make sure."""
     report = StructureReport()
     prov = fam.provenance
     kind = prov.get("kind")
     if kind == "recursion":
-        edges = CopyEdges(prov["certificate"], fam.meets)
-        check_copies(report, fam, edges)
-        first = edges.intra[0] if edges.intra else set()
-        bad_block = next(((ci, sorted(got ^ first)[:1]) for ci, got in enumerate(edges.intra) if got != first), None)
-        report.add(
-            "copy-graph-matches-parent",
-            bad_block is None,
-            "" if bad_block is None else f"copy {bad_block[0]} differs at {bad_block[1]}",
-        )
+        faults = level_faults(prov, fam.meets)
+        check_copies(report, fam, faults)
+        report.add("copy-graph-matches-parent", "copy" not in faults, faults.get("copy", ""))
     elif kind in BASE_CHECKS:
         got, want = graphs.intersection_graph(fam), base_graph(prov)
         same, witness = graphs.graph_equals_expected(got, want) if got.n == want.n else (False, f"{got.n} objects")

@@ -20,9 +20,8 @@ from .boxes import BoxFamily
 from .errors import SceneFormatError
 from .gallai import GallaiCertificate, certificate_from_doc, certificate_to_doc
 from .geometry import format_rat, rat
-from .graphs import GeoGraph
 from .lines import LineFamily, ShiftSystem
-from .recursion import BASE_CHECKS, CopyEdges, base_graph, block_layout, misplaced_copy_object, parent_edges
+from .recursion import BASE_CHECKS, base_graph, block_layout, level_faults, parent_edges
 
 
 def dumps_doc(doc: dict) -> str:
@@ -242,16 +241,14 @@ def _check_fit(prov: dict, size: int, edges, path: str = "provenance", below: bo
     of the ground set for each certificate copy, a line recursion's parent
     parameters are the ground set's points and its offsets one integer per
     copy, and its parent fits the graph its first copy induces
-    (``recursion.parent_edges``).  Below the top, a base has its kind's
-    graph, and at a recursion no ground objects meet, each copy object
-    meets one of its own copy's, as the first copy's objects do
-    (``recursion.misplaced_copy_object``), no two copies meet, and every
-    copy induces what the first does; at the top the structure report
-    checks these."""
+    (``recursion.parent_edges``).  Below the top, a level's graph is its
+    model: a base's is its kind's graph (``recursion.base_graph``), and a
+    recursion's L(P, cert, rho) (``recursion.level_faults``, whose first
+    fault is named); at the top the structure report checks it."""
     kind = prov.get("kind")
     if kind == "base-odd-cycle" and not 3 <= prov["n"] == size:
         raise ValueError(f"{path}.n is {prov['n']}, not the {size} objects of the cycle")
-    if below and kind in BASE_CHECKS and base_graph(prov) != GeoGraph(size, edges):
+    if below and kind in BASE_CHECKS and (size, edges) != ((base := base_graph(prov)).n, sorted(base.edges)):
         raise ValueError(f"{path}.kind is {kind!r}, but the level above records {size} objects and edges {edges}")
     if kind != "recursion":
         return
@@ -266,16 +263,8 @@ def _check_fit(prov: dict, size: int, edges, path: str = "provenance", below: bo
         raise ValueError(f"{path}.offsets do not hold one slide offset per certificate copy")
     if (i := next((i for i, t in enumerate(prov.get("offsets", ())) if t.denominator != 1), None)) is not None:
         raise ValueError(f"{path}.offsets[{i}] is {format_rat(prov['offsets'][i])}, not an integer slide offset")
-    if below:
-        filed = CopyEdges(cert, edges)
-        faults = itertools.chain(
-            (f"ground objects {e} meet" for e in filed.ground_pairs),
-            (f"copy object {i} meets {len(g)} ground objects" for i, g in filed.ground_met.items() if len(g) != 1),
-            filter(None, [misplaced_copy_object(cert, filed.ground_met)]),
-            (f"cross-copy pair {e}" for e in filed.cross),
-            (f"copy {j} induces other edges than copy 0" for j, got in enumerate(filed.intra) if got != filed.intra[0]))
-        if fault := next(faults, None):
-            raise ValueError(f"{path} does not fit the graph the level above records: {fault}")
+    if below and (fault := next(iter(level_faults(prov, edges).values()), None)):
+        raise ValueError(f"{path} does not fit the graph the level above records: {fault}")
     _check_fit(prov["parent"], step, parent_edges(cert, edges), f"{path}.parent", below=True)
 
 

@@ -34,7 +34,10 @@ its axis parameters, and ``fraction_embed_copy_lines`` for the copy map.
 for the rows a shift system derives on integers, and
 ``brute_verify_shift_system`` tests every pair of a shift system with the
 Fraction line relation, and each designed meet against
-``shift_meeting_point``.  The small geometry and file helpers at the end
+``shift_meeting_point``.  ``reference_level_faults`` files a recursion
+level's edges rule by rule, as the library did before it compared each
+level with one model, which that compare must match in verdict and in
+the first fault it names.  The small geometry and file helpers at the end
 are used only by the tests, too.
 """
 
@@ -52,7 +55,7 @@ from girthgeom.boxes import BoxFamily, GroundedSquareBox
 from girthgeom.budget import Budget
 from girthgeom.errors import BudgetExhausted, ConstructionError
 from girthgeom.gallai import certificate_to_doc
-from girthgeom.geometry import Box3, Dir3, Homothety1D, Interval, Line3, Point3, Rat, Triple, cross, dot, format_rat, rat
+from girthgeom.geometry import Box3, Dir3, Interval, Line3, Point3, Rat, Triple, cross, dot, format_rat, rat
 from girthgeom.graphs import ColoringCertificate, _bipartite
 from girthgeom.lines import FRAME_HEIGHT
 from girthgeom.scenes import write_doc
@@ -931,6 +934,68 @@ def fraction_embed_copy_lines(lines, frame: FractionFrame, copy_map, offset) -> 
 
 
 # ---------------------------------------------------------------------------
+# recursion levels, rule by rule
+
+
+def reference_level_faults(prov: dict, size: int, edges) -> list[tuple[str, str]]:
+    """Every fault of the level ``prov`` of ``size`` objects meeting in the
+    sorted pairs ``edges``, by the rules the library checked one by one
+    before it compared each level with one model, as (rule, text) in rule
+    order.  A base must have its kind's graph ("base").  A recursion's
+    edges are filed by block: no two ground objects meet ("ground"); each
+    copy object meets one ground object ("count"), and once each does, the
+    one at its own rank of its copy's image ("placed"), the ranks read
+    from a line level's ``parent_params`` or else from the ground objects
+    the first copy meets, each once; no two copies meet ("cross"); and
+    every copy induces what the first does ("copy")."""
+    kind = prov["kind"]
+    if kind != "recursion":
+        n = {"base-single": 1, "base-pair": 2}.get(kind) or prov["n"]  # one vertex, one edge or C_n
+        want = sorted({(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}) if n > 2 else [(0, 1)][:n - 1]
+        return [] if (size, list(edges)) == (n, want) else [("base", f"{size} objects and edges {list(edges)}")]
+    cert = prov["certificate"]
+    m, step, images = len(cert.elements), cert.ground.size, cert.copies
+    ground_pairs, cross_pairs = [], []
+    met: dict[int, list[int]] = {i: [] for i in range(m, size)}
+    intra: list[set] = [set() for _ in images]
+    for u, v in edges:
+        if v < m:
+            ground_pairs.append((u, v))
+        elif u < m:
+            met[v].append(u)
+        elif (u - m) // step == (v - m) // step:
+            intra[(u - m) // step].add(((u - m) % step, (v - m) % step))
+        else:
+            cross_pairs.append((u, v))
+    faults = [("ground", f"intersecting ground pair {e}") for e in ground_pairs]
+    faults += [("count", f"copy object {i} meets {len(g)} ground objects") for i, g in met.items() if len(g) != 1]
+    if images and not any(rule == "count" for rule, _ in faults):
+        first = [met[m + i] for i in range(step)]
+        if "parent_params" in prov:
+            ranks = [sorted(cert.ground.points).index(t) for t in prov["parent_params"]]
+        elif sorted(first) == [[g] for g in images[0]]:
+            ranks = [list(images[0]).index(g) for g, in first]
+        else:
+            ranks = None
+            faults.append(("placed", f"copy 0 meets ground objects {first}, not each of {list(images[0])} once"))
+        faults += [("placed", f"object {i} meets ground {met[i]}, expected [{copy[r]}]")
+                   for j, copy in enumerate(images) for i, r in enumerate(ranks or (), m + j * step)
+                   if met[i] != [copy[r]]]
+    faults += [("cross", f"intersecting cross-copy pair {e}") for e in cross_pairs]
+    faults += [("copy", f"copy {j} differs at {sorted(got ^ intra[0])[:1]}") for j, got in enumerate(intra)
+               if got != intra[0]]
+    return faults
+
+
+def reference_parent_graph(prov: dict, edges) -> tuple[int, list[tuple[int, int]]]:
+    """The size and sorted edges of the graph the recursion level ``prov``
+    records for its parent: those its first copy block induces."""
+    cert = prov["certificate"]
+    m, step = len(cert.elements), cert.ground.size
+    return step, sorted((u - m, v - m) for u, v in edges if m <= u and v < m + step)
+
+
+# ---------------------------------------------------------------------------
 # helpers used only by the tests
 
 
@@ -942,6 +1007,18 @@ def intervals_intersect(a, b) -> bool:
 def box_intersects(a, b) -> bool:
     """Closed boxes intersect iff all three coordinate intervals overlap."""
     return intervals_intersect(a.xr, b.xr) and intervals_intersect(a.yr, b.yr) and intervals_intersect(a.zr, b.zr)
+
+
+@dataclass(frozen=True)
+class Homothety1D:
+    """x -> scale * x + shift on the rational line, with scale > 0."""
+
+    scale: Rat
+    shift: Rat
+
+    def __post_init__(self):
+        if self.scale <= 0:
+            raise ValueError("scale must be strictly positive")
 
 
 def identity_map() -> Homothety1D:

@@ -29,9 +29,10 @@ from girthgeom import (
 )
 from girthgeom.boxes import plan_embeddings
 from girthgeom.gallai import GroundSet, pigeonhole_certificate
-from girthgeom.geometry import Homothety1D, to_grid
+from girthgeom.geometry import to_grid
 
 from _oracles import (
+    Homothety1D,
     all_pairs_box_edges,
     apply,
     box_bounds,

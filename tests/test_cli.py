@@ -1,6 +1,8 @@
 import contextlib
+import copy
 import functools
 import io
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -15,12 +17,14 @@ from girthgeom import ShiftSystem
 from girthgeom import build_box_family, build_shift_system, cycle_graph, odd_cycle_lines, rat
 from girthgeom import lines as linemod
 from girthgeom import scenes
-from girthgeom import recursion_step_boxes, vdw_certificate
+from girthgeom import build_line_family, recursion_step_boxes, recursion_step_lines, vdw_certificate
 from girthgeom.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_REFUSED, main
 from girthgeom.errors import SceneFormatError
 from girthgeom.gallai import certificate_to_doc, normalize_ground_set
-from girthgeom.recursion import parent_edges
+from girthgeom.recursion import level_faults, parent_edges
 from girthgeom.scenes import load_certificate, load_scene, save_scene, scene_to_doc
+
+from _oracles import reference_level_faults, reference_parent_graph
 
 
 def read(path):
@@ -699,15 +703,26 @@ def test_provenance_that_does_not_fit_the_parent_exits_2(provenance_scenes, caps
     assert message in err
 
 
+def _one_copy(ground, colors, girth):
+    """A progression certificate with a single copy."""
+    return vdw_certificate(ground, colors, girth, length_hint=normalize_ground_set(ground)[-1] + 1)
+
+
 @pytest.fixture(scope="module")
 def two_step_scene():
     """The scene document of c9 lifted once more at one color, by a
     progression certificate with a single copy (73 boxes)."""
-    def one_copy(ground, colors, girth):
-        return vdw_certificate(ground, colors, girth, length_hint=normalize_ground_set(ground)[-1] + 1)
-
-    fam = recursion_step_boxes(build_box_family(6, 3, ProviderPolicy("pigeonhole")), 1, 6, one_copy)
+    fam = recursion_step_boxes(build_box_family(6, 3, ProviderPolicy("pigeonhole")), 1, 6, _one_copy)
     assert len(fam) == 73
+    return scene_to_doc(fam)
+
+
+@pytest.fixture(scope="module")
+def two_step_line_scene():
+    """The scene document of l9 lifted once more at one color, as
+    ``two_step_scene`` lifts c9 (38 lines)."""
+    fam = recursion_step_lines(build_line_family(6, 3, ProviderPolicy("pigeonhole")), 1, 6, _one_copy)
+    assert len(fam) == 38
     return scene_to_doc(fam)
 
 
@@ -791,10 +806,10 @@ def test_a_parent_provenance_that_does_not_fit_exits_2(tmp_path, capsys, two_ste
         ((), None),
         ((("drop", (0, 3)),), "copy object 3 meets 0 ground objects"),
         ((("add", (1, 3)),), "copy object 3 meets 2 ground objects"),
-        ((("add", (0, 1)),), "ground objects (0, 1) meet"),
-        ((("drop", (3, 4)),), "copy 1 induces other edges than copy 0"),
+        ((("add", (0, 1)),), "intersecting ground pair (0, 1)"),
+        ((("drop", (3, 4)),), "copy 1 differs at [(0, 1)]"),
         ((("drop", (7, 8)), ("add", (0, 7))), "copy object 7 meets 2 ground objects"),
-        ((("add", (3, 5)),), "cross-copy pair (3, 5)"),
+        ((("add", (3, 5)),), "intersecting cross-copy pair (3, 5)"),
         ((("drop", (0, 3)), ("add", (1, 3))), "copy 0 meets ground objects [[1], [1]], not each of [0, 1] once"),
         ((("drop", (0, 5)), ("drop", (2, 6)), ("add", (2, 5)), ("add", (0, 6))),
          "object 5 meets ground [2], expected [0]"),
@@ -817,6 +832,111 @@ def test_a_parent_level_is_checked_against_the_graph_above(two_step_scene, chang
         with pytest.raises(ValueError, match=re.escape(f"provenance.parent does not fit the graph the level "
                                                        f"above records: {fault}")):
             check()
+
+
+@pytest.mark.parametrize("scene, where", [("lines", ()), ("two-step-lines", ("parent",))],
+                         ids=["l9-top", "two-step-parent"])
+def test_reversed_parent_params_exit_2(provenance_scenes, two_step_line_scene, tmp_path, capsys, scene, where):
+    # a line level's copies meet their ground lines at the ranks its
+    # parent parameters give, at the top and at every level below it
+    doc = json.loads(json.dumps(two_step_line_scene if scene == "two-step-lines" else provenance_scenes[1][scene]))
+    prov = doc["provenance"]
+    for key in where:
+        prov = prov[key]
+    prov["parent_params"].reverse()
+    path = tmp_path / "reversed.scene.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if where:
+        assert "provenance.parent does not fit the graph the level above records: object " in err
+    else:
+        structure = read(tmp_path / "v.report.json")["results"]["structure"]
+        assert [c["name"] for c in structure if not c["ok"]] == ["copy-meets-exactly-own-ground"]
+
+
+@pytest.fixture(scope="module")
+def recorded_levels(provenance_scenes, two_step_scene, two_step_line_scene):
+    """The loaded c9, l9 and two-step box and line scenes, by name."""
+    docs = {"c9": provenance_scenes[1]["boxes"], "l9": provenance_scenes[1]["lines"], "two-step": two_step_scene,
+            "two-step-lines": two_step_line_scene}
+    return {name: scenes.scene_from_doc(json.loads(json.dumps(doc))) for name, doc in docs.items()}
+
+
+# each top-level check of a geometry in report order, with the rules of reference_level_faults it names
+_TOP_CHECKS = {
+    BoxFamily: [("ground-pairwise-disjoint", {"ground"}), ("copy-meets-exactly-one-ground", {"count"}),
+                ("copy-meets-own-ground", {"placed"}), ("no-cross-copy-intersections", {"cross"}),
+                ("copy-graph-matches-parent", {"copy"})],
+    LineFamily: [("no-identical-lines", set()), ("ground-pairwise-parallel-disjoint", {"ground"}),
+                 ("copy-meets-exactly-own-ground", {"count", "placed"}), ("no-cross-copy-incidences", {"cross"}),
+                 ("copy-graph-matches-parent", {"copy"})],
+}
+
+
+def _reference_fit(prov, size, edges, path):
+    """The message of the first level at or below ``path`` whose graph
+    breaks a rule of ``reference_level_faults``, or None."""
+    faults = reference_level_faults(prov, size, edges)
+    if faults:
+        rule, text = faults[0]
+        return (f"{path}.kind is {prov['kind']!r}, but the level above records {text}" if rule == "base"
+                else f"{path} does not fit the graph the level above records: {text}")
+    if prov["kind"] == "recursion":
+        return _reference_fit(prov["parent"], *reference_parent_graph(prov, edges), f"{path}.parent")
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(scene=st.sampled_from(["c9", "l9", "two-step", "two-step-lines"]), below=st.booleans(), data=st.data())
+def test_each_level_is_refused_as_the_rules_refuse_it(recorded_levels, scene, below, data):
+    # one to three pairs of a recorded graph, at the top or one level down,
+    # added or dropped: the one model compare accepts or refuses as the
+    # rules checked one by one do, and names their first fault
+    fam = recorded_levels[scene]
+    prov, size, edges = fam.provenance, len(fam), fam.meets
+    if below:
+        size, edges = reference_parent_graph(prov, edges)
+        prov = prov["parent"]
+    pairs = list(itertools.combinations(range(size), 2))
+    m = len(prov["certificate"].elements) if prov["kind"] == "recursion" else 0
+    placed = [(g, v) for g, v in edges if g < m <= v]
+    if placed and data.draw(st.booleans()):  # a copy object moved to another ground object, and at most one more pair
+        g, v = data.draw(st.sampled_from(placed))
+        toggled = {(g, v), (data.draw(st.sampled_from([h for h in range(m) if h != g])), v)}
+        toggled ^= data.draw(st.sets(st.sampled_from(pairs), max_size=1))
+    else:
+        toggled = data.draw(st.sets(st.sampled_from(edges) | st.sampled_from(pairs), min_size=1,
+                                       max_size=min(3, len(pairs))))
+    edited = sorted(set(edges) ^ toggled)
+    faults = reference_level_faults(prov, size, edited)
+    if below:
+        try:
+            scenes._check_fit(prov, size, edited, "provenance.parent", below=True)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        assert message == _reference_fit(prov, size, edited, "provenance.parent")
+        return
+    first = next(iter(level_faults(prov, edited).items()), None)
+    assert first == (faults[0] if faults else None)
+    spoiled = copy.copy(fam)
+    vars(spoiled)["meets"] = edited
+    traces = fam.traces() if type(fam) is BoxFamily else None
+    off_trace = traces is not None and any(traces[g] != traces[v] for g, v in edited if g < m <= v)
+    failed = {rule for rule, _ in faults}
+    want = [name for name, rules in _TOP_CHECKS[type(fam)]
+            if rules & failed or name == "copy-meets-own-ground" and "count" not in failed and off_trace]
+    report = spoiled.structure()
+    assert [c.name for c in report.checks if not c.ok] == want
+    assert len(report.checks) == 5 - (type(fam) is BoxFamily and "count" in failed)
+    for check in report.checks:
+        rules = dict(_TOP_CHECKS[type(fam)])[check.name]
+        named = next((text for rule, text in faults if rule in rules), "")
+        if not (check.name == "copy-meets-own-ground" and off_trace):
+            assert check.detail == named
 
 
 def _missing_pair(edges, size):

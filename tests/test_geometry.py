@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from girthgeom import Box3, Dir3, Homothety1D, Interval, Line3, LineFamily, Point3, rat
+from girthgeom import Box3, Dir3, Interval, Line3, LineFamily, Point3, rat
 from girthgeom.geometry import cross, dot, grid_maps, to_grid
 
 from _oracles import (
+    Homothety1D,
     Homothety3D,
     LineRelation,
     PlaneRelation,

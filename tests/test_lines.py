@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    Homothety1D,
     LineRelation,
     all_pairs_line_edges,
     apply,
@@ -60,7 +61,7 @@ from girthgeom import (
     verify_shift_system,
 )
 from girthgeom.gallai import pigeonhole_certificate
-from girthgeom.geometry import Homothety1D, dot
+from girthgeom.geometry import dot
 from girthgeom.lines import _offsets, _PlacedLines, axis_params, forbidden_offsets, frame_conditions
 
 
