@@ -15,7 +15,6 @@ import argparse
 import math
 import re
 import sys
-from pathlib import Path
 
 from . import boxes as boxmod
 from . import graphs
@@ -60,18 +59,19 @@ def parse_budget(text: str) -> int:
     return base
 
 
-_MINIMUM = {"g": 3, "k": 1, "n": 3}
+_MINIMUM = {"g": 3, "k": 1, "n": 3, "vdw_hint": 1}
 
 
 def _require(args, command: str, *names: str) -> None:
-    """Each named option is given and at least its minimum (--g 3, --k 1,
-    --n 3), or a SceneFormatError names it."""
+    """Each named option but --vdw-hint is given, and each one given is at
+    least its minimum (--g 3, --k 1, --n 3, --vdw-hint 1), or a
+    SceneFormatError names it."""
     for name in names:
-        value = getattr(args, name)
-        if value is None:
-            raise SceneFormatError(f"{command} needs --{name}")
-        if value < _MINIMUM[name]:
-            raise SceneFormatError(f"{command}: --{name} must be at least {_MINIMUM[name]}, not {value}")
+        value, option = getattr(args, name), "--" + name.replace("_", "-")
+        if value is None and name != "vdw_hint":
+            raise SceneFormatError(f"{command} needs {option}")
+        if value is not None and value < _MINIMUM[name]:
+            raise SceneFormatError(f"{command}: {option} must be at least {_MINIMUM[name]}, not {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def cmd_build(args) -> int:
         params = {"kind": "shift", "n": args.n, "seed": args.seed}
         target, lineage = None, {}  # a shift scene records no k and no recursion levels
     else:
-        _require(args, f"build {args.kind}", "g", "k")
+        _require(args, f"build {args.kind}", "g", "k", "vdw_hint")
         build = boxmod.build_box_family if args.kind == "boxes" else linemod.build_line_family
         obj = build(args.g, args.k, policy)
         params = {"kind": args.kind, "g": args.g, "k": args.k, "provider": args.provider, "seed": args.seed}
@@ -194,7 +194,7 @@ def cmd_build(args) -> int:
     }
 
     scenes.save_scene(f"{out}.scene.json", obj)
-    Path(f"{out}.dimacs").write_text(graphs.to_dimacs(graph))
+    scenes.write_text(f"{out}.dimacs", graphs.to_dimacs(graph))
     scenes.write_doc(f"{out}.labels.json", {"labels": obj.labels()})
     footer = summary + [f"files: {out}.scene.json {out}.dimacs {out}.labels.json {out}.report.json"]
     _emit(report, out, footer)
@@ -273,7 +273,7 @@ def cmd_gallai(args) -> int:
         print(scenes.dumps_doc(doc), end="")
     elif args.action == "make":
         ground = _parse_ground(args.T)
-        _require(args, "gallai make", "g", "k")
+        _require(args, "gallai make", "g", "k", "vdw_hint")
         cert = make_certificate(ProviderPolicy(args.provider, args.vdw_hint, budget_nodes), ground, args.k, args.g)
         status, code = _status(*cert.flags.verdicts)
         doc = certificate_to_doc(cert)

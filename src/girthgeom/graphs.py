@@ -15,20 +15,22 @@ from .budget import Budget
 
 
 class GeoGraph:
-    """A simple undirected graph on the vertices 0..n-1."""
+    """A simple undirected graph on the vertices 0..n-1: ``edges`` is the
+    sorted list of its pairs (u, v), u < v, each once, and ``adj[v]`` the
+    ascending list of v's neighbours."""
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
         edges = list(edges)
-        self.edges = frozenset([(u, v) if u < v else (v, u) for u, v in edges])
+        # a dict keeps the given order, so edges given sorted, as every sweep gives them, sort in one pass
+        self.edges = sorted(dict.fromkeys([e if e[0] < e[1] else (e[1], e[0]) for e in edges]))
         if not all(0 <= u < v < n for u, v in self.edges):
             u, v = next((u, v) for u, v in edges if u == v or not (0 <= u < n and 0 <= v < n))
             raise ValueError(f"loop at vertex {u}" if u == v else f"edge ({u}, {v}) out of range")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adj = tuple(map(frozenset, adj))
+        self.adj = adj = [[] for _ in range(n)]
+        for u, v in self.edges:  # in order, so each list ascends: first its lower neighbours, then its higher
+            adj[u].append(v)
+            adj[v].append(u)
 
     @property
     def m(self) -> int:
@@ -297,24 +299,25 @@ def chromatic_number(
 # expected-graph comparison
 
 
-def graph_equals_expected(
-    graph: GeoGraph, expected: GeoGraph
-) -> tuple[bool, tuple[str, tuple[int, int]] | None]:
-    """Edge-set equality of two graphs on the same vertices.
+def first_difference(edges: list[tuple[int, int]], model: list[tuple[int, int]]) -> tuple[str, tuple[int, int]] | None:
+    """None when the sorted pair lists ``edges`` and ``model`` are equal, else the least pair one
+    of them alone holds, as ("spurious", pair) when ``edges`` holds it and ("missing", pair) when
+    ``model`` does: the lesser pair at the first index where they differ."""
+    if edges == model:
+        return None
+    for a, b in zip(edges, model):
+        if a != b:
+            return ("spurious", a) if a < b else ("missing", b)
+    return ("spurious", edges[len(model)]) if len(edges) > len(model) else ("missing", model[len(edges)])
 
-    Returns (True, None) on exact correspondence, else (False, witness):
-    witness names one "missing" edge (in expected, absent from graph) or
-    one "spurious" edge (in graph, absent from expected), in sorted order.
-    """
+
+def graph_equals_expected(graph: GeoGraph, expected: GeoGraph) -> tuple[bool, tuple[str, tuple[int, int]] | None]:
+    """Edge-set equality of two graphs on the same vertices: (True, None), or
+    (False, the ``first_difference`` of the graph's edges from the expected ones)."""
     if graph.n != expected.n:
         raise ValueError("vertex counts differ")
-    spurious = sorted(graph.edges - expected.edges)
-    missing = sorted(expected.edges - graph.edges)
-    if not spurious and not missing:
-        return True, None
-    if spurious and (not missing or spurious[0] <= missing[0]):
-        return False, ("spurious", spurious[0])
-    return False, ("missing", missing[0])
+    witness = first_difference(graph.edges, expected.edges)
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +327,6 @@ def graph_equals_expected(
 def to_dimacs(graph: GeoGraph) -> str:
     """DIMACS edge format, 1-indexed, vertices in family order."""
     lines = [f"p edge {graph.n} {graph.m}"]
-    for u, v in sorted(graph.edges):
+    for u, v in graph.edges:
         lines.append(f"e {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"

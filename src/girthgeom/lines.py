@@ -276,20 +276,16 @@ def verify_shift_system(system: ShiftSystem) -> tuple[bool, dict | None]:
     so the lines of (a,b,c) and (b,c,d) that meet do so at the designed
     point, by the identity l(a,b,c)(cd) = l(b,c,d)(ab) = (ab+bc+cd,
     abc+bcd, ab^2c+abcd+bc^2d).  Returns (True, None) or (False,
-    diagnostic) naming the first bad pair in (i, j) order, which sets are
-    scanned for only if the sorted edge lists differ or two lines are identical.
+    diagnostic) naming the first bad pair in (i, j) order, the sorted edge
+    lists' ``graphs.first_difference`` or, before it, the identical pair.
     """
-    expected = double_shift_edges(len(system.values))
-    if expected == system.meets and system.identical is None:
+    diff = graphs.first_difference(system.meets, double_shift_edges(len(system.values)))
+    # an identical pair is never swept: one that is a designed meet is missing, so no later than the first difference
+    if system.identical is not None and (diff is None or system.identical < diff[1]):
+        diff = ("spurious", system.identical)
+    if diff is None:
         return True, None
-    expected, meets = set(expected), set(system.meets)
-    suspects = expected | meets | ({system.identical} if system.identical else set())
-    for i, j in sorted(suspects):
-        if (i, j) not in expected:
-            return False, {"pair": (i, j), "reason": "spurious incidence"}
-        if (i, j) not in meets:
-            return False, {"pair": (i, j), "reason": "expected meet"}
-    return True, None
+    return False, {"pair": diff[1], "reason": "spurious incidence" if diff[0] == "spurious" else "expected meet"}
 
 
 def build_shift_system(n: int, seed: int = 0) -> ShiftSystem:

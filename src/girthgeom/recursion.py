@@ -121,10 +121,10 @@ def lift(
     fail = out.structure().first_failure()
     if fail is not None:
         raise ConstructionError(f"structural assertion failed: {fail.name}", fail.detail)
-    induced, want = set(parent_edges(placed.cert, out.meets)), parent_graph.edges
-    if induced != want:
+    diff = graphs.first_difference(parent_edges(placed.cert, out.meets), parent_graph.edges)
+    if diff is not None:
         raise ConstructionError("structural assertion failed: copy-graph-matches-parent",
-                                f"copy 0 differs at {sorted(induced ^ want)[:1]}")
+                                f"copy 0 differs at {[diff[1]]}")
 
     out_girth = graphs.girth(graphs.intersection_graph(out))
     floor_bound = min(parent_girth, 3 * math.ceil(girth / 3))
@@ -317,9 +317,9 @@ def check_structure(fam, check_copies: Callable) -> StructureReport:
         check_copies(report, fam, faults)
         report.add("copy-graph-matches-parent", "copy" not in faults, faults.get("copy", ""))
     elif kind in BASE_CHECKS:
-        got, want = graphs.intersection_graph(fam), base_graph(prov)
-        same, witness = graphs.graph_equals_expected(got, want) if got.n == want.n else (False, f"{got.n} objects")
-        report.add(BASE_CHECKS[kind], same, "" if same else str(witness))
+        edges, want = fam.intersection_edges(), base_graph(prov)  # not meets: it refuses identical lines
+        witness = graphs.first_difference(edges, want.edges) if len(fam) == want.n else f"{len(fam)} objects"
+        report.add(BASE_CHECKS[kind], witness is None, "" if witness is None else str(witness))
     else:
         report.add("structure-model", True, "no construction model; invariants only")
     return report

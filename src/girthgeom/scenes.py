@@ -79,11 +79,18 @@ def _fill(group: list, shape, newline: str) -> list[str]:
     return list(map(template.__mod__, zip(*[iter(_texts(list(itertools.chain.from_iterable(group)), inner))] * shape)))
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``, creating missing parent directories; a
+    path that cannot be written is a SceneFormatError."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise SceneFormatError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def write_doc(path, doc: dict) -> None:
-    """Write ``doc`` to ``path``, creating missing parent directories."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_doc(doc))
+    write_text(path, dumps_doc(doc))
 
 
 def read_doc(path) -> dict:
@@ -248,7 +255,7 @@ def _check_fit(prov: dict, size: int, edges, path: str = "provenance", below: bo
     kind = prov.get("kind")
     if kind == "base-odd-cycle" and not 3 <= prov["n"] == size:
         raise ValueError(f"{path}.n is {prov['n']}, not the {size} objects of the cycle")
-    if below and kind in BASE_CHECKS and (size, edges) != ((base := base_graph(prov)).n, sorted(base.edges)):
+    if below and kind in BASE_CHECKS and (size, edges) != ((base := base_graph(prov)).n, base.edges):
         raise ValueError(f"{path}.kind is {kind!r}, but the level above records {size} objects and edges {edges}")
     if kind != "recursion":
         return

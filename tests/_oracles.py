@@ -15,7 +15,12 @@ sweeps, which the output-sensitive sweeps must match pair for pair;
 ``zheap_box_edges``, the z-sweep that tests every active pair of boxes,
 which the sweep by side class must match pair for pair;
 ``dict_shortest_cycle``, the girth search with two dicts per root, which
-the search on arrays must match cycle for cycle; ``stdlib_dumps_doc``,
+the search on arrays must match cycle for cycle; ``set_graph``, the
+frozenset edges and neighbour sets a graph was kept as, which its sorted
+lists must hold in order; ``set_first_difference``, the compare of two
+edge sets, which the compare of sorted lists must match in side and pair;
+``set_scan_shift_system``, the set scan behind the shift check's list
+compare, which its diagnostics must match; ``stdlib_dumps_doc``,
 the standard library's indented encoder, which the scene writer must
 match byte for byte;
 ``fraction_copies``, the copy enumeration in exact Fractions, which the
@@ -57,7 +62,7 @@ from girthgeom.errors import BudgetExhausted, ConstructionError
 from girthgeom.gallai import certificate_to_doc
 from girthgeom.geometry import Box3, Dir3, Interval, Line3, Point3, Rat, Triple, cross, dot, format_rat, rat
 from girthgeom.graphs import ColoringCertificate, _bipartite
-from girthgeom.lines import FRAME_HEIGHT
+from girthgeom.lines import FRAME_HEIGHT, double_shift_edges
 from girthgeom.scenes import write_doc
 
 
@@ -131,6 +136,30 @@ def dict_shortest_cycle(graph) -> list[int] | None:
     while down[-1] not in index:
         down.append(parent[down[-1]])
     return up[: index[down[-1]] + 1] + down[-2::-1]
+
+
+def set_graph(n: int, edges) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The edge set and the neighbour sets of the graph on 0..n-1 with the
+    pairs ``edges`` (repeats and reversed pairs allowed), each listed in order."""
+    pairs = frozenset((u, v) if u < v else (v, u) for u, v in edges)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    return sorted(pairs), [sorted(a) for a in adj]
+
+
+def set_first_difference(edges, model) -> tuple[str, tuple[int, int]] | None:
+    """The least pair of either set difference of two edge sets: ("spurious",
+    pair) from ``edges`` less ``model``, or ("missing", pair) from ``model``
+    less ``edges``; None when the sets are equal."""
+    spurious = sorted(set(edges) - set(model))
+    missing = sorted(set(model) - set(edges))
+    if not spurious and not missing:
+        return None
+    if spurious and (not missing or spurious[0] <= missing[0]):
+        return "spurious", spurious[0]
+    return "missing", missing[0]
 
 
 def brute_is_colorable(n: int, edges: set[tuple[int, int]], k: int) -> bool:
@@ -408,6 +437,21 @@ def brute_verify_shift_system(system) -> tuple[bool, dict | None]:
                 return False, {"pair": (i, j), "reason": "meet at unexpected point"}
         elif rel.kind in (LineRelation.MEET, LineRelation.IDENTICAL):
             return False, {"pair": (i, j), "reason": "spurious incidence"}
+    return True, None
+
+
+def set_scan_shift_system(system) -> tuple[bool, dict | None]:
+    """The shift check by sets: every pair of the swept meeting pairs, of
+    the double shift graph's edges and the identical pair, in sorted order,
+    the first one not an edge named "spurious incidence" and the first edge
+    not met "expected meet"."""
+    expected, meets = set(double_shift_edges(len(system.values))), set(system.meets)
+    suspects = expected | meets | ({system.identical} if system.identical else set())
+    for i, j in sorted(suspects):
+        if (i, j) not in expected:
+            return False, {"pair": (i, j), "reason": "spurious incidence"}
+        if (i, j) not in meets:
+            return False, {"pair": (i, j), "reason": "expected meet"}
     return True, None
 
 

@@ -19,8 +19,8 @@ from girthgeom import lines as linemod
 from girthgeom import scenes
 from girthgeom import build_line_family, recursion_step_boxes, recursion_step_lines, vdw_certificate
 from girthgeom.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_REFUSED, main
-from girthgeom.errors import SceneFormatError
-from girthgeom.gallai import certificate_to_doc, normalize_ground_set
+from girthgeom.errors import ProviderFailure, SceneFormatError
+from girthgeom.gallai import GroundSet, certificate_to_doc, normalize_ground_set
 from girthgeom.recursion import level_faults, parent_edges
 from girthgeom.scenes import load_certificate, load_scene, save_scene, scene_to_doc
 
@@ -299,13 +299,16 @@ class TestGallai:
 
     @pytest.mark.parametrize("hint", ["0", "-3"])
     def test_make_hint_without_points_fails_with_one_line(self, tmp_path, capsys, hint):
-        # no points: the empty coloring avoids every copy, as there are none
+        # a hint of no points is a malformed argument, refused before the
+        # provider, whose empty coloring would avoid every copy, as there are none
         out = tmp_path / "c.json"
         argv = ["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4", "--provider", "vdw", "--vdw-hint", hint]
-        assert main([*argv, "--out", str(out)]) == EXIT_REFUSED
+        assert main([*argv, "--out", str(out)]) == EXIT_CHECK_FAILED
         err = capsys.readouterr().err
-        assert err == "provider error: set of 0 elements admits an avoiding coloring: ()\n"
+        assert err == f"check failed: gallai make: --vdw-hint must be at least 1, not {hint}\n"
         assert not out.exists()
+        with pytest.raises(ProviderFailure, match=re.escape("set of 0 elements admits an avoiding coloring: ()")):
+            vdw_certificate(GroundSet.of([0, 1, 2]), 2, 4, length_hint=int(hint))
 
     @pytest.mark.parametrize("provider", ["pigeonhole", "vdw"])
     def test_make_budget_binds_every_provider(self, tmp_path, provider):
@@ -344,6 +347,8 @@ def test_auto_build_beyond_the_table_is_refused_without_search(tmp_path, monkeyp
         ["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4", "--budget", "-1", "--out", "x"],
         ["build", "shift", "--n", "5", "--chroma-budget", "-3", "--out", "x"],
         ["gallai", "check"],
+        ["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4", "--vdw-hint", "-3"],
+        ["build", "boxes", "--g", "4", "--k", "4", "--provider", "vdw", "--vdw-hint", "-1", "--out", "x"],
     ],
 )
 def test_argument_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
@@ -353,6 +358,29 @@ def test_argument_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys, arg
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["build", "shift", "--n", "4", "--out", "f/z"], "f/z.scene.json"),
+        (["verify", "g5.scene.json", "--out", "f/v"], "f/v.report.json"),
+        (["gallai", "make", "--T", "0,1,2", "--k", "2", "--g", "4", "--out", "f/c.json"], "f/c.json"),
+        (["build", "shift", "--n", "4", "--out", "d"], "d.dimacs"),
+    ],
+    ids=["build", "verify", "gallai-make", "build-dimacs"],
+)
+def test_an_unwritable_out_path_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, path):
+    # f is a regular file, so nothing can be written under it, and d.dimacs is a directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "shift", "--n", "5", "--seed", "1", "--out", "g5"]) == EXIT_OK
+    (tmp_path / "f").touch()
+    (tmp_path / "d.dimacs").mkdir()
+    capsys.readouterr()
+    assert main(argv) == EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith(f"check failed: cannot write {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

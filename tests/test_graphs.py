@@ -23,7 +23,7 @@ from girthgeom import (
     to_dimacs,
 )
 from girthgeom.gallai import ProviderPolicy
-from girthgeom.graphs import shortest_cycle
+from girthgeom.graphs import first_difference, shortest_cycle
 from girthgeom.lines import build_shift_system, double_shift_graph
 
 from _oracles import (
@@ -33,6 +33,8 @@ from _oracles import (
     brute_is_colorable,
     dict_shortest_cycle,
     scan_is_k_colorable,
+    set_first_difference,
+    set_graph,
 )
 
 
@@ -284,6 +286,42 @@ class TestGraphEquality:
         ok, witness = graph_equals_expected(g, expected)
         assert not ok
         assert witness == ("missing", (1, 2))
+
+
+@st.composite
+def _edge_lists(draw):
+    """A vertex count and pairs of distinct vertices, some repeated and some reversed."""
+    n = draw(st.integers(0, 12))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, max_size=30))
+    if not edges:
+        return n, []
+    again = st.sampled_from(edges).flatmap(lambda e: st.sampled_from([e, e[::-1]]))
+    return n, edges + draw(st.lists(again, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists())
+def test_edges_and_adjacency_are_the_sets_in_order(graph):
+    n, edges = graph
+    g = GeoGraph(n, edges)
+    assert (g.edges, g.adj) == set_graph(n, edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_first_difference_is_the_set_compare(data):
+    """Two sorted edge lists, equal or one to three pairs apart: the least
+    pair held by one alone, and its side, are the set compare's."""
+    n = data.draw(st.integers(2, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = sorted(data.draw(st.sets(st.sampled_from(pairs))))
+    model = sorted(set(edges) ^ data.draw(st.sets(st.sampled_from(pairs), max_size=3)))
+    witness = first_difference(edges, model)
+    assert witness == set_first_difference(edges, model)
+    assert graph_equals_expected(GeoGraph(n, edges), GeoGraph(n, model)) == (witness is None, witness)
 
 
 class TestDimacs:

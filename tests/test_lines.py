@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -27,6 +28,7 @@ from _oracles import (
     ratios,
     reference_bad_ground_pair,
     same_line,
+    set_scan_shift_system,
     shift_line,
     shift_meeting_point,
     vadd,
@@ -654,6 +656,11 @@ def _without_meet(system: ShiftSystem, k: int) -> tuple[int, int]:
     return dropped
 
 
+@functools.cache
+def _shift_values(n: int) -> tuple:
+    return build_shift_system(n, seed=1).values
+
+
 class TestVerifyShiftSystem:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -699,6 +706,20 @@ class TestVerifyShiftSystem:
             ShiftSystem(built.values, built.provenance, built.triples, built.lines)
         with pytest.raises(ValueError):  # its grid rows are derived, so replace refuses them
             dataclasses.replace(built, rows=built.rows[::-1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(4, 8), data=st.data())
+    def test_diagnostics_are_the_set_scan(self, n, data):
+        """DS_n with one to three pairs added to or dropped from its sweep,
+        and at times an identical pair, a designed meet (so not swept) or
+        not: the list compare names what the set scan named."""
+        system = ShiftSystem(_shift_values(n))
+        pairs = list(itertools.combinations(range(len(system.triples)), 2))
+        meets = set(system.meets) ^ data.draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=3))
+        identical = data.draw(st.none() | st.sampled_from(linemod.double_shift_edges(n)) | st.sampled_from(pairs))
+        object.__setattr__(system, "meets", sorted(meets - {identical}))
+        object.__setattr__(system, "identical", identical)
+        assert verify_shift_system(system) == set_scan_shift_system(system)
 
     @pytest.mark.parametrize("k", [0, 7, -1])
     def test_a_missing_designed_meet_is_named(self, k):
