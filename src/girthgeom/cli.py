@@ -15,6 +15,7 @@ import argparse
 import math
 import re
 import sys
+from pathlib import Path
 
 from . import boxes as boxmod
 from . import graphs
@@ -193,11 +194,20 @@ def cmd_build(args) -> int:
         "status": status,
     }
 
-    scenes.save_scene(f"{out}.scene.json", obj)
-    scenes.write_text(f"{out}.dimacs", graphs.to_dimacs(graph))
-    scenes.write_doc(f"{out}.labels.json", {"labels": obj.labels()})
-    footer = summary + [f"files: {out}.scene.json {out}.dimacs {out}.labels.json {out}.report.json"]
-    _emit(report, out, footer)
+    written: list[str] = []
+    try:  # a run leaves all of its files or none of them
+        for path, write in (
+            (f"{out}.scene.json", lambda path: scenes.save_scene(path, obj)),
+            (f"{out}.dimacs", lambda path: scenes.write_text(path, graphs.to_dimacs(graph))),
+            (f"{out}.labels.json", lambda path: scenes.write_doc(path, {"labels": obj.labels()})),
+        ):
+            write(path)
+            written.append(path)
+        _emit(report, out, summary + [f"files: {' '.join(written)} {out}.report.json"])
+    except SceneFormatError:
+        for path in written:
+            Path(path).unlink()
+        raise
     return code
 
 

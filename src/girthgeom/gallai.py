@@ -13,6 +13,7 @@ runs the same derivation and compares the stored copy list with it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -209,53 +210,85 @@ def find_avoiding_coloring(
     skips it and exhaustion refutes all colorings.  With no points the
     empty coloring avoids every copy, since there are none.
 
-    Each position keeps its frame in three flat arrays: the color tried
-    there now (-1 before the first), the highest color the cap allows,
-    and the colors forbidden there, found once on stepping onto it.
-    Copies list their positions in ascending order, so a copy ending at p
-    is kept as its first member and a bitmask of its other earlier
-    members; it forbids the first member's color c exactly when
-    ``members[c]``, the positions colored c now, covers that bitmask.
+    Copies list their positions in ascending order and are numbered by
+    first member.  One integer ``alive`` holds bit i k + c while copy i's
+    first member has color c and so does every inner member colored so
+    far.  Coloring q with c is one step, ``alive & kept | opened`` with
+    the pair ``step[q][c]``: it sets bit c of each copy that q opens and
+    clears the other colors of each copy that q is inside.  A copy ending
+    at p forbids c there exactly when its bit c is alive.  Each depth
+    keeps the alive bits it started from, its cap, and the mask of colors
+    it has still to try, none above the cap and none forbidden; a point
+    with no color to try is never entered.  A point's masks are built on
+    its first visit, only as wide as the copies opened up to it.
     """
     if n == 0:
         return ()
-    by_last: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for idx in copy_indices:
-        by_last[idx[-1]].append((idx[0], sum(1 << j for j in idx[1:-1])))
-    assigned, cap, forbidden = [-1] * n, [min(colors - 1, 0)] * n, [0] * n
-    members = [0] * colors
+    group = (1 << colors) - 1
+    copies = sorted(copy_indices)
+    roles: list[tuple[list[int], ...]] = [([], [], []) for _ in range(n)]  # copies a point opens, is inside, ends
+    for i, (head, *inner, tail) in enumerate(copies):
+        roles[head][0].append(i)
+        for p in inner:
+            roles[p][1].append(i)
+        roles[tail][2].append(i)
+    # bit d of every copy, and the mask that drops color d
+    stripe = [(((1 << len(copies) * colors) - 1) // group << d, ~(1 << d)) for d in range(colors)]
+    step: list[list[tuple[int, int]]] = [[]] * n
+    ends = [0] * n  # every bit of each copy ending at the point
+
+    def build(q: int) -> None:
+        width = (bisect_left(copies, (q + 1,)) * colors >> 3) + 1  # bytes for the copies opened up to q
+        masks = []
+        for ids in roles[q]:  # bit i k of each copy i
+            bits = bytearray(width)
+            for i in ids:
+                bits[i * colors >> 3] |= 1 << (i * colors & 7)
+            masks.append(int.from_bytes(bits, "little"))
+        first, inner, last = masks
+        step[q] = [(~(inner * (group ^ 1 << c)), first << c) for c in range(colors)]
+        ends[q] = last * group
+
+    assigned, alive_at, cap, untried = [0] * n, [0] * n, [0] * n, [0] * n
+    untried[0] = group & 1
+    build(0)
     limit = budget.max_nodes - budget.used
-    nodes = pos = 0
+    nodes = pos = reached = 0
     try:
         while pos >= 0:
-            c = assigned[pos]
-            if c >= 0:
-                members[c] ^= 1 << pos
-            c += 1
-            top, banned = cap[pos], forbidden[pos]
-            while c <= top and (banned >> c) & 1:
-                c += 1
-            if c > top:
-                assigned[pos] = -1
+            allowed = untried[pos]
+            if not allowed:
                 pos -= 1
                 continue
+            c = (allowed & -allowed).bit_length() - 1
+            untried[pos] = allowed & (allowed - 1)
             nodes += 1
             if nodes > limit:
                 raise BudgetExhausted(
                     "coloring search budget exhausted", budget.used + nodes, budget.max_nodes
                 )
             assigned[pos] = c
-            members[c] ^= 1 << pos
+            kept, opened = step[pos][c]
+            alive = alive_at[pos] & kept | opened
+            top = cap[pos]
             pos += 1
             if pos == n:
                 return tuple(assigned)
-            cap[pos] = top + 1 if c == top < colors - 1 else top
-            banned = 0
-            for first, rest in by_last[pos]:
-                c0 = assigned[first]
-                if members[c0] & rest == rest:
-                    banned |= 1 << c0
-            forbidden[pos] = banned
+            if pos > reached:
+                build(pos)
+                reached = pos
+            alive_at[pos] = alive
+            top = cap[pos] = top + 1 if c == top < colors - 1 else top
+            allowed = (2 << top) - 1
+            done = alive & ends[pos]
+            if done:
+                for bits, clear in stripe:
+                    if done & bits:
+                        allowed &= clear
+            if allowed:
+                untried[pos] = allowed
+            else:
+                pos -= 1
         return None
     finally:
         budget.used += nodes

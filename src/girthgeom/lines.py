@@ -569,14 +569,15 @@ def forbidden_offsets(images_at_zero, placed: _PlacedLines, slide: Row) -> Calla
     coincide with an already placed line, all rows on one grid.
 
     Sliding an image by t adds t to its whole and keeps its class (see
-    _slot), so each (image, placed direction) pair costs one integer
-    lookup per tested offset.  The slide's key is nonzero for the
-    parent's direction pairs (the frame's plane-pair condition) and for
-    parallel lines (every line crosses the plane).  A pair whose slide key
-    is zero and that is coplanar at offset 0 stays coplanar at every
-    offset: that raises ConstructionError here.
+    _slot), so the forbidden offsets are the differences w - whole over
+    each (image, placed direction) pair of one class, gathered once into
+    a set: each tested offset costs one lookup.  The slide's key is
+    nonzero for the parent's direction pairs (the frame's plane-pair
+    condition) and for parallel lines (every line crosses the plane).  A
+    pair whose slide key is zero and that is coplanar at offset 0 stays
+    coplanar at every offset: that raises ConstructionError here.
     """
-    probes = []
+    forbidden: set[int] = set()
     for base, d_n in images_at_zero:
         for slot, classes in placed.slots(d_n, slide):
             cls, whole = slot(base)
@@ -584,13 +585,13 @@ def forbidden_offsets(images_at_zero, placed: _PlacedLines, slide: Row) -> Calla
                 continue
             if cls[1] is None:
                 raise ConstructionError("line pair stays coplanar under every slide offset")
-            probes.append((whole, classes[cls]))
+            forbidden.update(w - whole for w in classes[cls])
 
     def is_forbidden(t: int) -> bool:
         k = int(t)
         if k != t:
             raise ValueError(f"slide offsets are integers, not {t}")
-        return any(whole + k in wholes for whole, wholes in probes)
+        return k in forbidden
 
     return is_forbidden
 

@@ -9,8 +9,8 @@ the current ones must match exactly: ``scan_is_k_colorable``, the
 coloring search with a linear scan for the next vertex, which the
 incremental selection must match node for node;
 ``rescan_avoiding_coloring``, the refutation search that rescans a
-position's copies at every visit, which the search that keeps them per
-frame must match node for node; the two all-pairs intersection
+position's copies at every visit, which the search on alive-copy bits
+must match node for node; the two all-pairs intersection
 sweeps, which the output-sensitive sweeps must match pair for pair;
 ``zheap_box_edges``, the z-sweep that tests every active pair of boxes,
 which the sweep by side class must match pair for pair;

@@ -381,6 +381,8 @@ def test_an_unwritable_out_path_exits_2_with_one_line(tmp_path, monkeypatch, cap
     err = capsys.readouterr().err
     assert err.startswith(f"check failed: cannot write {path}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    # a build that cannot write one of its files leaves none of them
+    assert not any(tmp_path.glob("d.*.json"))
 
 
 @pytest.mark.parametrize(

@@ -267,22 +267,35 @@ class TestVerify:
     @settings(max_examples=300, deadline=None)
     @given(
         n=st.integers(1, 16),
-        colors=st.integers(1, 4),
+        colors=st.integers(0, 4),
         raw=st.lists(st.sets(st.integers(0, 15), min_size=2, max_size=6), max_size=30),
         spent=st.integers(0, 5),
         small=st.integers(0, 60),
+        order=st.randoms(use_true_random=False),
     )
-    def test_search_matches_the_rescanning_search_node_for_node(self, n, colors, raw, spent, small):
-        """Reading each copy as its first member and a bitmask of the rest
-        searches the same tree: the same coloring or refutation, the same
-        nodes, and the same exhaustion point under a small budget.  Copies
-        of two points have an empty bitmask."""
+    def test_search_matches_the_rescanning_search_node_for_node(self, n, colors, raw, spent, small, order):
+        """Keeping one alive bit per copy and color searches the same tree:
+        the same coloring or refutation, the same nodes, and the same
+        exhaustion point under a small budget.  Copies of two points have
+        no inner member; the copy list may come in any order and repeat a
+        copy."""
         members = ({i % n for i in c} for c in raw)
         copies = sorted({tuple(sorted(m)) for m in members if len(m) >= 2})
-        for limit in (10_000_000, spent + small):
-            ours = self._run(find_avoiding_coloring, n, colors, copies, Budget(limit, used=spent))
-            reference = self._run(rescan_avoiding_coloring, n, colors, copies, Budget(limit, used=spent))
-            assert ours == reference
+        shuffled = copies + copies[: len(copies) // 2]
+        order.shuffle(shuffled)
+        for listed in (copies, shuffled):
+            for limit in (10_000_000, spent + small):
+                ours = self._run(find_avoiding_coloring, n, colors, listed, Budget(limit, used=spent))
+                reference = self._run(rescan_avoiding_coloring, n, colors, listed, Budget(limit, used=spent))
+                assert ours == reference
+
+    def test_search_matches_the_rescanning_search_on_wide_masks(self):
+        # 3-APs of [200] at 3 colors: 9,900 copies, and the 2,504 opened by position 26 take 7,512 alive bits
+        xs = elems(*range(1, 201))
+        copies = list(enumerate_copies(GroundSet.of(range(3)), xs))
+        ours = self._run(find_avoiding_coloring, 200, 3, copies, Budget(5_000))
+        assert ours == self._run(rescan_avoiding_coloring, 200, 3, copies, Budget(5_000))
+        assert ours == (("exhausted", 5_001, 5_000), 5_001)
 
     @pytest.mark.parametrize(
         "terms, n, colors, refuted, nodes",
