@@ -21,12 +21,18 @@ Rat = Fraction
 Triple = tuple[Rat, Rat, Rat]
 
 _WRITTEN = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)  # as format_rat writes; other strings go to Fraction(str)
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # as Fraction reads an exponent: \d is any Unicode digit
 
 
 def rat(value: Rat | int | str) -> Rat:
-    """Coerce an int, a "p/q" string, or a Fraction to an exact rational."""
+    """Coerce an int, a "p/q" string, or a Fraction to an exact rational.
+    A string whose exponent has more than four digits is a ValueError,
+    since Fraction would expand it in full."""
     if type(value) is str and (written := _WRITTEN.fullmatch(value)):
         return Fraction(int(written[1]), int(written[2] or 1))
+    if type(value) is str and (exponent := _EXPONENT.search(value)) and (
+            len(exponent[1]) > 4300 or abs(int(exponent[1])) > 9999):  # int() would refuse more, unnamed
+        raise ValueError(f"exponent of more than four digits: {value!r}")
     return value if isinstance(value, Fraction) else Fraction(value)
 
 

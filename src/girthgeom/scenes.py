@@ -35,7 +35,7 @@ def _texts(values: list, newline: str) -> list[str]:
     that depth start a line.  Strings or integers alone are encoded by one
     ``map``; dicts of one key order, or non-empty lists of one length, fill
     one ``%`` template (``_fill``).  A depth of several shapes is written
-    shape by shape, and empty containers and other scalars by ``json.dumps``."""
+    value by value, and an empty container or other scalar by ``json.dumps``."""
     kinds = set(map(type, values))
     if kinds == {str}:
         return list(map(_string, values))
@@ -44,25 +44,9 @@ def _texts(values: list, newline: str) -> list[str]:
     shapes = set(map(tuple, values)) if kinds == {dict} else set(map(len, values)) if kinds <= {list, tuple} else ()
     if len(shapes) == 1 and (shape := shapes.pop()):
         return _fill(values, shape, newline)
-    groups: dict = {}
-    for i, shape in enumerate(map(_shape, values)):
-        groups.setdefault(shape, []).append(i)
-    out = [""] * len(values)
-    for shape, positions in groups.items():
-        group = [values[i] for i in positions]
-        texts = (list(map(json.dumps, group)) if shape is None
-                 else _texts(group, newline) if type(shape) is type else _fill(group, shape, newline))
-        for i, text in zip(positions, texts):
-            out[i] = text
-    return out
-
-
-def _shape(value):
-    """What ``_texts`` groups by: a string's or integer's type, a dict's keys, a list's length, else None."""
-    kind = type(value)
-    if kind is str or kind is int:
-        return kind
-    return (tuple(value) if kind is dict else len(value) if kind is list or kind is tuple else None) or None
+    if len(values) == 1:
+        return [json.dumps(values[0])]
+    return [_texts([value], newline)[0] for value in values]
 
 
 def _fill(group: list, shape, newline: str) -> list[str]:
@@ -98,7 +82,7 @@ def read_doc(path) -> dict:
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise SceneFormatError(f"cannot read {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bytes that are not UTF-8, and over-long integers
         raise SceneFormatError(f"not valid JSON: {path}: {exc}") from exc
 
 

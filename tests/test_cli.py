@@ -282,7 +282,7 @@ class TestGallai:
         assert main(["gallai", "make", "--T=-5/9,1/9,7/9", "--k", "2", "--g", "4", "--out", str(joined)]) == EXIT_OK
         assert spaced.read_bytes() == joined.read_bytes()
 
-    @pytest.mark.parametrize("ground", [None, "0,x", "0,1/0"])
+    @pytest.mark.parametrize("ground", [None, "0,x", "0,1/0", "0,1,1e1000000000"])
     def test_make_bad_ground_exits_2(self, tmp_path, capsys, ground):
         argv = ["gallai", "make", "--k", "2", "--g", "4", "--out", str(tmp_path / "c.json")]
         if ground is not None:
@@ -508,6 +508,7 @@ _CERT_DOC = "bad certificate document: "
 _BOXES_DOC = "bad grounded-box-family document: "
 _LINES_DOC = "bad line-family document: "
 _RANGES = _LINES_DOC + "k must be an integer >= 1 and g one >= 3 or null"
+_LONG_EXPONENT = "1e1000000000"
 # box 0 is {"x": ["1", "4/3"], "y": ["2/3", "1"], "z": ["0", "1"]}; line 0 has
 # "dir": ["1", "1/2", "1/2"]; the certificate's ground set is ["0", "1", "2"]
 # and its elements start "1"
@@ -615,6 +616,18 @@ _RESPELLED = [
         (_CERT, "s.json", _set("copies", 0, "scale", "7"), _CERT_DOC + "copies[0].scale is '7', its writer writes '1'"),
         (_CERT, "s.json", _set("copies", 0, "shift", "0"), _CERT_DOC + "copies[0].shift is '0', its writer writes '1'"),
         (_CERT, "s.json", _set("elements", 0, "2"), _CERT_DOC + "certificate elements must be strictly increasing"),
+        # Fraction expands an exponent in full, so it never sees one of more than four digits
+        (_BOXES, "s.scene.json", _set("boxes", 0, "x", 0, _LONG_EXPONENT),
+         _BOXES_DOC + f"boxes[0].x[0]: exponent of more than four digits: {_LONG_EXPONENT!r}"),
+        (_CERT, "s.json", _set("elements", 0, _LONG_EXPONENT),
+         _CERT_DOC + f"exponent of more than four digits: {_LONG_EXPONENT!r}"),
+        # bytes that are not UTF-8, an integer past Python's int-string limit and
+        # nesting past the recursion limit are refused before any field is read
+        *((build, path, spoil, f"not valid JSON: {path}: ")
+          for build, path in ((_BOXES, "s.scene.json"), (_CERT, "s.json"))
+          for spoil in (lambda doc: b"\xff" + json.dumps(doc).encode(),
+                        lambda doc: json.dumps(doc).replace("{", '{"long": ' + "1" * 5000 + ",", 1).encode(),
+                        lambda doc: ("[" * 100_000 + json.dumps(doc)).encode())),
     ],
     ids=["shift-value-trimmed", "shift-line-removed", "shift-value-changed", "shift-lines-swapped",
          "shift-two-values", "array-scene", "array-certificate", "short-box-coordinates", "edited-copy-image",
@@ -634,16 +647,20 @@ _RESPELLED = [
          "box-parent-edge-repeated", "box-colors-malformed", "box-girth-malformed", "box-coordinate-malformed",
          "box-axis-missing", "line-base-malformed", "line-direction-zero", "line-offset-half",
          "certificate-image-not-a-copy", "certificate-image-reversed", "certificate-image-of-another-copy",
-         "certificate-scale-changed", "certificate-shift-changed", "certificate-element-repeated"],
+         "certificate-scale-changed", "certificate-shift-changed", "certificate-element-repeated",
+         "box-coordinate-long-exponent", "certificate-element-long-exponent",
+         *(f"{kind}-{name}" for kind in ("box", "certificate")
+           for name in ("not-utf-8", "integer-of-5000-digits", "nested-100000-deep"))],
 )
 def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, build, path, spoil, message):
-    # every refusal at load names its document kind; ``message`` is the
-    # start of the one stderr line after "check failed: "
+    # every refusal at load names its document kind, or says the file is not
+    # JSON; ``message`` is the start of the one stderr line after "check failed: ",
+    # and a spoil that returns bytes writes them as the file
     monkeypatch.chdir(tmp_path)
     main([*build, "--out", path.removesuffix(".scene.json")])
     doc = json.loads(Path(path).read_text())
     doc = spoil(doc) or doc
-    Path(path).write_text(json.dumps(doc))
+    Path(path).write_bytes(doc if type(doc) is bytes else json.dumps(doc).encode())
     capsys.readouterr()
     check = ["gallai", "check", path] if build[0] == "gallai" else ["verify", path]
     assert main(check) == EXIT_CHECK_FAILED

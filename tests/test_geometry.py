@@ -1,4 +1,5 @@
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -60,6 +61,19 @@ class TestRat:
             return type(value), value, value.numerator, value.denominator
 
         assert outcome(rat) == outcome(F)
+
+    @pytest.mark.parametrize("text", ["1e1000000000", "1e-1000000000", " 1.5E+1_0000 ", "1e" + "7" * 5000, "x1e12345"])
+    def test_an_exponent_of_more_than_four_digits_is_refused_at_once(self, text):
+        # Fraction expands an exponent in full: Fraction("1e10000000") takes seconds
+        start = time.process_time()
+        with pytest.raises(ValueError, match=re.escape(f"exponent of more than four digits: {text!r}")):
+            rat(text)
+        assert time.process_time() - start < 1
+
+    @pytest.mark.parametrize("text", ["1e9999", "1e-0_9999", "1e000000000001", "1e\u0661\u0660", "2.5e+0003"])
+    def test_an_exponent_of_four_digits_is_read_as_fraction_reads_it(self, text):
+        # leading zeros and underscores are dropped, and any Unicode digits count
+        assert rat(text) == F(text)
 
 
 class TestInterval:

@@ -149,6 +149,8 @@ _cells = st.recursive(
     max_leaves=30,
 )
 _tables = st.lists(_cells, min_size=2, max_size=12)
+# one of each kind of sibling; the writer is also tried on 1,000 of them interleaved
+_MIXED = [None, True, False, 2.5, -7, "s", [], {}, {"x": 1, "y": ["a"]}, {"%s": None}, [1, "2"], [[3], {}, 4.0]]
 
 
 class TestWriter:
@@ -185,10 +187,12 @@ class TestWriter:
                "%s": [{"x": 1}, {"y": 2}, {"y": 3, "x": 4}, {}, {"x": 5, "y": 6}],
                'q"%d': [True, None, 1.5, 2, "é", '"']},
               {"%s": 0, 'q"%d': "😀", "a": {}}])
+    @example([_MIXED[i % len(_MIXED)] for i in range(1000)])
     def test_siblings_of_one_shape_and_of_several_match_the_stdlib_encoder(self, doc):
-        # the writer fills one template per shape at each depth, so siblings
-        # share shapes here: dicts over a few key sets in either key order,
-        # lists and tuples of a few lengths, among scalars of every kind
+        # the writer fills one template for a depth of one shape and writes a
+        # depth of several value by value, so siblings share shapes here:
+        # dicts over a few key sets in either key order, lists and tuples of
+        # a few lengths, among scalars of every kind
         assert dumps_doc(doc) == stdlib_dumps_doc(doc)
 
 
