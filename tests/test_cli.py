@@ -317,6 +317,18 @@ class TestGallai:
         assert main([*argv, "--out", str(out)]) == EXIT_BUDGET
         assert read(out)["flags"]["coloring_ok"] is None
 
+    @pytest.mark.parametrize("budget, code, flags", [
+        ("default", EXIT_OK, "coloring_ok=True, sparsity_ok=True, copies_complete=True, note=''"),
+        ("10", EXIT_BUDGET, "coloring_ok=None, sparsity_ok=True, copies_complete=True, "
+                            "note='unverified-by-table: coloring search exceeded budget'"),
+    ])
+    def test_make_prints_its_summary_line(self, tmp_path, capsys, budget, code, flags):
+        """The line after the certificate names its sizes and its flags, byte for byte."""
+        argv = ["gallai", "make", "--T=0,1,2", "--k", "3", "--g", "4", "--provider", "vdw", "--budget", budget]
+        assert main([*argv, "--out", str(tmp_path / "w33.json")]) == code
+        summary = capsys.readouterr().out.splitlines()[1]
+        assert summary == f"elements: 27 copies: 169 flags: CertificateFlags({flags})"
+
 
 @pytest.mark.parametrize("kind", ["boxes", "lines"])
 def test_auto_build_beyond_the_table_is_refused_without_search(tmp_path, monkeypatch, kind):
