@@ -18,7 +18,6 @@ import heapq
 import itertools
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -26,7 +25,7 @@ from . import recursion
 from .budget import Budget
 from .errors import ConstructionError
 from .gallai import GallaiCertificate, ProviderPolicy
-from .geometry import Box3, Rat, format_ratio, grid_maps, rat, to_grid
+from .geometry import Box3, Rat, Value, format_ratio, grid_maps, rat, to_grid
 
 Row = tuple[int, int, int, int, int, int]  # (xlo, xhi, ylo, yhi, zlo, zhi), each times the grid's denominator
 
@@ -41,8 +40,7 @@ def _fault(xlo, xhi, ylo, yhi, zlo, zhi) -> str | None:
         return "box must have non-empty interior"
 
 
-@dataclass(frozen=True)
-class GroundedSquareBox:
+class GroundedSquareBox(Value):
     """A closed box [t, t+s] x [t-s, t] x [zlo, zhi] with side s > 0.
 
     The minimum x equals the maximum y, so the box touches the plane
@@ -50,11 +48,12 @@ class GroundedSquareBox:
     has x > y.  The trace is that contact coordinate t.
     """
 
-    box: Box3
+    compared = ("box",)
 
-    def __post_init__(self):
-        if fault := _fault(*_bounds(self.box)):
+    def __init__(self, box: Box3):
+        if fault := _fault(*_bounds(box)):
             raise ValueError(fault)
+        self.box = box
 
 
 def _bounds(b: Box3) -> tuple[Rat, ...]:
@@ -65,7 +64,6 @@ def _bounds(b: Box3) -> tuple[Rat, ...]:
 # families
 
 
-@dataclass(frozen=True, init=False)
 class BoxFamily(recursion.Family):
     """Grounded square boxes (see ``recursion.Family``): box i has the
     bounds ``rows[i]`` divided by ``den``, the least common denominator of

@@ -6,20 +6,16 @@ inputs always explore identical trees and fail at identical points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import BudgetExhausted
 
 DEFAULT_NODES = 2_000_000
 
 
-@dataclass
 class Budget:
     """A spendable allowance of search-node expansions."""
 
-    max_nodes: int = DEFAULT_NODES
-    label: str = ""
-    used: int = field(default=0, compare=False)
+    def __init__(self, max_nodes: int = DEFAULT_NODES, label: str = "", used: int = 0):
+        self.max_nodes, self.label, self.used = max_nodes, label, used
 
     def spend(self) -> None:
         self.used += 1

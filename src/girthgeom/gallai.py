@@ -15,27 +15,26 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 
 from .budget import DEFAULT_NODES, Budget
 from .errors import BudgetExhausted, ProviderFailure, ProviderRefusal
-from .geometry import Rat, format_rat, format_ratio, rat, to_grid
+from .geometry import Rat, Value, format_rat, format_ratio, rat, to_grid
 from .graphs import GeoGraph, shortest_cycle
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class GroundSet(Value):
     """A strictly increasing tuple of at least two rationals."""
 
-    points: tuple[Rat, ...]
+    compared = ("points",)
 
-    def __post_init__(self):
-        if len(self.points) < 2:
+    def __init__(self, points: tuple[Rat, ...]):
+        if len(points) < 2:
             raise ValueError("ground set needs at least two points")
-        if any(a >= b for a, b in zip(self.points, self.points[1:])):
+        if any(a >= b for a, b in zip(points, points[1:])):
             raise ValueError("ground set must be strictly increasing")
+        self.points = points
 
     @classmethod
     def of(cls, values) -> "GroundSet":
@@ -46,13 +45,14 @@ class GroundSet:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class CopyCycleWitness:
+class CopyCycleWitness(Value):
     """Distinct copies C_0..C_{j-1} and distinct element positions
     x_0..x_{j-1} with x_i in C_i and in C_{i+1} (indices cyclic)."""
 
-    copies: tuple[tuple[int, ...], ...]
-    elements: tuple[int, ...]
+    compared = ("copies", "elements")
+
+    def __init__(self, copies: tuple[tuple[int, ...], ...], elements: tuple[int, ...]):
+        self.copies, self.elements = copies, elements
 
 
 def validate_cycle_witness(witness: CopyCycleWitness) -> None:
@@ -69,20 +69,24 @@ def validate_cycle_witness(witness: CopyCycleWitness) -> None:
             raise ValueError(f"element {x} not shared by copies {i} and {(i + 1) % j}")
 
 
-@dataclass
-class CertificateFlags:
+class CertificateFlags(Value):
     """The three verdicts on a certificate; None means not yet decided
     (budget-gated).  A verification also keeps the avoiding coloring it
-    found, the shortest copy cycle, and the nodes its budget has spent."""
+    found, the shortest copy cycle, and the nodes its budget has spent;
+    flags compare and print as their document does, without these."""
 
-    coloring_ok: bool | None = None
-    sparsity_ok: bool | None = None
-    copies_complete: bool | None = None
-    note: str = ""
-    # what a verification found on the way; flags compare as their document does
-    counterexample: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
-    cycle: CopyCycleWitness | None = field(default=None, repr=False, compare=False)
-    nodes: int = field(default=0, repr=False, compare=False)
+    compared = ("coloring_ok", "sparsity_ok", "copies_complete", "note")
+    __hash__ = None  # a verification sets copies_complete
+
+    def __init__(self, coloring_ok: bool | None = None, sparsity_ok: bool | None = None,
+                 copies_complete: bool | None = None, note: str = "", counterexample: tuple[int, ...] | None = None,
+                 cycle: CopyCycleWitness | None = None, nodes: int = 0):
+        self.coloring_ok, self.sparsity_ok, self.copies_complete = coloring_ok, sparsity_ok, copies_complete
+        self.note, self.counterexample, self.cycle, self.nodes = note, counterexample, cycle, nodes
+
+    def __repr__(self) -> str:
+        return (f"CertificateFlags(coloring_ok={self.coloring_ok!r}, sparsity_ok={self.sparsity_ok!r}, "
+                f"copies_complete={self.copies_complete!r}, note={self.note!r})")
 
     @property
     def verdicts(self) -> tuple[bool | None, bool | None, bool | None]:
@@ -92,24 +96,25 @@ class CertificateFlags:
         return all(v is True for v in self.verdicts)
 
 
-@dataclass
-class GallaiCertificate:
-    ground: GroundSet
-    elements: tuple[Rat, ...]
-    copies: tuple[tuple[int, ...], ...]  # each the ascending positions of its image in elements
-    colors: int
-    girth: int
-    flags: CertificateFlags = field(default_factory=CertificateFlags)
+class GallaiCertificate(Value):
+    """A ground set, the elements, the copies of the ground set in them,
+    each the ascending positions of its image in elements, the colors and
+    girth they are for, and the flags."""
 
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
+    compared = ("ground", "elements", "copies", "colors", "girth", "flags")
+
+    def __init__(self, ground: GroundSet, elements: tuple[Rat, ...], copies: tuple[tuple[int, ...], ...],
+                 colors: int, girth: int, flags: CertificateFlags | None = None):
+        if any(a >= b for a, b in zip(elements, elements[1:])):
             raise ValueError("certificate elements must be strictly increasing")
-        if self.colors < 1:
+        if colors < 1:
             raise ValueError("colors must be positive")
-        if self.girth < 3:
+        if girth < 3:
             raise ValueError("girth parameter must be at least 3")
-        if any(not 0 <= p < len(self.elements) for c in self.copies for p in c):
+        if any(not 0 <= p < len(elements) for c in copies for p in c):
             raise ValueError("copy positions escape the certificate elements")
+        self.ground, self.elements, self.copies, self.colors, self.girth = ground, elements, copies, colors, girth
+        self.flags = CertificateFlags() if flags is None else flags
 
     def map_ratios(self) -> Iterator[tuple[int, int, int, int]]:
         """Each copy's map, derived, never stored, as its scale p / q and shift r / s, yielded as
@@ -220,10 +225,12 @@ def find_avoiding_coloring(
     keeps the alive bits it started from, its cap, and the mask of colors
     it has still to try, none above the cap and none forbidden; a point
     with no color to try is never entered.  A point's masks are built on
-    its first visit, only as wide as the copies opened up to it.
+    its first visit, only as wide as the copies opened up to it.  The cap
+    never opens color n or above, so the search runs with min(colors, n).
     """
     if n == 0:
         return ()
+    colors = min(colors, n)
     group = (1 << colors) - 1
     copies = sorted(copy_indices)
     roles: list[tuple[list[int], ...]] = [([], [], []) for _ in range(n)]  # copies a point opens, is inside, ends
@@ -233,7 +240,8 @@ def find_avoiding_coloring(
             roles[p][1].append(i)
         roles[tail][2].append(i)
     # bit d of every copy, and the mask that drops color d
-    stripe = [(((1 << len(copies) * colors) - 1) // group << d, ~(1 << d)) for d in range(colors)]
+    unit = ((1 << len(copies) * colors) - 1) // max(group, 1)  # no colors, no stripes
+    stripe = [(unit << d, ~(1 << d)) for d in range(colors)]
     step: list[list[tuple[int, int]]] = [[]] * n
     ends = [0] * n  # every bit of each copy ending at the point
 
@@ -468,7 +476,6 @@ def search_certificate(
 # provider selection
 
 
-@dataclass
 class ProviderPolicy:
     """How the recursive constructions acquire their certificates.
 
@@ -479,10 +486,11 @@ class ProviderPolicy:
     provider.
     """
 
-    name: str = "auto"  # auto | pigeonhole | vdw | search
-    vdw_length_hint: int | None = None
-    certificate_budget: int = DEFAULT_NODES
-    chroma_budget: int = DEFAULT_NODES
+    def __init__(self, name: str = "auto", vdw_length_hint: int | None = None,
+                 certificate_budget: int = DEFAULT_NODES, chroma_budget: int = DEFAULT_NODES):
+        self.name = name  # auto | pigeonhole | vdw | search
+        self.vdw_length_hint = vdw_length_hint
+        self.certificate_budget, self.chroma_budget = certificate_budget, chroma_budget
 
     def provider(self):
         return partial(make_certificate, self)
@@ -537,19 +545,50 @@ def certificate_from_doc(doc: dict, read=rat) -> GallaiCertificate:
     accepted only if that image is a copy of the ground set
     (``_is_copy``); no copy is enumerated, so that ``verify_certificate``
     makes the one enumeration a check needs.  A stored scale or shift that
-    is not its map's is left to the writer's compare."""
-    flags_doc = doc["flags"]
-    verdicts = [flags_doc[name] for name in ("coloring_ok", "sparsity_ok", "copies_complete")]
-    flags = CertificateFlags(*(None if v is None else bool(v) for v in verdicts), note=str(flags_doc["note"]))
-    ground, elements = GroundSet(tuple(map(read, doc["ground_set"]))), tuple(map(read, doc["elements"]))
-    cert = GallaiCertificate(ground, elements, (), int(doc["colors"]), int(doc["girth"]), flags)
+    is not its map's, or a value the writer writes otherwise, is left to
+    the writer's compare; a field that is missing, not a list or dict
+    where one is read, or does not read, is a ValueError naming its path."""
+    flags_doc = _entry(doc, "flags", dict)
+    verdicts = [_entry(flags_doc, name, path="flags") for name in ("coloring_ok", "sparsity_ok", "copies_complete")]
+    note = str(_entry(flags_doc, "note", path="flags"))
+    flags = CertificateFlags(*(None if v is None else bool(v) for v in verdicts), note=note)
+    points, elements = (tuple(_read(f"{key}[{i}]", read, v) for i, v in enumerate(_entry(doc, key, list)))
+                        for key in ("ground_set", "elements"))
+    colors, girth = (_read(key, int, _entry(doc, key)) for key in ("colors", "girth"))
+    ground = GroundSet(points)
+    cert = GallaiCertificate(ground, elements, (), colors, girth, flags)
     position = {format_rat(x): p for p, x in enumerate(elements)}
-    copies = [tuple(position.get(x, -1) for x in entry["image"]) for entry in doc["copies"]]
+    entries = _entry(doc, "copies", list)
+    images = [entry.get("image") if type(entry) is dict else None for entry in entries]
+    if (i := next((i for i, image in enumerate(images) if type(image) is not list), None)) is not None:
+        _entry(_entry(entries, i, dict, "copies"), "image", list, f"copies[{i}]")  # raises, naming the path
+    copies = [tuple(position.get(x, -1) if type(x) is str else -1 for x in image) for image in images]
     ints, (grid,) = normalize_ground_set(ground), to_grid([elements])[1]
     if (i := next((i for i, copy in enumerate(copies) if not _is_copy(ints, grid, copy)), None)) is not None:
-        image = doc["copies"][i]["image"]
-        raise ValueError(f"copies[{i}].image is {image!r}, not the written elements of a copy of the ground set")
-    return replace(cert, copies=tuple(copies))
+        raise ValueError(f"copies[{i}].image is {images[i]!r}, not the written elements of a copy of the ground set")
+    cert.copies = tuple(copies)  # each checked by _is_copy
+    return cert
+
+
+def _entry(doc, key: str | int, kind: type = object, path: str = ""):
+    """``doc[key]``, the entry ``key`` of the field at ``path``, which is
+    there and a ``kind``, or a ValueError naming it."""
+    where = f"{path}[{key}]" if type(key) is int else f"{path}.{key}" if path else key
+    try:
+        value = doc[key]
+    except KeyError:
+        raise ValueError(f"{where} is missing") from None
+    if not isinstance(value, kind):
+        raise ValueError(f"{where} is {value!r}, not of type {kind.__name__}")
+    return value
+
+
+def _read(path: str, read, value):
+    """``read(value)``, the field at ``path``, or a ValueError naming the path."""
+    try:
+        return read(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _is_copy(ints: tuple[int, ...], grid: list[int], copy: tuple[int, ...]) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rat = Fraction
@@ -100,14 +99,34 @@ def grid_maps(maps, p: int, den: int = 1) -> tuple[int, list[tuple[int, int]]]:
 
 
 # ---------------------------------------------------------------------------
+# value objects
+
+
+class Value:
+    """Equal to an object of its own class whose ``compared`` attributes are
+    equal, and hashed by them, as a frozen dataclass is."""
+
+    compared: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.compared)
+
+    def __eq__(self, other) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+# ---------------------------------------------------------------------------
 # points and directions
 
 
-@dataclass(frozen=True)
-class Point3:
-    x: Rat
-    y: Rat
-    z: Rat
+class Point3(Value):
+    compared = ("x", "y", "z")
+
+    def __init__(self, x: Rat, y: Rat, z: Rat):
+        self.x, self.y, self.z = x, y, z
 
     @classmethod
     def of(cls, x, y, z) -> "Point3":
@@ -117,27 +136,19 @@ class Point3:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True)
-class Dir3:
+class Dir3(Value):
     """A direction in 3-space, canonicalized so its first nonzero
     coordinate equals 1.  Canonical form identifies opposite vectors,
     which makes parallelism and line set-equality plain field equality.
     """
 
-    dx: Rat
-    dy: Rat
-    dz: Rat
+    compared = ("dx", "dy", "dz")
 
-    def __post_init__(self):
-        for lead in (self.dx, self.dy, self.dz):
-            if lead != 0:
-                break
-        else:
+    def __init__(self, dx: Rat, dy: Rat, dz: Rat):
+        lead = dx or dy or dz
+        if not lead:
             raise ValueError("direction must not be the zero vector")
-        if lead != 1:
-            object.__setattr__(self, "dx", self.dx / lead)
-            object.__setattr__(self, "dy", self.dy / lead)
-            object.__setattr__(self, "dz", self.dz / lead)
+        self.dx, self.dy, self.dz = (dx, dy, dz) if lead == 1 else (dx / lead, dy / lead, dz / lead)
 
     @classmethod
     def of(cls, dx, dy, dz) -> "Dir3":
@@ -151,29 +162,28 @@ class Dir3:
 # intervals and boxes
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Value):
     """A closed, non-empty interval [lo, hi] with lo <= hi."""
 
-    lo: Rat
-    hi: Rat
+    compared = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Rat, hi: Rat):
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+        self.lo, self.hi = lo, hi
 
     @classmethod
     def of(cls, lo, hi) -> "Interval":
         return cls(rat(lo), rat(hi))
 
 
-@dataclass(frozen=True)
-class Box3:
+class Box3(Value):
     """A closed axis-aligned box, the product of three non-empty intervals."""
 
-    xr: Interval
-    yr: Interval
-    zr: Interval
+    compared = ("xr", "yr", "zr")
+
+    def __init__(self, xr: Interval, yr: Interval, zr: Interval):
+        self.xr, self.yr, self.zr = xr, yr, zr
 
     @classmethod
     def from_bounds(cls, xlo, xhi, ylo, yhi, zlo, zhi) -> "Box3":
@@ -184,8 +194,8 @@ class Box3:
 # lines
 
 
-@dataclass(frozen=True)
-class Line3:
-    base: Point3
-    dir: Dir3
+class Line3(Value):
+    compared = ("base", "dir")
 
+    def __init__(self, base: Point3, dir: Dir3):
+        self.base, self.dir = base, dir

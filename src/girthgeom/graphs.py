@@ -8,8 +8,7 @@ the same graph and budget always explore the same tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .budget import Budget
 
@@ -147,7 +146,6 @@ def girth(graph: GeoGraph) -> int | float:
 # coloring
 
 
-@dataclass
 class ColoringCertificate:
     """Outcome of a k-colorability search.
 
@@ -156,10 +154,8 @@ class ColoringCertificate:
     budget ran out first.
     """
 
-    colors: int
-    status: str
-    assignment: tuple[int, ...] | None
-    nodes: int
+    def __init__(self, colors: int, status: str, assignment: tuple[int, ...] | None, nodes: int):
+        self.colors, self.status, self.assignment, self.nodes = colors, status, assignment, nodes
 
     @property
     def refuted(self) -> bool | None:
@@ -182,7 +178,9 @@ def is_k_colorable(graph: GeoGraph, k: int, budget: Budget | None = None) -> Col
     ``near_c[c]`` up the slices in at most k big-integer steps, and each
     depth keeps the words it replaced for the backtrack.  r's neighbor mask
     is built when r is first colored, so a search that ends early builds
-    few."""
+    few.  With Delta + 1 colors, Delta the largest degree, the search never
+    backtracks, and it never opens a color above Delta, so it runs with
+    min(k, Delta + 1); the certificate keeps k."""
     budget = budget or Budget(label=f"{k}-coloring")
     n = graph.n
     if n == 0:
@@ -190,11 +188,12 @@ def is_k_colorable(graph: GeoGraph, k: int, budget: Budget | None = None) -> Col
     if k <= 0:
         return ColoringCertificate(k, "refuted", None, 0)
     adj = graph.adj
+    colors = min(k, max(map(len, adj)) + 1)
     ranked = sorted(range(n), key=lambda v: (len(adj[v]), -v))
     rank = {v: r for r, v in enumerate(ranked)}
     near: list[int | None] = [None] * n  # near[r]: the ranks adjacent to rank r
-    near_c = [0] * k
-    sat = [0] * k
+    near_c = [0] * colors
+    sat = [0] * colors
     uncolored = (1 << n) - 1
     # per depth: the rank colored there, its color (-1 before the first),
     # the highest color it may take, and the near_c word and slices it replaced
@@ -234,7 +233,7 @@ def is_k_colorable(graph: GeoGraph, k: int, budget: Budget | None = None) -> Col
             carry = mask & ~old
             if carry:
                 sat = sat.copy()
-                for s in range(k):
+                for s in range(colors):
                     level = sat[s]
                     sat[s] = level | carry
                     carry &= level
@@ -254,21 +253,20 @@ def is_k_colorable(graph: GeoGraph, k: int, budget: Budget | None = None) -> Col
             else:
                 top = uncolored
             at_rank[depth] = top.bit_length() - 1
-            at_cap[depth] = cap + 1 if c == cap < k - 1 else cap
+            at_cap[depth] = cap + 1 if c == cap < colors - 1 else cap
         return ColoringCertificate(k, "refuted", None, nodes)
     finally:
         budget.used += nodes
 
 
-@dataclass
 class ChromaticResult:
     """Exact chromatic number with its two certificates: an optimal proper
-    coloring and the exhaustive refutation one color below (when any)."""
+    coloring and the exhaustive refutation one color below (when any);
+    status is "exact" or "inconclusive"."""
 
-    value: int | None
-    coloring: ColoringCertificate | None
-    refutation: ColoringCertificate | None
-    status: str  # "exact" or "inconclusive"
+    def __init__(self, value: int | None, coloring: ColoringCertificate | None,
+                 refutation: ColoringCertificate | None, status: str):
+        self.value, self.coloring, self.refutation, self.status = value, coloring, refutation, status
 
 
 def chromatic_number(

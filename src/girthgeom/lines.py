@@ -19,7 +19,6 @@ import itertools
 import math
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
 
@@ -127,15 +126,12 @@ def _packed_meets(single) -> list[tuple[int, int]]:
 # families
 
 
-@dataclass(frozen=True, init=False)
 class LineFamily(recursion.Family):
     """Lines on one integer grid (see ``recursion.Family``), swept once when
     they are put on it: line i passes through ``rows[i][0]`` divided by
     ``den``, the least common denominator of the base points, along
     ``rows[i][1]``.  ``identical`` is the first pair of identical lines, or
-    None."""
-
-    identical: tuple[int, int] | None = field(init=False, repr=False, compare=False)
+    None; families do not compare it."""
 
     def __init__(self, lines, claimed_girth, claimed_chromatic, provenance=None, den=None):
         """The family of the line objects ``lines`` or, given ``den``, of
@@ -194,7 +190,6 @@ class LineFamily(recursion.Family):
         return check_line_structure(self)
 
 
-@dataclass(frozen=True, init=False)
 class ShiftSystem(LineFamily):
     """The lines of a strictly increasing value set: one shift line per
     ascending triple (a, b, c), t -> (ab + bc + t, abc + bt, ab^2c + (ab +
@@ -206,8 +201,7 @@ class ShiftSystem(LineFamily):
     family labels."""
 
     kind = "shift-system"
-    values: tuple[Rat, ...]
-    triples: tuple[tuple[Rat, Rat, Rat], ...] = field(init=False)
+    compared = (*LineFamily.compared, "values", "triples")
 
     def __init__(self, values, provenance=None):
         if len(values) < 3:
@@ -345,7 +339,6 @@ def odd_cycle_lines(n: int) -> LineFamily:
 # transversal frames
 
 
-@dataclass(frozen=True)
 class TransversalFrame:
     """A plane crossed by every family line at a distinct point, an axis
     line inside it with all crossing points projecting to distinct axis
@@ -357,10 +350,8 @@ class TransversalFrame:
     ``origin``, the point offset times the unit vector at that entry.
     ``normal``, ``axis`` and ``perp`` are direction rows."""
 
-    normal: Row
-    offset: int
-    axis: Row
-    perp: Row
+    def __init__(self, normal: Row, offset: int, axis: Row, perp: Row):
+        self.normal, self.offset, self.axis, self.perp = normal, offset, axis, perp
 
     @property
     def origin(self) -> Row:

@@ -10,17 +10,15 @@ import itertools
 import math
 from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from . import graphs
 from .budget import Budget
 from .errors import BudgetExhausted, ConstructionError
 from .gallai import GallaiCertificate, GroundSet, ProviderPolicy
+from .geometry import Value
 
 
-@dataclass(frozen=True, init=False)
-class Family:
+class Family(Value):
     """A finite family of objects on one integer grid, with its claims:
     object i is ``rows[i]``, in its kind's form, over ``den``, the least
     denominator its kind keeps.  Claims are never trusted; girth and
@@ -29,15 +27,12 @@ class Family:
     (``meets``).  A kind read from a scene declares its format beside the
     ``labels()`` that writes it: the scene ``kind``, the ``key`` of its
     object list, ``entries`` (the path of each rational of one object) and
-    ``grid(entries, read)`` (the den and rows of all objects' entries)."""
+    ``grid(entries, read)`` (the den and rows of all objects' entries).
+    Each kind's constructor sets ``den``, ``rows``, the two claims (a
+    ``claimed_girth`` of None claims no finite cycle), ``provenance`` and
+    ``meets``; families compare by all of them but ``meets``."""
 
-    # the constructors differ by kind, and a shift system derives all four, so replace refuses them
-    den: int = field(init=False)
-    rows: tuple = field(init=False)
-    claimed_girth: int | None = field(init=False)  # None: the construction claims no finite cycle
-    claimed_chromatic: int = field(init=False)
-    provenance: dict
-    meets: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    compared = ("den", "rows", "claimed_girth", "claimed_chromatic", "provenance")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -46,17 +41,15 @@ class Family:
         return self.meets
 
 
-class Placement(NamedTuple):
+class Placement:
     """What a geometry placed in one step, with the parent as it was copied, its own
     provenance entries (none, or a line step's parameters and offsets) and
     ``family(objects, girth, colors, provenance)``."""
 
-    parent: object
-    cert: GallaiCertificate
-    ground: list
-    copies: list[list]
-    provenance: dict
-    family: Callable
+    def __init__(self, parent, cert: GallaiCertificate, ground: list, copies: list[list], provenance: dict,
+                 family: Callable):
+        self.parent, self.cert, self.ground, self.copies = parent, cert, ground, copies
+        self.provenance, self.family = provenance, family
 
 
 def lift(
@@ -206,18 +199,16 @@ def checked_base(fam):
 # structure
 
 
-@dataclass
 class StructureCheck:
-    name: str
-    ok: bool
-    detail: str = ""
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name, self.ok, self.detail = name, ok, detail
 
 
-@dataclass
 class StructureReport:
     """Named pass/fail results of one structural sweep."""
 
-    checks: list[StructureCheck] = field(default_factory=list)
+    def __init__(self):
+        self.checks: list[StructureCheck] = []
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append(StructureCheck(name, ok, detail))

@@ -173,6 +173,8 @@ def _read_field(spec, value, read, path: str):
     """``value`` read as ``spec`` says; a value of another JSON type, or a
     rational or certificate that does not read, is a ValueError naming its
     path."""
+    if spec is GallaiCertificate:
+        value = _read_field(dict, value, read, path)
     if spec is Fraction or spec is GallaiCertificate:
         try:
             return read(value) if spec is Fraction else certificate_from_doc(value, read)

@@ -4,7 +4,11 @@ import functools
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -492,6 +496,18 @@ def _set(*path):
     return spoil
 
 
+def _drop(*path):
+    """A spoiler that removes the field at ``path``."""
+    *keys, last = path
+
+    def spoil(doc):
+        for key in keys:
+            doc = doc[key]
+        del doc[last]
+
+    return spoil
+
+
 def _cut_to_two_values(doc):
     doc["values"], doc["lines"] = doc["values"][:2], []
 
@@ -632,7 +648,19 @@ _RESPELLED = [
         (_BOXES, "s.scene.json", _set("boxes", 0, "x", 0, _LONG_EXPONENT),
          _BOXES_DOC + f"boxes[0].x[0]: exponent of more than four digits: {_LONG_EXPONENT!r}"),
         (_CERT, "s.json", _set("elements", 0, _LONG_EXPONENT),
-         _CERT_DOC + f"exponent of more than four digits: {_LONG_EXPONENT!r}"),
+         _CERT_DOC + f"elements[0]: exponent of more than four digits: {_LONG_EXPONENT!r}"),
+        # a certificate entry that is missing, not a list or dict where one is read, or does not read, is named
+        (_CERT, "s.json", _set("elements", 3, "x"), _CERT_DOC + "elements[3]: Invalid literal for Fraction: 'x'"),
+        (_CERT, "s.json", _set("ground_set", 1, "x"), _CERT_DOC + "ground_set[1]: Invalid literal for Fraction: 'x'"),
+        (_CERT, "s.json", _drop("copies", 0, "image"), _CERT_DOC + "copies[0].image is missing"),
+        (_CERT, "s.json", _set("copies", "x"), _CERT_DOC + "copies is 'x', not of type list"),
+        (_CERT, "s.json", _set("ground_set", 5), _CERT_DOC + "ground_set is 5, not of type list"),
+        (_CERT, "s.json", _set("copies", 0, "image", 3), _CERT_DOC + "copies[0].image is 3, not of type list"),
+        (_CERT, "s.json", _set("flags", []), _CERT_DOC + "flags is [], not of type dict"),
+        (_BOXES, "s.scene.json", _set("provenance", "certificate", "elements", 1, "x"),
+         _BOXES_DOC + "provenance.certificate: elements[1]: Invalid literal for Fraction: 'x'"),
+        (_BOXES, "s.scene.json", _set("provenance", "certificate", "x"),
+         _BOXES_DOC + "provenance.certificate is 'x', not of type dict"),
         # bytes that are not UTF-8, an integer past Python's int-string limit and
         # nesting past the recursion limit are refused before any field is read
         *((build, path, spoil, f"not valid JSON: {path}: ")
@@ -661,6 +689,9 @@ _RESPELLED = [
          "certificate-image-not-a-copy", "certificate-image-reversed", "certificate-image-of-another-copy",
          "certificate-scale-changed", "certificate-shift-changed", "certificate-element-repeated",
          "box-coordinate-long-exponent", "certificate-element-long-exponent",
+         "certificate-element-malformed", "certificate-ground-malformed", "certificate-image-missing",
+         "certificate-copies-string", "certificate-ground-number", "certificate-image-number",
+         "certificate-flags-list", "box-provenance-element-malformed", "box-provenance-certificate-string",
          *(f"{kind}-{name}" for kind in ("box", "certificate")
            for name in ("not-utf-8", "integer-of-5000-digits", "nested-100000-deep"))],
 )
@@ -679,6 +710,26 @@ def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, bui
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert captured.err.startswith("check failed: " + message)
+
+
+@pytest.mark.parametrize("build, path, spoil, result", [
+    (_CERT, "s.json", _set("colors", 1_000_000), lambda report: report["coloring_ok"] is False),
+    (_BOXES, "s.scene.json", _set("k", 1_000_000),
+     lambda report: report["chromatic"] == {"claimed_at_least": 1_000_000, "refuted_below": False}),
+], ids=["certificate-colors", "c9-k"])
+def test_a_million_colors_are_decided_at_once(tmp_path, monkeypatch, capsys, build, path, spoil, result):
+    # the refutation search uses at most one color per point, and the graph
+    # search at most the largest degree + 1; the report keeps the count given
+    monkeypatch.chdir(tmp_path)
+    main([*build, "--out", path.removesuffix(".scene.json")])
+    doc = json.loads(Path(path).read_text())
+    spoil(doc)
+    Path(path).write_text(json.dumps(doc))
+    capsys.readouterr()
+    start = time.process_time()
+    assert main(["gallai", "check", path] if build[0] == "gallai" else ["verify", path]) == EXIT_CHECK_FAILED
+    assert time.process_time() - start < 1
+    assert result(json.loads(capsys.readouterr().out.rsplit("status:", 1)[0])["results"])
 
 
 def _field_paths(node, prefix=()):
@@ -1316,3 +1367,14 @@ def test_a_document_loads_only_as_its_writer_writes_it(built_documents, kind, da
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("check failed: bad ")
     else:
         assert json.dumps(write(obj), sort_keys=True) == json.dumps(doc, sort_keys=True)
+
+
+def test_importing_the_package_generates_no_code():
+    # every class is a plain class, so no import loads dataclasses, the modules it
+    # loads to generate methods, or typing; -S keeps site's own imports out
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, girthgeom.cli, girthgeom.scenes; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'typing'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

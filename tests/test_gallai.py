@@ -289,6 +289,22 @@ class TestVerify:
                 reference = self._run(rescan_avoiding_coloring, n, colors, listed, Budget(limit, used=spent))
                 assert ours == reference
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        above=st.integers(-1, 3),
+        raw=st.lists(st.sets(st.integers(0, 8), min_size=2, max_size=4), max_size=20),
+        small=st.integers(0, 40),
+    )
+    def test_more_colors_than_points_search_as_the_rescanning_search(self, n, above, raw, small):
+        """The search runs with min(colors, n) colors and the reference with
+        colors: the same coloring or refutation and the same nodes, also
+        where a small budget stops them."""
+        copies = sorted({tuple(sorted({i % n for i in c})) for c in raw} - {(i,) for i in range(n)})
+        for limit in (10_000_000, small):
+            ours = self._run(find_avoiding_coloring, n, n + above, copies, Budget(limit))
+            assert ours == self._run(rescan_avoiding_coloring, n, n + above, copies, Budget(limit))
+
     def test_search_matches_the_rescanning_search_on_wide_masks(self):
         # 3-APs of [200] at 3 colors: 9,900 copies, and the 2,504 opened by position 26 take 7,512 alive bits
         xs = elems(*range(1, 201))

@@ -218,6 +218,18 @@ def test_search_matches_linear_scan_reference(graph):
             same_search(graph, k, budget)
 
 
+@settings(max_examples=150, deadline=None)
+@given(coloring_graphs(), st.integers(-1, 4))
+def test_more_colors_than_the_largest_degree_search_as_the_reference(graph, above):
+    """The search runs with min(k, largest degree + 1) colors and the
+    reference with k: the same tree, assignment and nodes, under every
+    budget, and the certificate keeps k."""
+    k = max((len(a) for a in graph.adj), default=0) + 1 + above
+    for budget in (None, 1, 7):
+        same_search(graph, k, budget)
+    assert is_k_colorable(graph, k).colors == k
+
+
 @pytest.mark.parametrize("n", range(7, 18))
 def test_search_matches_linear_scan_reference_on_double_shift_graphs(n):
     for k in (2, 3, 4):

@@ -704,7 +704,7 @@ class TestVerifyShiftSystem:
         assert built.lines == tuple(shift_line(*t) for t in built.triples)
         with pytest.raises(TypeError):
             ShiftSystem(built.values, built.provenance, built.triples, built.lines)
-        with pytest.raises(ValueError):  # its grid rows are derived, so replace refuses them
+        with pytest.raises(TypeError):  # a system is a plain class, so replace refuses it
             dataclasses.replace(built, rows=built.rows[::-1])
 
     @settings(max_examples=300, deadline=None)
